@@ -19,11 +19,11 @@ Quickstart::
 See ``examples/`` and DESIGN.md for the full tour.
 """
 
-from repro.olfs import OLFS, OLFSConfig
+from repro.olfs import OLFS, OLFSConfig, small_rack
 from repro.sim import Engine
 
 #: The friendly name for the assembled system.
 ROS = OLFS
 
-__all__ = ["Engine", "OLFS", "OLFSConfig", "ROS"]
+__all__ = ["Engine", "OLFS", "OLFSConfig", "ROS", "small_rack"]
 __version__ = "1.0.0"

@@ -24,9 +24,12 @@ builds what it needs and prints a report:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from typing import Callable, Optional
 
 from repro import units
+from repro.report import report_to_json
 
 
 def _print_rows(rows: list[dict]) -> None:
@@ -43,13 +46,9 @@ def _print_rows(rows: list[dict]) -> None:
 
 
 def cmd_demo(_args) -> int:
-    from repro import ROS, OLFSConfig
+    from repro import small_rack
 
-    config = OLFSConfig(
-        data_discs_per_array=3, parity_discs_per_array=1
-    ).scaled_for_tests(bucket_capacity=64 * 1024)
-    ros = ROS(config=config, roller_count=1,
-              buffer_volume_capacity=200 * units.MB)
+    ros = small_rack()
     print("writing 9 files ...")
     for index in range(9):
         ros.write(f"/demo/file-{index}.bin", bytes([index]) * 9000)
@@ -177,24 +176,6 @@ def cmd_power(_args) -> int:
 TRACE_SCENARIOS = ("cold-read", "write-burn", "ops")
 
 
-def _small_traced_ros(seed: int, monitoring: bool = False,
-                      monitor_period: float = 5.0):
-    from repro import ROS, OLFSConfig
-
-    config = OLFSConfig(
-        data_discs_per_array=3, parity_discs_per_array=1
-    ).scaled_for_tests(bucket_capacity=64 * 1024)
-    return ROS(
-        config=config,
-        roller_count=1,
-        buffer_volume_capacity=200 * units.MB,
-        tracing=True,
-        trace_seed=seed,
-        monitoring=monitoring,
-        monitor_period=monitor_period,
-    )
-
-
 def _run_scenario(ros, scenario: str) -> str:
     """Drive one canonical scenario; returns its headline summary line."""
     tracer = ros.tracer
@@ -230,9 +211,10 @@ def _run_scenario(ros, scenario: str) -> str:
 
 def cmd_trace(args) -> int:
     """Run one traced scenario end to end and report its span trees."""
+    from repro import small_rack
     from repro.sim.tracing import to_chrome_trace, to_flat_json
 
-    ros = _small_traced_ros(args.seed)
+    ros = small_rack(tracing=True, trace_seed=args.seed)
     tracer = ros.tracer
     print(_run_scenario(ros, args.scenario))
 
@@ -266,10 +248,12 @@ def cmd_trace(args) -> int:
 
 def cmd_monitor(args) -> int:
     """Run a scenario under full monitoring; emit the run report."""
-    from repro.obs import build_report, render_report, report_json
+    from repro import small_rack
+    from repro.obs import build_report, render_report
 
-    ros = _small_traced_ros(
-        args.seed, monitoring=True, monitor_period=args.period
+    ros = small_rack(
+        tracing=True, trace_seed=args.seed, monitoring=True,
+        monitor_period=args.period,
     )
     print(_run_scenario(ros, args.scenario))
 
@@ -278,7 +262,7 @@ def cmd_monitor(args) -> int:
 
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(report_json(report) + "\n")
+            handle.write(report_to_json(report) + "\n")
         print(f"wrote run report to {args.out}")
     if args.flight_out:
         count = ros.recorder.dump(args.flight_out)
@@ -292,19 +276,92 @@ def cmd_monitor(args) -> int:
     return 0
 
 
+def _failed_invariants(report: dict) -> list[str]:
+    return [
+        f"FAILED {inv['invariant']}: {inv['detail']}"
+        for inv in report["invariants"]
+        if not inv["ok"]
+    ]
+
+
+def _invariants_hold(report: dict, extra: str = "") -> str:
+    return f"all {len(report['invariants'])} invariants hold{extra}"
+
+
+def _run_and_compare(
+    args,
+    run_once: Callable[[Optional[str]], dict],
+    render: Callable[[dict], str],
+    audit: Callable[[dict], list] = _failed_invariants,
+    success: Optional[Callable[[dict], str]] = None,
+    indent: str = "",
+) -> int:
+    """The determinism contract behind every campaign command.
+
+    Calls ``run_once(flight_out)`` ``args.runs`` times (at least once)
+    and byte-compares the canonical JSON of the reports.  Only run 0 is
+    handed ``args.flight_out`` (one dump of a deterministic run is all
+    anyone needs), and the ``flight_dump`` path a run embeds is popped
+    before serializing, so neither the compared bytes nor ``--out``
+    depend on where the journal went.  Then, in order: print
+    ``render(report)``; write run 0's bytes to ``--out``; exit 1 on
+    ``DETERMINISM VIOLATION`` if any two runs differ; exit 1 printing
+    every line ``audit(report)`` returns (failed invariants by default);
+    otherwise exit 0, closing with ``success(report)`` and what was
+    compared — a single run compares nothing, and says so.
+    """
+    flight_out = getattr(args, "flight_out", None)
+    runs = []
+    for index in range(max(1, args.runs)):
+        report = run_once(flight_out if index == 0 else None)
+        dump = report.pop("flight_dump", None)
+        if index == 0 and dump:
+            print(f"wrote flight-recorder dump to {dump}")
+        runs.append(report_to_json(report))
+    report = json.loads(runs[0])
+
+    print(render(report))
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(runs[0])
+        print(f"{indent}wrote report to {args.out}")
+    if any(run != runs[0] for run in runs[1:]):
+        print("DETERMINISM VIOLATION: reports differ across identical runs")
+        return 1
+    failures = audit(report)
+    if failures:
+        print("\n".join(failures))
+        return 1
+    compared = (
+        f"{len(runs)} runs byte-identical" if len(runs) > 1
+        else "determinism not checked (1 run)"
+    )
+    if success is not None:
+        print(f"{indent}{success(report)}; {compared}")
+    elif len(runs) == 1:
+        print(compared)
+    return 0
+
+
 def cmd_chaos(args) -> int:
     """Run a seeded chaos campaign (twice, by default) and audit it.
 
     The same seed must produce a byte-identical report every time; any
     divergence or invariant violation is a non-zero exit.
     """
-    import json
+    from repro.faults.campaign import render_text, run_campaign
 
-    from repro.faults.campaign import report_to_json, run_campaign
+    def audit(report: dict) -> list[str]:
+        violations = report["workload_violations"]
+        if violations:
+            return [f"MID-CAMPAIGN VIOLATIONS: {violations}"]
+        return _failed_invariants(report)
 
-    runs = []
-    for _ in range(max(1, args.campaigns)):
-        report = run_campaign(
+    return _run_and_compare(
+        args,
+        # Chaos only dumps when an invariant fails under --monitor, and
+        # every failing run rewrites the same path: all runs get it.
+        lambda _flight_out: run_campaign(
             args.seed,
             args.ops,
             intensity=args.intensity,
@@ -312,62 +369,20 @@ def cmd_chaos(args) -> int:
             flight_out=args.flight_out,
             serve=args.serve,
             fleet=args.fleet,
-        )
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
+        ),
+        lambda report: render_text(report, runs=max(1, args.runs)),
+        audit,
+        _invariants_hold,
+        indent="  ",
+    )
 
-    print(f"chaos campaign: seed={args.seed} ops={args.ops} "
-          f"intensity={args.intensity} (x{len(runs)} runs)")
-    print(f"  plan: {len(report['plan'])} fault specs, "
-          f"{len(report['fault_events'])} injector events, "
-          f"sim clock {report['final_time'] / 60:.1f} min")
-    workload = report["workload"]
-    print(f"  workload: {workload['writes']} writes "
-          f"({workload['write_errors']} failed), {workload['reads']} reads "
-          f"({workload['read_errors']} failed), {workload['flushes']} flushes"
-          f" -> {report['acked_files']} files acknowledged")
-    for inv in report["invariants"]:
-        mark = "ok" if inv["ok"] else "VIOLATED"
-        print(f"  invariant {inv['invariant']}: {mark} "
-              f"(checked {inv['detail'].get('checked', '-')})")
-    serve_section = report.get("serve")
-    if serve_section is not None:
-        outcomes = serve_section["outcomes"]
-        print(f"  serving: {serve_section['ops']} session ops "
-              f"({outcomes.get('ok', 0)} ok, "
-              f"{outcomes.get('rejected', 0)} rejected, "
-              f"{outcomes.get('timeout', 0)} timed out, "
-              f"{outcomes.get('link_down', 0)} link-down, "
-              f"{outcomes.get('disconnected', 0)} disconnected), "
-              f"{serve_section['link']['drops']} link drops")
-    monitor_section = report.get("monitor")
-    if monitor_section is not None:
-        slo = monitor_section.get("slo") or {}
-        recorder = report.get("flight_recorder", {})
-        print(f"  monitor: {monitor_section['samples']} health samples, "
-              f"{slo.get('violation_count', 0)} SLO violation(s), "
-              f"{recorder.get('recorded', 0)} flight events")
-        if "flight_dump" in report:
-            print(f"  flight recorder dumped to {report['flight_dump']}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"  wrote report to {args.out}")
-    if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
-    if report["workload_violations"]:
-        print(f"MID-CAMPAIGN VIOLATIONS: {report['workload_violations']}")
-        return 1
-    if not report["ok"]:
-        for inv in report["invariants"]:
-            if not inv["ok"]:
-                print(f"FAILED {inv['invariant']}: {inv['detail']}")
-        return 1
-    print(f"  all {len(report['invariants'])} invariants hold; "
-          f"{len(runs)} runs byte-identical")
-    return 0
+
+#: ``serve`` flags only one of its two campaigns reads, with the default
+#: each gets once the combination is known to be valid (argparse leaves
+#: them None, so a flag given to the wrong campaign can be rejected)
+_SERVE_RACK_ONLY = {"prepopulate": 18, "backend": "olfs", "max_inflight": 8,
+                    "faults": False, "flight_out": None}
+_SERVE_XL_ONLY = {"shards": 1, "racks": 8}
 
 
 def cmd_serve(args) -> int:
@@ -377,56 +392,47 @@ def cmd_serve(args) -> int:
     canonical reports — the determinism contract ``python -m repro
     chaos`` enforces, extended to serving.
     """
-    import json
+    from repro.serve import render_text, run_serve
 
-    from repro.serve import render_text, report_to_json, run_serve
-
+    for name in _SERVE_RACK_ONLY if args.xl else _SERVE_XL_ONLY:
+        if getattr(args, name) not in (None, False):
+            flag = "--" + name.replace("_", "-")
+            args.error(
+                f"{flag} is not read by the --xl campaign" if args.xl
+                else f"{flag} requires --xl"
+            )
+    for name, default in {**_SERVE_RACK_ONLY, **_SERVE_XL_ONLY}.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.xl:
         return _cmd_serve_xl(args)
-    runs = []
-    for index in range(max(1, args.runs)):
-        report = run_serve(
+
+    def audit(report: dict) -> list[str]:
+        if not report["totals"]["ops"]:
+            return ["EMPTY RUN: no operations were issued"]
+        if not report["admission_audit"]["ok"]:
+            return [f"ADMISSION AUDIT FAILED: "
+                    f"{report['admission_audit']['detail']}"]
+        missed = [
+            name for name, entry in report["tenants"].items()
+            if entry.get("slo_met") is False
+        ]
+        return [f"SLO MISSED by: {', '.join(missed)}"] if missed else []
+
+    return _run_and_compare(
+        args,
+        lambda flight_out: run_serve(
             args.seed,
             duration_s=args.duration,
             prepopulate=args.prepopulate,
             backend=args.backend,
             faults=args.faults,
             max_inflight=args.max_inflight,
-            # Dump (and embed) the flight journal on the first run only:
-            # later byte-compared runs must not carry a different path,
-            # and one dump of a deterministic run is all anyone needs.
-            flight_out=args.flight_out if index == 0 else None,
-        )
-        if index == 0 and args.flight_out:
-            print(f"wrote flight-recorder dump to {args.flight_out}")
-            report.pop("flight_dump", None)
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
-
-    print(render_text(report))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"wrote report to {args.out}")
-    if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
-    if not report["totals"]["ops"]:
-        print("EMPTY RUN: no operations were issued")
-        return 1
-    if not report["admission_audit"]["ok"]:
-        print(f"ADMISSION AUDIT FAILED: "
-              f"{report['admission_audit']['detail']}")
-        return 1
-    missed = [
-        name for name, entry in report["tenants"].items()
-        if entry.get("slo_met") is False
-    ]
-    if missed:
-        print(f"SLO MISSED by: {', '.join(missed)}")
-        return 1
-    return 0
+            flight_out=flight_out,
+        ),
+        render_text,
+        audit,
+    )
 
 
 def _cmd_serve_xl(args) -> int:
@@ -436,46 +442,40 @@ def _cmd_serve_xl(args) -> int:
     the canonical reports must match byte for byte — the sharded event
     loop's determinism contract, checked from the operator console.
     """
-    import json
+    from repro.serve.xl import run_serve_xl
 
-    from repro.serve.xl import report_to_json, run_serve_xl
-
-    def one(shards: int) -> str:
-        return report_to_json(run_serve_xl(
+    def one(shards: int) -> dict:
+        return run_serve_xl(
             args.seed, racks=args.racks, shards=shards,
             duration_s=args.duration,
-        ))
+        )
 
-    runs = [one(args.shards) for _ in range(max(1, args.runs))]
-    identical = all(run == runs[0] for run in runs[1:])
-    layout_ok = True
-    if args.shards > 1:
-        layout_ok = one(1) == runs[0]
-    report = json.loads(runs[0])
-    totals = report["totals"]
-    print(f"serve-xl: seed={args.seed} racks={args.racks} "
-          f"shards={args.shards} duration={args.duration:.0f}s")
-    print(f"  ops={totals['ops']} ok={totals['ok']} "
-          f"failed={totals['failed']} remote={totals['remote']} "
-          f"events={report['events_issued']}")
-    outages = [name for name, entry in report["racks"].items()
-               if entry["outage"]]
-    print(f"  outages: {', '.join(outages) if outages else 'none'}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"wrote report to {args.out}")
-    if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
-    if not layout_ok:
-        print(f"SHARD-LAYOUT VIOLATION: shards={args.shards} report "
-              f"differs from the single-shard report")
-        return 1
-    if not totals["ops"]:
-        print("EMPTY RUN: no operations were issued")
-        return 1
-    return 0
+    def render(report: dict) -> str:
+        totals = report["totals"]
+        outages = [name for name, entry in report["racks"].items()
+                   if entry["outage"]]
+        return (
+            f"serve-xl: seed={args.seed} racks={args.racks} "
+            f"shards={args.shards} duration={args.duration:.0f}s\n"
+            f"  ops={totals['ops']} ok={totals['ok']} "
+            f"failed={totals['failed']} remote={totals['remote']} "
+            f"events={report['events_issued']}\n"
+            f"  outages: {', '.join(outages) if outages else 'none'}"
+        )
+
+    def audit(report: dict) -> list[str]:
+        if args.shards > 1 and (
+            report_to_json(one(1)) != report_to_json(report)
+        ):
+            return [f"SHARD-LAYOUT VIOLATION: shards={args.shards} report "
+                    f"differs from the single-shard report"]
+        if not report["totals"]["ops"]:
+            return ["EMPTY RUN: no operations were issued"]
+        return []
+
+    return _run_and_compare(
+        args, lambda _flight_out: one(args.shards), render, audit
+    )
 
 
 def cmd_preserve(args) -> int:
@@ -487,98 +487,63 @@ def cmd_preserve(args) -> int:
     the loss-rate metric strictly better (or kept a lossless archive
     lossless).
     """
-    import json
+    from repro.preserve.campaign import render_text, run_preserve
 
-    from repro.preserve import report_to_json, run_preserve
-
-    runs = []
-    for _ in range(max(1, args.runs)):
-        report = run_preserve(
+    def run(attended: bool = True) -> dict:
+        return run_preserve(
             args.seed,
             files=args.files,
             years=args.years,
             intensity=args.intensity,
-            scrub=not args.no_scrub,
-            audit=not args.no_audit,
-            migrate=not args.no_migrate,
+            scrub=attended and not args.no_scrub,
+            audit=attended and not args.no_audit,
+            migrate=attended and not args.no_migrate,
             faults=not args.no_faults,
         )
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
 
-    verdict = report["verdict"]
-    print(f"preserve campaign: seed={args.seed} files={args.files} "
-          f"years={args.years} intensity={args.intensity} "
-          f"(x{len(runs)} runs)")
-    print(f"  config: scrub={report['config']['scrub']} "
-          f"audit={report['config']['audit']} "
-          f"migrate={report['config']['migrate']} "
-          f"faults={report['config']['faults']}")
-    print(f"  plan: {len(report['plan'])} fault specs, "
-          f"{len(report['fault_events'])} injector events, "
-          f"sim clock {report['final_time'] / 60:.1f} min")
-    for index, aging in enumerate(report["aging"]):
-        print(f"  rack {index} aging: {aging['discs_tracked']} discs to "
-              f"{aging['max_age_years']:.1f} years "
-              f"({aging['shocks']} shock(s), "
-              f"{aging['newly_bad_total']} sectors decayed)")
-    for index, scrub in enumerate(report["scrub"]):
-        print(f"  rack {index} scrub: {scrub['passes']} passes, "
-              f"{scrub['arrays_scrubbed']} arrays, "
-              f"{scrub['errors_found']} errors found, "
-              f"{scrub['images_repaired']} repaired, "
-              f"{scrub['images_migrated']} migrated")
-    audit = report.get("audit")
-    if audit is not None:
-        print(f"  audit: {audit['rounds']} rounds, "
-              f"{audit['repairs']} cross-rack repairs, "
-              f"{audit['unreadable']} unreadable copies seen")
-    for inv in report["invariants"]:
-        mark = "ok" if inv["ok"] else "VIOLATED"
-        print(f"  invariant {inv['invariant']}: {mark}")
-    print(f"  verdict: {verdict['bytes_lost']} / "
-          f"{verdict['stored_bytes']} bytes lost "
-          f"({len(verdict['files_lost'])} files) -> "
-          f"{verdict['bytes_lost_per_exabyte_decade']:.3g} "
-          f"bytes lost per exabyte-decade")
-
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"  wrote report to {args.out}")
-    if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
-    if not report["ok"]:
-        for inv in report["invariants"]:
-            if not inv["ok"]:
-                print(f"FAILED {inv['invariant']}: {inv['detail']}")
-        return 1
-    if args.compare:
-        baseline = run_preserve(
-            args.seed,
-            files=args.files,
-            years=args.years,
-            intensity=args.intensity,
-            scrub=False,
-            audit=False,
-            migrate=False,
-            faults=not args.no_faults,
-        )
-        base_metric = baseline["verdict"]["bytes_lost_per_exabyte_decade"]
-        metric = verdict["bytes_lost_per_exabyte_decade"]
+    def audit(report: dict) -> list[str]:
+        failures = _failed_invariants(report)
+        if failures or not args.compare:
+            return failures
+        baseline = run(attended=False)["verdict"]
+        base_metric = baseline["bytes_lost_per_exabyte_decade"]
+        metric = report["verdict"]["bytes_lost_per_exabyte_decade"]
         print(f"  unattended baseline: "
-              f"{baseline['verdict']['bytes_lost']} bytes lost -> "
+              f"{baseline['bytes_lost']} bytes lost -> "
               f"{base_metric:.3g} per exabyte-decade")
-        improved = metric < base_metric or (metric == 0 and base_metric == 0)
-        if not improved:
-            print("NO PRESERVATION BENEFIT: metric not strictly below "
-                  "the unattended baseline")
-            return 1
-    print(f"  all {len(report['invariants'])} invariants hold; "
-          f"{len(runs)} runs byte-identical")
-    return 0
+        if metric < base_metric or (metric == 0 and base_metric == 0):
+            return []
+        return ["NO PRESERVATION BENEFIT: metric not strictly below "
+                "the unattended baseline"]
+
+    return _run_and_compare(
+        args,
+        lambda _flight_out: run(),
+        lambda report: render_text(report, runs=max(1, args.runs)),
+        audit,
+        _invariants_hold,
+        indent="  ",
+    )
+
+
+def _fleet_geometry(args) -> dict:
+    """The shared fleet flags as ``run_fleet*`` keyword arguments."""
+    return dict(
+        sites=args.sites,
+        racks_per_site=args.racks_per_site,
+        clients=args.clients,
+        duration_s=args.duration,
+        objects=args.objects,
+        arrival_rate=args.arrival_rate,
+        rack_loss=not args.no_rack_loss,
+    )
+
+
+def _fleet_failures(report: dict) -> list[str]:
+    failures = _failed_invariants(report)
+    if report["bytes_lost"]:
+        failures.append(f"BYTES LOST: {report['bytes_lost']}")
+    return failures
 
 
 def cmd_fleet(args) -> int:
@@ -587,49 +552,20 @@ def cmd_fleet(args) -> int:
     The same seed must produce a byte-identical report every time; any
     divergence, invariant violation, or lost byte is a non-zero exit.
     """
-    import json
+    from repro.fleet import render_text, run_fleet
 
-    from repro.fleet import render_text, report_to_json, run_fleet
-
-    runs = []
-    for index in range(max(1, args.runs)):
-        report = run_fleet(
+    return _run_and_compare(
+        args,
+        lambda flight_out: run_fleet(
             args.seed,
-            sites=args.sites,
-            racks_per_site=args.racks_per_site,
-            clients=args.clients,
-            duration_s=args.duration,
-            objects=args.objects,
-            arrival_rate=args.arrival_rate,
-            rack_loss=not args.no_rack_loss,
             site_loss=not args.no_site_loss,
-            flight_out=args.flight_out if index == 0 else None,
-        )
-        if index == 0 and args.flight_out:
-            print(f"wrote flight-recorder dump to {args.flight_out}")
-            report.pop("flight_dump", None)
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
-
-    print(render_text(report))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"wrote report to {args.out}")
-    if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
-    if not report["ok"]:
-        for inv in report["invariants"]:
-            if not inv["ok"]:
-                print(f"FAILED {inv['invariant']}: {inv['detail']}")
-        if report["bytes_lost"]:
-            print(f"BYTES LOST: {report['bytes_lost']}")
-        return 1
-    print(f"all {len(report['invariants'])} invariants hold, "
-          f"0 bytes lost; {len(runs)} runs byte-identical")
-    return 0
+            flight_out=flight_out,
+            **_fleet_geometry(args),
+        ),
+        render_text,
+        _fleet_failures,
+        lambda report: _invariants_hold(report, ", 0 bytes lost"),
+    )
 
 
 def cmd_fleet_monitor(args) -> int:
@@ -642,60 +578,32 @@ def cmd_fleet_monitor(args) -> int:
     with the rack-loss fault enabled — an empty remediation log (a
     campaign where the closed loop never closed proves nothing).
     """
-    import json
+    from repro.fleet.monitor import render_text, run_fleet_monitor
 
-    from repro.fleet.monitor import (
-        render_text,
-        report_to_json,
-        run_fleet_monitor,
-    )
+    def audit(report: dict) -> list[str]:
+        failures = _fleet_failures(report)
+        if not failures and not args.no_telemetry \
+                and not args.no_rack_loss and not report["remediations"]:
+            failures.append("NO REMEDIATION: rack loss was injected but "
+                            "the supervisor never fired an action")
+        return failures
 
-    runs = []
-    for index in range(max(1, args.runs)):
-        report = run_fleet_monitor(
+    return _run_and_compare(
+        args,
+        lambda flight_out: run_fleet_monitor(
             args.seed,
-            sites=args.sites,
-            racks_per_site=args.racks_per_site,
-            clients=args.clients,
-            duration_s=args.duration,
-            objects=args.objects,
-            arrival_rate=args.arrival_rate,
-            rack_loss=not args.no_rack_loss,
             site_loss=args.site_loss,
             telemetry=not args.no_telemetry,
-            flight_out=args.flight_out if index == 0 else None,
-        )
-        if index == 0 and args.flight_out:
-            print(f"wrote flight-recorder dump to {args.flight_out}")
-            report.pop("flight_dump", None)
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
-
-    print(render_text(report))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"wrote report to {args.out}")
-    if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
-    if not report["ok"]:
-        for inv in report["invariants"]:
-            if not inv["ok"]:
-                print(f"FAILED {inv['invariant']}: {inv['detail']}")
-        if report["bytes_lost"]:
-            print(f"BYTES LOST: {report['bytes_lost']}")
-        return 1
-    telemetry_on = not args.no_telemetry
-    if telemetry_on and not args.no_rack_loss and not report["remediations"]:
-        print("NO REMEDIATION: rack loss was injected but the supervisor "
-              "never fired an action")
-        return 1
-    print(f"all {len(report['invariants'])} invariants hold, "
-          f"{report['remediations']} remediation action(s), 0 bytes lost; "
-          f"{len(runs)} runs byte-identical")
-    return 0
+            flight_out=flight_out,
+            **_fleet_geometry(args),
+        ),
+        render_text,
+        audit,
+        lambda report: _invariants_hold(
+            report, f", {report['remediations']} remediation action(s), "
+                    f"0 bytes lost"
+        ),
+    )
 
 
 def cmd_bench(args) -> int:
@@ -771,7 +679,51 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _campaign_flags(
+    seed: int,
+    runs_flag: str = "--runs",
+    flight_help: Optional[str] = "dump the run's flight recorder (JSONL) "
+                                 "here",
+) -> argparse.ArgumentParser:
+    """Parent parser: the flags ``_run_and_compare`` reads.
+
+    ``flight_help=None`` leaves ``--flight-out`` off (campaigns that
+    cannot attach a recorder).
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--seed", type=int, default=seed)
+    parent.add_argument(runs_flag, dest="runs", type=int, default=2,
+                        help="identical runs to byte-compare (default 2)")
+    parent.add_argument("--out", help="write the JSON report here")
+    if flight_help:
+        parent.add_argument("--flight-out", help=flight_help)
+    return parent
+
+
+def _fleet_flags(**defaults) -> argparse.ArgumentParser:
+    """Parent parser: the fleet geometry ``_fleet_geometry`` reads
+    (``defaults`` differ between the bare and the monitored campaign)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, kind, text in (
+        ("--sites", int, "failure-domain sites"),
+        ("--racks-per-site", int, "optical racks per site"),
+        ("--clients", int, "pooled open-loop clients across the fleet"),
+        ("--duration", float, "serving horizon, simulated seconds"),
+        ("--objects", int, "erasure-coded images pre-populated"),
+        ("--arrival-rate", float, "per-site arrival rate, ops/second"),
+    ):
+        parent.add_argument(flag, type=kind,
+                            help=f"{text} (default %(default)s)")
+    parent.add_argument("--no-rack-loss", action="store_true",
+                        help="skip the early rack-destruction fault")
+    parent.set_defaults(sites=3, **defaults)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.perf.microbench import MICROBENCHES
+    from repro.perf.scenarios import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="ROS reproduction operator console",
@@ -846,22 +798,20 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.set_defaults(handler=cmd_monitor)
 
     chaos = sub.add_parser(
-        "chaos", help="seeded fault campaign + invariant audit"
+        "chaos", help="seeded fault campaign + invariant audit",
+        parents=[_campaign_flags(
+            seed=7, runs_flag="--campaigns",
+            flight_help="flight-recorder dump path on invariant failure "
+                        "(default chaos-flight-<seed>.jsonl)",
+        )],
     )
-    chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--ops", type=int, default=200,
                        help="workload operations per campaign")
-    chaos.add_argument("--campaigns", type=int, default=2,
-                       help="identical runs to byte-compare (default 2)")
     chaos.add_argument("--intensity", type=float, default=1.0,
                        help="fault-plan hazard multiplier")
-    chaos.add_argument("--out", help="write the JSON report here")
     chaos.add_argument("--monitor", action="store_true",
                        help="attach run monitoring (health sampler, SLO "
                             "watchdog, flight recorder) to each campaign")
-    chaos.add_argument("--flight-out",
-                       help="flight-recorder dump path on invariant failure "
-                            "(default chaos-flight-<seed>.jsonl)")
     chaos.add_argument("--serve", action="store_true",
                        help="run the campaign under a serving workload and "
                             "audit the fifth invariant (no admitted "
@@ -873,48 +823,45 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.set_defaults(handler=cmd_chaos)
 
     serve = sub.add_parser(
-        "serve", help="multi-tenant serving load run + QoS report"
+        "serve", help="multi-tenant serving load run + QoS report",
+        parents=[_campaign_flags(seed=42)],
     )
-    serve.add_argument("--seed", type=int, default=42)
     serve.add_argument("--duration", type=float, default=60.0,
                        help="serving horizon, simulated seconds")
-    serve.add_argument("--runs", type=int, default=2,
-                       help="identical runs to byte-compare (default 2)")
-    serve.add_argument("--prepopulate", type=int, default=18,
-                       help="files written before serving starts")
+    serve.add_argument("--prepopulate", type=int,
+                       help="files written before serving starts "
+                            "(default 18)")
     serve.add_argument("--backend", choices=("olfs", "cluster"),
-                       default="olfs",
-                       help="single rack or a 2-rack replicated cluster")
+                       help="single rack (olfs, the default) or a 2-rack "
+                            "replicated cluster")
     serve.add_argument("--faults", action="store_true",
                        help="run under a randomized fault plan (incl. "
                             "link flaps and client disconnects)")
-    serve.add_argument("--max-inflight", type=int, default=8,
-                       help="admission controller inflight cap")
+    serve.add_argument("--max-inflight", type=int,
+                       help="admission controller inflight cap (default 8)")
     serve.add_argument("--xl", action="store_true",
                        help="run the sharded XL campaign (repro.serve.xl) "
-                            "instead of the single-rack QoS harness")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="event-loop shards for --xl; >1 also "
-                            "byte-compares against the single-shard report")
-    serve.add_argument("--racks", type=int, default=8,
+                            "instead of the single-rack QoS harness; takes "
+                            "--shards/--racks, not --prepopulate/--backend/"
+                            "--faults/--max-inflight/--flight-out")
+    serve.add_argument("--shards", type=int,
+                       help="event-loop shards for --xl (default 1); >1 "
+                            "also byte-compares against the single-shard "
+                            "report")
+    serve.add_argument("--racks", type=int,
                        help="rack count for --xl (default 8)")
-    serve.add_argument("--out", help="write the JSON report here")
-    serve.add_argument("--flight-out",
-                       help="dump the run's flight recorder (JSONL) here")
-    serve.set_defaults(handler=cmd_serve)
+    serve.set_defaults(handler=cmd_serve, error=serve.error)
 
     preserve = sub.add_parser(
-        "preserve", help="decades-scale preservation campaign + verdict"
+        "preserve", help="decades-scale preservation campaign + verdict",
+        parents=[_campaign_flags(seed=7, flight_help=None)],
     )
-    preserve.add_argument("--seed", type=int, default=7)
     preserve.add_argument("--files", type=int, default=12,
                           help="archive files written before the campaign")
     preserve.add_argument("--years", type=float, default=30.0,
                           help="simulated media-years the campaign covers")
     preserve.add_argument("--intensity", type=float, default=1.0,
                           help="fault-plan hazard multiplier")
-    preserve.add_argument("--runs", type=int, default=2,
-                          help="identical runs to byte-compare (default 2)")
     preserve.add_argument("--compare", action="store_true",
                           help="also run with scrub/audit/migration off and "
                                "require a strictly better loss metric")
@@ -926,65 +873,32 @@ def build_parser() -> argparse.ArgumentParser:
                           help="disable age-triggered media migration")
     preserve.add_argument("--no-faults", action="store_true",
                           help="aging only: no chaos fault storm")
-    preserve.add_argument("--out", help="write the JSON report here")
     preserve.set_defaults(handler=cmd_preserve)
 
     fleet = sub.add_parser(
-        "fleet", help="multi-site fleet campaign + recovery + I8 audit"
+        "fleet", help="multi-site fleet campaign + recovery + I8 audit",
+        parents=[_campaign_flags(seed=7), _fleet_flags(
+            racks_per_site=8, clients=105_000, duration=12.0, objects=18,
+            arrival_rate=60.0,
+        )],
     )
-    fleet.add_argument("--seed", type=int, default=7)
-    fleet.add_argument("--sites", type=int, default=3,
-                       help="failure-domain sites (default 3)")
-    fleet.add_argument("--racks-per-site", type=int, default=8,
-                       help="optical racks per site (default 8)")
-    fleet.add_argument("--clients", type=int, default=105_000,
-                       help="pooled open-loop clients across the fleet")
-    fleet.add_argument("--duration", type=float, default=12.0,
-                       help="serving horizon, simulated seconds")
-    fleet.add_argument("--objects", type=int, default=18,
-                       help="erasure-coded images pre-populated")
-    fleet.add_argument("--arrival-rate", type=float, default=60.0,
-                       help="per-site arrival rate, ops/second")
-    fleet.add_argument("--runs", type=int, default=2,
-                       help="identical runs to byte-compare (default 2)")
-    fleet.add_argument("--no-rack-loss", action="store_true",
-                       help="skip the early rack-destruction fault")
     fleet.add_argument("--no-site-loss", action="store_true",
                        help="skip the mid-run whole-site destruction")
-    fleet.add_argument("--out", help="write the JSON report here")
-    fleet.add_argument("--flight-out",
-                       help="dump the run's flight recorder (JSONL) here")
     fleet.set_defaults(handler=cmd_fleet)
 
     fmon = sub.add_parser(
         "fleet-monitor",
         help="fleet telemetry pipeline + closed-loop supervisor, I9 audit",
+        parents=[_campaign_flags(seed=7), _fleet_flags(
+            racks_per_site=4, clients=24_000, duration=10.0, objects=12,
+            arrival_rate=40.0,
+        )],
     )
-    fmon.add_argument("--seed", type=int, default=7)
-    fmon.add_argument("--sites", type=int, default=3,
-                      help="failure-domain sites (default 3)")
-    fmon.add_argument("--racks-per-site", type=int, default=4,
-                      help="optical racks per site (default 4)")
-    fmon.add_argument("--clients", type=int, default=24_000,
-                      help="pooled open-loop clients across the fleet")
-    fmon.add_argument("--duration", type=float, default=10.0,
-                      help="serving horizon, simulated seconds")
-    fmon.add_argument("--objects", type=int, default=12,
-                      help="erasure-coded images pre-populated")
-    fmon.add_argument("--arrival-rate", type=float, default=40.0,
-                      help="per-site arrival rate, ops/second")
-    fmon.add_argument("--runs", type=int, default=2,
-                      help="identical runs to byte-compare (default 2)")
-    fmon.add_argument("--no-rack-loss", action="store_true",
-                      help="skip the early rack-destruction fault")
     fmon.add_argument("--site-loss", action="store_true",
                       help="also destroy a whole site mid-run")
     fmon.add_argument("--no-telemetry", action="store_true",
                       help="baseline: same fleet, loss-event recovery, "
                            "no agents and no supervisor")
-    fmon.add_argument("--out", help="write the JSON report here")
-    fmon.add_argument("--flight-out",
-                      help="dump the run's flight recorder (JSONL) here")
     fmon.set_defaults(handler=cmd_fleet_monitor)
 
     bench = sub.add_parser(
@@ -1019,9 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "target",
-        help="scenario (cold_read, longevity_slice, chaos_campaign, "
-             "serve, fleet, fleet_monitor, serve_xl) or microbench "
-             "(delay_chain, ping_pong, spawn_join, bandwidth_flows)",
+        help=f"scenario ({', '.join(SCENARIOS)}) or microbench "
+             f"({', '.join(MICROBENCHES)})",
     )
     profile.add_argument("--top", type=int, default=15,
                          help="number of hotspot rows (default 15)")

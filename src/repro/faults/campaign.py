@@ -16,39 +16,20 @@ campaign twice and fails if the two reports differ.
 
 from __future__ import annotations
 
-import json
-
 from repro import units
 from repro.errors import ROSError
 from repro.faults.invariants import check_all
 from repro.faults.plan import FaultPlan
 from repro.olfs.mechanical import ArrayState
+from repro.report import report_to_json  # noqa: F401  (re-exported)
 from repro.sim.rng import DeterministicRNG
 
 #: Mean think time between workload operations (simulated seconds).
 THINK_MEAN_SECONDS = 2.0
 
-
-def build_ros(seed: int, plan: FaultPlan, monitor: bool = False):
-    """The campaign rack: the scaled-for-tests rig with tracing + faults."""
-    from repro import OLFSConfig, ROS
-
-    config = OLFSConfig(
-        data_discs_per_array=3,
-        parity_discs_per_array=1,
-        open_buckets=2,
-        read_cache_images=2,
-    ).scaled_for_tests(bucket_capacity=64 * 1024)
-    return ROS(
-        config=config,
-        roller_count=1,
-        buffer_volume_capacity=200 * units.MB,
-        tracing=True,
-        trace_seed=seed,
-        fault_plan=plan,
-        fault_seed=seed,
-        monitoring=monitor,
-    )
+#: OLFSConfig overrides of the chaos/preserve racks: a two-image read
+#: cache, so a short campaign still evicts and re-fetches from disc
+CAMPAIGN_CONFIG = {"open_buckets": 2, "read_cache_images": 2}
 
 
 def _run_workload(ros, rng, ops: int, acked: dict) -> tuple[dict, list]:
@@ -229,18 +210,18 @@ def _finish_serving(ros, serving: dict) -> dict:
     }
 
 
-def _repair(ros) -> None:
+def repair_rack(ros, label: str) -> None:
     """What the administrator does after the storm (§4.7 maintenance).
 
-    Recalibrate every sensor suite, un-wedge the mechanics, re-burn
-    whatever failed tasks left on the buffer, and scrub any array whose
-    discs took sector damage so parity repair runs before the audit.
+    Recalibrate every sensor suite, un-wedge the mechanics and re-burn
+    whatever failed tasks left on the buffer.  ``label`` prefixes the
+    process names (``chaos`` / ``preserve``).
     """
     from repro.plc import Calibrate
 
     for index in range(len(ros.mech.plc.suites)):
-        ros.run(ros.mech.channel.send(Calibrate(index)), "chaos-calibrate")
-    ros.run(ros.mech.reset_after_fault(), "chaos-mech-reset")
+        ros.run(ros.mech.channel.send(Calibrate(index)), f"{label}-calibrate")
+    ros.run(ros.mech.reset_after_fault(), f"{label}-mech-reset")
     # Failed burn tasks keep their tray claims; release and retry them.
     ros.btm._claimed.clear()
     try:
@@ -248,6 +229,12 @@ def _repair(ros) -> None:
     except ROSError:
         pass
     ros.settle()
+
+
+def _repair(ros) -> None:
+    """:func:`repair_rack`, then scrub any array whose discs took sector
+    damage so parity repair runs before the audit."""
+    repair_rack(ros, "chaos")
     for key in sorted(ros.mc.da_index):
         if ros.mc.da_index[key] is not ArrayState.USED:
             continue
@@ -337,7 +324,16 @@ def run_campaign(
         rng.child("plan"), horizon, intensity=intensity, serve=serve,
         fleet=fleet,
     )
-    ros = build_ros(seed, plan, monitor=monitor)
+    from repro import small_rack
+
+    ros = small_rack(
+        config=CAMPAIGN_CONFIG,
+        tracing=True,
+        trace_seed=seed,
+        fault_plan=plan,
+        fault_seed=seed,
+        monitoring=monitor,
+    )
     injector = ros.fault_injector
 
     fleet_rig = _start_fleet(ros, rng.child("fleet")) if fleet else None
@@ -414,6 +410,45 @@ def run_campaign(
     return report
 
 
-def report_to_json(report: dict) -> str:
-    """Canonical serialization — byte-comparable across identical runs."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+def render_text(report: dict, runs: int = 1) -> str:
+    """Human-readable campaign summary (``runs``: how many were compared)."""
+    workload = report["workload"]
+    lines = [
+        f"chaos campaign: seed={report['seed']} ops={report['ops']} "
+        f"intensity={report['intensity']} (x{runs} runs)",
+        f"  plan: {len(report['plan'])} fault specs, "
+        f"{len(report['fault_events'])} injector events, "
+        f"sim clock {report['final_time'] / 60:.1f} min",
+        f"  workload: {workload['writes']} writes "
+        f"({workload['write_errors']} failed), {workload['reads']} reads "
+        f"({workload['read_errors']} failed), {workload['flushes']} flushes"
+        f" -> {report['acked_files']} files acknowledged",
+    ]
+    for inv in report["invariants"]:
+        mark = "ok" if inv["ok"] else "VIOLATED"
+        lines.append(
+            f"  invariant {inv['invariant']}: {mark} "
+            f"(checked {inv['detail'].get('checked', '-')})"
+        )
+    serve_section = report.get("serve")
+    if serve_section is not None:
+        outcomes = serve_section["outcomes"]
+        lines.append(
+            f"  serving: {serve_section['ops']} session ops "
+            f"({outcomes.get('ok', 0)} ok, "
+            f"{outcomes.get('rejected', 0)} rejected, "
+            f"{outcomes.get('timeout', 0)} timed out, "
+            f"{outcomes.get('link_down', 0)} link-down, "
+            f"{outcomes.get('disconnected', 0)} disconnected), "
+            f"{serve_section['link']['drops']} link drops"
+        )
+    monitor_section = report.get("monitor")
+    if monitor_section is not None:
+        slo = monitor_section.get("slo") or {}
+        recorder = report.get("flight_recorder", {})
+        lines.append(
+            f"  monitor: {monitor_section['samples']} health samples, "
+            f"{slo.get('violation_count', 0)} SLO violation(s), "
+            f"{recorder.get('recorded', 0)} flight events"
+        )
+    return "\n".join(lines)

@@ -23,8 +23,7 @@ its arguments and its JSON report is byte-reproducible — the CLI
 
 from __future__ import annotations
 
-import json
-from typing import Generator
+from typing import Generator, Iterable, Optional
 
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
@@ -38,72 +37,246 @@ from repro.fleet.placement import balance
 from repro.fleet.recovery import RecoveryManager
 from repro.fleet.store import FleetStore
 from repro.fleet.topology import FleetTopology, Layout
-from repro.serve.loadgen import ClientPool, FleetSpec
+from repro.obs.recorder import FlightRecorder
+from repro.report import (  # noqa: F401  (report_to_json re-exported)
+    render_fleet_footer,
+    report_to_json,
+    tenant_outcomes,
+)
+from repro.serve.loadgen import PAYLOAD_CAP, ClientPool, FleetSpec
 from repro.serve.network import NetworkLink
-from repro.serve.session import LATENCY_BOUNDS, STATUSES, ClientSession
+from repro.serve.session import ClientSession
 from repro.serve.tenancy import AdmissionController, TenantSpec
 from repro.sim.engine import AllOf, Engine, Spawn
 from repro.sim.rng import DeterministicRNG
 from repro.sim.tracing import MetricsRegistry
 from repro.workloads.generator import SIZE_PROFILES
 
-#: in-simulation payload cap for pre-populated objects (wire sizes use
-#: the declared logical size — same convention as the serve layer)
-PAYLOAD_CAP = 64 * 1024
 
+class FleetRig:
+    """One fleet under load and faults — what every fleet campaign runs.
 
-def _prepopulate(
-    engine: Engine,
-    store: FleetStore,
-    rng: DeterministicRNG,
-    objects: int,
-    profile: str,
-    max_file_bytes: int,
-) -> list[tuple[str, int]]:
-    """Seed the fleet with ``objects`` erasure-coded images; returns the
-    shared read catalog ``[(path, declared_size)]`` the pools draw from."""
-    mean, sigma = SIZE_PROFILES[profile]
-    catalog: list[tuple[str, int]] = []
+    Construction builds the data plane up to the instant serving starts:
+    store, ``objects`` pre-populated erasure-coded images, one 10GbE
+    link + admission tenant + aggregate-pooled open-loop fleet per site,
+    the rack/site-loss plan with its (started) injector, and an idle
+    :class:`RecoveryManager`.  The caller attaches a control plane
+    (:meth:`start_recovery_loop`, or agents and a supervisor of its
+    own), calls :meth:`serve`, and reduces the run with :meth:`report`.
 
-    def populate() -> Generator:
-        for index in range(objects):
-            size = max(1, int(min(rng.lognormal(mean, sigma),
-                                  max_file_bytes)))
-            payload = rng.bytes(min(size, PAYLOAD_CAP))
-            path = f"/fleet/prepop/f{index:05d}.img"
-            yield from store.put(path, payload, size)
-            catalog.append((path, size))
+    What makes one campaign's bytes differ from another's is passed in,
+    never branched on here: ``label`` names the RNG child stream and
+    ``record`` says whether a flight recorder journals the run.
+    """
 
-    engine.run_process(populate(), "fleet-prepopulate")
-    return catalog
-
-
-def _tenant_summary(
-    metrics: MetricsRegistry, admission: AdmissionController
-) -> dict:
-    """Per-site serving outcome summary (deterministic, rounded)."""
-    tenants = {}
-    for name in sorted(admission.tenants):
-        stats = admission.stats[name]
-        histogram = metrics.histogram(
-            f"serve.latency_s.{name}", LATENCY_BOUNDS
+    def __init__(
+        self,
+        seed: int,
+        label: str,
+        record: bool,
+        *,
+        sites: int,
+        racks_per_site: int,
+        k: int,
+        m: int,
+        clients: int,
+        duration_s: float,
+        objects: int,
+        arrival_rate: float,
+        profile: str,
+        max_file_bytes: int,
+        rack_loss: bool,
+        site_loss: bool,
+        detection_delay_s: float,
+        read_fraction: float,
+        max_inflight: int,
+    ):
+        self.seed = seed
+        self.clients = clients
+        self.duration_s = duration_s
+        self.engine = engine = Engine()
+        self.recorder = FlightRecorder(engine).install() if record else None
+        self.store = FleetStore(
+            engine,
+            FleetTopology(sites=sites, racks_per_site=racks_per_site),
+            Layout(k=k, m=m),
         )
-        counts = {
-            status: int(metrics.counter(f"serve.ops.{name}.{status}").value)
-            for status in STATUSES
-        }
-        tenants[name] = {
-            "ops": sum(counts.values()),
-            "outcomes": counts,
-            "admitted": int(stats["admitted"]),
-            "ok_bytes": round(
-                metrics.counter(f"serve.bytes.{name}").value, 3
+        self.rng = rng = DeterministicRNG(seed).child(label)
+
+        self.catalog = self._prepopulate(
+            rng.child("populate"), objects, profile, max_file_bytes
+        )
+
+        # -- serving plumbing: one link + one tenant per site -----------
+        self.site_names = self.store.topology.site_names()
+        self.links = {site: NetworkLink(engine) for site in self.site_names}
+        self.admission = AdmissionController(
+            engine,
+            [TenantSpec(site, weight=1.0) for site in self.site_names],
+            max_inflight=max_inflight,
+        )
+        self.metrics = MetricsRegistry()
+
+        # clients split evenly across sites, remainder to site 0
+        per_site, remainder = divmod(clients, sites)
+        self.fleets = [
+            FleetSpec(
+                tenant=TenantSpec(site, weight=1.0),
+                clients=max(1, per_site + (remainder if index == 0 else 0)),
+                mode="open",
+                arrival_rate=arrival_rate,
+                read_fraction=read_fraction,
+                profile=profile,
+                max_file_bytes=max_file_bytes,
+                pooling="aggregate",
+            )
+            for index, site in enumerate(self.site_names)
+        ]
+
+        # -- fault schedule: a rack early, a whole site mid-run ---------
+        self.serve_start = engine.now
+        self.t_end = self.serve_start + duration_s
+        frng = rng.child("faults")
+        self.plan = FaultPlan()
+        if rack_loss:
+            self.plan.add(
+                RACK_LOSS,
+                at=self.serve_start + duration_s * frng.uniform(0.15, 0.3),
+            )
+        if site_loss:
+            self.plan.add(
+                SITE_LOSS,
+                at=self.serve_start + duration_s * frng.uniform(0.5, 0.65),
+            )
+        self.injector = (
+            FaultInjector(engine, self.plan, seed=seed)
+            .bind_fleet(self.store)
+            .install()
+        )
+        self.injector.start()
+
+        self.manager = RecoveryManager(
+            self.store, detection_delay_s=detection_delay_s
+        )
+        self.sessions: list[ClientSession] = []
+
+    def _prepopulate(
+        self,
+        rng: DeterministicRNG,
+        objects: int,
+        profile: str,
+        max_file_bytes: int,
+    ) -> list[tuple[str, int]]:
+        """Seed the fleet with ``objects`` erasure-coded images; returns
+        the shared read catalog ``[(path, declared_size)]`` the pools
+        draw from."""
+        mean, sigma = SIZE_PROFILES[profile]
+        catalog: list[tuple[str, int]] = []
+
+        def populate() -> Generator:
+            for index in range(objects):
+                size = max(1, int(min(rng.lognormal(mean, sigma),
+                                      max_file_bytes)))
+                # wire sizes use the declared logical size; the bytes
+                # held in simulation are capped, as in the serve layer
+                payload = rng.bytes(min(size, PAYLOAD_CAP))
+                path = f"/fleet/prepop/f{index:05d}.img"
+                yield from self.store.put(path, payload, size)
+                catalog.append((path, size))
+
+        self.engine.run_process(populate(), "fleet-prepopulate")
+        return catalog
+
+    def start_recovery_loop(self) -> None:
+        """The classic control plane: rebuild on every loss event."""
+        self.engine.spawn(self.manager.run(), name="fleet-recovery")
+
+    def serve(self, main_name: str, control_plane: Iterable = ()) -> None:
+        """Run every site's client pool to the horizon, then drain.
+
+        The injector and the admission queue close, the engine runs out
+        whatever is still scheduled (in-flight rebuilds; the
+        ``control_plane`` out to its own horizon), each control-plane
+        part is ``stop()``-ped, the manager parked, the engine drained.
+        """
+        engine = self.engine
+        frontend = FleetFrontend(self.store)
+        serve_rng = self.rng.child("serve")
+
+        def main() -> Generator:
+            pools = []
+            for site, fleet in zip(self.site_names, self.fleets):
+                pool = ClientPool(
+                    engine, fleet, serve_rng, self.links[site],
+                    self.admission, frontend.backend(site),
+                    self.metrics, self.catalog, self.t_end,
+                )
+                self.sessions.extend(pool.sessions)
+                pools.append((yield Spawn(pool.run(), f"pool-{site}")))
+            yield AllOf(pools)
+
+        engine.run_process(main(), main_name)
+        self.injector.stop()
+        self.admission.close()
+        engine.run()  # let in-flight recovery / the control plane finish
+        for part in control_plane:
+            part.stop()
+        self.manager.stop()
+        engine.run()  # drain the woken manager and the closed dispatcher
+
+    def report(
+        self, flight_out: Optional[str], leading_invariants: Iterable = ()
+    ) -> dict:
+        """Audit (I8, engine drain, I5 — after any ``leading_invariants``
+        of the caller's) and the report sections every fleet campaign
+        shares; dumps the flight recorder when ``flight_out`` is set."""
+        engine = self.engine
+        recoverable = check_fleet_recoverable(self.store)
+        invariants = [
+            *leading_invariants,
+            recoverable,
+            _result(
+                "engine_drained",
+                engine.is_idle,
+                {"final_time": round(engine.now, 6)},
             ),
-            "p50_s": round(histogram.quantile(0.50), 6),
-            "p95_s": round(histogram.quantile(0.95), 6),
-            "p99_s": round(histogram.quantile(0.99), 6),
+            check_no_admitted_request_lost(self.admission),
+        ]
+        lost_bytes = recoverable["detail"]["lost_bytes"]
+        report = {
+            "seed": self.seed,
+            "duration_s": round(self.duration_s, 6),
+            "topology": self.store.topology.to_dict(),
+            "layout": self.store.layout.to_dict(),
+            "clients": self.clients,
+            "pooling": "aggregate",
+            "prepopulated": len(self.catalog),
+            "serve_start": round(self.serve_start, 6),
+            "final_time": round(engine.now, 6),
+            "plan": [spec.to_dict() for spec in self.plan],
+            "fault_events": self.injector.log,
+            "tenants": {
+                name: tenant_outcomes(self.metrics, self.admission, name)
+                for name in sorted(self.admission.tenants)
+            },
+            "links": {
+                site: {
+                    "requests": link.requests,
+                    "responses": link.responses,
+                    "drops": link.drops,
+                }
+                for site, link in sorted(self.links.items())
+            },
+            "store": self.store.health(),
+            "recovery": self.manager.health(),
+            "invariants": invariants,
+            "bytes_lost": lost_bytes,
+            "ok": all(inv["ok"] for inv in invariants) and lost_bytes == 0,
         }
-    return tenants
+        if flight_out:
+            self.recorder.dump(flight_out)
+            report["flight_dump"] = flight_out
+        return report
 
 
 def run_fleet(
@@ -137,156 +310,32 @@ def run_fleet(
     (JSONL) to that path; unset, run and report stay byte-identical to
     an unrecorded build.
     """
-    engine = Engine()
-    recorder = None
-    if flight_out:
-        from repro.obs.recorder import FlightRecorder
-
-        recorder = FlightRecorder(engine).install()
-    topology = FleetTopology(sites=sites, racks_per_site=racks_per_site)
-    layout = Layout(k=k, m=m)
-    store = FleetStore(engine, topology, layout)
-    frontend = FleetFrontend(store)
-    rng = DeterministicRNG(seed).child("fleet")
-
-    catalog = _prepopulate(
-        engine, store, rng.child("populate"), objects, profile,
-        max_file_bytes,
+    rig = FleetRig(
+        seed, "fleet", bool(flight_out),
+        sites=sites, racks_per_site=racks_per_site, k=k, m=m,
+        clients=clients, duration_s=duration_s, objects=objects,
+        arrival_rate=arrival_rate, profile=profile,
+        max_file_bytes=max_file_bytes, rack_loss=rack_loss,
+        site_loss=site_loss, detection_delay_s=detection_delay_s,
+        read_fraction=read_fraction, max_inflight=max_inflight,
     )
+    rig.start_recovery_loop()
+    rig.serve("fleet-main")
 
-    # -- serving plumbing: one link + one tenant per site ---------------
-    site_names = topology.site_names()
-    links = {site: NetworkLink(engine) for site in site_names}
-    admission = AdmissionController(
-        engine,
-        [TenantSpec(site, weight=1.0) for site in site_names],
-        max_inflight=max_inflight,
-    )
-    metrics = MetricsRegistry()
-
-    per_site = clients // sites
-    fleets = []
-    for index, site in enumerate(site_names):
-        fleet_clients = per_site + (clients - per_site * sites
-                                    if index == 0 else 0)
-        fleets.append(
-            FleetSpec(
-                tenant=TenantSpec(site, weight=1.0),
-                clients=max(1, fleet_clients),
-                mode="open",
-                arrival_rate=arrival_rate,
-                read_fraction=read_fraction,
-                profile=profile,
-                max_file_bytes=max_file_bytes,
-                pooling="aggregate",
-            )
-        )
-
-    # -- fault schedule: a rack early, a whole site mid-run -------------
-    serve_start = engine.now
-    t_end = serve_start + duration_s
-    frng = rng.child("faults")
-    plan = FaultPlan()
-    if rack_loss:
-        plan.add(
-            RACK_LOSS, at=serve_start + duration_s * frng.uniform(0.15, 0.3)
-        )
-    if site_loss:
-        plan.add(
-            SITE_LOSS, at=serve_start + duration_s * frng.uniform(0.5, 0.65)
-        )
-    injector = (
-        FaultInjector(engine, plan, seed=seed).bind_fleet(store).install()
-    )
-    injector.start()
-
-    manager = RecoveryManager(store, detection_delay_s=detection_delay_s)
-    engine.spawn(manager.run(), name="fleet-recovery")
-
-    # -- the client fleets ----------------------------------------------
-    sessions: list[ClientSession] = []
-    serve_rng = rng.child("serve")
-
-    def main() -> Generator:
-        pools = []
-        for index, fleet in enumerate(fleets):
-            site = site_names[index]
-            pool = ClientPool(
-                engine, fleet, serve_rng, links[site], admission,
-                frontend.backend(site), metrics, catalog, t_end,
-            )
-            sessions.extend(pool.sessions)
-            pools.append((yield Spawn(pool.run(), f"pool-{site}")))
-        yield AllOf(pools)
-
-    engine.run_process(main(), "fleet-main")
-    injector.stop()
-    admission.close()
-    engine.run()  # let in-flight recovery campaigns finish
-    manager.stop()
-    engine.run()  # drain the woken manager and the closed dispatcher
-
-    # -- audit -----------------------------------------------------------
-    invariants = [
-        check_fleet_recoverable(store),
-        _result(
-            "engine_drained",
-            engine.is_idle,
-            {"final_time": round(engine.now, 6)},
-        ),
-        check_no_admitted_request_lost(admission),
-    ]
-    lost_bytes = invariants[0]["detail"]["lost_bytes"]
+    report = rig.report(flight_out)
     counts = balance(
-        [record.placement for record in store.catalog.values()]
+        [record.placement for record in rig.store.catalog.values()]
     )
-    ok = all(inv["ok"] for inv in invariants) and lost_bytes == 0
-
-    report = {
-        "seed": seed,
-        "duration_s": round(duration_s, 6),
-        "topology": topology.to_dict(),
-        "layout": layout.to_dict(),
-        "clients": clients,
-        "pooling": "aggregate",
-        "prepopulated": len(catalog),
-        "serve_start": round(serve_start, 6),
-        "final_time": round(engine.now, 6),
-        "plan": [spec.to_dict() for spec in plan],
-        "fault_events": injector.log,
-        "tenants": _tenant_summary(metrics, admission),
-        "links": {
-            site: {
-                "requests": link.requests,
-                "responses": link.responses,
-                "drops": link.drops,
-            }
-            for site, link in sorted(links.items())
-        },
-        "store": store.health(),
-        "recovery": manager.health(),
-        "placement": {
-            "racks_used": len(counts),
-            "shards_min": min(counts.values()) if counts else 0,
-            "shards_max": max(counts.values()) if counts else 0,
-        },
-        "sessions": {
-            session.session_id: dict(sorted(session.outcomes.items()))
-            for session in sorted(sessions, key=lambda s: s.session_id)
-        },
-        "invariants": invariants,
-        "bytes_lost": lost_bytes,
-        "ok": ok,
+    report["placement"] = {
+        "racks_used": len(counts),
+        "shards_min": min(counts.values()) if counts else 0,
+        "shards_max": max(counts.values()) if counts else 0,
     }
-    if recorder is not None:
-        recorder.dump(flight_out)
-        report["flight_dump"] = flight_out
+    report["sessions"] = {
+        session.session_id: dict(sorted(session.outcomes.items()))
+        for session in sorted(rig.sessions, key=lambda s: s.session_id)
+    }
     return report
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical serialization — byte-comparable across identical runs."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def render_text(report: dict) -> str:
@@ -310,24 +359,5 @@ def render_text(report: dict) -> str:
             f"{entry['outcomes']['failed']:>7} "
             f"{entry['p50_s']:>9.4f} {entry['p99_s']:>9.4f}"
         )
-    store = report["store"]
-    recovery = report["recovery"]
-    lines.append("")
-    lines.append(
-        f"store: {store['racks_up']}/{store['racks']} racks up, "
-        f"{store['objects']} objects, "
-        f"{store['lost_shards']} shards still lost"
-    )
-    lines.append(
-        f"recovery: {recovery['campaigns']} campaigns, "
-        f"{recovery['shards_rebuilt']} shards rebuilt, "
-        f"{recovery['objects_unrecoverable']} objects unrecoverable"
-    )
-    for inv in report["invariants"]:
-        status = "PASS" if inv["ok"] else "FAIL"
-        lines.append(f"invariant {inv['invariant']}: {status}")
-    lines.append(
-        f"bytes lost: {report['bytes_lost']}  "
-        f"verdict: {'OK' if report['ok'] else 'VIOLATION'}"
-    )
+    lines.extend(render_fleet_footer(report))
     return "\n".join(lines)

@@ -1,7 +1,8 @@
 """Monitored fleet campaigns: telemetry pipeline + closed-loop repair.
 
 ``run_fleet_monitor(seed, ...)`` is the observability experiment in one
-call: a multi-site fleet serves pooled tenant traffic (the PR-6 setup)
+call: a multi-site fleet serves pooled tenant traffic (the PR-7 fleet
+rig, :class:`~repro.fleet.campaign.FleetRig`)
 while every rack hosts a :class:`~repro.fleet.telemetry.TelemetryAgent`
 replicating health samples over the site's 10GbE link — real bytes
 competing with tenant traffic — into one central
@@ -26,20 +27,10 @@ and fails on any diff.
 
 from __future__ import annotations
 
-import json
 from typing import Generator, Optional
 
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import (
-    _result,
-    check_fleet_recoverable,
-    check_no_admitted_request_lost,
-    check_remediation_converges,
-)
-from repro.faults.plan import FaultPlan, RACK_LOSS, SITE_LOSS
-from repro.fleet.campaign import PAYLOAD_CAP, _prepopulate, _tenant_summary
-from repro.fleet.frontend import FleetFrontend
-from repro.fleet.recovery import RecoveryManager
+from repro.faults.invariants import check_remediation_converges
+from repro.fleet.campaign import FleetRig
 from repro.fleet.store import FleetStore
 from repro.fleet.supervisor import FleetSupervisor, TriggerRule
 from repro.fleet.telemetry import (
@@ -48,15 +39,8 @@ from repro.fleet.telemetry import (
     rack_probes,
     site_probes,
 )
-from repro.fleet.topology import FleetTopology, Layout
-from repro.obs.recorder import FlightRecorder
-from repro.serve.loadgen import ClientPool, FleetSpec
-from repro.serve.network import NetworkLink
-from repro.serve.session import ClientSession, STATUSES
-from repro.serve.tenancy import AdmissionController, TenantSpec
-from repro.sim.engine import AllOf, Engine, Spawn
-from repro.sim.rng import DeterministicRNG
-from repro.sim.tracing import MetricsRegistry
+from repro.report import render_fleet_footer, report_to_json
+from repro.serve.session import STATUSES
 
 __all__ = ["run_fleet_monitor", "report_to_json", "render_text"]
 
@@ -148,101 +132,52 @@ def run_fleet_monitor(
     with the classic loss-event recovery loop instead — the baseline
     the perf guard measures agent overhead against.
     """
-    engine = Engine()
-    recorder = FlightRecorder(engine).install()
-    topology = FleetTopology(sites=sites, racks_per_site=racks_per_site)
-    layout = Layout(k=k, m=m)
-    store = FleetStore(engine, topology, layout)
-    frontend = FleetFrontend(store)
-    rng = DeterministicRNG(seed).child("fleet-monitor")
-
-    catalog = _prepopulate(
-        engine, store, rng.child("populate"), objects, profile,
-        max_file_bytes,
+    rig = FleetRig(
+        seed, "fleet-monitor", True,
+        sites=sites, racks_per_site=racks_per_site, k=k, m=m,
+        clients=clients, duration_s=duration_s, objects=objects,
+        arrival_rate=arrival_rate, profile=profile,
+        max_file_bytes=max_file_bytes, rack_loss=rack_loss,
+        site_loss=site_loss, detection_delay_s=detection_delay_s,
+        read_fraction=read_fraction, max_inflight=max_inflight,
     )
-
-    # -- serving plumbing: one link + one tenant per site ---------------
-    site_names = topology.site_names()
-    links = {site: NetworkLink(engine) for site in site_names}
-    admission = AdmissionController(
-        engine,
-        [TenantSpec(site, weight=1.0) for site in site_names],
-        max_inflight=max_inflight,
-    )
-    metrics = MetricsRegistry()
-
-    per_site = clients // sites
-    fleets = []
-    for index, site in enumerate(site_names):
-        fleet_clients = per_site + (clients - per_site * sites
-                                    if index == 0 else 0)
-        fleets.append(
-            FleetSpec(
-                tenant=TenantSpec(site, weight=1.0),
-                clients=max(1, fleet_clients),
-                mode="open",
-                arrival_rate=arrival_rate,
-                read_fraction=read_fraction,
-                profile=profile,
-                max_file_bytes=max_file_bytes,
-                pooling="aggregate",
-            )
-        )
-
-    # -- fault schedule --------------------------------------------------
-    serve_start = engine.now
-    t_end = serve_start + duration_s
+    engine, store, manager = rig.engine, rig.store, rig.manager
+    links, metrics = rig.links, rig.metrics
     horizon_s = duration_s + GRACE_S
-    frng = rng.child("faults")
-    plan = FaultPlan()
-    if rack_loss:
-        plan.add(
-            RACK_LOSS, at=serve_start + duration_s * frng.uniform(0.15, 0.3)
-        )
-    if site_loss:
-        plan.add(
-            SITE_LOSS, at=serve_start + duration_s * frng.uniform(0.5, 0.65)
-        )
-    injector = (
-        FaultInjector(engine, plan, seed=seed).bind_fleet(store).install()
-    )
-    injector.start()
-
-    manager = RecoveryManager(store, detection_delay_s=detection_delay_s)
 
     # -- telemetry pipeline + closed-loop supervisor ---------------------
     central = CentralTelemetry()
     agents: list[TelemetryAgent] = []
     supervisor: Optional[FleetSupervisor] = None
     if telemetry:
-        for rack_id, rack in sorted(store.racks.items()):
+        def start_agent(agent_id: str, site: str, **source) -> None:
             agents.append(
                 TelemetryAgent(
                     engine,
-                    agent_id=rack_id,
-                    central=central,
-                    link=links[rack.site],
-                    probes=rack_probes(rack),
-                    labels={"rack": rack_id, "site": rack.site},
-                    sample_period_s=sample_period_s,
-                    flush_every=flush_every,
-                    horizon_s=horizon_s,
-                    source_up=lambda r=rack: r.up,
-                ).start()
-            )
-        for site in site_names:
-            agents.append(
-                TelemetryAgent(
-                    engine,
-                    agent_id=f"frontend.{site}",
+                    agent_id=agent_id,
                     central=central,
                     link=links[site],
-                    probes=site_probes(site, links[site], metrics, STATUSES),
-                    labels={"site": site},
                     sample_period_s=sample_period_s,
                     flush_every=flush_every,
                     horizon_s=horizon_s,
+                    **source,
                 ).start()
+            )
+
+        for rack_id, rack in sorted(store.racks.items()):
+            start_agent(
+                rack_id,
+                rack.site,
+                probes=rack_probes(rack),
+                labels={"rack": rack_id, "site": rack.site},
+                source_up=lambda r=rack: r.up,
+            )
+        for site in rig.site_names:
+            start_agent(
+                f"frontend.{site}",
+                site,
+                probes=site_probes(site, links[site], metrics, STATUSES),
+                labels={"site": site},
             )
 
         rebuild_state = {"active": False}
@@ -261,19 +196,14 @@ def run_fleet_monitor(
             engine.spawn(one_shot(), name="supervised-rebuild")
             return True
 
+        def set_drained(target: str, drained: bool) -> bool:
+            return target in store.racks and store.set_drained(target, drained)
+
         def drain_rack(target: str) -> dict:
-            changed = (
-                store.set_drained(target, True)
-                if target in store.racks else False
-            )
-            return {"drained": changed}
+            return {"drained": set_drained(target, True)}
 
         def undrain_rack(target: str) -> dict:
-            changed = (
-                store.set_drained(target, False)
-                if target in store.racks else False
-            )
-            return {"undrained": changed}
+            return {"undrained": set_drained(target, False)}
 
         def remediate_rack(target: str) -> dict:
             detail = drain_rack(target)
@@ -297,84 +227,25 @@ def run_fleet_monitor(
             horizon_s=horizon_s,
         ).start()
     else:
-        # Classic loss-event driven recovery (the PR-6 baseline).
-        engine.spawn(manager.run(), name="fleet-recovery")
+        # Classic loss-event driven recovery (the bare-fleet baseline).
+        rig.start_recovery_loop()
 
-    # -- the client fleets ----------------------------------------------
-    sessions: list[ClientSession] = []
-    serve_rng = rng.child("serve")
-
-    def main() -> Generator:
-        pools = []
-        for index, fleet in enumerate(fleets):
-            site = site_names[index]
-            pool = ClientPool(
-                engine, fleet, serve_rng, links[site], admission,
-                frontend.backend(site), metrics, catalog, t_end,
-            )
-            sessions.extend(pool.sessions)
-            pools.append((yield Spawn(pool.run(), f"pool-{site}")))
-        yield AllOf(pools)
-
-    engine.run_process(main(), "fleet-monitor-main")
-    injector.stop()
-    admission.close()
-    engine.run()  # remediation tail: agents + supervisor out to horizon
-    for agent in agents:
-        agent.stop()  # seal tail batches; replicators drain or abandon
-    if supervisor is not None:
-        supervisor.stop()
-    manager.stop()
-    engine.run()  # drain replicators, the parked manager, final rebuilds
+    # Serve; the drain runs agents + supervisor out to the horizon, then
+    # stops them (agents seal tail batches; replicators drain or abandon).
+    rig.serve(
+        "fleet-monitor-main",
+        control_plane=[*agents, supervisor] if telemetry else (),
+    )
     central.store.flush()  # finalize open rollup buckets for the report
 
-    # -- audit -----------------------------------------------------------
-    invariants = []
-    if supervisor is not None:
-        invariants.append(check_remediation_converges(store, supervisor))
-    invariants.extend(
-        [
-            check_fleet_recoverable(store),
-            _result(
-                "engine_drained",
-                engine.is_idle,
-                {"final_time": round(engine.now, 6)},
-            ),
-            check_no_admitted_request_lost(admission),
-        ]
-    )
-    lost_bytes = next(
-        inv for inv in invariants if inv["invariant"] == "fleet_recoverable"
-    )["detail"]["lost_bytes"]
-    ok = all(inv["ok"] for inv in invariants) and lost_bytes == 0
-
-    report = {
-        "seed": seed,
-        "duration_s": round(duration_s, 6),
-        "topology": topology.to_dict(),
-        "layout": layout.to_dict(),
-        "clients": clients,
-        "pooling": "aggregate",
-        "prepopulated": len(catalog),
-        "serve_start": round(serve_start, 6),
-        "final_time": round(engine.now, 6),
+    # -- audit + the control plane's report sections ---------------------
+    i9 = [check_remediation_converges(store, supervisor)] if telemetry else []
+    report = rig.report(flight_out, leading_invariants=i9)
+    report.update({
         "events_issued": engine.events_issued,
-        "plan": [spec.to_dict() for spec in plan],
-        "fault_events": injector.log,
-        "tenants": _tenant_summary(metrics, admission),
-        "links": {
-            site: {
-                "requests": link.requests,
-                "responses": link.responses,
-                "drops": link.drops,
-            }
-            for site, link in sorted(links.items())
-        },
-        "store": store.health(),
-        "recovery": manager.health(),
         "telemetry": _telemetry_section(central, agents, telemetry),
         "rollup": _site_rollup(store, central, telemetry),
-        "slo_burn": _slo_burn(metrics, admission),
+        "slo_burn": _slo_burn(report["tenants"]),
         "supervisor": (
             {"log": supervisor.log, **supervisor.health()}
             if supervisor is not None
@@ -382,17 +253,11 @@ def run_fleet_monitor(
         ),
         "remediations": len(supervisor.log) if supervisor is not None else 0,
         "flight_recorder": {
-            "events": len(recorder),
-            "recorded": recorder.recorded,
-            "dropped": recorder.dropped,
+            "events": len(rig.recorder),
+            "recorded": rig.recorder.recorded,
+            "dropped": rig.recorder.dropped,
         },
-        "invariants": invariants,
-        "bytes_lost": lost_bytes,
-        "ok": ok,
-    }
-    if flight_out:
-        recorder.dump(flight_out)
-        report["flight_dump"] = flight_out
+    })
     return report
 
 
@@ -442,16 +307,12 @@ def _site_rollup(
     return rollup
 
 
-def _slo_burn(metrics: MetricsRegistry, admission: AdmissionController):
+def _slo_burn(tenants: dict) -> list[dict]:
     """Per-site SLO burn rate, worst first: bad ops over total ops."""
     burns = []
-    for name in sorted(admission.tenants):
-        counts = {
-            status: int(metrics.counter(f"serve.ops.{name}.{status}").value)
-            for status in STATUSES
-        }
-        total = sum(counts.values())
-        bad = total - counts.get("ok", 0)
+    for name, entry in tenants.items():
+        total = entry["ops"]
+        bad = total - entry["outcomes"].get("ok", 0)
         burns.append(
             {
                 "site": name,
@@ -465,11 +326,6 @@ def _slo_burn(metrics: MetricsRegistry, admission: AdmissionController):
 
 
 # ----------------------------------------------------------------------
-def report_to_json(report: dict) -> str:
-    """Canonical serialization — byte-comparable across identical runs."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
 def render_text(report: dict) -> str:
     """Human-readable monitored-campaign summary."""
     topo = report["topology"]
@@ -518,24 +374,5 @@ def render_text(report: dict) -> str:
             )
         if len(supervisor["log"]) > 8:
             lines.append(f"  ... {len(supervisor['log']) - 8} more")
-    store = report["store"]
-    recovery = report["recovery"]
-    lines.append("")
-    lines.append(
-        f"store: {store['racks_up']}/{store['racks']} racks up, "
-        f"{store['objects']} objects, "
-        f"{store['lost_shards']} shards still lost"
-    )
-    lines.append(
-        f"recovery: {recovery['campaigns']} campaigns, "
-        f"{recovery['shards_rebuilt']} shards rebuilt, "
-        f"{recovery['objects_unrecoverable']} objects unrecoverable"
-    )
-    for inv in report["invariants"]:
-        status = "PASS" if inv["ok"] else "FAIL"
-        lines.append(f"invariant {inv['invariant']}: {status}")
-    lines.append(
-        f"bytes lost: {report['bytes_lost']}  "
-        f"verdict: {'OK' if report['ok'] else 'VIOLATION'}"
-    )
+    lines.extend(render_fleet_footer(report))
     return "\n".join(lines)

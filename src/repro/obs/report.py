@@ -5,16 +5,17 @@ a finished run into one deterministic dict (health timeline from the
 :class:`~repro.obs.health.SystemMonitor`, SLO verdicts from the watchdog,
 a top-spans table aggregated from the tracer, the full metrics snapshot,
 and flight-recorder statistics); ``render_report`` prints it for humans
-and ``report_json`` serialises it canonically for artifacts and diffing.
+and ``report_json`` (:func:`repro.report.report_to_json`, re-exported)
+serialises it canonically for artifacts and diffing.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from repro.obs.health import SystemMonitor
 from repro.obs.recorder import FlightRecorder
+from repro.report import report_to_json as report_json  # noqa: F401
 from repro.sim.tracing import Tracer
 
 
@@ -63,11 +64,6 @@ def build_report(
             "dropped": recorder.dropped,
         }
     return report
-
-
-def report_json(report: dict) -> str:
-    """Canonical JSON form (stable key order, compact separators)."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def _render_health(health: dict, indent: str = "  ") -> list[str]:

@@ -25,6 +25,6 @@ main entry point; most users reach it through :class:`repro.ROS`.
 """
 
 from repro.olfs.config import OLFSConfig
-from repro.olfs.filesystem import OLFS
+from repro.olfs.filesystem import OLFS, small_rack
 
-__all__ = ["OLFS", "OLFSConfig"]
+__all__ = ["OLFS", "OLFSConfig", "small_rack"]

@@ -368,3 +368,26 @@ class OLFS:
 
     def status(self) -> dict:
         return self.mi.status()
+
+
+def small_rack(factory=OLFS, config: Optional[dict] = None, **kwargs):
+    """The scaled-down rack every demo, trace, chaos, preserve and perf
+    run is built on: 3+1 disc arrays, 64 KiB buckets (so burns finish in
+    simulated minutes while still crossing every layer), one roller and
+    200 MB buffer volumes.
+
+    ``config`` overrides :class:`OLFSConfig` fields; the remaining
+    keywords go to ``factory`` — :class:`OLFS` itself, or a
+    :class:`~repro.cluster.RackCluster`, which builds each of its racks
+    from the same keywords.
+    """
+    fields = {"data_discs_per_array": 3, "parity_discs_per_array": 1}
+    fields.update(config or {})
+    return factory(
+        config=OLFSConfig(**fields).scaled_for_tests(
+            bucket_capacity=64 * 1024
+        ),
+        roller_count=1,
+        buffer_volume_capacity=200 * units.MB,
+        **kwargs,
+    )

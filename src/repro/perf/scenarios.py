@@ -1,6 +1,6 @@
 """Canonical end-to-end scenarios measured in wall-clock seconds.
 
-Three workloads chosen to exercise different layers of the stack:
+Seven workloads chosen to exercise different layers of the stack:
 
 ``cold_read``
     Write a batch of files, burn them, evict the cache and read one back
@@ -43,24 +43,10 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 
-def _small_ros(**kwargs):
-    # Mirrors the test-suite rack: tiny buckets so burns finish in
-    # simulated minutes while still crossing every layer.
-    from repro import OLFSConfig, ROS, units
-
-    config = OLFSConfig(
-        data_discs_per_array=3, parity_discs_per_array=1
-    ).scaled_for_tests(bucket_capacity=64 * 1024)
-    return ROS(
-        config=config,
-        roller_count=1,
-        buffer_volume_capacity=200 * units.MB,
-        **kwargs,
-    )
-
-
 def scenario_cold_read(monitor: bool = False) -> dict:
-    ros = _small_ros(tracing=monitor, monitoring=monitor)
+    from repro import small_rack
+
+    ros = small_rack(tracing=monitor, monitoring=monitor)
     for index in range(9):
         ros.write(f"/perf/file-{index}.bin", bytes([index + 1]) * 9000)
     ros.flush()
@@ -83,10 +69,11 @@ def scenario_cold_read(monitor: bool = False) -> dict:
 
 
 def scenario_longevity_slice(periods: int = 3, aging_rate: float = 1e-3) -> dict:
+    from repro import small_rack
     from repro.media.errors_model import SectorErrorModel
     from repro.sim.rng import DeterministicRNG
 
-    ros = _small_ros()
+    ros = small_rack()
     payloads = {}
     for index in range(12):
         path = f"/vault/f{index:02d}.bin"

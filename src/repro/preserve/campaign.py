@@ -19,10 +19,9 @@ on any byte difference.
 
 from __future__ import annotations
 
-import json
-
 from repro import units
 from repro.errors import ROSError
+from repro.faults.campaign import CAMPAIGN_CONFIG, repair_rack
 from repro.faults.invariants import (
     check_audit_convergence,
     check_engine_drained,
@@ -31,10 +30,11 @@ from repro.faults.invariants import (
 )
 from repro.faults.plan import FaultPlan
 from repro.media.errors_model import SectorErrorModel
-from repro.olfs.config import OLFSConfig
+from repro.olfs.filesystem import small_rack
 from repro.preserve.aging import AgingClock
 from repro.preserve.audit import AntiEntropyAuditor
 from repro.preserve.scrubber import BackgroundScrubber
+from repro.report import report_to_json  # noqa: F401  (re-exported)
 from repro.sim.engine import Delay
 from repro.sim.rng import DeterministicRNG
 from repro.sim.tracing import Tracer
@@ -66,18 +66,8 @@ def _build_cluster(seed: int):
     """The campaign cluster: two chaos-sized racks, one replica."""
     from repro.cluster import RackCluster
 
-    config = OLFSConfig(
-        data_discs_per_array=3,
-        parity_discs_per_array=1,
-        open_buckets=2,
-        read_cache_images=2,
-    ).scaled_for_tests(bucket_capacity=64 * 1024)
-    cluster = RackCluster(
-        rack_count=2,
-        replicas=1,
-        config=config,
-        roller_count=1,
-        buffer_volume_capacity=200 * units.MB,
+    cluster = small_rack(
+        RackCluster, config=CAMPAIGN_CONFIG, rack_count=2, replicas=1
     )
     tracer = Tracer(cluster.engine, seed=seed)
     cluster.engine.trace = tracer
@@ -106,24 +96,6 @@ def _populate(cluster, rng, files: int) -> dict:
     for rack in cluster.racks:
         rack.settle()
     return acked
-
-
-def _repair_rack(rack) -> None:
-    """Post-storm administration (no scrubbing — that is the feature
-    under test, not part of the baseline repair)."""
-    from repro.plc import Calibrate
-
-    for index in range(len(rack.mech.plc.suites)):
-        rack.run(
-            rack.mech.channel.send(Calibrate(index)), "preserve-calibrate"
-        )
-    rack.run(rack.mech.reset_after_fault(), "preserve-mech-reset")
-    rack.btm._claimed.clear()
-    try:
-        rack.flush(wait=False)
-    except ROSError:
-        pass
-    rack.settle()
 
 
 def _evict_everything(rack) -> None:
@@ -305,8 +277,10 @@ def run_preserve(
     # Let in-flight scrubs/audits finish and the fault tail drain.
     for rack in cluster.racks:
         rack.settle()
+    # Post-storm administration — no scrubbing: that is the feature
+    # under test, not part of the baseline repair.
     for rack in cluster.racks:
-        _repair_rack(rack)
+        repair_rack(rack, "preserve")
 
     # The campaign ends as it ran: one last patrol (parity-repairs the
     # final decay slice) and one last anti-entropy round (restores any
@@ -373,6 +347,50 @@ def run_preserve(
     return report
 
 
-def report_to_json(report: dict) -> str:
-    """Canonical serialization — byte-comparable across identical runs."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+def render_text(report: dict, runs: int = 1) -> str:
+    """Human-readable campaign summary (``runs``: how many were compared)."""
+    config = report["config"]
+    verdict = report["verdict"]
+    lines = [
+        f"preserve campaign: seed={report['seed']} files={report['files']} "
+        f"years={report['years']} intensity={report['intensity']} "
+        f"(x{runs} runs)",
+        f"  config: scrub={config['scrub']} audit={config['audit']} "
+        f"migrate={config['migrate']} faults={config['faults']}",
+        f"  plan: {len(report['plan'])} fault specs, "
+        f"{len(report['fault_events'])} injector events, "
+        f"sim clock {report['final_time'] / 60:.1f} min",
+    ]
+    for index, aging in enumerate(report["aging"]):
+        lines.append(
+            f"  rack {index} aging: {aging['discs_tracked']} discs to "
+            f"{aging['max_age_years']:.1f} years "
+            f"({aging['shocks']} shock(s), "
+            f"{aging['newly_bad_total']} sectors decayed)"
+        )
+    for index, scrub in enumerate(report["scrub"]):
+        lines.append(
+            f"  rack {index} scrub: {scrub['passes']} passes, "
+            f"{scrub['arrays_scrubbed']} arrays, "
+            f"{scrub['errors_found']} errors found, "
+            f"{scrub['images_repaired']} repaired, "
+            f"{scrub['images_migrated']} migrated"
+        )
+    audit = report.get("audit")
+    if audit is not None:
+        lines.append(
+            f"  audit: {audit['rounds']} rounds, "
+            f"{audit['repairs']} cross-rack repairs, "
+            f"{audit['unreadable']} unreadable copies seen"
+        )
+    for inv in report["invariants"]:
+        mark = "ok" if inv["ok"] else "VIOLATED"
+        lines.append(f"  invariant {inv['invariant']}: {mark}")
+    lines.append(
+        f"  verdict: {verdict['bytes_lost']} / "
+        f"{verdict['stored_bytes']} bytes lost "
+        f"({len(verdict['files_lost'])} files) -> "
+        f"{verdict['bytes_lost_per_exabyte_decade']:.3g} "
+        f"bytes lost per exabyte-decade"
+    )
+    return "\n".join(lines)

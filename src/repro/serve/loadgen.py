@@ -301,6 +301,7 @@ class ClientPool:
             raise ValueError(f"unknown pool mode {self.mode!r}")
         self.sessions: list[ClientSession] = []
         self._clients: list[tuple[ClientSession, DeterministicRNG, list]] = []
+        self._spawned: list = []  # in-flight op processes (pruned)
         tenant = fleet.tenant.name
         if self.mode == "sessions":
             for index in range(fleet.clients):
@@ -341,16 +342,29 @@ class ClientPool:
         if op.kind == "write" and outcome.status == "ok":
             self.catalog.append((op.path, int(op.nbytes)))
 
-    def _spawn_op(
-        self, session: ClientSession, rng: DeterministicRNG, counter: list
+    def _spawn_roll(
+        self,
+        session: ClientSession,
+        roll: float,
+        rng: DeterministicRNG,
+        counter: list,
     ) -> Generator:
-        op = _next_op(self.fleet, rng, self.catalog, session.session_id,
-                      counter)
+        """Issue one op (kind decided by ``roll``) as its own process and
+        track it, pruning finished ones so the list stays bounded."""
+        op = _op_from_roll(self.fleet, roll, rng, self.catalog,
+                           session.session_id, counter)
         child = yield Spawn(
             self._one_shot(session, op),
             f"op-{session.session_id}-{counter[0]}",
         )
-        return child
+        self._spawned.append(child)
+        if len(self._spawned) >= self.PRUNE_AT:
+            self._spawned = [p for p in self._spawned if not p.done]
+
+    def _join_spawned(self) -> Generator:
+        pending = [process for process in self._spawned if not process.done]
+        if pending:
+            yield AllOf(pending)
 
     def _run_sessions(self) -> Generator:
         per_client_rate = self.fleet.arrival_rate / self.fleet.clients
@@ -367,7 +381,6 @@ class ClientPool:
                 heapq.heappush(
                     heap, (self.engine.now + gap, index, gap, self.engine.now)
                 )
-        spawned: list = []
         while heap:
             when, index, gap, base = heapq.heappop(heap)
             if base == self.engine.now:
@@ -375,10 +388,9 @@ class ClientPool:
             elif when > self.engine.now:
                 yield Delay(when - self.engine.now)
             session, rng, counter = self._clients[index]
-            child = yield from self._spawn_op(session, rng, counter)
-            spawned.append(child)
-            if len(spawned) >= self.PRUNE_AT:
-                spawned = [p for p in spawned if not p.done]
+            # the kind roll comes off the client's own stream, as it
+            # always has (gap, roll, details, gap, ...)
+            yield from self._spawn_roll(session, rng.uniform(), rng, counter)
             if session.disconnected:
                 continue  # this virtual client stops issuing
             gap = rng.exponential(mean_gap)
@@ -387,31 +399,13 @@ class ClientPool:
             heapq.heappush(
                 heap, (self.engine.now + gap, index, gap, self.engine.now)
             )
-        pending = [process for process in spawned if not process.done]
-        if pending:
-            yield AllOf(pending)
-
-    def _spawn_roll(
-        self,
-        session: ClientSession,
-        roll: float,
-        rng: DeterministicRNG,
-        counter: list,
-    ) -> Generator:
-        op = _op_from_roll(self.fleet, roll, rng, self.catalog,
-                           session.session_id, counter)
-        child = yield Spawn(
-            self._one_shot(session, op),
-            f"op-{session.session_id}-{counter[0]}",
-        )
-        return child
+        yield from self._join_spawned()
 
     def _run_aggregate(self) -> Generator:
         session, op_rng, counter = self._clients[0]
         mean_gap = 1.0 / self.fleet.arrival_rate
         engine = self.engine
         t_end = self.t_end
-        spawned: list = []
         if _scalar_loadgen():
             # Reference path: one scalar draw per event off the same
             # sub-streams the vectorized loop batch-reads.
@@ -420,13 +414,9 @@ class ClientPool:
                 if engine.now + gap >= t_end:
                     break
                 yield Delay(gap)
-                roll = self._roll_rng.uniform()
-                child = yield from self._spawn_roll(
-                    session, roll, op_rng, counter
+                yield from self._spawn_roll(
+                    session, self._roll_rng.uniform(), op_rng, counter
                 )
-                spawned.append(child)
-                if len(spawned) >= self.PRUNE_AT:
-                    spawned = [p for p in spawned if not p.done]
         else:
             epoch = self.EPOCH
             exhausted = False
@@ -439,15 +429,10 @@ class ClientPool:
                         exhausted = True
                         break
                     yield Delay(gap)
-                    child = yield from self._spawn_roll(
+                    yield from self._spawn_roll(
                         session, float(rolls[index]), op_rng, counter
                     )
-                    spawned.append(child)
-                    if len(spawned) >= self.PRUNE_AT:
-                        spawned = [p for p in spawned if not p.done]
-        pending = [process for process in spawned if not process.done]
-        if pending:
-            yield AllOf(pending)
+        yield from self._join_spawned()
 
 
 def run_serve(

@@ -1,17 +1,18 @@
 """Per-tenant serving reports: throughput, percentiles, SLO verdicts.
 
 ``build_report`` reduces a finished load run into one deterministic dict
-(sorted tenants, rounded floats); ``report_to_json`` renders the
-canonical byte form the CLI and CI compare across runs, and
-``render_text`` renders the human table.
+(sorted tenants, rounded floats) and ``render_text`` renders the human
+table; ``report_to_json`` — the canonical byte form the CLI and CI
+compare across runs — is :func:`repro.report.report_to_json`, re-exported.
 """
 
 from __future__ import annotations
 
-import json
-
 from repro import units
-from repro.serve.session import LATENCY_BOUNDS, STATUSES
+from repro.report import (  # noqa: F401  (report_to_json re-exported)
+    report_to_json,
+    tenant_outcomes,
+)
 from repro.serve.tenancy import AdmissionController
 from repro.sim.tracing import MetricsRegistry
 
@@ -29,41 +30,19 @@ def build_report(
     for name in sorted(admission.tenants):
         spec = admission.tenants[name]
         stats = admission.stats[name]
-        histogram = metrics.histogram(
-            f"serve.latency_s.{name}", LATENCY_BOUNDS
-        )
-        ok_bytes = metrics.counter(f"serve.bytes.{name}").value
-        counts = {
-            status: int(
-                metrics.counter(f"serve.ops.{name}.{status}").value
-            )
-            for status in STATUSES
-        }
-        p99 = histogram.quantile(0.99)
-        entry = {
-            "ops": sum(counts.values()),
-            "outcomes": counts,
-            "admitted": int(stats["admitted"]),
+        entry = tenant_outcomes(metrics, admission, name)
+        entry.update({
             "admitted_bytes": round(stats["admitted_bytes"], 3),
             "mean_queue_s": round(
                 stats["queue_seconds"] / stats["admitted"], 6
             ) if stats["admitted"] else 0.0,
-            "ok_bytes": round(ok_bytes, 3),
             "throughput_mbps": round(
-                ok_bytes / duration_s / units.MB, 3
+                entry["ok_bytes"] / duration_s / units.MB, 3
             ) if duration_s > 0 else 0.0,
-            "p50_s": round(histogram.quantile(0.50), 6),
-            "p95_s": round(histogram.quantile(0.95), 6),
-            "p99_s": round(p99, 6),
             "weight": spec.weight,
             "rate_bytes": spec.rate_bytes,
             "rate_ops": spec.rate_ops,
-        }
-        if spec.slo_p99_s is not None:
-            entry["slo_p99_s"] = spec.slo_p99_s
-            entry["slo_met"] = bool(
-                histogram.count == 0 or p99 <= spec.slo_p99_s
-            )
+        })
         tenants[name] = entry
     audit_ok, audit_detail = admission.audit()
     return {
@@ -105,11 +84,6 @@ def build_report(
         },
         "admission_audit": {"ok": audit_ok, "detail": audit_detail},
     }
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical byte form — what determinism checks compare."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def render_text(report: dict) -> str:

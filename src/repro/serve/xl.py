@@ -33,13 +33,16 @@ tens of thousands of arrivals pays O(epochs) of RNG dispatch.
 
 from __future__ import annotations
 
-import json
 from typing import Generator
 
 from repro import units
 from repro.errors import ROSError
 from repro.fleet.rack import ShardRack
 from repro.fleet.store import home_rack, shard_layout
+from repro.report import (  # noqa: F401  (report_to_json re-exported)
+    latency_percentiles,
+    report_to_json,
+)
 from repro.serve.session import LATENCY_BOUNDS
 from repro.sim.engine import Delay, Spawn
 from repro.sim.rng import DeterministicRNG
@@ -216,16 +219,13 @@ def run_serve_xl(
         node = nodes[group]
         ok = int(node.ok.value)
         failed = int(node.failed.value)
-        histogram = node.latency
         rack_entries[group] = {
             "ops": ok + failed,
             "ok": ok,
             "failed": failed,
             "remote": int(node.remote.value),
             "ok_bytes": round(node.bytes.value, 3),
-            "p50_s": round(histogram.quantile(0.50), 6),
-            "p95_s": round(histogram.quantile(0.95), 6),
-            "p99_s": round(histogram.quantile(0.99), 6),
+            **latency_percentiles(node.latency),
             "objects": len(local_paths[group]),
             "outage": node.outage,
             "rack": node.rack.health(),
@@ -256,8 +256,3 @@ def run_serve_xl(
         g: sharded.shard_of(g) for g in groups
     }, "routing table disagrees with engine pinning"
     return report
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical byte form — what shard-layout comparisons compare."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))

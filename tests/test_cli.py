@@ -157,3 +157,126 @@ def test_chaos_without_serve_keeps_four_invariants(capsys):
     assert code == 0
     assert "all 4 invariants hold" in output
     assert "serving:" not in output
+
+
+# ----------------------------------------------------------------------
+# The run-and-compare harness, driven by stub campaigns
+# ----------------------------------------------------------------------
+def harness(capsys, run_once, runs=2, out=None, flight_out=None, **kwargs):
+    from argparse import Namespace
+
+    from repro.cli import _run_and_compare
+
+    args = Namespace(runs=runs, out=out, flight_out=flight_out)
+    code = _run_and_compare(
+        args, run_once, lambda report: f"rendered {report['n']}", **kwargs
+    )
+    return code, capsys.readouterr().out
+
+
+def test_harness_flags_diverging_reports(capsys):
+    counter = iter(range(10))
+    code, output = harness(capsys, lambda _flight: {"n": next(counter)})
+    assert code == 1
+    assert "rendered 0" in output  # run 0 is the one rendered
+    assert "DETERMINISM VIOLATION" in output
+    assert "byte-identical" not in output
+
+
+def test_harness_reports_failed_invariant_with_detail(capsys):
+    report = {
+        "n": 1,
+        "ok": False,
+        "invariants": [
+            {"invariant": "durable", "ok": True, "detail": {}},
+            {"invariant": "drained", "ok": False, "detail": {"pending": 3}},
+        ],
+    }
+    code, output = harness(
+        capsys, lambda _flight: dict(report), success=lambda r: "fine"
+    )
+    assert code == 1
+    assert "FAILED drained: {'pending': 3}" in output
+    assert "FAILED durable" not in output
+    assert "fine" not in output and "DETERMINISM" not in output
+
+
+def test_harness_dumps_on_run_zero_only_and_pops_the_path(capsys, tmp_path):
+    import json
+
+    seen = []
+
+    def run_once(flight_out):
+        seen.append(flight_out)
+        report = {"n": 5}
+        if flight_out:
+            report["flight_dump"] = flight_out
+        return report
+
+    out = tmp_path / "report.json"
+    code, output = harness(
+        capsys, run_once, runs=3, out=str(out), flight_out="journal.jsonl",
+        audit=lambda report: [],
+    )
+    # run 0 carried a path the others did not, yet the runs compare equal
+    assert code == 0
+    assert seen == ["journal.jsonl", None, None]
+    assert "wrote flight-recorder dump to journal.jsonl" in output
+    assert json.loads(out.read_text()) == {"n": 5}  # no flight_dump key
+    assert "DETERMINISM VIOLATION" not in output
+
+
+def test_harness_closing_line_names_what_was_compared(capsys):
+    def run(runs):
+        return harness(
+            capsys, lambda _flight: {"n": 0}, runs=runs,
+            audit=lambda report: [], success=lambda report: "all good",
+        )
+
+    assert "all good; 2 runs byte-identical" in run(2)[1]
+    code, output = run(1)
+    assert code == 0
+    assert "all good; determinism not checked (1 run)" in output
+    assert "byte-identical" not in output
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--seed", "7", "--ops", "12", "--campaigns", "1"],
+    ["fleet", "--seed", "7", "--racks-per-site", "3", "--clients", "120",
+     "--duration", "3.0", "--objects", "4", "--arrival-rate", "12.0",
+     "--runs", "1"],
+])
+def test_single_run_does_not_claim_byte_identity(capsys, argv):
+    code, output = run_cli(capsys, *argv)
+    assert code == 0
+    assert "byte-identical" not in output
+    assert "determinism not checked (1 run)" in output
+
+
+# ----------------------------------------------------------------------
+# serve / serve --xl: a flag the chosen campaign ignores is an error
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("extra, flag", [
+    (["--xl", "--faults"], "--faults"),
+    (["--xl", "--backend", "cluster"], "--backend"),
+    (["--xl", "--prepopulate", "18"], "--prepopulate"),
+    (["--xl", "--max-inflight", "4"], "--max-inflight"),
+    (["--xl", "--flight-out", "f.jsonl"], "--flight-out"),
+    (["--shards", "4"], "--shards"),
+    (["--racks", "4"], "--racks"),
+])
+def test_serve_rejects_flags_of_the_other_campaign(capsys, extra, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--duration", "1", *extra])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err
+    assert flag in error and "--xl" in error
+
+
+def test_serve_xl_takes_its_own_flags(capsys):
+    code, output = run_cli(
+        capsys, "serve", "--xl", "--shards", "2", "--racks", "3",
+        "--duration", "5", "--runs", "2",
+    )
+    assert code == 0
+    assert "serve-xl: seed=42 racks=3 shards=2" in output
