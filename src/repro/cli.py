@@ -610,6 +610,7 @@ def cmd_bench(args) -> int:
     """Engine microbenches (events/s) + scenario wall-clock, with a gate."""
     from repro.perf.harness import (
         append_trajectory,
+        budget_check,
         gate_check,
         load_baseline,
         run_benchmarks,
@@ -654,12 +655,18 @@ def cmd_bench(args) -> int:
         failures = gate_check(
             entry["events_per_sec"], baseline, tolerance=args.tolerance
         )
+        # Scenarios run at one fixed size (--scale only multiplies the
+        # microbench event counts), so their budgets hold at any scale.
+        budgets = load_baseline(args.baseline, "events_per_op")
+        failures += budget_check(entry.get("scenarios", {}), budgets)
         if failures:
             for failure in failures:
                 print(f"PERF GATE FAILED: {failure}")
             return 1
+        gated = sorted(set(budgets) & set(entry.get("scenarios", {})))
         print(f"perf gate ok (tolerance {args.tolerance:.0%} "
-              f"below {args.baseline})")
+              f"below {args.baseline}; events/op budgets checked at the "
+              f"scenarios' fixed size: {', '.join(gated) or 'none'})")
     return 0
 
 

@@ -14,6 +14,7 @@ as a Pseudo-Over-Write track, and the remainder is appended later.
 from __future__ import annotations
 
 import enum
+import zlib
 from dataclasses import dataclass
 from typing import Generator, Optional, TYPE_CHECKING
 
@@ -280,8 +281,6 @@ class OpticalDrive:
         size = len(payload) if logical_size is None else int(logical_size)
         if curve is None:
             # Seed fail-safe dip placement stably from the disc's identity.
-            import zlib
-
             seed = zlib.crc32(self.disc.disc_id.encode()) & 0xFFFF
             curve = curve_for(self.disc.disc_type, seed=seed)
         start_progress = self.disc.used_bytes / self.disc.capacity
@@ -296,21 +295,22 @@ class OpticalDrive:
         )
         burn_span.__enter__()
         try:
-            for segment in curve.segments(size, start_progress, segment_count):
-                rate = units.bd_speed(segment.speed_multiple)
+            for rate, seconds, nbytes, end_progress in curve.burn_table(
+                size, start_progress, segment_count
+            ):
                 factor = 1.0
                 if throttle is not None:
                     throttle.update(self, rate)
                     factor = throttle.factor()
-                yield Delay(segment.seconds / factor)
-                burned += segment.nbytes
+                yield Delay(seconds / factor)
+                burned += nbytes
                 fault = self.engine.faults.check(
                     "drive.burn", self.drive_id
                 ) or self.engine.faults.check("drive.op", self.drive_id)
                 if fault is not None:
                     raise DriveError(
                         f"{self.drive_id}: write error at "
-                        f"{segment.end_progress:.0%} "
+                        f"{end_progress:.0%} "
                         f"(injected {fault.kind})"
                     )
                 if self._interrupt_requested:

@@ -21,7 +21,7 @@ from typing import Generator, Optional
 
 from repro import units
 from repro.errors import DriveError
-from repro.drives.drive import BurnResult, OpticalDrive
+from repro.drives.drive import BurnResult, DriveState, OpticalDrive
 from repro.drives.speed import RecordingCurve
 from repro.media.disc import OpticalDisc
 from repro.sim.engine import AllOf, Delay, Engine, Spawn
@@ -112,8 +112,6 @@ class DriveSet:
 
     @property
     def is_burning(self) -> bool:
-        from repro.drives.drive import DriveState
-
         return any(drive.state is DriveState.BURNING for drive in self.drives)
 
     def discs(self) -> list[OpticalDisc]:
@@ -252,8 +250,6 @@ class DriveSet:
 
     def health(self) -> dict:
         """Aggregate snapshot: per-drive states plus set-level occupancy."""
-        from repro.drives.drive import DriveState
-
         states: dict[str, int] = {}
         for drive in self.drives:
             states[drive.state.value] = states.get(drive.state.value, 0) + 1

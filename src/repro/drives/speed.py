@@ -23,6 +23,7 @@ disc, giving the measured 5.9X average and ~3775 s per disc (paper:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, NamedTuple
 
@@ -44,8 +45,20 @@ class BurnSegment(NamedTuple):
         return self.nbytes / units.bd_speed(self.speed_multiple)
 
 
+#: One row of a burn table: ``(rate, seconds, nbytes, end_progress)``.
+BurnRow = tuple[float, float, float, float]
+
+#: Burn tables one curve keeps before the oldest is dropped (a 120-row
+#: table is about 20 KB, so a curve's memo stays under 1.5 MB).
+BURN_TABLE_MEMO_SIZE = 64
+
+
 class RecordingCurve:
-    """Base class: maps burn progress to an instantaneous speed multiple."""
+    """Base class: maps burn progress to an instantaneous speed multiple.
+
+    A curve's parameters are fixed once it is built: :meth:`burn_table`
+    remembers what :meth:`segments` returned.
+    """
 
     #: total bytes this curve is defined over (the disc capacity)
     capacity: int
@@ -72,6 +85,35 @@ class RecordingCurve:
                 nbytes=nbytes / count,
                 speed_multiple=self.speed_multiple(min(mid, 1.0)),
             )
+
+    def burn_table(
+        self, nbytes: float, start_progress: float = 0.0, count: int = 120
+    ) -> tuple[BurnRow, ...]:
+        """:meth:`segments` as plain rows, computed once per argument set.
+
+        A row is ``(rate, seconds, nbytes, end_progress)`` with ``rate``
+        the segment's nominal bytes/second and ``seconds`` its
+        uncontended duration (``segment.seconds``).  Equal-sized images
+        burned on one curve share one table; the memo keeps at most
+        :data:`BURN_TABLE_MEMO_SIZE` tables, dropping the oldest.
+        """
+        memo = self.__dict__.setdefault("_burn_tables", {})
+        key = (nbytes, start_progress, count)
+        table = memo.get(key)
+        if table is None:
+            table = tuple(
+                (
+                    units.bd_speed(segment.speed_multiple),
+                    segment.seconds,
+                    segment.nbytes,
+                    segment.end_progress,
+                )
+                for segment in self.segments(nbytes, start_progress, count)
+            )
+            if len(memo) >= BURN_TABLE_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = table
+        return table
 
     def burn_seconds(self, nbytes: float, start_progress: float = 0.0) -> float:
         """Total burn time for ``nbytes`` (no contention), by integration."""
@@ -143,6 +185,13 @@ class FailSafeCurve(RecordingCurve):
         return self.nominal
 
 
+@functools.lru_cache(maxsize=16)
+def _cav_curve(capacity: int) -> ZonedCAVCurve:
+    """One CAV curve per disc capacity (media types are few), so its burn
+    tables are shared by every drive that burns that media."""
+    return ZonedCAVCurve(capacity=capacity)
+
+
 def curve_for(disc_type: DiscType, seed: int = 0) -> RecordingCurve:
     """The calibrated recording curve for a disc type."""
     if disc_type.capacity >= 100 * units.GB:
@@ -163,4 +212,4 @@ def curve_for(disc_type: DiscType, seed: int = 0) -> RecordingCurve:
             dip_progress_fraction=0.0,
             dip_count=0,
         )
-    return ZonedCAVCurve(capacity=disc_type.capacity)
+    return _cav_curve(disc_type.capacity)

@@ -22,7 +22,7 @@ from repro.drives.drive_set import DriveSet
 from repro.errors import MechanicsError
 from repro.mechanics.arm import PARK_LAYER, RoboticArm
 from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddress
-from repro.mechanics.roller import Roller
+from repro.mechanics.roller import Roller, home_of_disc
 from repro.mechanics.timing import DEFAULT_TIMINGS, MechanicalTimings
 from repro.media.disc import DiscType, BD25
 from repro.media.tray import Tray
@@ -339,16 +339,6 @@ class MechanicalSubsystem:
             and any(drive.disc is not None for drive in drive_set.drives)
         ]
 
-    @staticmethod
-    def _home_of_disc(disc_id: str) -> Optional[TrayAddress]:
-        """Parse the home tray out of a ``populate_blank`` disc id."""
-        import re
-
-        match = re.fullmatch(r"r\d+-l(\d+)-s(\d+)-d\d+", disc_id)
-        if match is None:
-            return None
-        return TrayAddress(int(match.group(1)), int(match.group(2)))
-
     def reset_after_fault(self, priority: int = 0) -> Generator:
         """Return the mechanics to a consistent state after an aborted
         load/unload (a PLC fault or arm jam mid-sequence).
@@ -380,7 +370,7 @@ class MechanicalSubsystem:
                     # (populate_blank encodes it) or the set's record.
                     stack = list(arm.holding)
                     arm.holding = []
-                    home = self._home_of_disc(stack[0].disc_id)
+                    home = home_of_disc(stack[0].disc_id)
                     for drive_set in self.sets_of_roller(roller_index):
                         if drive_set.is_busy:
                             continue
@@ -437,7 +427,7 @@ class MechanicalSubsystem:
                         for drive in drive_set.drives
                         if drive.disc is not None
                     ]
-                    home = self._home_of_disc(held[0].disc_id)
+                    home = home_of_disc(held[0].disc_id)
                     if home is not None:
                         candidate = roller.tray_at(home)
                         if not candidate.checked_out and not candidate.is_empty:

@@ -8,6 +8,7 @@ here they are modelled as timed roller operations with sensor feedback.
 
 from __future__ import annotations
 
+import re
 from typing import Generator, Optional
 
 from repro.errors import MechanicsError
@@ -19,6 +20,17 @@ from repro.sim.engine import Delay, Engine
 
 #: Power drawn while the roller motor turns (§3.2: "less than 50 watts").
 ROTATION_POWER_W = 50.0
+
+#: The ids :meth:`Roller.populate_blank` gives discs name their home tray.
+_POPULATED_DISC_ID = re.compile(r"r\d+-l(\d+)-s(\d+)-d\d+")
+
+
+def home_of_disc(disc_id: str) -> Optional[TrayAddress]:
+    """Parse the home tray out of a ``populate_blank`` disc id."""
+    match = _POPULATED_DISC_ID.fullmatch(disc_id)
+    if match is None:
+        return None
+    return TrayAddress(int(match.group(1)), int(match.group(2)))
 
 
 class Roller:
@@ -80,6 +92,13 @@ class Roller:
         return sum(tray.disc_count for tray in self.trays.values())
 
     def find_disc(self, disc_id: str) -> Optional[TrayAddress]:
+        # A disc normally rests in the tray its id names: look there
+        # before walking every tray (ids are unique, so a hit is final).
+        home = home_of_disc(disc_id)
+        if home in self.trays and any(
+            disc.disc_id == disc_id for disc in self.trays[home].discs()
+        ):
+            return home
         for address, tray in self.trays.items():
             for disc in tray.discs():
                 if disc.disc_id == disc_id:

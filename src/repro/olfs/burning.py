@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Generator, Optional
 
+from repro.drives.drive import DriveState
 from repro.errors import MechanicsError, ROSError
 from repro.mechanics.geometry import TrayAddress
 from repro.olfs.config import OLFSConfig
@@ -63,8 +64,6 @@ class BurnTask:
         self.interruptions += 1
         drive_set = self.controller.mc.mech.drive_sets[self.set_id]
         for drive in drive_set.drives:
-            from repro.drives.drive import DriveState
-
             if drive.state is DriveState.BURNING:
                 drive.request_interrupt()
 
@@ -85,15 +84,21 @@ class BurnTask:
         try:
             self.state = "parity"
             data_images = [record.image for record in self.data_records]
+            # A sealed image is immutable (its volume is closed), so the
+            # bytes parity is computed over are the bytes that get burned.
+            data_blobs = [image.serialize() for image in data_images]
             if config.parity_discs_per_array > 0:
                 with self.engine.trace.span("btm.parity", "btm"):
                     self.parity_images = yield from dim.generate_parity(
-                        data_images
+                        data_images, data_blobs
                     )
             all_images = data_images + self.parity_images
+            blobs = data_blobs + [
+                image.serialize() for image in self.parity_images
+            ]
             payloads = [
-                (image.serialize(), image.logical_size, image.image_id)
-                for image in all_images
+                (blob, image.logical_size, image.image_id)
+                for blob, image in zip(blobs, all_images)
             ]
             burned_prefix: dict[str, float] = {}
             real_prefix: dict[str, int] = {}
@@ -238,8 +243,6 @@ class BurnTask:
                 # A drive/disc failed mid-burn.  Wait for the surviving
                 # drives to finish, clear the (now junk) array out of the
                 # drives, and let run() retry on a fresh tray.
-                from repro.sim.engine import Delay
-
                 while drive_set.is_busy:
                     yield Delay(5.0)
                 yield from mech.unload_array(

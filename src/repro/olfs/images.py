@@ -181,8 +181,15 @@ class DiscImageManager:
     # ------------------------------------------------------------------
     # Delayed parity generation (§4.7)
     # ------------------------------------------------------------------
-    def generate_parity(self, data_images: list[DiscImage]) -> Generator:
+    def generate_parity(
+        self,
+        data_images: list[DiscImage],
+        blobs: Optional[list[bytes]] = None,
+    ) -> Generator:
         """Create the parity image over a prepared array's data images.
+
+        ``blobs`` are the images' serialized bytes when the caller already
+        has them (a burn task burns the same bytes it protects).
 
         Streams every data image off the buffer (parity-read), XORs the
         serialized bytes, and writes the parity image back (parity-write);
@@ -196,7 +203,8 @@ class DiscImageManager:
         read_volume = self.scheduler.volume_for(StreamKind.PARITY_READ)
         write_volume = self.scheduler.volume_for(StreamKind.PARITY_WRITE)
 
-        blobs = [image.serialize() for image in data_images]
+        if blobs is None:
+            blobs = [image.serialize() for image in data_images]
         width = max(len(blob) for blob in blobs)
         logical = max(image.logical_size for image in data_images)
 

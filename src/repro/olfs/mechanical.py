@@ -27,6 +27,7 @@ from repro.mechanics.library import MechanicalSubsystem
 from repro.olfs.config import OLFSConfig
 from repro.sim.engine import Acquire, Engine
 from repro.sim.resources import Grant, Resource
+from repro.sim.rng import DeterministicRNG
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.olfs.burning import BurnTask
@@ -68,11 +69,11 @@ class MechanicalController:
         self._blank_cursor: dict[int, int] = {
             roller.roller_id: 0 for roller in mech.rollers
         }
-        from repro.sim.rng import DeterministicRNG
-
         self._rng = DeterministicRNG(0xA11C).child("tray-allocation")
+        #: every tray address, top layer first (the sequential scan order)
+        self._addresses = tuple(mech.geometry.addresses())
         for roller in mech.rollers:
-            for address in mech.geometry.addresses():
+            for address in self._addresses:
                 self.da_index[(roller.roller_id, address)] = ArrayState.EMPTY
 
     # ------------------------------------------------------------------
@@ -130,6 +131,17 @@ class MechanicalController:
         )
         policy = self.config.tray_allocation
         for roller in rollers:
+            if policy == "sequential":
+                # Resume from the cursor and stop at the first hit.
+                addresses = self._addresses
+                start = self._blank_cursor[roller.roller_id]
+                for offset in range(len(addresses)):
+                    index = (start + offset) % len(addresses)
+                    if self._is_blank_tray(roller, addresses[index]):
+                        self._blank_cursor[roller.roller_id] = index
+                        return roller.roller_id, addresses[index]
+                continue
+            # nearest ranks and random draws over every blank tray.
             blanks = self._blank_trays_of(roller)
             if not blanks:
                 continue
@@ -143,33 +155,26 @@ class MechanicalController:
                     )
                 )
                 return roller.roller_id, blanks[0]
-            if policy == "random":
-                choice = self._rng.choice(blanks)
-                return roller.roller_id, choice
-            # sequential: resume from the cursor.
-            addresses = list(self.mech.geometry.addresses())
-            start = self._blank_cursor[roller.roller_id]
-            blank_set = set(blanks)
-            for offset in range(len(addresses)):
-                address = addresses[(start + offset) % len(addresses)]
-                if address in blank_set:
-                    self._blank_cursor[roller.roller_id] = (
-                        start + offset
-                    ) % len(addresses)
-                    return roller.roller_id, address
+            choice = self._rng.choice(blanks)
+            return roller.roller_id, choice
         raise MechanicsError("no blank disc arrays left")
 
+    def _is_blank_tray(self, roller, address: TrayAddress) -> bool:
+        """Empty in the DAindex, at home, full, and every disc blank."""
+        if self.da_index[(roller.roller_id, address)] is not ArrayState.EMPTY:
+            return False
+        tray = roller.tray_at(address)
+        if tray.checked_out or not tray.is_full:
+            return False
+        return all(disc.is_blank for disc in tray.discs())
+
     def _blank_trays_of(self, roller) -> list[TrayAddress]:
-        blanks = []
-        for address in self.mech.geometry.addresses():
-            if self.da_index[(roller.roller_id, address)] is not ArrayState.EMPTY:
-                continue
-            tray = roller.tray_at(address)
-            if tray.checked_out or not tray.is_full:
-                continue
-            if all(disc.is_blank for disc in tray.discs()):
-                blanks.append(address)
-        return blanks
+        """Every blank tray of ``roller`` (what ``nearest``/``random`` need)."""
+        return [
+            address
+            for address in self._addresses
+            if self._is_blank_tray(roller, address)
+        ]
 
     def locate_image_array(
         self, image_id: str

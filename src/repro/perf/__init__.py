@@ -19,6 +19,7 @@ CLI entry points: ``python -m repro bench`` and ``python -m repro profile``.
 
 from repro.perf.harness import (
     append_trajectory,
+    budget_check,
     gate_check,
     load_baseline,
     profile_target,
@@ -31,6 +32,7 @@ __all__ = [
     "MICROBENCHES",
     "SCENARIOS",
     "append_trajectory",
+    "budget_check",
     "gate_check",
     "load_baseline",
     "profile_target",

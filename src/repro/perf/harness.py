@@ -6,7 +6,8 @@ event-loop throughput over the life of the repository.
 
 ``benchmarks/perf/baseline.json`` is the committed gate: CI runs
 ``repro bench --check`` and fails when any microbench drops more than
-``tolerance`` (default 30%) below the baseline's events/s.
+``tolerance`` (default 30%) below the baseline's events/s, or when a
+scenario spends more engine events per op than its budget there.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from repro.perf.scenarios import SCENARIOS, run_scenarios
 TRAJECTORY_PATH = "BENCH_engine.json"
 BASELINE_PATH = "benchmarks/perf/baseline.json"
 DEFAULT_TOLERANCE = 0.30
+#: Events per op repeat exactly per seed; the slack only absorbs
+#: float/library differences between hosts.
+EVENTS_PER_OP_SLACK = 0.005
 
 
 def run_benchmarks(
@@ -68,10 +72,14 @@ def append_trajectory(entry: dict, path: str = TRAJECTORY_PATH) -> dict:
     return data
 
 
-def load_baseline(path: str = BASELINE_PATH) -> Dict[str, float]:
-    """events/s per microbench from the committed baseline file."""
+def load_baseline(
+    path: str = BASELINE_PATH, section: str = "events_per_sec"
+) -> Dict[str, float]:
+    """One section of the committed baseline file: ``events_per_sec``
+    floors per microbench, or ``events_per_op`` budgets per scenario
+    (empty when the file records none)."""
     data = json.loads(Path(path).read_text())
-    return {str(k): float(v) for k, v in data["events_per_sec"].items()}
+    return {str(k): float(v) for k, v in data.get(section, {}).items()}
 
 
 def gate_check(
@@ -97,6 +105,32 @@ def gate_check(
                 f"{name}: {measured:.0f}/s is below the perf gate "
                 f"({floor:.0f}/s = baseline {floor_source:.0f}/s "
                 f"- {tolerance:.0%})"
+            )
+    return failures
+
+
+def budget_check(
+    scenarios: Dict[str, dict],
+    budgets: Dict[str, float],
+    slack: float = EVENTS_PER_OP_SLACK,
+) -> list[str]:
+    """Failure messages for scenarios above ``(1 + slack) * budget``
+    engine events per op.
+
+    Only a rise fails: spending fewer events is the point.  A scenario
+    with no budget, or that reports no ``events``/``ops``, is not gated.
+    """
+    failures = []
+    for name, budget in budgets.items():
+        stats = scenarios.get(name, {})
+        if not stats.get("ops") or "events" not in stats:
+            continue
+        measured = stats["events"] / stats["ops"]
+        if measured > budget * (1.0 + slack):
+            failures.append(
+                f"{name}: {measured:.2f} events/op is over its budget "
+                f"({budget:.2f} + {slack:.1%}; {stats['events']} events "
+                f"/ {stats['ops']} ops)"
             )
     return failures
 

@@ -197,6 +197,35 @@ def test_locate_disc_absent_while_loaded(system):
     assert drive_set.find_disc("r0-l07-s0-d00") is not None
 
 
+def test_locate_disc_parked_in_a_foreign_tray(system):
+    """The id names a home tray, but the disc is wherever it really is."""
+    engine, subsystem = system
+    roller = subsystem.rollers[0]
+    home, foreign = TrayAddress(42, 3), TrayAddress(9, 1)
+    # swap two whole stacks, so each disc rests in the other's tray
+    from_home = roller.tray_at(home).take_all()
+    from_foreign = roller.tray_at(foreign).take_all()
+    roller.tray_at(home).put_back(from_foreign)
+    roller.tray_at(foreign).put_back(from_home)
+    assert subsystem.locate_disc("r0-l42-s3-d05") == (0, foreign)
+    assert subsystem.locate_disc("r0-l09-s1-d00") == (0, home)
+
+
+def test_locate_disc_with_hand_made_ids(system):
+    from repro.media.disc import OpticalDisc
+
+    engine, subsystem = system
+    tray = subsystem.rollers[0].tray_at(TrayAddress(3, 2))
+    stack = tray.take_all()
+    # one id that does not parse, one that names a tray outside the roller
+    stack[0] = OpticalDisc("vault-0001")
+    stack[1] = OpticalDisc("r0-l999-s9-d00")
+    tray.put_back(stack)
+    assert subsystem.locate_disc("vault-0001") == (0, TrayAddress(3, 2))
+    assert subsystem.locate_disc("r0-l999-s9-d00") == (0, TrayAddress(3, 2))
+    assert subsystem.locate_disc("r0-l998-s9-d00") is None
+
+
 def test_total_discs_conserved(system):
     engine, subsystem = system
     before = subsystem.total_discs()

@@ -1,12 +1,14 @@
 """Tests for the perf harness: microbenches, gate logic, trajectory, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.perf.harness import (
     append_trajectory,
+    budget_check,
     gate_check,
     load_baseline,
     profile_target,
@@ -71,6 +73,39 @@ def test_gate_check_skips_unknown_benches_and_validates_tolerance():
         gate_check({}, baseline, tolerance=1.5)
 
 
+def test_budget_check_fails_only_on_a_rise_over_budget():
+    budgets = {"serve": 100.0}
+    # 0.5% slack: 100.4 events/op passes, 100.6 fails
+    assert budget_check({"serve": {"events": 10040, "ops": 100}},
+                        budgets) == []
+    failures = budget_check({"serve": {"events": 10060, "ops": 100}},
+                            budgets)
+    assert len(failures) == 1
+    assert "serve" in failures[0] and "100.60 events/op" in failures[0]
+    # spending fewer events is the point, never a failure
+    assert budget_check({"serve": {"events": 5000, "ops": 100}},
+                        budgets) == []
+
+
+def test_budget_check_skips_what_it_cannot_gate():
+    over = {"events": 10**9, "ops": 1}
+    # a scenario without a budget is not gated ...
+    assert budget_check({"fleet": over}, {"serve": 100.0}) == []
+    # ... nor one that was not run or reports no events/ops
+    assert budget_check({}, {"serve": 100.0}) == []
+    assert budget_check({"serve": {"wall_seconds": 1.0}},
+                        {"serve": 100.0}) == []
+    assert budget_check({"serve": {"events": 5, "ops": 0}},
+                        {"serve": 100.0}) == []
+
+
+def test_committed_baseline_budgets_name_real_scenarios():
+    committed = Path(__file__).parent.parent / "benchmarks/perf/baseline.json"
+    budgets = load_baseline(str(committed), "events_per_op")
+    assert budgets and set(budgets) <= set(SCENARIOS)
+    assert all(value > 0 for value in budgets.values())
+
+
 def test_append_trajectory_creates_and_appends(tmp_path):
     path = tmp_path / "BENCH_engine.json"
     append_trajectory({"label": "first"}, str(path))
@@ -86,6 +121,8 @@ def test_load_baseline_round_trips(tmp_path):
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps({"events_per_sec": {"delay_chain": 12345}}))
     assert load_baseline(str(path)) == {"delay_chain": 12345.0}
+    # a baseline that records no budgets gates none
+    assert load_baseline(str(path), "events_per_op") == {}
 
 
 def test_profile_target_microbench_and_unknown():
