@@ -211,7 +211,7 @@ class FleetRig:
                     self.admission, frontend.backend(site),
                     self.metrics, self.catalog, self.t_end,
                 )
-                self.sessions.extend(pool.sessions)
+                self.sessions.append(pool.session)
                 pools.append((yield Spawn(pool.run(), f"pool-{site}")))
             yield AllOf(pools)
 

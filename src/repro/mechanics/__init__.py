@@ -18,12 +18,9 @@ __all__ = [
     "MechanicalTimings",
     "PositionSensor",
     "RangeSensor",
-    "RobotArm",
     "RoboticArm",
     "Roller",
     "RollerGeometry",
     "SensorSuite",
     "TrayAddress",
 ]
-
-RobotArm = RoboticArm  # legacy alias

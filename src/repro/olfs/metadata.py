@@ -279,8 +279,8 @@ class MetadataVolume:
         for path in sorted(self._dirty):
             try:
                 node = self._find(path)
-            except Exception:  # noqa: BLE001 — vanished since dirtied
-                continue
+            except (FileNotFoundOLFSError, NotADirectoryOLFSError):
+                continue  # vanished since dirtied
             if isinstance(node, _Dir):
                 entries.append({"path": path, "type": "dir"})
             else:
@@ -304,8 +304,8 @@ class MetadataVolume:
             parts = split_path(path)
             try:
                 parent = self._walk_to(parts[:-1])
-            except Exception:  # noqa: BLE001
-                continue
+            except (FileNotFoundOLFSError, NotADirectoryOLFSError):
+                continue  # parent already gone: nothing to delete
             parent.children.pop(parts[-1], None)
         for entry in delta["entries"]:
             parts = split_path(entry["path"])

@@ -16,20 +16,17 @@ Two fleet modes (the TALICS³/LOCKSS load-model split):
   wait for completions, so offered load keeps arriving while the rack
   is slow — the regime where admission control earns its keep.
 
-Open-loop fleets run as **arrival pools** (:class:`ClientPool`), not one
-engine process per client:
+Open-loop fleets arrive one of two ways (``FleetSpec.pooling``):
 
-* ``sessions`` pooling keeps per-virtual-client RNG streams and
-  sessions but merges their next-arrival times in one heap — stream-
-  exact with the historical one-process-per-client path (same draws at
-  the same simulated times, so the same report), at O(1) processes per
-  fleet instead of O(clients);
-* ``aggregate`` pooling exploits Poisson superposition — the merge of
-  ``N`` independent Poisson streams of rate ``λ/N`` is one Poisson
-  stream of rate ``λ`` — to drive a whole fleet from one RNG stream and
-  one pooled session with per-pool histograms.  That is what makes
-  10⁵–10⁶-client fleet campaigns (:mod:`repro.fleet.campaign`) cost
-  O(arrivals), not O(clients).
+* ``sessions`` — one session, one RNG stream and one engine process per
+  client, each drawing its own Poisson gaps at ``λ/N``: the stream-exact
+  form, for fleets small enough to pay O(clients) processes;
+* ``aggregate`` — one :class:`ClientPool` per fleet.  It exploits Poisson
+  superposition — the merge of ``N`` independent Poisson streams of rate
+  ``λ/N`` is one Poisson stream of rate ``λ`` — to drive a whole fleet
+  from one RNG stream and one pooled session with per-pool histograms.
+  That is what makes 10⁵–10⁶-client fleet campaigns
+  (:mod:`repro.fleet.campaign`) cost O(arrivals), not O(clients).
 
 Everything derives from one seed; ``run_serve`` is a pure function of
 its arguments and its report is byte-reproducible.
@@ -37,7 +34,6 @@ its arguments and its report is byte-reproducible.
 
 from __future__ import annotations
 
-import heapq
 import os
 from dataclasses import dataclass
 from typing import Generator, Optional
@@ -98,11 +94,10 @@ class FleetSpec:
     #: size profile for writes (see workloads.generator.SIZE_PROFILES)
     profile: str = "mixed"
     max_file_bytes: int = 8 * units.MB
-    #: open-loop arrival pooling: "auto" picks "sessions" (stream-exact
-    #: per-client draws, heap-merged) for small fleets and "aggregate"
-    #: (one superposed Poisson stream, one pooled session) above
-    #: :data:`AGGREGATE_POOL_THRESHOLD` clients; "legacy" forces the
-    #: historical one-process-per-client path (the equivalence oracle)
+    #: open-loop arrival pooling: "auto" picks "sessions" (one session,
+    #: RNG stream and process per client) for small fleets and
+    #: "aggregate" (one superposed Poisson stream, one pooled session)
+    #: above :data:`AGGREGATE_POOL_THRESHOLD` clients
     pooling: str = "auto"
 
     def __post_init__(self):
@@ -114,7 +109,7 @@ class FleetSpec:
             raise ValueError("read_fraction must be in [0, 1]")
         if self.profile not in SIZE_PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
-        if self.pooling not in ("auto", "sessions", "aggregate", "legacy"):
+        if self.pooling not in ("auto", "sessions", "aggregate"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
 
     def resolved_pooling(self) -> str:
@@ -240,27 +235,30 @@ def _op_from_roll(
     )
 
 
+def _one_shot(
+    session: ClientSession, op: ServeOp, catalog: list[tuple[str, int]]
+) -> Generator:
+    """One open-loop op as its own process (arrivals never wait for it)."""
+    try:
+        outcome = yield from session.perform(op)
+    except SessionDisconnectedError:
+        return
+    if op.kind == "write" and outcome.status == "ok":
+        catalog.append((op.path, int(op.nbytes)))
+
+
 class ClientPool:
-    """One engine process driving an open-loop fleet's arrivals.
+    """One engine process driving a whole open-loop fleet's arrivals.
 
-    ``sessions`` mode replays the legacy per-client semantics exactly:
-    each virtual client keeps its own RNG child (same labels as the old
-    per-process path), its own :class:`ClientSession` and its own op
-    counter; the pool merges next-arrival times in a heap and issues
-    each client's next op at the instant its own process would have.
-    Per-client draw order (gap₁, op₁, gap₂, …), the ``t + gap ≥ t_end``
-    stop rule and the disconnect check after each spawned op are all
-    preserved, so reports are byte-identical to the legacy path.
+    The pool drives the fleet from one Poisson stream at the fleet's
+    summed arrival rate (superposition) through one pooled session with
+    non-sticky disconnects — a ``client.disconnect`` fault drops one
+    *virtual* client (one recorded ``disconnected`` outcome), not the
+    pool.  Per-pool outcome counts and latency histograms land in the
+    same per-tenant metrics as every other path.
 
-    ``aggregate`` mode drives the whole fleet from one Poisson stream at
-    the fleet's summed arrival rate (superposition) through one pooled
-    session with non-sticky disconnects — a ``client.disconnect`` fault
-    drops one *virtual* client (one recorded ``disconnected`` outcome),
-    not the pool.  Per-pool outcome counts and latency histograms land
-    in the same per-tenant metrics as every other path.
-
-    Aggregate arrivals are *vectorized*: inter-arrival gaps and op-kind
-    rolls are batch-drawn ``EPOCH`` at a time from dedicated sub-streams
+    Arrivals are *vectorized*: inter-arrival gaps and op-kind rolls are
+    batch-drawn ``EPOCH`` at a time from dedicated sub-streams
     (``pool-<tenant>`` → ``gaps`` / ``rolls`` / ``ops``), so a
     million-arrival fleet pays O(epochs) of RNG dispatch instead of two
     Python RNG calls per event.  Arrival *times* are still accumulated by
@@ -274,7 +272,7 @@ class ClientPool:
     #: prune completed op processes once the in-flight list hits this
     PRUNE_AT = 512
 
-    #: arrivals batch-drawn per epoch in vectorized aggregate mode
+    #: arrivals batch-drawn per epoch in the vectorized loop
     EPOCH = 1024
 
     def __init__(
@@ -288,7 +286,6 @@ class ClientPool:
         metrics: MetricsRegistry,
         catalog: list[tuple[str, int]],
         t_end: float,
-        mode: Optional[str] = None,
     ):
         if fleet.mode != "open":
             raise ValueError("ClientPool drives open-loop fleets")
@@ -296,113 +293,34 @@ class ClientPool:
         self.fleet = fleet
         self.catalog = catalog
         self.t_end = t_end
-        self.mode = mode or fleet.resolved_pooling()
-        if self.mode not in ("sessions", "aggregate"):
-            raise ValueError(f"unknown pool mode {self.mode!r}")
-        self.sessions: list[ClientSession] = []
-        self._clients: list[tuple[ClientSession, DeterministicRNG, list]] = []
-        self._spawned: list = []  # in-flight op processes (pruned)
         tenant = fleet.tenant.name
-        if self.mode == "sessions":
-            for index in range(fleet.clients):
-                session_id = f"{tenant}-{index}"
-                session = ClientSession(
-                    engine, session_id, tenant, link, admission, backend,
-                    metrics,
-                )
-                self.sessions.append(session)
-                self._clients.append(
-                    (session, rng.child(f"client-{session_id}"), [0])
-                )
-        else:
-            session = ClientSession(
-                engine, f"{tenant}-pool", tenant, link, admission,
-                backend, metrics, sticky_disconnect=False,
-            )
-            self.sessions.append(session)
-            pool_rng = rng.child(f"pool-{tenant}")
-            self._gap_rng = pool_rng.child("gaps")
-            self._roll_rng = pool_rng.child("rolls")
-            self._clients.append((session, pool_rng.child("ops"), [0]))
+        self.session = ClientSession(
+            engine, f"{tenant}-pool", tenant, link, admission,
+            backend, metrics, sticky_disconnect=False,
+        )
+        pool_rng = rng.child(f"pool-{tenant}")
+        self._gap_rng = pool_rng.child("gaps")
+        self._roll_rng = pool_rng.child("rolls")
+        self._op_rng = pool_rng.child("ops")
+        self._counter = [0]
+        self._spawned: list = []  # in-flight op processes (pruned)
 
     # ------------------------------------------------------------------
-    def run(self) -> Generator:
-        if self.mode == "sessions":
-            yield from self._run_sessions()
-        else:
-            yield from self._run_aggregate()
-
-    def _one_shot(
-        self, session: ClientSession, op: ServeOp
-    ) -> Generator:
-        try:
-            outcome = yield from session.perform(op)
-        except SessionDisconnectedError:
-            return
-        if op.kind == "write" and outcome.status == "ok":
-            self.catalog.append((op.path, int(op.nbytes)))
-
-    def _spawn_roll(
-        self,
-        session: ClientSession,
-        roll: float,
-        rng: DeterministicRNG,
-        counter: list,
-    ) -> Generator:
+    def _spawn_roll(self, roll: float) -> Generator:
         """Issue one op (kind decided by ``roll``) as its own process and
         track it, pruning finished ones so the list stays bounded."""
-        op = _op_from_roll(self.fleet, roll, rng, self.catalog,
-                           session.session_id, counter)
+        session = self.session
+        op = _op_from_roll(self.fleet, roll, self._op_rng, self.catalog,
+                           session.session_id, self._counter)
         child = yield Spawn(
-            self._one_shot(session, op),
-            f"op-{session.session_id}-{counter[0]}",
+            _one_shot(session, op, self.catalog),
+            f"op-{session.session_id}-{self._counter[0]}",
         )
         self._spawned.append(child)
         if len(self._spawned) >= self.PRUNE_AT:
             self._spawned = [p for p in self._spawned if not p.done]
 
-    def _join_spawned(self) -> Generator:
-        pending = [process for process in self._spawned if not process.done]
-        if pending:
-            yield AllOf(pending)
-
-    def _run_sessions(self) -> Generator:
-        per_client_rate = self.fleet.arrival_rate / self.fleet.clients
-        mean_gap = 1.0 / per_client_rate
-        # Heap entries carry (arrival, index, gap, base): when the entry
-        # was scheduled from the *current* instant (base == now, always
-        # true for the earliest client and for 1-client pools) we delay
-        # by the drawn gap itself — bit-identical arrival times to the
-        # legacy per-process path, not just equal-up-to-rounding.
-        heap: list[tuple[float, int, float, float]] = []
-        for index, (_session, rng, _counter) in enumerate(self._clients):
-            gap = rng.exponential(mean_gap)
-            if self.engine.now + gap < self.t_end:
-                heapq.heappush(
-                    heap, (self.engine.now + gap, index, gap, self.engine.now)
-                )
-        while heap:
-            when, index, gap, base = heapq.heappop(heap)
-            if base == self.engine.now:
-                yield Delay(gap)
-            elif when > self.engine.now:
-                yield Delay(when - self.engine.now)
-            session, rng, counter = self._clients[index]
-            # the kind roll comes off the client's own stream, as it
-            # always has (gap, roll, details, gap, ...)
-            yield from self._spawn_roll(session, rng.uniform(), rng, counter)
-            if session.disconnected:
-                continue  # this virtual client stops issuing
-            gap = rng.exponential(mean_gap)
-            if self.engine.now + gap >= self.t_end:
-                continue
-            heapq.heappush(
-                heap, (self.engine.now + gap, index, gap, self.engine.now)
-            )
-        yield from self._join_spawned()
-
-    def _run_aggregate(self) -> Generator:
-        session, op_rng, counter = self._clients[0]
+    def run(self) -> Generator:
         mean_gap = 1.0 / self.fleet.arrival_rate
         engine = self.engine
         t_end = self.t_end
@@ -414,9 +332,7 @@ class ClientPool:
                 if engine.now + gap >= t_end:
                     break
                 yield Delay(gap)
-                yield from self._spawn_roll(
-                    session, self._roll_rng.uniform(), op_rng, counter
-                )
+                yield from self._spawn_roll(self._roll_rng.uniform())
         else:
             epoch = self.EPOCH
             exhausted = False
@@ -429,10 +345,10 @@ class ClientPool:
                         exhausted = True
                         break
                     yield Delay(gap)
-                    yield from self._spawn_roll(
-                        session, float(rolls[index]), op_rng, counter
-                    )
-        yield from self._join_spawned()
+                    yield from self._spawn_roll(float(rolls[index]))
+        pending = [process for process in self._spawned if not process.done]
+        if pending:
+            yield AllOf(pending)
 
 
 def run_serve(
@@ -616,18 +532,6 @@ def run_serve(
                 catalog.append((op.path, int(op.nbytes)))
             yield Delay(client_rng.exponential(fleet.think_s))
 
-    def one_shot(
-        session: ClientSession,
-        op: ServeOp,
-        catalog: list[tuple[str, int]],
-    ) -> Generator:
-        try:
-            outcome = yield from session.perform(op)
-        except SessionDisconnectedError:
-            return
-        if op.kind == "write" and outcome.status == "ok":
-            catalog.append((op.path, int(op.nbytes)))
-
     def open_loop(
         session: ClientSession,
         fleet: FleetSpec,
@@ -646,7 +550,7 @@ def run_serve(
                 fleet, client_rng, catalog, session.session_id, counter
             )
             child = yield Spawn(
-                one_shot(session, op, catalog),
+                _one_shot(session, op, catalog),
                 f"op-{session.session_id}-{counter[0]}",
             )
             spawned.append(child)
@@ -657,12 +561,12 @@ def run_serve(
     def main() -> Generator:
         procs = []
         for index, fleet in enumerate(fleets):
-            if fleet.mode == "open" and fleet.resolved_pooling() != "legacy":
+            if fleet.mode == "open" and fleet.resolved_pooling() == "aggregate":
                 pool = ClientPool(
                     engine, fleet, rng, link, admission, backend_obj,
                     metrics, catalogs[index], t_end,
                 )
-                sessions.extend(pool.sessions)
+                sessions.append(pool.session)
                 process = yield Spawn(
                     pool.run(), f"pool-{fleet.tenant.name}"
                 )

@@ -95,6 +95,10 @@ class SharedBandwidth:
         self._nonintegral_weights = 0
         self._min_flow: Optional[_Flow] = None
         self._tiny_pending = False  # a flow was admitted at/below threshold
+        # Bytes below which a flow counts as finished.  Scaled with
+        # capacity so that the completion delta never underflows float
+        # time resolution (remaining/rate must stay representable when
+        # added to the clock) — a sub-nanosecond tail is simply done.
         self._threshold = max(_EPSILON_BYTES, self.capacity * 1e-9)
 
     # ------------------------------------------------------------------
@@ -191,9 +195,6 @@ class SharedBandwidth:
     # ------------------------------------------------------------------
     # Incremental weight total
     # ------------------------------------------------------------------
-    def _total_weight(self) -> float:
-        return self._weight_total
-
     def _remove_weights(self, finished: list[_Flow]) -> None:
         if self._nonintegral_weights:
             # Non-integral weights: incremental subtraction can drift from
@@ -215,15 +216,6 @@ class SharedBandwidth:
     # ------------------------------------------------------------------
     # Fluid-flow bookkeeping
     # ------------------------------------------------------------------
-    def _completion_threshold(self) -> float:
-        """Bytes below which a flow counts as finished.
-
-        Scaled with capacity so that the completion delta never underflows
-        float time resolution (remaining/rate must stay representable when
-        added to the clock) — a sub-nanosecond tail is simply done.
-        """
-        return self._threshold
-
     def _next_completion_of(self, flow: _Flow) -> float:
         return flow.remaining / (
             self.capacity * flow.weight / self._weight_total

@@ -27,38 +27,47 @@ Supported effects
 Processes may also be interrupted (:meth:`Process.interrupt`), which raises
 :class:`Interrupt` inside the generator at its current yield point.
 
-Scheduling fast path
---------------------
+Scheduling: one loop, one heap-entry protocol
+---------------------------------------------
 Most events in a run are *same-time resumes*: a process finished an effect
 at the current instant and must continue (spawns, ``Delay(0)``, event
-``succeed``, joins, resource grants).  Pushing each of those through the
-heap costs two ``heapq`` operations plus a closure allocation per step.
-Instead the engine keeps a FIFO *run queue* (a deque of
-``(sequence, process, value, exception)`` tuples) for same-time resumes and
-reserves the heap for genuinely future timers — only ``Delay`` and explicit
-``call_at``/``call_later`` callbacks ever touch it.  Run-queue entries and
-heap entries draw sequence numbers from the same counter, and the main
-loops merge the two sources in global ``(time, sequence)`` order — so
-observable event ordering is exactly what a single heap would produce (the
-same-time FIFO contract is pinned by a property test in
-``tests/test_sim_engine.py``).
+``succeed``, joins, resource grants).  Those never touch the heap: they
+go on a FIFO *run queue* (a deque of ``(sequence, process, value,
+exception)`` tuples).  The heap holds only genuinely future occurrences,
+and every heap entry has one shape, ``(time, sequence, owner)``:
 
-Three further allocations are shaved off the per-event path: a ``Delay``
-pushes its ``(time, sequence, process)`` heap entry directly — no
-:class:`Timer` object at all; the entry is live iff the process's
-``_suspension`` slot still holds that exact tuple (valued resumes only
-ever travel via the run queue, so heap entries carry no payload) — a
-suspended process records *what* it is waiting on as a plain object
-reference in ``_suspension`` (no per-suspension cancel closure;
-:meth:`Process.interrupt` dispatches on the object's type), and cancelled
-timers are counted so :attr:`Engine.is_idle` is O(1) and the heap is
-compacted once more than half of it is dead.
+* a ``Delay`` pushes ``(time, sequence, process)`` — the suspended
+  :class:`Process` is its own owner;
+* an :class:`Alarm` pushes ``(time, sequence, alarm)`` each time it is
+  armed; ``call_at``/``call_later`` return an alarm armed once, which is
+  all a one-shot timer ever was, so there is no separate timer class.
+
+An entry is **live iff** ``owner._suspension is entry`` (tuple identity).
+Cancelling — ``Alarm.disarm``, re-arming, :meth:`Process.interrupt` — is
+therefore clearing or replacing one slot; the stale tuple stays in the
+heap and is discarded when it surfaces.  The loop clears the slot *before*
+it runs the owner (consume-before-callback), so cancel-after-fire is a
+no-op.  Heap entries carry no payload: valued resumes only ever travel
+via the run queue.
+
+Run-queue entries and heap entries draw sequence numbers from one
+counter, and :meth:`Engine._drain` — the only scheduler loop; ``run``,
+``run_below`` and ``run_process`` are its three stop conditions — merges
+the two sources in global ``(time, sequence)`` order, so observable
+ordering is exactly what a single heap would produce (the same-time FIFO
+contract and the agreement of the three entry points are pinned by
+property tests in ``tests/test_sim_engine.py``).
+
+Live and dead entries are counted, never scanned: :attr:`Engine.is_idle`
+is O(1), and :meth:`Engine._entry_died` — the one place an entry goes
+dead — compacts the heap once more than half of it is corpses.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -189,53 +198,16 @@ class Park(Effect):
         raise NotImplementedError
 
 
-class Timer:
-    """Handle for a scheduled callback; may be cancelled before it fires.
-
-    Timers exist only for explicit ``call_at``/``call_later`` callbacks;
-    ``Delay`` suspensions skip the object entirely and push a bare
-    ``(time, sequence, process)`` tuple on the heap (the entry is live
-    iff the process's ``_suspension`` slot still holds that exact tuple).
-    """
-
-    __slots__ = ("engine", "time", "callback", "cancelled")
-
-    def __init__(self, engine: "Engine", time: float,
-                 callback: Callable[[], None]):
-        self.engine = engine
-        self.time = time
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        # The run loops set ``cancelled`` just before invoking a firing
-        # timer's callback, so cancel-after-fire is a no-op and the
-        # live/dead counters stay exact.
-        if self.cancelled:
-            return
-        self.cancelled = True
-        engine = self.engine
-        engine._live_timers -= 1
-        engine._dead_timers += 1
-        # Amortized heap hygiene: once the heap is mostly corpses, rebuild
-        # it without them.  Keeps long flow-churn runs bounded in memory.
-        if (
-            engine._dead_timers * 2 > len(engine._heap)
-            and len(engine._heap) > _COMPACT_MIN_HEAP
-        ):
-            engine._compact_heap()
-
-
 class Alarm:
-    """Re-armable heap callback: one object, arbitrarily many arms.
+    """Heap callback handle: arm it, re-arm it, disarm it.
 
-    A :class:`Timer` is a one-shot handle — every ``call_later`` allocates a
-    fresh object and every reschedule pays a ``cancel``.  Components that
-    re-arm the *same* logical deadline on every event (the bandwidth model
-    re-times its next-completion on each flow arrival) instead keep one
-    Alarm and call :meth:`arm` with the new absolute time.  Liveness uses
-    the ``Delay`` protocol: the pushed ``(time, sequence, alarm)`` entry is
-    live iff ``_suspension`` still holds that exact tuple, so re-arming or
+    ``Engine.call_at``/``call_later`` return an alarm armed once — the
+    one-shot timer.  Components that re-arm the *same* logical deadline
+    on every event (the bandwidth model re-times its next-completion on
+    each flow arrival) keep one alarm and call :meth:`arm` with the new
+    absolute time.  Liveness is the heap-entry protocol of the module
+    docstring: the pushed ``(time, sequence, alarm)`` entry is live iff
+    ``_suspension`` still holds that exact tuple, so re-arming or
     :meth:`disarm` just replaces/clears the slot — no allocation, no flag.
     """
 
@@ -253,34 +225,24 @@ class Alarm:
     def arm(self, time: float) -> None:
         """(Re-)schedule the callback at absolute simulated ``time``."""
         engine = self.engine
-        heap = engine._heap
-        if self._suspension is None:
-            engine._live_timers += 1
-        else:
-            # Re-arm: old entry goes dead, new one live — net live count
-            # unchanged.
-            engine._dead_timers += 1
+        rearmed = self._suspension is not None
         entry = (time, engine._seq_next(), self)
-        heapq.heappush(heap, entry)
+        heapq.heappush(engine._heap, entry)
+        engine._live_timers += 1
+        # Replace the slot before counting the old entry dead: compaction
+        # keeps exactly the entries their owner's slot still holds.
         self._suspension = entry
-        if (
-            engine._dead_timers * 2 > len(heap)
-            and len(heap) > _COMPACT_MIN_HEAP
-        ):
-            engine._compact_heap()
+        if rearmed:
+            engine._entry_died()
 
     def disarm(self) -> None:
+        """Cancel the pending callback; a no-op once fired or disarmed."""
         if self._suspension is None:
             return
         self._suspension = None
-        engine = self.engine
-        engine._live_timers -= 1
-        engine._dead_timers += 1
-        if (
-            engine._dead_timers * 2 > len(engine._heap)
-            and len(engine._heap) > _COMPACT_MIN_HEAP
-        ):
-            engine._compact_heap()
+        self.engine._entry_died()
+
+    cancel = disarm
 
 
 class SimEvent:
@@ -383,10 +345,10 @@ class Process:
         self._error_observed = False
         self._completion_waiters: list[Process] = []
         # What this process is suspended on: the (time, seq, process)
-        # heap entry (Delay), a Timer (callback delays), SimEvent (Wait),
-        # Process (Join), an object with ``_detach(process)`` (resource
-        # queues), or None when runnable/scheduled.  interrupt()
-        # dispatches on the type; waiting_on() renders it for humans.
+        # heap entry (Delay), SimEvent (Wait), Process (Join), an object
+        # with ``_detach(process)`` (resource queues, Park effects), or
+        # None when runnable/scheduled.  interrupt() dispatches on the
+        # type; waiting_on() renders it for humans.
         self._suspension: Any = None
         # Tracing context: the span that was active when this process was
         # spawned (background work attaches under it), and this process's
@@ -416,8 +378,6 @@ class Process:
         kind = type(suspension)
         if kind is tuple:
             return f"delay(until t={suspension[0]:.3f}s)"
-        if kind is Timer:
-            return f"delay(until t={suspension.time:.3f}s)"
         if kind is SimEvent:
             return f"event({suspension.name})"
         if kind is Process:
@@ -444,16 +404,7 @@ class Process:
         self._suspension = None
         kind = type(suspension)
         if kind is tuple:
-            engine = self.engine
-            engine._live_timers -= 1
-            engine._dead_timers += 1
-            if (
-                engine._dead_timers * 2 > len(engine._heap)
-                and len(engine._heap) > _COMPACT_MIN_HEAP
-            ):
-                engine._compact_heap()
-        elif kind is Timer:
-            suspension.cancel()
+            self.engine._entry_died()
         elif kind is SimEvent:
             suspension._remove_waiter(self)
         elif kind is Process:
@@ -510,8 +461,9 @@ class Engine:
 
     def __init__(self):
         self._now = 0.0
-        #: heap entries are (time, sequence, Timer | Process): a Timer for
-        #: callback scheduling, the suspended Process itself for Delays
+        #: heap entries are (time, sequence, owner): the suspended Process
+        #: for a Delay, the Alarm for a callback; live iff
+        #: ``owner._suspension is entry``
         self._heap: list[tuple[float, int, Any]] = []
         #: FIFO of same-time resumes: (sequence, process, value, exception)
         self._runq: deque[tuple[int, "Process", Any,
@@ -519,8 +471,8 @@ class Engine:
         self._sequence = itertools.count()
         self._seq_next = self._sequence.__next__
         self._active: int = 0  # number of live (unfinished) processes
-        self._live_timers: int = 0  # non-cancelled timers still in the heap
-        self._dead_timers: int = 0  # cancelled timers still in the heap
+        self._live_timers: int = 0  # live entries in the heap
+        self._dead_timers: int = 0  # dead (cancelled) entries still in it
         #: the process whose generator is currently being stepped (tracing
         #: context; resumes always go through the scheduler, never nested)
         self.current_process: Optional[Process] = None
@@ -562,8 +514,8 @@ class Engine:
     def events_issued(self) -> int:
         """Sequence numbers drawn so far — a cheap proxy for event volume.
 
-        Every scheduled occurrence (run-queue resume, Delay, timer, alarm
-        arm) draws exactly one number, so this tracks engine work without
+        Every scheduled occurrence (run-queue resume, Delay, alarm arm)
+        draws exactly one number, so this tracks engine work without
         a per-event counter increment on the hot path.
         """
         # itertools.count pickles as (count, (next_value,)): a
@@ -584,13 +536,7 @@ class Engine:
         heappop = heapq.heappop
         while heap:
             entry = heap[0]
-            owner = entry[2]
-            if owner.__class__ is Timer:
-                if owner.cancelled:
-                    heappop(heap)
-                    self._dead_timers -= 1
-                    continue
-            elif owner._suspension is not entry:
+            if entry[2]._suspension is not entry:
                 heappop(heap)
                 self._dead_timers -= 1
                 continue
@@ -600,37 +546,44 @@ class Engine:
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    def call_at(self, time: float, callback: Callable[[], None]) -> Timer:
+    def call_at(self, time: float, callback: Callable[[], None]) -> Alarm:
         if time < self._now - 1e-12:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < {self._now}"
             )
         if time < self._now:
             time = self._now
-        timer = Timer(self, time, callback)
-        heapq.heappush(self._heap, (time, self._seq_next(), timer))
-        self._live_timers += 1
-        return timer
+        alarm = Alarm(self, callback)
+        alarm.arm(time)
+        return alarm
 
-    def call_later(self, delay: float, callback: Callable[[], None]) -> Timer:
+    def call_later(self, delay: float, callback: Callable[[], None]) -> Alarm:
         return self.call_at(self._now + delay, callback)
 
-    def _compact_heap(self) -> None:
-        """Drop cancelled entries and re-heapify (same (time, seq) order).
+    def _entry_died(self) -> None:
+        """Account for one live heap entry whose owner just let go of it.
 
-        Compacts *in place*: ``run()``/``run_process()`` cache a ``heap``
-        alias at loop entry, and compaction can trigger mid-run (a timer
-        cancelled from a callback, ``Process.interrupt``), so rebinding
+        The only place an entry goes dead, hence the only compaction
+        trigger: once the heap is mostly corpses, rebuild it without
+        them.  Keeps long flow-churn runs bounded in memory.
+        """
+        self._live_timers -= 1
+        self._dead_timers += 1
+        heap = self._heap
+        if self._dead_timers * 2 > len(heap) and len(heap) > _COMPACT_MIN_HEAP:
+            self._compact_heap()
+
+    def _compact_heap(self) -> None:
+        """Drop dead entries and re-heapify (same (time, seq) order).
+
+        Compacts *in place*: :meth:`_drain` caches a ``heap`` alias at
+        loop entry, and compaction can trigger mid-run (an alarm disarmed
+        from a callback, ``Process.interrupt``), so rebinding
         ``self._heap`` would strand the running loop on a stale list.
         """
-        alive = []
-        for entry in self._heap:
-            owner = entry[2]
-            if owner.__class__ is Timer:
-                if not owner.cancelled:
-                    alive.append(entry)
-            elif owner._suspension is entry:
-                alive.append(entry)
+        alive = [
+            entry for entry in self._heap if entry[2]._suspension is entry
+        ]
         heapq.heapify(alive)
         self._heap[:] = alive
         self._dead_timers = 0
@@ -654,76 +607,7 @@ class Engine:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run scheduled events, optionally stopping at simulated time ``until``."""
-        heap = self._heap
-        runq = self._runq
-        heappop = heapq.heappop
-        step = self._step
-        while True:
-            if runq:
-                # Merge rule: a heap entry at the current instant runs
-                # before a queued resume iff it was scheduled earlier.
-                if heap:
-                    entry = heap[0]
-                    owner = entry[2]
-                    if owner.__class__ is Timer:
-                        if owner.cancelled:
-                            heappop(heap)
-                            self._dead_timers -= 1
-                            continue
-                        if entry[0] <= self._now and entry[1] < runq[0][0]:
-                            heappop(heap)
-                            self._live_timers -= 1
-                            owner.cancelled = True  # consumed: see Timer.cancel
-                            owner.callback()
-                            continue
-                    else:
-                        if owner._suspension is not entry:
-                            heappop(heap)
-                            self._dead_timers -= 1
-                            continue
-                        if entry[0] <= self._now and entry[1] < runq[0][0]:
-                            heappop(heap)
-                            self._live_timers -= 1
-                            owner._suspension = None
-                            if owner.__class__ is Process:
-                                step(owner, None, None)
-                            else:
-                                owner.callback()
-                            continue
-                _seq, process, value, exception = runq.popleft()
-                step(process, value, exception)
-                continue
-            if not heap:
-                break
-            entry = heap[0]
-            owner = entry[2]
-            if owner.__class__ is Timer:
-                if owner.cancelled:
-                    heappop(heap)
-                    self._dead_timers -= 1
-                    continue
-                if until is not None and entry[0] > until:
-                    break
-                heappop(heap)
-                self._live_timers -= 1
-                self._now = entry[0]
-                owner.cancelled = True  # consumed: see Timer.cancel
-                owner.callback()
-            else:
-                if owner._suspension is not entry:
-                    heappop(heap)
-                    self._dead_timers -= 1
-                    continue
-                if until is not None and entry[0] > until:
-                    break
-                heappop(heap)
-                self._live_timers -= 1
-                self._now = entry[0]
-                owner._suspension = None
-                if owner.__class__ is Process:
-                    step(owner, None, None)
-                else:
-                    owner.callback()
+        self._drain(math.inf if until is None else until)
         if until is not None and self._now < until:
             self._now = until
 
@@ -739,76 +623,10 @@ class Engine:
         Queued same-time resumes count as occurrences at the current
         clock.
         """
-        if self._now >= limit:
-            return
-        heap = self._heap
-        runq = self._runq
-        heappop = heapq.heappop
-        step = self._step
-        while True:
-            if runq:
-                if heap:
-                    entry = heap[0]
-                    owner = entry[2]
-                    if owner.__class__ is Timer:
-                        if owner.cancelled:
-                            heappop(heap)
-                            self._dead_timers -= 1
-                            continue
-                        if entry[0] <= self._now and entry[1] < runq[0][0]:
-                            heappop(heap)
-                            self._live_timers -= 1
-                            owner.cancelled = True  # consumed: see Timer.cancel
-                            owner.callback()
-                            continue
-                    else:
-                        if owner._suspension is not entry:
-                            heappop(heap)
-                            self._dead_timers -= 1
-                            continue
-                        if entry[0] <= self._now and entry[1] < runq[0][0]:
-                            heappop(heap)
-                            self._live_timers -= 1
-                            owner._suspension = None
-                            if owner.__class__ is Process:
-                                step(owner, None, None)
-                            else:
-                                owner.callback()
-                            continue
-                _seq, process, value, exception = runq.popleft()
-                step(process, value, exception)
-                continue
-            if not heap:
-                break
-            entry = heap[0]
-            owner = entry[2]
-            if owner.__class__ is Timer:
-                if owner.cancelled:
-                    heappop(heap)
-                    self._dead_timers -= 1
-                    continue
-                if entry[0] >= limit:
-                    break
-                heappop(heap)
-                self._live_timers -= 1
-                self._now = entry[0]
-                owner.cancelled = True  # consumed: see Timer.cancel
-                owner.callback()
-            else:
-                if owner._suspension is not entry:
-                    heappop(heap)
-                    self._dead_timers -= 1
-                    continue
-                if entry[0] >= limit:
-                    break
-                heappop(heap)
-                self._live_timers -= 1
-                self._now = entry[0]
-                owner._suspension = None
-                if owner.__class__ is Process:
-                    step(owner, None, None)
-                else:
-                    owner.callback()
+        if self._now < limit:
+            # Strictly below ``limit`` is up to and including the float
+            # just under it.
+            self._drain(math.nextafter(limit, -math.inf))
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Spawn ``generator`` and run the simulation until it completes.
@@ -820,72 +638,57 @@ class Engine:
         the process is still suspended).
         """
         target = self.spawn(generator, name)
-        heap = self._heap
-        runq = self._runq
-        heappop = heapq.heappop
-        step = self._step
-        while not target.done:
-            if runq:
-                if heap:
-                    entry = heap[0]
-                    owner = entry[2]
-                    if owner.__class__ is Timer:
-                        if owner.cancelled:
-                            heappop(heap)
-                            self._dead_timers -= 1
-                            continue
-                        if entry[0] <= self._now and entry[1] < runq[0][0]:
-                            heappop(heap)
-                            self._live_timers -= 1
-                            owner.cancelled = True  # consumed: see Timer.cancel
-                            owner.callback()
-                            continue
-                    else:
-                        if owner._suspension is not entry:
-                            heappop(heap)
-                            self._dead_timers -= 1
-                            continue
-                        if entry[0] <= self._now and entry[1] < runq[0][0]:
-                            heappop(heap)
-                            self._live_timers -= 1
-                            owner._suspension = None
-                            if owner.__class__ is Process:
-                                step(owner, None, None)
-                            else:
-                                owner.callback()
-                            continue
-                _seq, process, value, exception = runq.popleft()
-                step(process, value, exception)
-                continue
-            if not heap:
-                break
-            entry = heappop(heap)
-            owner = entry[2]
-            if owner.__class__ is Timer:
-                if owner.cancelled:
-                    self._dead_timers -= 1
-                    continue
-                self._live_timers -= 1
-                self._now = entry[0]
-                owner.cancelled = True  # consumed: see Timer.cancel
-                owner.callback()
-            else:
-                if owner._suspension is not entry:
-                    self._dead_timers -= 1
-                    continue
-                self._live_timers -= 1
-                self._now = entry[0]
-                owner._suspension = None
-                if owner.__class__ is Process:
-                    step(owner, None, None)
-                else:
-                    owner.callback()
+        self._drain(math.inf, target)
         if not target.done:
             raise SimulationError(
                 f"deadlock: process {target.name!r} never completed "
                 f"(waiting on {target.waiting_on()})"
             )
         return target.result
+
+    def _drain(self, limit: float, target: Optional[Process] = None) -> None:
+        """The scheduler loop: run occurrences in ``(time, sequence)`` order.
+
+        Stops when nothing is queued and no live heap entry is due at or
+        before ``limit``, or the instant ``target`` (if given) is done.
+        The clock only moves when the run queue is empty — queued resumes
+        are occurrences at the current instant — so ``limit`` is only
+        ever compared against the entry that would advance it.
+        """
+        heap = self._heap
+        runq = self._runq
+        heappop = heapq.heappop
+        step = self._step
+        while target is None or not target.done:
+            if heap:
+                entry = heap[0]
+                owner = entry[2]
+                if owner._suspension is not entry:
+                    heappop(heap)
+                    self._dead_timers -= 1
+                    continue
+                if runq:
+                    # Merge rule: a heap entry at the current instant runs
+                    # before a queued resume iff it was scheduled earlier.
+                    due = entry[0] <= self._now and entry[1] < runq[0][0]
+                elif entry[0] > limit:
+                    return
+                else:
+                    self._now = entry[0]
+                    due = True
+                if due:
+                    heappop(heap)
+                    self._live_timers -= 1
+                    owner._suspension = None  # consumed before it runs
+                    if owner.__class__ is Process:
+                        step(owner, None, None)
+                    else:
+                        owner.callback()
+                    continue
+            elif not runq:
+                return
+            _seq, process, value, exception = runq.popleft()
+            step(process, value, exception)
 
     # ------------------------------------------------------------------
     # Internal: resuming processes and interpreting effects
@@ -924,12 +727,12 @@ class Engine:
             self._finish(process, error=error)
             return
         # Exact-type dispatch, inline: effects are closed, slotted
-        # classes, so `is` checks cover every real yield without
-        # isinstance walks or an extra call frame.  current_process stays
-        # set through dispatch (Spawn's span parenting reads it); the
-        # finally restores it even if a handler (resource._enqueue, a
-        # custom Effect) raises, so span parenting can't inherit a stale
-        # process.
+        # classes (Park is the one base meant for subclassing), so `is`
+        # checks cover every real yield without isinstance walks or an
+        # extra call frame.  current_process stays set through dispatch
+        # (Spawn's span parenting reads it); the finally restores it even
+        # if a handler (resource._enqueue, a Park's _attach) raises, so
+        # span parenting can't inherit a stale process.
         try:
             cls = effect.__class__
             if cls is Delay:
@@ -956,8 +759,6 @@ class Engine:
             elif isinstance(effect, Park):
                 effect._attach(process)
                 process._suspension = effect
-            elif isinstance(effect, Effect):  # subclassed effect: slow path
-                self._apply_effect_slow(process, effect)
             else:
                 self._finish(
                     process,
@@ -968,40 +769,6 @@ class Engine:
                 )
         finally:
             self.current_process = previous
-
-    def _apply_effect_slow(self, process: Process, effect: Effect) -> None:
-        """isinstance dispatch for Effect subclasses (cold path)."""
-        if isinstance(effect, Delay):
-            entry = (self._now + effect.seconds, self._seq_next(), process)
-            heapq.heappush(self._heap, entry)
-            self._live_timers += 1
-            process._suspension = entry
-        elif isinstance(effect, Wait):
-            event = effect.event
-            event._add_waiter(process)
-            if not event._fired:
-                process._suspension = event
-        elif isinstance(effect, Spawn):
-            child = self.spawn(effect.generator, effect.name)
-            self._schedule_resume(process, value=child)
-        elif isinstance(effect, Join):
-            self._join(process, effect.process)
-        elif isinstance(effect, AllOf):
-            self._join_all(process, effect.processes)
-        elif isinstance(effect, FirstOf):
-            self._join_first(process, effect.processes)
-        elif isinstance(effect, Acquire):
-            effect.resource._enqueue(process, effect.priority)
-        elif isinstance(effect, Park):
-            effect._attach(process)
-            process._suspension = effect
-        else:
-            self._finish(
-                process,
-                error=SimulationError(
-                    f"process {process.name!r} yielded non-effect {effect!r}"
-                ),
-            )
 
     def _join(self, waiter: Process, target: Process) -> None:
         if target.done:

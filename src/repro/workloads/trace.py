@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.errors import ROSError
+
 
 @dataclass
 class TraceEvent:
@@ -107,6 +109,6 @@ def replay_trace(ros, events: list[TraceEvent]) -> dict:
                 ros.stat(event.path)
             elif event.op == "mkdir":
                 ros.mkdir(event.path)
-        except Exception:  # noqa: BLE001 — replay is best-effort
+        except ROSError:  # replay is best-effort about what the rack refuses
             stats["errors"] += 1
     return stats

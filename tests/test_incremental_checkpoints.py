@@ -87,3 +87,35 @@ def test_delta_collects_only_changes():
     delta = json.loads(ros.mv.collect_delta())
     index_entries = [e for e in delta["entries"] if e["type"] == "index"]
     assert [e["path"] for e in index_entries] == ["/many/f3"]
+
+
+def test_delta_skips_vanished_entries_but_not_bugs(monkeypatch):
+    """Best-effort covers exactly what the tree walk documents — a path
+    that is gone, or whose parent became a file — never a bug in it."""
+    import json
+
+    ros = make_ros(auto_burn=False)
+    ros.write("/v/kept", b"k")
+    ros.write("/v/sub/gone", b"g")
+    ros.run(ros.recovery.burn_mv_snapshot())
+    ros.write("/v/kept", b"k2")
+    ros.mv._dirty.update({"/v/sub/vanished", "/v/kept/under-a-file"})
+    delta_blob = ros.mv.collect_delta()
+    assert [e["path"] for e in json.loads(delta_blob)["entries"]] == ["/v/kept"]
+
+    # Deleting under a parent that no longer exists is skipped the same way.
+    delta = json.loads(delta_blob)
+    delta["deleted"] = ["/nowhere/x", "/v/kept/x", "/v/sub/gone"]
+    ros.mv.apply_delta(json.dumps(delta).encode())
+    assert "/v/sub/gone" not in ros.mv.all_index_paths()
+    assert "/v/kept" in ros.mv.all_index_paths()
+
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("tree walk exploded")
+
+    monkeypatch.setattr(ros.mv, "_find", broken)
+    with pytest.raises(RuntimeError, match="tree walk exploded"):
+        ros.mv.collect_delta()
+    monkeypatch.setattr(ros.mv, "_walk_to", broken)
+    with pytest.raises(RuntimeError, match="tree walk exploded"):
+        ros.mv.apply_delta(json.dumps(delta).encode())

@@ -218,3 +218,26 @@ def test_trace_record_and_replay():
     assert stats["ops"] == 3
     assert stats["errors"] == 0
     assert target.read("/t/b.bin").data == b"beta"
+
+
+def test_trace_replay_counts_rack_errors_but_not_bugs(monkeypatch):
+    from repro.workloads import TraceEvent, replay_trace
+    from tests.conftest import make_ros
+
+    target = make_ros()
+    events = [
+        TraceEvent("write", "/t/a.bin", 0.0, size=5, payload=b"alpha"),
+        TraceEvent("read", "/t/never-written.bin", 1.0),
+        TraceEvent("stat", "/t/a.bin", 2.0),
+    ]
+    stats = replay_trace(target, events)
+    assert stats == {
+        "ops": 3, "bytes_written": 5, "bytes_read": 0, "errors": 1,
+    }
+
+    def broken(_path):
+        raise RuntimeError("stat exploded")
+
+    monkeypatch.setattr(target, "stat", broken)
+    with pytest.raises(RuntimeError, match="stat exploded"):
+        replay_trace(target, events)

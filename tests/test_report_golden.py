@@ -60,14 +60,25 @@ def _report_cases() -> dict:
     from repro.fleet.monitor import run_fleet_monitor
     from repro.preserve import report_to_json as preserve_json
     from repro.preserve import run_preserve
-    from repro.serve.loadgen import run_serve
+    from repro.serve.loadgen import FleetSpec, run_serve
     from repro.serve.report import report_to_json as serve_json
+    from repro.serve.tenancy import TenantSpec
     from repro.serve.xl import report_to_json as xl_json
     from repro.serve.xl import run_serve_xl
 
+    # tests/test_serve.py's ``_open_fleet(6, "sessions")``: six open-loop
+    # clients, each its own session, RNG stream and arrival process
+    open_sessions = [FleetSpec(
+        tenant=TenantSpec("iot", weight=1.0), clients=6, mode="open",
+        arrival_rate=24.0, read_fraction=0.6, profile="iot",
+        max_file_bytes=64 * 1024, pooling="sessions",
+    )]
     cases = {
         "serve/7/faults-cluster": lambda: serve_json(run_serve(
             7, duration_s=4, prepopulate=3, faults=True, backend="cluster"
+        )),
+        "serve/13/open-sessions": lambda: serve_json(run_serve(
+            13, fleets=open_sessions, duration_s=6.0, prepopulate=4
         )),
     }
     for seed in CORPUS_SEEDS:

@@ -595,32 +595,24 @@ def test_pooling_auto_threshold():
     above = _open_fleet(AGGREGATE_POOL_THRESHOLD + 1, "auto")[0]
     assert at.resolved_pooling() == "sessions"
     assert above.resolved_pooling() == "aggregate"
-    assert _open_fleet(2, "legacy")[0].resolved_pooling() == "legacy"
-
-
-def test_pool_sessions_mode_matches_legacy_byte_for_byte():
-    """The heap-merged sessions pool preserves per-client draw order, so
-    its report — metrics, audit, per-session outcomes — is byte-identical
-    to the historical one-process-per-client path."""
-    kwargs = dict(duration_s=6.0, prepopulate=4)
-    legacy = run_serve(13, fleets=_open_fleet(6, "legacy"), **kwargs)
-    pooled = run_serve(13, fleets=_open_fleet(6, "sessions"), **kwargs)
-    assert report_to_json(legacy) == report_to_json(pooled)
+    for retired_or_unknown in ("legacy", "merged"):
+        with pytest.raises(ValueError):
+            _open_fleet(2, retired_or_unknown)
 
 
 def test_pool_aggregate_mode_is_statistically_equivalent():
     """One superposed Poisson stream at the fleet rate must look like
     the per-client fleet: every op lands in a terminal bucket, totals
     agree to sampling noise, and the latency percentiles sit within one
-    histogram bucket of the legacy path on the same seed."""
+    histogram bucket of the per-client path on the same seed."""
     kwargs = dict(duration_s=8.0, prepopulate=4)
-    legacy = run_serve(17, fleets=_open_fleet(96, "legacy"), **kwargs)
+    per_client = run_serve(17, fleets=_open_fleet(96, "sessions"), **kwargs)
     pooled = run_serve(17, fleets=_open_fleet(96, "aggregate"), **kwargs)
-    for report in (legacy, pooled):
+    for report in (per_client, pooled):
         assert report["admission_audit"]["ok"], report["admission_audit"]
         entry = report["tenants"]["iot"]
         assert entry["ops"] == sum(entry["outcomes"].values())
-    lt, pt = legacy["tenants"]["iot"], pooled["tenants"]["iot"]
+    lt, pt = per_client["tenants"]["iot"], pooled["tenants"]["iot"]
     assert lt["ops"] > 50
     assert abs(pt["ops"] - lt["ops"]) / lt["ops"] < 0.25
     for quantile in ("p50_s", "p95_s", "p99_s"):

@@ -579,18 +579,86 @@ from hypothesis import strategies as st
 
 _N_EVENTS = 3
 
+#: timed programs put delays, timers and cut points on one half-second
+#: grid, so ties between them (the case slicing must not reorder) are common
+_TICK = 0.5
+#: later than anything a timed program schedules on its own (3 nested
+#: workers x 8 ops x 4 ticks), and later than every cut point
+_HORIZON = 100.0
 
-def _ops_strategy(depth: int):
+
+def _ops_strategy(depth: int, timed: bool = False):
     base = st.one_of(
         st.just(("delay0",)),
         st.tuples(st.just("succeed"), st.integers(0, _N_EVENTS - 1)),
         st.tuples(st.just("wait"), st.integers(0, _N_EVENTS - 1)),
     )
+    if timed:
+        ticks = st.integers(0, 4)
+        base = st.one_of(
+            base,
+            st.tuples(st.just("delay"), ticks),
+            st.tuples(st.just("timer"), ticks),  # call_later, handle kept
+            st.tuples(st.just("cancel"), st.integers(0, 7)),
+            st.tuples(st.just("arm"), ticks),  # (re-)arm the shared Alarm
+            st.just(("disarm",)),
+        )
     if depth > 0:
         base = st.one_of(
-            base, st.tuples(st.just("spawn"), _ops_strategy(depth - 1))
+            base,
+            st.tuples(st.just("spawn"), _ops_strategy(depth - 1, timed)),
         )
     return st.lists(base, max_size=8)
+
+
+class _Program:
+    """Interpreter for ``_ops_strategy`` programs on a fresh engine.
+
+    ``trace`` gets ``(time, label)`` for every op a worker executes and
+    every callback that fires.
+    """
+
+    def __init__(self):
+        from repro.sim.engine import Alarm
+
+        self.engine = Engine()
+        self.events = [self.engine.event(f"e{i}") for i in range(_N_EVENTS)]
+        self.ids = _count(1)
+        self.trace = []
+        self.handles = []  # every call_later handle, fired or not
+        self.alarm = Alarm(self.engine, lambda: self.log("alarm"))
+
+    def log(self, label):
+        self.trace.append((self.engine.now, label))
+
+    def worker(self, wid, ops):
+        engine = self.engine
+        for idx, op in enumerate(ops):
+            self.log((wid, idx))
+            kind = op[0]
+            if kind == "delay0":
+                yield Delay(0)
+            elif kind == "delay":
+                yield Delay(op[1] * _TICK)
+            elif kind == "succeed":
+                if not self.events[op[1]].fired:
+                    self.events[op[1]].succeed(None)
+            elif kind == "wait":
+                yield Wait(self.events[op[1]])
+            elif kind == "spawn":
+                yield Spawn(self.worker(next(self.ids), op[1]))
+            elif kind == "timer":
+                label = ("timer", len(self.handles))
+                self.handles.append(engine.call_later(
+                    op[1] * _TICK, lambda label=label: self.log(label)
+                ))
+            elif kind == "cancel":
+                if self.handles:
+                    self.handles[op[1] % len(self.handles)].cancel()
+            elif kind == "arm":
+                self.alarm.arm(engine.now + op[1] * _TICK)
+            elif kind == "disarm":
+                self.alarm.disarm()
 
 
 def _reference_order(root_ops):
@@ -634,28 +702,88 @@ def _reference_order(root_ops):
 @settings(max_examples=60, deadline=None)
 @given(_ops_strategy(2))
 def test_property_same_time_fifo_matches_reference(root_ops):
-    engine = Engine()
-    events = [engine.event(f"e{i}") for i in range(_N_EVENTS)]
-    ids = _count(1)
-    log = []
+    program = _Program()
+    program.engine.spawn(program.worker(0, root_ops))
+    program.engine.run()
+    assert [label for _time, label in program.trace] == _reference_order(
+        root_ops
+    )
 
-    def worker(wid, ops):
-        for idx, op in enumerate(ops):
-            log.append((wid, idx))
-            kind = op[0]
-            if kind == "delay0":
-                yield Delay(0)
-            elif kind == "succeed":
-                if not events[op[1]].fired:
-                    events[op[1]].succeed(None)
-            elif kind == "wait":
-                yield Wait(events[op[1]])
-            elif kind == "spawn":
-                yield Spawn(worker(next(ids), op[1]))
 
-    engine.spawn(worker(0, root_ops))
+# ----------------------------------------------------------------------
+# run / run_below / run_process are one schedule (property test)
+# ----------------------------------------------------------------------
+# However a run is cut into calls — one run(), run(until=t) slices,
+# run_below(t) windows with the sharded engine's clock bump, or
+# run_process(root) followed by run() — the same program must execute the
+# same (time, label) trace, draw the same sequence numbers and end drained
+# at the same clock.  Slicing never reorders.
+def _run_whole(engine, root, _cuts):
+    engine.spawn(root)
     engine.run()
-    assert log == _reference_order(root_ops)
+
+
+def _run_until_slices(engine, root, cuts):
+    engine.spawn(root)
+    for cut in cuts:
+        engine.run(until=cut)
+    engine.run()
+
+
+def _run_below_windows(engine, root, cuts):
+    engine.spawn(root)
+    for cut in cuts:
+        engine.run_below(cut)
+        if engine._now < cut:  # ShardedEngine._advance_shard's bump
+            engine._now = cut
+    engine.run()
+
+
+def _run_process_then_rest(engine, root, _cuts):
+    engine.run_process(root)
+    engine.run()
+
+
+def _execute(root_ops, root_nap, cuts, drive):
+    program = _Program()
+    engine = program.engine
+
+    def root():
+        yield Spawn(program.worker(0, root_ops))
+        yield Delay(root_nap * _TICK)  # run_process stops here, mid-run
+        program.log("root-done")
+
+    def horizon():
+        # Release whoever still waits on an event nobody fired, so every
+        # program drains; also pins a last occurrence later than any cut.
+        program.log("horizon")
+        for event in program.events:
+            if not event.fired:
+                event.succeed(None)
+
+    engine.call_at(_HORIZON, horizon)
+    drive(engine, root(), cuts)
+    assert engine.pending_timers == 0
+    assert engine.is_idle
+    return program.trace, engine.now, engine.events_issued
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _ops_strategy(2, timed=True),
+    st.integers(0, 12),
+    st.lists(st.integers(0, 120), max_size=5, unique=True).map(sorted),
+)
+def test_property_entry_points_agree_however_a_run_is_sliced(
+    root_ops, root_nap, cut_ticks
+):
+    cuts = [tick * _TICK for tick in cut_ticks]
+    whole = _execute(root_ops, root_nap, cuts, _run_whole)
+    assert whole[0][-1][0] >= _HORIZON
+    for drive in (
+        _run_until_slices, _run_below_windows, _run_process_then_rest
+    ):
+        assert _execute(root_ops, root_nap, cuts, drive) == whole, drive
 
 
 # ---------------------------------------------------------------------------
