@@ -2,11 +2,11 @@
 
 Unlike the paper benches (which report *simulated* metrics), this suite
 measures the simulator itself: how many engine events per wall-second
-each hot scheduling pattern sustains, plus wall-clock for the three
-canonical end-to-end scenarios.  Results land in ``benchmarks/results.json``
-alongside the paper tables; the CI perf gate runs the same microbenches
-through ``python -m repro bench --check`` against
-``benchmarks/perf/baseline.json``.
+each hot scheduling pattern sustains.  Results land in
+``benchmarks/results.json`` alongside the paper tables; the CI perf gate
+runs the same microbenches through ``python -m repro bench --check``
+against ``benchmarks/perf/baseline.json``.  Whole-campaign wall time is
+``bench/run.py``'s to measure.
 """
 
 import pathlib
@@ -16,7 +16,6 @@ import pytest
 from benchmarks.conftest import print_table, record_result
 from repro.perf.harness import gate_check, load_baseline
 from repro.perf.microbench import run_microbenches
-from repro.perf.scenarios import run_scenarios
 
 #: full-size events counts keep a laptop run under ~5 s; the CLI uses the
 #: same defaults, so numbers here are comparable with BENCH_engine.json
@@ -37,19 +36,6 @@ def test_engine_events_per_second(microbench_results):
     print_table("Engine event-loop throughput", rows)
     record_result("perf_engine_events", rows)
     assert all(value > 0 for value in microbench_results.values())
-
-
-def test_scenario_wall_clock():
-    results = run_scenarios()
-    rows = [
-        {"scenario": name, "wall_seconds": stats["wall_seconds"]}
-        for name, stats in results.items()
-    ]
-    print_table("Scenario wall-clock", rows)
-    record_result("perf_scenarios", rows)
-    # The chaos campaign must still satisfy every invariant when run
-    # through the perf harness — speed must not cost correctness.
-    assert results["chaos_campaign"]["invariants_ok"]
 
 
 def test_perf_gate_against_committed_baseline(microbench_results):

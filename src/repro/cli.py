@@ -17,8 +17,8 @@ builds what it needs and prints a report:
     preserve     decades-scale preservation campaign, loss-rate verdict
     fleet        multi-site fleet campaign: site loss, recovery, I8 audit
     fleet-monitor  telemetry agents + closed-loop supervisor, I9 audit
-    bench        engine events/s + scenario wall-clock, perf-gate check
-    profile      cProfile a scenario or microbench, top-N hotspots
+    bench        engine microbench events/s, perf-floor gate check
+    profile      cProfile an engine microbench, top-N hotspots
 """
 
 from __future__ import annotations
@@ -607,21 +607,15 @@ def cmd_fleet_monitor(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Engine microbenches (events/s) + scenario wall-clock, with a gate."""
+    """Engine microbenches (events/s), with the floor gate."""
     from repro.perf.harness import (
         append_trajectory,
-        budget_check,
         gate_check,
         load_baseline,
         run_benchmarks,
     )
 
-    entry = run_benchmarks(
-        scale=args.scale,
-        repeats=args.repeats,
-        scenarios=not args.no_scenarios,
-        monitor=args.monitor,
-    )
+    entry = run_benchmarks(scale=args.scale, repeats=args.repeats)
     if args.label:
         entry["label"] = args.label
 
@@ -630,17 +624,6 @@ def cmd_bench(args) -> int:
         for name, value in entry["events_per_sec"].items()
     ]
     _print_rows(rows)
-    for name, stats in entry.get("scenarios", {}).items():
-        # Keep the (large) attached run report out of the trajectory file.
-        report = stats.pop("run_report", None)
-        print(f"scenario {name}: {stats['wall_seconds']:.3f} s wall "
-              f"(sim {stats.get('sim_seconds', '-')} s)")
-        if report is not None:
-            monitor_section = report.get("monitor") or {}
-            slo = monitor_section.get("slo") or {}
-            print(f"  run report: {monitor_section.get('samples', 0)} health "
-                  f"sample(s), {slo.get('violation_count', 0)} SLO "
-                  f"violation(s)")
 
     if args.out:
         append_trajectory(entry, args.out)
@@ -655,33 +638,24 @@ def cmd_bench(args) -> int:
         failures = gate_check(
             entry["events_per_sec"], baseline, tolerance=args.tolerance
         )
-        # Scenarios run at one fixed size (--scale only multiplies the
-        # microbench event counts), so their budgets hold at any scale.
-        budgets = load_baseline(args.baseline, "events_per_op")
-        failures += budget_check(entry.get("scenarios", {}), budgets)
         if failures:
             for failure in failures:
                 print(f"PERF GATE FAILED: {failure}")
             return 1
-        gated = sorted(set(budgets) & set(entry.get("scenarios", {})))
         print(f"perf gate ok (tolerance {args.tolerance:.0%} "
-              f"below {args.baseline}; events/op budgets checked at the "
-              f"scenarios' fixed size: {', '.join(gated) or 'none'})")
+              f"below {args.baseline})")
     return 0
 
 
 def cmd_profile(args) -> int:
-    """cProfile one scenario or microbench and print the top-N hotspots."""
+    """cProfile one microbench and print the top-N hotspots."""
     from repro.perf.harness import profile_target
 
     try:
-        report, stats = profile_target(args.target, top=args.top,
-                                       scale=args.scale)
+        report = profile_target(args.target, top=args.top, scale=args.scale)
     except KeyError as error:
         print(error.args[0])
         return 2
-    if stats:
-        print(f"scenario stats: {stats}")
     print(report)
     return 0
 
@@ -729,7 +703,6 @@ def _fleet_flags(**defaults) -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.perf.microbench import MICROBENCHES
-    from repro.perf.scenarios import SCENARIOS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -909,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmon.set_defaults(handler=cmd_fleet_monitor)
 
     bench = sub.add_parser(
-        "bench", help="engine events/s + scenario wall-clock, perf gate"
+        "bench", help="engine microbench events/s, perf-floor gate"
     )
     bench.add_argument("--repeats", "--repeat", type=int, default=3,
                        help="runs per microbench; best is kept (default 3) "
@@ -922,11 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default="BENCH_engine.json",
                        help="trajectory file to append to "
                             "(default BENCH_engine.json; '' to skip)")
-    bench.add_argument("--no-scenarios", action="store_true",
-                       help="microbenches only, skip wall-clock scenarios")
-    bench.add_argument("--monitor", action="store_true",
-                       help="attach run monitoring to the scenarios and "
-                            "print their run-report summaries")
     bench.add_argument("--check", action="store_true",
                        help="fail if events/s drops below the baseline gate")
     bench.add_argument("--baseline", default="benchmarks/perf/baseline.json",
@@ -936,12 +904,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(handler=cmd_bench)
 
     profile = sub.add_parser(
-        "profile", help="cProfile a scenario or microbench, top-N hotspots"
+        "profile", help="cProfile an engine microbench, top-N hotspots"
     )
     profile.add_argument(
-        "target",
-        help=f"scenario ({', '.join(SCENARIOS)}) or microbench "
-             f"({', '.join(MICROBENCHES)})",
+        "target", help=f"microbench ({', '.join(MICROBENCHES)})"
     )
     profile.add_argument("--top", type=int, default=15,
                          help="number of hotspot rows (default 15)")

@@ -184,6 +184,16 @@ class DriveSet:
             else stagger_seconds
         )
 
+        # Set once a sibling burn has failed: AllOf fails fast, so a drive
+        # still in its stagger would outlive this call and burn onto
+        # whatever disc the set holds by then (the next array's).
+        sibling_failed = False
+
+        def aborted() -> bool:
+            return sibling_failed or (
+                abort_check is not None and abort_check()
+            )
+
         def one(index: int, drive: OpticalDrive, image) -> Generator:
             payload, logical_size, label = image
             # Staging delay, abortable in slices so an interrupt-burn
@@ -193,9 +203,9 @@ class DriveSet:
                 step = min(5.0, remaining)
                 yield Delay(step)
                 remaining -= step
-                if abort_check is not None and abort_check():
+                if aborted():
                     return None
-            if abort_check is not None and abort_check():
+            if aborted():
                 return None
             curve = curves[index] if curves else None
             result = yield from drive.burn(
@@ -220,7 +230,11 @@ class DriveSet:
                 (yield Spawn(one(index, drive, image), name=f"burn-{index}"))
             )
             slots.append(index)
-        completed: list[Optional[BurnResult]] = yield AllOf(processes)
+        try:
+            completed: list[Optional[BurnResult]] = yield AllOf(processes)
+        except BaseException:
+            sibling_failed = True
+            raise
         results: list[Optional[BurnResult]] = [None] * len(images)
         for index, result in zip(slots, completed):
             results[index] = result

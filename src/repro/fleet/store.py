@@ -35,7 +35,7 @@ from repro.errors import (
 from repro.fleet.placement import place, rank_racks
 from repro.fleet.rack import ShardRack
 from repro.fleet.topology import FleetTopology, Layout
-from repro.sim.engine import AllOf, Engine, SimEvent, Spawn
+from repro.sim.engine import AllOf, Engine, Join, SimEvent, Spawn
 from repro.storage.raid import erasure_decode, erasure_parity
 
 
@@ -237,18 +237,41 @@ class FleetStore:
             shard_wire=declared / self.layout.k,
             pad=pad,
         )
+
+        def land(position: int) -> Generator:
+            return self.racks[placement[position]].store(
+                path, position, shards[position],
+                wire_bytes=record.shard_wire,
+            )
+
+        def store_shard(position: int) -> Generator:
+            try:
+                yield from land(position)
+            except RackLostError:
+                # The rack was lost under the shard: re-home the
+                # position as a rebuild would, rather than fail a write
+                # the other n - 1 racks accepted.
+                placement[position] = self.rebuild_target(record, position)
+                yield from land(position)
+
         workers = []
         for position, rack_id in enumerate(placement):
             workers.append((
-                yield Spawn(
-                    self.racks[rack_id].store(
-                        path, position, shards[position],
-                        wire_bytes=record.shard_wire,
-                    ),
-                    name=f"put-{rack_id}",
-                )
+                yield Spawn(store_shard(position), name=f"put-{rack_id}")
             ))
-        yield AllOf(workers)
+        try:
+            yield AllOf(workers)
+        except FleetError:
+            # No home left for a shard, so no catalog entry will own
+            # the others: let those in flight land, then release them.
+            for worker in workers:
+                try:
+                    yield Join(worker)
+                except FleetError:
+                    pass
+            for position, rack_id in enumerate(placement):
+                self.racks[rack_id].drop(path, position)
+            raise
         self.catalog[path] = record
         record.acked = True
         self.stats["puts"] += 1

@@ -120,14 +120,20 @@ class MaintenanceInterface:
             parity_raw: Optional[bytes] = None
             parity_failed = False
             parity_labels: list[str] = []
+            # The DAindex's committed membership, not the disc labels,
+            # says which discs are this array: a disc burned into the
+            # tray outside its commit must not vote in the XOR.
+            members = self.mc.array_images.get((roller, address))
             for drive in drive_set.drives:
                 disc = drive.disc
                 if disc is None or not disc.tracks:
                     continue
+                label = disc.tracks[0].label
+                if members is not None and label not in members:
+                    continue
                 if error_model is not None:
                     self.sector_errors_found += error_model.age_disc(disc)
                 report["checked"] += 1
-                label = disc.tracks[0].label
                 if label.startswith("par-"):
                     parity_labels.append(label)
                 yield from drive.mount()

@@ -4,10 +4,14 @@
 ``repro bench`` run appends one entry, so the file reads as a history of
 event-loop throughput over the life of the repository.
 
-``benchmarks/perf/baseline.json`` is the committed gate: CI runs
-``repro bench --check`` and fails when any microbench drops more than
-``tolerance`` (default 30%) below the baseline's events/s, or when a
-scenario spends more engine events per op than its budget there.
+``benchmarks/perf/baseline.json`` is the committed gate, in two
+sections.  ``events_per_sec``: CI runs ``repro bench --check`` and fails
+when any microbench drops more than ``tolerance`` (default 30%) below
+its floor.  ``events_per_op``: ``benchmarks/perf/bench_event_budgets.py``
+runs the benchmark's own workloads (``bench/workloads.py``) and fails
+when one spends more engine events per op than its budget
+(:func:`budget_check`).  End-to-end wall time, memory and the per-layer
+ledger are ``bench/run.py``'s job, not this package's.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ import json
 import pstats
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.perf.microbench import MICROBENCHES, run_microbenches
-from repro.perf.scenarios import SCENARIOS, run_scenarios
 
 #: default locations, relative to the repository root / current directory
 TRAJECTORY_PATH = "BENCH_engine.json"
@@ -32,28 +35,15 @@ DEFAULT_TOLERANCE = 0.30
 EVENTS_PER_OP_SLACK = 0.005
 
 
-def run_benchmarks(
-    scale: float = 1.0,
-    repeats: int = 3,
-    scenarios: bool = True,
-    monitor: bool = False,
-) -> dict:
-    """Run the microbench suite (and optionally scenarios); one entry dict.
-
-    ``monitor=True`` attaches :mod:`repro.obs` run monitoring to the
-    scenarios that support it — each such scenario's stats then carry a
-    ``run_report`` key (the same report ``repro monitor`` emits).
-    """
-    entry: dict = {
+def run_benchmarks(scale: float = 1.0, repeats: int = 3) -> dict:
+    """Run the microbench suite; one trajectory entry dict."""
+    return {
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "events_per_sec": {
             name: round(value)
             for name, value in run_microbenches(scale, repeats).items()
         },
     }
-    if scenarios:
-        entry["scenarios"] = run_scenarios(monitor=monitor)
-    return entry
 
 
 def append_trajectory(entry: dict, path: str = TRAJECTORY_PATH) -> dict:
@@ -63,8 +53,7 @@ def append_trajectory(entry: dict, path: str = TRAJECTORY_PATH) -> dict:
         data = json.loads(target.read_text())
     else:
         data = {
-            "unit": "events_per_sec: engine microbench throughput; "
-                    "scenarios: wall_seconds per canonical scenario",
+            "unit": "events_per_sec: engine microbench throughput",
             "trajectory": [],
         }
     data["trajectory"].append(entry)
@@ -76,8 +65,8 @@ def load_baseline(
     path: str = BASELINE_PATH, section: str = "events_per_sec"
 ) -> Dict[str, float]:
     """One section of the committed baseline file: ``events_per_sec``
-    floors per microbench, or ``events_per_op`` budgets per scenario
-    (empty when the file records none)."""
+    floors per microbench, or ``events_per_op`` budgets per benchmark
+    workload (empty when the file records none)."""
     data = json.loads(Path(path).read_text())
     return {str(k): float(v) for k, v in data.get(section, {}).items()}
 
@@ -110,19 +99,19 @@ def gate_check(
 
 
 def budget_check(
-    scenarios: Dict[str, dict],
+    workloads: Dict[str, dict],
     budgets: Dict[str, float],
     slack: float = EVENTS_PER_OP_SLACK,
 ) -> list[str]:
-    """Failure messages for scenarios above ``(1 + slack) * budget``
+    """Failure messages for workloads above ``(1 + slack) * budget``
     engine events per op.
 
-    Only a rise fails: spending fewer events is the point.  A scenario
+    Only a rise fails: spending fewer events is the point.  A workload
     with no budget, or that reports no ``events``/``ops``, is not gated.
     """
     failures = []
     for name, budget in budgets.items():
-        stats = scenarios.get(name, {})
+        stats = workloads.get(name, {})
         if not stats.get("ops") or "events" not in stats:
             continue
         measured = stats["events"] / stats["ops"]
@@ -135,30 +124,18 @@ def budget_check(
     return failures
 
 
-def profile_target(
-    name: str, top: int = 15, scale: float = 1.0
-) -> tuple[str, Optional[dict]]:
-    """cProfile a scenario or microbench; (report text, scenario stats).
-
-    ``name`` may be any key of :data:`SCENARIOS` or :data:`MICROBENCHES`.
-    """
-    stats_out: Optional[dict] = None
-    if name in SCENARIOS:
-        fn = SCENARIOS[name]
-        profiler = cProfile.Profile()
-        profiler.enable()
-        stats_out = fn()
-        profiler.disable()
-    elif name in MICROBENCHES:
-        bench, default_n = MICROBENCHES[name]
-        n = max(64, int(default_n * scale))
-        profiler = cProfile.Profile()
-        profiler.enable()
-        bench(n)
-        profiler.disable()
-    else:
-        known = ", ".join(sorted([*SCENARIOS, *MICROBENCHES]))
+def profile_target(name: str, top: int = 15, scale: float = 1.0) -> str:
+    """cProfile one microbench (a key of :data:`MICROBENCHES`); the
+    top-``top`` hotspot report by self time."""
+    if name not in MICROBENCHES:
+        known = ", ".join(sorted(MICROBENCHES))
         raise KeyError(f"unknown profile target {name!r} (known: {known})")
+    bench, default_n = MICROBENCHES[name]
+    n = max(64, int(default_n * scale))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    bench(n)
+    profiler.disable()
     buffer = io.StringIO()
     pstats.Stats(profiler, stream=buffer).sort_stats("tottime").print_stats(top)
-    return buffer.getvalue(), stats_out
+    return buffer.getvalue()

@@ -618,7 +618,7 @@ def run_serve(
     }
     if include_events:
         # Opt-in so the default report keeps its historical byte form;
-        # the perf scenarios use this for events-per-op accounting.
+        # the benchmark (bench/workloads.py) reads it for events per op.
         report["events_issued"] = engine.events_issued
     if recorder is not None:
         recorder.dump(flight_out)

@@ -55,7 +55,9 @@ def test_campaign_replay_is_byte_identical():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 def test_corpus_campaign_invariants_hold(seed):
-    report = run_campaign(seed, ops=30)
+    # The size the CI ``chaos`` matrix runs: one size, one verdict.  (At
+    # ops=30 seed 42 stayed green while losing two acked writes at 200.)
+    report = run_campaign(seed, ops=200)
     assert len(report["plan"]) == len(BASE_KINDS)
     assert not report["workload_violations"]
     failed = [inv for inv in report["invariants"] if not inv["ok"]]

@@ -10,6 +10,7 @@ from repro.drives.drive import (
     VFS_MOUNT_SECONDS,
 )
 from repro.errors import DriveError
+from repro.faults import DRIVE_HARD, FaultInjector, FaultPlan
 from repro.media.disc import BD25, BD100, OpticalDisc
 from repro.sim import Engine
 
@@ -309,13 +310,41 @@ def test_burn_array_staggers_starts():
     assert engine.now > 110
 
 
-def make_blank_set(engine):
-    drive_set = DriveSet(engine, 0)
+def load_blanks(drive_set, prefix="blank"):
     for index, drive in enumerate(drive_set.drives):
         drive.open_tray()
-        drive.insert_disc(OpticalDisc(f"blank-{index}", BD25))
+        drive.insert_disc(OpticalDisc(f"{prefix}-{index}", BD25))
         drive.close_tray()
+
+
+def make_blank_set(engine):
+    drive_set = DriveSet(engine, 0)
+    load_blanks(drive_set)
     return drive_set
+
+
+def test_failed_burn_array_leaves_no_straggler_for_the_next_array():
+    """AllOf fails fast: when drive 0's burn raises, drives still in their
+    stagger must not wake later and burn onto the *next* array's discs
+    (chaos seed 42: a stale parity disc inside the following array)."""
+    engine = Engine()
+    plan = FaultPlan()
+    plan.add(DRIVE_HARD, at=0.0, target="set0-drive00")
+    FaultInjector(engine, plan, seed=1).install().start()
+    drive_set = make_blank_set(engine)
+    images = [(b"payload", 50 * units.MB, f"img-{i}") for i in range(4)]
+    stagger = 10.0
+
+    def proc():
+        yield from drive_set.burn_array(images, stagger_seconds=stagger)
+
+    with pytest.raises(DriveError):
+        engine.run_process(proc())
+    assert engine.now < stagger  # drives 1-3 had not started
+    drive_set.eject_all()
+    load_blanks(drive_set, prefix="next")
+    engine.run(until=engine.now + 3 * stagger + 60)
+    assert [disc.disc_id for disc in drive_set.discs() if disc.tracks] == []
 
 
 def test_eject_all_returns_discs():

@@ -5,7 +5,7 @@ The campaign tests run ``run_fleet`` with a deliberately small geometry
 (6 racks, k=2+m=2, a few hundred pooled clients) so the whole corpus —
 every seed twice, byte-compared — stays inside the unit-test budget;
 the CLI default geometry (24 racks, 105 000 clients) is exercised by the
-CI fleet-smoke job and the perf ``fleet`` scenario.
+CI fleet-smoke job.
 """
 
 import json
@@ -124,6 +124,47 @@ class TestFleetStore:
         store.fail_rack("s1.r00", destroy=False)
         with pytest.raises(FleetError):
             put_now(store, "/fleet/late.img", b"z" * 64)
+
+    def test_put_rehomes_a_shard_whose_rack_is_destroyed_mid_transfer(self):
+        store = small_fleet()
+        path, data = "/fleet/inflight.img", b"w" * 4096
+        victim = store.placement_for(path)[1]
+        store.engine.call_later(
+            0.1, lambda: store.fail_rack(victim, destroy=True)
+        )
+        # 200 MB shards on 400 MB/s lanes: the rack dies mid-transfer
+        put_now(store, path, data, declared=400_000_000)
+        record = store.catalog[path]
+        assert record.acked and victim not in record.placement
+        assert store.lost_shards() == []
+        assert store.decode_now(path) == data
+        held = {
+            (rack_id, key)
+            for rack_id, rack in store.racks.items()
+            for key in rack.shards
+        }
+        assert held == {
+            (rack_id, (path, position))
+            for position, rack_id in enumerate(record.placement)
+        }
+
+    def test_put_with_no_rack_left_to_rehome_onto_leaves_nothing_behind(self):
+        store = small_fleet()
+        store.fail_site("site-0", destroy=False)  # 4 racks up = n, no spare
+        path = "/fleet/nohome.img"
+        placement = store.placement_for(path)
+        # a sibling shard still in flight when the put fails must not
+        # land afterwards with no catalog entry to own it
+        store.engine.spawn(store.racks[placement[3]].lane.transfer(1e9))
+        store.engine.call_later(
+            0.1, lambda: store.fail_rack(placement[0], destroy=True)
+        )
+        with pytest.raises(FleetError):
+            put_now(store, path, b"n" * 4096, declared=400_000_000)
+        store.engine.run()
+        assert path not in store.catalog
+        for rack in store.racks.values():
+            assert not rack.shards and rack.used_bytes == 0
 
 
 # ----------------------------------------------------------------------

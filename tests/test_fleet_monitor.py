@@ -13,7 +13,7 @@ Three layers, matching the subsystem's delivery contract:
 * **campaigns** — ``run_fleet_monitor`` on a small geometry: corpus
   byte-determinism, invariant I9 (remediation converges under rack
   loss), the telemetry-off baseline, and the <10% engine-event
-  overhead guard the perf ``fleet_monitor`` scenario tracks.
+  overhead guard.
 """
 
 import json

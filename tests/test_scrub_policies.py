@@ -5,7 +5,7 @@ import pytest
 from repro.media.errors_model import SectorErrorModel
 from repro.olfs.mechanical import ArrayState
 from repro.sim.rng import DeterministicRNG
-from tests.conftest import make_ros
+from tests.conftest import fill_and_burn, make_ros
 
 
 def burned_vault():
@@ -51,6 +51,35 @@ def data_images_of(ros, roller, address):
 
 def test_single_data_failure_repaired():
     ros, payloads, roller, address = burned_vault()
+    victim = data_images_of(ros, roller, address)[0]
+    corrupt(ros, roller, address, victim)
+    report = ros.run(ros.mi.scrub_array(roller, address))
+    assert report["repaired"] == [victim]
+    assert report["lost"] == []
+    for path, payload in payloads.items():
+        assert ros.read(path).data == payload
+
+
+def test_scrub_repairs_from_the_committed_parity_not_a_foreign_disc():
+    """Array membership is the DAindex's, not the disc labels': a parity
+    disc a straggler burn left in a spare slot of the tray (chaos seed 42)
+    must not replace the committed parity in the XOR."""
+    ros = make_ros(data_discs=2, parity_discs=1)
+    payloads = fill_and_burn(ros, files=16, size=15000, prefix="/scrub")
+    (roller, address), other = sorted(ros.mc.array_images)[:2]
+    foreign_id = next(
+        i for i in ros.mc.array_images[other] if i.startswith("par-")
+    )
+    foreign = next(
+        disc.tracks[0]
+        for disc in ros.mech.rollers[other[0]].tray_at(other[1]).discs()
+        if disc.tracks and disc.tracks[0].label == foreign_id
+    )
+    spare = list(ros.mech.rollers[roller].tray_at(address).discs())[3]
+    assert not spare.tracks
+    spare.burn_track(
+        foreign.payload, logical_size=foreign.logical_size, label=foreign_id
+    )
     victim = data_images_of(ros, roller, address)[0]
     corrupt(ros, roller, address, victim)
     report = ros.run(ros.mi.scrub_array(roller, address))
