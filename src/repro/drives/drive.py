@@ -6,23 +6,26 @@ the local VFS (~220 ms), file seeks (~100 ms), streaming reads at the
 media's sustained rate, and burning along a calibrated
 :class:`~repro.drives.speed.RecordingCurve`.
 
-Burns are *interruptible* between piecewise segments: the interrupt-burn
-read policy (§4.8) asks a busy drive to stop, the partial image is committed
-as a Pseudo-Over-Write track, and the remainder is appended later.
+Burns are *interruptible* at any instant: a burn sleeps through every
+stretch in which nothing can change its rate and is woken the moment a fault
+is armed for it or the interrupt-burn read policy (§4.8) asks it to stop;
+the partial image, cut where the laser was, is committed as a
+Pseudo-Over-Write track, and the remainder is appended later.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Generator, Optional, TYPE_CHECKING
 
 from repro import units
 from repro.errors import DriveError
-from repro.drives.speed import RecordingCurve, curve_for
+from repro.drives.speed import BurnRow, RecordingCurve, curve_for
 from repro.media.disc import OpticalDisc, Track
-from repro.sim.engine import Delay, Engine
+from repro.sim.engine import Delay, Engine, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.drives.drive_set import BurnThrottle
@@ -35,6 +38,38 @@ VFS_MOUNT_SECONDS = 0.220
 FILE_SEEK_SECONDS = 0.100
 #: Peak drive power (§5.1), used by the power accounting.
 DRIVE_PEAK_POWER_W = 8.0
+
+
+def nap(engine: Engine, due: float) -> Generator:
+    """Sleep until the clock reads ``due`` unless :func:`wake` cuts it
+    short; the caller loops on ``engine.now < due``."""
+    # The engine lands on ``now + delay``, and a rounded difference can
+    # carry that one ULP past ``due``; landing short is the caller's loop.
+    delay = due - engine.now
+    while engine.now + delay > due:
+        delay = math.nextafter(delay, 0.0)
+    try:
+        yield Delay(delay)
+    except Interrupt:
+        pass
+
+
+def wake(process) -> None:
+    """Resume a napping process now; a runnable one is about to look."""
+    if process is not None and process.waiting_on() is not None:
+        process.interrupt()
+
+
+def laser_position(rows: tuple[BurnRow, ...], seconds_in: float):
+    """``(bytes burned, nominal rate)`` at ``seconds_in`` uncontended
+    seconds into ``rows``: a row's rate is constant, so linear inside it."""
+    burned = rate = 0.0
+    for rate, seconds, nbytes, _end_progress in rows:
+        if seconds_in < seconds:
+            return burned + nbytes * (seconds_in / seconds), rate
+        seconds_in -= seconds
+        burned += nbytes
+    return burned, rate
 
 
 class DriveState(enum.Enum):
@@ -74,6 +109,9 @@ class OpticalDrive:
         self.read_efficiency = read_efficiency
         self.busy_seconds = 0.0
         self._interrupt_requested = False
+        #: the process inside :meth:`burn` (whom to wake) and the step it
+        #: sleeps through, ``(rows, started, throttle factor)``
+        self._burn_process = self._burn_step = None
         #: spindle power policy: after this many idle seconds the drive
         #: drops to SLEEPING and the next access pays the 2 s spin-up
         #: (§5.4: the spin-up and VFS mount "occur only when the drive is
@@ -252,10 +290,25 @@ class OpticalDrive:
     # Burning
     # ------------------------------------------------------------------
     def request_interrupt(self) -> None:
-        """Ask a burning drive to stop at the next segment boundary."""
+        """Stop a burning drive now: it commits what the laser has written."""
         if self.state is not DriveState.BURNING:
             raise DriveError(f"{self.drive_id}: not burning")
         self._interrupt_requested = True
+        wake(self._burn_process)
+
+    def recording_curve(self) -> RecordingCurve:
+        """The loaded disc's calibrated curve (fail-safe dip placement is
+        seeded stably from the disc's identity)."""
+        seed = zlib.crc32(self.disc.disc_id.encode()) & 0xFFFF
+        return curve_for(self.disc.disc_type, seed=seed)
+
+    def burn_demand(self) -> float:
+        """Nominal bytes/second the laser asks for right now, read off the
+        burn's table at the elapsed time (0 when not burning)."""
+        if self._burn_step is None:
+            return 0.0
+        rows, started, factor = self._burn_step
+        return laser_position(rows, (self.engine.now - started) * factor)[1]
 
     def burn(
         self,
@@ -265,13 +318,24 @@ class OpticalDrive:
         close: bool = True,
         curve: Optional[RecordingCurve] = None,
         throttle: Optional["BurnThrottle"] = None,
-        segment_count: int = 120,
     ) -> Generator:
         """Burn one image as a track; yields until done or interrupted.
 
         Returns a :class:`BurnResult`.  When interrupted mid-burn, the
         burned prefix is committed as an open (POW) track labelled
         ``label + '.partial'`` and ``completed`` is False.
+
+        The burn sleeps once per *step*, a stretch in which nothing can
+        change its rate: the whole table without a ``throttle`` (the
+        set's ceiling cannot bind), one row at a time with one.  It is
+        woken the instant :meth:`request_interrupt` is called or a fault
+        is armed for this drive, and reads the laser's position off
+        elapsed time.  Faults are checked as the laser starts, at every
+        wake and at every step's end, so a one-shot armed on an *idle*
+        drive trips its next burn at the first instant, nothing written —
+        once: the drive that trips it consumes it.  Delivery needs the
+        injector installed before the laser starts; one installed mid-burn
+        is still consulted at every wake and step end, as any is.
         """
         self._require_disc()
         if self.is_busy:
@@ -279,15 +343,32 @@ class OpticalDrive:
         self._check_op_fault()
         yield from self.ensure_spinning()
         size = len(payload) if logical_size is None else int(logical_size)
-        if curve is None:
-            # Seed fail-safe dip placement stably from the disc's identity.
-            seed = zlib.crc32(self.disc.disc_id.encode()) & 0xFFFF
-            curve = curve_for(self.disc.disc_type, seed=seed)
+        curve = curve or self.recording_curve()
         start_progress = self.disc.used_bytes / self.disc.capacity
+        table = curve.burn_table(size, start_progress)
+        steps = [table] if throttle is None else [(row,) for row in table]
         self._transition(DriveState.BURNING, "burn")
         self._interrupt_requested = False
+        faults = self.engine.faults
+        self._burn_process = self.engine.current_process
+        if faults.enabled:
+            faults.subscribe(self.drive_id, self._burn_process)
         started = self.engine.now
-        burned = 0.0
+        seconds_in = 0.0  # uncontended table seconds behind the laser
+
+        def trip_if_faulted() -> None:
+            check = self.engine.faults.check
+            fault = check("drive.burn", self.drive_id) or check(
+                "drive.op", self.drive_id
+            )
+            if fault is not None:
+                written = laser_position(table, seconds_in)[0]
+                raise DriveError(
+                    f"{self.drive_id}: write error at "
+                    f"{start_progress + written / curve.capacity:.0%} "
+                    f"(injected {fault.kind})"
+                )
+
         burn_span = self.engine.trace.span(
             "drive.burn",
             "drive",
@@ -295,29 +376,32 @@ class OpticalDrive:
         )
         burn_span.__enter__()
         try:
-            for rate, seconds, nbytes, end_progress in curve.burn_table(
-                size, start_progress, segment_count
-            ):
-                factor = 1.0
-                if throttle is not None:
-                    throttle.update(self, rate)
-                    factor = throttle.factor()
-                yield Delay(seconds / factor)
-                burned += nbytes
-                fault = self.engine.faults.check(
-                    "drive.burn", self.drive_id
-                ) or self.engine.faults.check("drive.op", self.drive_id)
-                if fault is not None:
-                    raise DriveError(
-                        f"{self.drive_id}: write error at "
-                        f"{end_progress:.0%} "
-                        f"(injected {fault.kind})"
-                    )
+            trip_if_faulted()
+            for rows in steps:
                 if self._interrupt_requested:
                     break
+                factor = 1.0
+                if throttle is not None:
+                    throttle.update(self, rows[0][0])
+                    factor = throttle.factor()
+                # Due when a clock advanced row after row would read so:
+                # the burn ends at the instant its polled form did.
+                step_from, step_started = seconds_in, self.engine.now
+                due = step_started
+                for row in rows:
+                    due += row[1] / factor
+                self._burn_step = (rows, step_started, factor)
+                while self.engine.now < due and not self._interrupt_requested:
+                    yield from nap(self.engine, due)
+                    elapsed = self.engine.now - step_started
+                    seconds_in = step_from + elapsed * factor
+                    trip_if_faulted()
         finally:
             if throttle is not None:
                 throttle.remove(self)
+            if faults.enabled:
+                faults.unsubscribe(self._burn_process)
+            self._burn_process = self._burn_step = None
             self.busy_seconds += self.engine.now - started
             self._transition(DriveState.IDLE, "burn_done")
             self._last_active = self.engine.now
@@ -327,6 +411,7 @@ class OpticalDrive:
         interrupted = self._interrupt_requested
         self._interrupt_requested = False
         if interrupted:
+            burned = min(laser_position(table, seconds_in)[0], float(size))
             fraction = burned / size if size else 1.0
             partial_payload = payload[: int(len(payload) * fraction)]
             track = self.disc.burn_track(

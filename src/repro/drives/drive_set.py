@@ -20,11 +20,11 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro import units
-from repro.errors import DriveError
-from repro.drives.drive import BurnResult, DriveState, OpticalDrive
+from repro.errors import DriveError, ROSError
+from repro.drives.drive import BurnResult, DriveState, OpticalDrive, nap, wake
 from repro.drives.speed import RecordingCurve
 from repro.media.disc import OpticalDisc
-from repro.sim.engine import AllOf, Delay, Engine, Spawn
+from repro.sim.engine import AllOf, Engine, Join, Spawn
 
 #: Drives per set, matching the 12-disc tray (§3.3).
 DRIVES_PER_SET = 12
@@ -42,10 +42,11 @@ DEFAULT_BURN_STAGGER_SECONDS = 38.0
 class BurnThrottle:
     """Scales concurrent burns by ``min(1, cap / total nominal demand)``.
 
-    Demand is re-declared by each drive at every burn segment, so the
-    factor tracks the CAV ramps: early segments are slow and uncontended,
-    late segments would exceed the cap and get squeezed — reproducing the
-    flat-topped aggregate curve of Figure 9.
+    Demand is re-declared by each drive at every row of its burn table
+    (only while the ceiling can bind: :meth:`DriveSet.burn_array` decides
+    that once per array), so the factor tracks the CAV ramps: early rows
+    are slow and uncontended, late rows would exceed the cap and get
+    squeezed — reproducing the flat-topped aggregate curve of Figure 9.
     """
 
     def __init__(self, cap_bytes_per_s: float = DEFAULT_BURN_CAP):
@@ -95,6 +96,8 @@ class DriveSet:
         self.burn_stagger_seconds = burn_stagger_seconds
         #: tray address currently checked out into this set, if any
         self.loaded_from: Optional[tuple[int, tuple[int, int]]] = None
+        #: array-burn processes still sleeping out their start stagger
+        self._staged: list = []
 
     def __len__(self) -> int:
         return len(self.drives)
@@ -159,6 +162,15 @@ class DriveSet:
             drive.close_tray()
         return discs
 
+    def request_interrupt(self) -> None:
+        """Stop the array burn in flight now (§4.8): burning drives commit
+        what they have written, staged ones wake to ``abort_check``."""
+        for drive in self.drives:
+            if drive.state is DriveState.BURNING:
+                drive.request_interrupt()
+        for process in self._staged:
+            wake(process)
+
     def burn_array(
         self,
         images: list[tuple[bytes, Optional[int], str]],
@@ -173,6 +185,10 @@ class DriveSet:
         one per drive in order; a ``None`` entry skips that drive (its disc
         is already fully burned).  Returns ``list[BurnResult]`` aligned
         with the input (``None`` for skipped drives).
+
+        When a burn fails, staged drives are woken and never start, and
+        burning ones are waited for before the failure is re-raised: no
+        process of this call outlives it.
         """
         if len(images) > len(self.drives):
             raise DriveError(
@@ -184,9 +200,9 @@ class DriveSet:
             else stagger_seconds
         )
 
-        # Set once a sibling burn has failed: AllOf fails fast, so a drive
-        # still in its stagger would outlive this call and burn onto
-        # whatever disc the set holds by then (the next array's).
+        # Set once a sibling burn has failed: a drive rising from its
+        # stagger must not burn onto whatever disc the set holds by then
+        # (the next array's).
         sibling_failed = False
 
         def aborted() -> bool:
@@ -194,49 +210,70 @@ class DriveSet:
                 abort_check is not None and abort_check()
             )
 
-        def one(index: int, drive: OpticalDrive, image) -> Generator:
+        def one(index: int, drive: OpticalDrive, image, curve) -> Generator:
             payload, logical_size, label = image
-            # Staging delay, abortable in slices so an interrupt-burn
-            # request (§4.8) is not stuck behind a long stagger.
-            remaining = index * stagger
-            while remaining > 0:
-                step = min(5.0, remaining)
-                yield Delay(step)
-                remaining -= step
-                if aborted():
-                    return None
+            # Staging delay: one sleep, cut short (Interrupt) the instant
+            # a sibling fails or an interrupt-burn request (§4.8) arrives.
+            due = self.engine.now + index * stagger
+            staged = self.engine.current_process
+            self._staged.append(staged)
+            try:
+                while self.engine.now < due and not aborted():
+                    yield from nap(self.engine, due)
+            finally:
+                self._staged.remove(staged)
             if aborted():
                 return None
-            curve = curves[index] if curves else None
             result = yield from drive.burn(
                 payload,
                 logical_size=logical_size,
                 label=label,
                 close=close,
                 curve=curve,
-                throttle=self.throttle,
+                throttle=throttle,
             )
             return result
 
-        processes = []
-        slots = []
+        # Can the set's ceiling bind at all?  Every image is known here,
+        # so compare the drives' combined peak demand with the cap once;
+        # a burn the throttle cannot touch is a single sleep.
+        jobs = []
+        peak_demand = 0.0
         for index, image in enumerate(images):
             if image is None:
                 continue
             drive = self.drives[index]
             if drive.disc is None:
                 raise DriveError(f"{drive.drive_id}: no disc for burn")
-            processes.append(
-                (yield Spawn(one(index, drive, image), name=f"burn-{index}"))
+            curve = curves[index] if curves else drive.recording_curve()
+            payload, logical_size, _label = image
+            size = len(payload) if logical_size is None else int(logical_size)
+            table = curve.burn_table(
+                size, drive.disc.used_bytes / drive.disc.capacity
             )
-            slots.append(index)
+            peak_demand += max((row[0] for row in table), default=0.0)
+            jobs.append((index, drive, image, curve))
+        throttle = self.throttle if peak_demand > self.throttle.cap else None
+
+        processes = []
+        for job in jobs:
+            processes.append(
+                (yield Spawn(one(*job), name=f"burn-{job[0]}"))
+            )
         try:
             completed: list[Optional[BurnResult]] = yield AllOf(processes)
-        except BaseException:
+        except Exception:
             sibling_failed = True
+            for process in self._staged:
+                wake(process)
+            for process in processes:
+                try:
+                    yield Join(process)
+                except ROSError:
+                    pass  # the first failure is the one re-raised
             raise
         results: list[Optional[BurnResult]] = [None] * len(images)
-        for index, result in zip(slots, completed):
+        for (index, *_), result in zip(jobs, completed):
             results[index] = result
         return results
 
@@ -284,7 +321,8 @@ class DriveSet:
                 else None
             ),
             "throttle_demand_mb_s": round(
-                self.throttle.total_demand / units.MB, 3
+                sum(drive.burn_demand() for drive in self.drives) / units.MB,
+                3,
             ),
             "per_drive": [drive.health() for drive in self.drives],
         }

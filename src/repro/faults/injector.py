@@ -4,10 +4,13 @@ The injector registers on the simulation :class:`~repro.sim.engine.Engine`
 as ``engine.faults`` (every engine starts with the no-op
 :data:`~repro.sim.engine.NULL_FAULTS`), and instrumented sites consult it:
 
-* ``drive.burn`` — checked by :meth:`OpticalDrive.burn` at every segment
-  boundary (one-shot transient burn errors);
-* ``drive.op`` — checked on mount / seek / read / burn (hard-failure
-  windows);
+* ``drive.burn`` — one-shot transient burn errors, *delivered*: a burning
+  drive subscribes for the length of its burn and is woken at the instant
+  a fault is armed for it (:meth:`OpticalDrive.burn` also checks as the
+  laser starts and when it stops, so a fault armed on an idle drive trips
+  the next burn);
+* ``drive.op`` — checked on mount / seek / read / burn entry, and
+  delivered to a burn in flight the same way (hard-failure windows);
 * ``plc.channel`` — checked by :meth:`ControlChannel.send`;
 * ``net.link`` — checked by :class:`repro.serve.network.NetworkLink` on
   every request/response transfer (flap windows and one-shots);
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from repro.drives.drive import wake
 from repro.faults.plan import (
     CACHE_LOSS,
     CLIENT_DISCONNECT,
@@ -81,6 +85,9 @@ class FaultInjector:
         self._oneshots: dict[tuple[str, str], list[FaultSpec]] = {}
         #: windowed faults: (site, target, until, spec)
         self._windows: list[tuple[str, str, float, FaultSpec]] = []
+        #: burns in flight: the burn's process -> its drive id (ids repeat
+        #: across the racks of one engine, processes do not)
+        self._burning: dict = {}
         #: arrays already carrying an injected burst (keep each array
         #: within its parity budget so scrub repair always succeeds)
         self._corrupted_arrays: set = set()
@@ -156,6 +163,14 @@ class FaultInjector:
                 return spec
         return None
 
+    def subscribe(self, drive_id: str, process) -> None:
+        """``process`` is burning on ``drive_id``: wake it whenever a
+        ``drive.burn`` / ``drive.op`` fault is armed that may concern it."""
+        self._burning[process] = drive_id
+
+    def unsubscribe(self, process) -> None:
+        self._burning.pop(process, None)
+
     # ------------------------------------------------------------------
     # Imperative API (tests and ad-hoc experiments)
     # ------------------------------------------------------------------
@@ -222,10 +237,21 @@ class FaultInjector:
 
     def _arm_oneshot(self, site: str, target: str, spec: FaultSpec) -> None:
         self._oneshots.setdefault((site, target), []).append(spec)
+        self._wake_burns(site, target)
 
     def _open_window(self, site: str, target: str, spec: FaultSpec) -> None:
         until = self.engine.now + spec.duration
         self._windows.append((site, target, until, spec))
+        self._wake_burns(site, target)
+
+    def _wake_burns(self, site: str, target: str) -> None:
+        # Delivered, not polled for: a burn in flight that a drive fault
+        # may concern wakes now and consults check() itself, so a
+        # one-shot is still consumed by the drive it trips.
+        if site in (SITE_DRIVE_BURN, SITE_DRIVE_OP):
+            for process, drive_id in self._burning.items():
+                if target in ("", drive_id):
+                    wake(process)
 
     def _apply_drive_transient(self, spec: FaultSpec) -> None:
         target = spec.target or self._pick_drive_id()

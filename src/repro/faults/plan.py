@@ -33,7 +33,7 @@ Taxonomy
     cache) is dropped; subsequent reads go back to the discs.
 ``olfs.crash_restart``
     OLFS crashes mid-burn and restarts after ``duration`` seconds of
-    downtime: burning arrays stop at their next segment boundary (prefixes
+    downtime: burning arrays stop at that instant (their burned prefixes
     survive as POW tracks), volatile caches flush, and parked burns resume
     in appending mode after the restart.
 ``net.link_flap``

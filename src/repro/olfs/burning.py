@@ -6,7 +6,7 @@ set and a blank tray, loads the blank discs, stages the image streams off
 the disk buffer and burns all discs concurrently in write-all-once mode.
 
 The §4.8 interrupt-burn policy is supported end to end: an urgent fetch can
-stop a burning array between segments; the burned prefixes are committed as
+stop a burning array at any instant; the burned prefixes are committed as
 POW tracks, the array is switched out, and once the interrupting read
 finishes the task re-loads the same tray and appends the remainders.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from typing import Generator, Optional
 
-from repro.drives.drive import DriveState
 from repro.errors import MechanicsError, ROSError
 from repro.mechanics.geometry import TrayAddress
 from repro.olfs.config import OLFSConfig
@@ -57,15 +56,12 @@ class BurnTask:
 
     # ------------------------------------------------------------------
     def request_interrupt(self) -> None:
-        """Ask the burning drives to stop at their next segment (§4.8)."""
+        """Stop the array burn now; drives not yet started never do (§4.8)."""
         if self.state != "burning":
             return
         self.interrupt_requested = True
         self.interruptions += 1
-        drive_set = self.controller.mc.mech.drive_sets[self.set_id]
-        for drive in drive_set.drives:
-            if drive.state is DriveState.BURNING:
-                drive.request_interrupt()
+        self.controller.mc.mech.drive_sets[self.set_id].request_interrupt()
 
     # ------------------------------------------------------------------
     def run(self) -> Generator:
@@ -110,9 +106,12 @@ class BurnTask:
                 if attempts > 16:
                     raise MechanicsError("burn task retried too many times")
                 try:
-                    finished = yield from self._burn_round(
-                        all_images, payloads, burned_prefix, real_prefix
-                    )
+                    with self.engine.trace.span(
+                        "btm.burn_round", "btm", {"task_id": self.task_id}
+                    ):
+                        finished = yield from self._burn_round(
+                            all_images, payloads, burned_prefix, real_prefix
+                        )
                 except ROSError as round_error:
                     # The whole array is abandoned: mark its tray Failed
                     # in the DAindex and restart on fresh blank discs.
@@ -171,21 +170,6 @@ class BurnTask:
     ) -> Generator:
         """Load the tray (blank on the first round), burn what remains of
         each image, unload.  Returns True when every image completed."""
-        with self.engine.trace.span(
-            "btm.burn_round", "btm", {"task_id": self.task_id}
-        ):
-            finished = yield from self._burn_round_inner(
-                all_images, payloads, burned_prefix, real_prefix
-            )
-        return finished
-
-    def _burn_round_inner(
-        self,
-        all_images: list[DiscImage],
-        payloads: list[tuple[bytes, int, str]],
-        burned_prefix: dict[str, float],
-        real_prefix: dict[str, int],
-    ) -> Generator:
         mc = self.controller.mc
         dim = self.controller.dim
         mech = mc.mech
@@ -240,11 +224,9 @@ class BurnTask:
                     abort_check=lambda: self.interrupt_requested,
                 )
             except ROSError:
-                # A drive/disc failed mid-burn.  Wait for the surviving
-                # drives to finish, clear the (now junk) array out of the
-                # drives, and let run() retry on a fresh tray.
-                while drive_set.is_busy:
-                    yield Delay(5.0)
+                # A drive/disc failed mid-burn (burn_array has waited for
+                # the surviving drives).  Clear the now junk array out of
+                # the drives, and let run() retry on a fresh tray.
                 yield from mech.unload_array(
                     self.set_id, priority=PRIORITY_BURN
                 )

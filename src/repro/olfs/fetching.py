@@ -309,19 +309,3 @@ class FetchController:
                 else 0
             ),
         }
-
-    # ------------------------------------------------------------------
-    def reassemble_split_image(self, disc) -> Optional[DiscImage]:
-        """Rebuild an image whose burn was interrupted: concatenate the
-        ``<id>.partial``/``<id>.rest`` tracks in order."""
-        if not disc.tracks:
-            return None
-        base_label = disc.tracks[0].label
-        image_id = base_label.split(".partial")[0].split(".rest")[0]
-        blob = b"".join(
-            disc.read_track(index) for index in range(len(disc.tracks))
-        )
-        try:
-            return DiscImage.deserialize(blob)
-        except Exception:  # noqa: BLE001 — corrupt/partial burn
-            return None

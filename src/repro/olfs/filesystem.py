@@ -333,7 +333,7 @@ class OLFS:
     def crash_restart(self, downtime: float = 30.0) -> Generator:
         """Crash OLFS mid-burn; restart after ``downtime`` seconds (§4.2).
 
-        Burning arrays stop at their next segment boundary — the burned
+        Burning arrays stop at that instant (they are woken) — the burned
         prefixes survive as POW tracks — then the rack sits dark for the
         downtime.  On restart the MV state is reloaded from its serialized
         form (it lives on the SSD RAID-1, so nothing is lost) and parked
