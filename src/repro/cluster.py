@@ -9,11 +9,17 @@ paths route to a home rack by rendezvous (highest-random-weight) hashing,
 optional synchronous replication writes each file to ``replicas``
 additional racks, and reads fail over when a rack is marked down.  All
 racks share one simulation engine, so cluster-wide timing is coherent.
+
+A cluster is a rack: ``cluster.pi`` has the three generator methods of
+the serving layer's rack contract (``write_file`` / ``read_file`` /
+``stat``, like ``ros.pi``), and ``cluster.write`` / ``read`` / ``stat``
+run them to completion the way :class:`~repro.olfs.filesystem.OLFS`'s do.
 """
 
 from __future__ import annotations
 
 import hashlib
+from types import SimpleNamespace
 from typing import Optional
 
 from repro.errors import FileNotFoundOLFSError, ROSError
@@ -48,6 +54,11 @@ class RackCluster:
             for _ in range(rack_count)
         ]
         self._down: set[int] = set()
+        self.pi = SimpleNamespace(
+            write_file=self._write_file,
+            read_file=self._read_file,
+            stat=self._stat,
+        )
         # monotonic event counters, reported by health() alongside the
         # gauges — telemetry consumers compute rates from these instead
         # of diffing snapshots
@@ -95,50 +106,15 @@ class RackCluster:
     # Namespace operations
     # ------------------------------------------------------------------
     def write(self, path: str, data: bytes, logical_size=None):
-        """Write to the home rack and every replica (synchronous)."""
-        targets = self._alive(self.placement(path))
-        if not targets:
-            raise RackDownError(f"no rack available for {path!r}")
-        traces = []
-        for index in targets:
-            traces.append(self.racks[index].write(path, data, logical_size))
-        self.counters["writes"] += 1
-        return traces[0]
+        return self.engine.run_process(
+            self.pi.write_file(path, data, logical_size), "write"
+        )
 
     def read(self, path: str):
-        """Read from the first holder that can actually serve the bytes.
-
-        Failover covers any :class:`ROSError` — not just racks explicitly
-        marked down.  A replica whose drives are hard-failed or whose read
-        times out raises (DriveError, TimeoutOLFSError, ...) and the next
-        holder is tried; the last error is re-raised only when every holder
-        failed.
-        """
-        last_error: Optional[Exception] = None
-        placement = self.placement(path)
-        for index in self._alive(placement):
-            try:
-                result = self.racks[index].read(path)
-            except ROSError as error:
-                last_error = error
-                continue
-            self.counters["reads"] += 1
-            if index != placement[0]:
-                # served by a replica — whether the home was marked
-                # down or merely erroring, it's one failover
-                self.counters["read_failovers"] += 1
-            return result
-        if last_error is not None:
-            raise last_error
-        raise RackDownError(f"every rack holding {path!r} is down")
+        return self.engine.run_process(self.pi.read_file(path), "read")
 
     def stat(self, path: str) -> dict:
-        for index in self._alive(self.placement(path)):
-            try:
-                return self.racks[index].stat(path)
-            except FileNotFoundOLFSError:
-                continue
-        raise FileNotFoundOLFSError(f"{path!r}: not in the cluster")
+        return self.engine.run_process(self.pi.stat(path), "stat")
 
     def readdir(self, path: str) -> list[str]:
         """Union of the directory's entries across reachable racks."""
@@ -168,16 +144,12 @@ class RackCluster:
             raise FileNotFoundOLFSError(f"{path!r}: not in the cluster")
 
     # ------------------------------------------------------------------
-    # Generator-form operations (serve path)
-    #
-    # The synchronous facade above calls ``rack.read`` which internally
-    # spins ``engine.run_process`` — illegal from inside a running
-    # simulation process.  Serving sessions are processes, so they use
-    # these ``yield from``-able forms with identical placement/failover
-    # semantics.
+    # ``self.pi``: the one copy of each operation's placement, failover
+    # and counters.  Serving sessions are simulation processes and
+    # ``yield from`` these; the synchronous facade above runs them.
     # ------------------------------------------------------------------
-    def write_process(self, path: str, data: bytes, logical_size=None):
-        """Generator form of :meth:`write` for use inside sim processes."""
+    def _write_file(self, path: str, data: bytes, logical_size=None):
+        """Write to the home rack and every replica (synchronous)."""
         targets = self._alive(self.placement(path))
         if not targets:
             raise RackDownError(f"no rack available for {path!r}")
@@ -190,8 +162,15 @@ class RackCluster:
         self.counters["writes"] += 1
         return traces[0]
 
-    def read_process(self, path: str):
-        """Generator form of :meth:`read`; same ROSError failover."""
+    def _read_file(self, path: str):
+        """Read from the first holder that can actually serve the bytes.
+
+        Failover covers any :class:`ROSError` — not just racks explicitly
+        marked down.  A replica whose drives are hard-failed or whose read
+        times out raises (DriveError, TimeoutOLFSError, ...) and the next
+        holder is tried; the last error is re-raised only when every holder
+        failed.
+        """
         last_error: Optional[Exception] = None
         placement = self.placement(path)
         for index in self._alive(placement):
@@ -202,18 +181,18 @@ class RackCluster:
                 continue
             self.counters["reads"] += 1
             if index != placement[0]:
+                # served by a replica — whether the home was marked
+                # down or merely erroring, it's one failover
                 self.counters["read_failovers"] += 1
             return result
         if last_error is not None:
             raise last_error
         raise RackDownError(f"every rack holding {path!r} is down")
 
-    def stat_process(self, path: str):
-        """Generator form of :meth:`stat`."""
+    def _stat(self, path: str):
         for index in self._alive(self.placement(path)):
             try:
-                result = yield from self.racks[index].pi.stat(path)
-                return result
+                return (yield from self.racks[index].pi.stat(path))
             except FileNotFoundOLFSError:
                 continue
         raise FileNotFoundOLFSError(f"{path!r}: not in the cluster")

@@ -190,10 +190,6 @@ class OpticalDrive:
     def is_busy(self) -> bool:
         return self.state in (DriveState.BURNING, DriveState.READING)
 
-    @property
-    def is_free_for_load(self) -> bool:
-        return not self.has_disc and not self.is_busy
-
     # ------------------------------------------------------------------
     # Spin-up and mounting
     # ------------------------------------------------------------------

@@ -79,20 +79,18 @@ class DriveSet:
         self,
         engine: Engine,
         set_id: int = 0,
-        drive_count: int = DRIVES_PER_SET,
         read_efficiency: float = DEFAULT_READ_EFFICIENCY,
-        burn_cap_bytes_per_s: float = DEFAULT_BURN_CAP,
         burn_stagger_seconds: float = DEFAULT_BURN_STAGGER_SECONDS,
     ):
         self.engine = engine
         self.set_id = set_id
         self.drives = [
             OpticalDrive(engine, f"set{set_id}-drive{index:02d}")
-            for index in range(drive_count)
+            for index in range(DRIVES_PER_SET)
         ]
         self._solo_read_efficiency = 1.0
         self._group_read_efficiency = read_efficiency
-        self.throttle = BurnThrottle(burn_cap_bytes_per_s)
+        self.throttle = BurnThrottle()
         self.burn_stagger_seconds = burn_stagger_seconds
         #: tray address currently checked out into this set, if any
         self.loaded_from: Optional[tuple[int, tuple[int, int]]] = None

@@ -95,7 +95,7 @@ def _start_serving(ros, rng, ops: int):
     phase needs.
     """
     from repro.serve.network import NetworkLink
-    from repro.serve.session import ClientSession, OLFSBackend, ServeOp
+    from repro.serve.session import ClientSession, ServeOp
     from repro.serve.tenancy import AdmissionController, TenantSpec
     from repro.sim.engine import Delay
     from repro.sim.tracing import MetricsRegistry
@@ -117,7 +117,6 @@ def _start_serving(ros, rng, ops: int):
         max_inflight=4,
     )
     metrics = MetricsRegistry()
-    backend = OLFSBackend(ros)
     ops_per_session = max(5, ops // 4)
     sessions = []
     processes = []
@@ -156,7 +155,7 @@ def _start_serving(ros, rng, ops: int):
     ):
         session_id = f"{tenant}-{client}"
         session = ClientSession(
-            engine, session_id, tenant, link, admission, backend, metrics
+            engine, session_id, tenant, link, admission, ros.pi, metrics
         )
         sessions.append(session)
         processes.append(

@@ -1,10 +1,10 @@
 """Fleet-aware serving frontend: locality routing with cross-site failover.
 
-A :class:`FleetBackend` adapts one site's view of the
-:class:`~repro.fleet.store.FleetStore` to the serve layer's backend
-protocol (``execute(op)`` generator), so client pools plug into the
-fleet exactly like they plug into a single rack or a
-:class:`~repro.cluster.RackCluster`:
+A :class:`FleetBackend` is one site's view of the
+:class:`~repro.fleet.store.FleetStore` behind the serve layer's rack
+contract (``write_file`` / ``read_file`` / ``stat`` generators, as on
+``ros.pi``), so client pools plug into the fleet exactly like they plug
+into a single rack or a :class:`~repro.cluster.RackCluster`:
 
 * **reads** prefer shards in the caller's site and lightly-loaded racks
   (the store's read ordering), transparently failing over to remote
@@ -30,7 +30,7 @@ STAT_LATENCY_S = 0.001
 
 
 class FleetBackend:
-    """One site's execution adapter over the shared fleet store."""
+    """One site's rack contract over the shared fleet store."""
 
     def __init__(self, store: FleetStore, site: str):
         if site not in store.topology.site_names():
@@ -38,15 +38,17 @@ class FleetBackend:
         self.store = store
         self.site = site
 
-    def execute(self, op) -> Generator:
-        if op.kind == "write":
-            declared = op.logical_size or len(op.data) or None
-            yield from self.store.put(op.path, op.data, declared)
-        elif op.kind == "read":
-            yield from self.store.get(op.path, site=self.site)
-        else:
-            yield Delay(STAT_LATENCY_S)
-            self.store.stat(op.path)
+    def write_file(
+        self, path: str, data: bytes, logical_size=None
+    ) -> Generator:
+        return self.store.put(path, data, logical_size)
+
+    def read_file(self, path: str) -> Generator:
+        return self.store.get(path, site=self.site)
+
+    def stat(self, path: str) -> Generator:
+        yield Delay(STAT_LATENCY_S)
+        return self.store.stat(path)
 
 
 class FleetFrontend:

@@ -83,7 +83,7 @@ class KeyValueInterface:
         """Enumerate all keys (scans the shard directories)."""
         try:
             shards = self.ros.readdir(self.root)
-        except Exception:  # root not created yet
+        except FileNotFoundOLFSError:  # root not created yet
             return
         for shard in shards:
             for name in self.ros.readdir(f"{self.root}/{shard}"):

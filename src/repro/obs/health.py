@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import PAPER_SLOS, SLO, SLOWatchdog
@@ -32,7 +32,7 @@ from repro.sim.telemetry import Sampler
 DEFAULT_PERIOD = 5.0
 
 #: Bounded health-timeline length (ring, like the flight recorder).
-DEFAULT_TIMELINE_CAPACITY = 512
+TIMELINE_CAPACITY = 512
 
 
 class SystemMonitor:
@@ -43,21 +43,18 @@ class SystemMonitor:
         ros,
         period: float = DEFAULT_PERIOD,
         slos: Iterable[SLO] = PAPER_SLOS,
-        timeline_capacity: int = DEFAULT_TIMELINE_CAPACITY,
         recorder: Optional[FlightRecorder] = None,
     ):
         self.ros = ros
         self.engine = ros.engine
         self.recorder = recorder
-        self.timeline: deque[dict] = deque(maxlen=timeline_capacity)
+        self.timeline: deque[dict] = deque(maxlen=TIMELINE_CAPACITY)
         self.watchdog: Optional[SLOWatchdog] = (
             SLOWatchdog(self.engine.trace, slos)
             if self.engine.trace.enabled
             else None
         )
         self._finished = False
-        #: extra subsystems rolled into every snapshot (name -> health fn)
-        self._extra: dict[str, Callable[[], dict]] = {}
         #: monotonic event counters (gauges live in the timeline); unlike
         #: ``len(self.timeline)`` these never lose history to the ring
         self.counters = {"ticks": 0, "snapshots": 0, "slo_violations": 0}
@@ -116,27 +113,11 @@ class SystemMonitor:
                 if self.recorder is not None:
                     self.recorder.record("slo.violation", **violation)
 
-    def attach_subsystem(
-        self, name: str, health_fn: Callable[[], dict]
-    ) -> "SystemMonitor":
-        """Roll an extra subsystem's ``health()`` into every snapshot.
-
-        Fleet campaigns attach the :class:`~repro.fleet.store.FleetStore`
-        and :class:`~repro.fleet.recovery.RecoveryManager` here so site
-        outages and rebuild progress land on the same timeline as the
-        rack's own health.  Probes must stay read-only, like the
-        monitor's own.
-        """
-        self._extra[name] = health_fn
-        return self
-
     def snapshot(self) -> dict:
         """One aggregated health snapshot, stamped with the clock."""
         self.counters["snapshots"] += 1
         snap = {"t": round(self.engine.now, 6)}
         snap.update(self.ros.health())
-        for name in sorted(self._extra):
-            snap[name] = self._extra[name]()
         return snap
 
     # ------------------------------------------------------------------

@@ -143,14 +143,6 @@ class OLFSConfig:
         if self.data_discs_per_array + self.parity_discs_per_array > 12:
             raise ValueError("a disc array holds at most 12 discs")
 
-    @property
-    def discs_per_array(self) -> int:
-        return self.data_discs_per_array + self.parity_discs_per_array
-
-    @property
-    def array_error_tolerance(self) -> int:
-        return self.parity_discs_per_array
-
     def scaled_for_tests(self, bucket_capacity: int = 512 * units.KB) -> "OLFSConfig":
         """A copy with tiny buckets so the full data path runs in tests."""
         import dataclasses

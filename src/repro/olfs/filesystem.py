@@ -33,7 +33,8 @@ from repro.sim.tracing import MetricsRegistry, Tracer
 from repro.storage.scheduler import IOStreamScheduler
 from repro.storage.volume import Volume
 
-#: The prototype's measured RAID-5 buffer volume rates (§5.3).
+#: The prototype's RAID-5 buffer volumes and their measured rates (§5.3).
+BUFFER_VOLUME_COUNT = 2
 BUFFER_READ_RATE = 1.2 * units.GB
 BUFFER_WRITE_RATE = 1.0 * units.GB
 BUFFER_ACCESS_LATENCY = 0.0004
@@ -42,6 +43,9 @@ BUFFER_ACCESS_LATENCY = 0.0004
 MV_READ_RATE = 900 * units.MB
 MV_WRITE_RATE = 450 * units.MB
 MV_ACCESS_LATENCY = 0.0001
+
+#: ``settle`` gives up resuming parked burns after this many drains.
+SETTLE_MAX_ROUNDS = 50
 
 
 class OLFS:
@@ -53,7 +57,6 @@ class OLFS:
         engine: Optional[Engine] = None,
         roller_count: int = 2,
         drive_sets_per_roller: int = 1,
-        buffer_volume_count: int = 2,
         buffer_volume_capacity: int = 24 * units.TB,
         io_policy: str = "partitioned",
         geometry: RollerGeometry = DEFAULT_GEOMETRY,
@@ -96,7 +99,7 @@ class OLFS:
                 capacity=buffer_volume_capacity,
                 access_latency=BUFFER_ACCESS_LATENCY,
             )
-            for index in range(buffer_volume_count)
+            for index in range(BUFFER_VOLUME_COUNT)
         ]
         self.scheduler = IOStreamScheduler(self.buffer_volumes, policy=io_policy)
         self.scheduler.metrics = self.metrics
@@ -309,7 +312,7 @@ class OLFS:
             return
         self.engine.run()
 
-    def settle(self, max_rounds: int = 50) -> None:
+    def settle(self) -> None:
         """Drain background work, resuming any parked burns, until idle.
 
         A burn parked by the §4.8 interrupt policy waits for an explicit
@@ -318,12 +321,12 @@ class OLFS:
         """
         if self.monitor is not None:
             with self.monitor.paused():
-                self._settle(max_rounds)
+                self._settle()
             return
-        self._settle(max_rounds)
+        self._settle()
 
-    def _settle(self, max_rounds: int) -> None:
-        for _ in range(max_rounds):
+    def _settle(self) -> None:
+        for _ in range(SETTLE_MAX_ROUNDS):
             self.engine.run()
             if self.btm.interrupted_tasks:
                 self.btm.resume_interrupted()

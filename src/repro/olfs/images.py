@@ -50,10 +50,6 @@ class ImageRecord:
     #: background scrubber verifies disc sectors against (§4.7)
     checksum: Optional[str] = None
 
-    @property
-    def on_buffer(self) -> bool:
-        return self.image is not None
-
 
 class DiscImageManager:
     """The DIM module plus the DILindex."""

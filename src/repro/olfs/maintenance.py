@@ -239,23 +239,6 @@ class MaintenanceInterface:
                 record.state = "lost"
                 record.image = None
 
-    def migrate_array(
-        self,
-        roller: int,
-        address: TrayAddress,
-        error_model: Optional[SectorErrorModel] = None,
-    ) -> Generator:
-        """Refresh one aging array onto new media.
-
-        A scrub pass with mandatory migration: damaged images are
-        repaired through parity first, then every data image is
-        rewritten into fresh buckets and the old tray is retired.
-        """
-        report = yield from self.scrub_array(
-            roller, address, error_model=error_model, migrate=True
-        )
-        return report
-
     def _rewrite_image(
         self, lost_image_id: str, restored: DiscImage
     ) -> Generator:

@@ -176,20 +176,9 @@ class MechanicalController:
             if self._is_blank_tray(roller, address)
         ]
 
-    def locate_image_array(
-        self, image_id: str
-    ) -> Optional[tuple[int, TrayAddress]]:
-        for key, images in self.array_images.items():
-            if image_id in images:
-                return key
-        return None
-
     # ------------------------------------------------------------------
     # Drive-set locks
     # ------------------------------------------------------------------
-    def lock_of(self, set_id: int) -> Resource:
-        return self._locks[set_id]
-
     def acquire_set(self, set_id: int, priority: int) -> Generator:
         with self.engine.trace.span(
             "mc.acquire_set", "mc", {"set_id": set_id, "priority": priority}

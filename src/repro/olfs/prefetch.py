@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
+from repro.errors import FilesystemError
 from repro.udf.image import DiscImage
 
 
@@ -94,7 +95,7 @@ class SequentialPrefetcher:
         directory = path.rsplit("/", 1)[0] or "/"
         try:
             names = fs.listdir(directory)
-        except Exception:  # noqa: BLE001 — directory vanished/odd image
+        except FilesystemError:  # directory not in this image
             return []
         base = path.rsplit("/", 1)[1]
         files = [

@@ -19,7 +19,6 @@ on any byte difference.
 
 from __future__ import annotations
 
-from repro import units
 from repro.errors import ROSError
 from repro.faults.campaign import CAMPAIGN_CONFIG, repair_rack
 from repro.faults.invariants import (
@@ -177,7 +176,6 @@ def run_preserve(
     audit: bool = True,
     migrate: bool = True,
     faults: bool = True,
-    scrub_rate_bytes: float = 4 * units.MB,
 ) -> dict:
     """One preservation campaign; returns the (JSON-safe) report dict."""
     rng = DeterministicRNG(seed).child("preserve")
@@ -246,7 +244,6 @@ def run_preserve(
         for index, rack in enumerate(cluster.racks):
             scrubber = BackgroundScrubber(
                 rack,
-                rate_bytes=scrub_rate_bytes,
                 clock=clocks[index],
                 migrate_after_years=(
                     MIGRATE_AFTER_YEARS if migrate else None

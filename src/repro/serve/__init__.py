@@ -10,8 +10,8 @@ rack's drive pool:
 * :mod:`repro.serve.tenancy` — tenants with token-bucket rate limits and
   a bounded admission queue with deadline-aware start-time-fair dequeue;
 * :mod:`repro.serve.session` — client sessions issuing POSIX ops through
-  the link into an :class:`~repro.olfs.filesystem.OLFS` rack or a
-  :class:`~repro.cluster.RackCluster`;
+  the link into a rack's, cluster's or fleet site's ``write_file`` /
+  ``read_file`` / ``stat``;
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.report` — open-loop and
   closed-loop client fleets plus per-tenant throughput / p50-p95-p99
   latency reports (``python -m repro serve``).
@@ -24,16 +24,14 @@ from repro.serve.loadgen import FleetSpec, default_fleets, run_serve
 from repro.serve.xl import run_serve_xl
 from repro.serve.network import NetworkLink
 from repro.serve.report import render_text, report_to_json
-from repro.serve.session import ClientSession, ClusterBackend, OLFSBackend, ServeOp
+from repro.serve.session import ClientSession, ServeOp
 from repro.serve.tenancy import AdmissionController, TenantSpec, TokenBucket
 
 __all__ = [
     "AdmissionController",
     "ClientSession",
-    "ClusterBackend",
     "FleetSpec",
     "NetworkLink",
-    "OLFSBackend",
     "ServeOp",
     "TenantSpec",
     "TokenBucket",

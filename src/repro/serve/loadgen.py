@@ -43,12 +43,7 @@ from repro.errors import ROSError, SessionDisconnectedError
 from repro.faults.plan import FaultPlan
 from repro.serve.network import NetworkLink
 from repro.serve.report import build_report
-from repro.serve.session import (
-    ClientSession,
-    ClusterBackend,
-    OLFSBackend,
-    ServeOp,
-)
+from repro.serve.session import ClientSession, ServeOp
 from repro.serve.tenancy import AdmissionController, TenantSpec
 from repro.sim.engine import AllOf, Delay, Spawn
 from repro.sim.rng import DeterministicRNG
@@ -358,10 +353,8 @@ def run_serve(
     prepopulate: int = 18,
     backend: str = "olfs",
     faults: bool = False,
-    fault_intensity: float = 1.0,
     max_inflight: int = 8,
     scrub: bool = False,
-    scrub_rate_bytes: float = 4 * units.MB,
     include_events: bool = False,
     flight_out: Optional[str] = None,
 ) -> dict:
@@ -387,10 +380,7 @@ def run_serve(
 
     plan = None
     if faults:
-        plan = FaultPlan.randomized(
-            rng.child("plan"), duration_s, intensity=fault_intensity,
-            serve=True,
-        )
+        plan = FaultPlan.randomized(rng.child("plan"), duration_s, serve=True)
 
     # -- rack(s) -------------------------------------------------------
     # Serving-sized buffer volumes: the chaos rig's 200 MB would fill in
@@ -403,45 +393,32 @@ def run_serve(
     if backend == "cluster":
         from repro.cluster import RackCluster
 
-        cluster = RackCluster(
+        rack = RackCluster(
             rack_count=2, replicas=1, config=config, **rack_kwargs
         )
-        engine = cluster.engine
-        racks = cluster.racks
-        injector = None
-        if plan is not None:
-            from repro.faults.injector import FaultInjector
-
-            injector = (
-                FaultInjector(engine, plan, seed=seed)
-                .bind(racks[0])
-                .install()
-            )
-            injector.start()
-        backend_obj = ClusterBackend(cluster)
+        racks = rack.racks
     else:
         from repro import ROS
 
-        ros = ROS(
-            config=config,
-            fault_plan=plan,
-            fault_seed=seed,
-            **rack_kwargs,
+        rack = ROS(config=config, **rack_kwargs)
+        racks = [rack]
+    # From here on the rack — one OLFS or a cluster of them — is one
+    # object: ``rack.write`` / ``rack.flush`` / ``rack.pi``.
+    engine = rack.engine
+    injector = None
+    if plan is not None:
+        from repro.faults.injector import FaultInjector
+
+        injector = (
+            FaultInjector(engine, plan, seed=seed).bind(racks[0]).install()
         )
-        engine = ros.engine
-        racks = [ros]
-        injector = ros.fault_injector
-        backend_obj = OLFSBackend(ros)
+        injector.start()
 
     recorder = None
     if flight_out:
         from repro.obs.recorder import FlightRecorder
 
-        # OLFS installs its own recorder when monitoring; reuse it so
-        # rack events and serve events land in one journal.
-        recorder = getattr(engine, "recorder", None)
-        if not isinstance(recorder, FlightRecorder):
-            recorder = FlightRecorder(engine).install()
+        recorder = FlightRecorder(engine).install()
 
     # -- serving plumbing ----------------------------------------------
     link = NetworkLink(engine)
@@ -452,7 +429,7 @@ def run_serve(
         tenants.append(
             TenantSpec(
                 "scrub",
-                rate_bytes=scrub_rate_bytes,
+                rate_bytes=4 * units.MB,
                 weight=0.25,
                 max_queue=4,
                 deadline_s=30.0,
@@ -471,7 +448,6 @@ def run_serve(
     # multi-megabyte masters.
     catalogs: list[list[tuple[str, int]]] = [[] for _ in fleets]
     per_fleet = max(1, prepopulate // len(fleets))
-    writer = racks[0] if backend == "olfs" else None
     for index, fleet in enumerate(fleets):
         generator = ArchivalWorkloadGenerator(
             profile=fleet.profile,
@@ -481,10 +457,7 @@ def run_serve(
         )
         for spec in generator.files(per_fleet):
             try:
-                if writer is not None:
-                    writer.write(spec.path, spec.payload, spec.logical_size)
-                else:
-                    cluster.write(spec.path, spec.payload, spec.logical_size)
+                rack.write(spec.path, spec.payload, spec.logical_size)
             except ROSError:
                 continue
             catalogs[index].append((spec.path, spec.declared_size))
@@ -497,10 +470,7 @@ def run_serve(
         from repro.preserve.scrubber import BackgroundScrubber
 
         try:
-            if backend == "olfs":
-                racks[0].flush()
-            else:
-                cluster.flush()
+            rack.flush()
         except ROSError:
             pass
         racks[0].settle()
@@ -563,7 +533,7 @@ def run_serve(
         for index, fleet in enumerate(fleets):
             if fleet.mode == "open" and fleet.resolved_pooling() == "aggregate":
                 pool = ClientPool(
-                    engine, fleet, rng, link, admission, backend_obj,
+                    engine, fleet, rng, link, admission, rack.pi,
                     metrics, catalogs[index], t_end,
                 )
                 sessions.append(pool.session)
@@ -576,7 +546,7 @@ def run_serve(
                 session_id = f"{fleet.tenant.name}-{client}"
                 session = ClientSession(
                     engine, session_id, fleet.tenant.name, link,
-                    admission, backend_obj, metrics,
+                    admission, rack.pi, metrics,
                 )
                 sessions.append(session)
                 client_rng = rng.child(f"client-{session_id}")
@@ -595,8 +565,8 @@ def run_serve(
     admission.close()
     if injector is not None:
         injector.stop()
-    for rack in racks:
-        rack.settle()
+    for member in racks:
+        member.settle()
 
     report = build_report(
         seed=seed,

@@ -46,7 +46,6 @@ class NetworkLink:
         self,
         engine: Engine,
         capacity: float = NETWORK_10GBE.write_rate_cap,
-        stack_name: str = "samba+OLFS",
         rtt_seconds: float = DEFAULT_RTT_SECONDS,
     ):
         if capacity <= 0:
@@ -56,7 +55,7 @@ class NetworkLink:
         self.engine = engine
         self.capacity = float(capacity)
         self.rtt_seconds = float(rtt_seconds)
-        self.stack = make_stack(stack_name)
+        self.stack = make_stack("samba+OLFS")
         self.ingress = SharedBandwidth(engine, capacity, name="10gbe-in")
         self.egress = SharedBandwidth(engine, capacity, name="10gbe-out")
         wire_spb = 1.0 / self.capacity

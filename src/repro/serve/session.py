@@ -3,10 +3,16 @@
 A :class:`ClientSession` models one SMB/NFS/REST connection (Figure 5):
 each operation crosses the :class:`~repro.serve.network.NetworkLink`,
 queues at the :class:`~repro.serve.tenancy.AdmissionController`, executes
-against a backend (a single :class:`~repro.olfs.filesystem.OLFS` rack or
-a :class:`~repro.cluster.RackCluster` with failover), and returns over
-the link.  The client-perceived latency — queueing included — lands in a
-per-tenant histogram that the serve report turns into p50/p95/p99.
+against a backend, and returns over the link.  The client-perceived
+latency — queueing included — lands in a per-tenant histogram that the
+serve report turns into p50/p95/p99.
+
+A backend is anything with the three generator methods of
+:class:`~repro.olfs.posix.POSIXInterface` — ``write_file(path, data,
+logical_size)``, ``read_file(path)``, ``stat(path)``: one rack's
+``ros.pi``, a :class:`~repro.cluster.RackCluster`'s ``cluster.pi``
+(placement and failover), or a :class:`~repro.fleet.frontend.FleetBackend`
+(one site's view of the erasure-coded fleet store).
 
 Sessions poll ``engine.faults`` at the ``client.session`` site before
 each op, so an armed ``client.disconnect`` one-shot turns the next op
@@ -80,40 +86,6 @@ class OpOutcome:
     status: str
     latency_s: float
     nbytes: float
-
-
-class OLFSBackend:
-    """Execute ops against one rack's POSIX interface."""
-
-    def __init__(self, ros):
-        self.ros = ros
-
-    def execute(self, op: ServeOp) -> Generator:
-        if op.kind == "write":
-            yield from self.ros.pi.write_file(
-                op.path, op.data, op.logical_size
-            )
-        elif op.kind == "read":
-            yield from self.ros.pi.read_file(op.path)
-        else:
-            yield from self.ros.pi.stat(op.path)
-
-
-class ClusterBackend:
-    """Execute ops against a RackCluster with read failover."""
-
-    def __init__(self, cluster):
-        self.cluster = cluster
-
-    def execute(self, op: ServeOp) -> Generator:
-        if op.kind == "write":
-            yield from self.cluster.write_process(
-                op.path, op.data, op.logical_size
-            )
-        elif op.kind == "read":
-            yield from self.cluster.read_process(op.path)
-        else:
-            yield from self.cluster.stat_process(op.path)
 
 
 class ClientSession:
@@ -197,7 +169,14 @@ class ClientSession:
             except ROSError:
                 return self._finish(op, "rejected", start)
             try:
-                yield from self.backend.execute(op)
+                if op.kind == "write":
+                    yield from self.backend.write_file(
+                        op.path, op.data, op.logical_size
+                    )
+                elif op.kind == "read":
+                    yield from self.backend.read_file(op.path)
+                else:
+                    yield from self.backend.stat(op.path)
             except ROSError:
                 return self._finish(op, "failed", start)
             finally:

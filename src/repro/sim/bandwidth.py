@@ -188,10 +188,6 @@ class SharedBandwidth:
         )
         yield flow
 
-    def estimate_seconds(self, nbytes: float) -> float:
-        """Time to move ``nbytes`` if this flow ran alone (no contention)."""
-        return nbytes / self.capacity
-
     # ------------------------------------------------------------------
     # Incremental weight total
     # ------------------------------------------------------------------

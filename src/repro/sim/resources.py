@@ -49,10 +49,6 @@ class Resource:
         self._sequence = itertools.count()
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def available(self) -> int:
         return self.capacity - self._in_use
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable
 
 from repro.errors import StorageError
 from repro.storage.volume import Volume
@@ -96,10 +95,3 @@ class IOStreamScheduler:
                 for volume in self.volumes
             ],
         }
-
-    def distinct_volumes(self) -> Iterable[Volume]:
-        seen = []
-        for volume in self._assignment.values():
-            if volume not in seen:
-                seen.append(volume)
-        return seen

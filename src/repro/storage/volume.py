@@ -123,9 +123,5 @@ class Volume:
         """Uncontended sequential write throughput, bytes/s."""
         return self._pipe.capacity / self._write_scale
 
-    @property
-    def active_streams(self) -> int:
-        return self._pipe.active_flows
-
     def __repr__(self) -> str:
         return f"<Volume {self.name} used={self.used}/{self.capacity}>"

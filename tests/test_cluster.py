@@ -138,23 +138,47 @@ def test_cluster_survives_rack_loss_with_burned_data():
 
 
 # ----------------------------------------------------------------------
-# Failover beyond explicitly-down racks (any ROSError triggers it)
+# Failover beyond explicitly-down racks (any ROSError triggers it).  A
+# rack is broken at ``rack.pi.read_file`` — the one thing the cluster
+# calls — and every case reads through both faces of the one
+# implementation: the synchronous facade, and ``cluster.pi`` from inside
+# a process (the serve path).
 # ----------------------------------------------------------------------
+def fail_with(error):
+    def broken_read(path, version=None):
+        raise error(f"{path}: injected")
+        yield  # pragma: no cover - makes this a generator
+
+    return broken_read
+
+
+def read_in_process(cluster, path):
+    def proc():
+        return (yield from cluster.pi.read_file(path))
+
+    return cluster.engine.run_process(proc())
+
+
+READ_FORMS = (RackCluster.read, read_in_process)
+
+
 def test_cluster_read_fails_over_on_rack_error_not_marked_down():
     from repro.errors import TimeoutOLFSError
 
     cluster = make_cluster(rack_count=3, replicas=1)
     cluster.write("/ha/err.bin", b"still-here")
     home = cluster.home_rack("/ha/err.bin")
-
-    def broken_read(path, version=None):
-        raise TimeoutOLFSError(f"{path}: injected timeout")
-
-    cluster.racks[home].read = broken_read
-    # The home rack is NOT marked down — its read just errors — and the
-    # replica still answers.
-    assert cluster.read("/ha/err.bin").data == b"still-here"
-    assert home not in cluster._down
+    cluster.racks[home].pi.read_file = fail_with(TimeoutOLFSError)
+    for failovers, read in enumerate(READ_FORMS, start=1):
+        # The home rack is NOT marked down — its read just errors — and
+        # the replica still answers.
+        assert read(cluster, "/ha/err.bin").data == b"still-here"
+        assert home not in cluster._down
+        assert cluster.counters["read_failovers"] == failovers
+    # ... and a rack that IS marked down is skipped on both faces too.
+    cluster.fail_rack(home)
+    for read in READ_FORMS:
+        assert read(cluster, "/ha/err.bin").data == b"still-here"
 
 
 def test_cluster_read_reraises_last_error_when_every_holder_fails():
@@ -163,13 +187,10 @@ def test_cluster_read_reraises_last_error_when_every_holder_fails():
     cluster = make_cluster(rack_count=2, replicas=0)
     cluster.write("/ha/solo.bin", b"x")
     home = cluster.home_rack("/ha/solo.bin")
-
-    def broken_read(path, version=None):
-        raise TimeoutOLFSError("injected")
-
-    cluster.racks[home].read = broken_read
-    with pytest.raises(TimeoutOLFSError):
-        cluster.read("/ha/solo.bin")
+    cluster.racks[home].pi.read_file = fail_with(TimeoutOLFSError)
+    for read in READ_FORMS:
+        with pytest.raises(TimeoutOLFSError):
+            read(cluster, "/ha/solo.bin")
 
 
 def test_cluster_failover_under_active_fault_injector():
@@ -201,21 +222,6 @@ def test_cluster_failover_under_active_fault_injector():
     injector.stop()
 
 
-def test_cluster_read_process_fails_over():
-    """The generator form (serve path) has the same failover."""
-    cluster = make_cluster(rack_count=3, replicas=1)
-    cluster.write("/ha/gen.bin", b"generator")
-    home = cluster.home_rack("/ha/gen.bin")
-    cluster.fail_rack(home)
-
-    def proc():
-        result = yield from cluster.read_process("/ha/gen.bin")
-        return result
-
-    result = cluster.engine.run_process(proc())
-    assert result.data == b"generator"
-
-
 def test_cluster_all_holders_down_reraises_the_last_error():
     """With several holders all failing, the error surfaced is the LAST
     holder's — the freshest evidence of why the read is impossible — not
@@ -225,44 +231,17 @@ def test_cluster_all_holders_down_reraises_the_last_error():
     cluster = make_cluster(rack_count=3, replicas=1)
     cluster.write("/ha/multi.bin", b"x")
     first, second = cluster.placement("/ha/multi.bin")
-
-    def fail_with(error):
-        def broken_read(path, version=None):
-            raise error(f"{path}: injected")
-        return broken_read
-
-    cluster.racks[first].read = fail_with(TimeoutOLFSError)
-    cluster.racks[second].read = fail_with(DriveError)
-    with pytest.raises(DriveError):
-        cluster.read("/ha/multi.bin")
-    # Swap the failure order: the surfaced type follows the last holder.
-    cluster.racks[first].read = fail_with(DriveError)
-    cluster.racks[second].read = fail_with(TimeoutOLFSError)
-    with pytest.raises(TimeoutOLFSError):
-        cluster.read("/ha/multi.bin")
-
-
-def test_cluster_read_process_reraises_last_error():
-    """The generator form (the serve path) has the same last-error
-    contract as the synchronous facade."""
-    from repro.errors import TimeoutOLFSError
-
-    cluster = make_cluster(rack_count=2, replicas=0)
-    cluster.write("/ha/gen-err.bin", b"x")
-    home = cluster.home_rack("/ha/gen-err.bin")
-
-    def broken_read(path):
-        raise TimeoutOLFSError("injected")
-        yield  # pragma: no cover - makes this a generator
-
-    cluster.racks[home].pi.read_file = broken_read
-
-    def proc():
-        result = yield from cluster.read_process("/ha/gen-err.bin")
-        return result
-
-    with pytest.raises(TimeoutOLFSError):
-        cluster.engine.run_process(proc())
+    for read in READ_FORMS:
+        cluster.racks[first].pi.read_file = fail_with(TimeoutOLFSError)
+        cluster.racks[second].pi.read_file = fail_with(DriveError)
+        with pytest.raises(DriveError):
+            read(cluster, "/ha/multi.bin")
+        # Swap the failure order: the surfaced type follows the last
+        # holder.
+        cluster.racks[first].pi.read_file = fail_with(DriveError)
+        cluster.racks[second].pi.read_file = fail_with(TimeoutOLFSError)
+        with pytest.raises(TimeoutOLFSError):
+            read(cluster, "/ha/multi.bin")
 
 
 def test_cluster_health_counters_are_monotonic():

@@ -59,6 +59,21 @@ def test_kv_keys_enumeration(kv):
     assert set(kv.keys()) == names
 
 
+def test_kv_keys_swallows_only_a_missing_root(kv, monkeypatch):
+    """No root directory yet means "no keys"; any other error out of
+    the rack propagates instead of reading as an empty store."""
+    from repro.errors import DriveError
+
+    assert list(kv.keys()) == []
+
+    def broken_readdir(path):
+        raise DriveError("injected")
+
+    monkeypatch.setattr(kv.ros, "readdir", broken_readdir)
+    with pytest.raises(DriveError):
+        list(kv.keys())
+
+
 def test_kv_weird_keys_survive_quoting(kv):
     key = "path/with spaces/and:colons?&=#"
     kv.put(key, b"odd")

@@ -113,6 +113,23 @@ def test_prefetcher_depth_zero_disabled():
     assert SequentialPrefetcher(0).candidates(image, "/d/f1") == []
 
 
+def test_prefetcher_swallows_only_a_missing_directory(monkeypatch):
+    """A directory the image lacks means "no candidates"; any other
+    error out of the mounted filesystem propagates."""
+    from repro.udf.filesystem import UDFFileSystem
+
+    image = _image_with_files(["f1", "f2"])
+    prefetcher = SequentialPrefetcher(2)
+    assert prefetcher.candidates(image, "/elsewhere/f1") == []
+
+    def broken_listdir(self, path="/"):
+        raise RuntimeError("corrupt image")
+
+    monkeypatch.setattr(UDFFileSystem, "listdir", broken_listdir)
+    with pytest.raises(RuntimeError):
+        prefetcher.candidates(image, "/d/f1")
+
+
 # ----------------------------------------------------------------------
 # Integrated: file-grain mode end to end
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.serve import (
     ClientSession,
     FleetSpec,
     NetworkLink,
-    OLFSBackend,
     ServeOp,
     TenantSpec,
     TokenBucket,
@@ -339,32 +338,72 @@ def test_admission_close_rejects_queued_and_drains():
 # ----------------------------------------------------------------------
 # Sessions against a real rack
 # ----------------------------------------------------------------------
-def _serving_rig(plan=None):
+def _session_over(engine, backend):
+    link = NetworkLink(engine)
+    admission = AdmissionController(
+        engine, [TenantSpec("t")], max_inflight=4
+    )
+    metrics = MetricsRegistry()
+    session = ClientSession(
+        engine, "t-0", "t", link, admission, backend, metrics
+    )
+    return link, admission, metrics, session
+
+
+def _serving_rack(factory=None, **kwargs):
+    """One small rack — or, with ``factory=RackCluster``, a cluster of them."""
     from repro import ROS
 
     config = OLFSConfig(
         data_discs_per_array=3, parity_discs_per_array=1
     ).scaled_for_tests()
-    ros = ROS(
+    return (factory or ROS)(
         config=config,
         roller_count=1,
         buffer_volume_capacity=1 * units.GB,
-        fault_plan=plan,
-        fault_seed=3,
+        **kwargs,
     )
-    link = NetworkLink(ros.engine)
-    admission = AdmissionController(
-        ros.engine, [TenantSpec("t")], max_inflight=4
-    )
-    metrics = MetricsRegistry()
-    session = ClientSession(
-        ros.engine, "t-0", "t", link, admission, OLFSBackend(ros), metrics
-    )
-    return ros, link, admission, metrics, session
 
 
-def test_session_write_read_stat_ok():
-    ros, link, admission, metrics, session = _serving_rig()
+def _serving_rig(plan=None):
+    ros = _serving_rack(fault_plan=plan, fault_seed=3)
+    return (ros, *_session_over(ros.engine, ros.pi))
+
+
+def _rack_backend():
+    ros = _serving_rack()
+    return ros.engine, ros.pi
+
+
+def _cluster_backend():
+    from repro.cluster import RackCluster
+
+    cluster = _serving_rack(RackCluster, rack_count=2, replicas=1)
+    return cluster.engine, cluster.pi
+
+
+def _fleet_backend():
+    from repro.fleet import FleetBackend, FleetStore, FleetTopology, Layout
+
+    store = FleetStore(
+        Engine(),
+        topology=FleetTopology(sites=3, racks_per_site=2),
+        layout=Layout(k=2, m=2),
+    )
+    return store.engine, FleetBackend(store, "site-0")
+
+
+@pytest.mark.parametrize(
+    "make_backend",
+    [_rack_backend, _cluster_backend, _fleet_backend],
+    ids=["rack", "cluster", "fleet"],
+)
+def test_session_write_read_stat_ok(make_backend):
+    """The rack contract — ``write_file`` / ``read_file`` / ``stat`` — on
+    each thing that implements it: a backend that drops or renames one
+    fails here by name."""
+    engine, backend = make_backend()
+    link, admission, metrics, session = _session_over(engine, backend)
     payload = b"serve-me" * 100
 
     def proc():
@@ -378,9 +417,9 @@ def test_session_write_read_stat_ok():
         out3 = yield from session.perform(ServeOp("stat", "/s/a.bin", 0.0))
         return [out1, out2, out3]
 
-    outcomes = ros.run(proc(), "serve-test")
+    outcomes = engine.run_process(proc(), "serve-test")
     admission.close()
-    ros.settle()
+    engine.run()
     assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
     assert all(o.latency_s > 0 for o in outcomes)
     assert session.outcomes["ok"] == 3
@@ -642,7 +681,6 @@ def test_failover_read_is_one_admitted_request():
     failover must never re-enter the controller."""
     from repro.cluster import RackCluster
     from repro.faults import DRIVE_HARD
-    from repro.serve import ClusterBackend
 
     config = OLFSConfig(
         data_discs_per_array=3, parity_discs_per_array=1
@@ -667,14 +705,8 @@ def test_failover_read_is_one_admitted_request():
             injector.inject(
                 DRIVE_HARD, target=drive.drive_id, duration=3600.0
             )
-    link = NetworkLink(cluster.engine)
-    admission = AdmissionController(
-        cluster.engine, [TenantSpec("t")], max_inflight=4
-    )
-    metrics = MetricsRegistry()
-    session = ClientSession(
-        cluster.engine, "t-0", "t", link, admission,
-        ClusterBackend(cluster), metrics,
+    link, admission, metrics, session = _session_over(
+        cluster.engine, cluster.pi
     )
 
     def proc():
