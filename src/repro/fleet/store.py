@@ -35,7 +35,7 @@ from repro.errors import (
 from repro.fleet.placement import place, rank_racks
 from repro.fleet.rack import ShardRack
 from repro.fleet.topology import FleetTopology, Layout
-from repro.sim.engine import AllOf, Engine, Join, SimEvent, Spawn
+from repro.sim.engine import AllOf, Engine, Join, SimEvent
 from repro.storage.raid import erasure_decode, erasure_parity
 
 
@@ -254,11 +254,10 @@ class FleetStore:
                 placement[position] = self.rebuild_target(record, position)
                 yield from land(position)
 
-        workers = []
-        for position, rack_id in enumerate(placement):
-            workers.append((
-                yield Spawn(store_shard(position), name=f"put-{rack_id}")
-            ))
+        workers = [
+            self.engine.spawn(store_shard(position), name=f"put-{rack_id}")
+            for position, rack_id in enumerate(placement)
+        ]
         try:
             yield AllOf(workers)
         except FleetError:
@@ -321,11 +320,10 @@ class FleetStore:
             payload = yield from rack.fetch(path, position)
             fetched[position] = payload
 
-        workers = []
-        for position in chosen:
-            workers.append(
-                (yield Spawn(fetch_one(position), name=f"get-{position}"))
-            )
+        workers = [
+            self.engine.spawn(fetch_one(position), name=f"get-{position}")
+            for position in chosen
+        ]
         try:
             yield AllOf(workers)
         except (RackLostError, ShardUnavailableError):

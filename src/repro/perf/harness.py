@@ -19,6 +19,7 @@ from __future__ import annotations
 import cProfile
 import io
 import json
+import math
 import pstats
 import time
 from pathlib import Path
@@ -33,6 +34,7 @@ DEFAULT_TOLERANCE = 0.30
 #: Events per op repeat exactly per seed; the slack only absorbs
 #: float/library differences between hosts.
 EVENTS_PER_OP_SLACK = 0.005
+STALE_BUDGET_SLACK = 0.02  #: a budget this far above its workload is stale
 
 
 def run_benchmarks(scale: float = 1.0, repeats: int = 3) -> dict:
@@ -104,9 +106,9 @@ def budget_check(
     slack: float = EVENTS_PER_OP_SLACK,
 ) -> list[str]:
     """Failure messages for workloads above ``(1 + slack) * budget``
-    engine events per op.
+    engine events per op, or more than ``STALE_BUDGET_SLACK`` below it.
 
-    Only a rise fails: spending fewer events is the point.  A workload
+    A saving lowers the budget with it, so slack never piles up.  A workload
     with no budget, or that reports no ``events``/``ops``, is not gated.
     """
     failures = []
@@ -121,6 +123,10 @@ def budget_check(
                 f"({budget:.2f} + {slack:.1%}; {stats['events']} events "
                 f"/ {stats['ops']} ops)"
             )
+        elif measured < budget * (1.0 - STALE_BUDGET_SLACK):
+            lower = math.ceil(measured * 100) / 100
+            failures.append(f"{name}: stale budget: lower it to {lower} "
+                            f"({measured:.3f} events/op against {budget:.2f})")
     return failures
 
 

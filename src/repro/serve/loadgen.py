@@ -301,17 +301,16 @@ class ClientPool:
         self._spawned: list = []  # in-flight op processes (pruned)
 
     # ------------------------------------------------------------------
-    def _spawn_roll(self, roll: float) -> Generator:
+    def _spawn_roll(self, roll: float) -> None:
         """Issue one op (kind decided by ``roll``) as its own process and
         track it, pruning finished ones so the list stays bounded."""
         session = self.session
         op = _op_from_roll(self.fleet, roll, self._op_rng, self.catalog,
                            session.session_id, self._counter)
-        child = yield Spawn(
+        self._spawned.append(self.engine.spawn(
             _one_shot(session, op, self.catalog),
             f"op-{session.session_id}-{self._counter[0]}",
-        )
-        self._spawned.append(child)
+        ))
         if len(self._spawned) >= self.PRUNE_AT:
             self._spawned = [p for p in self._spawned if not p.done]
 
@@ -327,7 +326,7 @@ class ClientPool:
                 if engine.now + gap >= t_end:
                     break
                 yield Delay(gap)
-                yield from self._spawn_roll(self._roll_rng.uniform())
+                self._spawn_roll(self._roll_rng.uniform())
         else:
             epoch = self.EPOCH
             exhausted = False
@@ -340,7 +339,7 @@ class ClientPool:
                         exhausted = True
                         break
                     yield Delay(gap)
-                    yield from self._spawn_roll(float(rolls[index]))
+                    self._spawn_roll(float(rolls[index]))
         pending = [process for process in self._spawned if not process.done]
         if pending:
             yield AllOf(pending)

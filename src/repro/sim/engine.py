@@ -19,13 +19,21 @@ Supported effects
     or re-raises the exception that killed it.
 ``AllOf(processes)``
     Suspend until every process in the list finishes; resumes with the list
-    of their return values (raises the first failure).
+    of their return values.  Failures surface *in list order*: target
+    ``i``'s exception is raised once targets ``0..i-1`` are done.
+``FirstOf(processes)``
+    Suspend until the first finishes; resumes with ``(index, result)``.
 ``Acquire(resource, priority=0)``
     Queue on a :class:`repro.sim.resources.Resource`; resumes with a
     :class:`repro.sim.resources.Grant` once capacity is available.
 
 Processes may also be interrupted (:meth:`Process.interrupt`), which raises
 :class:`Interrupt` inside the generator at its current yield point.
+
+A join is a countdown, not a process: ``AllOf``/``FirstOf`` park the waiter
+behind a :class:`_Gate` on the targets' own completion lists.  It is the
+waiter's ``_suspension`` (detached on ``interrupt`` like a :class:`Park`);
+``_finish`` *calls* it, and it resumes the waiter once, when decided.
 
 Scheduling: one loop, one heap-entry protocol
 ---------------------------------------------
@@ -142,7 +150,11 @@ class Join(Effect):
 
 
 class AllOf(Effect):
-    """Suspend until every process in ``processes`` completes."""
+    """Suspend until every process in ``processes`` completes.
+
+    Walked *in order*: the waiter sees target ``i``'s exception once targets
+    ``0..i-1`` are done, and no failure behind that one is ever observed.
+    """
 
     __slots__ = ("processes",)
 
@@ -196,6 +208,47 @@ class Park(Effect):
 
     def _detach(self, process: "Process") -> None:  # pragma: no cover
         raise NotImplementedError
+
+
+class _Gate:
+    """An ``AllOf`` (``cursor``: the one list position it is registered on)
+    or ``FirstOf`` (``cursor`` ``None``: registered on every target) waiter."""
+
+    __slots__ = ("waiter", "targets", "cursor")
+
+    def __init__(self, waiter: Process, targets: list, cursor: Optional[int]):
+        self.waiter = waiter
+        self.targets = targets
+        self.cursor = cursor
+        waiter._suspension = self
+
+    def poll(self) -> None:
+        """Resume the waiter if its join is decided, else (stay) parked."""
+        waiter, targets = self.waiter, self.targets
+        resume = waiter.engine._schedule_resume
+        if self.cursor is None:
+            for index, target in enumerate(targets):
+                if target.done:
+                    self._detach(waiter)
+                    value = (index, target._result)
+                    return resume(waiter, value, target._error)
+            for target in dict.fromkeys(targets):  # one entry per target
+                target._completion_waiters.append(self)
+            return
+        for cursor in range(self.cursor, len(targets)):
+            target = targets[cursor]
+            if not target.done:
+                self.cursor = cursor
+                target._completion_waiters.append(self)
+                return
+            if target._error is not None:
+                return resume(waiter, None, target._error)
+        resume(waiter, [target._result for target in targets])
+
+    def _detach(self, process: Process) -> None:
+        for target in self.targets:
+            if self in target._completion_waiters:
+                target._completion_waiters.remove(self)
 
 
 class Alarm:
@@ -343,12 +396,12 @@ class Process:
         self._result: Any = None
         self._error: Optional[BaseException] = None
         self._error_observed = False
-        self._completion_waiters: list[Process] = []
+        self._completion_waiters: list[Process | _Gate] = []
         # What this process is suspended on: the (time, seq, process)
         # heap entry (Delay), SimEvent (Wait), Process (Join), an object
-        # with ``_detach(process)`` (resource queues, Park effects), or
-        # None when runnable/scheduled.  interrupt() dispatches on the
-        # type; waiting_on() renders it for humans.
+        # with ``_detach(process)`` (resource queues, Park effects, the
+        # _Gate of an AllOf/FirstOf), or None when runnable/scheduled.
+        # interrupt() dispatches on the type; waiting_on() renders it.
         self._suspension: Any = None
         # Tracing context: the span that was active when this process was
         # spawned (background work attaches under it), and this process's
@@ -382,6 +435,11 @@ class Process:
             return f"event({suspension.name})"
         if kind is Process:
             return f"join({suspension.name})"
+        if kind is _Gate:
+            targets, at = suspension.targets, suspension.cursor
+            if at is None:
+                return f"firstof({', '.join(t.name for t in targets)})"
+            return f"allof({at}/{len(targets)} done, next {targets[at].name})"
         return (
             f"{kind.__name__.lower()}({getattr(suspension, 'name', '')})"
         )
@@ -751,9 +809,9 @@ class Engine:
             elif cls is Join:
                 self._join(process, effect.process)
             elif cls is AllOf:
-                self._join_all(process, effect.processes)
+                _Gate(process, effect.processes, 0).poll()
             elif cls is FirstOf:
-                self._join_first(process, effect.processes)
+                _Gate(process, effect.processes, None).poll()
             elif cls is Acquire:
                 effect.resource._enqueue(process, effect.priority)
             elif isinstance(effect, Park):
@@ -781,36 +839,6 @@ class Engine:
             target._completion_waiters.append(waiter)
             waiter._suspension = target
 
-    def _join_all(self, waiter: Process, targets: list[Process]) -> None:
-        def collector() -> Generator:
-            results = []
-            for target in targets:
-                results.append((yield Join(target)))
-            return results
-
-        self._join(waiter, self.spawn(collector(), name="allof"))
-
-    def _join_first(self, waiter: Process, targets: list[Process]) -> None:
-        finish_line = self.event("firstof")
-
-        def forwarder(index: int, target: Process) -> Generator:
-            try:
-                result = yield Join(target)
-            except BaseException as error:  # noqa: BLE001
-                if not finish_line.fired:
-                    finish_line.fail(error)
-                return
-            if not finish_line.fired:
-                finish_line.succeed((index, result))
-
-        def racer() -> Generator:
-            for index, target in enumerate(targets):
-                yield Spawn(forwarder(index, target), name=f"race-{index}")
-            winner = yield Wait(finish_line)
-            return winner
-
-        self._join(waiter, self.spawn(racer(), name="firstof"))
-
     def _finish(
         self,
         process: Process,
@@ -827,10 +855,9 @@ class Engine:
             seq_next = self._seq_next
             if error is not None:
                 process._error_observed = True
-                for waiter in waiters:
-                    runq.append((seq_next(), waiter, None, error))
-                    waiter._suspension = None
-            else:
-                for waiter in waiters:
-                    runq.append((seq_next(), waiter, result, None))
+            for waiter in waiters:
+                if waiter.__class__ is _Gate:
+                    waiter.poll()
+                else:
+                    runq.append((seq_next(), waiter, result, error))
                     waiter._suspension = None

@@ -436,15 +436,18 @@ def test_throttled_array_burn_keeps_the_parents_timeline_bit_for_bit():
         blank_set(engine).burn_array(FIG9_IMAGES, stagger_seconds=0.0)
     )
     assert engine.now.hex() == "0x1.a05ba7056b495p+9"  # 832.72 s
-    assert engine.events_issued == 1491  # row for row, the parent's count
+    # Row for row PR 20's 1491, less the one 12-target AllOf's collector:
+    # n + 2 = 14 sequence numbers to deliver the join then, 1 now.
+    assert engine.events_issued == 1491 - 13
 
 
 def test_throttled_array_burn_sheds_only_its_stagger_slices():
     engine = Engine()
     engine.run_process(blank_set(engine).burn_array(FIG9_IMAGES))
     # The parent spent 1997 events: the 495 fewer are the staggers' 506
-    # five-second slices becoming 11 sleeps; no burn row went.
-    assert engine.events_issued == 1502
+    # five-second slices becoming 11 sleeps; no burn row went.  Then the
+    # same 12 + 1 as above for the AllOf that no longer is a process.
+    assert engine.events_issued == 1502 - 13
 
 
 def test_health_reports_nominal_demand_of_a_burn_the_throttle_never_sees():

@@ -96,6 +96,26 @@ class TestFleetStore:
             store.fail_rack(rack_id, destroy=False)
         assert get_now(store, "/fleet/fo.img") == payload
 
+    def test_get_fails_over_when_a_rack_dies_under_its_fetches(self):
+        store = small_fleet(
+            topology=FleetTopology(sites=3, racks_per_site=3),
+            layout=Layout(k=4, m=2),
+        )
+        path, payload = "/fleet/midread.img", bytes(range(256)) * 64
+        # 100 MB shards on 400 MB/s lanes: all four fetches are in flight
+        put_now(store, path, payload, declared=400_000_000)
+        record = store.catalog[path]
+        victim = record.placement[store._read_order(record, None)[2]]
+        store.engine.call_later(
+            0.1, lambda: store.fail_rack(victim, destroy=True)
+        )
+        # the AllOf over the four fetch processes raises RackLostError;
+        # the failover loop reads a fifth shard and still verifies
+        assert get_now(store, path) == payload
+        assert store.stats["failovers"] == 1
+        assert store.stats["gets"] == 1
+        assert store.racks[victim].fetches == 0
+
     def test_site_loss_keeps_objects_recoverable(self):
         store = small_fleet()
         for i in range(5):

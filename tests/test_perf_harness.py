@@ -50,7 +50,7 @@ def test_gate_check_skips_unknown_benches_and_validates_tolerance():
         gate_check({}, baseline, tolerance=1.5)
 
 
-def test_budget_check_fails_only_on_a_rise_over_budget():
+def test_budget_check_fails_on_a_rise_over_budget():
     budgets = {"serve": 100.0}
     # 0.5% slack: 100.4 events/op passes, 100.6 fails
     assert budget_check({"serve": {"events": 10040, "ops": 100}},
@@ -59,9 +59,24 @@ def test_budget_check_fails_only_on_a_rise_over_budget():
                             budgets)
     assert len(failures) == 1
     assert "serve" in failures[0] and "100.60 events/op" in failures[0]
-    # spending fewer events is the point, never a failure
-    assert budget_check({"serve": {"events": 5000, "ops": 100}},
+
+
+def test_budget_check_fails_on_a_budget_gone_stale():
+    budgets = {"serve": 100.0}
+    # spending fewer events is the point, but the budget follows: 1.9%
+    # under passes, 2.1% under asks for the budget to be lowered
+    assert budget_check({"serve": {"events": 9810, "ops": 100}},
                         budgets) == []
+    failures = budget_check({"serve": {"events": 9789, "ops": 100}},
+                            budgets)
+    assert len(failures) == 1
+    assert "serve: stale budget: lower it to 97.89" in failures[0]
+    # the suggestion rounds up, so the lowered budget passes both ways
+    failures = budget_check({"fleet_heal": {"events": 236290, "ops": 7047}},
+                            {"fleet_heal": 44.06})
+    assert "lower it to 33.54" in failures[0]
+    assert budget_check({"fleet_heal": {"events": 236290, "ops": 7047}},
+                        {"fleet_heal": 33.54}) == []
 
 
 def test_budget_check_skips_what_it_cannot_gate():

@@ -7,6 +7,7 @@ from repro.sim import (
     AllOf,
     Delay,
     Engine,
+    FirstOf,
     Interrupt,
     Join,
     Resource,
@@ -882,3 +883,332 @@ def test_events_issued_counts_monotonically():
     after = engine.events_issued
     assert after > before
     assert engine.events_issued == after  # property peek does not consume
+
+
+# ---------------------------------------------------------------------------
+# AllOf / FirstOf: completion-list gates vs the processes they replaced
+# ---------------------------------------------------------------------------
+# Until PR 23 the engine modelled a join as a third party: an ``AllOf``
+# spawned a collector that joined the targets one by one, a ``FirstOf`` a
+# racer, n forwarders and an event.  Those helpers live on here, verbatim
+# but for taking the engine as an argument, as the *reference*: whatever
+# fast path the engine uses must hand the waiter the same value (or the
+# same target's exception) at the same simulated instant.
+def _reference_allof(engine, targets):
+    def collector():
+        results = []
+        for target in targets:
+            results.append((yield Join(target)))
+        return results
+
+    return (yield Join(engine.spawn(collector(), name="allof")))
+
+
+def _reference_firstof(engine, targets):
+    finish_line = engine.event("firstof")
+
+    def forwarder(index, target):
+        try:
+            result = yield Join(target)
+        except BaseException as error:  # noqa: BLE001
+            if not finish_line.fired:
+                finish_line.fail(error)
+            return
+        if not finish_line.fired:
+            finish_line.succeed((index, result))
+
+    def racer():
+        for index, target in enumerate(targets):
+            yield Spawn(forwarder(index, target), name=f"race-{index}")
+        winner = yield Wait(finish_line)
+        return winner
+
+    return (yield Join(engine.spawn(racer(), name="firstof")))
+
+
+def _engine_join(effect):
+    """The engine's own join, in the calling convention of the references."""
+    def join(engine, targets):
+        return (yield effect(targets))
+
+    return join
+
+
+class _Boom(Exception):
+    """Raised by target ``args[0]`` — the identity the oracle compares."""
+
+
+def _join_world(join, ticks, raises, start, poke_at):
+    """One scenario on a fresh engine; returns ``(log, events_issued)``.
+
+    Target ``i`` sleeps ``ticks[i]`` ticks, then returns ``("v", i)`` or
+    raises ``_Boom(i)``.  The waiter sleeps ``start`` ticks (so targets
+    with fewer ticks are already done at the yield, and equal ones finish
+    in the very instant of it), joins, logs what it got and when, and then
+    sleeps on: a second resumption would surface as a non-``None`` value
+    or an early ``"after"`` row.  ``poke_at`` interrupts the waiter if it
+    is parked on the join at that tick.  The poke is armed before anything
+    is spawned, so it is the first occurrence of its instant in both
+    worlds — the reference waiter stays interruptible for the few
+    same-instant hops its collector needs, the engine's does not.
+    """
+    engine = Engine()
+    log = []
+    parked = []
+    waiter_handle = []
+
+    def poke():
+        if parked:
+            waiter_handle[0].interrupt("poke")
+
+    if poke_at is not None:
+        engine.call_at(poke_at * _TICK, poke)
+
+    def target(index):
+        yield Delay(ticks[index] * _TICK)
+        if raises[index]:
+            raise _Boom(index)
+        return ("v", index)
+
+    targets = [
+        engine.spawn(target(index), name=f"t{index}")
+        for index in range(len(ticks))
+    ]
+
+    def waiter():
+        yield Delay(start * _TICK)
+        parked.append(True)
+        try:
+            got = ("value", (yield from join(engine, targets)))
+        except Interrupt as stop:
+            got = ("interrupt", stop.cause)
+        except _Boom as boom:
+            got = ("boom", boom.args[0], boom is targets[boom.args[0]].error)
+        parked.clear()
+        log.append((engine.now, got))
+        extra = yield Delay(_HORIZON)
+        log.append((engine.now, "after", extra))
+
+    waiter_handle.append(engine.spawn(waiter(), name="waiter"))
+    engine.run()
+    assert engine.is_idle
+    assert all(not t._completion_waiters for t in targets)
+    return log, engine.events_issued
+
+
+_join_scenarios = st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n),  # ties are common
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.integers(0, 3),
+    st.none() | st.integers(0, 4),
+))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_join_scenarios)
+def test_property_allof_gate_matches_the_collector_it_replaced(scenario):
+    log, events = _join_world(_engine_join(AllOf), *scenario)
+    ref_log, ref_events = _join_world(_reference_allof, *scenario)
+    assert log == ref_log
+    assert len(log) == 2 and log[1] == (log[0][0] + _HORIZON, "after", None)
+    if log[0][1][0] == "value":
+        # spawn + n joins + the waiter's resume, against the resume alone
+        assert ref_events - events == (len(scenario[0]) + 2) - 1
+    else:
+        assert events < ref_events
+
+
+@settings(max_examples=500, deadline=None)
+@given(_join_scenarios.filter(lambda scenario: scenario[0]))
+def test_property_firstof_gate_matches_the_racer_it_replaced(scenario):
+    log, events = _join_world(_engine_join(FirstOf), *scenario)
+    ref_log, ref_events = _join_world(_reference_firstof, *scenario)
+    assert log == ref_log
+    assert len(log) == 2 and log[1] == (log[0][0] + _HORIZON, "after", None)
+    assert events < ref_events
+
+
+def _sleeper(seconds, value=None, error=None):
+    yield Delay(seconds)
+    if error is not None:
+        raise error
+    return value
+
+
+def test_allof_of_nothing_resumes_with_an_empty_list_at_once():
+    engine = Engine()
+
+    def main():
+        yield Delay(2.0)
+        before = engine.events_issued
+        results = yield AllOf([])
+        return results, engine.now, engine.events_issued - before
+
+    assert engine.run_process(main()) == ([], 2.0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_allof_costs_one_event_where_the_collector_cost_n_plus_two(n):
+    def cost(join):
+        engine = Engine()
+        targets = [engine.spawn(_sleeper(1.0, i)) for i in range(n)]
+
+        def main():
+            yield Delay(2.0)  # every target is done: nothing else draws
+            before = engine.events_issued
+            assert (yield from join(engine, targets)) == list(range(n))
+            return engine.events_issued - before
+
+        return engine.run_process(main())
+
+    assert cost(_engine_join(AllOf)) == 1
+    assert cost(_reference_allof) == n + 2
+
+
+@pytest.mark.parametrize("effect", [AllOf, FirstOf])
+def test_interrupted_join_leaves_no_residue_and_never_resumes_again(effect):
+    engine = Engine()
+    targets = [engine.spawn(_sleeper(5.0 + i, i), f"t{i}") for i in range(3)]
+    log = []
+
+    def waiter():
+        try:
+            yield effect(targets)
+        except Interrupt as stop:
+            log.append(("interrupt", stop.cause, engine.now))
+        log.append(("slept", (yield Delay(100.0)), engine.now))
+
+    process = engine.spawn(waiter())
+    engine.call_at(1.0, lambda: process.interrupt("enough"))
+    engine.run(until=2.0)
+    assert all(target._completion_waiters == [] for target in targets)
+    engine.run()
+    assert all(target.done for target in targets)
+    assert log == [("interrupt", "enough", 1.0), ("slept", None, 101.0)]
+    assert engine.is_idle
+
+
+def test_firstof_loser_runs_on_unwatched_and_the_engine_drains_after_it():
+    engine = Engine()
+    fast = engine.spawn(_sleeper(1.0, "fast"), "fast")
+    slow = engine.spawn(_sleeper(9.0, "slow"), "slow")
+
+    def main():
+        return (yield FirstOf([slow, fast])), engine.now
+
+    assert engine.run_process(main()) == ((1, "fast"), 1.0)
+    assert not slow.done and slow._completion_waiters == []
+    assert not engine.is_idle
+    engine.run()
+    assert slow.result == "slow" and engine.now == 9.0
+    assert engine.is_idle
+
+
+def test_firstof_ties_go_to_the_first_finisher_and_to_the_past():
+    """A same-instant tie goes to the target that finishes first in
+    sequence order — the lowest index when delays are drawn in list order,
+    so the list is reversed here to tell the two rules apart.  A target
+    already finished *at the yield* wins over one that ends later in that
+    very instant.  (The racer this replaced started only after every heap
+    entry of the instant had run and then took the lowest finished index,
+    so it answered ``(0, "t0")`` in the second case — the one place the
+    gate's value differs, and why the differential suite spawns its waiter
+    after its targets.)"""
+    engine = Engine()
+    seen = []
+
+    def waiter(nap, targets):
+        yield Delay(nap)
+        seen.append(((yield FirstOf(targets())), engine.now))
+
+    tie = [engine.spawn(_sleeper(2.0, name)) for name in ("a", "b")]
+    engine.spawn(waiter(0.0, lambda: [tie[1], tie[0]]))
+    engine.spawn(waiter(1.0, lambda: past))  # its Delay precedes t0's
+    past = [engine.spawn(_sleeper(1.0, "t0")), engine.spawn(_sleeper(0.5, "t1"))]
+    engine.run()
+    assert seen == [((1, "t1"), 1.0), ((1, "a"), 2.0)]
+
+
+def test_firstof_listing_one_target_twice_resumes_once():
+    engine = Engine()
+    only = engine.spawn(_sleeper(1.0, "only"))
+    resumed = []
+
+    def main():
+        resumed.append((yield FirstOf([only, only])))
+        resumed.append((yield Delay(5.0)))
+
+    engine.run_process(main())
+    assert resumed == [(0, "only"), None] and engine.now == 6.0
+
+
+def test_two_allofs_over_overlapping_targets_both_resume():
+    engine = Engine()
+    a, b, c = (
+        engine.spawn(_sleeper(delay, name), name)
+        for delay, name in [(3.0, "a"), (1.0, "b"), (2.0, "c")]
+    )
+    seen = {}
+
+    def waiter(label, targets):
+        seen[label] = ((yield AllOf(targets)), engine.now)
+
+    engine.spawn(waiter("ab", [a, b]))
+    engine.spawn(waiter("bc", [b, c]))
+    engine.spawn(waiter("ba", [b, a]))
+    engine.run()
+    assert seen == {
+        "ab": (["a", "b"], 3.0), "bc": (["b", "c"], 2.0),
+        "ba": (["b", "a"], 3.0),
+    }
+    assert engine.is_idle
+
+
+def test_allof_sees_failures_in_list_order_not_in_time_order():
+    """The contract ``burn_array``'s join-then-re-raise handler and the
+    golden reports hold: target ``i``'s exception reaches the waiter once
+    targets ``0..i-1`` are done, and failures behind it stay unobserved."""
+
+    def outcome(specs):
+        engine = Engine()
+        targets = [
+            engine.spawn(_sleeper(delay, index, error))
+            for index, (delay, error) in enumerate(specs)
+        ]
+
+        def main():
+            try:
+                yield AllOf(targets)
+            except ValueError as error:
+                return str(error), engine.now
+
+        return engine.run_process(main())
+
+    # target 1 fails at t = 1, but target 0 only ends at t = 5
+    assert outcome([(5.0, None), (1.0, ValueError("one"))]) == ("one", 5.0)
+    # target 0 fails at t = 1: seen at once, target 1 not waited for
+    assert outcome([(1.0, ValueError("zero")), (5.0, None)]) == ("zero", 1.0)
+    # both fail: the earlier *index* wins, the other is never observed
+    assert outcome(
+        [(5.0, ValueError("zero")), (1.0, ValueError("one"))]
+    ) == ("zero", 5.0)
+
+
+def test_deadlock_on_a_join_names_the_target_that_never_finished():
+    engine = Engine()
+    never = engine.event("never")
+
+    def stuck():
+        yield Wait(never)
+
+    def main(effect):
+        done = yield Spawn(_sleeper(1.0), name="finishes")
+        hung = yield Spawn(stuck(), name="hangs")
+        yield effect([done, hung] if effect is AllOf else [hung, hung])
+
+    with pytest.raises(
+        SimulationError, match=r"allof\(1/2 done, next hangs\)"
+    ):
+        engine.run_process(main(AllOf))
+    with pytest.raises(SimulationError, match=r"firstof\(hangs, hangs\)"):
+        engine.run_process(main(FirstOf))
