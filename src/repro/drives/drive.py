@@ -16,7 +16,6 @@ Pseudo-Over-Write track, and the remainder is appended later.
 from __future__ import annotations
 
 import enum
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Generator, Optional, TYPE_CHECKING
@@ -26,6 +25,7 @@ from repro.errors import DriveError
 from repro.drives.speed import BurnRow, RecordingCurve, curve_for
 from repro.media.disc import OpticalDisc, Track
 from repro.sim.engine import Delay, Engine, Interrupt
+from repro.sim.landing import delay_until
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.drives.drive_set import BurnThrottle
@@ -43,13 +43,8 @@ DRIVE_PEAK_POWER_W = 8.0
 def nap(engine: Engine, due: float) -> Generator:
     """Sleep until the clock reads ``due`` unless :func:`wake` cuts it
     short; the caller loops on ``engine.now < due``."""
-    # The engine lands on ``now + delay``, and a rounded difference can
-    # carry that one ULP past ``due``; landing short is the caller's loop.
-    delay = due - engine.now
-    while engine.now + delay > due:
-        delay = math.nextafter(delay, 0.0)
     try:
-        yield Delay(delay)
+        yield Delay(delay_until(engine.now, due))
     except Interrupt:
         pass
 

@@ -15,6 +15,7 @@ from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry
 from repro.mechanics.timing import DEFAULT_TIMINGS, MechanicalTimings
 from repro.media.disc import OpticalDisc
 from repro.sim.engine import Delay, Engine
+from repro.sim.landing import sleep_after
 
 #: The arm parks at the uppermost layer (§5.2 measurement note).
 PARK_LAYER = 0
@@ -45,9 +46,11 @@ class RoboticArm:
         return bool(self.holding)
 
     # ------------------------------------------------------------------
-    # Motion processes
+    # Motion processes.  ``lead`` is command latency still to be spent
+    # before the motion starts: one sleep covers both.  A motion that
+    # refuses or has nothing to move does not sleep, lead included.
     # ------------------------------------------------------------------
-    def move_to_layer(self, layer: int) -> Generator:
+    def move_to_layer(self, layer: int, lead: float = 0.0) -> Generator:
         """Travel vertically to ``layer``; slower when carrying a stack."""
         if not (0 <= layer < self.geometry.layers):
             raise MechanicsError(f"layer {layer} out of range")
@@ -61,7 +64,7 @@ class RoboticArm:
         with self.engine.trace.span(
             "arm.move", "arm", {"arm_id": self.arm_id, "layer": layer}
         ):
-            yield Delay(seconds)
+            yield from sleep_after(self.engine, lead, seconds)
         self.travel_seconds += seconds
         self.moves += 1
         self.layer = layer
@@ -69,23 +72,25 @@ class RoboticArm:
     def park(self) -> Generator:
         yield from self.move_to_layer(PARK_LAYER)
 
-    def hook_tray(self) -> Generator:
+    def hook_tray(self, lead: float = 0.0) -> Generator:
         """Lock the outer hook of the tray facing the arm."""
         if self.hooked:
             raise MechanicsError("arm already hooked to a tray")
         with self.engine.trace.span(
             "arm.hook", "arm", {"arm_id": self.arm_id}
         ):
-            yield Delay(self.timings.engage)
+            yield from sleep_after(self.engine, lead, self.timings.engage)
         self.hooked = True
 
-    def release_tray(self) -> Generator:
+    def release_tray(self, lead: float = 0.0) -> Generator:
         if not self.hooked:
             raise MechanicsError("arm is not hooked to a tray")
-        yield Delay(0.0)
+        yield from sleep_after(self.engine, lead, 0.0)
         self.hooked = False
 
-    def grab_stack(self, discs: list[OpticalDisc]) -> Generator:
+    def grab_stack(
+        self, discs: list[OpticalDisc], lead: float = 0.0
+    ) -> Generator:
         """Lift a fetched disc stack up to the position atop the drives.
 
         The prototype charges the lift-to-drives motion at a constant time
@@ -99,22 +104,22 @@ class RoboticArm:
         with self.engine.trace.span(
             "arm.grab", "arm", {"arm_id": self.arm_id, "discs": len(discs)}
         ):
-            yield Delay(self.timings.lift)
+            yield from sleep_after(self.engine, lead, self.timings.lift)
         self.holding = list(discs)
         self.layer = PARK_LAYER
 
-    def lower_stack(self) -> Generator:
+    def lower_stack(self, lead: float = 0.0) -> Generator:
         """Lower the held stack into the open tray; returns the discs."""
         if not self.holding:
             raise MechanicsError("arm is not holding discs")
         with self.engine.trace.span(
             "arm.lower", "arm", {"arm_id": self.arm_id}
         ):
-            yield Delay(self.timings.lift)
+            yield from sleep_after(self.engine, lead, self.timings.lift)
         discs, self.holding = self.holding, []
         return discs
 
-    def separate_next(self) -> Generator:
+    def separate_next(self, lead: float = 0.0) -> Generator:
         """Separate the bottom disc of the held stack (for the next drive).
 
         The ROS arm places discs from the bottom of the stack into drives
@@ -125,7 +130,9 @@ class RoboticArm:
         with self.engine.trace.span(
             "arm.separate", "arm", {"arm_id": self.arm_id}
         ):
-            yield Delay(self.timings.separate_one())
+            yield from sleep_after(
+                self.engine, lead, self.timings.separate_one()
+            )
         return self.holding.pop(0)
 
     def collect_next(self, disc: OpticalDisc) -> Generator:

@@ -16,7 +16,8 @@ from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddre
 from repro.mechanics.timing import DEFAULT_TIMINGS, MechanicalTimings
 from repro.media.disc import DiscType, OpticalDisc, BD25
 from repro.media.tray import Tray
-from repro.sim.engine import Delay, Engine
+from repro.sim.engine import Engine
+from repro.sim.landing import sleep_after
 
 #: Power drawn while the roller motor turns (§3.2: "less than 50 watts").
 ROTATION_POWER_W = 50.0
@@ -106,9 +107,9 @@ class Roller:
         return None
 
     # ------------------------------------------------------------------
-    # Motion (simulation processes)
+    # Motion (simulation processes); ``lead`` as in ``RoboticArm``
     # ------------------------------------------------------------------
-    def rotate_to(self, slot: int) -> Generator:
+    def rotate_to(self, slot: int, lead: float = 0.0) -> Generator:
         """Rotate the roller so ``slot`` faces the arm (process)."""
         if self._fanned_out is not None:
             raise MechanicsError(
@@ -120,13 +121,13 @@ class Roller:
         with self.engine.trace.span(
             "roller.rotate", "roller", {"roller_id": self.roller_id, "slot": slot}
         ):
-            yield Delay(self.timings.rotate)
+            yield from sleep_after(self.engine, lead, self.timings.rotate)
         self.rotation_count += 1
         self.rotation_seconds += self.timings.rotate
         self.facing_slot = slot
         self.aligned = True
 
-    def fan_out(self, address: TrayAddress) -> Generator:
+    def fan_out(self, address: TrayAddress, lead: float = 0.0) -> Generator:
         """Fan the addressed tray out of the roller (process).
 
         Requires the roller to already face the tray's slot; the arm must
@@ -143,17 +144,17 @@ class Roller:
         with self.engine.trace.span(
             "roller.fan_out", "roller", {"roller_id": self.roller_id}
         ):
-            yield Delay(self.timings.fan_out)
+            yield from sleep_after(self.engine, lead, self.timings.fan_out)
         self._fanned_out = address
 
-    def fan_in(self) -> Generator:
+    def fan_in(self, lead: float = 0.0) -> Generator:
         """Close the currently fanned-out tray back into the roller."""
         if self._fanned_out is None:
             raise MechanicsError("no tray is fanned out")
         with self.engine.trace.span(
             "roller.fan_in", "roller", {"roller_id": self.roller_id}
         ):
-            yield Delay(self.timings.fan_in)
+            yield from sleep_after(self.engine, lead, self.timings.fan_in)
         self._fanned_out = None
         self.aligned = False
 

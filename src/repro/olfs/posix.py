@@ -323,7 +323,7 @@ class POSIXInterface:
             parts = yield from self._op(trace, "read", do_read())
         if first_byte is None:
             first_byte = self.engine.now - start
-        yield from self._op(trace, "close", self._noop())
+        yield from self._op(trace, "close")
         self.last_trace = trace
         data = b"".join(part.data for part in parts)
         return ReadResult(
@@ -350,9 +350,6 @@ class POSIXInterface:
                     if not in_drive:
                         return True
         return False
-
-    def _noop(self) -> Generator:
-        yield Delay(0.0)
 
     def stat(self, path: str) -> Generator:
         """getattr: size/mtime/versions from the index file."""

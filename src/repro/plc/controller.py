@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.errors import PLCFaultError
+from repro.errors import MechanicsError, PLCFaultError
 from repro.mechanics.arm import RoboticArm
 from repro.mechanics.roller import Roller
 from repro.mechanics.sensors import SensorSuite
@@ -30,6 +30,7 @@ from repro.plc.instructions import (
     SeparateDisc,
 )
 from repro.sim.engine import Delay, Engine
+from repro.sim.landing import sleep_after
 
 
 class PLCController:
@@ -65,35 +66,50 @@ class PLCController:
             separation_gap_mm=lambda: 0.0,
         )
 
-    def execute(self, instruction: Instruction) -> Generator:
-        """Run one instruction to completion; returns its result, if any."""
+    def execute(self, instruction: Instruction, lead: float = 0.0) -> Generator:
+        """Run one instruction to completion; returns its result, if any.
+
+        ``lead`` is wire latency the command has yet to spend (see
+        :meth:`~repro.plc.channel.ControlChannel.send`); the motion sleeps
+        through it and itself in one occurrence.  A motion that refuses,
+        or finds nothing to move, has not slept: the lead is spent here,
+        so either outcome surfaces when the command arrives.
+        """
         self.instructions_executed += 1
+        sent = self.engine.now
         with self.engine.trace.span(
             f"plc.{type(instruction).__name__.lower()}", "plc"
         ):
             try:
-                result = yield from self._dispatch(instruction)
+                try:
+                    result = yield from self._dispatch(instruction, lead)
+                except MechanicsError:
+                    if lead and self.engine.now == sent:
+                        yield Delay(lead)  # refused on arrival
+                    raise
+                if lead and self.engine.now == sent:
+                    yield Delay(lead)  # nothing to move
             except PLCFaultError:
                 self.faults += 1
                 raise
         return result
 
-    def _dispatch(self, instruction: Instruction) -> Generator:
+    def _dispatch(self, instruction: Instruction, lead: float) -> Generator:
         if isinstance(instruction, Rotate):
             roller = self.rollers[instruction.roller]
-            yield from roller.rotate_to(instruction.slot)
+            yield from roller.rotate_to(instruction.slot, lead)
             self.suites[instruction.roller].verify_roller_at(instruction.slot)
             return None
         if isinstance(instruction, MoveArm):
             arm = self.arms[instruction.arm]
-            yield from arm.move_to_layer(instruction.layer)
+            yield from arm.move_to_layer(instruction.layer, lead)
             self.suites[instruction.arm].verify_arm_at(instruction.layer)
             return None
         if isinstance(instruction, HookTray):
-            yield from self.arms[instruction.arm].hook_tray()
+            yield from self.arms[instruction.arm].hook_tray(lead)
             return None
         if isinstance(instruction, ReleaseTray):
-            yield from self.arms[instruction.arm].release_tray()
+            yield from self.arms[instruction.arm].release_tray(lead)
             return None
         if isinstance(instruction, FanOut):
             roller = self.rollers[instruction.roller]
@@ -101,10 +117,10 @@ class PLCController:
             if not arm.hooked:
                 raise PLCFaultError("fan-out without the tray hooked")
             address = TrayAddress(instruction.layer, instruction.slot)
-            yield from roller.fan_out(address)
+            yield from roller.fan_out(address, lead)
             return None
         if isinstance(instruction, FanIn):
-            yield from self.rollers[instruction.roller].fan_in()
+            yield from self.rollers[instruction.roller].fan_in(lead)
             return None
         if isinstance(instruction, GrabStack):
             roller = self.rollers[instruction.roller]
@@ -114,7 +130,7 @@ class PLCController:
                 raise PLCFaultError("grab-stack with no tray fanned out")
             tray = roller.tray_at(address)
             discs = tray.take_all()
-            yield from arm.grab_stack(discs)
+            yield from arm.grab_stack(discs, lead)
             return discs
         if isinstance(instruction, LowerStack):
             roller = self.rollers[instruction.roller]
@@ -122,12 +138,12 @@ class PLCController:
             address = roller.fanned_out
             if address is None:
                 raise PLCFaultError("lower-stack with no tray fanned out")
-            discs = yield from arm.lower_stack()
+            discs = yield from arm.lower_stack(lead)
             roller.tray_at(address).put_back(discs)
             return None
         if isinstance(instruction, SeparateDisc):
             arm = self.arms[instruction.arm]
-            disc = yield from arm.separate_next()
+            disc = yield from arm.separate_next(lead)
             suite = self.suites[instruction.arm]
             suite.verify_separation_gap(0.0)
             return disc
@@ -138,7 +154,7 @@ class PLCController:
                 "CollectDisc must be executed via collect_into_arm()"
             )
         if isinstance(instruction, Calibrate):
-            yield Delay(1.0)
+            yield from sleep_after(self.engine, lead, 1.0)
             for sensor in self.suites[instruction.arm].all_sensors():
                 sensor.repair()
             return None

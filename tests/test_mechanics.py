@@ -1,8 +1,11 @@
 """Tests for geometry, roller, arm, PLC and the composed subsystem (Table 3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import MechanicsError, PLCFaultError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import PLC_CHANNEL
 from repro.mechanics import (
     MechanicalSubsystem,
     MechanicalTimings,
@@ -10,7 +13,9 @@ from repro.mechanics import (
     TrayAddress,
 )
 from repro.mechanics.timing import DEFAULT_TIMINGS
-from repro.sim import Engine
+from repro.plc import Calibrate, FanOut, GrabStack, HookTray, MoveArm, Rotate
+from repro.plc.channel import DEFAULT_COMMAND_LATENCY
+from repro.sim import Delay, Engine, Tracer
 
 
 # ----------------------------------------------------------------------
@@ -303,3 +308,209 @@ def test_two_rollers_independent_arms():
     # Two arms work in parallel: total time ~ one load, not two.
     end = engine.run_process(main())
     assert end == pytest.approx(68.7, rel=0.02)
+
+
+# ----------------------------------------------------------------------
+# One sleep per PLC instruction (fused) against the stepped reference:
+# with a tracer, recorder or injector installed ``ControlChannel.send``
+# keeps the wire latency as its own occurrence, as it always used to.
+# ----------------------------------------------------------------------
+START = 1234.000321  # a clock no motion time divides
+
+
+def _rig(traced=False, start=START, **kwargs):
+    """A one-roller rack whose clock already reads ``start``."""
+    engine = Engine()
+    if traced:
+        engine.trace = Tracer(engine)
+    subsystem = MechanicalSubsystem(engine, roller_count=1, **kwargs)
+
+    def wait():
+        yield Delay(start)
+
+    engine.run_process(wait())
+    return engine, subsystem
+
+
+def _refusal_time(traced, prepare, instruction, error):
+    engine, subsystem = _rig(traced)
+    prepare(subsystem)
+    with pytest.raises(error) as refusal:
+        engine.run_process(subsystem.channel.send(instruction))
+    return engine.now, str(refusal.value)
+
+
+@pytest.mark.parametrize(
+    "prepare, instruction, error, message",
+    [
+        (lambda s: None, FanOut(0, 0, 0), PLCFaultError,
+         "fan-out without the tray hooked"),
+        (lambda s: setattr(s.arms[0], "hooked", True), FanOut(0, 0, 0),
+         MechanicsError, "is not aligned"),
+        (lambda s: setattr(s.arms[0], "hooked", True), HookTray(0),
+         MechanicsError, "arm already hooked"),
+        (lambda s: None, MoveArm(0, 85), MechanicsError,
+         "layer 85 out of range"),
+        (lambda s: None, GrabStack(0, 0), PLCFaultError,
+         "grab-stack with no tray fanned out"),
+    ],
+)
+def test_a_refused_instruction_fails_when_the_command_arrives(
+    prepare, instruction, error, message
+):
+    fused = _refusal_time(False, prepare, instruction, error)
+    assert fused == _refusal_time(True, prepare, instruction, error)
+    when, text = fused
+    assert when == START + DEFAULT_COMMAND_LATENCY
+    assert message in text
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize(
+    "prepare, instruction",
+    [
+        (lambda s: None, MoveArm(0, 0)),  # the arm parks at layer 0
+        (lambda s: setattr(s.rollers[0], "aligned", True), Rotate(0, 0)),
+    ],
+)
+def test_a_motion_with_nothing_to_move_still_spends_the_wire(
+    traced, prepare, instruction
+):
+    engine, subsystem = _rig(traced)
+    prepare(subsystem)
+    engine.run_process(subsystem.channel.send(instruction))
+    assert engine.now == START + DEFAULT_COMMAND_LATENCY
+    assert subsystem.arms[0].moves == subsystem.rollers[0].rotation_count == 0
+    assert subsystem.plc.instructions_executed == 1
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_calibrate_takes_the_lead_like_any_motion(traced):
+    engine, subsystem = _rig(traced)
+    before = engine.events_issued
+    engine.run_process(subsystem.channel.send(Calibrate(0)))
+    assert engine.now == (START + DEFAULT_COMMAND_LATENCY) + 1.0
+    # run_process's spawn, then the wire and the second: one sleep or two
+    assert engine.events_issued - before == (3 if traced else 2)
+
+
+def test_last_command_is_stamped_with_the_arrival_time():
+    stamps = []
+    for traced in (False, True):
+        engine, subsystem = _rig(traced)
+        assert subsystem.channel.health()["last_command"] is None
+        engine.run_process(subsystem.channel.send(Rotate(0, 3)))
+        stamps.append(subsystem.channel.health()["last_command"])
+    assert stamps[0] == stamps[1] == {
+        "t": round(START + DEFAULT_COMMAND_LATENCY, 6),
+        "mnemonic": Rotate(0, 3).mnemonic,
+    }
+
+
+SMALL = RollerGeometry(layers=7, slots_per_layer=3, discs_per_tray=4)
+
+array_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["load", "unload", "swap"]),
+        st.integers(0, SMALL.layers - 1),
+        st.integers(0, SMALL.slots_per_layer - 1),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _drive(traced, start, ops):
+    """Run ``ops`` one after another; what each did and when it ended."""
+    engine, subsystem = _rig(traced, start, geometry=SMALL)
+    sent = []
+    send = subsystem.channel.send
+
+    def recording_send(instruction):
+        sent.append(instruction)
+        return send(instruction)
+
+    subsystem.channel.send = recording_send
+    before = engine.events_issued
+    ends = []
+    for kind, layer, slot in ops:
+        address = TrayAddress(layer, slot)
+        composite = {
+            "load": lambda: subsystem.load_array(0, address),
+            "unload": lambda: subsystem.unload_array(0),
+            "swap": lambda: subsystem.swap_array(0, address),
+        }[kind]
+        try:
+            engine.run_process(composite())
+            outcome = "ok"
+        except MechanicsError as refused:  # e.g. a load into a full set
+            outcome = str(refused)
+        ends.append((outcome, engine.now.hex()))
+    # A send moved unless it was a MoveArm / Rotate with nowhere to go.
+    stayed = (
+        sum(isinstance(i, MoveArm) for i in sent) - subsystem.arms[0].moves
+    ) + (
+        sum(isinstance(i, Rotate) for i in sent)
+        - subsystem.rollers[0].rotation_count
+    )
+    return (
+        ends,
+        subsystem.health(),
+        engine.events_issued - before,
+        len(sent) - stayed,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # Below ~16 s a motion can be longer than the clock is old, which is
+    # where ``now + (due - now)`` can miss ``due`` (the ULP rule) and an
+    # unlucky ``due`` takes the fused sleep two hops; above, one always.
+    start=st.one_of(st.floats(0.0, 16.0), st.floats(16.0, 1e7)),
+    ops=array_ops,
+)
+def test_fused_rig_matches_the_stepped_one_to_the_bit(start, ops):
+    fused_ends, fused_health, fused_events, moved = _drive(False, start, ops)
+    ends, health, events, stepped_moved = _drive(True, start, ops)
+    assert fused_ends == ends
+    assert fused_health == health
+    assert moved == stepped_moved
+    if start >= 16.0:
+        assert events - fused_events == moved
+    else:
+        assert 0 <= events - fused_events <= moved
+
+
+def test_channel_fault_armed_mid_load_trips_the_instruction_it_always_did():
+    """An injector is installed, so the rig steps: the one-shot armed
+    during GrabStack's lift is consumed by ReleaseTray's arrival."""
+    engine, subsystem = _rig(start=0.0)
+    injector = FaultInjector(engine).install()
+
+    def arm_the_fault():
+        yield Delay(5.0)
+        injector.inject(PLC_CHANNEL)
+
+    engine.spawn(arm_the_fault())
+    with pytest.raises(PLCFaultError, match="sending RELEASETRAY"):
+        engine.run_process(subsystem.load_array(0, TrayAddress(0, 1)))
+    # five commands arrived and ran, the sixth's wire stretch met the fault
+    assert engine.now.hex() == "0x1.8d2f1a9fbe76dp+2"  # 6.206, read off PR 23
+    assert subsystem.channel.commands_sent == 5
+    assert subsystem.arms[0].hooked and len(subsystem.arms[0].holding) == 12
+
+
+def test_injector_installed_mid_instruction_is_consulted_by_the_next_send():
+    engine, subsystem = _rig(start=0.0)
+
+    def install_late():
+        yield Delay(1.0)  # Rotate is 1 ms + 1.9 s, fused
+        FaultInjector(engine).install().inject(PLC_CHANNEL)
+
+    engine.spawn(install_late())
+    with pytest.raises(PLCFaultError, match="sending MOVEARM"):
+        engine.run_process(subsystem.load_array(0, TrayAddress(3, 1)))
+    # Rotate ran to its end untouched; MoveArm's wire stretch met the fault.
+    assert engine.now == (0.001 + 1.9) + 0.001
+    assert subsystem.rollers[0].rotation_count == 1
+    assert subsystem.channel.commands_sent == 1
