@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import print_table, record_result
 from repro import units
-from repro.sim import AllOf, Engine, Spawn
+from repro.sim import AllOf, Engine
 from repro.storage import IOStreamScheduler, StreamKind, Volume
 
 STREAMS = [
@@ -53,7 +53,7 @@ def run_policy(policy: str, volume_count: int):
         procs = []
         for kind, direction, nbytes in STREAMS:
             procs.append(
-                (yield Spawn(stream(kind, direction, nbytes), name=kind.value))
+                engine.spawn(stream(kind, direction, nbytes), name=kind.value)
             )
         yield AllOf(procs)
 

@@ -16,7 +16,7 @@ from benchmarks.conftest import print_table, record_result
 from repro import units
 from repro.drives import DriveSet
 from repro.media.disc import BD25, OpticalDisc
-from repro.sim import Delay, Engine, Spawn
+from repro.sim import Delay, Engine
 
 
 def run_fig9(sample_every=20.0):
@@ -40,7 +40,7 @@ def run_fig9(sample_every=20.0):
                 return
 
     def main():
-        yield Spawn(sampler())
+        engine.spawn(sampler())
         results = yield from drive_set.burn_array(images)
         return results
 

@@ -10,7 +10,7 @@ the service rate (~23 swaps/hour).
 import pytest
 
 from benchmarks.conftest import print_table, record_result
-from repro.sim import Delay, Spawn, AllOf
+from repro.sim import Delay, AllOf
 from tests.conftest import make_ros
 
 ARRAYS = 4
@@ -55,14 +55,10 @@ def run_at_interarrival(interarrival_s: float, requests: int = 10):
         procs = []
         for index in range(requests):
             path = reps[index % len(reps)]
-            procs.append(
-                (
-                    yield Spawn(
-                        client(path, index * interarrival_s),
-                        name=f"client-{index}",
-                    )
-                )
-            )
+            procs.append(ros.engine.spawn(
+                client(path, index * interarrival_s),
+                name=f"client-{index}",
+            ))
         yield AllOf(procs)
 
     ros.run(main())

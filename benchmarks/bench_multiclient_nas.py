@@ -13,7 +13,7 @@ import pytest
 from benchmarks.conftest import print_table, record_result
 from repro import units
 from repro.frontend import make_stack
-from repro.sim import AllOf, Engine, Spawn
+from repro.sim import AllOf, Engine
 
 
 def run_clients(direction: str, client_count: int, per_client=512 * units.MB):
@@ -30,7 +30,7 @@ def run_clients(direction: str, client_count: int, per_client=512 * units.MB):
     def main():
         procs = []
         for _ in range(client_count):
-            procs.append((yield Spawn(client())))
+            procs.append(engine.spawn(client()))
         yield AllOf(procs)
 
     engine.run_process(main())

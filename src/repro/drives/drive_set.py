@@ -24,7 +24,7 @@ from repro.errors import DriveError, ROSError
 from repro.drives.drive import BurnResult, DriveState, OpticalDrive, nap, wake
 from repro.drives.speed import RecordingCurve
 from repro.media.disc import OpticalDisc
-from repro.sim.engine import AllOf, Engine, Join, Spawn
+from repro.sim.engine import AllOf, Engine, Join
 
 #: Drives per set, matching the 12-disc tray (§3.3).
 DRIVES_PER_SET = 12
@@ -253,11 +253,10 @@ class DriveSet:
             jobs.append((index, drive, image, curve))
         throttle = self.throttle if peak_demand > self.throttle.cap else None
 
-        processes = []
-        for job in jobs:
-            processes.append(
-                (yield Spawn(one(*job), name=f"burn-{job[0]}"))
-            )
+        processes = [
+            self.engine.spawn(one(*job), name=f"burn-{job[0]}")
+            for job in jobs
+        ]
         try:
             completed: list[Optional[BurnResult]] = yield AllOf(processes)
         except Exception:
@@ -290,9 +289,10 @@ class DriveSet:
             payload = yield from drive.read_track_payload(track_index)
             return payload
 
-        processes = []
-        for drive in loaded:
-            processes.append((yield Spawn(one(drive), name=drive.drive_id)))
+        processes = [
+            self.engine.spawn(one(drive), name=drive.drive_id)
+            for drive in loaded
+        ]
         payloads = yield AllOf(processes)
         self.set_group_read_mode(1)
         return payloads

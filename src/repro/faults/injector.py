@@ -126,7 +126,7 @@ class FaultInjector:
         return self
 
     def start(self) -> None:
-        """Spawn one driver process per plan spec."""
+        """Start one driver process per plan spec."""
         for index, spec in enumerate(self.plan):
             process = self.engine.spawn(
                 self._driver(spec), name=f"fault-driver-{index}-{spec.kind}"

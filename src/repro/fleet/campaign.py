@@ -47,7 +47,7 @@ from repro.serve.loadgen import PAYLOAD_CAP, ClientPool, FleetSpec
 from repro.serve.network import NetworkLink
 from repro.serve.session import ClientSession
 from repro.serve.tenancy import AdmissionController, TenantSpec
-from repro.sim.engine import AllOf, Engine, Spawn
+from repro.sim.engine import AllOf, Engine
 from repro.sim.rng import DeterministicRNG
 from repro.sim.tracing import MetricsRegistry
 from repro.workloads.generator import SIZE_PROFILES
@@ -212,7 +212,7 @@ class FleetRig:
                     self.metrics, self.catalog, self.t_end,
                 )
                 self.sessions.append(pool.session)
-                pools.append((yield Spawn(pool.run(), f"pool-{site}")))
+                pools.append(engine.spawn(pool.run(), f"pool-{site}"))
             yield AllOf(pools)
 
         engine.run_process(main(), main_name)

@@ -25,7 +25,7 @@ from repro.olfs.mechanical import (
     MechanicalController,
     PRIORITY_BURN,
 )
-from repro.sim.engine import Delay, Engine, Spawn, Wait
+from repro.sim.engine import Delay, Engine, Wait
 from repro.storage.scheduler import IOStreamScheduler, StreamKind
 from repro.udf.image import DiscImage
 
@@ -203,7 +203,9 @@ class BurnTask:
             for _, size, image_id in payloads:
                 done = burned_prefix.get(image_id, 0.0)
                 if size - done > 0:
-                    yield Spawn(stage(size - done), name=f"stage-{image_id}")
+                    self.engine.spawn(
+                        stage(size - done), name=f"stage-{image_id}"
+                    )
 
             self.state = "burning"
             self.interrupt_requested = False

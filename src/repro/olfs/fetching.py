@@ -31,7 +31,7 @@ from repro.olfs.cache import ReadCache
 from repro.olfs.config import OLFSConfig
 from repro.olfs.images import BURNED, BUFFERED, IN_BUCKET, DiscImageManager
 from repro.olfs.mechanical import MechanicalController, PRIORITY_FETCH
-from repro.sim.engine import Delay, Engine, Spawn
+from repro.sim.engine import Delay, Engine
 from repro.storage.scheduler import IOStreamScheduler, StreamKind
 from repro.udf.image import DiscImage
 

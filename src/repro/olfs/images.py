@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import FilesystemError
 from repro.olfs.config import OLFSConfig
-from repro.sim.engine import AllOf, Engine, Spawn
+from repro.sim.engine import AllOf, Engine
 from repro.storage.scheduler import IOStreamScheduler, StreamKind
 from repro.udf.image import DiscImage
 
@@ -207,16 +207,13 @@ class DiscImageManager:
         def read_one(blob_size: float) -> Generator:
             yield from read_volume.read(blob_size)
 
-        readers = []
-        for image, blob in zip(data_images, blobs):
-            readers.append(
-                (
-                    yield Spawn(
-                        read_one(image.logical_size),
-                        name=f"parity-read-{image.image_id}",
-                    )
-                )
+        readers = [
+            self.engine.spawn(
+                read_one(image.logical_size),
+                name=f"parity-read-{image.image_id}",
             )
+            for image in data_images
+        ]
         yield AllOf(readers)
 
         parity = np.zeros(width, dtype=np.uint8)

@@ -297,15 +297,16 @@ class POSIXInterface:
             # deadline; the fetch keeps running in the background (and
             # warms the cache), but this call errors out.
             from repro.errors import TimeoutOLFSError
-            from repro.sim.engine import FirstOf, Spawn
+            from repro.sim.engine import FirstOf
 
             def deadline() -> Generator:
                 yield Delay(timeout)
                 return None
 
             def race() -> Generator:
-                fetch_process = yield Spawn(do_read(), name="client-fetch")
-                timer_process = yield Spawn(deadline(), name="client-timer")
+                spawn = self.engine.spawn
+                fetch_process = spawn(do_read(), name="client-fetch")
+                timer_process = spawn(deadline(), name="client-timer")
                 index, value = yield FirstOf([fetch_process, timer_process])
                 if index == 1:
                     raise TimeoutOLFSError(

@@ -26,7 +26,7 @@ import time
 from typing import Callable, Dict
 
 from repro.sim.bandwidth import SharedBandwidth
-from repro.sim.engine import AllOf, Delay, Engine, Spawn, Wait
+from repro.sim.engine import AllOf, Delay, Engine, Wait
 
 
 def bench_delay_chain(n: int = 200_000) -> float:
@@ -62,9 +62,9 @@ def bench_ping_pong(n: int = 100_000) -> float:
     events: list = []
 
     def main():
-        a = yield Spawn(pinger(events))
-        b = yield Spawn(ponger(events))
-        yield AllOf([a, b])
+        yield AllOf(
+            [engine.spawn(pinger(events)), engine.spawn(ponger(events))]
+        )
 
     start = time.perf_counter()
     engine.run_process(main())
@@ -79,10 +79,7 @@ def bench_spawn_join(n: int = 50_000) -> float:
         return 1
 
     def main():
-        procs = []
-        for _ in range(n):
-            procs.append((yield Spawn(child())))
-        yield AllOf(procs)
+        yield AllOf([engine.spawn(child()) for _ in range(n)])
 
     start = time.perf_counter()
     engine.run_process(main())
@@ -98,10 +95,7 @@ def bench_bandwidth_flows(n: int = 2_000, concurrency: int = 8) -> float:
             yield from bandwidth.transfer(1e6)
 
     def main():
-        procs = []
-        for _ in range(concurrency):
-            procs.append((yield Spawn(flow())))
-        yield AllOf(procs)
+        yield AllOf([engine.spawn(flow()) for _ in range(concurrency)])
 
     start = time.perf_counter()
     engine.run_process(main())

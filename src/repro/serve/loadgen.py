@@ -45,7 +45,7 @@ from repro.serve.network import NetworkLink
 from repro.serve.report import build_report
 from repro.serve.session import ClientSession, ServeOp
 from repro.serve.tenancy import AdmissionController, TenantSpec
-from repro.sim.engine import AllOf, Delay, Spawn
+from repro.sim.engine import AllOf, Delay
 from repro.sim.rng import DeterministicRNG
 from repro.sim.tracing import MetricsRegistry
 from repro.workloads.generator import (
@@ -518,11 +518,10 @@ def run_serve(
             op = _next_op(
                 fleet, client_rng, catalog, session.session_id, counter
             )
-            child = yield Spawn(
+            spawned.append(engine.spawn(
                 _one_shot(session, op, catalog),
                 f"op-{session.session_id}-{counter[0]}",
-            )
-            spawned.append(child)
+            ))
         pending = [process for process in spawned if not process.done]
         if pending:
             yield AllOf(pending)
@@ -536,10 +535,9 @@ def run_serve(
                     metrics, catalogs[index], t_end,
                 )
                 sessions.append(pool.session)
-                process = yield Spawn(
+                procs.append(engine.spawn(
                     pool.run(), f"pool-{fleet.tenant.name}"
-                )
-                procs.append(process)
+                ))
                 continue
             for client in range(fleet.clients):
                 session_id = f"{fleet.tenant.name}-{client}"
@@ -550,11 +548,10 @@ def run_serve(
                 sessions.append(session)
                 client_rng = rng.child(f"client-{session_id}")
                 loop = closed_loop if fleet.mode == "closed" else open_loop
-                process = yield Spawn(
+                procs.append(engine.spawn(
                     loop(session, fleet, client_rng, catalogs[index]),
                     f"client-{session_id}",
-                )
-                procs.append(process)
+                ))
         yield AllOf(procs)
 
     if scrubber is not None:

@@ -44,7 +44,7 @@ from repro.report import (  # noqa: F401  (report_to_json re-exported)
     report_to_json,
 )
 from repro.serve.session import LATENCY_BOUNDS
-from repro.sim.engine import Delay, Spawn
+from repro.sim.engine import Delay
 from repro.sim.rng import DeterministicRNG
 from repro.sim.shard import ShardedEngine
 from repro.sim.tracing import MetricsRegistry
@@ -198,7 +198,7 @@ def run_serve_xl(
                 path, home, wire = pool[int(float(picks[index]) * len(pool))]
                 write = float(rolls[index]) < write_fraction
                 count += 1
-                yield Spawn(
+                engine.spawn(
                     one_op(node, path, home, wire, write),
                     f"xl-op-{node.group}-{count}",
                 )

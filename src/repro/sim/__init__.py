@@ -30,7 +30,6 @@ from repro.sim.engine import (
     Join,
     Process,
     SimEvent,
-    Spawn,
     Wait,
 )
 from repro.sim.resources import Grant, Resource
@@ -70,7 +69,6 @@ __all__ = [
     "SharedBandwidth",
     "SimEvent",
     "Span",
-    "Spawn",
     "Tracer",
     "to_chrome_trace",
     "to_flat_json",

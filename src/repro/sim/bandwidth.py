@@ -217,13 +217,16 @@ class SharedBandwidth:
             self.capacity * flow.weight / self._weight_total
         )
 
-    def _settle(self) -> None:
+    def _settle(self, released: Optional[list] = None) -> None:
         """Advance every active flow's progress up to the current time.
 
         Amortized: O(1) when no simulated time elapsed and no freshly
         admitted flow sits at the completion threshold; O(active flows) —
         the seed's exact arithmetic, in list order — only when progress
         must be credited.
+
+        The waiters of finished flows go on the run queue, or onto
+        ``released`` when the caller (the alarm) resumes them itself.
         """
         now = self.engine._now
         elapsed = now - self._last_settled
@@ -265,8 +268,11 @@ class SharedBandwidth:
                 waiter = flow.waiter
                 if waiter is not None:
                     flow.waiter = None
-                    runq.append((seq_next(), waiter, None, None))
                     waiter._suspension = None
+                    if released is None:
+                        runq.append((seq_next(), waiter, None, None))
+                    else:
+                        released.append(waiter)
             # The finished flow was (almost always) the tracked argmin;
             # rescan the survivors while we already hold them.
             best: Optional[_Flow] = None
@@ -279,14 +285,18 @@ class SharedBandwidth:
             self._min_flow = best
 
     def _on_alarm(self) -> None:
-        """Alarm callback: credit progress, then re-arm for the new argmin.
+        """Alarm callback: credit progress, re-arm for the new argmin, then
+        resume the finished flows' waiters, in list order, inside this
+        occurrence (the engine's alarm-resume rule: no run-queue hop).
 
         ``_min_flow`` is ``None`` exactly when no flows remain (the
         ``_settle`` rescan maintains this), so a drained device simply
         stops re-arming — matching the old one-shot timer's behaviour of
         firing once more after drain and going quiet.
         """
-        self._settle()
+        released: list = []
+        self._settle(released)
+        engine = self.engine
         flow = self._min_flow
         if flow is not None:
             next_completion = flow.remaining / (
@@ -296,4 +306,6 @@ class SharedBandwidth:
                 raise SimulationError(
                     "negative completion time in bandwidth model"
                 )
-            self._alarm.arm(self.engine._now + next_completion)
+            self._alarm.arm(engine._now + next_completion)
+        for waiter in released:
+            engine._step(waiter, None, None)

@@ -11,9 +11,6 @@ Supported effects
     Suspend the process for a fixed amount of simulated time.
 ``Wait(event)``
     Suspend until ``event.succeed(value)`` is called; resumes with ``value``.
-``Spawn(generator)``
-    Start a child process running concurrently; resumes immediately with the
-    child's :class:`Process` handle.
 ``Join(process)``
     Suspend until the given process finishes; resumes with its return value,
     or re-raises the exception that killed it.
@@ -27,6 +24,11 @@ Supported effects
     Queue on a :class:`repro.sim.resources.Resource`; resumes with a
     :class:`repro.sim.resources.Grant` once capacity is available.
 
+Starting a process is not an effect: :meth:`Engine.spawn` queues the child
+and returns its :class:`Process` handle, and the caller — a process in
+mid-step or plain code — carries on.  The child's first step comes once
+the parent's current step has ended (at its next yield or return).
+
 Processes may also be interrupted (:meth:`Process.interrupt`), which raises
 :class:`Interrupt` inside the generator at its current yield point.
 
@@ -37,12 +39,13 @@ waiter's ``_suspension`` (detached on ``interrupt`` like a :class:`Park`);
 
 Scheduling: one loop, one heap-entry protocol
 ---------------------------------------------
-Most events in a run are *same-time resumes*: a process finished an effect
-at the current instant and must continue (spawns, ``Delay(0)``, event
-``succeed``, joins, resource grants).  Those never touch the heap: they
-go on a FIFO *run queue* (a deque of ``(sequence, process, value,
-exception)`` tuples).  The heap holds only genuinely future occurrences,
-and every heap entry has one shape, ``(time, sequence, owner)``:
+Most events in a run are *same-time resumes*: a process must run at the
+current instant (a spawned child's first step, event ``succeed``, joins,
+resource grants, a flow finished by a transfer or ``settle()``).  Those
+never touch the heap: they go on a FIFO *run queue* (a deque of
+``(sequence, process, value, exception)`` tuples).  The heap holds only
+genuinely future occurrences, and every heap entry has one shape,
+``(time, sequence, owner)``:
 
 * a ``Delay`` pushes ``(time, sequence, process)`` — the suspended
   :class:`Process` is its own owner;
@@ -65,6 +68,17 @@ the two sources in global ``(time, sequence)`` order, so observable
 ordering is exactly what a single heap would produce (the same-time FIFO
 contract and the agreement of the three entry points are pinned by
 property tests in ``tests/test_sim_engine.py``).
+
+The alarm-resume rule: an :class:`Alarm` callback — which ``_drain`` calls
+with no process running — may resume processes by calling
+:meth:`Engine._step` directly, inside the alarm's own occurrence, instead
+of queueing them.  :class:`~repro.sim.bandwidth.SharedBandwidth` does this
+for the waiters of the flows its alarm finished, in list order.  Code that
+runs inside a process step (a transfer arrival, ``settle()``) always
+queues, so no process is ever stepped from inside another's step.  Against
+queueing, the one order that moves is a tie: an occurrence due at the
+*same float instant* with a later sequence number than the alarm now runs
+after those waiters instead of before them.
 
 Live and dead entries are counted, never scanned: :attr:`Engine.is_idle`
 is O(1), and :meth:`Engine._entry_died` — the one place an entry goes
@@ -130,16 +144,6 @@ class Wait(Effect):
         self.event = event
 
 
-class Spawn(Effect):
-    """Start a child process; the yield resumes immediately with its handle."""
-
-    __slots__ = ("generator", "name")
-
-    def __init__(self, generator: Generator, name: str = ""):
-        self.generator = generator
-        self.name = name
-
-
 class Join(Effect):
     """Suspend until ``process`` completes; resumes with its return value."""
 
@@ -198,7 +202,8 @@ class Park(Effect):
     Contract: ``_attach(process)`` records the waiter; ``_detach(process)``
     (called by :meth:`Process.interrupt`) forgets it; the owner resumes the
     waiter later via ``engine._schedule_resume`` — or a fused inline
-    equivalent — exactly once, skipping it if detached.
+    equivalent, or from an alarm callback by ``engine._step`` (the
+    alarm-resume rule) — exactly once, skipping it if detached.
     """
 
     __slots__ = ()
@@ -532,7 +537,7 @@ class Engine:
         self._live_timers: int = 0  # live entries in the heap
         self._dead_timers: int = 0  # dead (cancelled) entries still in it
         #: the process whose generator is currently being stepped (tracing
-        #: context; resumes always go through the scheduler, never nested)
+        #: context; never nested: see the alarm-resume rule)
         self.current_process: Optional[Process] = None
         #: tracer hook; replace with :class:`repro.sim.tracing.Tracer`
         self.trace = NULL_TRACER
@@ -687,7 +692,7 @@ class Engine:
             self._drain(math.nextafter(limit, -math.inf))
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
-        """Spawn ``generator`` and run the simulation until it completes.
+        """Start ``generator`` and run the simulation until it completes.
 
         Stops as soon as the process finishes — background processes keep
         their pending events queued for later ``run``/``run_process`` calls.
@@ -767,7 +772,8 @@ class Engine:
         exception: Optional[BaseException],
     ) -> None:
         # Invariant: process._suspension is None here — every resume site
-        # (run-queue enqueue or heap pop) clears it before calling _step.
+        # (run-queue enqueue, heap pop, an alarm's direct resume) clears it
+        # before calling _step.
         generator = process._generator
         previous = self.current_process
         self.current_process = process
@@ -788,9 +794,9 @@ class Engine:
         # classes (Park is the one base meant for subclassing), so `is`
         # checks cover every real yield without isinstance walks or an
         # extra call frame.  current_process stays set through dispatch
-        # (Spawn's span parenting reads it); the finally restores it even
-        # if a handler (resource._enqueue, a Park's _attach) raises, so
-        # span parenting can't inherit a stale process.
+        # (a handler may read it); the finally restores it even if a
+        # handler (resource._enqueue, a Park's _attach) raises, so span
+        # parenting can't inherit a stale process.
         try:
             cls = effect.__class__
             if cls is Delay:
@@ -803,9 +809,6 @@ class Engine:
                 event._add_waiter(process)
                 if not event._fired:
                     process._suspension = event
-            elif cls is Spawn:
-                child = self.spawn(effect.generator, effect.name)
-                self._runq.append((self._seq_next(), process, child, None))
             elif cls is Join:
                 self._join(process, effect.process)
             elif cls is AllOf:

@@ -20,7 +20,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.errors import RaidDegradedError, StorageError
-from repro.sim.engine import AllOf, Engine, Spawn
+from repro.sim.engine import AllOf, Engine
 from repro.storage.block import BlockDevice, CHUNK_SIZE
 from repro.storage.gf256 import gf_div, gf_mul, generator_coefficient
 
@@ -239,14 +239,10 @@ class RAIDArray:
             device = self.devices[device_index]
             if device.failed:
                 continue  # write-around; rebuild will restore it
-            processes.append(
-                (
-                    yield Spawn(
-                        device.write_chunk(stripe, payload.tobytes()),
-                        name=f"{self.name}-w{device_index}",
-                    )
-                )
-            )
+            processes.append(self.engine.spawn(
+                device.write_chunk(stripe, payload.tobytes()),
+                name=f"{self.name}-w{device_index}",
+            ))
         yield AllOf(processes)
         self.check_health()
 

@@ -27,7 +27,7 @@ from repro.faults import (
 )
 from repro.media.disc import BD25, BD100, OpticalDisc
 from repro.olfs.fetching import FetchController
-from repro.sim import Delay, Engine, Join, Spawn
+from repro.sim import Delay, Engine, Join
 from repro.sim.engine import NULL_FAULTS
 from repro.udf.filesystem import UDFFileSystem
 from repro.udf.image import DiscImage
@@ -195,7 +195,7 @@ def test_stopped_burn_plus_rest_round_trips(disc_type, fill, size_gb, stop):
     stop_in = stop * sum(row[1] for row in table)
 
     def burn_then_stop():
-        burner = yield Spawn(
+        burner = engine.spawn(
             drive.burn(payload, logical_size=size, label="img-7", close=False)
         )
         yield Delay(SPIN_UP_SECONDS + stop_in)
@@ -436,9 +436,11 @@ def test_throttled_array_burn_keeps_the_parents_timeline_bit_for_bit():
         blank_set(engine).burn_array(FIG9_IMAGES, stagger_seconds=0.0)
     )
     assert engine.now.hex() == "0x1.a05ba7056b495p+9"  # 832.72 s
-    # Row for row PR 20's 1491, less the one 12-target AllOf's collector:
-    # n + 2 = 14 sequence numbers to deliver the join then, 1 now.
-    assert engine.events_issued == 1491 - 13
+    # Row for row the 1491 of the first one-sleep burn, less the one
+    # 12-target AllOf's collector (n + 2 = 14 sequence numbers to deliver
+    # the join then, 1 now), less burn_array's re-queue after each of its
+    # 12 spawns (a spawn does not suspend the spawner).
+    assert engine.events_issued == 1491 - 13 - 12
 
 
 def test_throttled_array_burn_sheds_only_its_stagger_slices():
@@ -446,8 +448,9 @@ def test_throttled_array_burn_sheds_only_its_stagger_slices():
     engine.run_process(blank_set(engine).burn_array(FIG9_IMAGES))
     # The parent spent 1997 events: the 495 fewer are the staggers' 506
     # five-second slices becoming 11 sleeps; no burn row went.  Then the
-    # same 12 + 1 as above for the AllOf that no longer is a process.
-    assert engine.events_issued == 1502 - 13
+    # same 12 + 1 as above for the AllOf that is not a process, and the
+    # same 12 spawn re-queues.
+    assert engine.events_issued == 1502 - 13 - 12
 
 
 def test_health_reports_nominal_demand_of_a_burn_the_throttle_never_sees():

@@ -177,13 +177,13 @@ def test_burn_read_back_roundtrip():
 def test_burn_while_busy_rejected():
     engine = Engine()
     drive = loaded_drive(engine)
-    from repro.sim import Join, Spawn
+    from repro.sim import Join
 
     def burner():
         yield from drive.burn(b"a" * 1024, logical_size=units.GB, label="one")
 
     def main():
-        proc = yield Spawn(burner())
+        proc = engine.spawn(burner())
         from repro.sim import Delay
 
         yield Delay(5)
@@ -200,7 +200,7 @@ def test_burn_while_busy_rejected():
 def test_burn_interrupt_commits_partial_pow_track():
     engine = Engine()
     drive = loaded_drive(engine)
-    from repro.sim import Delay, Join, Spawn
+    from repro.sim import Delay, Join
 
     def burner():
         result = yield from drive.burn(
@@ -209,7 +209,7 @@ def test_burn_interrupt_commits_partial_pow_track():
         return result
 
     def main():
-        proc = yield Spawn(burner())
+        proc = engine.spawn(burner())
         yield Delay(100)
         drive.request_interrupt()
         result = yield Join(proc)

@@ -297,11 +297,11 @@ def test_two_rollers_independent_arms():
     assert subsystem.roller_of_set(0) == 0
     assert subsystem.roller_of_set(1) == 1
 
-    from repro.sim import AllOf, Spawn
+    from repro.sim import AllOf
 
     def main():
-        a = yield Spawn(subsystem.load_array(0, TrayAddress(0, 1)))
-        b = yield Spawn(subsystem.load_array(1, TrayAddress(0, 1)))
+        a = engine.spawn(subsystem.load_array(0, TrayAddress(0, 1)))
+        b = engine.spawn(subsystem.load_array(1, TrayAddress(0, 1)))
         yield AllOf([a, b])
         return engine.now
 

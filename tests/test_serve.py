@@ -24,7 +24,7 @@ from repro.serve import (
     run_serve,
 )
 from repro.serve.session import LATENCY_BOUNDS
-from repro.sim.engine import Delay, Engine, Spawn
+from repro.sim.engine import Delay, Engine
 from repro.sim.tracing import MetricsRegistry
 
 
@@ -68,8 +68,8 @@ def test_link_full_duplex_directions_do_not_contend():
         ends["down"] = engine.now
 
     def main():
-        first = yield Spawn(up())
-        second = yield Spawn(down())
+        first = engine.spawn(up())
+        second = engine.spawn(down())
         yield from _join_all(engine, [first, second])
 
     engine.run_process(main())
@@ -221,11 +221,11 @@ def test_admission_queue_full_rejects_immediately():
             statuses.append("rejected")
 
     def main():
-        first = yield Spawn(holder())
+        first = engine.spawn(holder())
         yield Delay(0.01)  # holder admitted, slot busy
-        second = yield Spawn(waiter())  # fills the queue (depth 1)
+        second = engine.spawn(waiter())  # fills the queue (depth 1)
         yield Delay(0.01)
-        third = yield Spawn(overflow())  # bounces off the full queue
+        third = engine.spawn(overflow())  # bounces off the full queue
         yield from _join_all(engine, [first, second, third])
 
     engine.run_process(main())
@@ -259,9 +259,9 @@ def test_admission_deadline_times_out_queued_request():
             outcome.append(("timeout", engine.now))
 
     def main():
-        first = yield Spawn(holder())
+        first = engine.spawn(holder())
         yield Delay(0.01)
-        second = yield Spawn(waiter())
+        second = engine.spawn(waiter())
         yield from _join_all(engine, [first, second])
 
     engine.run_process(main())
@@ -323,7 +323,7 @@ def test_admission_close_rejects_queued_and_drains():
 
     def late():
         yield Delay(0.01)
-        yield Spawn(waiter())
+        engine.spawn(waiter())
         yield Delay(0.01)
         admission.close()
 

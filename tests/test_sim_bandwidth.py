@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, Delay, Engine, Join, SharedBandwidth, Spawn
+from repro.sim import AllOf, Delay, Engine, Join, SharedBandwidth
 
 
 def make(capacity=100.0):
@@ -43,7 +43,7 @@ def test_two_equal_flows_halve_throughput():
     def main():
         procs = []
         for _ in range(2):
-            procs.append((yield Spawn(flow())))
+            procs.append(engine.spawn(flow()))
         yield AllOf(procs)
 
     engine.run_process(main())
@@ -65,8 +65,8 @@ def test_staggered_flows_fluid_sharing():
         ends[label] = engine.now
 
     def main():
-        a = yield Spawn(flow("a", 300.0))
-        b = yield Spawn(late("b", 100.0, start=1.0))
+        a = engine.spawn(flow("a", 300.0))
+        b = engine.spawn(late("b", 100.0, start=1.0))
         yield AllOf([a, b])
 
     engine.run_process(main())
@@ -86,8 +86,8 @@ def test_weighted_flows():
         ends[label] = engine.now
 
     def main():
-        a = yield Spawn(flow("heavy", 120.0, 2.0))
-        b = yield Spawn(flow("light", 60.0, 1.0))
+        a = engine.spawn(flow("heavy", 120.0, 2.0))
+        b = engine.spawn(flow("light", 60.0, 1.0))
         yield AllOf([a, b])
 
     engine.run_process(main())
@@ -118,10 +118,9 @@ def test_current_rate_reflects_active_flows():
         observed.append(bw.current_rate())
 
     def main():
-        yield Spawn(flow())
-        yield Spawn(flow())
-        probe_proc = yield Spawn(probe())
-        yield probe_proc and Delay(0) or Delay(0)
+        engine.spawn(flow())
+        engine.spawn(flow())
+        engine.spawn(probe())
         yield Delay(2)
 
     engine.run_process(main())
@@ -169,7 +168,7 @@ def test_property_total_time_conserves_work(sizes, capacity):
     def main():
         procs = []
         for s in sizes:
-            procs.append((yield Spawn(flow(s))))
+            procs.append(engine.spawn(flow(s)))
         yield AllOf(procs)
         return engine.now
 
@@ -206,7 +205,7 @@ def test_property_completion_never_before_ideal(starts):
     def main():
         procs = []
         for (s, n) in starts:
-            procs.append((yield Spawn(flow(s, n))))
+            procs.append(engine.spawn(flow(s, n)))
         yield AllOf(procs)
 
     engine.run_process(main())
@@ -236,8 +235,8 @@ def test_bytes_moved_read_is_pure():
         return first
 
     def main():
-        proc = yield Spawn(mover())
-        value = yield Join((yield Spawn(observer())))
+        proc = engine.spawn(mover())
+        value = yield Join(engine.spawn(observer()))
         yield Join(proc)
         return value
 
@@ -253,7 +252,7 @@ def test_settle_is_the_explicit_mutating_form():
         yield from bw.transfer(1000.0)
 
     def main():
-        proc = yield Spawn(mover())
+        proc = engine.spawn(mover())
         yield Delay(3.0)
         bw.settle()
         assert bw._last_settled == 3.0
@@ -287,10 +286,174 @@ def test_heap_stays_bounded_under_flow_churn():
             max_heap = max(max_heap, len(engine._heap))
 
     def main():
-        yield Spawn(elephant())
-        proc = yield Spawn(churn())
+        engine.spawn(elephant())
+        proc = engine.spawn(churn())
         yield Join(proc)
 
     engine.run_process(main())
     assert max_heap <= 128, f"heap grew to {max_heap} entries"
     assert engine.pending_timers <= 2
+
+
+# ----------------------------------------------------------------------
+# A flow finished by the alarm resumes its waiter inside the alarm
+# ----------------------------------------------------------------------
+class _QueueingBandwidth(SharedBandwidth):
+    """Test-only reference: the deleted alarm path, which put every
+    finished flow's waiter on the run queue — one more sequence number
+    each, counted in ``alarm_resumes`` — instead of stepping it inside the
+    alarm's own occurrence."""
+
+    alarm_resumes = 0
+
+    def _on_alarm(self):
+        before = self.engine.events_issued
+        self._settle()  # queues each finished waiter
+        self.alarm_resumes += self.engine.events_issued - before
+        flow = self._min_flow
+        if flow is not None:
+            self._alarm.arm(self.engine.now + self._next_completion_of(flow))
+
+
+_TICK = 0.5
+
+_flow_programs = st.tuples(
+    st.sampled_from([100.0, 30.0, 7.0]),  # capacity
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),  # arrival tick
+            # few sizes, so equal-size flows that finish together are common
+            st.sampled_from([10.0, 25.0, 50.0, 100.0 / 3.0]),
+            st.sampled_from([1.0, 1.0, 2.0, 3.0, 0.5, 1.5]),  # weight
+            st.none() | st.integers(0, 8),  # interrupt the waiter at tick
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+
+
+def _flow_world(cls, capacity, flows):
+    """``({flow: (how it ended, float.hex of when)}, bytes_moved.hex(),
+    events_issued, bandwidth)`` of one flow program run to the end."""
+    from repro.sim import Interrupt
+    from repro.sim.bandwidth import _Flow
+
+    engine = Engine()
+    bw = cls(engine, capacity, name="lane")
+    ends = {}
+    processes = []
+
+    def flow(index, arrive, size, weight):
+        yield Delay(arrive * _TICK)
+        try:
+            yield from bw.transfer(size, weight)
+        except Interrupt:
+            ends[index] = ("interrupted", engine.now.hex())
+        else:
+            ends[index] = ("done", engine.now.hex())
+
+    def poke(index, tick):
+        yield Delay(tick * _TICK)
+        target = processes[index]
+        if isinstance(target._suspension, _Flow):  # parked on its flow
+            target.interrupt("poke")
+
+    for index, (arrive, size, weight, _poke_at) in enumerate(flows):
+        processes.append(engine.spawn(flow(index, arrive, size, weight)))
+    for index, (*_spec, poke_at) in enumerate(flows):
+        if poke_at is not None:
+            engine.spawn(poke(index, poke_at))
+    engine.run()
+    assert engine.is_idle and bw.active_flows == 0
+    return ends, bw.bytes_moved.hex(), engine.events_issued, bw
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flow_programs)
+def test_property_alarm_resume_matches_the_queueing_alarm(program):
+    capacity, flows = program
+    ends, moved, events, _bw = _flow_world(SharedBandwidth, capacity, flows)
+    ref_ends, ref_moved, ref_events, ref_bw = _flow_world(
+        _QueueingBandwidth, capacity, flows
+    )
+    assert ends == ref_ends
+    assert moved == ref_moved
+    assert ref_events - events == ref_bw.alarm_resumes
+
+
+def test_alarm_resume_moves_only_a_same_instant_tie():
+    """The one order that changes: an occurrence due at the alarm's very
+    float instant with a *later* sequence number than the alarm ran before
+    the queued waiter, and now runs after it.  One with an earlier
+    sequence number ran first, and still does."""
+
+    def order(cls, sleeper_first):
+        engine = Engine()
+        bw = cls(engine, 100.0)
+        seen = []
+
+        def mover():
+            yield from bw.transfer(100.0)  # arms the alarm for t = 1.0
+            seen.append(("mover", engine.now))
+
+        def sleeper():
+            yield Delay(1.0)
+            seen.append(("sleeper", engine.now))
+
+        first, second = (sleeper, mover) if sleeper_first else (mover, sleeper)
+        engine.spawn(first())
+        engine.spawn(second())
+        engine.run()
+        return seen
+
+    assert order(SharedBandwidth, False) == [("mover", 1.0), ("sleeper", 1.0)]
+    assert order(_QueueingBandwidth, False) == [
+        ("sleeper", 1.0), ("mover", 1.0),
+    ]
+    for cls in (SharedBandwidth, _QueueingBandwidth):
+        assert order(cls, True) == [("sleeper", 1.0), ("mover", 1.0)]
+
+
+def test_a_finish_noticed_inside_a_process_step_still_queues_its_waiter():
+    """``settle()`` (and a transfer's arrival) finish flows from inside a
+    process step; their waiters wait for that step to end."""
+    engine, bw = make(capacity=100.0)
+    seen = []
+
+    def settler():
+        yield Delay(1.0)  # drawn before the transfer arms the alarm
+        bw.settle()
+        seen.append("settler")
+
+    def mover():
+        yield from bw.transfer(100.0)
+        seen.append("mover")
+
+    engine.spawn(settler())
+    engine.spawn(mover())
+    engine.run()
+    assert seen == ["settler", "mover"]
+
+
+def test_a_waiter_resumed_by_the_alarm_starts_its_next_transfer_at_once():
+    """The alarm re-arms *before* it resumes the waiters, so a waiter that
+    starts its next transfer on the same lane arms the alarm once: one
+    sequence number per transfer, where the queueing alarm spent two."""
+
+    def run(cls):
+        engine = Engine()
+        bw = cls(engine, 100.0)
+        ends = []
+
+        def mover():
+            for _ in range(3):
+                yield from bw.transfer(100.0)
+                ends.append(engine.now)
+
+        engine.spawn(mover())
+        engine.run()
+        return ends, engine.events_issued
+
+    assert run(SharedBandwidth) == ([1.0, 2.0, 3.0], 1 + 3)
+    assert run(_QueueingBandwidth) == ([1.0, 2.0, 3.0], 1 + 3 + 3)

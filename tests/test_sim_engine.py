@@ -11,7 +11,6 @@ from repro.sim import (
     Interrupt,
     Join,
     Resource,
-    Spawn,
     Wait,
 )
 from repro.sim.engine import SimulationError
@@ -77,8 +76,8 @@ def test_spawn_runs_concurrently():
         times[label] = engine.now
 
     def parent():
-        a = yield Spawn(child("a", 3.0))
-        b = yield Spawn(child("b", 1.0))
+        a = engine.spawn(child("a", 3.0))
+        b = engine.spawn(child("b", 1.0))
         yield Join(a)
         yield Join(b)
         return engine.now
@@ -96,7 +95,7 @@ def test_join_returns_child_result():
         return 42
 
     def parent():
-        proc = yield Spawn(child())
+        proc = engine.spawn(child())
         value = yield Join(proc)
         return value
 
@@ -111,7 +110,7 @@ def test_join_propagates_child_exception():
         raise ValueError("boom")
 
     def parent():
-        proc = yield Spawn(child())
+        proc = engine.spawn(child())
         yield Join(proc)
 
     with pytest.raises(ValueError, match="boom"):
@@ -126,7 +125,7 @@ def test_join_already_finished_process():
         return "early"
 
     def parent():
-        proc = yield Spawn(child())
+        proc = engine.spawn(child())
         yield Delay(5)
         value = yield Join(proc)
         return value, engine.now
@@ -144,7 +143,7 @@ def test_allof_waits_for_every_child():
     def parent():
         procs = []
         for i in range(4):
-            procs.append((yield Spawn(child(i + 1.0, i))))
+            procs.append(engine.spawn(child(i + 1.0, i)))
         results = yield AllOf(procs)
         return results, engine.now
 
@@ -239,8 +238,8 @@ def test_interrupt_during_delay():
         proc.interrupt("urgent read")
 
     def main():
-        proc = yield Spawn(sleeper())
-        yield Spawn(interrupter(proc))
+        proc = engine.spawn(sleeper())
+        engine.spawn(interrupter(proc))
         result = yield Join(proc)
         return result
 
@@ -260,7 +259,7 @@ def test_interrupt_during_event_wait():
         return None
 
     def main():
-        proc = yield Spawn(waiter())
+        proc = engine.spawn(waiter())
         yield Delay(2)
         proc.interrupt()
         return (yield Join(proc))
@@ -275,7 +274,7 @@ def test_interrupt_finished_process_is_noop():
         yield Delay(1)
 
     def main():
-        proc = yield Spawn(child())
+        proc = engine.spawn(child())
         yield Delay(5)
         proc.interrupt()
         return True
@@ -311,7 +310,7 @@ def test_resource_serializes_access():
     def main():
         procs = []
         for i in range(3):
-            procs.append((yield Spawn(worker(i))))
+            procs.append(engine.spawn(worker(i)))
         yield AllOf(procs)
 
     engine.run_process(main())
@@ -333,7 +332,7 @@ def test_resource_capacity_allows_parallelism():
     def main():
         procs = []
         for _ in range(4):
-            procs.append((yield Spawn(worker())))
+            procs.append(engine.spawn(worker()))
         yield AllOf(procs)
 
     engine.run_process(main())
@@ -356,10 +355,10 @@ def test_resource_priority_order():
         grant.release()
 
     def main():
-        hold = yield Spawn(holder())
+        hold = engine.spawn(holder())
         yield Delay(0.1)
-        low = yield Spawn(worker("low", 10))
-        high = yield Spawn(worker("high", 0))
+        low = engine.spawn(worker("low", 10))
+        high = engine.spawn(worker("high", 0))
         yield AllOf([hold, low, high])
 
     engine.run_process(main())
@@ -402,9 +401,9 @@ def test_interrupt_while_queued_on_resource():
         return "acquired"
 
     def main():
-        yield Spawn(holder())
+        engine.spawn(holder())
         yield Delay(0.1)
-        proc = yield Spawn(waiter())
+        proc = engine.spawn(waiter())
         yield Delay(1)
         proc.interrupt()
         result = yield Join(proc)
@@ -467,7 +466,7 @@ def test_interrupted_delay_leaves_no_live_timer():
             return "woken"
 
     def main():
-        proc = yield Spawn(sleeper())
+        proc = engine.spawn(sleeper())
         yield Delay(0.1)
         proc.interrupt()
         result = yield Join(proc)
@@ -491,7 +490,7 @@ def test_interrupted_delay_entries_compact():
     def main():
         procs = []
         for _ in range(300):
-            procs.append((yield Spawn(sleeper())))
+            procs.append(engine.spawn(sleeper()))
         yield Delay(0.1)
         for proc in procs:
             proc.interrupt()
@@ -571,9 +570,9 @@ def test_effect_dispatch_exception_restores_current_process():
 # action (spawn, Delay(0), event succeed, post-fire wait) appends to one
 # global FIFO.  The reference interpreter below models precisely that; the
 # engine must produce an identical execution log for arbitrary interleaved
-# programs.
+# programs.  A worker's id is its spawn path (``()`` for the root, then
+# ``parent + (op index,)``), so it names the same worker in every order.
 from collections import deque as _deque
-from itertools import count as _count
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -612,19 +611,35 @@ def _ops_strategy(depth: int, timed: bool = False):
     return st.lists(base, max_size=8)
 
 
+def _reference_spawn(engine, generator, name=""):
+    """The deleted ``yield Spawn(generator, name)``, as a test-only reference.
+
+    The child runs its first step before the spawner resumes, and the
+    spawner draws a second sequence number for it.  ``Delay(0)`` is a heap
+    entry at the current instant whose sequence number is drawn right after
+    the child's, and ``_drain`` merges heap and run queue in (time,
+    sequence) order, so the spawner resumes exactly where the old effect's
+    re-queue did: after the child's step, before anything it queued.
+    """
+    child = engine.spawn(generator, name)
+    yield Delay(0)
+    return child
+
+
 class _Program:
     """Interpreter for ``_ops_strategy`` programs on a fresh engine.
 
     ``trace`` gets ``(time, label)`` for every op a worker executes and
-    every callback that fires.
+    every callback that fires.  ``child_first`` runs a ``spawn`` op
+    through :func:`_reference_spawn` instead of ``engine.spawn``.
     """
 
-    def __init__(self):
+    def __init__(self, child_first=False):
         from repro.sim.engine import Alarm
 
         self.engine = Engine()
         self.events = [self.engine.event(f"e{i}") for i in range(_N_EVENTS)]
-        self.ids = _count(1)
+        self.child_first = child_first
         self.trace = []
         self.handles = []  # every call_later handle, fired or not
         self.alarm = Alarm(self.engine, lambda: self.log("alarm"))
@@ -647,7 +662,11 @@ class _Program:
             elif kind == "wait":
                 yield Wait(self.events[op[1]])
             elif kind == "spawn":
-                yield Spawn(self.worker(next(self.ids), op[1]))
+                child = self.worker(wid + (idx,), op[1])
+                if self.child_first:
+                    yield from _reference_spawn(engine, child)
+                else:
+                    engine.spawn(child)
             elif kind == "timer":
                 label = ("timer", len(self.handles))
                 self.handles.append(engine.call_later(
@@ -662,13 +681,17 @@ class _Program:
                 self.alarm.disarm()
 
 
-def _reference_order(root_ops):
-    """Pure-FIFO interpreter: the seed engine's same-time semantics."""
+def _reference_order(root_ops, child_first=False):
+    """Pure-FIFO interpreter: the seed engine's same-time semantics.
+
+    A spawn queues the child and the parent carries on; ``child_first``
+    is the deleted ``Spawn`` effect's rule instead (child queued, then
+    the parent behind it).
+    """
     log = []
     queue = _deque()
     events = [{"fired": False, "waiters": []} for _ in range(_N_EVENTS)]
-    ids = _count(1)
-    queue.append((0, root_ops, 0))
+    queue.append(((), root_ops, 0))
     while queue:
         wid, ops, idx = queue.popleft()
         while idx < len(ops):
@@ -694,20 +717,21 @@ def _reference_order(root_ops):
                     event["waiters"].append((wid, ops, idx))
                 break
             if kind == "spawn":
-                queue.append((next(ids), op[1], 0))  # child starts first,
-                queue.append((wid, ops, idx))        # then the parent resumes
-                break
+                queue.append((wid + (idx - 1,), op[1], 0))  # child queued
+                if child_first:
+                    queue.append((wid, ops, idx))  # parent behind it
+                    break
     return log
 
 
 @settings(max_examples=60, deadline=None)
-@given(_ops_strategy(2))
-def test_property_same_time_fifo_matches_reference(root_ops):
-    program = _Program()
-    program.engine.spawn(program.worker(0, root_ops))
+@given(_ops_strategy(2), st.booleans())
+def test_property_same_time_fifo_matches_reference(root_ops, child_first):
+    program = _Program(child_first)
+    program.engine.spawn(program.worker((), root_ops))
     program.engine.run()
     assert [label for _time, label in program.trace] == _reference_order(
-        root_ops
+        root_ops, child_first
     )
 
 
@@ -750,7 +774,7 @@ def _execute(root_ops, root_nap, cuts, drive):
     engine = program.engine
 
     def root():
-        yield Spawn(program.worker(0, root_ops))
+        engine.spawn(program.worker((), root_ops))
         yield Delay(root_nap * _TICK)  # run_process stops here, mid-run
         program.log("root-done")
 
@@ -785,6 +809,73 @@ def test_property_entry_points_agree_however_a_run_is_sliced(
         _run_until_slices, _run_below_windows, _run_process_then_rest
     ):
         assert _execute(root_ops, root_nap, cuts, drive) == whole, drive
+
+
+# ----------------------------------------------------------------------
+# A spawn does not suspend the spawner (differential property test)
+# ----------------------------------------------------------------------
+# The deleted ``Spawn`` effect ran the child's first step and then
+# re-queued the spawner: one more sequence number per spawn, and another
+# interleaving inside the instant.  Neither may be visible to a process on
+# its own — every worker executes the same ops at the same simulated times
+# under ``engine.spawn`` as under ``_reference_spawn`` — and the count must
+# fall by exactly one per spawn.
+def _spawns(ops):
+    return sum(1 + _spawns(op[1]) for op in ops if op[0] == "spawn")
+
+
+def _spawn_world(root_ops, child_first):
+    """Run one program to the end; ``({worker: [(time, op index)]},
+    events_issued)``."""
+    program = _Program(child_first)
+    engine = program.engine
+
+    def horizon():  # release whoever waits on an event nobody fired
+        for event in program.events:
+            if not event.fired:
+                event.succeed(None)
+
+    engine.call_at(_HORIZON, horizon)
+    engine.spawn(program.worker((), root_ops))
+    engine.run()
+    assert engine.is_idle
+    per_worker = {}
+    for time, label in program.trace:
+        if isinstance(label, tuple) and isinstance(label[0], tuple):
+            per_worker.setdefault(label[0], []).append((time, label[1]))
+    return per_worker, engine.events_issued
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ops_strategy(2, timed=True))
+def test_property_spawn_keeps_each_process_trace_and_saves_one_event(
+    root_ops,
+):
+    traces, events = _spawn_world(root_ops, child_first=False)
+    ref_traces, ref_events = _spawn_world(root_ops, child_first=True)
+    assert traces == ref_traces
+    assert ref_events - events == _spawns(root_ops)
+
+
+def test_spawned_child_first_runs_once_the_spawner_yields():
+    engine = Engine()
+    order = []
+
+    def child(label):
+        order.append(label)
+        yield Delay(0)
+
+    def parent():
+        before = engine.events_issued
+        first = engine.spawn(child("child-1"))
+        order.append("parent")
+        engine.spawn(child("child-2"))
+        assert not first.done and engine.events_issued - before == 2
+        yield Delay(1.0)
+        order.append("parent-again")
+
+    engine.run_process(parent())
+    assert order == ["parent", "child-1", "child-2", "parent-again"]
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +1010,9 @@ def _reference_firstof(engine, targets):
 
     def racer():
         for index, target in enumerate(targets):
-            yield Spawn(forwarder(index, target), name=f"race-{index}")
+            yield from _reference_spawn(
+                engine, forwarder(index, target), name=f"race-{index}"
+            )
         winner = yield Wait(finish_line)
         return winner
 
@@ -1202,8 +1295,8 @@ def test_deadlock_on_a_join_names_the_target_that_never_finished():
         yield Wait(never)
 
     def main(effect):
-        done = yield Spawn(_sleeper(1.0), name="finishes")
-        hung = yield Spawn(stuck(), name="hangs")
+        done = engine.spawn(_sleeper(1.0), name="finishes")
+        hung = engine.spawn(stuck(), name="hangs")
         yield effect([done, hung] if effect is AllOf else [hung, hung])
 
     with pytest.raises(

@@ -387,7 +387,7 @@ def test_volume_streams_interfere():
         capacity=units.TB,
         access_latency=0.0,
     )
-    from repro.sim import AllOf, Spawn
+    from repro.sim import AllOf
 
     ends = {}
 
@@ -396,8 +396,8 @@ def test_volume_streams_interfere():
         ends[label] = engine.now
 
     def main():
-        a = yield Spawn(stream("a"))
-        b = yield Spawn(stream("b"))
+        a = engine.spawn(stream("a"))
+        b = engine.spawn(stream("b"))
         yield AllOf([a, b])
 
     engine.run_process(main())

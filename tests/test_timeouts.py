@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TimeoutOLFSError
-from repro.sim import Delay, Engine, FirstOf, Spawn
+from repro.sim import Delay, Engine, FirstOf
 from tests.conftest import make_ros
 
 
@@ -18,8 +18,8 @@ def test_firstof_returns_winner():
         return value
 
     def main():
-        fast = yield Spawn(runner(1.0, "fast"))
-        slow = yield Spawn(runner(5.0, "slow"))
+        fast = engine.spawn(runner(1.0, "fast"))
+        slow = engine.spawn(runner(5.0, "slow"))
         index, value = yield FirstOf([slow, fast])
         return index, value, engine.now
 
@@ -37,8 +37,8 @@ def test_firstof_loser_keeps_running():
         log.append((label, engine.now))
 
     def main():
-        a = yield Spawn(runner(1.0, "a"))
-        b = yield Spawn(runner(3.0, "b"))
+        a = engine.spawn(runner(1.0, "a"))
+        b = engine.spawn(runner(3.0, "b"))
         yield FirstOf([a, b])
         return engine.now
 
@@ -58,8 +58,8 @@ def test_firstof_propagates_winner_failure():
         yield Delay(10.0)
 
     def main():
-        a = yield Spawn(failer())
-        b = yield Spawn(slow())
+        a = engine.spawn(failer())
+        b = engine.spawn(slow())
         yield FirstOf([a, b])
 
     with pytest.raises(ValueError, match="early death"):
@@ -74,9 +74,9 @@ def test_firstof_with_already_finished_process():
         return 7
 
     def main():
-        done = yield Spawn(instant())
+        done = engine.spawn(instant())
         yield Delay(2)
-        other = yield Spawn(instant())
+        other = engine.spawn(instant())
         index, value = yield FirstOf([done, other])
         return index, value
 
@@ -97,8 +97,8 @@ def test_firstof_simultaneous_completions_pick_one():
         return value
 
     def main():
-        a = yield Spawn(runner("a"))
-        b = yield Spawn(runner("b"))
+        a = engine.spawn(runner("a"))
+        b = engine.spawn(runner("b"))
         index, value = yield FirstOf([a, b])
         return index, value
 

@@ -16,7 +16,6 @@ from repro.sim import (
     Join,
     MetricsRegistry,
     NullTracer,
-    Spawn,
     Tracer,
     to_chrome_trace,
     to_flat_json,
@@ -114,8 +113,8 @@ def test_concurrent_processes_keep_separate_span_stacks():
                 yield Delay(delay)
 
     def driver():
-        first = yield Spawn(worker("a", 1.0), name="a")
-        second = yield Spawn(worker("b", 0.3), name="b")
+        first = engine.spawn(worker("a", 1.0), name="a")
+        second = engine.spawn(worker("b", 0.3), name="b")
         yield Join(first)
         yield Join(second)
 
@@ -137,7 +136,7 @@ def test_spawned_process_inherits_spawners_active_span():
 
     def op():
         with tracer.span("op"):
-            yield Spawn(background(), name="bg")
+            engine.spawn(background(), name="bg")
             yield Delay(0.1)
 
     engine.run_process(op())
