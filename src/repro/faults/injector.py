@@ -11,7 +11,10 @@ as ``engine.faults`` (every engine starts with the no-op
   the next burn);
 * ``drive.op`` — checked on mount / seek / read / burn entry, and
   delivered to a burn in flight the same way (hard-failure windows);
-* ``plc.channel`` — checked by :meth:`ControlChannel.send`;
+* ``plc.channel`` — checked by :meth:`ControlChannel.send` when the
+  command arrives, if :meth:`FaultInjector.live` said at send time that
+  an any-target fault could trip then; a fault armed during a command's
+  1 ms flight trips the next command instead;
 * ``net.link`` — checked by :class:`repro.serve.network.NetworkLink` on
   every request/response transfer (flap windows and one-shots);
 * ``client.session`` — checked by :class:`repro.serve.session.ClientSession`
@@ -162,6 +165,22 @@ class FaultInjector:
                 self._log("trip", spec.kind, target or key[1])
                 return spec
         return None
+
+    def live(self, site: str, at: float) -> bool:
+        """Could an untargeted ``check(site)`` at instant ``at`` trip?
+
+        Read-only: an any-target one-shot is armed, or an any-target
+        window is still open at ``at``.  A fault armed after this answer
+        is first seen by the next question.
+        """
+        if not self._active:
+            return False
+        if self._oneshots.get((site, "")):
+            return True
+        return any(
+            window_site == site and window_target == "" and until > at
+            for window_site, window_target, until, _spec in self._windows
+        )
 
     def subscribe(self, drive_id: str, process) -> None:
         """``process`` is burning on ``drive_id``: wake it whenever a

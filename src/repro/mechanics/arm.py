@@ -47,8 +47,9 @@ class RoboticArm:
 
     # ------------------------------------------------------------------
     # Motion processes.  ``lead`` is command latency still to be spent
-    # before the motion starts: one sleep covers both.  A motion that
-    # refuses or has nothing to move does not sleep, lead included.
+    # before the motion starts: one sleep covers both, and the span opens
+    # where the motion starts.  A motion that refuses or has nothing to
+    # move does not sleep, lead included.
     # ------------------------------------------------------------------
     def move_to_layer(self, layer: int, lead: float = 0.0) -> Generator:
         """Travel vertically to ``layer``; slower when carrying a stack."""
@@ -62,7 +63,8 @@ class RoboticArm:
         )
         seconds = self.timings.travel(distance, loaded=self.is_loaded)
         with self.engine.trace.span(
-            "arm.move", "arm", {"arm_id": self.arm_id, "layer": layer}
+            "arm.move", "arm", {"arm_id": self.arm_id, "layer": layer},
+            at=self.engine.now + lead,
         ):
             yield from sleep_after(self.engine, lead, seconds)
         self.travel_seconds += seconds
@@ -77,7 +79,8 @@ class RoboticArm:
         if self.hooked:
             raise MechanicsError("arm already hooked to a tray")
         with self.engine.trace.span(
-            "arm.hook", "arm", {"arm_id": self.arm_id}
+            "arm.hook", "arm", {"arm_id": self.arm_id},
+            at=self.engine.now + lead,
         ):
             yield from sleep_after(self.engine, lead, self.timings.engage)
         self.hooked = True
@@ -102,7 +105,8 @@ class RoboticArm:
         if self.holding:
             raise MechanicsError("arm is already holding discs")
         with self.engine.trace.span(
-            "arm.grab", "arm", {"arm_id": self.arm_id, "discs": len(discs)}
+            "arm.grab", "arm", {"arm_id": self.arm_id, "discs": len(discs)},
+            at=self.engine.now + lead,
         ):
             yield from sleep_after(self.engine, lead, self.timings.lift)
         self.holding = list(discs)
@@ -113,7 +117,8 @@ class RoboticArm:
         if not self.holding:
             raise MechanicsError("arm is not holding discs")
         with self.engine.trace.span(
-            "arm.lower", "arm", {"arm_id": self.arm_id}
+            "arm.lower", "arm", {"arm_id": self.arm_id},
+            at=self.engine.now + lead,
         ):
             yield from sleep_after(self.engine, lead, self.timings.lift)
         discs, self.holding = self.holding, []
@@ -128,7 +133,8 @@ class RoboticArm:
         if not self.holding:
             raise MechanicsError("no discs left to separate")
         with self.engine.trace.span(
-            "arm.separate", "arm", {"arm_id": self.arm_id}
+            "arm.separate", "arm", {"arm_id": self.arm_id},
+            at=self.engine.now + lead,
         ):
             yield from sleep_after(
                 self.engine, lead, self.timings.separate_one()

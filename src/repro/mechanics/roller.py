@@ -119,7 +119,8 @@ class Roller:
         if slot == self.facing_slot and self.aligned:
             return
         with self.engine.trace.span(
-            "roller.rotate", "roller", {"roller_id": self.roller_id, "slot": slot}
+            "roller.rotate", "roller", {"roller_id": self.roller_id, "slot": slot},
+            at=self.engine.now + lead,
         ):
             yield from sleep_after(self.engine, lead, self.timings.rotate)
         self.rotation_count += 1
@@ -142,7 +143,8 @@ class Roller:
         if self._fanned_out is not None:
             raise MechanicsError(f"tray {self._fanned_out} already fanned out")
         with self.engine.trace.span(
-            "roller.fan_out", "roller", {"roller_id": self.roller_id}
+            "roller.fan_out", "roller", {"roller_id": self.roller_id},
+            at=self.engine.now + lead,
         ):
             yield from sleep_after(self.engine, lead, self.timings.fan_out)
         self._fanned_out = address
@@ -152,7 +154,8 @@ class Roller:
         if self._fanned_out is None:
             raise MechanicsError("no tray is fanned out")
         with self.engine.trace.span(
-            "roller.fan_in", "roller", {"roller_id": self.roller_id}
+            "roller.fan_in", "roller", {"roller_id": self.roller_id},
+            at=self.engine.now + lead,
         ):
             yield from sleep_after(self.engine, lead, self.timings.fan_in)
         self._fanned_out = None

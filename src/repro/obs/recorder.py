@@ -48,10 +48,12 @@ class FlightRecorder:
         self.engine.recorder = self
         return self
 
-    def record(self, kind: str, **fields) -> None:
-        """Journal one event, stamped with the simulated clock."""
+    def record(self, kind: str, at: Optional[float] = None, **fields) -> None:
+        """Journal one event, stamped with the simulated clock (or with
+        ``at``, an instant the caller computed ahead of it)."""
         self.recorded += 1
-        event = {"t": round(self.engine.now, 6), "kind": kind}
+        now = self.engine.now if at is None else at
+        event = {"t": round(now, 6), "kind": kind}
         event.update(fields)
         self._events.append(event)
 

@@ -71,14 +71,16 @@ class PLCController:
 
         ``lead`` is wire latency the command has yet to spend (see
         :meth:`~repro.plc.channel.ControlChannel.send`); the motion sleeps
-        through it and itself in one occurrence.  A motion that refuses,
-        or finds nothing to move, has not slept: the lead is spent here,
-        so either outcome surfaces when the command arrives.
+        through it and itself in one occurrence, and its spans open at the
+        arrival instant.  A motion that refuses, or finds nothing to move,
+        has not slept: the lead is spent here, so either outcome surfaces
+        when the command arrives.
         """
         self.instructions_executed += 1
         sent = self.engine.now
         with self.engine.trace.span(
-            f"plc.{type(instruction).__name__.lower()}", "plc"
+            f"plc.{type(instruction).__name__.lower()}", "plc",
+            at=sent + lead,
         ):
             try:
                 try:

@@ -134,7 +134,7 @@ class NullTracer:
     __slots__ = ()
     enabled = False
 
-    def span(self, name, category="", tags=None):
+    def span(self, name, category="", tags=None, at=None):
         return _NULL_SPAN
 
     def event(self, name, category="", tags=None):
@@ -197,8 +197,14 @@ class Tracer:
         name: str,
         category: str = "",
         tags: Optional[dict] = None,
+        at: Optional[float] = None,
     ) -> _SpanScope:
-        """Open a span; use as ``with tracer.span("drive.read") as sp:``."""
+        """Open a span; use as ``with tracer.span("drive.read") as sp:``.
+
+        ``at`` starts it at an instant the caller computed ahead of the
+        clock (a PLC command opens its span at the arrival it will sleep
+        through); the span still nests where it is opened.
+        """
         stack, process = self._context()
         parent = self.active_span()
         span = Span(
@@ -206,7 +212,7 @@ class Tracer:
             parent_id=parent.span_id if parent is not None else None,
             name=name,
             category=category,
-            start=self.engine.now,
+            start=self.engine.now if at is None else at,
             tags=dict(tags) if tags else {},
             process=getattr(process, "name", ""),
         )

@@ -9,9 +9,10 @@ fault injections and the retries they trigger.
 
 import json
 
+import numpy as np
 import pytest
 
-from repro import units
+from repro import small_rack, units
 from repro.faults import DRIVE_HARD, DRIVE_TRANSIENT, FaultPlan
 from repro.obs import (
     PAPER_SLOS,
@@ -446,3 +447,75 @@ def test_monitor_counters_survive_the_timeline_ring():
     assert counters["snapshots"] >= counters["ticks"] + 1
     assert counters["slo_violations"] == 0  # no tracer on this rack
     assert all(isinstance(v, int) for v in counters.values())
+
+
+# ----------------------------------------------------------------------
+# Observing costs zero events: a tracer and a flight recorder (or an
+# injector with no channel fault armed) leave the schedule untouched, so
+# the event count — and every report byte — is the bare run's.
+# ----------------------------------------------------------------------
+def _cold_read_run(**rack_kwargs):
+    """bench/workloads.py's ``rack_cold_read`` at scale 0.05: 60 files of
+    9000 bytes, written and burned, then 200 Zipf reads through the
+    4-image read cache.  Returns (events, what each read saw, the rack)."""
+    rng = np.random.default_rng(42)
+    files, reads, size = 60, 200, 9000
+    blob = rng.integers(0, 256, size=files * size, dtype=np.uint8).tobytes()
+    paths = [f"/cold/d{index % 37:02d}/f{index:05d}.bin"
+             for index in range(files)]
+    order = rng.permutation(files)[rng.zipf(1.2, size=reads) % files]
+    ros = small_rack(**rack_kwargs)
+    if ros.tracer is not None:
+        FlightRecorder(ros.engine).install()
+    for index, path in enumerate(paths):
+        ros.write(path, blob[index * size:(index + 1) * size])
+    ros.flush()
+    ros.drain_background()
+    setup_events = ros.engine.events_issued
+    log = []
+    for index in order:
+        result = ros.read(paths[index])
+        log.append((int(index), result.source, result.total_seconds.hex()))
+    return (setup_events, ros.engine.events_issued), log, ros
+
+
+def test_observing_a_cold_read_run_costs_zero_events():
+    bare_events, bare_log, _ = _cold_read_run()
+    events, log, ros = _cold_read_run(tracing=True)
+    assert events == bare_events
+    assert log == bare_log
+    # not vacuous: the PLC path ran under both observers
+    assert sum(source == "roller" for _, source, _ in log) > 50
+    assert ros.tracer.find("plc.rotate") and ros.tracer.find("arm.grab")
+    assert ros.engine.recorder.events("plc.instruction")
+
+
+def test_an_injector_with_no_channel_fault_armed_costs_zero_events():
+    bare_events, bare_log, _ = _cold_read_run()
+    events, log, ros = _cold_read_run(fault_plan=FaultPlan())
+    assert ros.engine.faults is ros.fault_injector
+    assert (events, log) == (bare_events, bare_log)
+
+
+def test_observing_a_serve_run_costs_zero_events(monkeypatch, tmp_path):
+    import repro
+    from repro.serve.loadgen import run_serve
+
+    bare = run_serve(7, duration_s=4, prepopulate=3, include_events=True)
+    racks = []
+
+    def traced_rack(**kwargs):
+        racks.append(repro.OLFS(tracing=True, **kwargs))
+        return racks[-1]
+
+    monkeypatch.setattr(repro, "ROS", traced_rack)
+    flight = tmp_path / "flight.jsonl"
+    observed = run_serve(
+        7, duration_s=4, prepopulate=3, include_events=True,
+        flight_out=str(flight),
+    )
+    assert observed["events_issued"] == bare["events_issued"]
+    assert observed.pop("flight_dump") == str(flight)
+    assert observed == bare
+    assert racks[0].tracer.find("plc.rotate")
+    assert '"kind":"plc.instruction"' in flight.read_text()
