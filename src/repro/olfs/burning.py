@@ -53,6 +53,8 @@ class BurnTask:
         self.state = "pending"
         #: signalled by the fetch that interrupted us once it is done
         self._resume_event = None
+        #: fires when the latest round that started burning has ended
+        self.round_over = None
 
     # ------------------------------------------------------------------
     def request_interrupt(self) -> None:
@@ -209,6 +211,9 @@ class BurnTask:
 
             self.state = "burning"
             self.interrupt_requested = False
+            self.round_over = self.engine.event(
+                f"burn-{self.task_id}-round-over"
+            )
             jobs: list = []
             for (payload, size, image_id) in payloads:
                 done = burned_prefix.get(image_id, 0.0)
@@ -301,6 +306,8 @@ class BurnTask:
             if mc.burn_task_of_set.get(self.set_id) is self:
                 del mc.burn_task_of_set[self.set_id]
             grant.release()
+            if self.round_over is not None and not self.round_over.fired:
+                self.round_over.succeed()
 
     def resume(self) -> None:
         """Called once the interrupting read has finished (§4.8)."""
@@ -394,6 +401,16 @@ class BurnController:
         """Resume every burn parked by an interrupting read."""
         tasks, self.interrupted_tasks = self.interrupted_tasks, []
         for task in tasks:
+            task.resume()
+
+    def resume_when_parked(self, task: BurnTask, round_over) -> Generator:
+        """Resume ``task`` the instant its round ``round_over`` ends, if
+        that round parked it (not if it finished, failed over to a fresh
+        tray, or was resumed already)."""
+        if not round_over.fired:
+            yield Wait(round_over)
+        if task.round_over is round_over and task in self.interrupted_tasks:
+            self.interrupted_tasks.remove(task)
             task.resume()
 
     @property

@@ -8,8 +8,9 @@ flags.
 import pytest
 
 from repro.errors import PLCFaultError, ROSError
-from repro.faults import DRIVE_HARD, DRIVE_TRANSIENT, FaultPlan
+from repro.faults import DRIVE_HARD, DRIVE_TRANSIENT, PLC_CHANNEL, FaultPlan
 from repro.olfs.mechanical import ArrayState
+from repro.sim import Join
 from tests.conftest import make_ros, write_batch
 
 
@@ -202,3 +203,64 @@ def test_interrupt_then_failure_combination():
     for index in range(4):
         image = ros.stat(f"/new/f{index}.bin")["locations"][0]
         assert ros.dim.record(image).state == "burned"
+
+
+# ----------------------------------------------------------------------
+# Crash / restart (§4.2): the restart joins the burns the crash stopped
+# ----------------------------------------------------------------------
+def _crash_mid_burn(downtime, armed=None):
+    """Crash a rack ``downtime`` seconds long while its one array burns;
+    ``armed`` (a fault kind) is injected at the crash instant.  Returns
+    (when the crash hit, when the burn parked, its rounds as (start, end),
+    when the restart process ended)."""
+    ros = make_faulty_ros(auto_burn=False, tracing=True)
+    write_batch(ros, count=4)
+    ros.wbm.close_nonempty_buckets()
+    [task] = ros.btm.flush_pending()
+    while task.state != "burning":
+        ros.engine.run(until=ros.now + 0.5)
+    crashed_at = ros.now
+    if armed is not None:
+        ros.fault_injector.inject(armed, duration=5.0)
+    parks = []
+    park = ros.btm.notify_interrupted
+    ros.btm.notify_interrupted = lambda t: (parks.append(ros.now), park(t))
+    restart = ros.engine.spawn(ros.crash_restart(downtime), name="crash")
+    ended = []
+
+    def watch():
+        yield Join(restart)
+        ended.append(ros.now)
+
+    ros.engine.spawn(watch())
+    ros.drain_background()
+    assert task.state == "done"
+    rounds = [(s.start, s.end) for s in ros.tracer.find("btm.burn_round")]
+    return crashed_at, parks, rounds, ended
+
+
+def test_crashed_burn_resumes_the_instant_it_parks_after_the_restart():
+    # The unload that parks the stopped array outlasts a 10 s downtime.
+    crashed_at, parks, rounds, ended = _crash_mid_burn(10.0)
+    assert parks and parks[0] > crashed_at + 10.0
+    # round 2 starts on the park instant, not on a later restart tick
+    assert rounds[0][1] == parks[0] == rounds[1][0]
+    # and the restart process ended with it
+    assert ended == parks
+
+
+def test_crashed_burn_parked_before_the_restart_resumes_on_restart():
+    crashed_at, parks, rounds, ended = _crash_mid_burn(200.0)
+    assert parks[0] < crashed_at + 200.0
+    assert rounds[1][0] == ended[0] == crashed_at + 200.0
+
+
+def test_a_crashed_round_that_fails_over_leaves_the_restart_nothing_to_join():
+    """A channel fault fails the stopped array's unload: the task retries
+    on a fresh tray, never parks, and the restart ends on restart."""
+    crashed_at, parks, rounds, ended = _crash_mid_burn(
+        10.0, armed=PLC_CHANNEL
+    )
+    assert parks == []
+    assert rounds[0][1] < crashed_at + 5.0
+    assert ended == [crashed_at + 10.0]
