@@ -134,22 +134,6 @@ def home_rack(path: str, rack_ids) -> str:
     return rank_racks(rack_ids, path)[0]
 
 
-def shard_layout(rack_ids, shards: int) -> dict[str, int]:
-    """Deterministic rack -> event-loop-shard assignment.
-
-    Round-robin over the racks **in the order given** (callers pass a
-    stable order, typically sorted ids), matching the pinning rule of
-    :class:`~repro.sim.shard.ShardedEngine` so routing tables computed
-    here agree with where the engine actually runs each rack's
-    processes.  ``shards`` is clamped to the rack count.
-    """
-    rack_ids = list(rack_ids)
-    if shards < 1:
-        raise FleetError(f"need at least one shard, got {shards}")
-    width = min(int(shards), len(rack_ids))
-    return {rack: index % width for index, rack in enumerate(rack_ids)}
-
-
 class FleetStore:
     """Placement, durability and failure-domain state of the fleet."""
 

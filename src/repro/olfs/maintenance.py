@@ -112,9 +112,7 @@ class MaintenanceInterface:
         }
         try:
             drive_set = mech.drive_sets[set_id]
-            if not drive_set.is_empty:
-                yield from mech.unload_array(set_id, priority=PRIORITY_FETCH)
-            yield from mech.load_array(set_id, address, priority=PRIORITY_FETCH)
+            yield from mech.swap_array(set_id, address, priority=PRIORITY_FETCH)
             blobs: dict[str, bytes] = {}
             failed: dict[str, int] = {}  # image_id -> lost blob length
             parity_raw: Optional[bytes] = None

@@ -244,9 +244,7 @@ class MechanicalController:
             drive = drive_set.find_disc(disc_id)
             if drive is not None:
                 return drive, set_id, grant
-            if not drive_set.is_empty:
-                yield from self.mech.unload_array(set_id, priority=priority)
-            yield from self.mech.load_array(set_id, address, priority=priority)
+            yield from self.mech.swap_array(set_id, address, priority=priority)
             drive = drive_set.find_disc(disc_id)
             if drive is None:
                 raise MechanicsError(

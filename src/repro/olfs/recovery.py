@@ -218,9 +218,7 @@ class RecoveryManager:
         grant = yield from self.mc.acquire_set(set_id, PRIORITY_FETCH)
         try:
             drive_set = mech.drive_sets[set_id]
-            if not drive_set.is_empty:
-                yield from mech.unload_array(set_id, priority=PRIORITY_FETCH)
-            yield from mech.load_array(set_id, address, priority=PRIORITY_FETCH)
+            yield from mech.swap_array(set_id, address, priority=PRIORITY_FETCH)
             read = 0
             for drive in drive_set.drives:
                 if drive.disc is None or not drive.disc.tracks:
@@ -347,13 +345,7 @@ class RecoveryManager:
         grant = yield from self.mc.acquire_set(set_id, PRIORITY_FETCH)
         try:
             drive_set = mech.drive_sets[set_id]
-            if not drive_set.is_empty:
-                yield from mech.unload_array(
-                    set_id, priority=PRIORITY_FETCH
-                )
-            yield from mech.load_array(
-                set_id, address, priority=PRIORITY_FETCH
-            )
+            yield from mech.swap_array(set_id, address, priority=PRIORITY_FETCH)
             for drive in drive_set.drives:
                 disc = drive.disc
                 if disc is None or not disc.tracks:

@@ -28,15 +28,18 @@ Open-loop fleets arrive one of two ways (``FleetSpec.pooling``):
   That is what makes 10⁵–10⁶-client fleet campaigns
   (:mod:`repro.fleet.campaign`) cost O(arrivals), not O(clients).
 
+Both, and :mod:`repro.serve.xl`'s per-rack driver, run one arrival
+loop, :func:`arrive`, fed per client by a lazy scalar stream or per pool
+by :func:`epoch_draws`.
+
 Everything derives from one seed; ``run_serve`` is a pure function of
 its arguments and its report is byte-reproducible.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Callable, Generator, Iterator, Optional
 
 from repro import units
 from repro.errors import ROSError, SessionDisconnectedError
@@ -56,20 +59,38 @@ from repro.workloads.generator import (
 #: in-simulation payload cap (matches the workload generator's default)
 PAYLOAD_CAP = 64 * 1024
 
-#: ``pooling="auto"`` switches to one aggregate stream above this size
-AGGREGATE_POOL_THRESHOLD = 64
+#: arrivals batch-drawn per epoch by :func:`epoch_draws`
+EPOCH = 1024
 
 
-def _scalar_loadgen() -> bool:
-    """True when ``REPRO_SCALAR_LOADGEN=1`` forces the scalar reference path.
-
-    The vectorized aggregate pool batch-draws its arrival gaps and op-mix
-    rolls; because batch and sequential draws read the *same* numpy
-    stream, the scalar path consumes identical values and produces a
-    byte-identical report — this hatch exists so the equivalence stays
-    independently checkable (and bisectable) forever.
+def epoch_draws(
+    mean_gap: float, gap_rng: DeterministicRNG, *rngs: DeterministicRNG
+) -> Iterator[tuple]:
+    """Endless ``(gap, u1, …)`` draws: an exponential gap, then one
+    uniform per extra stream, batch-read ``EPOCH`` at a time on the
+    epoch's first pull.  A size-n numpy draw reads the same stream as n
+    scalar draws, so this equals drawing per arrival at O(epochs) cost.
     """
-    return os.environ.get("REPRO_SCALAR_LOADGEN", "") not in ("", "0")
+    while True:
+        yield from zip(
+            gap_rng.exponential_array(mean_gap, EPOCH).tolist(),
+            *(rng.uniform_array(EPOCH).tolist() for rng in rngs),
+        )
+
+
+def arrive(
+    engine, t_end: float, arrivals: Iterator[tuple], issue: Callable
+) -> Generator:
+    """The open-loop arrival loop: pull one ``(gap, *draws)`` (only after
+    the last ``issue`` returned), stop at the first arrival at or past
+    ``t_end``, else sleep ``gap`` and call ``issue(*draws)``.  Times
+    accumulate one ``Delay`` at a time (a cumsum would round differently).
+    """
+    for gap, *draws in arrivals:
+        if engine.now + gap >= t_end:
+            return
+        yield Delay(gap)
+        issue(*draws)
 
 
 @dataclass(frozen=True)
@@ -89,11 +110,10 @@ class FleetSpec:
     #: size profile for writes (see workloads.generator.SIZE_PROFILES)
     profile: str = "mixed"
     max_file_bytes: int = 8 * units.MB
-    #: open-loop arrival pooling: "auto" picks "sessions" (one session,
-    #: RNG stream and process per client) for small fleets and
-    #: "aggregate" (one superposed Poisson stream, one pooled session)
-    #: above :data:`AGGREGATE_POOL_THRESHOLD` clients
-    pooling: str = "auto"
+    #: open-loop arrival pooling: "sessions" (one session, RNG stream and
+    #: process per client) or "aggregate" (one superposed Poisson stream,
+    #: one pooled session)
+    pooling: str = "sessions"
 
     def __post_init__(self):
         if self.mode not in ("closed", "open"):
@@ -104,17 +124,8 @@ class FleetSpec:
             raise ValueError("read_fraction must be in [0, 1]")
         if self.profile not in SIZE_PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
-        if self.pooling not in ("auto", "sessions", "aggregate"):
+        if self.pooling not in ("sessions", "aggregate"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
-
-    def resolved_pooling(self) -> str:
-        if self.pooling == "auto":
-            return (
-                "aggregate"
-                if self.clients > AGGREGATE_POOL_THRESHOLD
-                else "sessions"
-            )
-        return self.pooling
 
 
 def default_fleets() -> list[FleetSpec]:
@@ -252,23 +263,15 @@ class ClientPool:
     pool.  Per-pool outcome counts and latency histograms land in the
     same per-tenant metrics as every other path.
 
-    Arrivals are *vectorized*: inter-arrival gaps and op-kind rolls are
-    batch-drawn ``EPOCH`` at a time from dedicated sub-streams
-    (``pool-<tenant>`` → ``gaps`` / ``rolls`` / ``ops``), so a
-    million-arrival fleet pays O(epochs) of RNG dispatch instead of two
-    Python RNG calls per event.  Arrival *times* are still accumulated by
-    the engine one ``Delay`` at a time (cumsum would round differently),
-    and a batch's unused tail is simply discarded at the horizon.
-    ``REPRO_SCALAR_LOADGEN=1`` switches to a draw-per-event reference
-    loop over the same sub-streams; reports are byte-identical either
-    way (hypothesis-pinned).
+    Inter-arrival gaps and op-kind rolls come from :func:`epoch_draws`
+    over dedicated sub-streams (``pool-<tenant>`` → ``gaps`` / ``rolls``
+    / ``ops``), so a million-arrival fleet pays O(epochs) of RNG dispatch
+    instead of two Python RNG calls per event; an epoch's unused tail is
+    simply discarded at the horizon.
     """
 
     #: prune completed op processes once the in-flight list hits this
     PRUNE_AT = 512
-
-    #: arrivals batch-drawn per epoch in the vectorized loop
-    EPOCH = 1024
 
     def __init__(
         self,
@@ -315,31 +318,10 @@ class ClientPool:
             self._spawned = [p for p in self._spawned if not p.done]
 
     def run(self) -> Generator:
-        mean_gap = 1.0 / self.fleet.arrival_rate
-        engine = self.engine
-        t_end = self.t_end
-        if _scalar_loadgen():
-            # Reference path: one scalar draw per event off the same
-            # sub-streams the vectorized loop batch-reads.
-            while True:
-                gap = self._gap_rng.exponential(mean_gap)
-                if engine.now + gap >= t_end:
-                    break
-                yield Delay(gap)
-                self._spawn_roll(self._roll_rng.uniform())
-        else:
-            epoch = self.EPOCH
-            exhausted = False
-            while not exhausted:
-                gaps = self._gap_rng.exponential_array(mean_gap, epoch)
-                rolls = self._roll_rng.uniform_array(epoch)
-                for index in range(epoch):
-                    gap = float(gaps[index])
-                    if engine.now + gap >= t_end:
-                        exhausted = True
-                        break
-                    yield Delay(gap)
-                    self._spawn_roll(float(rolls[index]))
+        arrivals = epoch_draws(
+            1.0 / self.fleet.arrival_rate, self._gap_rng, self._roll_rng
+        )
+        yield from arrive(self.engine, self.t_end, arrivals, self._spawn_roll)
         pending = [process for process in self._spawned if not process.done]
         if pending:
             yield AllOf(pending)
@@ -510,11 +492,13 @@ def run_serve(
         rate = fleet.arrival_rate / fleet.clients
         counter = [0]
         spawned = []
-        while not session.disconnected:
-            gap = client_rng.exponential(1.0 / rate)
-            if engine.now + gap >= t_end:
-                break
-            yield Delay(gap)
+
+        def gaps() -> Iterator[tuple]:
+            # Scalar and lazy: gap and op draws interleave on client_rng.
+            while not session.disconnected:
+                yield (client_rng.exponential(1.0 / rate),)
+
+        def issue() -> None:
             op = _next_op(
                 fleet, client_rng, catalog, session.session_id, counter
             )
@@ -522,6 +506,8 @@ def run_serve(
                 _one_shot(session, op, catalog),
                 f"op-{session.session_id}-{counter[0]}",
             ))
+
+        yield from arrive(engine, t_end, gaps(), issue)
         pending = [process for process in spawned if not process.done]
         if pending:
             yield AllOf(pending)
@@ -529,7 +515,7 @@ def run_serve(
     def main() -> Generator:
         procs = []
         for index, fleet in enumerate(fleets):
-            if fleet.mode == "open" and fleet.resolved_pooling() == "aggregate":
+            if fleet.mode == "open" and fleet.pooling == "aggregate":
                 pool = ClientPool(
                     engine, fleet, rng, link, admission, rack.pi,
                     metrics, catalogs[index], t_end,

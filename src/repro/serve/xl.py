@@ -24,11 +24,12 @@ sums and float addition is order-sensitive, so groups must not
 interleave writes into shared instruments.  Each group owns a registry
 and the report merges them in fixed group order.
 
-Load is vectorized end to end: arrival gaps, op-mix rolls, locality
-rolls and catalog picks are batch-drawn per epoch from dedicated child
-streams (the same scalar↔batch stream equivalence the serve-layer
-:class:`~repro.serve.loadgen.ClientPool` leans on), so a campaign of
-tens of thousands of arrivals pays O(epochs) of RNG dispatch.
+Each rack's load driver is the serve layer's one arrival loop,
+:func:`~repro.serve.loadgen.arrive`, fed by
+:func:`~repro.serve.loadgen.epoch_draws`: arrival gaps, op-mix rolls,
+locality rolls and catalog picks are batch-read per epoch from dedicated
+child streams, so a campaign of tens of thousands of arrivals pays
+O(epochs) of RNG dispatch.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from typing import Generator
 from repro import units
 from repro.errors import ROSError
 from repro.fleet.rack import ShardRack
-from repro.fleet.store import home_rack, shard_layout
+from repro.fleet.store import home_rack
 from repro.report import (  # noqa: F401  (report_to_json re-exported)
     latency_percentiles,
     report_to_json,
 )
+from repro.serve import loadgen
 from repro.serve.session import LATENCY_BOUNDS
 from repro.sim.engine import Delay
 from repro.sim.rng import DeterministicRNG
@@ -56,8 +58,12 @@ LOOKAHEAD_S = 0.02
 #: in-simulation shard payload (wire sizes are the logical truth)
 PAYLOAD = b"\xA5" * 4096
 
-#: vectorized draw batch per load driver
-EPOCH = 1024
+#: fraction of ops that are writes
+WRITE_FRACTION = 0.2
+
+#: probability a client touches an object homed on its own rack rather
+#: than a uniformly random one
+LOCALITY = 0.85
 
 
 class _RackNode:
@@ -88,10 +94,7 @@ def run_serve_xl(
     duration_s: float = 100.0,
     arrival_rate: float = 40.0,
     objects_per_rack: int = 64,
-    write_fraction: float = 0.2,
-    locality: float = 0.85,
     fault_rate: float = 0.25,
-    lookahead_s: float = LOOKAHEAD_S,
 ) -> dict:
     """One XL serving campaign; returns the deterministic report dict.
 
@@ -99,12 +102,10 @@ def run_serve_xl(
     ``racks * arrival_rate * duration_s = 32,000`` ops — roughly 13x the
     ``repro serve`` scenario's volume.  ``shards`` picks the event-loop
     layout and **must not** change the report (pinned by tests and the
-    chaos-replay gate); ``locality`` is the probability a client touches
-    an object homed on its own rack rather than a uniformly random one.
+    chaos-replay gate).
     """
     groups = [f"rack{i:02d}" for i in range(int(racks))]
-    sharded = ShardedEngine(groups, shards=shards, lookahead=lookahead_s)
-    layout = shard_layout(groups, shards)
+    sharded = ShardedEngine(groups, shards=shards, lookahead=LOOKAHEAD_S)
     nodes = {group: _RackNode(sharded, group) for group in groups}
     root = DeterministicRNG(seed).child("serve-xl")
 
@@ -173,35 +174,30 @@ def run_serve_xl(
             node.bytes.inc(wire)
 
     def driver(node: _RackNode) -> Generator:
-        engine = node.engine
-        mean_gap = 1.0 / arrival_rate
-        gap_rng = root.child(f"gaps-{node.group}")
-        roll_rng = root.child(f"rolls-{node.group}")
-        loc_rng = root.child(f"locality-{node.group}")
-        pick_rng = root.child(f"picks-{node.group}")
-        mine = local_paths[node.group]
+        group = node.group
+        mine = local_paths[group]
         count = 0
-        done = False
-        while not done:
-            gaps = gap_rng.exponential_array(mean_gap, EPOCH)
-            rolls = roll_rng.uniform_array(EPOCH)
-            locs = loc_rng.uniform_array(EPOCH)
-            picks = pick_rng.uniform_array(EPOCH)
-            for index in range(EPOCH):
-                gap = float(gaps[index])
-                if engine.now + gap >= duration_s:
-                    done = True
-                    break
-                yield Delay(gap)
-                pool = mine if (mine and float(locs[index]) < locality) \
-                    else catalog
-                path, home, wire = pool[int(float(picks[index]) * len(pool))]
-                write = float(rolls[index]) < write_fraction
-                count += 1
-                engine.spawn(
-                    one_op(node, path, home, wire, write),
-                    f"xl-op-{node.group}-{count}",
-                )
+
+        def issue(roll: float, loc: float, pick: float) -> None:
+            nonlocal count
+            pool = mine if (mine and loc < LOCALITY) else catalog
+            path, home, wire = pool[int(pick * len(pool))]
+            count += 1
+            node.engine.spawn(
+                one_op(node, path, home, wire, roll < WRITE_FRACTION),
+                f"xl-op-{group}-{count}",
+            )
+
+        # ``loadgen.epoch_draws``, looked up at call time, so a test that
+        # substitutes the scalar reference covers this campaign too.
+        arrivals = loadgen.epoch_draws(
+            1.0 / arrival_rate,
+            root.child(f"gaps-{group}"),
+            root.child(f"rolls-{group}"),
+            root.child(f"locality-{group}"),
+            root.child(f"picks-{group}"),
+        )
+        return loadgen.arrive(node.engine, duration_s, arrivals, issue)
 
     for group in groups:
         sharded.spawn(group, driver(nodes[group]), name=f"xl-load-{group}")
@@ -244,7 +240,7 @@ def run_serve_xl(
         },
         "duration_s": round(duration_s, 6),
         "final_time": round(sharded.now, 9),
-        "lookahead_s": lookahead_s,
+        "lookahead_s": LOOKAHEAD_S,
         "objects": len(catalog),
         # layout-invariant: every seq draw is action-driven, and actions
         # are identical for any group->shard pinning
@@ -252,7 +248,4 @@ def run_serve_xl(
     }
     # NOT in the report: the shard count.  The whole point is that the
     # report bytes do not depend on it.
-    assert layout == {
-        g: sharded.shard_of(g) for g in groups
-    }, "routing table disagrees with engine pinning"
     return report

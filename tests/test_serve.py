@@ -627,14 +627,9 @@ def _bucket_index(value):
     return len(LATENCY_BOUNDS)
 
 
-def test_pooling_auto_threshold():
-    from repro.serve.loadgen import AGGREGATE_POOL_THRESHOLD
-
-    at = _open_fleet(AGGREGATE_POOL_THRESHOLD, "auto")[0]
-    above = _open_fleet(AGGREGATE_POOL_THRESHOLD + 1, "auto")[0]
-    assert at.resolved_pooling() == "sessions"
-    assert above.resolved_pooling() == "aggregate"
-    for retired_or_unknown in ("legacy", "merged"):
+def test_pooling_rejects_retired_and_unknown_modes():
+    assert FleetSpec(tenant=TenantSpec("iot")).pooling == "sessions"
+    for retired_or_unknown in ("auto", "legacy", "merged"):
         with pytest.raises(ValueError):
             _open_fleet(2, retired_or_unknown)
 
