@@ -43,7 +43,7 @@ def main() -> None:
             ingested[spec.path] = spec.payload
     print(f"  {len(ingested)} files ingested; "
           f"open buckets: {len(ros.wbm.open_buckets())}, "
-          f"images pending burn: {len(ros.dim.unburned_data_images())}")
+          f"images waiting for a burn: {len(ros.dim.ready)}")
 
     print("\n== phase 2: burn to optical (background) ==")
     ros.flush()

@@ -249,7 +249,8 @@ class DriveSet:
             table = curve.burn_table(
                 size, drive.disc.used_bytes / drive.disc.capacity
             )
-            peak_demand += max((row[0] for row in table), default=0.0)
+            # Rows are tuples led by their rate: the largest row's rate.
+            peak_demand += max(table, default=(0.0,))[0]
             jobs.append((index, drive, image, curve))
         throttle = self.throttle if peak_demand > self.throttle.cap else None
 

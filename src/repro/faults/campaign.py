@@ -222,7 +222,7 @@ def repair_rack(ros, label: str) -> None:
         ros.run(ros.mech.channel.send(Calibrate(index)), f"{label}-calibrate")
     ros.run(ros.mech.reset_after_fault(), f"{label}-mech-reset")
     # Failed burn tasks keep their tray claims; release and retry them.
-    ros.btm._claimed.clear()
+    ros.btm.release_claims()
     try:
         ros.flush(wait=False)
     except ROSError:

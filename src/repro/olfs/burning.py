@@ -44,7 +44,6 @@ class BurnTask:
         self.controller = controller
         self.engine = controller.engine
         self.data_records = data_records
-        self.parity_images: list[DiscImage] = []
         self.done_event = self.engine.event(f"burn-{self.task_id}-done")
         self.interrupt_requested = False
         self.interruptions = 0
@@ -85,14 +84,15 @@ class BurnTask:
             # A sealed image is immutable (its volume is closed), so the
             # bytes parity is computed over are the bytes that get burned.
             data_blobs = [image.serialize() for image in data_images]
+            parity_images: list[DiscImage] = []
             if config.parity_discs_per_array > 0:
                 with self.engine.trace.span("btm.parity", "btm"):
-                    self.parity_images = yield from dim.generate_parity(
+                    parity_images = yield from dim.generate_parity(
                         data_images, data_blobs
                     )
-            all_images = data_images + self.parity_images
+            all_images = data_images + parity_images
             blobs = data_blobs + [
-                image.serialize() for image in self.parity_images
+                image.serialize() for image in parity_images
             ]
             payloads = [
                 (blob, image.logical_size, image.image_id)
@@ -261,13 +261,14 @@ class BurnTask:
                     all_done = False
             if all_done:
                 roller_index, address = self.tray
-                disc_ids = []
-                for drive, image in zip(drive_set.drives, all_images):
+                for drive, (blob, _, image_id) in zip(
+                    drive_set.drives, payloads
+                ):
                     if drive.disc is not None:
-                        disc_ids.append(drive.disc.disc_id)
                         dim.mark_burned(
-                            image.image_id,
+                            image_id,
                             drive.disc.disc_id,
+                            blob,
                             (roller_index, address),
                         )
                 mc.set_state(roller_index, address, ArrayState.USED)
@@ -339,48 +340,38 @@ class BurnController:
         self.completed_tasks: list[BurnTask] = []
         self.failed_tasks: list[tuple[BurnTask, Exception]] = []
         self.interrupted_tasks: list[BurnTask] = []
-        #: images already claimed by a scheduled task
-        self._claimed: set[str] = set()
 
     # ------------------------------------------------------------------
     def maybe_schedule(self) -> Optional[BurnTask]:
         """Start a burn when a full array of data images is ready (§4.7)."""
-        if not self.config.auto_burn:
+        width = self.config.data_discs_per_array
+        if not self.config.auto_burn or len(self.dim.ready) < width:
             return None
-        ready = [
-            record
-            for record in self.dim.unburned_data_images()
-            if record.image_id not in self._claimed
-        ]
-        if len(ready) < self.config.data_discs_per_array:
-            return None
-        batch = ready[: self.config.data_discs_per_array]
-        return self.schedule(batch)
+        return self.schedule(self.dim.ready[:width])
 
     def schedule(self, records: list[ImageRecord]) -> BurnTask:
         if not records:
             raise ROSError("cannot schedule an empty burn")
         task = BurnTask(self, records)
-        for record in records:
-            self._claimed.add(record.image_id)
+        self.dim.claim(records)
         self.active_tasks.append(task)
         self.engine.spawn(task.run(), name=f"burn-task-{task.task_id}")
         return task
 
     def flush_pending(self) -> list[BurnTask]:
         """Burn whatever unburned images exist, even a partial array."""
-        ready = [
-            record
-            for record in self.dim.unburned_data_images()
-            if record.image_id not in self._claimed
-        ]
+        width = self.config.data_discs_per_array
         tasks = []
-        while len(ready) >= self.config.data_discs_per_array:
-            tasks.append(self.schedule(ready[: self.config.data_discs_per_array]))
-            ready = ready[self.config.data_discs_per_array :]
-        if ready and self.config.allow_partial_arrays:
-            tasks.append(self.schedule(ready))
+        while len(self.dim.ready) >= width:
+            tasks.append(self.schedule(self.dim.ready[:width]))
+        if self.dim.ready and self.config.allow_partial_arrays:
+            tasks.append(self.schedule(self.dim.ready[:]))
         return tasks
+
+    def release_claims(self) -> list[ImageRecord]:
+        """Forget every claim, failed tasks' too, so what they left on the
+        buffer burns again; returns those images, in DILindex order."""
+        return self.dim.release_claims()
 
     # ------------------------------------------------------------------
     # Task callbacks
@@ -432,5 +423,5 @@ class BurnController:
             "completed": len(self.completed_tasks),
             "failed": len(self.failed_tasks),
             "interrupted_parked": len(self.interrupted_tasks),
-            "claimed_images": len(self._claimed),
+            "claimed_images": len(self.dim.claimed),
         }

@@ -4,8 +4,10 @@ Tracks every disc image's life cycle::
 
     open bucket -> buffered (closed, on the disk buffer, unburned)
                 -> burned   (on a disc; content may stay cached)
+                -> lost     (unrecoverable, or superseded by a rewrite)
 
-and maintains the DILindex — image ID to physical location (§4.1).  Parity
+and maintains the DILindex — image ID to physical location (§4.1) — and
+the ready queue burn tasks are formed from (unclaimed buffered data).  Parity
 images are generated *delayed*: only once a full array of data images is
 ready, by streaming all data images off the buffer and writing the parity
 image back (the four-stream interference scenario of §4.7; reads/writes
@@ -14,9 +16,11 @@ are charged to the volumes the I/O scheduler assigns).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Generator, Optional
 
 import numpy as np
@@ -30,6 +34,7 @@ from repro.udf.image import DiscImage
 BUFFERED = "buffered"
 BURNED = "burned"
 IN_BUCKET = "in-bucket"
+LOST = "lost"
 
 
 @dataclass
@@ -49,6 +54,11 @@ class ImageRecord:
     #: sha256 of the serialized image as burned — the stored checksum the
     #: background scrubber verifies disc sectors against (§4.7)
     checksum: Optional[str] = None
+    #: position in the DILindex: the order records were created in
+    rank: int = field(default=-1, compare=False, repr=False)
+
+
+_rank = attrgetter("rank")
 
 
 class DiscImageManager:
@@ -64,26 +74,51 @@ class DiscImageManager:
         self.config = config
         self.scheduler = scheduler
         self.records: dict[str, ImageRecord] = {}
+        #: ids a burn task has claimed since claims were last released
+        self.claimed: set[str] = set()
+        #: buffered data images not claimed, in DILindex order (read-only)
+        self.ready: list[ImageRecord] = []
         self._parity_counter = itertools.count(1)
         self.parity_images_generated = 0
+
+    def _add(self, record: ImageRecord) -> ImageRecord:
+        """Enter a new image's record at the end of the DILindex."""
+        record.rank = len(self.records)
+        self.records[record.image_id] = record
+        self._place(record)
+        return record
+
+    def _place(self, record: ImageRecord) -> None:
+        """Queue ``record`` exactly while it is buffered, unclaimed data."""
+        ready = self.ready
+        at = bisect.bisect_left(ready, record.rank, key=_rank)
+        queued = at < len(ready) and ready[at] is record
+        if (
+            record.kind == "data"
+            and record.state == BUFFERED
+            and record.image_id not in self.claimed
+        ):
+            if not queued:
+                ready.insert(at, record)
+        elif queued:
+            del ready[at]
 
     # ------------------------------------------------------------------
     # Life-cycle transitions
     # ------------------------------------------------------------------
     def register_open_bucket(self, image_id: str) -> ImageRecord:
-        record = ImageRecord(image_id, kind="data", state=IN_BUCKET)
-        self.records[image_id] = record
-        return record
+        return self._add(ImageRecord(image_id, kind="data", state=IN_BUCKET))
 
     def bucket_closed(self, image: DiscImage) -> ImageRecord:
         """A bucket became an image: pin it on the buffer until burned."""
         record = self.records.get(image.image_id)
         if record is None:
             record = ImageRecord(image.image_id, kind=image.kind, state=BUFFERED)
-            self.records[image.image_id] = record
+            self._add(record)
         record.state = BUFFERED
         record.image = image
         record.logical_size = image.logical_size
+        self._place(record)
         volume = self.scheduler.volume_for(StreamKind.USER_WRITE)
         volume.allocate(image.logical_size)
         return record
@@ -96,30 +131,53 @@ class DiscImageManager:
             image=image,
             logical_size=image.logical_size,
         )
-        self.records[image.image_id] = record
+        self._add(record)
         # Buffer-space accounting is kept on the USER_WRITE volume for
         # every buffered image, wherever its stream was charged.
         volume = self.scheduler.volume_for(StreamKind.USER_WRITE)
         volume.allocate(image.logical_size)
         return record
 
+    def claim(self, records: list[ImageRecord]) -> None:
+        """A burn task took these images: they leave the ready queue."""
+        for record in records:
+            self.claimed.add(record.image_id)
+            self._place(record)
+
+    def release_claims(self) -> list[ImageRecord]:
+        """Forget every claim; returns the released images that are still
+        buffered (back in the ready queue), in DILindex order."""
+        released, self.claimed = self.claimed, set()
+        for image_id in released:
+            self._place(self.records[image_id])
+        return [record for record in self.ready if record.image_id in released]
+
     def mark_burned(
         self,
         image_id: str,
         disc_id: str,
+        blob: bytes,
         array_address: Optional[tuple] = None,
     ) -> None:
+        """``blob`` is the serialized image exactly as burned."""
         record = self.records[image_id]
         record.state = BURNED
         record.disc_id = disc_id
         record.array_address = array_address
-        # The burned bytes are the serialized image; fingerprint them so
-        # scrubs can verify track payloads end-to-end (content integrity,
-        # not just readable-sector bookkeeping).
+        self._place(record)
+        # Fingerprint the burned bytes so scrubs can verify track payloads
+        # end-to-end (content integrity, not just readable-sector
+        # bookkeeping).
         if record.checksum is None and record.image is not None:
-            record.checksum = hashlib.sha256(
-                record.image.serialize()
-            ).hexdigest()
+            record.checksum = hashlib.sha256(blob).hexdigest()
+
+    def mark_lost(self, image_id: str) -> None:
+        """Superseded or unrecoverable: the image's content is gone."""
+        record = self.records.get(image_id)
+        if record is not None:
+            record.state = LOST
+            record.image = None
+            self._place(record)
 
     def evict_content(self, image_id: str) -> None:
         """Drop a burned image's bytes from the disk buffer."""
@@ -154,13 +212,6 @@ class DiscImageManager:
     def get_buffered(self, image_id: str) -> Optional[DiscImage]:
         record = self.records.get(image_id)
         return record.image if record else None
-
-    def unburned_data_images(self) -> list[ImageRecord]:
-        return [
-            record
-            for record in self.records.values()
-            if record.kind == "data" and record.state == BUFFERED
-        ]
 
     def burned_images(self) -> list[ImageRecord]:
         return [r for r in self.records.values() if r.state == BURNED]

@@ -24,6 +24,9 @@ TYPICAL_INDEX_FILE_BYTES = 388
 LOCATION_INFO_BYTES = 128
 VERSION_ENTRY_BYTES = 40
 
+#: where :meth:`IndexFile.serialize` splices the base64 forepart in
+_FOREPART = '"forepart": "'
+
 
 @dataclass
 class VersionEntry:
@@ -32,6 +35,9 @@ class VersionEntry:
     ``locations`` is a list of image IDs; normally one, two or more when
     the file straddled bucket boundaries (§4.5) — position ``i`` holds
     subfile ``i``.  ``subfile_sizes`` aligns with it.
+
+    An entry is replaced, never edited in place: the MV's parsed index
+    files share their entries with the copies lookups hand out.
     """
 
     version: int
@@ -107,18 +113,32 @@ class IndexFile:
     def versions(self) -> list[int]:
         return [entry.version for entry in self.entries]
 
+    def copy(self) -> "IndexFile":
+        """A twin safe to edit: its own entries list, the same forepart."""
+        twin = IndexFile(self.path, self.max_versions)
+        twin.entries = list(self.entries)
+        twin.forepart = self.forepart
+        return twin
+
     # ------------------------------------------------------------------
     # Serialization (JSON, §4.2)
     # ------------------------------------------------------------------
     def serialize(self) -> bytes:
+        """The record's ``json.dumps(..., sort_keys=True)``, byte for byte,
+        with the base64 forepart spliced in, not scanned by the encoder:
+        sorted, only ``"entries"`` (no bare ``"`` in its escaped strings)
+        precedes ``"forepart"``, and base64 text needs no escaping."""
         record = {
             "path": self.path,
             "max_versions": self.max_versions,
             "entries": [entry.to_json() for entry in self.entries],
         }
-        if self.forepart is not None:
-            record["forepart"] = base64.b64encode(self.forepart).decode()
-        return json.dumps(record, sort_keys=True).encode()
+        if self.forepart is None:
+            return json.dumps(record, sort_keys=True).encode()
+        record["forepart"] = ""
+        head, tail = json.dumps(record, sort_keys=True).split(_FOREPART, 1)
+        head = f"{head}{_FOREPART}".encode()
+        return b"".join((head, base64.b64encode(self.forepart), tail.encode()))
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "IndexFile":

@@ -10,6 +10,7 @@ free disc arrays." (§4.7)
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Generator, Optional
@@ -187,10 +188,7 @@ class MaintenanceInterface:
                 # record the casualties.
                 report["lost"].extend(sorted(failed_data))
                 for image_id in failed_data:
-                    record = self.dim.records.get(image_id)
-                    if record is not None:
-                        record.state = "lost"
-                        record.image = None
+                    self.dim.mark_lost(image_id)
                 for image_id, blob in blobs.items():
                     restored = DiscImage.deserialize(blob)
                     yield from self._rewrite_image(image_id, restored)
@@ -232,10 +230,7 @@ class MaintenanceInterface:
         """
         self.mc.set_state(roller, address, ArrayState.FAILED)
         for label in parity_labels:
-            record = self.dim.records.get(label.split(".")[0])
-            if record is not None:
-                record.state = "lost"
-                record.image = None
+            self.dim.mark_lost(label.split(".")[0])
 
     def _rewrite_image(
         self, lost_image_id: str, restored: DiscImage
@@ -262,32 +257,28 @@ class MaintenanceInterface:
         for path in self.mv.all_index_paths():
             index = self.mv.peek_index(path)
             changed = False
-            for version in index.entries:
+            for ring_slot, version in enumerate(index.entries):
                 if lost_image_id not in version.locations:
                     continue
                 if path not in new_locations:
                     continue
                 ids, sizes = new_locations[path]
                 slot = version.locations.index(lost_image_id)
-                version.locations = (
-                    version.locations[:slot]
+                index.entries[ring_slot] = dataclasses.replace(
+                    version,
+                    locations=version.locations[:slot]
                     + ids
-                    + version.locations[slot + 1 :]
-                )
-                version.subfile_sizes = (
-                    version.subfile_sizes[:slot]
+                    + version.locations[slot + 1 :],
+                    subfile_sizes=version.subfile_sizes[:slot]
                     + sizes
-                    + version.subfile_sizes[slot + 1 :]
+                    + version.subfile_sizes[slot + 1 :],
                 )
                 changed = True
             if changed:
                 yield from self.mv.write_index(path, index, self.engine.now)
         # The lost image is superseded: its data lives on in the new
         # buckets (which will burn to a fresh array); mark it dead.
-        record = self.dim.records.get(lost_image_id)
-        if record is not None:
-            record.state = "lost"
-            record.image = None
+        self.dim.mark_lost(lost_image_id)
 
     # ------------------------------------------------------------------
     def wear_report(self) -> dict:

@@ -42,11 +42,20 @@ class _Dir:
 
 
 class _IndexBlob:
-    __slots__ = ("blob", "mtime")
+    """A stored index file.  ``blob`` is the truth; ``parsed`` derives from
+    it (the writer's copy, or parsed on first read) and never leaves."""
 
-    def __init__(self, blob: bytes, mtime: float = 0.0):
+    __slots__ = ("blob", "mtime", "parsed")
+
+    def __init__(self, blob: bytes, mtime: float = 0.0, parsed=None):
         self.blob = blob
         self.mtime = mtime
+        self.parsed = parsed
+
+    def index(self) -> IndexFile:
+        if self.parsed is None:
+            self.parsed = IndexFile.deserialize(self.blob)
+        return self.parsed.copy()
 
 
 class MetadataVolume:
@@ -117,12 +126,12 @@ class MetadataVolume:
             return False
 
     def lookup_index(self, path: str) -> Generator:
-        """Read and parse an index file (timed); raises if absent."""
+        """Timed read of an index file (a private copy); raises if absent."""
         node = self._find(path)  # untimed check first: miss costs too
         if isinstance(node, _Dir):
             raise FileNotFoundOLFSError(f"{path!r} is a directory in MV")
         yield from self._charge_lookup(len(node.blob))
-        return IndexFile.deserialize(node.blob)
+        return node.index()
 
     def write_index(
         self, path: str, index: IndexFile, mtime: float = 0.0
@@ -136,7 +145,7 @@ class MetadataVolume:
         existing = parent.children.get(parts[-1])
         if isinstance(existing, _Dir):
             raise FileExistsOLFSError(f"{path!r} is a directory in MV")
-        parent.children[parts[-1]] = _IndexBlob(blob, mtime)
+        parent.children[parts[-1]] = _IndexBlob(blob, mtime, index.copy())
         self._dirty.add(path)
         self._deleted.discard(path)
         yield from self._charge_update(len(blob))
@@ -209,7 +218,7 @@ class MetadataVolume:
         node = self._find(path)
         if isinstance(node, _Dir):
             raise FileNotFoundOLFSError(f"{path!r} is a directory in MV")
-        return IndexFile.deserialize(node.blob)
+        return node.index()
 
     def used_bytes(self) -> int:
         """MV footprint with 1 KB blocks + 128 B inodes (§4.2 sizing)."""

@@ -131,7 +131,7 @@ def test_calibration_recovers_plc_fault():
     assert ros.btm.failed_tasks
     # Administrator recalibrates; data is still on the buffer, re-burn.
     ros.run(ros.mech.channel.send(Calibrate(0)))
-    ros.btm._claimed.clear()
+    assert ros.btm.release_claims()
     tasks = ros.btm.flush_pending()
     ros.drain_background()
     assert any(t.state == "done" for t in ros.btm.completed_tasks)

@@ -1,6 +1,12 @@
 """Direct tests for the Metadata Volume (§4.2)."""
 
+import base64
+import json
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.errors import (
@@ -140,3 +146,189 @@ def test_all_index_paths_sorted_depth_first(mv):
     for path in ("/b/2", "/a/1", "/a/0", "/c"):
         engine.run_process(volume.write_index(path, make_index(path)))
     assert volume.all_index_paths() == ["/a/0", "/a/1", "/b/2", "/c"]
+
+
+# ----------------------------------------------------------------------
+# Index encoding: one splice instead of the encoder scanning the forepart
+# ----------------------------------------------------------------------
+def reference_serialize(index):
+    """The encoding every stored index file has: the whole record through
+    ``json.dumps(..., sort_keys=True)``."""
+    record = {
+        "path": index.path,
+        "max_versions": index.max_versions,
+        "entries": [entry.to_json() for entry in index.entries],
+    }
+    if index.forepart is not None:
+        record["forepart"] = base64.b64encode(index.forepart).decode()
+    return json.dumps(record, sort_keys=True).encode()
+
+
+awkward_text = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", " ", "/"]),
+        st.characters(blacklist_categories=()),
+    ),
+    max_size=24,
+)
+
+version_entries = st.builds(
+    lambda version, size, mtime, parts: VersionEntry(
+        version=version,
+        size=size,
+        mtime=mtime,
+        locations=[name for name, _ in parts],
+        subfile_sizes=[part for _, part in parts],
+    ),
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=0, max_value=2**40),
+    st.floats(allow_nan=False),
+    st.lists(
+        st.tuples(awkward_text, st.integers(min_value=0, max_value=2**31)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+foreparts = st.one_of(
+    st.none(),
+    st.just(b""),
+    st.binary(max_size=64),
+    st.builds(
+        lambda seed, size: random.Random(seed).randbytes(size),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=256 * 1024),
+    ),
+)
+
+
+def index_of(path, max_versions, entries, forepart):
+    index = IndexFile(path, max_versions)
+    index.entries = list(entries)
+    index.forepart = forepart
+    return index
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    path=awkward_text,
+    max_versions=st.integers(min_value=1, max_value=20),
+    entries=st.lists(version_entries, max_size=15),
+    forepart=foreparts,
+)
+def test_serialize_is_byte_equal_to_json_dumps(
+    path, max_versions, entries, forepart
+):
+    index = index_of(path, max_versions, entries, forepart)
+    blob = index.serialize()
+    assert blob == reference_serialize(index)
+    back = IndexFile.deserialize(blob)
+    assert (back.path, back.max_versions, back.entries, back.forepart) == (
+        path, max_versions, entries, forepart,
+    )
+
+
+# ----------------------------------------------------------------------
+# The parsed form is derived state: copies out, copies in
+# ----------------------------------------------------------------------
+def charged(volume):
+    """Record the byte count of every MV volume read and write."""
+    log = []
+    for name in ("read", "write"):
+        original = getattr(volume.volume, name)
+
+        def spy(nbytes, _original=original, _name=name):
+            log.append((_name, nbytes))
+            return _original(nbytes)
+
+        setattr(volume.volume, name, spy)
+    return log
+
+
+def fields(index):
+    return (index.path, index.max_versions, list(index.entries),
+            index.forepart)
+
+
+def test_lookups_hand_out_copies(mv):
+    engine, volume = mv
+    stored = make_index("/iso/f")
+    stored.forepart = b"head"
+    engine.run_process(volume.write_index("/iso/f", stored))
+    blob = stored.serialize()
+    first = engine.run_process(volume.lookup_index("/iso/f"))
+    first.add_version(
+        VersionEntry(version=2, size=1, mtime=1.0, locations=["img-2"])
+    )
+    first.entries[0] = VersionEntry(
+        version=9, size=9, mtime=9.0, locations=["img-9"]
+    )
+    first.forepart = b"other"
+    again = engine.run_process(volume.lookup_index("/iso/f"))
+    assert again.serialize() == blob
+    peeked = volume.peek_index("/iso/f")
+    peeked.entries.clear()
+    assert volume.peek_index("/iso/f").serialize() == blob
+
+
+def test_writer_edits_after_write_index_do_not_leak(mv):
+    engine, volume = mv
+    index = make_index("/iso/g")
+    engine.run_process(volume.write_index("/iso/g", index))
+    blob = index.serialize()
+    index.add_version(
+        VersionEntry(version=2, size=1, mtime=1.0, locations=["img-2"])
+    )
+    index.entries[0] = VersionEntry(
+        version=7, size=7, mtime=7.0, locations=["img-7"]
+    )
+    index.forepart = b"late"
+    assert engine.run_process(volume.lookup_index("/iso/g")).serialize() \
+        == blob
+
+
+def test_loaded_trees_are_parsed_from_their_blobs(mv):
+    engine, volume = mv
+    for path in ("/s/a", "/s/b"):
+        index = make_index(path)
+        index.forepart = path.encode() * 100
+        engine.run_process(volume.write_index(path, index))
+    snapshot = volume.serialize_snapshot()
+    volume.clear_change_tracking()
+    changed = make_index("/s/b", image="img-2")
+    engine.run_process(volume.write_index("/s/b", changed))
+    engine.run_process(volume.write_index("/s/c", make_index("/s/c")))
+    engine.run_process(volume.remove_index("/s/a"))
+    delta = volume.collect_delta()
+
+    volume.load_snapshot(snapshot)
+    for path in ("/s/a", "/s/b"):
+        blob = volume._find(path).blob
+        expected = fields(IndexFile.deserialize(blob))
+        assert fields(volume.peek_index(path)) == expected
+        assert fields(engine.run_process(volume.lookup_index(path))) \
+            == expected
+    volume.apply_delta(delta)
+    assert volume.all_index_paths() == ["/s/b", "/s/c"]
+    for path in ("/s/b", "/s/c"):
+        blob = volume._find(path).blob
+        assert fields(volume.peek_index(path)) \
+            == fields(IndexFile.deserialize(blob))
+    assert volume.peek_index("/s/b").current.locations == ["img-2"]
+
+
+def test_charges_carry_the_encoded_size(mv):
+    engine, volume = mv
+    small = make_index("/c/small")
+    large = make_index("/c/large")
+    large.forepart = bytes(range(256)) * 1024
+    log = charged(volume)
+    for index in (small, large):
+        engine.run_process(volume.write_index(index.path, index))
+        engine.run_process(volume.lookup_index(index.path))
+    sizes = [max(len(reference_serialize(index)), 256)
+             for index in (small, large)]
+    assert log == [
+        ("write", sizes[0]), ("read", sizes[0]),
+        ("write", sizes[1]), ("read", sizes[1]),
+    ]

@@ -159,7 +159,7 @@ def test_dim_lifecycle_states():
     image_id = images[0].image_id
     assert dim.record(image_id).state == BUFFERED
     assert dim.location_of(image_id) == "buffer"
-    dim.mark_burned(image_id, "disc-42", (0, (0, 0)))
+    dim.mark_burned(image_id, "disc-42", images[0].serialize(), (0, (0, 0)))
     assert dim.location_of(image_id) == "disc-42"
 
 
@@ -182,7 +182,7 @@ def test_dim_evict_and_restore_roundtrip():
     engine.run_process(wbm.write_file("/a", b"x" * 1000))
     images = wbm.close_nonempty_buckets()
     image = images[0]
-    dim.mark_burned(image.image_id, "d0")
+    dim.mark_burned(image.image_id, "d0", image.serialize())
     used_before = volume.used
     dim.evict_content(image.image_id)
     assert volume.used < used_before
