@@ -19,30 +19,18 @@ builds what it needs and prints a report:
     fleet-monitor  telemetry agents + closed-loop supervisor, I9 audit
     bench        engine microbench events/s, perf-floor gate check
     profile      cProfile an engine microbench, top-N hotspots
+
+From ``chaos`` on, each command is registered beside the ``run_*`` it
+drives; the campaigns share :func:`repro.report.run_and_compare`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Callable, Optional
 
 from repro import units
-from repro.report import report_to_json
-
-
-def _print_rows(rows: list[dict]) -> None:
-    if not rows:
-        return
-    keys = list(rows[0].keys())
-    widths = {
-        key: max(len(str(key)), *(len(str(row.get(key, ""))) for row in rows))
-        for key in keys
-    }
-    print("  ".join(str(key).ljust(widths[key]) for key in keys))
-    for row in rows:
-        print("  ".join(str(row.get(key, "")).ljust(widths[key]) for key in keys))
+from repro.report import print_rows, report_to_json
 
 
 def cmd_demo(_args) -> int:
@@ -81,7 +69,7 @@ def cmd_mechanics(args) -> int:
                 ),
             }
         )
-    _print_rows(rows)
+    print_rows(rows)
     return 0
 
 
@@ -103,7 +91,7 @@ def cmd_burncurve(args) -> int:
         }
         for p in [i / 10 for i in range(11)]
     ]
-    _print_rows(rows)
+    print_rows(rows)
     print(f"total burn: {curve.burn_seconds(capacity):.0f} s, "
           f"average {curve.average_multiple(capacity):.2f}X")
     return 0
@@ -126,7 +114,7 @@ def cmd_stacks(_args) -> int:
                 "norm_write": round(write, 3),
             }
         )
-    _print_rows(rows)
+    print_rows(rows)
     return 0
 
 
@@ -146,7 +134,7 @@ def cmd_tco(args) -> int:
             }
         )
     print(f"scenario: {args.capacity_pb} PB for {args.years} years")
-    _print_rows(rows)
+    print_rows(rows)
     return 0
 
 
@@ -276,433 +264,12 @@ def cmd_monitor(args) -> int:
     return 0
 
 
-def _failed_invariants(report: dict) -> list[str]:
-    return [
-        f"FAILED {inv['invariant']}: {inv['detail']}"
-        for inv in report["invariants"]
-        if not inv["ok"]
-    ]
-
-
-def _invariants_hold(report: dict, extra: str = "") -> str:
-    return f"all {len(report['invariants'])} invariants hold{extra}"
-
-
-def _run_and_compare(
-    args,
-    run_once: Callable[[Optional[str]], dict],
-    render: Callable[[dict], str],
-    audit: Callable[[dict], list] = _failed_invariants,
-    success: Optional[Callable[[dict], str]] = None,
-    indent: str = "",
-) -> int:
-    """The determinism contract behind every campaign command.
-
-    Calls ``run_once(flight_out)`` ``args.runs`` times (at least once)
-    and byte-compares the canonical JSON of the reports.  Only run 0 is
-    handed ``args.flight_out`` (one dump of a deterministic run is all
-    anyone needs), and the ``flight_dump`` path a run embeds is popped
-    before serializing, so neither the compared bytes nor ``--out``
-    depend on where the journal went.  Then, in order: print
-    ``render(report)``; write run 0's bytes to ``--out``; exit 1 on
-    ``DETERMINISM VIOLATION`` if any two runs differ; exit 1 printing
-    every line ``audit(report)`` returns (failed invariants by default);
-    otherwise exit 0, closing with ``success(report)`` and what was
-    compared — a single run compares nothing, and says so.
-    """
-    flight_out = getattr(args, "flight_out", None)
-    runs = []
-    for index in range(max(1, args.runs)):
-        report = run_once(flight_out if index == 0 else None)
-        dump = report.pop("flight_dump", None)
-        if index == 0 and dump:
-            print(f"wrote flight-recorder dump to {dump}")
-        runs.append(report_to_json(report))
-    report = json.loads(runs[0])
-
-    print(render(report))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"{indent}wrote report to {args.out}")
-    if any(run != runs[0] for run in runs[1:]):
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
-    failures = audit(report)
-    if failures:
-        print("\n".join(failures))
-        return 1
-    compared = (
-        f"{len(runs)} runs byte-identical" if len(runs) > 1
-        else "determinism not checked (1 run)"
-    )
-    if success is not None:
-        print(f"{indent}{success(report)}; {compared}")
-    elif len(runs) == 1:
-        print(compared)
-    return 0
-
-
-def cmd_chaos(args) -> int:
-    """Run a seeded chaos campaign (twice, by default) and audit it.
-
-    The same seed must produce a byte-identical report every time; any
-    divergence or invariant violation is a non-zero exit.
-    """
-    from repro.faults.campaign import render_text, run_campaign
-
-    def audit(report: dict) -> list[str]:
-        violations = report["workload_violations"]
-        if violations:
-            return [f"MID-CAMPAIGN VIOLATIONS: {violations}"]
-        return _failed_invariants(report)
-
-    return _run_and_compare(
-        args,
-        # Chaos only dumps when an invariant fails under --monitor, and
-        # every failing run rewrites the same path: all runs get it.
-        lambda _flight_out: run_campaign(
-            args.seed,
-            args.ops,
-            intensity=args.intensity,
-            monitor=args.monitor,
-            flight_out=args.flight_out,
-            serve=args.serve,
-            fleet=args.fleet,
-        ),
-        lambda report: render_text(report, runs=max(1, args.runs)),
-        audit,
-        _invariants_hold,
-        indent="  ",
-    )
-
-
-#: ``serve`` flags only one of its two campaigns reads, with the default
-#: each gets once the combination is known to be valid (argparse leaves
-#: them None, so a flag given to the wrong campaign can be rejected)
-_SERVE_RACK_ONLY = {"prepopulate": 18, "backend": "olfs", "max_inflight": 8,
-                    "faults": False, "flight_out": None}
-_SERVE_XL_ONLY = {"shards": 1, "racks": 8}
-
-
-def cmd_serve(args) -> int:
-    """Run the multi-tenant serving harness and print the QoS report.
-
-    Runs the identical experiment ``--runs`` times and byte-compares the
-    canonical reports — the determinism contract ``python -m repro
-    chaos`` enforces, extended to serving.
-    """
-    from repro.serve import render_text, run_serve
-
-    for name in _SERVE_RACK_ONLY if args.xl else _SERVE_XL_ONLY:
-        if getattr(args, name) not in (None, False):
-            flag = "--" + name.replace("_", "-")
-            args.error(
-                f"{flag} is not read by the --xl campaign" if args.xl
-                else f"{flag} requires --xl"
-            )
-    for name, default in {**_SERVE_RACK_ONLY, **_SERVE_XL_ONLY}.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-    if args.xl:
-        return _cmd_serve_xl(args)
-
-    def audit(report: dict) -> list[str]:
-        if not report["totals"]["ops"]:
-            return ["EMPTY RUN: no operations were issued"]
-        if not report["admission_audit"]["ok"]:
-            return [f"ADMISSION AUDIT FAILED: "
-                    f"{report['admission_audit']['detail']}"]
-        missed = [
-            name for name, entry in report["tenants"].items()
-            if entry.get("slo_met") is False
-        ]
-        return [f"SLO MISSED by: {', '.join(missed)}"] if missed else []
-
-    return _run_and_compare(
-        args,
-        lambda flight_out: run_serve(
-            args.seed,
-            duration_s=args.duration,
-            prepopulate=args.prepopulate,
-            backend=args.backend,
-            faults=args.faults,
-            max_inflight=args.max_inflight,
-            flight_out=flight_out,
-        ),
-        render_text,
-        audit,
-    )
-
-
-def _cmd_serve_xl(args) -> int:
-    """Run the sharded XL campaign; byte-compare runs *and* layouts.
-
-    With ``--shards N > 1`` the same campaign is re-run single-shard and
-    the canonical reports must match byte for byte — the sharded event
-    loop's determinism contract, checked from the operator console.
-    """
-    from repro.serve.xl import run_serve_xl
-
-    def one(shards: int) -> dict:
-        return run_serve_xl(
-            args.seed, racks=args.racks, shards=shards,
-            duration_s=args.duration,
-        )
-
-    def render(report: dict) -> str:
-        totals = report["totals"]
-        outages = [name for name, entry in report["racks"].items()
-                   if entry["outage"]]
-        return (
-            f"serve-xl: seed={args.seed} racks={args.racks} "
-            f"shards={args.shards} duration={args.duration:.0f}s\n"
-            f"  ops={totals['ops']} ok={totals['ok']} "
-            f"failed={totals['failed']} remote={totals['remote']} "
-            f"events={report['events_issued']}\n"
-            f"  outages: {', '.join(outages) if outages else 'none'}"
-        )
-
-    def audit(report: dict) -> list[str]:
-        if args.shards > 1 and (
-            report_to_json(one(1)) != report_to_json(report)
-        ):
-            return [f"SHARD-LAYOUT VIOLATION: shards={args.shards} report "
-                    f"differs from the single-shard report"]
-        if not report["totals"]["ops"]:
-            return ["EMPTY RUN: no operations were issued"]
-        return []
-
-    return _run_and_compare(
-        args, lambda _flight_out: one(args.shards), render, audit
-    )
-
-
-def cmd_preserve(args) -> int:
-    """Run a preservation campaign (twice, by default) and audit it.
-
-    The same seed must produce a byte-identical report every time.  With
-    ``--compare`` the same campaign also runs with scrub/audit/migration
-    disabled, and the run fails unless the preservation machinery made
-    the loss-rate metric strictly better (or kept a lossless archive
-    lossless).
-    """
-    from repro.preserve.campaign import render_text, run_preserve
-
-    def run(attended: bool = True) -> dict:
-        return run_preserve(
-            args.seed,
-            files=args.files,
-            years=args.years,
-            intensity=args.intensity,
-            scrub=attended and not args.no_scrub,
-            audit=attended and not args.no_audit,
-            migrate=attended and not args.no_migrate,
-            faults=not args.no_faults,
-        )
-
-    def audit(report: dict) -> list[str]:
-        failures = _failed_invariants(report)
-        if failures or not args.compare:
-            return failures
-        baseline = run(attended=False)["verdict"]
-        base_metric = baseline["bytes_lost_per_exabyte_decade"]
-        metric = report["verdict"]["bytes_lost_per_exabyte_decade"]
-        print(f"  unattended baseline: "
-              f"{baseline['bytes_lost']} bytes lost -> "
-              f"{base_metric:.3g} per exabyte-decade")
-        if metric < base_metric or (metric == 0 and base_metric == 0):
-            return []
-        return ["NO PRESERVATION BENEFIT: metric not strictly below "
-                "the unattended baseline"]
-
-    return _run_and_compare(
-        args,
-        lambda _flight_out: run(),
-        lambda report: render_text(report, runs=max(1, args.runs)),
-        audit,
-        _invariants_hold,
-        indent="  ",
-    )
-
-
-def _fleet_geometry(args) -> dict:
-    """The shared fleet flags as ``run_fleet*`` keyword arguments."""
-    return dict(
-        sites=args.sites,
-        racks_per_site=args.racks_per_site,
-        clients=args.clients,
-        duration_s=args.duration,
-        objects=args.objects,
-        arrival_rate=args.arrival_rate,
-        rack_loss=not args.no_rack_loss,
-    )
-
-
-def _fleet_failures(report: dict) -> list[str]:
-    failures = _failed_invariants(report)
-    if report["bytes_lost"]:
-        failures.append(f"BYTES LOST: {report['bytes_lost']}")
-    return failures
-
-
-def cmd_fleet(args) -> int:
-    """Run a fleet campaign (twice, by default) and audit it.
-
-    The same seed must produce a byte-identical report every time; any
-    divergence, invariant violation, or lost byte is a non-zero exit.
-    """
-    from repro.fleet import render_text, run_fleet
-
-    return _run_and_compare(
-        args,
-        lambda flight_out: run_fleet(
-            args.seed,
-            site_loss=not args.no_site_loss,
-            flight_out=flight_out,
-            **_fleet_geometry(args),
-        ),
-        render_text,
-        _fleet_failures,
-        lambda report: _invariants_hold(report, ", 0 bytes lost"),
-    )
-
-
-def cmd_fleet_monitor(args) -> int:
-    """Run a monitored fleet campaign (twice, by default) and audit it.
-
-    Telemetry agents replicate rack health into the central store, the
-    closed-loop supervisor remediates what the rules detect, and the
-    audit demands I9 ("remediation converges").  Non-zero exit on any
-    divergence between runs, invariant violation, lost byte, or —
-    with the rack-loss fault enabled — an empty remediation log (a
-    campaign where the closed loop never closed proves nothing).
-    """
-    from repro.fleet.monitor import render_text, run_fleet_monitor
-
-    def audit(report: dict) -> list[str]:
-        failures = _fleet_failures(report)
-        if not failures and not args.no_telemetry \
-                and not args.no_rack_loss and not report["remediations"]:
-            failures.append("NO REMEDIATION: rack loss was injected but "
-                            "the supervisor never fired an action")
-        return failures
-
-    return _run_and_compare(
-        args,
-        lambda flight_out: run_fleet_monitor(
-            args.seed,
-            site_loss=args.site_loss,
-            telemetry=not args.no_telemetry,
-            flight_out=flight_out,
-            **_fleet_geometry(args),
-        ),
-        render_text,
-        audit,
-        lambda report: _invariants_hold(
-            report, f", {report['remediations']} remediation action(s), "
-                    f"0 bytes lost"
-        ),
-    )
-
-
-def cmd_bench(args) -> int:
-    """Engine microbenches (events/s), with the floor gate."""
-    from repro.perf.harness import (
-        append_trajectory,
-        gate_check,
-        load_baseline,
-        run_benchmarks,
-    )
-
-    entry = run_benchmarks(scale=args.scale, repeats=args.repeats)
-    if args.label:
-        entry["label"] = args.label
-
-    rows = [
-        {"microbench": name, "events_per_sec": value}
-        for name, value in entry["events_per_sec"].items()
-    ]
-    _print_rows(rows)
-
-    if args.out:
-        append_trajectory(entry, args.out)
-        print(f"appended to {args.out}")
-
-    if args.check:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            print(f"perf gate SKIPPED: no baseline at {args.baseline}")
-            return 0
-        failures = gate_check(
-            entry["events_per_sec"], baseline, tolerance=args.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"PERF GATE FAILED: {failure}")
-            return 1
-        print(f"perf gate ok (tolerance {args.tolerance:.0%} "
-              f"below {args.baseline})")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """cProfile one microbench and print the top-N hotspots."""
-    from repro.perf.harness import profile_target
-
-    try:
-        report = profile_target(args.target, top=args.top, scale=args.scale)
-    except KeyError as error:
-        print(error.args[0])
-        return 2
-    print(report)
-    return 0
-
-
-def _campaign_flags(
-    seed: int,
-    runs_flag: str = "--runs",
-    flight_help: Optional[str] = "dump the run's flight recorder (JSONL) "
-                                 "here",
-) -> argparse.ArgumentParser:
-    """Parent parser: the flags ``_run_and_compare`` reads.
-
-    ``flight_help=None`` leaves ``--flight-out`` off (campaigns that
-    cannot attach a recorder).
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=int, default=seed)
-    parent.add_argument(runs_flag, dest="runs", type=int, default=2,
-                        help="identical runs to byte-compare (default 2)")
-    parent.add_argument("--out", help="write the JSON report here")
-    if flight_help:
-        parent.add_argument("--flight-out", help=flight_help)
-    return parent
-
-
-def _fleet_flags(**defaults) -> argparse.ArgumentParser:
-    """Parent parser: the fleet geometry ``_fleet_geometry`` reads
-    (``defaults`` differ between the bare and the monitored campaign)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    for flag, kind, text in (
-        ("--sites", int, "failure-domain sites"),
-        ("--racks-per-site", int, "optical racks per site"),
-        ("--clients", int, "pooled open-loop clients across the fleet"),
-        ("--duration", float, "serving horizon, simulated seconds"),
-        ("--objects", int, "erasure-coded images pre-populated"),
-        ("--arrival-rate", float, "per-site arrival rate, ops/second"),
-    ):
-        parent.add_argument(flag, type=kind,
-                            help=f"{text} (default %(default)s)")
-    parent.add_argument("--no-rack-loss", action="store_true",
-                        help="skip the early rack-destruction fault")
-    parent.set_defaults(sites=3, **defaults)
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
-    from repro.perf.microbench import MICROBENCHES
+    from repro import serve
+    from repro.faults import campaign as chaos
+    from repro.fleet import campaign as fleet
+    from repro.perf import harness as perf
+    from repro.preserve import campaign as preserve
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -777,143 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dump the flight recorder (JSONL) here")
     monitor.set_defaults(handler=cmd_monitor)
 
-    chaos = sub.add_parser(
-        "chaos", help="seeded fault campaign + invariant audit",
-        parents=[_campaign_flags(
-            seed=7, runs_flag="--campaigns",
-            flight_help="flight-recorder dump path on invariant failure "
-                        "(default chaos-flight-<seed>.jsonl)",
-        )],
-    )
-    chaos.add_argument("--ops", type=int, default=200,
-                       help="workload operations per campaign")
-    chaos.add_argument("--intensity", type=float, default=1.0,
-                       help="fault-plan hazard multiplier")
-    chaos.add_argument("--monitor", action="store_true",
-                       help="attach run monitoring (health sampler, SLO "
-                            "watchdog, flight recorder) to each campaign")
-    chaos.add_argument("--serve", action="store_true",
-                       help="run the campaign under a serving workload and "
-                            "audit the fifth invariant (no admitted "
-                            "request lost)")
-    chaos.add_argument("--fleet", action="store_true",
-                       help="co-host a multi-site fleet store, add "
-                            "rack/site-loss faults and audit invariant I8 "
-                            "(fleet recoverability)")
-    chaos.set_defaults(handler=cmd_chaos)
-
-    serve = sub.add_parser(
-        "serve", help="multi-tenant serving load run + QoS report",
-        parents=[_campaign_flags(seed=42)],
-    )
-    serve.add_argument("--duration", type=float, default=60.0,
-                       help="serving horizon, simulated seconds")
-    serve.add_argument("--prepopulate", type=int,
-                       help="files written before serving starts "
-                            "(default 18)")
-    serve.add_argument("--backend", choices=("olfs", "cluster"),
-                       help="single rack (olfs, the default) or a 2-rack "
-                            "replicated cluster")
-    serve.add_argument("--faults", action="store_true",
-                       help="run under a randomized fault plan (incl. "
-                            "link flaps and client disconnects)")
-    serve.add_argument("--max-inflight", type=int,
-                       help="admission controller inflight cap (default 8)")
-    serve.add_argument("--xl", action="store_true",
-                       help="run the sharded XL campaign (repro.serve.xl) "
-                            "instead of the single-rack QoS harness; takes "
-                            "--shards/--racks, not --prepopulate/--backend/"
-                            "--faults/--max-inflight/--flight-out")
-    serve.add_argument("--shards", type=int,
-                       help="event-loop shards for --xl (default 1); >1 "
-                            "also byte-compares against the single-shard "
-                            "report")
-    serve.add_argument("--racks", type=int,
-                       help="rack count for --xl (default 8)")
-    serve.set_defaults(handler=cmd_serve, error=serve.error)
-
-    preserve = sub.add_parser(
-        "preserve", help="decades-scale preservation campaign + verdict",
-        parents=[_campaign_flags(seed=7, flight_help=None)],
-    )
-    preserve.add_argument("--files", type=int, default=12,
-                          help="archive files written before the campaign")
-    preserve.add_argument("--years", type=float, default=30.0,
-                          help="simulated media-years the campaign covers")
-    preserve.add_argument("--intensity", type=float, default=1.0,
-                          help="fault-plan hazard multiplier")
-    preserve.add_argument("--compare", action="store_true",
-                          help="also run with scrub/audit/migration off and "
-                               "require a strictly better loss metric")
-    preserve.add_argument("--no-scrub", action="store_true",
-                          help="disable the background scrubber")
-    preserve.add_argument("--no-audit", action="store_true",
-                          help="disable the cross-rack anti-entropy audit")
-    preserve.add_argument("--no-migrate", action="store_true",
-                          help="disable age-triggered media migration")
-    preserve.add_argument("--no-faults", action="store_true",
-                          help="aging only: no chaos fault storm")
-    preserve.set_defaults(handler=cmd_preserve)
-
-    fleet = sub.add_parser(
-        "fleet", help="multi-site fleet campaign + recovery + I8 audit",
-        parents=[_campaign_flags(seed=7), _fleet_flags(
-            racks_per_site=8, clients=105_000, duration=12.0, objects=18,
-            arrival_rate=60.0,
-        )],
-    )
-    fleet.add_argument("--no-site-loss", action="store_true",
-                       help="skip the mid-run whole-site destruction")
-    fleet.set_defaults(handler=cmd_fleet)
-
-    fmon = sub.add_parser(
-        "fleet-monitor",
-        help="fleet telemetry pipeline + closed-loop supervisor, I9 audit",
-        parents=[_campaign_flags(seed=7), _fleet_flags(
-            racks_per_site=4, clients=24_000, duration=10.0, objects=12,
-            arrival_rate=40.0,
-        )],
-    )
-    fmon.add_argument("--site-loss", action="store_true",
-                      help="also destroy a whole site mid-run")
-    fmon.add_argument("--no-telemetry", action="store_true",
-                      help="baseline: same fleet, loss-event recovery, "
-                           "no agents and no supervisor")
-    fmon.set_defaults(handler=cmd_fleet_monitor)
-
-    bench = sub.add_parser(
-        "bench", help="engine microbench events/s, perf-floor gate"
-    )
-    bench.add_argument("--repeats", "--repeat", type=int, default=3,
-                       help="runs per microbench; best is kept (default 3) "
-                            "— best-of-N is the noise defence, see "
-                            "docs/performance.md")
-    bench.add_argument("--scale", type=float, default=1.0,
-                       help="multiplier on microbench event counts")
-    bench.add_argument("--label", default="",
-                       help="tag for this trajectory entry")
-    bench.add_argument("--out", default="BENCH_engine.json",
-                       help="trajectory file to append to "
-                            "(default BENCH_engine.json; '' to skip)")
-    bench.add_argument("--check", action="store_true",
-                       help="fail if events/s drops below the baseline gate")
-    bench.add_argument("--baseline", default="benchmarks/perf/baseline.json",
-                       help="committed baseline for --check")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed fractional drop below baseline")
-    bench.set_defaults(handler=cmd_bench)
-
-    profile = sub.add_parser(
-        "profile", help="cProfile an engine microbench, top-N hotspots"
-    )
-    profile.add_argument(
-        "target", help=f"microbench ({', '.join(MICROBENCHES)})"
-    )
-    profile.add_argument("--top", type=int, default=15,
-                         help="number of hotspot rows (default 15)")
-    profile.add_argument("--scale", type=float, default=1.0,
-                         help="multiplier on microbench event counts")
-    profile.set_defaults(handler=cmd_profile)
+    for package in (chaos, serve, preserve, fleet, perf):
+        package.register(sub)
     return parser
 
 

@@ -21,7 +21,15 @@ from repro.errors import ROSError
 from repro.faults.invariants import check_all
 from repro.faults.plan import FaultPlan
 from repro.olfs.mechanical import ArrayState
-from repro.report import report_to_json  # noqa: F401  (re-exported)
+from repro.report import (  # noqa: F401  (report_to_json re-exported)
+    campaign_parser,
+    failed_invariants,
+    invariants_hold,
+    report_to_json,
+    run_and_compare,
+    run_flags,
+    run_kwargs,
+)
 from repro.sim.rng import DeterministicRNG
 
 #: Mean think time between workload operations (simulated seconds).
@@ -283,7 +291,7 @@ def _start_fleet(ros, rng):
 
 def run_campaign(
     seed: int,
-    ops: int,
+    ops: int = 200,
     intensity: float = 1.0,
     monitor: bool = False,
     flight_out: str | None = None,
@@ -451,3 +459,48 @@ def render_text(report: dict, runs: int = 1) -> str:
             f"{recorder.get('recorded', 0)} flight events"
         )
     return "\n".join(lines)
+
+
+def failures(report: dict) -> list[str]:
+    """Exit-1 lines: mid-campaign read mismatches, else failed invariants."""
+    violations = report["workload_violations"]
+    if violations:
+        return [f"MID-CAMPAIGN VIOLATIONS: {violations}"]
+    return failed_invariants(report)
+
+
+def cmd_chaos(args) -> int:
+    """Run a seeded chaos campaign (twice, by default) and audit it.
+
+    The same seed must produce a byte-identical report every time; any
+    divergence or invariant violation is a non-zero exit.
+    """
+    return run_and_compare(
+        args,
+        # Chaos only dumps when an invariant fails under --monitor, and
+        # every failing run rewrites the same path: all runs get it.
+        lambda _flight_out: run_campaign(**run_kwargs(run_campaign, args)),
+        lambda report: render_text(report, runs=max(1, args.runs)),
+        failures,
+        invariants_hold,
+        indent="  ",
+    )
+
+
+def register(sub) -> None:
+    chaos = campaign_parser(
+        sub, "chaos", "seeded fault campaign + invariant audit", cmd_chaos,
+        seed=7, runs_flag="--campaigns",
+        flight_help="flight-recorder dump path on invariant failure "
+                    "(default chaos-flight-<seed>.jsonl)",
+    )
+    run_flags(chaos, run_campaign, {
+        "ops": "workload operations per campaign",
+        "intensity": "fault-plan hazard multiplier",
+        "monitor": "attach run monitoring (health sampler, SLO watchdog, "
+                   "flight recorder) to each campaign",
+        "serve": "run the campaign under a serving workload and audit the "
+                 "fifth invariant (no admitted request lost)",
+        "fleet": "co-host a multi-site fleet store, add rack/site-loss "
+                 "faults and audit invariant I8 (fleet recoverability)",
+    })

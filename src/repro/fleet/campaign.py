@@ -39,8 +39,14 @@ from repro.fleet.store import FleetStore
 from repro.fleet.topology import FleetTopology, Layout
 from repro.obs.recorder import FlightRecorder
 from repro.report import (  # noqa: F401  (report_to_json re-exported)
+    campaign_parser,
+    failed_invariants,
+    invariants_hold,
     render_fleet_footer,
     report_to_json,
+    run_and_compare,
+    run_flags,
+    run_kwargs,
     tenant_outcomes,
 )
 from repro.serve.loadgen import PAYLOAD_CAP, ClientPool, FleetSpec
@@ -51,6 +57,18 @@ from repro.sim.engine import AllOf, Engine
 from repro.sim.rng import DeterministicRNG
 from repro.sim.tracing import MetricsRegistry
 from repro.workloads.generator import SIZE_PROFILES
+
+#: help of the flags ``fleet`` and ``fleet-monitor`` share; each command
+#: reads the defaults from its own ``run_*``
+_GEOMETRY_FLAGS = {
+    "sites": "failure-domain sites",
+    "racks_per_site": "optical racks per site",
+    "clients": "pooled open-loop clients across the fleet",
+    "duration_s": "serving horizon, simulated seconds",
+    "objects": "erasure-coded images pre-populated",
+    "arrival_rate": "per-site arrival rate, ops/second",
+    "rack_loss": "skip the early rack-destruction fault",
+}
 
 
 class FleetRig:
@@ -361,3 +379,53 @@ def render_text(report: dict) -> str:
         )
     lines.extend(render_fleet_footer(report))
     return "\n".join(lines)
+
+
+def failures(report: dict) -> list[str]:
+    """Exit-1 lines: every failed invariant, then any lost byte."""
+    found = failed_invariants(report)
+    if report["bytes_lost"]:
+        found.append(f"BYTES LOST: {report['bytes_lost']}")
+    return found
+
+
+def cmd_fleet(args) -> int:
+    """Run a fleet campaign (twice, by default) and audit it.
+
+    The same seed must produce a byte-identical report every time; any
+    divergence, invariant violation, or lost byte is a non-zero exit.
+    """
+    return run_and_compare(
+        args,
+        lambda flight_out: run_fleet(
+            **run_kwargs(run_fleet, args, flight_out=flight_out)
+        ),
+        render_text,
+        failures,
+        lambda report: invariants_hold(report, ", 0 bytes lost"),
+    )
+
+
+def register(sub) -> None:
+    # the monitored campaign builds on this module's FleetRig
+    from repro.fleet.monitor import cmd_fleet_monitor, run_fleet_monitor
+
+    fleet = campaign_parser(
+        sub, "fleet", "multi-site fleet campaign + recovery + I8 audit",
+        cmd_fleet, seed=7,
+    )
+    run_flags(fleet, run_fleet, {
+        **_GEOMETRY_FLAGS,
+        "site_loss": "skip the mid-run whole-site destruction",
+    })
+    fmon = campaign_parser(
+        sub, "fleet-monitor",
+        "fleet telemetry pipeline + closed-loop supervisor, I9 audit",
+        cmd_fleet_monitor, seed=7,
+    )
+    run_flags(fmon, run_fleet_monitor, {
+        **_GEOMETRY_FLAGS,
+        "site_loss": "also destroy a whole site mid-run",
+        "telemetry": "baseline: same fleet, loss-event recovery, no agents "
+                     "and no supervisor",
+    })

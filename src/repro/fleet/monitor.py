@@ -30,7 +30,8 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.faults.invariants import check_remediation_converges
-from repro.fleet.campaign import FleetRig
+from repro.faults.plan import RACK_LOSS
+from repro.fleet import campaign
 from repro.fleet.store import FleetStore
 from repro.fleet.supervisor import FleetSupervisor, TriggerRule
 from repro.fleet.telemetry import (
@@ -39,7 +40,13 @@ from repro.fleet.telemetry import (
     rack_probes,
     site_probes,
 )
-from repro.report import render_fleet_footer, report_to_json
+from repro.report import (
+    invariants_hold,
+    render_fleet_footer,
+    report_to_json,
+    run_and_compare,
+    run_kwargs,
+)
 from repro.serve.session import STATUSES
 
 __all__ = ["run_fleet_monitor", "report_to_json", "render_text"]
@@ -132,7 +139,7 @@ def run_fleet_monitor(
     with the classic loss-event recovery loop instead — the baseline
     the perf guard measures agent overhead against.
     """
-    rig = FleetRig(
+    rig = campaign.FleetRig(
         seed, "fleet-monitor", True,
         sites=sites, racks_per_site=racks_per_site, k=k, m=m,
         clients=clients, duration_s=duration_s, objects=objects,
@@ -376,3 +383,38 @@ def render_text(report: dict) -> str:
             lines.append(f"  ... {len(supervisor['log']) - 8} more")
     lines.extend(render_fleet_footer(report))
     return "\n".join(lines)
+
+
+def failures(report: dict) -> list[str]:
+    """Exit-1 lines: the fleet campaign's, then — telemetry on, a
+    ``rack.loss`` planned — an empty remediation log (a campaign where
+    the closed loop never closed proves nothing)."""
+    found = campaign.failures(report)
+    if not found and report["telemetry"]["enabled"] \
+            and any(spec["kind"] == RACK_LOSS for spec in report["plan"]) \
+            and not report["remediations"]:
+        found.append("NO REMEDIATION: rack loss was injected but "
+                     "the supervisor never fired an action")
+    return found
+
+
+def cmd_fleet_monitor(args) -> int:
+    """Run a monitored fleet campaign (twice, by default) and audit it.
+
+    Telemetry agents replicate rack health into the central store, the
+    closed-loop supervisor remediates what the rules detect, and the
+    audit demands I9 ("remediation converges").  Non-zero exit on any
+    divergence between runs or on :func:`failures`.
+    """
+    return run_and_compare(
+        args,
+        lambda flight_out: run_fleet_monitor(
+            **run_kwargs(run_fleet_monitor, args, flight_out=flight_out)
+        ),
+        render_text,
+        failures,
+        lambda report: invariants_hold(
+            report, f", {report['remediations']} remediation action(s), "
+                    f"0 bytes lost"
+        ),
+    )

@@ -9,7 +9,7 @@ rack-internal behaviour; simulating tens of full racks per campaign
 would drown the event loop in mechanics that don't change fleet-level
 outcomes (placement, recovery traffic, cross-site routing).
 
-Timing model: every shard op pays ``base_latency_s`` (index lookup +
+Timing model: every shard op pays ``BASE_LATENCY_S`` (index lookup +
 staging, the inline-accessibility premise of the paper) and then streams
 its wire bytes through the rack's processor-sharing lane, so concurrent
 recovery rebuilds and client reads genuinely slow each other down.
@@ -30,31 +30,19 @@ from repro.sim.bandwidth import SharedBandwidth
 from repro.sim.engine import Delay, Engine
 
 #: per-shard-op fixed latency (index + staging)
-DEFAULT_BASE_LATENCY_S = 0.004
+BASE_LATENCY_S = 0.004
 #: rack lane capacity (bytes/s) — a rack's aggregate drive throughput
-DEFAULT_LANE_BYTES_S = 400 * units.MB
-#: logical capacity of one rack
-DEFAULT_CAPACITY_BYTES = 1 * units.PB
+LANE_BYTES_S = 400 * units.MB
 
 
 class ShardRack:
     """One rack of the fleet: a shard store behind a bandwidth lane."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        rack_id: str,
-        site: str,
-        capacity_bytes: float = DEFAULT_CAPACITY_BYTES,
-        lane_bytes_s: float = DEFAULT_LANE_BYTES_S,
-        base_latency_s: float = DEFAULT_BASE_LATENCY_S,
-    ):
+    def __init__(self, engine: Engine, rack_id: str, site: str):
         self.engine = engine
         self.rack_id = rack_id
         self.site = site
-        self.capacity_bytes = float(capacity_bytes)
-        self.base_latency_s = float(base_latency_s)
-        self.lane = SharedBandwidth(engine, lane_bytes_s, name=rack_id)
+        self.lane = SharedBandwidth(engine, LANE_BYTES_S, name=rack_id)
         #: (path, shard position) -> stored shard payload
         self.shards: dict[tuple[str, int], bytes] = {}
         #: (path, shard position) -> logical wire bytes of that shard
@@ -120,7 +108,7 @@ class ShardRack:
         may be capped smaller (the serve layer's 64 KiB payload cap)."""
         self._require_up("store", path)
         wire = float(wire_bytes if wire_bytes is not None else len(payload))
-        yield Delay(self.base_latency_s)
+        yield Delay(BASE_LATENCY_S)
         if wire > 0:
             yield from self.lane.transfer(wire)
         self._require_up("store", path)
@@ -162,7 +150,7 @@ class ShardRack:
                 f"{self.rack_id}: no shard {position} of {path}"
             )
         wire = self._wire.get(key, float(len(self.shards[key])))
-        yield Delay(self.base_latency_s)
+        yield Delay(BASE_LATENCY_S)
         if wire > 0:
             yield from self.lane.transfer(wire)
         self._require_up("fetch", path)

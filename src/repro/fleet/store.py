@@ -35,8 +35,12 @@ from repro.errors import (
 from repro.fleet.placement import place, rank_racks
 from repro.fleet.rack import ShardRack
 from repro.fleet.topology import FleetTopology, Layout
-from repro.sim.engine import AllOf, Engine, Join, SimEvent
+from repro.sim.engine import AllOf, Delay, Engine, Join, SimEvent
 from repro.storage.raid import erasure_decode, erasure_parity
+
+#: the cross-site round trip a get pays once when it reads any shard
+#: from another site
+WAN_RTT_S = 0.06
 
 
 class ObjectRecord:
@@ -142,17 +146,14 @@ class FleetStore:
         engine: Engine,
         topology: Optional[FleetTopology] = None,
         layout: Optional[Layout] = None,
-        wan_rtt_s: float = 0.06,
-        **rack_kwargs,
     ):
         self.engine = engine
         self.topology = topology or FleetTopology()
         self.layout = layout or Layout()
         self.topology.validate_layout(self.layout)
         self.site_cap = self.topology.effective_site_cap(self.layout)
-        self.wan_rtt_s = float(wan_rtt_s)
         self.racks: dict[str, ShardRack] = {
-            rack_id: ShardRack(engine, rack_id, site, **rack_kwargs)
+            rack_id: ShardRack(engine, rack_id, site)
             for rack_id, site in self.topology.rack_sites().items()
         }
         self.catalog: dict[str, ObjectRecord] = {}
@@ -341,9 +342,7 @@ class FleetStore:
         return data
 
     def _wan_hop(self) -> Generator:
-        from repro.sim.engine import Delay
-
-        yield Delay(self.wan_rtt_s)
+        yield Delay(WAN_RTT_S)
 
     def stat(self, path: str) -> dict:
         record = self.catalog.get(path)

@@ -47,6 +47,11 @@ BATCH_HEADER_BYTES = 256.0
 POINT_WIRE_BYTES = 48.0
 #: wire cost of the central store's ack
 ACK_WIRE_BYTES = 64.0
+#: first retry delay after a failed send; doubles per failure up to the cap
+BACKOFF_S = 0.25
+MAX_BACKOFF_S = 4.0
+#: replication's flow weight on the site link (tenant traffic weighs 1)
+LINK_WEIGHT = 0.25
 
 
 class CentralTelemetry:
@@ -101,9 +106,6 @@ class TelemetryAgent:
         max_outbox_batches: int = 16,
         horizon_s: Optional[float] = None,
         source_up: Optional[Callable[[], bool]] = None,
-        backoff_s: float = 0.25,
-        max_backoff_s: float = 4.0,
-        link_weight: float = 0.25,
         drain_retry_limit: int = 8,
     ):
         if flush_every <= 0:
@@ -118,9 +120,6 @@ class TelemetryAgent:
         self.labels = dict(labels or {})
         self.flush_every = int(flush_every)
         self.max_outbox_batches = int(max_outbox_batches)
-        self.backoff_s = float(backoff_s)
-        self.max_backoff_s = float(max_backoff_s)
-        self.link_weight = float(link_weight)
         self.drain_retry_limit = int(drain_retry_limit)
         self.source_up = source_up
         self._pending: list[tuple[str, dict, float, float]] = []
@@ -208,7 +207,7 @@ class TelemetryAgent:
 
     # ------------------------------------------------------------------
     def _replicate(self) -> Generator:
-        backoff = self.backoff_s
+        backoff = BACKOFF_S
         attempts = 0
         while True:
             if not self._outbox:
@@ -223,16 +222,14 @@ class TelemetryAgent:
                     self._abandon_outbox()
                     return
                 yield Delay(backoff)
-                backoff = min(backoff * 2, self.max_backoff_s)
+                backoff = min(backoff * 2, MAX_BACKOFF_S)
                 continue
             seq, points = self._outbox[0]
             wire = BATCH_HEADER_BYTES + POINT_WIRE_BYTES * len(points)
             try:
-                yield from self.link.request(wire, self.link_weight)
+                yield from self.link.request(wire, LINK_WEIGHT)
                 self.central.ingest(self.agent_id, seq, points)
-                yield from self.link.respond(
-                    ACK_WIRE_BYTES, self.link_weight
-                )
+                yield from self.link.respond(ACK_WIRE_BYTES, LINK_WEIGHT)
             except (LinkDownError, RackLostError):
                 self.stats["retries"] += 1
                 attempts += 1
@@ -240,11 +237,11 @@ class TelemetryAgent:
                     self._abandon_outbox()
                     return
                 yield Delay(backoff)
-                backoff = min(backoff * 2, self.max_backoff_s)
+                backoff = min(backoff * 2, MAX_BACKOFF_S)
                 continue
             self._outbox.popleft()
             self.stats["batches_acked"] += 1
-            backoff = self.backoff_s
+            backoff = BACKOFF_S
             attempts = 0
 
     def _abandon_outbox(self) -> None:

@@ -12,6 +12,9 @@ runs the benchmark's own workloads (``bench/workloads.py``) and fails
 when one spends more engine events per op than its budget
 (:func:`budget_check`).  End-to-end wall time, memory and the per-layer
 ledger are ``bench/run.py``'s job, not this package's.
+
+:func:`register` adds ``repro bench`` and ``repro profile``, with the
+defaults below and those of :func:`run_benchmarks` / :func:`profile_target`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 from typing import Dict
 
 from repro.perf.microbench import MICROBENCHES, run_microbenches
+from repro.report import print_rows, run_flags, run_kwargs
 
 #: default locations, relative to the repository root / current directory
 TRAJECTORY_PATH = "BENCH_engine.json"
@@ -145,3 +149,84 @@ def profile_target(name: str, top: int = 15, scale: float = 1.0) -> str:
     buffer = io.StringIO()
     pstats.Stats(profiler, stream=buffer).sort_stats("tottime").print_stats(top)
     return buffer.getvalue()
+
+
+def cmd_bench(args) -> int:
+    """Engine microbenches (events/s), with the floor gate."""
+    entry = run_benchmarks(**run_kwargs(run_benchmarks, args))
+    if args.label:
+        entry["label"] = args.label
+
+    print_rows([
+        {"microbench": name, "events_per_sec": value}
+        for name, value in entry["events_per_sec"].items()
+    ])
+
+    if args.out:
+        append_trajectory(entry, args.out)
+        print(f"appended to {args.out}")
+
+    if args.check:
+        try:
+            baseline = load_baseline(args.baseline)
+        except FileNotFoundError:
+            print(f"perf gate SKIPPED: no baseline at {args.baseline}")
+            return 0
+        failures = gate_check(
+            entry["events_per_sec"], baseline, tolerance=args.tolerance
+        )
+        if failures:
+            for failure in failures:
+                print(f"PERF GATE FAILED: {failure}")
+            return 1
+        print(f"perf gate ok (tolerance {args.tolerance:.0%} "
+              f"below {args.baseline})")
+    return 0
+
+
+def cmd_profile(args) -> int:
+    """cProfile one microbench and print the top-N hotspots."""
+    try:
+        report = profile_target(**run_kwargs(profile_target, args))
+    except KeyError as error:
+        print(error.args[0])
+        return 2
+    print(report)
+    return 0
+
+
+def register(sub) -> None:
+    bench = sub.add_parser(
+        "bench", help="engine microbench events/s, perf-floor gate"
+    )
+    run_flags(bench, run_benchmarks, {
+        "repeats": {"aliases": ["--repeat"],
+                    "help": "runs per microbench, best kept; best-of-N is "
+                            "the noise defence, see docs/performance.md"},
+        "scale": "multiplier on microbench event counts",
+    })
+    bench.add_argument("--label", default="",
+                       help="tag for this trajectory entry")
+    bench.add_argument("--out", default=TRAJECTORY_PATH,
+                       help="trajectory file to append to "
+                            "(default %(default)s; '' to skip)")
+    bench.add_argument("--check", action="store_true",
+                       help="fail if events/s drops below the baseline gate")
+    bench.add_argument("--baseline", default=BASELINE_PATH,
+                       help="committed baseline for --check "
+                            "(default %(default)s)")
+    bench.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                       help="allowed fractional drop below baseline "
+                            "(default %(default)s)")
+    bench.set_defaults(handler=cmd_bench)
+
+    profile = sub.add_parser(
+        "profile", help="cProfile an engine microbench, top-N hotspots"
+    )
+    profile.add_argument("name", metavar="target",
+                         help=f"microbench ({', '.join(MICROBENCHES)})")
+    run_flags(profile, profile_target, {
+        "top": "number of hotspot rows",
+        "scale": "multiplier on microbench event counts",
+    })
+    profile.set_defaults(handler=cmd_profile)

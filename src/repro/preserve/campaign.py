@@ -33,7 +33,15 @@ from repro.olfs.filesystem import small_rack
 from repro.preserve.aging import AgingClock
 from repro.preserve.audit import AntiEntropyAuditor
 from repro.preserve.scrubber import BackgroundScrubber
-from repro.report import report_to_json  # noqa: F401  (re-exported)
+from repro.report import (  # noqa: F401  (report_to_json re-exported)
+    campaign_parser,
+    failed_invariants,
+    invariants_hold,
+    report_to_json,
+    run_and_compare,
+    run_flags,
+    run_kwargs,
+)
 from repro.sim.engine import Delay
 from repro.sim.rng import DeterministicRNG
 from repro.sim.tracing import Tracer
@@ -391,3 +399,62 @@ def render_text(report: dict, runs: int = 1) -> str:
         f"bytes lost per exabyte-decade"
     )
     return "\n".join(lines)
+
+
+#: exit-1 lines: every failed invariant
+failures = failed_invariants
+
+
+def cmd_preserve(args) -> int:
+    """Run a preservation campaign (twice, by default) and audit it.
+
+    The same seed must produce a byte-identical report every time.  With
+    ``--compare`` the same campaign also runs with scrub/audit/migration
+    disabled, and the run fails unless the preservation machinery made
+    the loss-rate metric strictly better (or kept a lossless archive
+    lossless).
+    """
+    def audit(report: dict) -> list[str]:
+        found = failures(report)
+        if found or not args.compare:
+            return found
+        baseline = run_preserve(**run_kwargs(
+            run_preserve, args, scrub=False, audit=False, migrate=False
+        ))["verdict"]
+        base_metric = baseline["bytes_lost_per_exabyte_decade"]
+        metric = report["verdict"]["bytes_lost_per_exabyte_decade"]
+        print(f"  unattended baseline: "
+              f"{baseline['bytes_lost']} bytes lost -> "
+              f"{base_metric:.3g} per exabyte-decade")
+        if metric < base_metric or (metric == 0 and base_metric == 0):
+            return []
+        return ["NO PRESERVATION BENEFIT: metric not strictly below "
+                "the unattended baseline"]
+
+    return run_and_compare(
+        args,
+        lambda _flight_out: run_preserve(**run_kwargs(run_preserve, args)),
+        lambda report: render_text(report, runs=max(1, args.runs)),
+        audit,
+        invariants_hold,
+        indent="  ",
+    )
+
+
+def register(sub) -> None:
+    preserve = campaign_parser(
+        sub, "preserve", "decades-scale preservation campaign + verdict",
+        cmd_preserve, seed=7, flight_help=None,
+    )
+    run_flags(preserve, run_preserve, {
+        "files": "archive files written before the campaign",
+        "years": "simulated media-years the campaign covers",
+        "intensity": "fault-plan hazard multiplier",
+        "scrub": "disable the background scrubber",
+        "audit": "disable the cross-rack anti-entropy audit",
+        "migrate": "disable age-triggered media migration",
+        "faults": "aging only: no chaos fault storm",
+    })
+    preserve.add_argument("--compare", action="store_true",
+                          help="also run with scrub/audit/migration off and "
+                               "require a strictly better loss metric")

@@ -35,29 +35,20 @@ from repro.sim.engine import Delay, Engine
 #: site key the link polls on ``engine.faults``
 SITE_NET_LINK = "net.link"
 
-#: default client round-trip time (datacenter-local: ~200 microseconds)
-DEFAULT_RTT_SECONDS = 200e-6
+#: client round-trip time (datacenter-local: ~200 microseconds)
+RTT_SECONDS = 200e-6
 
 
 class NetworkLink:
     """One 10GbE full-duplex serving link shared by every session."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        capacity: float = NETWORK_10GBE.write_rate_cap,
-        rtt_seconds: float = DEFAULT_RTT_SECONDS,
-    ):
-        if capacity <= 0:
-            raise ValueError("link capacity must be positive")
-        if rtt_seconds < 0:
-            raise ValueError("rtt must be non-negative")
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.capacity = float(capacity)
-        self.rtt_seconds = float(rtt_seconds)
+        self.capacity = float(NETWORK_10GBE.write_rate_cap)
+        self.rtt_seconds = RTT_SECONDS
         self.stack = make_stack("samba+OLFS")
-        self.ingress = SharedBandwidth(engine, capacity, name="10gbe-in")
-        self.egress = SharedBandwidth(engine, capacity, name="10gbe-out")
+        self.ingress = SharedBandwidth(engine, self.capacity, name="10gbe-in")
+        self.egress = SharedBandwidth(engine, self.capacity, name="10gbe-out")
         wire_spb = 1.0 / self.capacity
         #: per-byte stack surplus over the raw wire, write path (ingress)
         self.write_extra_spb = max(

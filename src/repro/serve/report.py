@@ -128,3 +128,17 @@ def render_text(report: dict) -> str:
         f"({audit['detail']})"
     )
     return "\n".join(lines)
+
+
+def failures(report: dict) -> list[str]:
+    """The first exit-1 line that applies: empty run, audit, missed SLO."""
+    if not report["totals"]["ops"]:
+        return ["EMPTY RUN: no operations were issued"]
+    if not report["admission_audit"]["ok"]:
+        return [f"ADMISSION AUDIT FAILED: "
+                f"{report['admission_audit']['detail']}"]
+    missed = [
+        name for name, entry in report["tenants"].items()
+        if entry.get("slo_met") is False
+    ]
+    return [f"SLO MISSED by: {', '.join(missed)}"] if missed else []

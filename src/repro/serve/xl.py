@@ -72,10 +72,7 @@ class _RackNode:
     def __init__(self, sharded: ShardedEngine, group: str):
         self.group = group
         self.engine = sharded.engine_for(group)
-        self.rack = ShardRack(
-            self.engine, group, site=group,
-            lane_bytes_s=400 * units.MB,
-        )
+        self.rack = ShardRack(self.engine, group, site=group)
         self.metrics = MetricsRegistry()
         self.ok = self.metrics.counter(f"xl.ops.{group}.ok")
         self.failed = self.metrics.counter(f"xl.ops.{group}.failed")
@@ -249,3 +246,27 @@ def run_serve_xl(
     # NOT in the report: the shard count.  The whole point is that the
     # report bytes do not depend on it.
     return report
+
+
+def render_text(report: dict, shards: int) -> str:
+    """Human-readable campaign summary (``shards``: the layout it ran on,
+    which the report deliberately does not record)."""
+    totals = report["totals"]
+    outages = [name for name, entry in report["racks"].items()
+               if entry["outage"]]
+    return (
+        f"serve-xl: seed={report['seed']} racks={len(report['racks'])} "
+        f"shards={shards} duration={report['duration_s']:.0f}s\n"
+        f"  ops={totals['ops']} ok={totals['ok']} "
+        f"failed={totals['failed']} remote={totals['remote']} "
+        f"events={report['events_issued']}\n"
+        f"  outages: {', '.join(outages) if outages else 'none'}"
+    )
+
+
+def failures(report: dict) -> list[str]:
+    """Exit-1 line: a run that issued no operation."""
+    if not report["totals"]["ops"]:
+        return ["EMPTY RUN: no operations were issued"]
+    return []
+

@@ -165,10 +165,10 @@ def test_chaos_without_serve_keeps_four_invariants(capsys):
 def harness(capsys, run_once, runs=2, out=None, flight_out=None, **kwargs):
     from argparse import Namespace
 
-    from repro.cli import _run_and_compare
+    from repro.report import run_and_compare
 
     args = Namespace(runs=runs, out=out, flight_out=flight_out)
-    code = _run_and_compare(
+    code = run_and_compare(
         args, run_once, lambda report: f"rendered {report['n']}", **kwargs
     )
     return code, capsys.readouterr().out
