@@ -23,7 +23,7 @@ from typing import Generator, Optional, TYPE_CHECKING
 from repro import units
 from repro.errors import DriveError
 from repro.drives.speed import BurnRow, RecordingCurve, curve_for
-from repro.media.disc import OpticalDisc, Track
+from repro.media.disc import PARTIAL_SUFFIX, OpticalDisc, Track
 from repro.sim.engine import Delay, Engine, Interrupt
 from repro.sim.landing import delay_until
 
@@ -275,7 +275,7 @@ class OpticalDrive:
         self._require_disc()
         track = self.disc.tracks[track_index]
         yield from self.read_bytes(track.logical_size)
-        return self.disc.read_track(track_index)
+        return self.disc.read_track(track)
 
     # ------------------------------------------------------------------
     # Burning
@@ -314,7 +314,7 @@ class OpticalDrive:
 
         Returns a :class:`BurnResult`.  When interrupted mid-burn, the
         burned prefix is committed as an open (POW) track labelled
-        ``label + '.partial'`` and ``completed`` is False.
+        ``label + PARTIAL_SUFFIX`` and ``completed`` is False.
 
         The burn sleeps once per *step*, a stretch in which nothing can
         change its rate: the whole table without a ``throttle`` (the
@@ -408,7 +408,7 @@ class OpticalDrive:
             track = self.disc.burn_track(
                 partial_payload,
                 logical_size=int(burned),
-                label=f"{label}.partial",
+                label=label + PARTIAL_SUFFIX,
                 close=False,
             )
             return BurnResult(False, burned, self.engine.now - started, track)

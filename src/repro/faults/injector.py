@@ -318,16 +318,14 @@ class FaultInjector:
         if record is None:
             self._log("skip", spec.kind, spec.target or "-")
             return
-        disc = self._find_disc(ros, record.disc_id)
+        disc = ros.mech.disc_by_id(record.disc_id)
         if disc is None or not disc.tracks:
             self._log("skip", spec.kind, record.disc_id)
             return
         from repro.media.disc import sectors_for
 
-        track = next(
-            (t for t in disc.tracks if t.label == record.image_id),
-            disc.tracks[0],
-        )
+        image = disc.image(record.image_id)
+        track = image.tracks[0] if image is not None else disc.tracks[0]
         payload_sectors = max(1, sectors_for(len(track.payload)))
         burst = int(spec.detail.get("sectors", DEFAULT_BURST_SECTORS))
         offset = self.rng.integers(0, payload_sectors)
@@ -494,21 +492,6 @@ class FaultInjector:
         if not candidates:
             return None
         return self.rng.choice(candidates)
-
-    @staticmethod
-    def _find_disc(ros, disc_id: str):
-        for drive_set in ros.mech.drive_sets:
-            drive = drive_set.find_disc(disc_id)
-            if drive is not None:
-                return drive.disc
-        located = ros.mech.locate_disc(disc_id)
-        if located is not None:
-            roller_id, address = located
-            tray = ros.mech.rollers[roller_id].tray_at(address)
-            for disc in tray.discs():
-                if disc.disc_id == disc_id:
-                    return disc
-        return None
 
     # ------------------------------------------------------------------
     def health(self) -> dict:

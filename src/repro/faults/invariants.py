@@ -160,8 +160,6 @@ def check_spans(ros) -> dict:
 # ----------------------------------------------------------------------
 def check_metadata_consistency(ros) -> dict:
     """I4: DIM burned records, DAindex and the physical discs agree."""
-    from repro.faults.injector import FaultInjector
-
     problems = []
     checked = 0
     for image_id in sorted(ros.dim.records):
@@ -172,17 +170,13 @@ def check_metadata_consistency(ros) -> dict:
         if record.disc_id is None or record.array_address is None:
             problems.append({"image_id": image_id, "problem": "no location"})
             continue
-        disc = FaultInjector._find_disc(ros, record.disc_id)
+        disc = ros.mech.disc_by_id(record.disc_id)
         if disc is None:
             problems.append(
                 {"image_id": image_id, "problem": "disc missing"}
             )
             continue
-        labels = [track.label for track in disc.tracks]
-        if not any(
-            label == image_id or label.startswith(image_id + ".")
-            for label in labels
-        ):
+        if disc.image(image_id) is None:
             problems.append(
                 {"image_id": image_id, "problem": "track missing"}
             )

@@ -24,7 +24,7 @@ from repro.mechanics.arm import PARK_LAYER, RoboticArm
 from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddress
 from repro.mechanics.roller import Roller, home_of_disc
 from repro.mechanics.timing import DEFAULT_TIMINGS, MechanicalTimings
-from repro.media.disc import DiscType, BD25
+from repro.media.disc import BD25, DiscType, OpticalDisc
 from repro.media.tray import Tray
 from repro.plc.channel import ControlChannel
 from repro.plc.controller import PLCController
@@ -111,6 +111,18 @@ class MechanicalSubsystem:
             if address is not None:
                 return roller.roller_id, address
         return None
+
+    def disc_by_id(self, disc_id: str) -> Optional[OpticalDisc]:
+        """The disc ``disc_id`` itself, in a drive or in a roller tray."""
+        for drive_set in self.drive_sets:
+            drive = drive_set.find_disc(disc_id)
+            if drive is not None:
+                return drive.disc
+        located = self.locate_disc(disc_id)
+        if located is None:
+            return None
+        tray = self.tray_at(*located)
+        return next(d for d in tray.discs() if d.disc_id == disc_id)
 
     def total_discs(self) -> int:
         in_rollers = sum(roller.disc_count() for roller in self.rollers)

@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import units
-from repro.errors import DiscFullError, MediaError, WormViolationError
+from repro.errors import (
+    DiscFullError,
+    MediaError,
+    SectorError,
+    WormViolationError,
+)
 
 #: UDF / Blu-ray sector size in bytes (fixed by the standard, §4.5).
 SECTOR_SIZE = 2048
@@ -31,6 +36,12 @@ POW_METADATA_OVERHEAD = 128 * units.MB
 
 #: Time the drive spends formatting a POW metadata zone ("tens of seconds").
 POW_FORMAT_SECONDS = 30.0
+
+#: Track-label suffixes of an image whose burn was interrupted (§4.8) and
+#: later resumed on the same disc: the burned prefix, then the remainder.
+#: :meth:`OpticalDisc.image` joins the pieces back into one image.
+PARTIAL_SUFFIX = ".partial"
+REST_SUFFIX = ".rest"
 
 
 @dataclass(frozen=True)
@@ -120,14 +131,34 @@ class Track:
     logical_size: int
     label: str = ""
 
-    @property
-    def end_sector(self) -> int:
-        return self.start_sector + self.sector_count
-
 
 def sectors_for(nbytes: int) -> int:
     """Number of 2 KB sectors needed to hold ``nbytes``."""
     return -(-int(nbytes) // SECTOR_SIZE)
+
+
+@dataclass(frozen=True)
+class ImageOnDisc:
+    """One image as a disc holds it: a single track, or the pieces a
+    resumed burn left, in track order."""
+
+    disc: OpticalDisc
+    image_id: str
+    tracks: tuple[Track, ...]
+
+    @property
+    def logical_size(self) -> int:
+        """Bytes a drive streams to read the whole image."""
+        return sum(track.logical_size for track in self.tracks)
+
+    @property
+    def payload_length(self) -> int:
+        """Length of the image's serialized bytes."""
+        return sum(len(track.payload) for track in self.tracks)
+
+    def read(self) -> bytes:
+        """The image's bytes; a sector error on any piece raises."""
+        return b"".join(self.disc.read_track(track) for track in self.tracks)
 
 
 class OpticalDisc:
@@ -252,22 +283,35 @@ class OpticalDisc:
                 return track
         return None
 
-    def read_track(self, index: int) -> bytes:
-        """Return a track's payload, honouring injected sector errors."""
-        track = self.tracks[index]
-        if self.bad_sectors:
-            bad_in_track = {
-                s
-                for s in self.bad_sectors
-                if track.start_sector <= s < track.end_sector
-            }
-            # Only payload-backed sectors can corrupt actual data.
-            payload_sectors = sectors_for(len(track.payload))
-            for sector in sorted(bad_in_track):
-                if sector - track.start_sector < payload_sectors:
-                    from repro.errors import SectorError
+    def image(self, image_id: Optional[str] = None) -> Optional[ImageOnDisc]:
+        """The image ``image_id`` as this disc holds it, or None.
 
-                    raise SectorError(self.disc_id, sector)
+        The track labelled exactly ``image_id`` wins; otherwise every
+        track of that image (label up to its first ``.``) is a piece of
+        a resumed burn.  ``image_id`` defaults to the first track's.
+        """
+        if not self.tracks:
+            return None
+        if image_id is None:
+            image_id = self.tracks[0].label.partition(".")[0]
+        exact = self.find_track(image_id)
+        if exact is not None:
+            return ImageOnDisc(self, image_id, (exact,))
+        pieces = tuple(
+            track
+            for track in self.tracks
+            if track.label.partition(".")[0] == image_id
+        )
+        return ImageOnDisc(self, image_id, pieces) if pieces else None
+
+    def read_track(self, track: Track) -> bytes:
+        """Return one of this disc's tracks' payload, honouring injected
+        sector errors."""
+        # Only payload-backed sectors can corrupt actual data.
+        end = track.start_sector + sectors_for(len(track.payload))
+        bad = [s for s in self.bad_sectors if track.start_sector <= s < end]
+        if bad:
+            raise SectorError(self.disc_id, min(bad))
         return track.payload
 
     def describe(self) -> dict:

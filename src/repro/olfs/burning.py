@@ -17,6 +17,7 @@ import itertools
 from typing import Generator, Optional
 
 from repro.errors import MechanicsError, ROSError
+from repro.media.disc import REST_SUFFIX
 from repro.mechanics.geometry import TrayAddress
 from repro.olfs.config import OLFSConfig
 from repro.olfs.images import DiscImageManager, ImageRecord
@@ -221,7 +222,7 @@ class BurnTask:
                     jobs.append(None)  # that disc is already finished
                 else:
                     body = payload[real_prefix.get(image_id, 0) :]
-                    label = image_id if done == 0 else f"{image_id}.rest"
+                    label = image_id if done == 0 else image_id + REST_SUFFIX
                     jobs.append((body, int(size - done), label))
             try:
                 results = yield from drive_set.burn_array(

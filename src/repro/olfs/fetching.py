@@ -205,7 +205,12 @@ class FetchController:
         try:
             yield from drive.mount()
             yield from drive.seek()
-            image = self._load_image_from_disc(drive.disc, record.image_id)
+            on_disc = drive.disc.image(record.image_id)
+            if on_disc is None:
+                raise FileNotFoundOLFSError(
+                    f"image {record.image_id} not on disc {drive.disc.disc_id}"
+                )
+            image = DiscImage.deserialize(on_disc.read())
             entry = image.mount().file_entry(path)
             # Stream the file's bytes off the disc.
             yield from drive.read_bytes(entry.size)
@@ -231,30 +236,6 @@ class FetchController:
             self.burn_controller.resume_interrupted()
         source = "drive" if was_in_drive else "roller"
         return FetchResult(entry.data, source, mechanical=not was_in_drive)
-
-    @staticmethod
-    def _load_image_from_disc(disc, image_id: str) -> DiscImage:
-        """Deserialize an image off a disc (untimed content work; the
-        timed part is the byte streaming the caller charges).
-
-        Interrupted-then-resumed burns leave the image split across POW
-        tracks (``<id>.partial`` + ``<id>.rest``); those are reassembled
-        in track order.
-        """
-        exact = disc.find_track(image_id)
-        if exact is not None:
-            index = disc.tracks.index(exact)
-            return DiscImage.deserialize(disc.read_track(index))
-        pieces = [
-            disc.read_track(index)
-            for index, track in enumerate(disc.tracks)
-            if track.label.startswith(image_id + ".")
-        ]
-        if not pieces:
-            raise FileNotFoundOLFSError(
-                f"image {image_id} not on disc {disc.disc_id}"
-            )
-        return DiscImage.deserialize(b"".join(pieces))
 
     def _file_cache_fill(
         self, drive, grant, record, image, path, entry

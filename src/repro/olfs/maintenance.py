@@ -22,7 +22,7 @@ from repro.olfs.bucket import WritingBucketManager
 from repro.olfs.cache import ReadCache
 from repro.olfs.config import OLFSConfig
 from repro.olfs.images import DiscImageManager
-from repro.olfs.mechanical import ArrayState, MechanicalController, PRIORITY_FETCH
+from repro.olfs.mechanical import ArrayState, MechanicalController
 from repro.olfs.metadata import MetadataVolume
 from repro.sim.engine import Engine
 from repro.udf.image import DiscImage
@@ -97,85 +97,87 @@ class MaintenanceInterface:
         tray retired — the media-refresh path of a preservation
         campaign.  Returns a report dict.
         """
-        mech = self.mc.mech
         self.scrubs += 1
         if self.mc.state_of(roller, address) is not ArrayState.USED:
             raise SectorError("-", -1)  # not a burned array
-        set_id = self.mc.pick_set_for_burn(roller)
-        grant = yield from self.mc.acquire_set(set_id, PRIORITY_FETCH)
-        report = {
-            "checked": 0,
-            "errors": 0,
-            "checksum_mismatches": 0,
-            "repaired": [],
-            "migrated": [],
-            "lost": [],
-        }
-        try:
-            drive_set = mech.drive_sets[set_id]
-            yield from mech.swap_array(set_id, address, priority=PRIORITY_FETCH)
+
+        def body(loaded) -> Generator:
+            # Check, then repair, migrate or retire, all before the
+            # array is unloaded.
+            report = {
+                "checked": 0,
+                "errors": 0,
+                "checksum_mismatches": 0,
+                "repaired": [],
+                "migrated": [],
+                "lost": [],
+            }
             blobs: dict[str, bytes] = {}
-            failed: dict[str, int] = {}  # image_id -> lost blob length
+            failed: dict[str, int] = {}  # data image id -> blob length
             parity_raw: Optional[bytes] = None
             parity_failed = False
-            parity_labels: list[str] = []
+            parity_ids: list[str] = []
             # The DAindex's committed membership, not the disc labels,
             # says which discs are this array: a disc burned into the
             # tray outside its commit must not vote in the XOR.
             members = self.mc.array_images.get((roller, address))
-            for drive in drive_set.drives:
-                disc = drive.disc
-                if disc is None or not disc.tracks:
-                    continue
-                label = disc.tracks[0].label
-                if members is not None and label not in members:
+            for drive, image in loaded:
+                image_id = image.image_id
+                if members is not None and image_id not in members:
                     continue
                 if error_model is not None:
-                    self.sector_errors_found += error_model.age_disc(disc)
+                    aged = error_model.age_disc(drive.disc)
+                    self.sector_errors_found += aged
                 report["checked"] += 1
-                if label.startswith("par-"):
-                    parity_labels.append(label)
-                yield from drive.mount()
-                yield from drive.seek()
-                yield from drive.read_bytes(disc.tracks[0].logical_size)
+                is_parity = image_id.startswith("par-")
+                if is_parity:
+                    parity_ids.append(image_id)
                 try:
-                    blob = disc.read_track(0)
+                    blob = yield from self.mc.read_image(drive, image)
                 except SectorError:
-                    report["errors"] += 1
-                    if label.startswith("par-"):
-                        parity_failed = True
-                    else:
-                        failed[label] = len(disc.tracks[0].payload)
-                    continue
-                record = self.dim.records.get(label)
+                    blob = None
+                record = self.dim.records.get(image_id)
                 if (
-                    record is not None
+                    blob is not None
+                    and record is not None
                     and record.checksum is not None
                     and hashlib.sha256(blob).hexdigest() != record.checksum
                 ):
                     # Sectors read back, but the bytes differ from the
                     # fingerprint stored at burn time: silent corruption.
                     # Treat exactly like an unreadable image (§4.7).
-                    report["errors"] += 1
                     report["checksum_mismatches"] += 1
                     self.sector_errors_found += 1
-                    if label.startswith("par-"):
+                    blob = None
+                if blob is None:
+                    report["errors"] += 1
+                    if is_parity:
                         parity_failed = True
                     else:
-                        failed[label] = len(disc.tracks[0].payload)
-                    continue
-                if label.startswith("par-"):
+                        failed[image_id] = image.payload_length
+                elif is_parity:
                     parity_raw = DiscImage.deserialize(blob).raw
                 else:
-                    blobs[label] = blob
-            failed_data = {
-                image_id: length
-                for image_id, length in failed.items()
-                if not image_id.split(".")[0].startswith("par-")
-            }
-            if len(failed_data) == 1 and parity_raw is not None:
+                    blobs[image_id] = blob
+
+            def migrate_survivors(image_ids) -> Generator:
+                # Rewrite surviving data images into fresh buckets (the
+                # next burn lands them on a fresh array), which marks
+                # each lost, then retire the tray.  Its parity images are
+                # superseded too (the replacement array gets fresh
+                # parity), so the DIM never claims a burned image on a
+                # FAILED array.
+                for image_id in image_ids:
+                    restored = DiscImage.deserialize(blobs[image_id])
+                    yield from self._rewrite_image(image_id, restored)
+                    report["migrated"].append(image_id)
+                self.mc.set_state(roller, address, ArrayState.FAILED)
+                for image_id in parity_ids:
+                    self.dim.mark_lost(image_id)
+
+            if len(failed) == 1 and parity_raw is not None:
                 # Single data loss + healthy parity: XOR reconstruction.
-                image_id, lost_length = next(iter(failed_data.items()))
+                image_id, lost_length = next(iter(failed.items()))
                 recovered_blob = self.dim.recover_data_blob(
                     parity_raw, list(blobs.values()), lost_length
                 )
@@ -183,54 +185,26 @@ class MaintenanceInterface:
                 yield from self._rewrite_image(image_id, restored)
                 report["repaired"].append(image_id)
                 self.images_repaired += 1
-            elif len(failed_data) > 1 or (failed_data and parity_raw is None):
+            elif len(failed) > 1 or (failed and parity_raw is None):
                 # Beyond this array's redundancy: salvage the survivors,
                 # record the casualties.
-                report["lost"].extend(sorted(failed_data))
-                for image_id in failed_data:
+                report["lost"].extend(sorted(failed))
+                for image_id in failed:
                     self.dim.mark_lost(image_id)
-                for image_id, blob in blobs.items():
-                    restored = DiscImage.deserialize(blob)
-                    yield from self._rewrite_image(image_id, restored)
-                    report["migrated"].append(image_id)
-                self._retire_array(roller, address, parity_labels)
-            if parity_failed and not failed_data:
+                yield from migrate_survivors(list(blobs))
+            if parity_failed and not failed:
                 # Degraded redundancy: the data is intact but unprotected.
-                # Proactively migrate every data image to fresh buckets so
-                # the next burn re-establishes full parity, and retire the
-                # old tray.
-                for image_id, blob in blobs.items():
-                    restored = DiscImage.deserialize(blob)
-                    yield from self._rewrite_image(image_id, restored)
-                    report["migrated"].append(image_id)
-                self._retire_array(roller, address, parity_labels)
+                # Migrating it lets the next burn re-establish full parity.
+                yield from migrate_survivors(list(blobs))
             if migrate and self.mc.state_of(roller, address) is ArrayState.USED:
-                # Media refresh: rewrite every surviving data image into
-                # fresh buckets and retire the aging tray, so the next
-                # burn lands the data on young media (§4.7 applied
-                # proactively by a migration campaign).
-                for image_id in sorted(blobs):
-                    restored = DiscImage.deserialize(blobs[image_id])
-                    yield from self._rewrite_image(image_id, restored)
-                    report["migrated"].append(image_id)
-                self._retire_array(roller, address, parity_labels)
-            yield from mech.unload_array(set_id, priority=PRIORITY_FETCH)
+                # Media refresh: move every surviving data image off the
+                # aging tray onto young media (§4.7 applied proactively by
+                # a migration campaign).
+                yield from migrate_survivors(sorted(blobs))
             return report
-        finally:
-            grant.release()
 
-    def _retire_array(self, roller: int, address: TrayAddress,
-                      parity_labels: list[str]) -> None:
-        """Mark an array FAILED and supersede its parity records.
-
-        Data records are marked lost by :meth:`_rewrite_image` as they
-        are rewritten; the parity images burned on the retired tray are
-        superseded too (the replacement array will get fresh parity), so
-        the DIM never claims a burned image on a FAILED array.
-        """
-        self.mc.set_state(roller, address, ArrayState.FAILED)
-        for label in parity_labels:
-            self.dim.mark_lost(label.split(".")[0])
+        report = yield from self.mc.scan_array(roller, address, body)
+        return report
 
     def _rewrite_image(
         self, lost_image_id: str, restored: DiscImage

@@ -17,13 +17,14 @@ Responsibilities here:
 from __future__ import annotations
 
 import enum
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Callable, Generator, Optional, TYPE_CHECKING
 
 from repro.drives.drive import OpticalDrive
 from repro.drives.drive_set import DriveSet
 from repro.errors import MechanicsError
 from repro.mechanics.geometry import TrayAddress
 from repro.mechanics.library import MechanicalSubsystem
+from repro.media.disc import ImageOnDisc
 from repro.olfs.config import OLFSConfig
 from repro.sim.engine import Acquire, Engine
 from repro.sim.resources import Grant, Resource
@@ -201,6 +202,46 @@ class MechanicalController:
         return min(
             candidates, key=lambda s: self._locks[s.set_id].queue_length
         ).set_id
+
+    # ------------------------------------------------------------------
+    # Whole-array reads (scrub, disc-scan recovery)
+    # ------------------------------------------------------------------
+    def scan_array(
+        self,
+        roller_index: int,
+        address: TrayAddress,
+        body: Callable[[list], Generator],
+    ) -> Generator:
+        """Load the array at ``address`` into a set at fetch priority, run
+        the process ``body(loaded)`` over its ``(drive, image)`` pairs (one
+        per disc that holds an image, in drive order), unload and release;
+        returns the body's result.  On an error the set is released
+        without an unload."""
+        set_id = self.pick_set_for_burn(roller_index)
+        grant = yield from self.acquire_set(set_id, PRIORITY_FETCH)
+        try:
+            yield from self.mech.swap_array(
+                set_id, address, priority=PRIORITY_FETCH
+            )
+            loaded = [
+                (drive, drive.disc.image())
+                for drive in self.mech.drive_sets[set_id].drives
+                if drive.disc is not None and drive.disc.tracks
+            ]
+            result = yield from body(loaded)
+            yield from self.mech.unload_array(set_id, priority=PRIORITY_FETCH)
+            return result
+        finally:
+            grant.release()
+
+    @staticmethod
+    def read_image(drive: OpticalDrive, image: ImageOnDisc) -> Generator:
+        """Stream a whole image off the disc in ``drive`` (mount, seek,
+        its logical size); returns its bytes."""
+        yield from drive.mount()
+        yield from drive.seek()
+        yield from drive.read_bytes(image.logical_size)
+        return image.read()
 
     # ------------------------------------------------------------------
     # Fetch path (§4.8 read policies)

@@ -144,12 +144,24 @@ class RecoveryManager:
             images = self.mc.array_images.get((roller, address), [])
             if not any(image_id.startswith("mv-") for image_id in images):
                 continue
-            discs_read += yield from self._with_retries(
-                lambda: self._scan_array_for_chunks(
-                    roller, address, chunks, meta
-                ),
+            checkpoints = yield from self._with_retries(
+                lambda: self._read_images(roller, address, "metadata"),
                 "scan-array",
             )
+            discs_read += len(checkpoints)
+            for image in checkpoints:
+                fs = image.mount()
+                manifest = json.loads(fs.read_file("/mv/manifest.json"))
+                snapshot_id = manifest["snapshot"]
+                meta[snapshot_id] = {
+                    "total": manifest["total"],
+                    "kind": manifest.get("kind", "full"),
+                    "base": manifest.get("base"),
+                }
+                seq = manifest["seq"]
+                chunks.setdefault(snapshot_id, {})[seq] = fs.read_file(
+                    f"/mv/chunk-{seq:06d}"
+                )
 
         def complete(snapshot_id: int) -> bool:
             have = chunks.get(snapshot_id, {})
@@ -206,48 +218,25 @@ class RecoveryManager:
                 yield Delay(backoff)
         raise last_error  # pragma: no cover — schedule() raises on last
 
-    def _scan_array_for_chunks(
-        self,
-        roller: int,
-        address: TrayAddress,
-        chunks: dict,
-        meta: dict,
+    def _read_images(
+        self, roller: int, address: TrayAddress, kind: str
     ) -> Generator:
-        mech = self.mc.mech
-        set_id = self.mc.pick_set_for_burn(roller)
-        grant = yield from self.mc.acquire_set(set_id, PRIORITY_FETCH)
-        try:
-            drive_set = mech.drive_sets[set_id]
-            yield from mech.swap_array(set_id, address, priority=PRIORITY_FETCH)
-            read = 0
-            for drive in drive_set.drives:
-                if drive.disc is None or not drive.disc.tracks:
+        """Load one array and stream off it every image of ``kind`` (the
+        header is peeked untimed; only those images are read, timed).
+        Returns them deserialized, in drive order."""
+
+        def body(loaded) -> Generator:
+            images: list[DiscImage] = []
+            for drive, on_disc in loaded:
+                header = DiscImage.peek_header(on_disc.read())
+                if header.get("kind") != kind:
                     continue
-                track = drive.disc.tracks[0]
-                header = DiscImage.peek_header(drive.disc.read_track(0))
-                if header.get("kind") != "metadata":
-                    continue
-                yield from drive.mount()
-                yield from drive.seek()
-                yield from drive.read_bytes(track.logical_size)
-                image = DiscImage.deserialize(drive.disc.read_track(0))
-                fs = image.mount()
-                manifest = json.loads(fs.read_file("/mv/manifest.json"))
-                snapshot_id = manifest["snapshot"]
-                meta[snapshot_id] = {
-                    "total": manifest["total"],
-                    "kind": manifest.get("kind", "full"),
-                    "base": manifest.get("base"),
-                }
-                seq = manifest["seq"]
-                chunks.setdefault(snapshot_id, {})[seq] = fs.read_file(
-                    f"/mv/chunk-{seq:06d}"
-                )
-                read += 1
-            yield from mech.unload_array(set_id, priority=PRIORITY_FETCH)
-            return read
-        finally:
-            grant.release()
+                blob = yield from self.mc.read_image(drive, on_disc)
+                images.append(DiscImage.deserialize(blob))
+            return images
+
+        images = yield from self.mc.scan_array(roller, address, body)
+        return images
 
     # ------------------------------------------------------------------
     # Full namespace reconstruction from data images (§4.4)
@@ -331,33 +320,9 @@ class RecoveryManager:
             collected.extend(
                 (
                     yield from self._with_retries(
-                        lambda: self._collect_array(roller, address),
+                        lambda: self._read_images(roller, address, "data"),
                         "collect-array",
                     )
                 )
             )
         return collected
-
-    def _collect_array(self, roller: int, address: TrayAddress) -> Generator:
-        mech = self.mc.mech
-        collected: list[DiscImage] = []
-        set_id = self.mc.pick_set_for_burn(roller)
-        grant = yield from self.mc.acquire_set(set_id, PRIORITY_FETCH)
-        try:
-            drive_set = mech.drive_sets[set_id]
-            yield from mech.swap_array(set_id, address, priority=PRIORITY_FETCH)
-            for drive in drive_set.drives:
-                disc = drive.disc
-                if disc is None or not disc.tracks:
-                    continue
-                header = DiscImage.peek_header(disc.read_track(0))
-                if header.get("kind") != "data":
-                    continue
-                yield from drive.mount()
-                yield from drive.seek()
-                yield from drive.read_bytes(disc.tracks[0].logical_size)
-                collected.append(DiscImage.deserialize(disc.read_track(0)))
-            yield from mech.unload_array(set_id, priority=PRIORITY_FETCH)
-            return collected
-        finally:
-            grant.release()

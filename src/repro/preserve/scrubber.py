@@ -122,9 +122,7 @@ class BackgroundScrubber:
     def _array_bytes(self, roller: int, address) -> int:
         tray = self.ros.mech.rollers[roller].tray_at(address)
         return sum(
-            disc.tracks[0].logical_size
-            for disc in tray.discs()
-            if disc.tracks
+            disc.image().logical_size for disc in tray.discs() if disc.tracks
         )
 
     def _should_migrate(self, roller: int, address) -> bool:

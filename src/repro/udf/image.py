@@ -35,6 +35,17 @@ METADATA = "metadata"
 _KINDS = (DATA, PARITY, METADATA)
 
 
+def _decode_header(blob: bytes) -> tuple[dict, int]:
+    """The volume's JSON header and the offset its extents start at."""
+    if blob[: len(VOLUME_MAGIC)] != VOLUME_MAGIC:
+        raise MediaError("not a ROS-UDF volume (bad magic)")
+    cursor = len(VOLUME_MAGIC) + _HEADER_LEN_BYTES
+    head_len = int.from_bytes(blob[len(VOLUME_MAGIC) : cursor], "big")
+    if len(blob) < cursor + head_len:
+        raise MediaError("volume ends inside its header")
+    return json.loads(blob[cursor : cursor + head_len]), cursor + head_len
+
+
 class DiscImage:
     """An identified, serializable volume that swaps between disks and discs."""
 
@@ -136,15 +147,7 @@ class DiscImage:
     @classmethod
     def deserialize(cls, blob: bytes) -> "DiscImage":
         """Rebuild an image (and its fs) from serialized bytes."""
-        if blob[: len(VOLUME_MAGIC)] != VOLUME_MAGIC:
-            raise MediaError("not a ROS-UDF volume (bad magic)")
-        cursor = len(VOLUME_MAGIC)
-        head_len = int.from_bytes(
-            blob[cursor : cursor + _HEADER_LEN_BYTES], "big"
-        )
-        cursor += _HEADER_LEN_BYTES
-        header = json.loads(blob[cursor : cursor + head_len])
-        cursor += head_len
+        header, cursor = _decode_header(blob)
         if header.get("version") != FORMAT_VERSION:
             raise MediaError(
                 f"unsupported volume format {header.get('version')}"
@@ -183,14 +186,7 @@ class DiscImage:
     @staticmethod
     def peek_header(blob: bytes) -> dict:
         """Read just the JSON header (recovery scans discs cheaply)."""
-        if blob[: len(VOLUME_MAGIC)] != VOLUME_MAGIC:
-            raise MediaError("not a ROS-UDF volume (bad magic)")
-        cursor = len(VOLUME_MAGIC)
-        head_len = int.from_bytes(
-            blob[cursor : cursor + _HEADER_LEN_BYTES], "big"
-        )
-        cursor += _HEADER_LEN_BYTES
-        return json.loads(blob[cursor : cursor + head_len])
+        return _decode_header(blob)[0]
 
     def __repr__(self) -> str:
         return f"<DiscImage {self.image_id} {self.kind} {self.logical_size}B>"

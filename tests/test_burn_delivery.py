@@ -26,7 +26,6 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.media.disc import BD25, BD100, OpticalDisc
-from repro.olfs.fetching import FetchController
 from repro.sim import Delay, Engine, Join
 from repro.sim.engine import NULL_FAULTS
 from repro.udf.filesystem import UDFFileSystem
@@ -218,19 +217,25 @@ def test_stopped_burn_plus_rest_round_trips(disc_type, fill, size_gb, stop):
         )
     )
     assert rest.completed
-    fetched = FetchController._load_image_from_disc(drive.disc, "img-7")
+    on_disc = drive.disc.image("img-7")
+    assert on_disc.logical_size == size
+    fetched = DiscImage.deserialize(on_disc.read())
     assert fetched.serialize() == payload
 
 
 def test_a_disc_holding_only_a_cut_header_does_not_reassemble_silently():
     """The .partial of a burn stopped inside the image header is not an
-    image yet: the fetch path raises instead of returning a wrong one."""
+    image yet: reading it raises a media error (which every ROSError
+    handler sees) instead of returning a wrong image."""
     disc = OpticalDisc("d", BD25)
     payload = make_image("img-1", units.GB).serialize()
     disc.burn_track(payload[:40], logical_size=units.MB,
                     label="img-1.partial", close=False)
-    with pytest.raises((MediaError, ValueError)):
-        FetchController._load_image_from_disc(disc, "img-1")
+    blob = disc.image("img-1").read()
+    with pytest.raises(MediaError):
+        DiscImage.deserialize(blob)
+    with pytest.raises(MediaError):
+        DiscImage.peek_header(blob)
 
 
 # ----------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_worm_erase_rejected():
 def test_read_track_roundtrip():
     disc = OpticalDisc("d0")
     disc.burn_track(b"payload bytes", label="img")
-    assert disc.read_track(0) == b"payload bytes"
+    assert disc.read_track(disc.tracks[0]) == b"payload bytes"
 
 
 def test_read_bad_sector_raises():
@@ -141,14 +141,14 @@ def test_read_bad_sector_raises():
     disc.burn_track(b"x" * SECTOR_SIZE * 3)
     disc.bad_sectors.add(1)
     with pytest.raises(SectorError):
-        disc.read_track(0)
+        disc.read_track(disc.tracks[0])
 
 
 def test_bad_sector_beyond_payload_is_harmless():
     disc = OpticalDisc("d0")
     disc.burn_track(b"abc", logical_size=SECTOR_SIZE * 100)
     disc.bad_sectors.add(50)  # inside declared zone, beyond real payload
-    assert disc.read_track(0) == b"abc"
+    assert disc.read_track(disc.tracks[0]) == b"abc"
 
 
 def test_describe_is_self_descriptive():
@@ -170,7 +170,7 @@ def test_property_track_accounting(payloads):
     expected += len(payloads) * sectors_for(POW_METADATA_OVERHEAD)
     assert disc.used_sectors == expected
     for index, payload in enumerate(payloads):
-        assert disc.read_track(index) == payload
+        assert disc.read_track(disc.tracks[index]) == payload
 
 
 # ----------------------------------------------------------------------
