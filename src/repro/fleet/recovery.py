@@ -8,8 +8,8 @@ shard onto a surviving rack:
 1. decode the object from any ``k`` surviving shards (paying real fetch
    time through the surviving racks' bandwidth lanes — recovery traffic
    genuinely competes with client reads);
-2. re-derive the lost shard (data slice or P/Q parity) with the
-   :mod:`repro.storage.raid` erasure math;
+2. re-derive the lost shard (data slice or P/Q parity) by re-encoding
+   the object with :func:`~repro.fleet.store.encode_object`;
 3. store it on the best-ranked surviving rack outside the object's
    current placement, preferring racks that keep the per-site shard cap
    intact, and repoint the catalog.
@@ -24,10 +24,8 @@ from __future__ import annotations
 
 from typing import Generator
 
-import numpy as np
-
 from repro.errors import FleetError, RackLostError, ShardUnavailableError
-from repro.fleet.store import FleetStore
+from repro.fleet.store import FleetStore, decode_object, encode_object
 from repro.sim.engine import Delay, Wait
 
 
@@ -131,11 +129,9 @@ class RecoveryManager:
                 self.stats["objects_unrecoverable"] += 1
                 self.stats["bytes_lost"] += record.size
             return 0
-        data_shards = [
-            chunk.tobytes()
-            for chunk in _decode_arrays(fetched, record.k)
-        ]
-        all_shards = _reshard(data_shards, record.m)
+        all_shards, _ = encode_object(
+            decode_object(fetched, record.k, record.pad), record.k, record.m
+        )
         rebuilt = 0
         for position in missing:
             try:
@@ -165,27 +161,3 @@ class RecoveryManager:
         stats["running"] = self._running
         return stats
 
-
-def _decode_arrays(shards: dict[int, bytes], k: int) -> list[np.ndarray]:
-    from repro.storage.raid import erasure_decode
-
-    arrays = {
-        position: np.frombuffer(payload, dtype=np.uint8)
-        for position, payload in shards.items()
-    }
-    return erasure_decode(k, arrays)
-
-
-def _reshard(data_shards: list[bytes], m: int) -> list[bytes]:
-    """Full shard list (data + parity) from the decoded data shards."""
-    from repro.storage.raid import erasure_parity
-
-    shards = list(data_shards)
-    if m:
-        arrays = [
-            np.frombuffer(shard, dtype=np.uint8) for shard in data_shards
-        ]
-        shards.extend(
-            parity.tobytes() for parity in erasure_parity(arrays, m)
-        )
-    return shards

@@ -4,9 +4,9 @@ A :class:`FleetTopology` names the failure domains of a geo-distributed
 archive: ``sites`` machine rooms, each holding ``racks_per_site``
 ROS-style optical racks.  A :class:`Layout` says how one disc image is
 cut across that topology — ``k`` data shards plus ``m`` parity shards
-computed with the same P/Q math as :class:`~repro.storage.raid.RAID6`
-(``k=1`` degenerates to plain ``1+m`` replication, because P and Q of a
-single shard are copies of it).
+computed with :func:`~repro.storage.raid.erasure_parity`, the P/Q codec
+RAID volumes and disc arrays use too (``k=1`` degenerates to plain
+``1+m`` replication, because P and Q of a single shard are copies of it).
 
 The durability contract the placement layer enforces: at most
 ``site_cap`` shards of any one object land in one site, so losing an

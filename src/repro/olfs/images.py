@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import FilesystemError
 from repro.olfs.config import OLFSConfig
 from repro.sim.engine import AllOf, Engine
+from repro.storage.raid import erasure_parity
 from repro.storage.scheduler import IOStreamScheduler, StreamKind
 from repro.udf.image import DiscImage
 
@@ -233,17 +234,19 @@ class DiscImageManager:
         data_images: list[DiscImage],
         blobs: Optional[list[bytes]] = None,
     ) -> Generator:
-        """Create the parity image over a prepared array's data images.
+        """Create the parity images over a prepared array's data images.
 
         ``blobs`` are the images' serialized bytes when the caller already
         has them (a burn task burns the same bytes it protects).
 
-        Streams every data image off the buffer (parity-read), XORs the
-        serialized bytes, and writes the parity image back (parity-write);
-        both streams are charged to the volumes the scheduler assigned, so
-        this is exactly the interference workload §4.7 describes.
-        Supports 1 parity (RAID-5 style XOR).  For the 10+2 RAID-6 schema
-        a second, GF(256)-weighted parity is produced.
+        Streams every data image off the buffer (parity-read), encodes
+        the serialized bytes, zero-padded to the widest, with
+        :func:`~repro.storage.raid.erasure_parity`, and writes each parity
+        image back (parity-write); both streams are charged to the volumes
+        the scheduler assigned, so this is exactly the interference
+        workload §4.7 describes.  Returns ``[P]`` for the 11+1 schema and
+        ``[P, Q]`` for 10+2, in the shard positions
+        :func:`~repro.storage.raid.erasure_decode` expects after the data.
         """
         if not data_images:
             raise FilesystemError("parity over an empty image set")
@@ -252,7 +255,6 @@ class DiscImageManager:
 
         if blobs is None:
             blobs = [image.serialize() for image in data_images]
-        width = max(len(blob) for blob in blobs)
         logical = max(image.logical_size for image in data_images)
 
         def read_one(blob_size: float) -> Generator:
@@ -267,49 +269,34 @@ class DiscImageManager:
         ]
         yield AllOf(readers)
 
-        parity = np.zeros(width, dtype=np.uint8)
-        arrays = []
-        for blob in blobs:
-            padded = np.zeros(width, dtype=np.uint8)
-            padded[: len(blob)] = np.frombuffer(blob, dtype=np.uint8)
-            parity ^= padded
-            arrays.append(padded)
-
         images_out = []
-        parity_id = f"par-{next(self._parity_counter):08d}"
-        yield from write_volume.write(logical)
-        p_image = DiscImage(
-            parity_id, kind="parity", raw=parity.tobytes(), logical_size=logical
-        )
-        self.register_parity(p_image)
-        self.parity_images_generated += 1
-        images_out.append(p_image)
-
-        if self.config.parity_discs_per_array == 2:
-            from repro.storage.gf256 import generator_coefficient, gf_mul_bytes
-
-            q = np.zeros(width, dtype=np.uint8)
-            for position, padded in enumerate(arrays):
-                q ^= gf_mul_bytes(padded, generator_coefficient(position))
-            q_id = f"par-{next(self._parity_counter):08d}"
+        for parity in erasure_parity(
+            pad_blobs(blobs), self.config.parity_discs_per_array
+        ):
+            parity_id = f"par-{next(self._parity_counter):08d}"
             yield from write_volume.write(logical)
-            q_image = DiscImage(
-                q_id, kind="parity", raw=q.tobytes(), logical_size=logical
+            image = DiscImage(
+                parity_id,
+                kind="parity",
+                raw=parity.tobytes(),
+                logical_size=logical,
             )
-            self.register_parity(q_image)
+            self.register_parity(image)
             self.parity_images_generated += 1
-            images_out.append(q_image)
+            images_out.append(image)
         return images_out
 
-    @staticmethod
-    def recover_data_blob(
-        parity_raw: bytes, sibling_blobs: list[bytes], lost_length: int
-    ) -> bytes:
-        """Rebuild a lost data image's bytes from XOR parity + siblings."""
-        width = len(parity_raw)
-        result = np.frombuffer(parity_raw, dtype=np.uint8).copy()
-        for blob in sibling_blobs:
-            padded = np.zeros(width, dtype=np.uint8)
-            padded[: len(blob)] = np.frombuffer(blob, dtype=np.uint8)
-            result ^= padded
-        return result.tobytes()[:lost_length]
+
+def pad_blobs(blobs: list[bytes]) -> list[np.ndarray]:
+    """``blobs`` as equal-length erasure shards, zero-padded to the widest.
+
+    A data image's blob is never wider than its array's parity images,
+    so padding survivors together with a parity raw restores the width
+    they were encoded at."""
+    width = max(map(len, blobs), default=0)
+    shards = []
+    for blob in blobs:
+        shard = np.zeros(width, dtype=np.uint8)
+        shard[: len(blob)] = np.frombuffer(blob, dtype=np.uint8)
+        shards.append(shard)
+    return shards

@@ -15,16 +15,17 @@ import hashlib
 import json
 from typing import Generator, Optional
 
-from repro.errors import SectorError
+from repro.errors import RaidDegradedError, SectorError
 from repro.media.errors_model import SectorErrorModel
 from repro.mechanics.geometry import TrayAddress
 from repro.olfs.bucket import WritingBucketManager
 from repro.olfs.cache import ReadCache
 from repro.olfs.config import OLFSConfig
-from repro.olfs.images import DiscImageManager
+from repro.olfs.images import DiscImageManager, pad_blobs
 from repro.olfs.mechanical import ArrayState, MechanicalController
 from repro.olfs.metadata import MetadataVolume
 from repro.sim.engine import Engine
+from repro.storage.raid import erasure_decode
 from repro.udf.image import DiscImage
 
 
@@ -87,14 +88,18 @@ class MaintenanceInterface:
         """Check one burned array's sectors; repair damaged images.
 
         Loads the array, optionally ages the discs through the error
-        model, reads every track (timed), verifies each payload against
-        the checksum stored at burn time, and for any disc with
-        unreadable or mismatching payload sectors reconstructs the lost
-        image from the XOR parity disc plus the sibling data discs, then
-        rewrites the recovered files into fresh buckets and repoints the
-        MV index entries (§4.7).  With ``migrate=True`` every readable
-        data image is additionally rewritten onto fresh media and the
-        tray retired — the media-refresh path of a preservation
+        model, reads every track (timed), and verifies each payload
+        against the checksum stored at burn time.  The discs that read
+        back are the array's erasure shards, by their position in the
+        committed membership (data, then P, then Q), so up to as many
+        unreadable or mismatching data images as the array has parity
+        discs are decoded with :func:`~repro.storage.raid.erasure_decode`;
+        their files are rewritten into fresh buckets and the MV index
+        entries repointed (§4.7).  Beyond that the survivors are salvaged
+        and the casualties recorded.  An array left without its full
+        parity is migrated and retired.  With ``migrate=True`` every
+        readable data image is additionally rewritten onto fresh media and
+        the tray retired — the media-refresh path of a preservation
         campaign.  Returns a report dict.
         """
         self.scrubs += 1
@@ -114,16 +119,18 @@ class MaintenanceInterface:
             }
             blobs: dict[str, bytes] = {}
             failed: dict[str, int] = {}  # data image id -> blob length
-            parity_raw: Optional[bytes] = None
+            parity: dict[str, bytes] = {}  # parity image id -> raw
             parity_failed = False
             parity_ids: list[str] = []
             # The DAindex's committed membership, not the disc labels,
-            # says which discs are this array: a disc burned into the
-            # tray outside its commit must not vote in the XOR.
-            members = self.mc.array_images.get((roller, address))
+            # says which discs are this array and at which shard position
+            # (the burn commits data ids, then P, then Q): a disc burned
+            # into the tray outside its commit must not vote in the decode.
+            members = self.mc.array_images[(roller, address)]
+            positions = {image_id: i for i, image_id in enumerate(members)}
             for drive, image in loaded:
                 image_id = image.image_id
-                if members is not None and image_id not in members:
+                if image_id not in positions:
                     continue
                 if error_model is not None:
                     aged = error_model.age_disc(drive.disc)
@@ -156,7 +163,7 @@ class MaintenanceInterface:
                     else:
                         failed[image_id] = image.payload_length
                 elif is_parity:
-                    parity_raw = DiscImage.deserialize(blob).raw
+                    parity[image_id] = DiscImage.deserialize(blob).raw
                 else:
                     blobs[image_id] = blob
 
@@ -175,26 +182,35 @@ class MaintenanceInterface:
                 for image_id in parity_ids:
                     self.dim.mark_lost(image_id)
 
-            if len(failed) == 1 and parity_raw is not None:
-                # Single data loss + healthy parity: XOR reconstruction.
-                image_id, lost_length = next(iter(failed.items()))
-                recovered_blob = self.dim.recover_data_blob(
-                    parity_raw, list(blobs.values()), lost_length
-                )
-                restored = DiscImage.deserialize(recovered_blob)
-                yield from self._rewrite_image(image_id, restored)
-                report["repaired"].append(image_id)
-                self.images_repaired += 1
-            elif len(failed) > 1 or (failed and parity_raw is None):
-                # Beyond this array's redundancy: salvage the survivors,
-                # record the casualties.
-                report["lost"].extend(sorted(failed))
-                for image_id in failed:
-                    self.dim.mark_lost(image_id)
-                yield from migrate_survivors(list(blobs))
-            if parity_failed and not failed:
-                # Degraded redundancy: the data is intact but unprotected.
-                # Migrating it lets the next burn re-establish full parity.
+            if failed:
+                survivors = {**blobs, **parity}
+                shards = dict(zip(
+                    map(positions.get, survivors),
+                    pad_blobs(list(survivors.values())),
+                ))
+                k = sum(not i.startswith("par-") for i in members)
+                try:
+                    decoded = erasure_decode(k, shards)
+                except RaidDegradedError:
+                    # Beyond this array's redundancy: salvage the
+                    # survivors, record the casualties.
+                    report["lost"].extend(sorted(failed))
+                    for image_id in failed:
+                        self.dim.mark_lost(image_id)
+                    yield from migrate_survivors(list(blobs))
+                else:
+                    for image_id, lost_length in failed.items():
+                        blob = decoded[positions[image_id]].tobytes()
+                        restored = DiscImage.deserialize(blob[:lost_length])
+                        yield from self._rewrite_image(image_id, restored)
+                        report["repaired"].append(image_id)
+                        self.images_repaired += 1
+            if parity_failed and (
+                self.mc.state_of(roller, address) is ArrayState.USED
+            ):
+                # Degraded redundancy: the data is intact (or was just
+                # repaired) but under-protected.  Migrating it lets the
+                # next burn re-establish full parity.
                 yield from migrate_survivors(list(blobs))
             if migrate and self.mc.state_of(roller, address) is ArrayState.USED:
                 # Media refresh: move every surviving data image off the

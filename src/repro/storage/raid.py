@@ -15,14 +15,14 @@ device-chunk index ``s`` on each member, with parity rotated across members
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
 from repro.errors import RaidDegradedError, StorageError
 from repro.sim.engine import AllOf, Engine
 from repro.storage.block import BlockDevice, CHUNK_SIZE
-from repro.storage.gf256 import gf_div, gf_mul, generator_coefficient
+from repro.storage.gf256 import gf_div, gf_mul_bytes, generator_coefficient
 
 
 def _as_array(data: bytes) -> np.ndarray:
@@ -34,25 +34,21 @@ def _as_array(data: bytes) -> np.ndarray:
 
 
 def _xor_many(chunks: list[np.ndarray]) -> np.ndarray:
-    length = len(chunks[0]) if chunks else CHUNK_SIZE
-    result = np.zeros(length, dtype=np.uint8)
+    result = np.zeros(len(chunks[0]), dtype=np.uint8)
     for chunk in chunks:
         result ^= chunk
     return result
 
 
 # ----------------------------------------------------------------------
-# Pure erasure coding over equal-length shards
+# Erasure coding over equal-length shards
 #
-# The same P/Q math the RAID-6 array applies per stripe, exposed as
-# module-level functions over arbitrary equal-length byte arrays so other
-# layers (fleet placement of disc-image shards) can reuse it without a
-# device stack.  Shard positions: ``0..k-1`` are data, ``k`` is P (XOR),
-# ``k+1`` is Q (GF(256) Reed-Solomon).
+# The one P/Q codec of the system: RAID stripes, disc-array parity images
+# and fleet object shards are all encoded and decoded here.  Shard
+# positions: ``0..k-1`` are data, ``k`` is P (XOR), ``k+1`` is Q (GF(256)
+# Reed-Solomon).
 # ----------------------------------------------------------------------
 def _q_shard(data: list[np.ndarray]) -> np.ndarray:
-    from repro.storage.gf256 import gf_mul_bytes
-
     q = np.zeros(len(data[0]), dtype=np.uint8)
     for position, chunk in enumerate(data):
         q ^= gf_mul_bytes(chunk, generator_coefficient(position))
@@ -84,8 +80,6 @@ def _solve_one_with_q(
     k: int, known: dict[int, np.ndarray], q: np.ndarray
 ) -> np.ndarray:
     """Recover the single missing data shard of ``k`` from Q parity."""
-    from repro.storage.gf256 import gf_mul_bytes
-
     missing = (set(range(k)) - set(known)).pop()
     partial = q.copy()
     for position, chunk in known.items():
@@ -107,8 +101,6 @@ def _solve_two_missing(
         g_a*D_a ^ g_b*D_b            = Q'   (Q minus known data)
     =>  D_a = (Q' ^ g_b*P') / (g_a ^ g_b),  D_b = P' ^ D_a
     """
-    from repro.storage.gf256 import gf_mul_bytes
-
     p_prime = p.copy()
     q_prime = q.copy()
     for position, chunk in known.items():
@@ -156,7 +148,13 @@ def erasure_decode(
 
 
 class RAIDArray:
-    """Base class: geometry, health and common plumbing."""
+    """Base class: geometry, health, and stripe I/O through the codec.
+
+    A stripe's members are shards by position: its data devices in
+    :meth:`stripe_device_order`, then :meth:`parity_devices` (P, then Q),
+    so a level only says how many parity members it has and where they
+    rotate.
+    """
 
     parity_count = 0
     level = "raid?"
@@ -222,7 +220,7 @@ class RAIDArray:
         return [i for i in range(self.member_count) if i not in parity]
 
     def parity_devices(self, stripe: int) -> list[int]:
-        """Devices holding parity for ``stripe`` (empty for RAID-0)."""
+        """Devices holding parity for ``stripe``, P first (empty for RAID-0)."""
         return []
 
     # -- I/O -----------------------------------------------------------
@@ -233,9 +231,8 @@ class RAIDArray:
                 f"stripe needs {self.data_per_stripe} chunks, got {len(chunks)}"
             )
         arrays = [_as_array(chunk) for chunk in chunks]
-        writes = self._stripe_writes(stripe, arrays)
         processes = []
-        for device_index, payload in writes:
+        for device_index, payload in self._stripe_writes(stripe, arrays):
             device = self.devices[device_index]
             if device.failed:
                 continue  # write-around; rebuild will restore it
@@ -250,15 +247,13 @@ class RAIDArray:
         self, stripe: int, arrays: list[np.ndarray]
     ) -> list[tuple[int, np.ndarray]]:
         """(device index, chunk) pairs for a full-stripe write."""
-        order = self.stripe_device_order(stripe)
-        writes = list(zip(order, arrays))
-        writes.extend(self._parity_writes(stripe, arrays))
+        writes = list(zip(self.stripe_device_order(stripe), arrays))
+        if self.parity_count:
+            writes.extend(zip(
+                self.parity_devices(stripe),
+                erasure_parity(arrays, self.parity_count),
+            ))
         return writes
-
-    def _parity_writes(
-        self, stripe: int, arrays: list[np.ndarray]
-    ) -> list[tuple[int, np.ndarray]]:
-        return []
 
     def read(self, data_chunk_index: int) -> Generator:
         """Read one data chunk, reconstructing if its device failed."""
@@ -268,13 +263,19 @@ class RAIDArray:
         if not device.failed:
             data = yield from device.read_chunk(stripe)
             return data
-        data = yield from self._reconstruct(stripe, position)
-        return data.tobytes()
+        data = yield from self._decode_stripe(stripe)
+        return data[position].tobytes()
 
-    def _reconstruct(self, stripe: int, position: int) -> Generator:
-        raise RaidDegradedError(
-            f"{self.name}: cannot reconstruct (no parity at {self.level})"
-        )
+    def _decode_stripe(self, stripe: int, skip: int = -1) -> Generator:
+        """Every data chunk of ``stripe``, decoded from its healthy
+        members other than ``skip``."""
+        members = self.stripe_device_order(stripe) + self.parity_devices(stripe)
+        shards = {}
+        for position, index in enumerate(members):
+            if index != skip and not self.devices[index].failed:
+                data = yield from self.devices[index].read_chunk(stripe)
+                shards[position] = _as_array(data)
+        return erasure_decode(self.data_per_stripe, shards)
 
     def rebuild(self, device_index: int) -> Generator:
         """After ``devices[device_index].replace()``, restore its chunks."""
@@ -289,13 +290,19 @@ class RAIDArray:
             payload = yield from self._rebuild_member_chunk(
                 stripe, device_index
             )
-            if payload is not None:
-                yield from device.write_chunk(stripe, payload.tobytes())
+            yield from device.write_chunk(stripe, payload.tobytes())
 
     def _rebuild_member_chunk(
         self, stripe: int, device_index: int
     ) -> Generator:
-        raise RaidDegradedError(f"{self.name}: rebuild unsupported")
+        """Decode the stripe without the member, then re-derive its chunk;
+        other failed members count as further erasures."""
+        data = yield from self._decode_stripe(stripe, skip=device_index)
+        order = self.stripe_device_order(stripe)
+        if device_index in order:
+            return data[order.index(device_index)]
+        parity = erasure_parity(data, self.parity_count)
+        return parity[self.parity_devices(stripe).index(device_index)]
 
 
 class RAID0(RAIDArray):
@@ -351,39 +358,6 @@ class RAID5(RAIDArray):
     def parity_devices(self, stripe: int) -> list[int]:
         return [(self.member_count - 1 - stripe) % self.member_count]
 
-    def _parity_writes(self, stripe, arrays):
-        parity = _xor_many(arrays)
-        return [(self.parity_devices(stripe)[0], parity)]
-
-    def _surviving_stripe_chunks(
-        self, stripe: int, skip: set[int]
-    ) -> Generator:
-        chunks = {}
-        for index, device in enumerate(self.devices):
-            if index in skip:
-                continue
-            if device.failed:
-                raise RaidDegradedError(
-                    f"{self.name}: second failure during reconstruction"
-                )
-            data = yield from device.read_chunk(stripe)
-            chunks[index] = _as_array(data)
-        return chunks
-
-    def _reconstruct(self, stripe: int, position: int) -> Generator:
-        order = self.stripe_device_order(stripe)
-        missing_device = order[position]
-        chunks = yield from self._surviving_stripe_chunks(
-            stripe, skip={missing_device}
-        )
-        return _xor_many(list(chunks.values()))
-
-    def _rebuild_member_chunk(self, stripe, device_index) -> Generator:
-        chunks = yield from self._surviving_stripe_chunks(
-            stripe, skip={device_index}
-        )
-        return _xor_many(list(chunks.values()))
-
 
 class RAID6(RAIDArray):
     """P (XOR) + Q (GF(256) Reed-Solomon); tolerates two failures."""
@@ -392,137 +366,7 @@ class RAID6(RAIDArray):
     level = "raid6"
 
     def parity_devices(self, stripe: int) -> list[int]:
-        p = (self.member_count - 1 - stripe) % self.member_count
-        q = (self.member_count - 2 - stripe) % self.member_count
-        if q == p:  # only when member_count == 1, impossible, but be safe
-            q = (p + 1) % self.member_count
-        return [p, q]
-
-    def _parity_writes(self, stripe, arrays):
-        p = _xor_many(arrays)
-        q = self._q_parity(arrays)
-        p_dev, q_dev = self.parity_devices(stripe)
-        return [(p_dev, p), (q_dev, q)]
-
-    @staticmethod
-    def _q_parity(arrays: list[np.ndarray]) -> np.ndarray:
-        return _q_shard(arrays)
-
-    def _read_survivors(self, stripe: int, skip: set[int]) -> Generator:
-        chunks: dict[int, np.ndarray] = {}
-        for index, device in enumerate(self.devices):
-            if index in skip or device.failed:
-                continue
-            data = yield from device.read_chunk(stripe)
-            chunks[index] = _as_array(data)
-        return chunks
-
-    def _reconstruct(self, stripe: int, position: int) -> Generator:
-        order = self.stripe_device_order(stripe)
-        p_dev, q_dev = self.parity_devices(stripe)
-        missing = [
-            order.index(index) if index in order else None
-            for index in self.failed_members()
+        return [
+            (self.member_count - 1 - stripe) % self.member_count,
+            (self.member_count - 2 - stripe) % self.member_count,
         ]
-        failed = set(self.failed_members())
-        survivors = yield from self._read_survivors(stripe, skip=set())
-        data_positions_missing = [
-            order.index(dev) for dev in failed if dev in order
-        ]
-        have_p = p_dev not in failed
-        have_q = q_dev not in failed
-
-        known = {
-            order.index(dev): chunk
-            for dev, chunk in survivors.items()
-            if dev in order
-        }
-        if len(data_positions_missing) == 1 and have_p:
-            # XOR of P and surviving data.
-            parts = list(known.values()) + [survivors[p_dev]]
-            result = _xor_many(parts)
-            missing_position = data_positions_missing[0]
-        elif len(data_positions_missing) == 1 and have_q:
-            result = self._solve_with_q(known, survivors[q_dev])
-            missing_position = data_positions_missing[0]
-        elif len(data_positions_missing) == 2 and have_p and have_q:
-            a, b = sorted(data_positions_missing)
-            d_a, d_b = self._solve_two(
-                known, survivors[p_dev], survivors[q_dev], a, b
-            )
-            result = d_a if position == a else d_b
-            missing_position = position
-        else:
-            raise RaidDegradedError(
-                f"{self.name}: unreconstructable failure pattern"
-            )
-        if missing_position != position:
-            raise RaidDegradedError(
-                f"{self.name}: requested position {position} is not the "
-                f"missing one"
-            )
-        return result
-
-    def _solve_with_q(
-        self, known: dict[int, np.ndarray], q: np.ndarray
-    ) -> np.ndarray:
-        """Recover the single missing data chunk from Q parity."""
-        return _solve_one_with_q(self.data_per_stripe, known, q)
-
-    def _solve_two(
-        self,
-        known: dict[int, np.ndarray],
-        p: np.ndarray,
-        q: np.ndarray,
-        a: int,
-        b: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Recover two missing data chunks from P and Q (standard RAID-6)."""
-        return _solve_two_missing(known, p, q, a, b)
-
-    def _rebuild_member_chunk(self, stripe, device_index) -> Generator:
-        """Erasure-solve one member chunk; other failed members are
-        treated as additional erasures (rebuild one device at a time)."""
-        order = self.stripe_device_order(stripe)
-        p_dev, q_dev = self.parity_devices(stripe)
-        survivors = yield from self._read_survivors(
-            stripe, skip={device_index}
-        )
-        known = {
-            order.index(dev): chunk
-            for dev, chunk in survivors.items()
-            if dev in order
-        }
-        have_p = p_dev in survivors
-        have_q = q_dev in survivors
-        missing_data = [
-            position
-            for position in range(self.data_per_stripe)
-            if position not in known
-        ]
-        # Recover every missing data chunk first.
-        if len(missing_data) == 1:
-            position = missing_data[0]
-            if have_p:
-                parts = list(known.values()) + [survivors[p_dev]]
-                known[position] = _xor_many(parts)
-            elif have_q:
-                known[position] = self._solve_with_q(known, survivors[q_dev])
-            else:
-                raise RaidDegradedError(f"{self.name}: cannot rebuild")
-        elif len(missing_data) == 2:
-            if not (have_p and have_q):
-                raise RaidDegradedError(f"{self.name}: cannot rebuild")
-            a, b = sorted(missing_data)
-            d_a, d_b = self._solve_two(
-                known, survivors[p_dev], survivors[q_dev], a, b
-            )
-            known[a], known[b] = d_a, d_b
-        elif len(missing_data) > 2:
-            raise RaidDegradedError(f"{self.name}: cannot rebuild")
-        if device_index in order:
-            return known[order.index(device_index)]
-        ordered = [known[i] for i in range(self.data_per_stripe)]
-        if device_index == p_dev:
-            return _xor_many(ordered)
-        return self._q_parity(ordered)

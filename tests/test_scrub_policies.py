@@ -8,8 +8,8 @@ from repro.sim.rng import DeterministicRNG
 from tests.conftest import fill_and_burn, make_ros
 
 
-def burned_vault():
-    ros = make_ros()
+def burned_vault(parity_discs=1):
+    ros = make_ros(parity_discs=parity_discs)
     payloads = {}
     for index in range(8):
         path = f"/scrub/f{index}.bin"
@@ -49,8 +49,11 @@ def data_images_of(ros, roller, address):
     ]
 
 
-def test_single_data_failure_repaired():
-    ros, payloads, roller, address = burned_vault()
+@pytest.mark.parametrize("parity_discs", [1, 2])
+def test_single_data_failure_repaired(parity_discs):
+    """Under 10+2 the repair decodes from P, not from the last parity
+    disc read (which is Q)."""
+    ros, payloads, roller, address = burned_vault(parity_discs)
     victim = data_images_of(ros, roller, address)[0]
     corrupt(ros, roller, address, victim)
     report = ros.run(ros.mi.scrub_array(roller, address))
@@ -104,14 +107,23 @@ def test_parity_failure_triggers_proactive_migration():
         assert ros.read(path).data == payload
 
 
-def test_double_data_failure_salvages_survivors():
-    ros, payloads, roller, address = burned_vault()
+@pytest.mark.parametrize("parity_discs", [1, 2])
+def test_double_data_failure_salvages_survivors(parity_discs):
+    """Two lost data discs are beyond 11+1 but decode from P and Q."""
+    ros, payloads, roller, address = burned_vault(parity_discs)
     data = data_images_of(ros, roller, address)
     if len(data) < 2:
         pytest.skip("array holds fewer than two data images")
     corrupt(ros, roller, address, data[0])
     corrupt(ros, roller, address, data[1])
     report = ros.run(ros.mi.scrub_array(roller, address))
+    if parity_discs == 2:
+        assert sorted(report["repaired"]) == sorted(data[:2])
+        assert report["lost"] == []
+        assert ros.mc.state_of(roller, address) is ArrayState.USED
+        for path, payload in payloads.items():
+            assert ros.read(path).data == payload
+        return
     assert sorted(report["lost"]) == sorted(data[:2])
     assert ros.mc.state_of(roller, address) is ArrayState.FAILED
     # Lost images read as errors; survivors stay intact.
@@ -125,20 +137,33 @@ def test_double_data_failure_salvages_survivors():
         assert ros.read(path).data == payload
 
 
-def test_data_plus_parity_failure_is_loss():
-    ros, payloads, roller, address = burned_vault()
-    victim = data_images_of(ros, roller, address)[0]
+@pytest.mark.parametrize("parity_discs", [1, 2])
+def test_data_plus_parity_failure_is_loss(parity_discs):
+    """A data disc plus P is a loss under 11+1; under 10+2 the data
+    decodes from Q, then the under-protected tray is migrated and
+    retired."""
+    ros, payloads, roller, address = burned_vault(parity_discs)
+    data = data_images_of(ros, roller, address)
+    victim = data[0]
     corrupt(ros, roller, address, victim)
     corrupt_parity(ros, roller, address)
     report = ros.run(ros.mi.scrub_array(roller, address))
+    if parity_discs == 2:
+        assert report["repaired"] == [victim]
+        assert report["lost"] == []
+        assert set(report["migrated"]) == set(data[1:])
+        assert ros.mc.state_of(roller, address) is ArrayState.FAILED
+        ros.flush()
+        for path, payload in payloads.items():
+            assert ros.read(path).data == payload
+        return
     assert report["lost"] == [victim]
     assert ros.dim.record(victim).state == "lost"
 
 
 def test_raid6_survives_double_data_failure_analytically():
     """With the 10+2 schema the §4.7 model says double failures are
-    survivable; the scrub path here implements single-parity XOR, so the
-    array-level guarantee is the analytic bound."""
+    survivable: the analytic bound behind the scrub's two-loss repair."""
     from repro.reliability.model import array_error_rate
 
     single = array_error_rate(parity=1)

@@ -1,5 +1,7 @@
 """Direct tests for the WBM (buckets) and DIM (image registry) modules."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,15 @@ from repro import units
 from repro.errors import FilesystemError, NoSpaceOLFSError
 from repro.olfs.bucket import WritingBucketManager, link_path
 from repro.olfs.config import OLFSConfig
-from repro.olfs.images import BUFFERED, BURNED, IN_BUCKET, DiscImageManager
+from repro.olfs.images import (
+    BUFFERED,
+    BURNED,
+    IN_BUCKET,
+    DiscImageManager,
+    pad_blobs,
+)
 from repro.sim import Engine
+from repro.storage.raid import erasure_decode
 from repro.storage.scheduler import IOStreamScheduler
 from repro.storage.volume import Volume
 from repro.udf.image import DiscImage
@@ -207,10 +216,9 @@ def test_dim_parity_generation_xor_correct():
     parity_images = engine.run_process(dim.generate_parity(images))
     assert len(parity_images) == 1
     parity = parity_images[0]
-    # XOR recovery of any one blob from the other two + parity.
-    recovered = dim.recover_data_blob(
-        parity.raw, [blobs[1], blobs[2]], len(blobs[0])
-    )
+    # Blob 0 decodes from the other two + P (shard position 3).
+    shards = dict(zip((1, 2, 3), pad_blobs([blobs[1], blobs[2], parity.raw])))
+    recovered = erasure_decode(3, shards)[0].tobytes()[: len(blobs[0])]
     assert recovered == blobs[0]
 
 
@@ -244,11 +252,19 @@ def test_dim_raid6_schema_generates_two_parities():
     images = []
     for index in range(3):
         fs = UDFFileSystem(config.bucket_capacity, label=f"im{index}")
-        fs.write_file("/f", bytes([index + 1]) * 1000)
+        fs.write_file("/f", bytes([index + 1]) * (1000 + 300 * index))
         fs.close()
         image = DiscImage(f"im{index}", filesystem=fs)
         dim.bucket_closed(image)
         images.append(image)
+    blobs = [image.serialize() for image in images]
     parity_images = engine.run_process(dim.generate_parity(images))
     assert len(parity_images) == 2
-    assert parity_images[0].raw != parity_images[1].raw  # P vs Q
+    padded = pad_blobs(blobs + [image.raw for image in parity_images])
+    # Any two lost data blobs decode from the third plus P (position 3)
+    # and Q (position 4).
+    for lost in itertools.combinations(range(3), 2):
+        shards = {i: padded[i] for i in range(5) if i not in lost}
+        decoded = erasure_decode(3, shards)
+        for i in lost:
+            assert decoded[i].tobytes()[: len(blobs[i])] == blobs[i]
