@@ -36,7 +36,7 @@ DEFAULT_READ_EFFICIENCY = 0.975
 DEFAULT_BURN_CAP = 380 * units.MB
 
 #: Image staging serialization between drive starts in an array burn.
-DEFAULT_BURN_STAGGER_SECONDS = 38.0
+BURN_STAGGER_SECONDS = 38.0
 
 
 class BurnThrottle:
@@ -80,7 +80,6 @@ class DriveSet:
         engine: Engine,
         set_id: int = 0,
         read_efficiency: float = DEFAULT_READ_EFFICIENCY,
-        burn_stagger_seconds: float = DEFAULT_BURN_STAGGER_SECONDS,
     ):
         self.engine = engine
         self.set_id = set_id
@@ -91,7 +90,6 @@ class DriveSet:
         self._solo_read_efficiency = 1.0
         self._group_read_efficiency = read_efficiency
         self.throttle = BurnThrottle()
-        self.burn_stagger_seconds = burn_stagger_seconds
         #: tray address currently checked out into this set, if any
         self.loaded_from: Optional[tuple[int, tuple[int, int]]] = None
         #: array-burn processes still sleeping out their start stagger
@@ -193,7 +191,7 @@ class DriveSet:
                 f"{len(images)} images exceed {len(self.drives)} drives"
             )
         stagger = (
-            self.burn_stagger_seconds
+            BURN_STAGGER_SECONDS
             if stagger_seconds is None
             else stagger_seconds
         )

@@ -37,7 +37,7 @@ THINK_MEAN_SECONDS = 2.0
 
 #: OLFSConfig overrides of the chaos/preserve racks: a two-image read
 #: cache, so a short campaign still evicts and re-fetches from disc
-CAMPAIGN_CONFIG = {"open_buckets": 2, "read_cache_images": 2}
+CAMPAIGN_CONFIG = {"read_cache_images": 2}
 
 
 def _run_workload(ros, rng, ops: int, acked: dict) -> tuple[dict, list]:

@@ -2,9 +2,8 @@
 
 Burning, fetching and recovery all face the same question when a drive,
 disc or PLC operation fails: how many times to retry and how long to back
-off between attempts.  :class:`RetryPolicy` centralizes the answer so the
-three modules (and tests) share one tunable knob on
-:class:`~repro.olfs.config.OLFSConfig`.
+off between attempts.  :class:`RetryPolicy` centralizes the answer; each
+of the three modules states its own policy as a module constant.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ class RetryPolicy:
     base_delay: float = 0.5
     multiplier: float = 2.0
     max_delay: float = 30.0
-    #: give up once the *cumulative* backoff would exceed this (None = no cap)
-    timeout: Optional[float] = None
 
     def __post_init__(self):
         if self.attempts < 1:
@@ -35,13 +32,8 @@ class RetryPolicy:
     def delays(self) -> Iterator[float]:
         """Backoff before each retry: ``attempts - 1`` values."""
         delay = self.base_delay
-        spent = 0.0
         for _ in range(self.attempts - 1):
-            step = min(delay, self.max_delay)
-            spent += step
-            if self.timeout is not None and spent > self.timeout:
-                return
-            yield step
+            yield min(delay, self.max_delay)
             delay *= self.multiplier
 
     def schedule(self) -> Iterator[tuple[int, Optional[float]]]:

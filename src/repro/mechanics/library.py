@@ -24,7 +24,7 @@ from repro.mechanics.arm import PARK_LAYER, RoboticArm
 from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddress
 from repro.mechanics.roller import Roller, home_of_disc
 from repro.mechanics.timing import DEFAULT_TIMINGS, MechanicalTimings
-from repro.media.disc import BD25, DiscType, OpticalDisc
+from repro.media.disc import OpticalDisc
 from repro.media.tray import Tray
 from repro.plc.channel import ControlChannel
 from repro.plc.controller import PLCController
@@ -53,8 +53,6 @@ class MechanicalSubsystem:
         drive_sets_per_roller: int = 1,
         geometry: RollerGeometry = DEFAULT_GEOMETRY,
         timings: MechanicalTimings = DEFAULT_TIMINGS,
-        disc_type: DiscType = BD25,
-        populate: bool = True,
         parallel_scheduling: bool = False,
     ):
         self.engine = engine
@@ -82,9 +80,8 @@ class MechanicalSubsystem:
             Resource(engine, 1, name=f"arm{index}")
             for index in range(roller_count)
         ]
-        if populate:
-            for roller in self.rollers:
-                roller.populate_blank(disc_type)
+        for roller in self.rollers:
+            roller.populate_blank()
 
     # ------------------------------------------------------------------
     # Topology helpers

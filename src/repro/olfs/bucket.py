@@ -21,7 +21,7 @@ import json
 from typing import Callable, Generator, Optional
 
 from repro.errors import NoSpaceOLFSError, ReadOnlyOLFSError
-from repro.olfs.config import OLFSConfig
+from repro.olfs.config import BUCKET_ACCESS_SECONDS, OLFSConfig
 from repro.sim.engine import Delay, Engine
 from repro.storage.volume import Volume
 from repro.udf.constants import BLOCK_SIZE
@@ -31,6 +31,10 @@ from repro.udf.image import DiscImage
 
 #: Suffix of the §4.5 link files written next to continued subfiles.
 LINK_SUFFIX = ".roslink"
+
+
+#: Open buckets kept ready ("a couple of updatable buckets", §4.3).
+OPEN_BUCKETS = 2
 
 
 def link_path(path: str, part: int) -> str:
@@ -96,7 +100,7 @@ class WritingBucketManager:
         #: writes restarted because a concurrent writer filled or sealed
         #: the chosen bucket while this write's transfer was in flight
         self.write_races = 0
-        for _ in range(config.open_buckets):
+        for _ in range(OPEN_BUCKETS):
             self._new_bucket()
 
     # ------------------------------------------------------------------
@@ -151,11 +155,11 @@ class WritingBucketManager:
         self.volume.release(self.config.bucket_capacity)
         if self.on_bucket_closed is not None:
             self.on_bucket_closed(image)
-        # Recycle: keep the configured number of open buckets ready.
+        # Recycle: keep OPEN_BUCKETS open buckets ready.
         # Under genuine buffer pressure this may raise ENOSPC at the
         # writer that triggered the close — clean backpressure, with the
         # closed image already safely handed off.
-        while len(self.open_buckets()) < self.config.open_buckets:
+        while len(self.open_buckets()) < OPEN_BUCKETS:
             self._new_bucket()
         return image
 
@@ -316,7 +320,7 @@ class WritingBucketManager:
         logical_size: int,
         mtime: float,
     ) -> Generator:
-        yield Delay(self.config.bucket_access_seconds)
+        yield Delay(BUCKET_ACCESS_SECONDS)
         yield from self.volume.write(logical_size)
         bucket.filesystem.write_file(
             path, data, logical_size=logical_size, mtime=mtime, overwrite=True
@@ -348,6 +352,6 @@ class WritingBucketManager:
         if bucket is None:
             raise NoSpaceOLFSError(f"bucket {image_id} is not open")
         entry = bucket.filesystem.file_entry(path)
-        yield Delay(self.config.bucket_access_seconds)
+        yield Delay(BUCKET_ACCESS_SECONDS)
         yield from self.volume.read(entry.size)
         return entry.data

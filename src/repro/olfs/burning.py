@@ -17,6 +17,7 @@ import itertools
 from typing import Generator, Optional
 
 from repro.errors import MechanicsError, ROSError
+from repro.faults.policy import RetryPolicy
 from repro.media.disc import REST_SUFFIX
 from repro.mechanics.geometry import TrayAddress
 from repro.olfs.config import OLFSConfig
@@ -29,6 +30,11 @@ from repro.olfs.mechanical import (
 from repro.sim.engine import Delay, Engine, Wait
 from repro.storage.scheduler import IOStreamScheduler, StreamKind
 from repro.udf.image import DiscImage
+
+#: Backoff between burn-task retry rounds after a drive/media error.
+BURN_RETRY = RetryPolicy(
+    attempts=4, base_delay=2.0, multiplier=2.0, max_delay=60.0
+)
 
 
 class BurnTask:
@@ -103,7 +109,7 @@ class BurnTask:
             real_prefix: dict[str, int] = {}
             attempts = 0
             tray_failures = 0
-            retry_backoffs = list(config.burn_retry.delays())
+            retry_backoffs = list(BURN_RETRY.delays())
             while True:
                 attempts += 1
                 if attempts > 16:
@@ -365,7 +371,7 @@ class BurnController:
         tasks = []
         while len(self.dim.ready) >= width:
             tasks.append(self.schedule(self.dim.ready[:width]))
-        if self.dim.ready and self.config.allow_partial_arrays:
+        if self.dim.ready:
             tasks.append(self.schedule(self.dim.ready[:]))
         return tasks
 

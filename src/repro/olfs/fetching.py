@@ -28,7 +28,12 @@ from repro.errors import (
 )
 from repro.olfs.bucket import WritingBucketManager
 from repro.olfs.cache import ReadCache
-from repro.olfs.config import OLFSConfig
+from repro.faults.policy import RetryPolicy
+from repro.olfs.config import (
+    BUCKET_ACCESS_SECONDS,
+    IMAGE_ACCESS_SECONDS,
+    OLFSConfig,
+)
 from repro.olfs.images import BURNED, BUFFERED, IN_BUCKET, DiscImageManager
 from repro.olfs.mechanical import MechanicalController, PRIORITY_FETCH
 from repro.sim.engine import Delay, Engine
@@ -37,6 +42,15 @@ from repro.udf.image import DiscImage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.olfs.burning import BurnController
+
+#: Byte budget of the file-grain cache (``cache_granularity='file'``).
+FILE_CACHE_BYTES = 8 * 1024 * 1024
+
+#: Retries for mechanical fetches (drive/PLC errors; media errors
+#: propagate so reads fall through to scrub + parity repair).
+FETCH_RETRY = RetryPolicy(
+    attempts=3, base_delay=1.0, multiplier=2.0, max_delay=30.0
+)
 
 
 @dataclass
@@ -76,7 +90,7 @@ class FetchController:
 
         #: §4.1 future-work knobs (config-gated)
         self.file_cache = (
-            FileGrainCache(config.file_cache_bytes)
+            FileGrainCache(FILE_CACHE_BYTES)
             if config.cache_granularity == "file"
             else None
         )
@@ -118,7 +132,7 @@ class FetchController:
             if cached_file is not None:
                 with trace.span("ftm.read_file_cache", "ftm"):
                     volume = self.scheduler.volume_for(StreamKind.USER_READ)
-                    yield Delay(self.config.bucket_access_seconds)
+                    yield Delay(BUCKET_ACCESS_SECONDS)
                     yield from volume.read(len(cached_file))
                 return FetchResult(cached_file, "file-cache", mechanical=False)
         image = None
@@ -150,7 +164,7 @@ class FetchController:
         """Case 2: closed image on the disk buffer (~2 ms for small files)."""
         volume = self.scheduler.volume_for(StreamKind.USER_READ)
         entry = image.mount().file_entry(path)
-        yield Delay(self.config.image_access_seconds)
+        yield Delay(IMAGE_ACCESS_SECONDS)
         yield from volume.read(entry.size)
         return FetchResult(entry.data, "buffer", mechanical=False)
 
@@ -163,7 +177,7 @@ class FetchController:
         caller can fall through to the scrub + parity-repair path.
         """
         last_error = None
-        for attempt, backoff in self.config.fetch_retry.schedule():
+        for attempt, backoff in FETCH_RETRY.schedule():
             try:
                 result = yield from self._read_from_disc_once(
                     record, path, priority

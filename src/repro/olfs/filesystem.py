@@ -44,6 +44,10 @@ MV_READ_RATE = 900 * units.MB
 MV_WRITE_RATE = 450 * units.MB
 MV_ACCESS_LATENCY = 0.0001
 
+#: Spindle power policy: loaded drives sleep after this many idle seconds
+#: (the §5.4 sleep state; the next access pays the 2 s spin-up).
+DRIVE_IDLE_SLEEP_SECONDS = 300.0
+
 #: ``settle`` gives up resuming parked burns after this many drains.
 SETTLE_MAX_ROUNDS = 50
 
@@ -58,7 +62,6 @@ class OLFS:
         roller_count: int = 2,
         drive_sets_per_roller: int = 1,
         buffer_volume_capacity: int = 24 * units.TB,
-        io_policy: str = "partitioned",
         geometry: RollerGeometry = DEFAULT_GEOMETRY,
         parallel_scheduling: bool = False,
         tracing: bool = False,
@@ -101,7 +104,7 @@ class OLFS:
             )
             for index in range(BUFFER_VOLUME_COUNT)
         ]
-        self.scheduler = IOStreamScheduler(self.buffer_volumes, policy=io_policy)
+        self.scheduler = IOStreamScheduler(self.buffer_volumes)
         self.scheduler.metrics = self.metrics
 
         # -- mechanics ------------------------------------------------------
@@ -110,22 +113,14 @@ class OLFS:
             roller_count=roller_count,
             drive_sets_per_roller=drive_sets_per_roller,
             geometry=geometry,
-            disc_type=self.config.disc_type,
             parallel_scheduling=parallel_scheduling,
         )
         for drive_set in self.mech.drive_sets:
             for drive in drive_set.drives:
-                drive.idle_sleep_seconds = (
-                    self.config.drive_idle_sleep_seconds
-                )
+                drive.idle_sleep_seconds = DRIVE_IDLE_SLEEP_SECONDS
 
         # -- OLFS modules ----------------------------------------------------
-        self.mv = MetadataVolume(
-            self.engine,
-            self.mv_volume,
-            lookup_seconds=self.config.mv_lookup_seconds,
-            update_seconds=self.config.mv_update_seconds,
-        )
+        self.mv = MetadataVolume(self.engine, self.mv_volume)
         self.dim = DiscImageManager(self.engine, self.config, self.scheduler)
         self.mc = MechanicalController(self.engine, self.mech, self.config)
         self.btm = BurnController(

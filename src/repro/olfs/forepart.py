@@ -2,7 +2,7 @@
 
 For reads that miss both disks and drives, the mechanical delay (~70 s)
 would blow client timeouts.  OLFS therefore stores the forepart (first
-256 KB by default) of each file inside its index file in MV; a cold read
+256 KB) of each file inside its index file in MV; a cold read
 answers its first bytes within ~2 ms and trickles the forepart "at a slow
 but controllable rate until the requested disc is fetched into drives".
 """
@@ -12,11 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import units
 from repro.olfs.config import OLFSConfig
 
 #: Fixed OLFS processing to serve the first word from the index file
 #: ("the first word of the file can quickly respond within 2 ms", §4.8).
 FOREPART_RESPONSE_SECONDS = 0.0012
+
+#: Bytes of each file stored in its index file.
+FOREPART_BYTES = 256 * units.KB
+#: Controlled trickle rate while the mechanical fetch proceeds.
+FOREPART_TRICKLE_RATE = 128 * units.KB
 
 
 @dataclass
@@ -48,21 +54,21 @@ class ForepartManager:
 
     @property
     def enabled(self) -> bool:
-        return self.config.forepart_enabled and self.config.forepart_bytes > 0
+        return self.config.forepart_enabled
 
     def health(self) -> dict:
         """Cheap read-only snapshot for the system monitor."""
         return {
             "enabled": self.enabled,
-            "forepart_bytes": self.config.forepart_bytes,
-            "trickle_rate": self.config.forepart_trickle_rate,
+            "forepart_bytes": FOREPART_BYTES,
+            "trickle_rate": FOREPART_TRICKLE_RATE,
         }
 
     def forepart_of(self, data: bytes) -> Optional[bytes]:
         """The prefix to embed in the index file at write time."""
         if not self.enabled:
             return None
-        return data[: self.config.forepart_bytes]
+        return data[:FOREPART_BYTES]
 
     def plan(
         self,
@@ -74,6 +80,6 @@ class ForepartManager:
         return TrickleePlan(
             first_byte_seconds=mv_lookup_seconds + FOREPART_RESPONSE_SECONDS,
             forepart_bytes=len(forepart),
-            trickle_rate=self.config.forepart_trickle_rate,
+            trickle_rate=FOREPART_TRICKLE_RATE,
             fetch_seconds=fetch_seconds,
         )

@@ -28,7 +28,6 @@ from repro.media.disc import ImageOnDisc
 from repro.olfs.config import OLFSConfig
 from repro.sim.engine import Acquire, Engine
 from repro.sim.resources import Grant, Resource
-from repro.sim.rng import DeterministicRNG
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.olfs.burning import BurnTask
@@ -70,8 +69,7 @@ class MechanicalController:
         self._blank_cursor: dict[int, int] = {
             roller.roller_id: 0 for roller in mech.rollers
         }
-        self._rng = DeterministicRNG(0xA11C).child("tray-allocation")
-        #: every tray address, top layer first (the sequential scan order)
+        #: every tray address, top layer first (the blank-tray scan order)
         self._addresses = tuple(mech.geometry.addresses())
         for roller in mech.rollers:
             for address in self._addresses:
@@ -118,46 +116,21 @@ class MechanicalController:
     def find_blank_tray(
         self, roller_index: Optional[int] = None
     ) -> tuple[int, TrayAddress]:
-        """Next Empty tray full of blank discs.
-
-        The allocation policy (``config.tray_allocation``) decides which
-        blank tray: ``sequential`` fills top-down (fast while the top
-        layers last), ``nearest`` minimizes arm travel from its current
-        layer, ``random`` spreads wear uniformly.
-        """
+        """Next Empty tray full of blank discs, filling top-down: each
+        roller's scan resumes from its cursor and stops at the first hit."""
         rollers = (
             [self.mech.rollers[roller_index]]
             if roller_index is not None
             else self.mech.rollers
         )
-        policy = self.config.tray_allocation
+        addresses = self._addresses
         for roller in rollers:
-            if policy == "sequential":
-                # Resume from the cursor and stop at the first hit.
-                addresses = self._addresses
-                start = self._blank_cursor[roller.roller_id]
-                for offset in range(len(addresses)):
-                    index = (start + offset) % len(addresses)
-                    if self._is_blank_tray(roller, addresses[index]):
-                        self._blank_cursor[roller.roller_id] = index
-                        return roller.roller_id, addresses[index]
-                continue
-            # nearest ranks and random draws over every blank tray.
-            blanks = self._blank_trays_of(roller)
-            if not blanks:
-                continue
-            if policy == "nearest":
-                arm_layer = self.mech.arms[roller.roller_id].layer
-                blanks.sort(
-                    key=lambda address: (
-                        abs(address.layer - arm_layer),
-                        address.layer,
-                        address.slot,
-                    )
-                )
-                return roller.roller_id, blanks[0]
-            choice = self._rng.choice(blanks)
-            return roller.roller_id, choice
+            start = self._blank_cursor[roller.roller_id]
+            for offset in range(len(addresses)):
+                index = (start + offset) % len(addresses)
+                if self._is_blank_tray(roller, addresses[index]):
+                    self._blank_cursor[roller.roller_id] = index
+                    return roller.roller_id, addresses[index]
         raise MechanicsError("no blank disc arrays left")
 
     def _is_blank_tray(self, roller, address: TrayAddress) -> bool:
@@ -168,14 +141,6 @@ class MechanicalController:
         if tray.checked_out or not tray.is_full:
             return False
         return all(disc.is_blank for disc in tray.discs())
-
-    def _blank_trays_of(self, roller) -> list[TrayAddress]:
-        """Every blank tray of ``roller`` (what ``nearest``/``random`` need)."""
-        return [
-            address
-            for address in self._addresses
-            if self._is_blank_tray(roller, address)
-        ]
 
     # ------------------------------------------------------------------
     # Drive-set locks

@@ -23,6 +23,7 @@ from repro.errors import (
     InvalidPathError,
     NotADirectoryOLFSError,
 )
+from repro.olfs.config import MV_LOOKUP_SECONDS, MV_UPDATE_SECONDS
 from repro.olfs.index import IndexFile
 from repro.sim.engine import Delay, Engine
 from repro.storage.volume import Volume
@@ -61,17 +62,9 @@ class _IndexBlob:
 class MetadataVolume:
     """The MV: timed index-file store plus system-state checkpoints."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        volume: Volume,
-        lookup_seconds: float = 0.0004,
-        update_seconds: float = 0.0006,
-    ):
+    def __init__(self, engine: Engine, volume: Volume):
         self.engine = engine
         self.volume = volume
-        self.lookup_seconds = lookup_seconds
-        self.update_seconds = update_seconds
         self._root = _Dir()
         self._state: dict[str, dict] = {}
         self.lookups = 0
@@ -338,11 +331,11 @@ class MetadataVolume:
     def _charge_lookup(self, nbytes: int) -> Generator:
         with self.engine.trace.span("mv.lookup", "mv"):
             self.lookups += 1
-            yield Delay(self.lookup_seconds)
+            yield Delay(MV_LOOKUP_SECONDS)
             yield from self.volume.read(max(nbytes, 256))
 
     def _charge_update(self, nbytes: int) -> Generator:
         with self.engine.trace.span("mv.update", "mv"):
             self.updates += 1
-            yield Delay(self.update_seconds)
+            yield Delay(MV_UPDATE_SECONDS)
             yield from self.volume.write(max(nbytes, 256))

@@ -119,8 +119,7 @@ class POSIXInterface:
         """Run one internal op: fixed processing + optional timed work."""
         with self.engine.trace.span(f"op.{name}", "posix"):
             start = self.engine.now
-            fixed = OP_PROCESS_SECONDS[name] * self.config.internal_op_scale
-            fixed += self.frontend_per_op_seconds
+            fixed = OP_PROCESS_SECONDS[name] + self.frontend_per_op_seconds
             yield Delay(fixed)
             result = None
             if work is not None:
@@ -178,7 +177,7 @@ class POSIXInterface:
             # The frontend (samba) re-stats around creation (§5.3).
             for _ in range(self.frontend_extra_write_stats):
                 yield from self._op(trace, "stat", self._stat_work(path))
-            index = IndexFile(path, self.config.max_versions)
+            index = IndexFile(path)
             yield from self._op(
                 trace, "mknod", self.mv.write_index(path, index, now)
             )

@@ -20,6 +20,7 @@ import json
 from typing import Generator, Optional
 
 from repro.errors import DriveError, FilesystemError, MechanicsError
+from repro.faults.policy import RetryPolicy
 from repro.mechanics.geometry import TrayAddress
 from repro.olfs.bucket import LINK_SUFFIX, WritingBucketManager
 from repro.olfs.burning import BurnController, BurnTask
@@ -36,6 +37,11 @@ from repro.udf.image import DiscImage
 #: Reserve for the chunk file's UDF entries + manifest inside each image
 #: (a handful of 2 KB blocks).
 _CHUNK_OVERHEAD = 16 * 1024
+
+#: Retries for recovery scans (MV rebuild reads burned discs).
+RECOVERY_RETRY = RetryPolicy(
+    attempts=3, base_delay=1.0, multiplier=2.0, max_delay=30.0
+)
 
 
 class RecoveryManager:
@@ -201,7 +207,7 @@ class RecoveryManager:
         recovery retry policy, resetting the mechanics between attempts.
         Drive/mechanics faults are retried; media errors propagate."""
         last_error = None
-        for attempt, backoff in self.config.recovery_retry.schedule():
+        for attempt, backoff in RECOVERY_RETRY.schedule():
             try:
                 result = yield from factory()
                 return result
@@ -274,7 +280,7 @@ class RecoveryManager:
                 )
         restored = 0
         for path, appearances in sightings.items():
-            index = IndexFile(path, self.config.max_versions)
+            index = IndexFile(path)
             # Chain split parts: an appearance with a link file continues
             # an earlier image; heads have no link.
             heads = []

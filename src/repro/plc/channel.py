@@ -3,7 +3,7 @@
 The system controller talks to the PLC over an internal TCP/IP network
 (§3.1).  Command latency is sub-millisecond and negligible next to motion
 times, but it is modelled (and counted) so the control-path cost is visible
-in traces and can be inflated for sensitivity tests.
+in traces.
 
 A command is one occurrence, not two: :meth:`ControlChannel.send` hands its
 wire latency to the PLC as a *lead* and the motion sleeps through both at
@@ -30,21 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.plc.controller import PLCController
 
 #: One command round-trip on the internal network.
-DEFAULT_COMMAND_LATENCY = 0.001
+COMMAND_LATENCY = 0.001
 
 
 class ControlChannel:
     """Carries instructions from the SC to the PLC and returns results."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        plc: "PLCController",
-        command_latency: float = DEFAULT_COMMAND_LATENCY,
-    ):
+    def __init__(self, engine: Engine, plc: "PLCController"):
         self.engine = engine
         self.plc = plc
-        self.command_latency = command_latency
         self.commands_sent = 0
         #: ``(arrival time, mnemonic)`` of the latest command
         self.last_command: Optional[tuple[float, str]] = None
@@ -52,7 +46,7 @@ class ControlChannel:
     def send(self, instruction: Instruction) -> Generator:
         """Transmit and execute one instruction; returns its result."""
         engine = self.engine
-        lead = self.command_latency
+        lead = COMMAND_LATENCY
         arrival = engine.now + lead
         if engine.faults.live("plc.channel", arrival):
             yield Delay(lead)
@@ -76,7 +70,7 @@ class ControlChannel:
         last = self.last_command
         return {
             "commands_sent": self.commands_sent,
-            "command_latency": self.command_latency,
+            "command_latency": COMMAND_LATENCY,
             "last_command": (
                 {"t": round(last[0], 6), "mnemonic": last[1]}
                 if last is not None

@@ -192,7 +192,6 @@ def _build_config():
     return OLFSConfig(
         data_discs_per_array=3,
         parity_discs_per_array=1,
-        open_buckets=2,
         read_cache_images=2,
     ).scaled_for_tests()
 

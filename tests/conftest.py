@@ -12,9 +12,7 @@ def make_ros(
     roller_count=1,
     busy_drive_policy="wait",
     forepart_enabled=True,
-    io_policy="partitioned",
     read_cache_images=2,
-    open_buckets=2,
     auto_burn=True,
     update_in_place=True,
     cache_granularity="image",
@@ -36,7 +34,6 @@ def make_ros(
     config = OLFSConfig(
         data_discs_per_array=data_discs,
         parity_discs_per_array=parity_discs,
-        open_buckets=open_buckets,
         read_cache_images=read_cache_images,
         busy_drive_policy=busy_drive_policy,
         forepart_enabled=forepart_enabled,
@@ -49,7 +46,6 @@ def make_ros(
         config=config,
         roller_count=roller_count,
         buffer_volume_capacity=buffer_volume_capacity,
-        io_policy=io_policy,
         tracing=tracing,
         trace_seed=trace_seed,
         fault_plan=fault_plan,

@@ -5,6 +5,7 @@ import pytest
 from repro import units
 from repro.drives.drive import DriveState, SPIN_UP_SECONDS
 from repro.errors import NoSpaceOLFSError
+from repro.olfs.filesystem import DRIVE_IDLE_SLEEP_SECONDS
 from tests.conftest import make_ros
 
 
@@ -126,10 +127,10 @@ def test_no_policy_never_sleeps():
 
 def test_olfs_applies_sleep_policy_to_all_drives():
     ros = make_ros()
-    assert ros.config.drive_idle_sleep_seconds == 300.0
+    assert DRIVE_IDLE_SLEEP_SECONDS == 300.0
     for drive_set in ros.mech.drive_sets:
         for drive in drive_set.drives:
-            assert drive.idle_sleep_seconds == 300.0
+            assert drive.idle_sleep_seconds == DRIVE_IDLE_SLEEP_SECONDS
 
 
 def test_end_to_end_sleepy_drive_read_pays_spinup():

@@ -39,7 +39,7 @@ def reference_ready(dim, claimed):
     ]
 
 
-def reference_batches(ready, width, flush, partial):
+def reference_batches(ready, width, flush):
     """What ``maybe_schedule`` (``flush=False``) / ``flush_pending``
     picked from the scan."""
     if not flush:
@@ -48,17 +48,16 @@ def reference_batches(ready, width, flush, partial):
     while len(ready) >= width:
         batches.append(ready[:width])
         ready = ready[width:]
-    if ready and partial:
+    if ready:
         batches.append(ready)
     return batches
 
 
-def build(width, partial):
+def build(width):
     engine = Engine()
     config = OLFSConfig(
         data_discs_per_array=width,
         parity_discs_per_array=1,
-        allow_partial_arrays=partial,
     ).scaled_for_tests(bucket_capacity=64 * 1024)
     volume = Volume(
         engine,
@@ -101,11 +100,10 @@ operations = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(
     width=st.integers(min_value=1, max_value=4),
-    partial=st.booleans(),
     ops=operations,
 )
-def test_ready_queue_picks_what_the_full_scan_picked(width, partial, ops):
-    dim, btm = build(width, partial)
+def test_ready_queue_picks_what_the_full_scan_picked(width, ops):
+    dim, btm = build(width)
     claimed: set[str] = set()
     open_ids: list[str] = []
     serial = iter(range(10_000))
@@ -122,7 +120,7 @@ def test_ready_queue_picks_what_the_full_scan_picked(width, partial, ops):
             dim.bucket_closed(image(f"mv-{next(serial):05d}", "metadata"))
         elif op in ("maybe", "flush"):
             expected = reference_batches(
-                reference_ready(dim, claimed), width, op == "flush", partial
+                reference_ready(dim, claimed), width, op == "flush"
             )
             if op == "maybe":
                 task = btm.maybe_schedule()
@@ -152,7 +150,7 @@ def test_ready_queue_picks_what_the_full_scan_picked(width, partial, ops):
 
 
 def test_released_images_of_a_failed_task_burn_again():
-    dim, btm = build(width=2, partial=True)
+    dim, btm = build(width=2)
     for index in range(3):
         dim.register_open_bucket(f"img-{index}")
     for index in (2, 0, 1):

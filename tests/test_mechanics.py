@@ -15,7 +15,7 @@ from repro.mechanics import (
 )
 from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.plc import Calibrate, FanOut, GrabStack, HookTray, MoveArm, Rotate
-from repro.plc.channel import DEFAULT_COMMAND_LATENCY
+from repro.plc.channel import COMMAND_LATENCY
 from repro.obs.recorder import FlightRecorder
 from repro.sim import Delay, Engine, Tracer
 from repro.sim.engine import NULL_FAULTS
@@ -330,7 +330,7 @@ START = 1234.000321  # a clock no motion time divides
 def stepped_send(channel, instruction):
     """The reference send: sleep the wire, check the channel, execute."""
     engine = channel.engine
-    yield Delay(channel.command_latency)
+    yield Delay(COMMAND_LATENCY)
     fault = engine.faults.check("plc.channel")
     if fault is not None:
         raise PLCFaultError(
@@ -390,7 +390,7 @@ def test_a_refused_instruction_fails_when_the_command_arrives(
     fused = _refusal_time(False, prepare, instruction, error)
     assert fused == _refusal_time(True, prepare, instruction, error)
     when, text = fused
-    assert when == START + DEFAULT_COMMAND_LATENCY
+    assert when == START + COMMAND_LATENCY
     assert message in text
 
 
@@ -408,7 +408,7 @@ def test_a_motion_with_nothing_to_move_still_spends_the_wire(
     engine, subsystem = _rig(stepped)
     prepare(subsystem)
     engine.run_process(subsystem.channel.send(instruction))
-    assert engine.now == START + DEFAULT_COMMAND_LATENCY
+    assert engine.now == START + COMMAND_LATENCY
     assert subsystem.arms[0].moves == subsystem.rollers[0].rotation_count == 0
     assert subsystem.plc.instructions_executed == 1
 
@@ -418,7 +418,7 @@ def test_calibrate_takes_the_lead_like_any_motion(traced):
     engine, subsystem = _rig(traced=traced)
     before = engine.events_issued
     engine.run_process(subsystem.channel.send(Calibrate(0)))
-    assert engine.now == (START + DEFAULT_COMMAND_LATENCY) + 1.0
+    assert engine.now == (START + COMMAND_LATENCY) + 1.0
     # run_process's spawn, then one sleep for the wire and the second;
     # a tracer costs none
     assert engine.events_issued - before == 2
@@ -432,7 +432,7 @@ def test_last_command_is_stamped_with_the_arrival_time():
         engine.run_process(subsystem.channel.send(Rotate(0, 3)))
         stamps.append(subsystem.channel.health()["last_command"])
     assert stamps[0] == stamps[1] == stamps[2] == {
-        "t": round(START + DEFAULT_COMMAND_LATENCY, 6),
+        "t": round(START + COMMAND_LATENCY, 6),
         "mnemonic": Rotate(0, 3).mnemonic,
     }
 
@@ -483,7 +483,7 @@ def _drive(stepped, start, ops, faults=()):
 
     def recording_send(instruction):
         sent.append(instruction)
-        wires.append((engine.now, engine.now + DEFAULT_COMMAND_LATENCY))
+        wires.append((engine.now, engine.now + COMMAND_LATENCY))
         return send(instruction)
 
     subsystem.channel.send = recording_send
@@ -589,7 +589,7 @@ def test_a_fault_armed_in_flight_trips_the_next_command(stepped):
     injector = FaultInjector(engine).install()
 
     def arm_in_flight():
-        yield Delay(DEFAULT_COMMAND_LATENCY / 2)
+        yield Delay(COMMAND_LATENCY / 2)
         injector.inject(PLC_CHANNEL)
 
     engine.spawn(arm_in_flight())

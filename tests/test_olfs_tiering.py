@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.olfs.forepart import FOREPART_BYTES
 from repro.olfs.mechanical import ArrayState
 from tests.conftest import fill_and_burn, make_ros
 
@@ -200,7 +201,7 @@ def test_forepart_bridges_fetch_for_small_files(ros):
     # 30 KB at 128 KB/s drains in ~0.23 s < 70 s: does NOT bridge.
     assert not plan.bridges_fetch
     plan_big = ros.foreparts.plan(
-        forepart=b"x" * ros.config.forepart_bytes,
+        forepart=b"x" * FOREPART_BYTES,
         mv_lookup_seconds=0.0005,
         fetch_seconds=1.5,
     )

@@ -54,7 +54,6 @@ def make_cluster():
     config = OLFSConfig(
         data_discs_per_array=3,
         parity_discs_per_array=1,
-        open_buckets=2,
         read_cache_images=2,
     ).scaled_for_tests(bucket_capacity=64 * 1024)
     return RackCluster(

@@ -1,6 +1,4 @@
-"""Tests for the blank-tray allocation policies."""
-
-import pytest
+"""Tests for blank-tray allocation: sequential, top-down, never a failed tray."""
 
 from repro.mechanics.geometry import TrayAddress
 from repro.olfs.mechanical import ArrayState
@@ -37,46 +35,9 @@ def test_sequential_cursor_advances():
     assert len(used) == len(set(used)) >= 3
 
 
-def test_nearest_prefers_arm_layer():
-    ros = make_ros()
-    ros.config.tray_allocation = "nearest"
-    # Park the arm mid-roller and consume the surrounding blanks.
-    ros.mech.arms[0].layer = 40
-    roller_id, address = ros.mc.find_blank_tray(0)
-    assert address.layer == 40
-
-
-def test_random_is_deterministic_per_seed():
-    first = make_ros()
-    first.config.tray_allocation = "random"
-    second = make_ros()
-    second.config.tray_allocation = "random"
-    picks_a = [first.mc.find_blank_tray(0)[1] for _ in range(3)]
-    picks_b = [second.mc.find_blank_tray(0)[1] for _ in range(3)]
-    assert picks_a == picks_b
-
-
-def test_random_spreads_layers():
-    ros = make_ros()
-    ros.config.tray_allocation = "random"
-    layers = set()
-    for _ in range(12):
-        _, address = ros.mc.find_blank_tray(0)
-        # Consume it so the next draw differs.
-        ros.mc.set_state(0, address, ArrayState.USED)
-        layers.add(address.layer)
-    assert len(layers) > 3
-
-
 def test_failed_trays_never_allocated():
     ros = make_ros()
     ros.mc.set_state(0, TrayAddress(0, 0), ArrayState.FAILED)
     roller_id, address = ros.mc.find_blank_tray(0)
     assert address != TrayAddress(0, 0)
 
-
-def test_invalid_policy_rejected():
-    from repro.olfs.config import OLFSConfig
-
-    with pytest.raises(ValueError):
-        OLFSConfig(tray_allocation="round-robin")

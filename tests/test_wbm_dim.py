@@ -25,12 +25,11 @@ from repro.udf.image import DiscImage
 from repro.udf.filesystem import UDFFileSystem
 
 
-def build(bucket_capacity=64 * 1024, open_buckets=2):
+def build(bucket_capacity=64 * 1024):
     engine = Engine()
     config = OLFSConfig(
         data_discs_per_array=3,
         parity_discs_per_array=1,
-        open_buckets=open_buckets,
     ).scaled_for_tests(bucket_capacity=bucket_capacity)
     volume = Volume(
         engine,
