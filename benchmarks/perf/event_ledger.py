@@ -24,8 +24,8 @@ workload's timed region:
 Counts repeat exactly per seed; they are what the "where the events go"
 tables in ``docs/performance.md`` are read off, before and after a change.
 
-A stopgap: ROADMAP item 2 gives every occurrence an owner tag at spawn
-time, which makes this a report of the engine's own counters instead of a
+A stopgap: ROADMAP [owner-tags] gives every occurrence an owner tag at
+spawn time, which makes this a report of the engine's own counters instead of a
 patched ``Engine``.
 """
 

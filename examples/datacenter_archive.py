@@ -36,7 +36,7 @@ def main() -> None:
     ingested = {}
     for profile, count in (("scientific", 30), ("iot", 60)):
         generator = ArchivalWorkloadGenerator(
-            profile, seed=7, payload_cap=8 * 1024, max_file_bytes=48 * 1024
+            profile, seed=7, max_file_bytes=48 * 1024
         )
         for spec in generator.files(count):
             ros.write(spec.path, spec.payload, spec.logical_size)

@@ -40,18 +40,6 @@ class ConventionalArchivalSystem:
             + transform
         )
 
-    def first_byte_latency(self) -> float:
-        """No partial delivery: the whole saveset stages first."""
-        return self.restore_latency(0.0)
-
-    def ingest_latency(self, nbytes: float) -> float:
-        """Backup-side: collect, transform, write out (per batch)."""
-        return (
-            self.job_scheduling
-            + nbytes / self.format_transform_rate
-            + nbytes / self.staging_rate
-        )
-
     def is_inline_accessible(self) -> bool:
         """Applications cannot open archived files directly (§2.2)."""
         return False

@@ -27,9 +27,6 @@ class LTFSTapeModel:
             raise ValueError("position fraction must be in [0, 1]")
         return self.full_wind_seconds * position_fraction
 
-    def mean_seek_seconds(self) -> float:
-        return self.full_wind_seconds / 2.0
-
     def read_latency(
         self, nbytes: float, position_fraction: float = 0.5, mounted: bool = False
     ) -> float:

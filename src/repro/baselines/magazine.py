@@ -58,8 +58,3 @@ class MagazineLibraryModel:
     def density_ratio_vs_ros(self, ros_discs_per_rack: int = 12240) -> float:
         """Disc placement density relative to the ROS roller design."""
         return self.discs_per_rack / ros_discs_per_rack
-
-    def motion_phases_per_load(self) -> int:
-        """Distinct controlled motions per load (complexity proxy)."""
-        # eject + 3 axis moves + dock + 12 separations
-        return 1 + self.motion_axes + 1 + self.discs_per_magazine

@@ -90,18 +90,13 @@ class BurnResult:
 class OpticalDrive:
     """One optical drive: a slot in a drive set, addressable by the arm."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        drive_id: str,
-        read_efficiency: float = 1.0,
-    ):
+    def __init__(self, engine: Engine, drive_id: str):
         self.engine = engine
         self.drive_id = drive_id
         self.state = DriveState.EMPTY
         self.disc: Optional[OpticalDisc] = None
         #: multiplier (<= 1) on read throughput from HBA arbitration
-        self.read_efficiency = read_efficiency
+        self.read_efficiency = 1.0
         self.busy_seconds = 0.0
         self._interrupt_requested = False
         #: the process inside :meth:`burn` (whom to wake) and the step it

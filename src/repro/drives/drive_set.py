@@ -30,10 +30,10 @@ from repro.sim.engine import AllOf, Engine, Join
 DRIVES_PER_SET = 12
 
 #: Aggregate-read arbitration efficiency (Table 2 calibration).
-DEFAULT_READ_EFFICIENCY = 0.975
+READ_EFFICIENCY = 0.975
 
 #: Shared streaming ceiling for concurrent burns (Figure 9 peak).
-DEFAULT_BURN_CAP = 380 * units.MB
+BURN_CAP = 380 * units.MB
 
 #: Image staging serialization between drive starts in an array burn.
 BURN_STAGGER_SECONDS = 38.0
@@ -49,10 +49,8 @@ class BurnThrottle:
     squeezed — reproducing the flat-topped aggregate curve of Figure 9.
     """
 
-    def __init__(self, cap_bytes_per_s: float = DEFAULT_BURN_CAP):
-        if cap_bytes_per_s <= 0:
-            raise ValueError("cap must be positive")
-        self.cap = float(cap_bytes_per_s)
+    def __init__(self):
+        self.cap = float(BURN_CAP)
         self._demand: dict[object, float] = {}
 
     def update(self, owner: object, rate_bytes_per_s: float) -> None:
@@ -75,20 +73,13 @@ class BurnThrottle:
 class DriveSet:
     """Twelve drives addressed together by the arm and the burn scheduler."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        set_id: int = 0,
-        read_efficiency: float = DEFAULT_READ_EFFICIENCY,
-    ):
+    def __init__(self, engine: Engine, set_id: int = 0):
         self.engine = engine
         self.set_id = set_id
         self.drives = [
             OpticalDrive(engine, f"set{set_id}-drive{index:02d}")
             for index in range(DRIVES_PER_SET)
         ]
-        self._solo_read_efficiency = 1.0
-        self._group_read_efficiency = read_efficiency
         self.throttle = BurnThrottle()
         #: tray address currently checked out into this set, if any
         self.loaded_from: Optional[tuple[int, tuple[int, int]]] = None
@@ -124,11 +115,7 @@ class DriveSet:
 
     def set_group_read_mode(self, concurrent_readers: int) -> None:
         """Apply the arbitration penalty when >1 drive reads concurrently."""
-        efficiency = (
-            self._group_read_efficiency
-            if concurrent_readers > 1
-            else self._solo_read_efficiency
-        )
+        efficiency = READ_EFFICIENCY if concurrent_readers > 1 else 1.0
         for drive in self.drives:
             drive.read_efficiency = efficiency
 

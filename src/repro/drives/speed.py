@@ -31,6 +31,11 @@ from repro import units
 from repro.media.disc import BD25, BD100, DiscType
 from repro.sim.rng import DeterministicRNG
 
+#: The 25 GB CAV ramp: outer-edge speed (X) and the inner radius as a
+#: fraction of the outer one (the module docstring's ``v_max`` and ``c``).
+CAV_V_MAX = 12.0
+CAV_INNER_FRACTION = 0.375
+
 
 class BurnSegment(NamedTuple):
     """One piecewise-constant slice of a burn: bytes at a speed multiple."""
@@ -130,23 +135,14 @@ class RecordingCurve:
 class ZonedCAVCurve(RecordingCurve):
     """CAV ramp used for 25 GB discs: v(p) = v_max*sqrt(c^2+(1-c^2)p)."""
 
-    def __init__(
-        self,
-        capacity: int = BD25.capacity,
-        v_max: float = 12.0,
-        inner_fraction: float = 0.375,
-    ):
-        if not 0 < inner_fraction <= 1:
-            raise ValueError("inner_fraction must be in (0, 1]")
+    def __init__(self, capacity: int = BD25.capacity):
         self.capacity = int(capacity)
-        self.v_max = v_max
-        self.inner_fraction = inner_fraction
 
     def speed_multiple(self, progress: float) -> float:
         if not 0.0 <= progress <= 1.0:
             raise ValueError(f"progress {progress} outside [0, 1]")
-        c2 = self.inner_fraction**2
-        return self.v_max * math.sqrt(c2 + (1.0 - c2) * progress)
+        c2 = CAV_INNER_FRACTION**2
+        return CAV_V_MAX * math.sqrt(c2 + (1.0 - c2) * progress)
 
 
 class FailSafeCurve(RecordingCurve):

@@ -57,8 +57,8 @@ LINK_WEIGHT = 0.25
 class CentralTelemetry:
     """Ingest frontend of the central store: per-agent seq dedup."""
 
-    def __init__(self, store: Optional[TimeSeriesStore] = None):
-        self.store = store if store is not None else TimeSeriesStore()
+    def __init__(self):
+        self.store = TimeSeriesStore()
         self._last_seq: dict[str, int] = {}
         self.stats = {
             "batches_ingested": 0,

@@ -41,9 +41,6 @@ class Layer:
     #: Samba-oplock/attribute interaction term)
     fuse_interaction_read_seconds_per_byte: float = 0.0
 
-    def read_ms_per_mb(self) -> float:
-        return self.read_seconds_per_byte * units.MB * 1e3
-
 
 def _per_mb(ms: float) -> float:
     """ms/MB -> seconds/byte."""

@@ -12,7 +12,7 @@ from typing import Generator, Optional
 
 from repro.errors import MechanicsError
 from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry
-from repro.mechanics.timing import DEFAULT_TIMINGS, MechanicalTimings
+from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.media.disc import OpticalDisc
 from repro.sim.engine import Delay, Engine
 from repro.sim.landing import sleep_after
@@ -29,12 +29,11 @@ class RoboticArm:
         engine: Engine,
         arm_id: int = 0,
         geometry: RollerGeometry = DEFAULT_GEOMETRY,
-        timings: MechanicalTimings = DEFAULT_TIMINGS,
     ):
         self.engine = engine
         self.arm_id = arm_id
         self.geometry = geometry
-        self.timings = timings
+        self.timings = DEFAULT_TIMINGS
         self.layer = PARK_LAYER
         self.holding: list[OpticalDisc] = []
         self.hooked = False

@@ -23,7 +23,7 @@ from repro.errors import MechanicsError
 from repro.mechanics.arm import PARK_LAYER, RoboticArm
 from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddress
 from repro.mechanics.roller import Roller, home_of_disc
-from repro.mechanics.timing import DEFAULT_TIMINGS, MechanicalTimings
+from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.media.disc import OpticalDisc
 from repro.media.tray import Tray
 from repro.plc.channel import ControlChannel
@@ -52,19 +52,18 @@ class MechanicalSubsystem:
         roller_count: int = 2,
         drive_sets_per_roller: int = 1,
         geometry: RollerGeometry = DEFAULT_GEOMETRY,
-        timings: MechanicalTimings = DEFAULT_TIMINGS,
         parallel_scheduling: bool = False,
     ):
         self.engine = engine
         self.geometry = geometry
-        self.timings = timings
+        self.timings = DEFAULT_TIMINGS
         self.parallel_scheduling = parallel_scheduling
         self.rollers = [
-            Roller(engine, index, geometry, timings)
+            Roller(engine, index, geometry)
             for index in range(roller_count)
         ]
         self.arms = [
-            RoboticArm(engine, index, geometry, timings)
+            RoboticArm(engine, index, geometry)
             for index in range(roller_count)
         ]
         self.plc = PLCController(engine, self.rollers, self.arms)

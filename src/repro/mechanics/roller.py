@@ -13,7 +13,7 @@ from typing import Generator, Optional
 
 from repro.errors import MechanicsError
 from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddress
-from repro.mechanics.timing import DEFAULT_TIMINGS, MechanicalTimings
+from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.media.disc import DiscType, OpticalDisc, BD25
 from repro.media.tray import Tray
 from repro.sim.engine import Engine
@@ -42,12 +42,11 @@ class Roller:
         engine: Engine,
         roller_id: int = 0,
         geometry: RollerGeometry = DEFAULT_GEOMETRY,
-        timings: MechanicalTimings = DEFAULT_TIMINGS,
     ):
         self.engine = engine
         self.roller_id = roller_id
         self.geometry = geometry
-        self.timings = timings
+        self.timings = DEFAULT_TIMINGS
         self.trays: dict[TrayAddress, Tray] = {
             address: Tray(address.layer, address.slot, geometry.discs_per_tray)
             for address in geometry.addresses()

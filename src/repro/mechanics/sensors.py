@@ -47,24 +47,19 @@ class PositionSensor(Sensor):
     """Encoder reporting a discrete position (slot index or layer index)."""
 
 
-class RangeSensor(Sensor):
-    """Range sensor used during disc separation; tolerance in millimetres."""
+#: How far the separation gap may read from the expected one.
+RANGE_TOLERANCE_MM = 0.05
 
-    def __init__(
-        self,
-        name: str,
-        probe: Callable[[], float],
-        tolerance_mm: float = 0.05,
-    ):
-        super().__init__(name, probe)
-        self.tolerance_mm = tolerance_mm
+
+class RangeSensor(Sensor):
+    """Range sensor used during disc separation."""
 
     def verify_within(self, expected_mm: float) -> None:
         actual = self.read()
-        if abs(actual - expected_mm) > self.tolerance_mm:
+        if abs(actual - expected_mm) > RANGE_TOLERANCE_MM:
             raise PLCFaultError(
                 f"range sensor {self.name}: expected {expected_mm:.3f} mm "
-                f"+/- {self.tolerance_mm}, read {actual:.3f} mm"
+                f"+/- {RANGE_TOLERANCE_MM}, read {actual:.3f} mm"
             )
 
 

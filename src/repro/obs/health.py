@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.obs.recorder import FlightRecorder
-from repro.obs.slo import PAPER_SLOS, SLO, SLOWatchdog
+from repro.obs.slo import SLOWatchdog
 from repro.sim.telemetry import Sampler
 
 #: Default sampling period (simulated seconds): fine enough to catch a
@@ -42,7 +42,6 @@ class SystemMonitor:
         self,
         ros,
         period: float = DEFAULT_PERIOD,
-        slos: Iterable[SLO] = PAPER_SLOS,
         recorder: Optional[FlightRecorder] = None,
     ):
         self.ros = ros
@@ -50,7 +49,7 @@ class SystemMonitor:
         self.recorder = recorder
         self.timeline: deque[dict] = deque(maxlen=TIMELINE_CAPACITY)
         self.watchdog: Optional[SLOWatchdog] = (
-            SLOWatchdog(self.engine.trace, slos)
+            SLOWatchdog(self.engine.trace)
             if self.engine.trace.enabled
             else None
         )

@@ -24,9 +24,9 @@ from typing import Optional
 
 from repro.sim.engine import Engine
 
-#: Default ring capacity: enough for the tail of a heavy chaos run while
-#: keeping a dump readable.
-DEFAULT_CAPACITY = 4096
+#: Ring capacity: enough for the tail of a heavy chaos run while keeping a
+#: dump readable.
+CAPACITY = 4096
 
 
 class FlightRecorder:
@@ -34,11 +34,9 @@ class FlightRecorder:
 
     enabled = True
 
-    def __init__(self, engine: Engine, capacity: int = DEFAULT_CAPACITY):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.capacity = int(capacity)
+        self.capacity = CAPACITY
         self._events: deque[dict] = deque(maxlen=self.capacity)
         #: total events ever recorded (including ones evicted by the ring)
         self.recorded = 0

@@ -199,9 +199,9 @@ def evaluate(
 class SLOWatchdog:
     """Incremental SLO evaluation over a tracer's growing span stream."""
 
-    def __init__(self, tracer: Tracer, slos: Iterable[SLO] = PAPER_SLOS):
+    def __init__(self, tracer: Tracer):
         self.tracer = tracer
-        self.slos = tuple(slos)
+        self.slos = PAPER_SLOS
         self.violations: list[dict] = []
         self.spans_checked = 0
         #: spans before this index have been fully evaluated; spans still

@@ -21,6 +21,7 @@ from repro.errors import (
     FileExistsOLFSError,
     FileNotFoundOLFSError,
     InvalidPathError,
+    IsADirectoryOLFSError,
     NotADirectoryOLFSError,
 )
 from repro.olfs.config import MV_LOOKUP_SECONDS, MV_UPDATE_SECONDS
@@ -37,9 +38,9 @@ MV_INODE_SIZE = 128
 class _Dir:
     __slots__ = ("children", "mtime")
 
-    def __init__(self, mtime: float = 0.0):
+    def __init__(self):
         self.children: dict[str, object] = {}
-        self.mtime = mtime
+        self.mtime = 0.0
 
 
 class _IndexBlob:
@@ -155,6 +156,10 @@ class MetadataVolume:
         parent = self._walk_to(parts[:-1])
         if parts[-1] not in parent.children:
             raise FileNotFoundOLFSError(f"{path!r}: not in MV")
+        if isinstance(parent.children[parts[-1]], _Dir):
+            # unlink(2): a directory is not unlinked, and dropping it would
+            # drop its files without recording them in the next delta
+            raise IsADirectoryOLFSError(f"{path!r} is a directory in MV")
         del parent.children[parts[-1]]
         self._dirty.discard(path)
         self._deleted.add(path)

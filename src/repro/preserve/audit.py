@@ -4,10 +4,10 @@
 compared.  For every path, the :class:`AntiEntropyAuditor` asks each
 alive replica holder (rendezvous placement, same order on every rack)
 to read its copy and produce *sector-range checksums*: one SHA-256 per
-``RANGE_BYTES`` slice.  The digest vectors cross the simulated 10GbE
-link (a few dozen bytes per range — the content itself never moves
-unless a repair is needed), the holders vote, and any minority copy is
-repaired by rewriting the majority's bytes onto the losing rack.
+``RANGE_BYTES`` slice.  The holders exchange digest vectors (a few
+dozen bytes per range — the content itself never moves unless a repair
+is needed; both are counted as wire bytes), vote, and any minority copy
+is repaired by rewriting the majority's bytes onto the losing rack.
 
 Votes are majority-by-digest-vector; ties break toward the group
 containing the lowest holder index, so the outcome is deterministic.
@@ -23,7 +23,6 @@ import hashlib
 from typing import Generator, Optional
 
 from repro.errors import ROSError
-from repro.serve.network import NetworkLink
 
 #: granularity of the exchanged sector-range checksums
 RANGE_BYTES = 16 * 1024
@@ -48,10 +47,9 @@ def range_digests(data: bytes) -> tuple:
 class AntiEntropyAuditor:
     """Cross-rack replica comparison, voting and minority repair."""
 
-    def __init__(self, cluster, link: Optional[NetworkLink] = None):
+    def __init__(self, cluster):
         self.cluster = cluster
         self.engine = cluster.engine
-        self.link = link
         self.stats = {
             "rounds": 0,
             "paths_audited": 0,
@@ -73,15 +71,6 @@ class AntiEntropyAuditor:
         except ROSError:
             return None
         return result.data
-
-    def _wire(self, nbytes: float, counter: str) -> Generator:
-        """Charge the digest/repair exchange to the rack link, if any."""
-        if self.link is not None:
-            try:
-                yield from self.link.request(nbytes)
-            except ROSError:
-                pass  # a flapping link delays audits, never corrupts them
-        self.stats[counter] += int(nbytes)
 
     # ------------------------------------------------------------------
     def audit_path(self, path: str) -> Generator:
@@ -109,12 +98,12 @@ class AntiEntropyAuditor:
         if not readable:
             self.stats["unrecoverable"] += 1
             return outcome
-        # Exchange digest vectors (never the content) over the link.
+        # Exchange digest vectors (never the content).
         groups: dict[tuple, list[int]] = {}
         for index in readable:
             digests = range_digests(copies[index])
-            yield from self._wire(
-                DIGEST_WIRE_BYTES * len(digests), "digest_bytes_on_wire"
+            self.stats["digest_bytes_on_wire"] += int(
+                DIGEST_WIRE_BYTES * len(digests)
             )
             groups.setdefault(digests, []).append(index)
         if len(groups) > 1:
@@ -134,9 +123,7 @@ class AntiEntropyAuditor:
             if index in winner_group:
                 continue
             # The replacement payload does cross the wire.
-            yield from self._wire(
-                float(len(winner_bytes)), "repair_bytes_on_wire"
-            )
+            self.stats["repair_bytes_on_wire"] += len(winner_bytes)
             try:
                 yield from self.cluster.racks[index].pi.write_file(
                     path, winner_bytes, len(winner_bytes)

@@ -38,8 +38,8 @@ from repro.sim.engine import Delay
 #: span emitted around each array scrub (PRESERVE_SLOS watches it)
 SCRUB_SPAN = "preserve.scrub_array"
 
-#: default standalone budget: 4 MB/s of patrol reads
-DEFAULT_RATE_BYTES = 4 * units.MB
+#: standalone budget: 4 MB/s of patrol reads, bursts of four seconds' worth
+RATE_BYTES = 4 * units.MB
 
 #: idle sleep when no array is scrubbable yet
 IDLE_SLEEP_SECONDS = 5.0
@@ -54,8 +54,6 @@ class BackgroundScrubber:
     def __init__(
         self,
         ros,
-        rate_bytes: float = DEFAULT_RATE_BYTES,
-        burst_bytes: Optional[float] = None,
         clock=None,
         admission: Optional[AdmissionController] = None,
         tenant: str = "scrub",
@@ -70,7 +68,7 @@ class BackgroundScrubber:
         self.bucket: Optional[TokenBucket] = None
         if admission is None:
             self.bucket = TokenBucket(
-                self.engine, rate_bytes, burst_bytes or 4.0 * rate_bytes
+                self.engine, RATE_BYTES, 4.0 * RATE_BYTES
             )
         self.stats = {
             "passes": 0,

@@ -63,9 +63,3 @@ def raid6_array_error_rate(
 ) -> float:
     """The paper's 10 data + 2 parity schema: ~1e-40."""
     return array_error_rate(sector_error_rate, 12, 2, disc_capacity)
-
-
-def write_and_check_throughput_factor() -> float:
-    """§4.7: the forced write-and-check alternative 'almost halves the
-    actual write throughput' — the factor OLFS avoids paying."""
-    return 0.5

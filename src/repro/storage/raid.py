@@ -159,7 +159,7 @@ class RAIDArray:
     parity_count = 0
     level = "raid?"
 
-    def __init__(self, engine: Engine, devices: list[BlockDevice], name: str = ""):
+    def __init__(self, engine: Engine, devices: list[BlockDevice]):
         minimum = max(2, self.parity_count + 1)
         if len(devices) < minimum:
             raise StorageError(
@@ -167,7 +167,7 @@ class RAIDArray:
             )
         self.engine = engine
         self.devices = devices
-        self.name = name or self.level
+        self.name = self.level
 
     # -- geometry ------------------------------------------------------
     @property

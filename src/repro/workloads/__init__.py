@@ -1,14 +1,10 @@
-"""Workload generation: filebench-style streams, size distributions, traces."""
+"""Workload generation: filebench-style streams and size distributions."""
 
 from repro.workloads.filebench import SinglestreamWorkload
 from repro.workloads.generator import ArchivalWorkloadGenerator, FileSpec
-from repro.workloads.trace import TraceEvent, TraceRecorder, replay_trace
 
 __all__ = [
     "ArchivalWorkloadGenerator",
     "FileSpec",
     "SinglestreamWorkload",
-    "TraceEvent",
-    "TraceRecorder",
-    "replay_trace",
 ]

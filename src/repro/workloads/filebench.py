@@ -2,7 +2,7 @@
 
 ``SinglestreamWorkload`` reproduces filebench's ``singlestreamread`` /
 ``singlestreamwrite`` personalities: one thread streaming sequential I/O
-at a fixed request size (1 MB by default) against one large file.
+at a fixed request size (1 MB) against one large file.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from typing import Generator
 from repro import units
 from repro.frontend.stack import FilesystemStack
 from repro.sim.engine import Engine
+
+#: filebench's singlestream request size
+IO_SIZE = float(units.MB)
 
 
 @dataclass
@@ -29,19 +32,15 @@ class WorkloadResult:
 
 
 class SinglestreamWorkload:
-    """filebench singlestream(read|write), default 1 MB I/O size."""
+    """filebench singlestream(read|write) at 1 MB I/O size."""
 
     def __init__(
-        self,
-        direction: str = "read",
-        total_bytes: float = 2 * units.GB,
-        io_size: float = 1 * units.MB,
+        self, direction: str = "read", total_bytes: float = 2 * units.GB
     ):
         if direction not in ("read", "write"):
             raise ValueError(f"direction must be read/write, not {direction!r}")
         self.direction = direction
         self.total_bytes = float(total_bytes)
-        self.io_size = float(io_size)
 
     @property
     def name(self) -> str:
@@ -54,7 +53,7 @@ class SinglestreamWorkload:
         :class:`WorkloadResult`."""
         start = engine.now
         yield from stack.singlestream(
-            engine, self.total_bytes, self.io_size, self.direction
+            engine, self.total_bytes, IO_SIZE, self.direction
         )
         return WorkloadResult(
             self.name, self.total_bytes, engine.now - start

@@ -3,7 +3,7 @@
 Generates the kinds of datasets the paper's introduction motivates —
 scientific records, media assets, IoT telemetry — as reproducible streams
 of (path, payload) pairs with log-normal size distributions (the standard
-model for file-size populations) and a configurable directory fan-out.
+model for file-size populations) and a fixed directory fan-out.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ SIZE_PROFILES = {
     "mixed": (11.0, 2.0),
 }
 
+#: Directory fan-out under each profile's root.
+DIRECTORIES = 8
+
+#: Real payload bytes per file are capped here; larger files carry their
+#: size as a declared (logical) size instead.
+PAYLOAD_CAP = 64 * 1024
+
 
 class ArchivalWorkloadGenerator:
     """Reproducible stream of archival files."""
@@ -46,9 +53,7 @@ class ArchivalWorkloadGenerator:
         profile: str = "mixed",
         seed: int = 42,
         root: str = "/archive",
-        directories: int = 8,
         max_file_bytes: int = 64 * units.MB,
-        payload_cap: int = 64 * 1024,
     ):
         if profile not in SIZE_PROFILES:
             raise ValueError(
@@ -56,10 +61,7 @@ class ArchivalWorkloadGenerator:
             )
         self.profile = profile
         self.root = root.rstrip("/")
-        self.directories = directories
         self.max_file_bytes = max_file_bytes
-        #: real payload bytes are capped; larger files carry declared sizes
-        self.payload_cap = payload_cap
         self._seed = seed
 
     def files(self, count: int) -> Iterator[FileSpec]:
@@ -69,12 +71,12 @@ class ArchivalWorkloadGenerator:
         for index in range(count):
             size = int(min(rng.lognormal(mean, sigma), self.max_file_bytes))
             size = max(size, 1)
-            directory = rng.integers(0, self.directories)
+            directory = rng.integers(0, DIRECTORIES)
             path = (
                 f"{self.root}/{self.profile}/dir{directory:02d}/"
                 f"file-{index:06d}.bin"
             )
-            real = min(size, self.payload_cap)
+            real = min(size, PAYLOAD_CAP)
             payload = rng.bytes(real)
             yield FileSpec(
                 path=path,

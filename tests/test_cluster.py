@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.cluster import RackCluster, RackDownError
-from repro.errors import FileNotFoundOLFSError
+from repro.errors import FileNotFoundOLFSError, IsADirectoryOLFSError
 from repro.olfs.config import OLFSConfig
 
 
@@ -100,6 +100,14 @@ def test_cluster_unlink_removes_all_copies():
     for rack in cluster.racks:
         with pytest.raises(FileNotFoundOLFSError):
             rack.read("/del/file")
+
+
+def test_cluster_unlink_of_a_directory_raises_from_the_rack():
+    cluster = make_cluster(rack_count=2, replicas=1)
+    cluster.write("/d/a.bin", b"alpha")
+    with pytest.raises(IsADirectoryOLFSError):
+        cluster.unlink("/d")
+    assert cluster.read("/d/a.bin").data == b"alpha"
 
 
 def test_cluster_flush_and_status_aggregate():

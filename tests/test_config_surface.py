@@ -1,11 +1,13 @@
-"""Every ``OLFSConfig`` field is a knob some run actually turns.
+"""Every knob is one some run actually turns.
 
-A field that no code outside the tests ever sets to anything but its
+A setting that no code outside the tests ever gives anything but its
 default is a constant in disguise: it makes a reader wonder which rack
-configurations are real.  This lint reads ``src/``, ``benchmarks/`` and
-``bench/`` with :mod:`ast` and collects every value given to a field
-through ``OLFSConfig(...)``, ``.scaled_for_tests(...)``,
-``small_rack(config=...)`` or ``tests.conftest.make_ros(...)``:
+configurations are real.  Two lints read ``src/``, ``benchmarks/`` and
+``bench/`` with :mod:`ast`.
+
+**OLFSConfig fields.**  Every value given to a field through
+``OLFSConfig(...)``, ``.scaled_for_tests(...)``, ``small_rack(config=...)``
+or ``tests.conftest.make_ros(...)`` is collected:
 
 * keywords, and the keys of a dict literal passed as ``config=`` or
   unpacked with ``**`` — a name bound to a dict literal in the module,
@@ -14,6 +16,17 @@ through ``OLFSConfig(...)``, ``.scaled_for_tests(...)``,
   its module whose keys are all keywords of that call;
 * a literal value varies when it differs from the field's default, a
   non-literal value always varies.
+
+**Constructor keywords.**  Every parameter with a default of every
+``def __init__`` in ``src/repro`` must be passed by some call.  Calls
+are matched by class name (``Name(...)`` or ``module.Name(...)``; also
+``cls(...)`` inside the class and ``super().__init__(...)`` inside a
+subclass), and a class without its own ``__init__`` hands its calls to
+the nearest base that has one.  A positional argument passes the
+parameter in its place; ``*args`` or ``**kwargs`` passes them all.
+Dataclass fields are records, not constructors, and are not scanned
+(``OLFSConfig`` has the lint above).  A test that needs another value
+monkeypatches the module constant the class reads.
 """
 
 import ast
@@ -25,8 +38,8 @@ from repro.olfs.config import OLFSConfig
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "benchmarks", "bench")
 
-#: Fields that only tests or an example switch, kept because each gates
-#: a behaviour the paper describes.
+#: OLFSConfig fields that only tests or an example switch, kept because
+#: each gates a behaviour the paper describes.
 ALLOWED_CONSTANT = {
     "parity_discs_per_array": "§4.7: the 10+2 RAID-6 disc-array schema",
     "client_read_timeout": "§4.8: a client that times out a cold read",
@@ -57,13 +70,17 @@ def make_ros_fields() -> dict[str, str]:
     return mapping
 
 
-def callee(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
+def name_of(node: ast.AST) -> str | None:
+    """``Name`` -> ``Name``; ``module.Name`` -> ``Name``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
     return None
+
+
+def callee(call: ast.Call) -> str | None:
+    return name_of(call.func)
 
 
 def literal(node: ast.AST):
@@ -203,3 +220,168 @@ def test_the_lint_sees_the_overrides_the_runs_make():
     assert 4 in values["prefetch_siblings"]
     # a make_ros keyword renamed on its way to the field
     assert False in values["auto_burn"]
+
+
+# ----------------------------------------------------------------------
+# Constructor keywords
+# ----------------------------------------------------------------------
+#: ``Class.keyword`` that no scanned call passes, and why each stays.
+ALLOWED_UNPASSED = {
+    "Volume.array": "[reach]: goes with the RAID data path, whose "
+    "deletion waits for the benchmark's boundary to be re-pointed",
+    **{
+        f"TimeSeriesStore.{knob}": "[paper-promises]: retention and shard "
+        "eviction get a fleet-monitor leg that sets them"
+        for knob in (
+            "raw_retention_s", "rollups", "rollup_retention_s",
+            "shard_points", "max_shards",
+        )
+    },
+}
+
+
+def class_defs() -> dict[str, list[ast.ClassDef]]:
+    """Class name -> its definitions in ``src/repro`` (names may repeat)."""
+    found: dict[str, list[ast.ClassDef]] = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                found.setdefault(node.name, []).append(node)
+    return found
+
+
+def own_init(node: ast.ClassDef):
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            return item
+    return None
+
+
+def init_owners(classes) -> dict[str, list[str]]:
+    """Class name -> the class names whose ``__init__`` a call runs."""
+    def owners(name: str, seen: frozenset) -> list[str]:
+        found = []
+        for node in classes.get(name, ()):
+            if own_init(node) is not None:
+                found.append(name)
+                continue
+            for base in map(name_of, node.bases):
+                if base in classes and base not in seen:
+                    found += owners(base, seen | {base})
+        return found
+
+    return {name: owners(name, frozenset({name})) for name in classes}
+
+
+def init_parameters(classes) -> dict[str, tuple[list[str], set[str]]]:
+    """Class name -> (parameters in call order, those with a default)."""
+    parameters = {}
+    for name, nodes in classes.items():
+        for node in nodes:
+            init = own_init(node)
+            if init is None:
+                continue
+            args = init.args
+            ordered = [arg.arg for arg in args.posonlyargs + args.args][1:]
+            defaulted = (
+                set(ordered[len(ordered) - len(args.defaults):])
+                if args.defaults else set()
+            )
+            defaulted |= {
+                arg.arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            }
+            ordered += [arg.arg for arg in args.kwonlyargs]
+            # a name defined twice: the union of both signatures
+            known, known_defaulted = parameters.get(name, ([], set()))
+            parameters[name] = (known or ordered, known_defaulted | defaulted)
+    return parameters
+
+
+def called_class(call: ast.Call, enclosing: list[ast.ClassDef], classes):
+    """The class name ``call`` constructs, or None."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "cls" and enclosing:
+        return enclosing[-1].name
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr == "__init__"
+        and isinstance(func.value, ast.Call)
+        and callee(func.value) == "super"
+        and enclosing
+    ):
+        # super().__init__: the bases of the class it is written in
+        bases = [name_of(base) for base in enclosing[-1].bases]
+        return next((base for base in bases if base in classes), None)
+    name = callee(call)
+    return name if name in classes else None
+
+
+def passed_keywords() -> dict[str, set[str]]:
+    """Class name (an ``__init__`` owner) -> the parameters calls pass."""
+    classes = class_defs()
+    owners = init_owners(classes)
+    parameters = init_parameters(classes)
+    passed: dict[str, set[str]] = {name: set() for name in parameters}
+
+    def visit(node: ast.AST, enclosing: list[ast.ClassDef]) -> None:
+        if isinstance(node, ast.ClassDef):
+            enclosing = enclosing + [node]
+        if isinstance(node, ast.Call):
+            name = called_class(node, enclosing, classes)
+            for owner in owners.get(name, ()) if name else ():
+                ordered, _ = parameters[owner]
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    passed[owner] |= set(ordered)
+                passed[owner] |= set(ordered[: len(node.args)])
+                for keyword in node.keywords:
+                    if keyword.arg is None:
+                        passed[owner] |= set(ordered)
+                    else:
+                        passed[owner].add(keyword.arg)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for _, tree in scanned_modules():
+        visit(tree, [])
+    return passed
+
+
+def unpassed_keywords() -> list[str]:
+    parameters = init_parameters(class_defs())
+    passed = passed_keywords()
+    return sorted(
+        f"{name}.{keyword}"
+        for name, (_, defaulted) in parameters.items()
+        for keyword in defaulted - passed[name]
+    )
+
+
+def test_every_constructor_keyword_is_passed_by_some_caller():
+    unpassed = [
+        keyword for keyword in unpassed_keywords()
+        if keyword not in ALLOWED_UNPASSED
+    ]
+    assert unpassed == [], (
+        "__init__ keywords no call outside the tests passes; make each a "
+        f"module constant or delete the behaviour it selects: {unpassed}"
+    )
+
+
+def test_allowed_unpassed_keywords_are_still_unpassed():
+    stale = sorted(set(ALLOWED_UNPASSED) - set(unpassed_keywords()))
+    assert stale == [], (
+        f"passed now (or gone), drop from ALLOWED_UNPASSED: {stale}"
+    )
+
+
+def test_the_keyword_lint_sees_how_callers_pass():
+    passed = passed_keywords()
+    # a positional argument: DriveSet(engine, set_id)
+    assert "set_id" in passed["DriveSet"]
+    # a keyword argument: ArchivalWorkloadGenerator(..., root=...)
+    assert "root" in passed["ArchivalWorkloadGenerator"]
+    # a subclass without an __init__ hands its calls to the base's:
+    # PositionSensor(name, probe) runs Sensor.__init__
+    assert "probe" in passed["Sensor"]

@@ -366,10 +366,11 @@ def test_burn_array_requires_discs():
         engine.run_process(proc())
 
 
-def test_burn_throttle_factor():
-    from repro.drives import BurnThrottle
+def test_burn_throttle_factor(monkeypatch):
+    from repro.drives import BurnThrottle, drive_set
 
-    throttle = BurnThrottle(cap_bytes_per_s=100.0)
+    monkeypatch.setattr(drive_set, "BURN_CAP", 100.0)
+    throttle = BurnThrottle()
     throttle.update("a", 60.0)
     assert throttle.factor() == 1.0
     throttle.update("b", 60.0)

@@ -47,11 +47,6 @@ def test_cav_progress_out_of_range_rejected():
         ZonedCAVCurve().speed_multiple(1.5)
 
 
-def test_cav_invalid_inner_fraction_rejected():
-    with pytest.raises(ValueError):
-        ZonedCAVCurve(inner_fraction=0.0)
-
-
 # ----------------------------------------------------------------------
 # 100 GB fail-safe curve (Figure 10)
 # ----------------------------------------------------------------------

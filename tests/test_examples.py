@@ -12,15 +12,12 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
-EXAMPLES = [
-    "quickstart",
-    "datacenter_archive",
-    "media_asset_workflow",
-    "disaster_recovery",
-    "tco_and_reliability",
-    "interfaces_tour",
-    "cluster_failover",
-]
+#: Every script in ``examples/``, so an example added later is run too.
+EXAMPLES = sorted(
+    path.stem
+    for path in EXAMPLES_DIR.glob("*.py")
+    if not path.stem.startswith("_")
+)
 
 
 @pytest.fixture(autouse=True)
@@ -40,9 +37,7 @@ def test_example_runs(name, capsys):
 
 
 def test_every_example_file_is_covered():
-    on_disk = {
-        path.stem
-        for path in EXAMPLES_DIR.glob("*.py")
-        if not path.stem.startswith("_")
-    }
-    assert on_disk == set(EXAMPLES)
+    # an empty glob would parametrize nothing and pass silently
+    assert "quickstart" in EXAMPLES
+    for name in EXAMPLES:
+        assert "def main(" in (EXAMPLES_DIR / f"{name}.py").read_text(), name

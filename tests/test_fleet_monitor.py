@@ -371,7 +371,7 @@ class TestFleetSupervisor:
 # ----------------------------------------------------------------------
 def test_scrub_budget_rule_raises_patrol_rate():
     ros = make_ros()
-    scrubber = BackgroundScrubber(ros, rate_bytes=4 * units.MB)
+    scrubber = BackgroundScrubber(ros)
     store = TimeSeriesStore()
     rule = TriggerRule(
         "scrub-errors", "preserve.scrub.errors", "raise_scrub_budget",

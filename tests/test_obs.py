@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.obs.recorder as recorder_module
 from repro import small_rack, units
 from repro.faults import DRIVE_HARD, DRIVE_TRANSIENT, FaultPlan
 from repro.obs import (
@@ -35,9 +36,10 @@ from tests.conftest import make_ros, write_batch
 # ----------------------------------------------------------------------
 # Flight recorder
 # ----------------------------------------------------------------------
-def test_recorder_ring_buffer_drops_oldest():
+def test_recorder_ring_buffer_drops_oldest(monkeypatch):
+    monkeypatch.setattr(recorder_module, "CAPACITY", 4)
     engine = Engine()
-    recorder = FlightRecorder(engine, capacity=4)
+    recorder = FlightRecorder(engine)
     for index in range(6):
         recorder.record("tick", n=index)
     assert len(recorder) == 4
@@ -78,11 +80,6 @@ def test_recorder_install_and_null_default():
     recorder = FlightRecorder(engine).install()
     assert engine.recorder is recorder
     assert recorder.enabled
-
-
-def test_recorder_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        FlightRecorder(Engine(), capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +146,7 @@ def test_slo_ignores_other_spans_and_unfinished():
 
 def test_watchdog_incremental_poll_revisits_open_spans():
     engine, tracer = _traced_engine()
-    watchdog = SLOWatchdog(tracer, PAPER_SLOS)
+    watchdog = SLOWatchdog(tracer)
 
     def slow_read():
         with tracer.span("op.read", "posix"):
@@ -172,7 +169,7 @@ def test_watchdog_incremental_poll_revisits_open_spans():
 
 def test_watchdog_survives_tracer_clear():
     engine, tracer = _traced_engine()
-    watchdog = SLOWatchdog(tracer, PAPER_SLOS)
+    watchdog = SLOWatchdog(tracer)
 
     def load(seconds):
         with tracer.span("mech.load_array", "mech"):

@@ -94,6 +94,16 @@ def test_unlink_removes_from_namespace(ros):
         ros.read("/gone")
 
 
+def test_unlink_of_a_directory_raises_and_keeps_its_files(ros):
+    ros.write("/d/a.bin", b"alpha")
+    with pytest.raises(IsADirectoryOLFSError):
+        ros.unlink("/d")
+    assert ros.read("/d/a.bin").data == b"alpha"
+    # the next incremental checkpoint still carries the file
+    assert ros.mv._deleted == set()
+    assert "/d/a.bin" in ros.mv._dirty
+
+
 # ----------------------------------------------------------------------
 # Unique file path (§4.4)
 # ----------------------------------------------------------------------

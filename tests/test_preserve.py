@@ -16,6 +16,7 @@ Covers the :mod:`repro.preserve` subsystem end to end:
 
 import pytest
 
+import repro.preserve.scrubber as scrubber_module
 from repro import units
 from repro.cluster import RackCluster
 from repro.faults.invariants import check_audit_convergence
@@ -157,7 +158,7 @@ def test_scrubber_repairs_corruption_within_budget():
     tray = ros.mech.rollers[roller].tray_at(address)
     disc = next(d for d in tray.discs() if d.disc_id == disc_id)
     _quiet_model().corrupt_exact(disc, [disc.tracks[0].start_sector])
-    scrubber = BackgroundScrubber(ros, rate_bytes=4 * units.MB)
+    scrubber = BackgroundScrubber(ros)
     ros.run(scrubber.scrub_pass())
     ros.settle()
     assert scrubber.stats["errors_found"] >= 1
@@ -167,13 +168,13 @@ def test_scrubber_repairs_corruption_within_budget():
         assert ros.read(path).data == payload
 
 
-def test_scrubber_budget_paces_passes():
+def test_scrubber_budget_paces_passes(monkeypatch):
     ros, _payloads = burned_rack()
     # A budget far below the array size forces the scrubber to wait for
     # the bucket before each array: simulated time must pass.
-    scrubber = BackgroundScrubber(
-        ros, rate_bytes=16 * 1024, burst_bytes=16 * 1024
-    )
+    monkeypatch.setattr(scrubber_module, "RATE_BYTES", 4 * 1024)
+    scrubber = BackgroundScrubber(ros)
+    assert scrubber.bucket.burst == 16 * 1024
     before = ros.now
     ros.run(scrubber.scrub_pass())
     ros.settle()
@@ -197,7 +198,7 @@ def test_scrubber_defers_when_admission_rejects():
     assert scrubber.stats["arrays_scrubbed"] == 0
 
 
-def test_scrubber_migrates_old_arrays_to_fresh_media():
+def test_scrubber_migrates_old_arrays_to_fresh_media(monkeypatch):
     ros, payloads = burned_rack()
     clock = AgingClock(ros, _quiet_model(), years_per_second=0.0)
     clock.tick()
@@ -207,11 +208,9 @@ def test_scrubber_migrates_old_arrays_to_fresh_media():
         for key, state in ros.mc.da_index.items()
         if state is ArrayState.USED
     ]
+    monkeypatch.setattr(scrubber_module, "RATE_BYTES", 16 * units.MB)
     scrubber = BackgroundScrubber(
-        ros,
-        rate_bytes=16 * units.MB,
-        clock=clock,
-        migrate_after_years=18.0,
+        ros, clock=clock, migrate_after_years=18.0
     )
     ros.run(scrubber.scrub_pass())
     ros.settle()
@@ -227,12 +226,13 @@ def test_scrubber_migrates_old_arrays_to_fresh_media():
 # ----------------------------------------------------------------------
 # Scrub-while-fault-fires regression (the aborted-load wedge)
 # ----------------------------------------------------------------------
-def test_scrub_survives_plc_fault_mid_load():
+def test_scrub_survives_plc_fault_mid_load(monkeypatch):
     """A PLC fault aborting the scrub's array load must not wedge the
     rack: the scrubber skips, recovers the mechanics, and the next pass
     scrubs normally."""
     ros, payloads = burned_rack(with_injector=True)
-    scrubber = BackgroundScrubber(ros, rate_bytes=16 * units.MB)
+    monkeypatch.setattr(scrubber_module, "RATE_BYTES", 16 * units.MB)
+    scrubber = BackgroundScrubber(ros)
     # Arm a one-shot control-link fault: the next PLC send — somewhere
     # inside the scrub's load_array sequence — raises PLCFaultError.
     ros.fault_injector.inject(PLC_CHANNEL)

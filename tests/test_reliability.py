@@ -182,10 +182,12 @@ def test_workload_profiles_have_different_scales():
     assert media > iot * 10
 
 
-def test_workload_large_files_use_declared_sizes():
+def test_workload_large_files_use_declared_sizes(monkeypatch):
     from repro.workloads import ArchivalWorkloadGenerator
+    from repro.workloads import generator as workload_generator
 
-    generator = ArchivalWorkloadGenerator("media", seed=3, payload_cap=4096)
+    monkeypatch.setattr(workload_generator, "PAYLOAD_CAP", 4096)
+    generator = ArchivalWorkloadGenerator("media", seed=3)
     specs = list(generator.files(50))
     large = [s for s in specs if s.size > 4096]
     assert large
@@ -199,45 +201,3 @@ def test_workload_unknown_profile_rejected():
 
     with pytest.raises(ValueError):
         ArchivalWorkloadGenerator("databases")
-
-
-def test_trace_record_and_replay():
-    from repro.workloads import TraceRecorder, replay_trace
-    from tests.conftest import make_ros
-
-    source = make_ros()
-    recorder = TraceRecorder(source)
-    recorder.write("/t/a.bin", b"alpha")
-    recorder.write("/t/b.bin", b"beta")
-    recorder.read("/t/a.bin")
-    blob = recorder.serialize()
-
-    target = make_ros()
-    events = TraceRecorder.deserialize(blob)
-    stats = replay_trace(target, events)
-    assert stats["ops"] == 3
-    assert stats["errors"] == 0
-    assert target.read("/t/b.bin").data == b"beta"
-
-
-def test_trace_replay_counts_rack_errors_but_not_bugs(monkeypatch):
-    from repro.workloads import TraceEvent, replay_trace
-    from tests.conftest import make_ros
-
-    target = make_ros()
-    events = [
-        TraceEvent("write", "/t/a.bin", 0.0, size=5, payload=b"alpha"),
-        TraceEvent("read", "/t/never-written.bin", 1.0),
-        TraceEvent("stat", "/t/a.bin", 2.0),
-    ]
-    stats = replay_trace(target, events)
-    assert stats == {
-        "ops": 3, "bytes_written": 5, "bytes_read": 0, "errors": 1,
-    }
-
-    def broken(_path):
-        raise RuntimeError("stat exploded")
-
-    monkeypatch.setattr(target, "stat", broken)
-    with pytest.raises(RuntimeError, match="stat exploded"):
-        replay_trace(target, events)

@@ -16,13 +16,15 @@ from repro.power import PowerModel
 from repro.sim.rng import DeterministicRNG
 from tests.conftest import make_ros
 from repro.workloads import ArchivalWorkloadGenerator
+from repro.workloads import generator as workload_generator
 
 
-def test_year_of_operation():
+def test_year_of_operation(monkeypatch):
     ros = make_ros(read_cache_images=3, fault_plan=FaultPlan())
     oracle: dict[str, bytes] = {}
+    monkeypatch.setattr(workload_generator, "PAYLOAD_CAP", 4096)
     generator = ArchivalWorkloadGenerator(
-        "mixed", seed=2026, payload_cap=4096, max_file_bytes=24 * 1024
+        "mixed", seed=2026, max_file_bytes=24 * 1024
     )
     specs = list(generator.files(48))
 
