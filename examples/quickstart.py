@@ -27,8 +27,9 @@ def main() -> None:
         path = f"/archive/2026/q3/report-{index:02d}.txt"
         payload = f"quarterly archive record {index}\n".encode() * 800
         trace = ros.write(path, payload)
-        print(f"  wrote {path}  ({trace.total_seconds * 1e3:.1f} ms, "
-              f"ops: {' '.join(trace.op_names())})")
+        seconds = sum(op.seconds for op in trace.ops)
+        print(f"  wrote {path}  ({seconds * 1e3:.1f} ms, "
+              f"ops: {' '.join(op.name for op in trace.ops)})")
 
     print("\n== directory view (global namespace) ==")
     print(" ", ros.readdir("/archive/2026/q3"))

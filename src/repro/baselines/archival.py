@@ -39,7 +39,3 @@ class ConventionalArchivalSystem:
             + staging
             + transform
         )
-
-    def is_inline_accessible(self) -> bool:
-        """Applications cannot open archived files directly (§2.2)."""
-        return False

@@ -35,7 +35,3 @@ class LTFSTapeModel:
         latency += self.seek_seconds(position_fraction)
         latency += nbytes / self.streaming_rate
         return latency
-
-    def namespace_scope(self) -> str:
-        """LTFS namespaces stop at the cartridge boundary (§6)."""
-        return "single-medium"

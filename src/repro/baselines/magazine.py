@@ -51,10 +51,3 @@ class MagazineLibraryModel:
             + self.robot_xyz_travel_mean
             + self.magazine_eject
         )
-
-    def swap_seconds(self) -> float:
-        return self.load_seconds() + self.unload_seconds()
-
-    def density_ratio_vs_ros(self, ros_discs_per_rack: int = 12240) -> float:
-        """Disc placement density relative to the ROS roller design."""
-        return self.discs_per_rack / ros_discs_per_rack

@@ -59,16 +59,6 @@ class RackCluster:
             read_file=self._read_file,
             stat=self._stat,
         )
-        # monotonic event counters, reported by health() alongside the
-        # gauges — telemetry consumers compute rates from these instead
-        # of diffing snapshots
-        self.counters = {
-            "writes": 0,
-            "reads": 0,
-            "read_failovers": 0,
-            "rack_failures": 0,
-            "rack_restores": 0,
-        }
 
     # ------------------------------------------------------------------
     # Placement: rendezvous hashing (stable under rack addition)
@@ -90,13 +80,9 @@ class RackCluster:
     # ------------------------------------------------------------------
     def fail_rack(self, index: int) -> None:
         """Mark a rack unreachable (power/network loss)."""
-        if index not in self._down:
-            self.counters["rack_failures"] += 1
         self._down.add(index)
 
     def restore_rack(self, index: int) -> None:
-        if index in self._down:
-            self.counters["rack_restores"] += 1
         self._down.discard(index)
 
     def _alive(self, indices: list[int]) -> list[int]:
@@ -112,9 +98,6 @@ class RackCluster:
 
     def read(self, path: str):
         return self.engine.run_process(self.pi.read_file(path), "read")
-
-    def stat(self, path: str) -> dict:
-        return self.engine.run_process(self.pi.stat(path), "stat")
 
     def readdir(self, path: str) -> list[str]:
         """Union of the directory's entries across reachable racks."""
@@ -144,8 +127,8 @@ class RackCluster:
             raise FileNotFoundOLFSError(f"{path!r}: not in the cluster")
 
     # ------------------------------------------------------------------
-    # ``self.pi``: the one copy of each operation's placement, failover
-    # and counters.  Serving sessions are simulation processes and
+    # ``self.pi``: the one copy of each operation's placement and
+    # failover.  Serving sessions are simulation processes and
     # ``yield from`` these; the synchronous facade above runs them.
     # ------------------------------------------------------------------
     def _write_file(self, path: str, data: bytes, logical_size=None):
@@ -159,7 +142,6 @@ class RackCluster:
                 path, data, logical_size
             )
             traces.append(trace)
-        self.counters["writes"] += 1
         return traces[0]
 
     def _read_file(self, path: str):
@@ -172,18 +154,12 @@ class RackCluster:
         failed.
         """
         last_error: Optional[Exception] = None
-        placement = self.placement(path)
-        for index in self._alive(placement):
+        for index in self._alive(self.placement(path)):
             try:
                 result = yield from self.racks[index].pi.read_file(path)
             except ROSError as error:
                 last_error = error
                 continue
-            self.counters["reads"] += 1
-            if index != placement[0]:
-                # served by a replica — whether the home was marked
-                # down or merely erroring, it's one failover
-                self.counters["read_failovers"] += 1
             return result
         if last_error is not None:
             raise last_error
@@ -218,16 +194,4 @@ class RackCluster:
             "discs_total": sum(s["discs_total"] for s in alive),
             "arrays_used": sum(s["arrays"]["Used"] for s in alive),
             "per_rack": per_rack,
-        }
-
-    def health(self) -> dict:
-        """Cheap read-only snapshot (the subsystem ``health()`` protocol
-        the system monitor aggregates — no ``status()``-style deep walk)."""
-        return {
-            "racks": len(self.racks),
-            "racks_up": len(self.racks) - len(self._down),
-            "down": sorted(self._down),
-            "replicas": self.replicas,
-            # monotonic counters, alongside the gauges above
-            **{key: int(val) for key, val in sorted(self.counters.items())},
         }

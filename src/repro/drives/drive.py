@@ -146,11 +146,6 @@ class OpticalDrive:
         disc, self.disc = self.disc, None
         return disc
 
-    def sleep(self) -> None:
-        """Stop the spindle (drives sleep when idle to save power)."""
-        if self.state in (DriveState.IDLE, DriveState.MOUNTED):
-            self._transition(DriveState.SLEEPING, "sleep")
-
     def _transition(self, state: DriveState, reason: str) -> None:
         """Change state, journalling the edge to the flight recorder."""
         if state is self.state:
@@ -428,7 +423,3 @@ class OpticalDrive:
             raise DriveError(f"{self.drive_id}: no disc loaded")
         if self.state is DriveState.TRAY_OPEN:
             raise DriveError(f"{self.drive_id}: tray is open")
-
-    def __repr__(self) -> str:
-        disc = self.disc.disc_id if self.disc else "-"
-        return f"<OpticalDrive {self.drive_id} {self.state.value} disc={disc}>"

@@ -23,7 +23,6 @@ from repro import units
 from repro.errors import DriveError, ROSError
 from repro.drives.drive import BurnResult, DriveState, OpticalDrive, nap, wake
 from repro.drives.speed import RecordingCurve
-from repro.media.disc import OpticalDisc
 from repro.sim.engine import AllOf, Engine, Join
 
 #: Drives per set, matching the 12-disc tray (§3.3).
@@ -86,9 +85,6 @@ class DriveSet:
         #: array-burn processes still sleeping out their start stagger
         self._staged: list = []
 
-    def __len__(self) -> int:
-        return len(self.drives)
-
     # ------------------------------------------------------------------
     # Occupancy
     # ------------------------------------------------------------------
@@ -103,9 +99,6 @@ class DriveSet:
     @property
     def is_burning(self) -> bool:
         return any(drive.state is DriveState.BURNING for drive in self.drives)
-
-    def discs(self) -> list[OpticalDisc]:
-        return [drive.disc for drive in self.drives if drive.disc is not None]
 
     def find_disc(self, disc_id: str) -> Optional[OpticalDrive]:
         for drive in self.drives:
@@ -129,21 +122,6 @@ class DriveSet:
                     f"set {self.set_id}: drive {drive.drive_id} not free"
                 )
             drive.open_tray()
-
-    def eject_all(self) -> list[OpticalDisc]:
-        """Open every tray and pull the discs (mechanics collects them)."""
-        discs = []
-        for drive in self.drives:
-            if drive.is_busy:
-                raise DriveError(
-                    f"set {self.set_id}: drive {drive.drive_id} is busy"
-                )
-            if drive.disc is None:
-                continue
-            drive.open_tray()
-            discs.append(drive.remove_disc())
-            drive.close_tray()
-        return discs
 
     def request_interrupt(self) -> None:
         """Stop the array burn in flight now (§4.8): burning drives commit
@@ -310,10 +288,3 @@ class DriveSet:
             ),
             "per_drive": [drive.health() for drive in self.drives],
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"<DriveSet {self.set_id}: "
-            f"{sum(1 for d in self.drives if d.has_disc)}/{len(self.drives)} "
-            f"loaded>"
-        )

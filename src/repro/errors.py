@@ -88,10 +88,6 @@ class IsADirectoryOLFSError(FilesystemError):
     errno_name = "EISDIR"
 
 
-class DirectoryNotEmptyOLFSError(FilesystemError):
-    errno_name = "ENOTEMPTY"
-
-
 class NoSpaceOLFSError(FilesystemError):
     errno_name = "ENOSPC"
 

@@ -345,11 +345,7 @@ class FaultInjector:
         for image_id in list(ros.cache.cached_ids):
             ros.cache.evict(image_id)
             dropped += 1
-        file_cache = getattr(ros.ftm, "file_cache", None)
-        if file_cache is not None:
-            from repro.olfs.prefetch import FileGrainCache
-
-            ros.ftm.file_cache = FileGrainCache(file_cache.capacity_bytes)
+        ros.ftm.forget_file_cache()
         self._log("apply", spec.kind, "read-cache", dropped=dropped)
 
     def _apply_link_flap(self, spec: FaultSpec) -> None:

@@ -69,7 +69,6 @@ Taxonomy
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -188,14 +187,6 @@ class FaultPlan:
 
     def __iter__(self):
         return iter(self.specs)
-
-    def to_json(self) -> str:
-        """Deterministic JSON (the campaign report embeds this)."""
-        return json.dumps(
-            [spec.to_dict() for spec in self.specs],
-            sort_keys=True,
-            separators=(",", ":"),
-        )
 
     def shifted(self, offset: float) -> "FaultPlan":
         """A copy of this plan with every timing moved ``offset`` later.

@@ -66,9 +66,3 @@ class FleetFrontend:
             return self.backends[site]
         except KeyError:
             raise FleetError(f"unknown site {site}") from None
-
-    def health(self) -> dict:
-        return {
-            "sites": sorted(self.backends),
-            "store": self.store.health(),
-        }

@@ -251,10 +251,6 @@ class TelemetryAgent:
             self.stats["points_dropped"] += len(points)
 
     # ------------------------------------------------------------------
-    @property
-    def outbox_depth(self) -> int:
-        return len(self._outbox)
-
     def health(self) -> dict:
         return {
             "agent": self.agent_id,

@@ -70,9 +70,6 @@ class RoboticArm:
         self.moves += 1
         self.layer = layer
 
-    def park(self) -> Generator:
-        yield from self.move_to_layer(PARK_LAYER)
-
     def hook_tray(self, lead: float = 0.0) -> Generator:
         """Lock the outer hook of the tray facing the arm."""
         if self.hooked:
@@ -158,9 +155,3 @@ class RoboticArm:
             "moves": self.moves,
             "travel_seconds": round(self.travel_seconds, 6),
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"<RoboticArm {self.arm_id} layer={self.layer} "
-            f"holding={len(self.holding)} hooked={self.hooked}>"
-        )

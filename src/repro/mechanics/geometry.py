@@ -43,10 +43,6 @@ class RollerGeometry:
     def disc_capacity(self) -> int:
         return self.trays * self.discs_per_tray
 
-    @property
-    def lowest_layer(self) -> int:
-        return self.layers - 1
-
     def validate(self, address: TrayAddress) -> None:
         if not (0 <= address.layer < self.layers):
             raise ValueError(
@@ -68,11 +64,6 @@ class RollerGeometry:
         if self.layers == 1:
             return 0.0
         return layer / (self.layers - 1)
-
-    def slot_distance(self, slot_a: int, slot_b: int) -> int:
-        """Rotation steps between two slots along the shorter direction."""
-        raw = abs(slot_a - slot_b) % self.slots_per_layer
-        return min(raw, self.slots_per_layer - raw)
 
 
 #: The paper's production geometry.

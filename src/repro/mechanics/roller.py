@@ -19,9 +19,6 @@ from repro.media.tray import Tray
 from repro.sim.engine import Engine
 from repro.sim.landing import sleep_after
 
-#: Power drawn while the roller motor turns (§3.2: "less than 50 watts").
-ROTATION_POWER_W = 50.0
-
 #: The ids :meth:`Roller.populate_blank` gives discs name their home tray.
 _POPULATED_DISC_ID = re.compile(r"r\d+-l(\d+)-s(\d+)-d\d+")
 
@@ -164,10 +161,6 @@ class Roller:
     def fanned_out(self) -> Optional[TrayAddress]:
         return self._fanned_out
 
-    def rotation_energy_joules(self) -> float:
-        """Energy spent rotating so far (50 W while turning)."""
-        return ROTATION_POWER_W * self.rotation_seconds
-
     def health(self) -> dict:
         """Cheap read-only snapshot for the system monitor."""
         return {
@@ -183,9 +176,3 @@ class Roller:
             "rotation_seconds": round(self.rotation_seconds, 6),
             "discs": self.disc_count(),
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"<Roller {self.roller_id}: {self.disc_count()} discs, "
-            f"facing slot {self.facing_slot}>"
-        )

@@ -54,11 +54,6 @@ class DiscType:
     reference_write_speed: float  # speed multiple (e.g. 6.0 = 6X)
     max_write_speed: float
     read_speed_mbs: float  # sustained single-drive read rate, MB/s
-    erase_cycles: int = 0  # only meaningful for RW media
-
-    @property
-    def sectors(self) -> int:
-        return self.capacity // SECTOR_SIZE
 
 
 #: 25 GB single-layer write-once BD-R (reference 6X, measured up to 12X).
@@ -103,7 +98,7 @@ FIVED_DISC = DiscType(
     read_speed_mbs=250.0,
 )
 
-#: Re-writable BD-RE: slow (2X), limited erase cycles, costly (§2.1).
+#: Re-writable BD-RE: slow (2X), costly (§2.1).
 BD25_RW = DiscType(
     name="BD-RE 25GB",
     capacity=25 * units.GB,
@@ -111,7 +106,6 @@ BD25_RW = DiscType(
     reference_write_speed=2.0,
     max_write_speed=2.0,
     read_speed_mbs=24.1,
-    erase_cycles=1000,
 )
 
 
@@ -174,7 +168,6 @@ class OpticalDisc:
         self.disc_type = disc_type
         self.tracks: list[Track] = []
         self.status = DiscStatus.BLANK
-        self.erase_count = 0
         #: sectors marked unreadable by the error model
         self.bad_sectors: set[int] = set()
         #: sectors wasted on POW metadata zones
@@ -195,10 +188,6 @@ class OpticalDisc:
     @property
     def used_bytes(self) -> int:
         return self.used_sectors * SECTOR_SIZE
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self.used_bytes
 
     @property
     def is_blank(self) -> bool:
@@ -251,29 +240,6 @@ class OpticalDisc:
         self.status = DiscStatus.CLOSED if close else DiscStatus.OPEN
         return track
 
-    def finalize(self) -> None:
-        """Close the disc; no further tracks can be appended."""
-        if self.status is DiscStatus.BLANK:
-            raise MediaError(f"cannot finalize blank disc {self.disc_id}")
-        self.status = DiscStatus.CLOSED
-
-    def erase(self) -> None:
-        """Blank a rewritable disc (BD-RE only, bounded erase cycles)."""
-        if self.disc_type.worm:
-            raise WormViolationError(
-                f"disc {self.disc_id} ({self.disc_type.name}) is write-once"
-            )
-        if self.erase_count >= self.disc_type.erase_cycles:
-            raise MediaError(
-                f"disc {self.disc_id} exceeded {self.disc_type.erase_cycles} "
-                "erase cycles"
-            )
-        self.erase_count += 1
-        self.tracks.clear()
-        self.bad_sectors.clear()
-        self._metadata_overhead_sectors = 0
-        self.status = DiscStatus.BLANK
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -313,21 +279,3 @@ class OpticalDisc:
         if bad:
             raise SectorError(self.disc_id, min(bad))
         return track.payload
-
-    def describe(self) -> dict:
-        """Self-describing summary (used by recovery scans)."""
-        return {
-            "disc_id": self.disc_id,
-            "type": self.disc_type.name,
-            "status": self.status.value,
-            "tracks": [
-                {"label": t.label, "logical_size": t.logical_size}
-                for t in self.tracks
-            ],
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<OpticalDisc {self.disc_id} {self.disc_type.name} "
-            f"{self.status.value} tracks={len(self.tracks)}>"
-        )

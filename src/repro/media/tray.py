@@ -23,14 +23,11 @@ class Tray:
     def __init__(self, layer: int, slot: int, capacity: int = DISCS_PER_TRAY):
         self.layer = layer
         self.slot = slot
+        self.address = (layer, slot)
         self.capacity = capacity
         self._discs: list[Optional[OpticalDisc]] = [None] * capacity
         #: True while the tray's discs are away in the drives.
         self.checked_out = False
-
-    @property
-    def address(self) -> tuple[int, int]:
-        return (self.layer, self.slot)
 
     @property
     def disc_count(self) -> int:
@@ -48,18 +45,6 @@ class Tray:
         for disc in self._discs:
             if disc is not None:
                 yield disc
-
-    def disc_at(self, position: int) -> Optional[OpticalDisc]:
-        return self._discs[position]
-
-    def put(self, position: int, disc: OpticalDisc) -> None:
-        if self.checked_out:
-            raise MechanicsError(f"tray {self.address} is checked out")
-        if self._discs[position] is not None:
-            raise MechanicsError(
-                f"tray {self.address} position {position} already occupied"
-            )
-        self._discs[position] = disc
 
     def fill(self, discs: list[OpticalDisc]) -> None:
         """Populate an empty tray with a full stack of discs."""
@@ -90,7 +75,3 @@ class Tray:
         self.checked_out = False
         for index, disc in enumerate(discs):
             self._discs[index] = disc
-
-    def __repr__(self) -> str:
-        state = "out" if self.checked_out else f"{self.disc_count} discs"
-        return f"<Tray L{self.layer} S{self.slot}: {state}>"

@@ -96,12 +96,6 @@ class SystemMonitor:
         finally:
             self.start()
 
-    def __enter__(self) -> "SystemMonitor":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------
     def _tick(self, now: float) -> None:
         self.counters["ticks"] += 1

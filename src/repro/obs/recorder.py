@@ -79,10 +79,6 @@ class FlightRecorder:
             if event["kind"] == kind or event["kind"].startswith(prefix)
         ]
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.recorded = 0
-
     # ------------------------------------------------------------------
     def to_jsonl(self) -> str:
         """All retained events as deterministic JSON Lines."""
@@ -98,9 +94,3 @@ class FlightRecorder:
             if text:
                 handle.write(text + "\n")
         return len(self._events)
-
-    def __repr__(self) -> str:
-        return (
-            f"<FlightRecorder {len(self._events)}/{self.capacity} events"
-            f" ({self.dropped} dropped)>"
-        )

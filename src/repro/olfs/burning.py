@@ -411,10 +411,6 @@ class BurnController:
             self.interrupted_tasks.remove(task)
             task.resume()
 
-    @property
-    def is_burning(self) -> bool:
-        return any(task.state == "burning" for task in self.active_tasks)
-
     def health(self) -> dict:
         """Cheap read-only snapshot for the system monitor."""
         return {

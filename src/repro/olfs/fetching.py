@@ -36,6 +36,7 @@ from repro.olfs.config import (
 )
 from repro.olfs.images import BURNED, BUFFERED, IN_BUCKET, DiscImageManager
 from repro.olfs.mechanical import MechanicalController, PRIORITY_FETCH
+from repro.olfs.prefetch import FileGrainCache, SequentialPrefetcher
 from repro.sim.engine import Delay, Engine
 from repro.storage.scheduler import IOStreamScheduler, StreamKind
 from repro.udf.image import DiscImage
@@ -86,8 +87,6 @@ class FetchController:
         self.burn_controller = burn_controller
         self.fetch_tasks = 0
         self.fetch_retries = 0
-        from repro.olfs.prefetch import FileGrainCache, SequentialPrefetcher
-
         #: §4.1 future-work knobs (config-gated)
         self.file_cache = (
             FileGrainCache(FILE_CACHE_BYTES)
@@ -99,6 +98,12 @@ class FetchController:
             if config.prefetch_siblings > 0
             else None
         )
+
+    def forget_file_cache(self) -> None:
+        """Drop every cached file payload: a fresh, empty cache with
+        zeroed hit and miss counters (no-op in image-grain mode)."""
+        if self.file_cache is not None:
+            self.file_cache = FileGrainCache(self.file_cache.capacity_bytes)
 
     # ------------------------------------------------------------------
     def fetch_file(
@@ -294,7 +299,7 @@ class FetchController:
             "fetch_tasks": self.fetch_tasks,
             "fetch_retries": self.fetch_retries,
             "file_cache": (
-                {"entries": len(self.file_cache)}
+                {"entries": len(self.file_cache.entries)}
                 if self.file_cache is not None
                 else None
             ),

@@ -214,18 +214,6 @@ class DiscImageManager:
         record = self.records.get(image_id)
         return record.image if record else None
 
-    def burned_images(self) -> list[ImageRecord]:
-        return [r for r in self.records.values() if r.state == BURNED]
-
-    def location_of(self, image_id: str) -> str:
-        """DILindex lookup: 'bucket', 'buffer', or the disc id."""
-        record = self.record(image_id)
-        if record.state == IN_BUCKET:
-            return "bucket"
-        if record.state == BUFFERED:
-            return "buffer"
-        return record.disc_id
-
     # ------------------------------------------------------------------
     # Delayed parity generation (§4.7)
     # ------------------------------------------------------------------

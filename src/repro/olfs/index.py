@@ -149,9 +149,3 @@ class IndexFile:
         if "forepart" in record:
             index.forepart = base64.b64decode(record["forepart"])
         return index
-
-    def __repr__(self) -> str:
-        return (
-            f"<IndexFile {self.path} versions={self.versions()}"
-            f"{' +forepart' if self.forepart else ''}>"
-        )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from typing import Generator, Optional
 
 from repro.errors import RaidDegradedError, SectorError
@@ -299,18 +298,3 @@ class MaintenanceInterface:
             "plc_instructions": mech.plc.instructions_executed,
             "plc_faults": mech.plc.faults,
         }
-
-    def export_daindex(self) -> str:
-        """DAindex as JSON for the admin console."""
-        rows = [
-            {
-                "roller": roller,
-                "layer": address.layer,
-                "slot": address.slot,
-                "state": state.value,
-                "images": self.mc.array_images.get((roller, address), []),
-            }
-            for (roller, address), state in sorted(self.mc.da_index.items())
-            if state is not ArrayState.EMPTY
-        ]
-        return json.dumps(rows, indent=2)

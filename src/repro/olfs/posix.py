@@ -67,13 +67,6 @@ class OpTrace:
     call: str
     ops: list[OpRecord] = field(default_factory=list)
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(op.seconds for op in self.ops)
-
-    def op_names(self) -> list[str]:
-        return [op.name for op in self.ops]
-
 
 @dataclass
 class ReadResult:

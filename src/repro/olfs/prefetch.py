@@ -30,8 +30,8 @@ class FileGrainCache:
         if capacity_bytes < 1:
             raise ValueError("file cache needs a positive byte budget")
         self.capacity_bytes = int(capacity_bytes)
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
-        self._used = 0
+        self.entries: "OrderedDict[str, bytes]" = OrderedDict()
+        self.used_bytes = 0
         self.hits = 0
         self.misses = 0
 
@@ -39,19 +39,12 @@ class FileGrainCache:
     def key(image_id: str, path: str) -> str:
         return f"{image_id}:{path}"
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, image_id: str, path: str) -> Optional[bytes]:
         key = self.key(image_id, path)
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        if key in self.entries:
+            self.entries.move_to_end(key)
             self.hits += 1
-            return self._entries[key]
+            return self.entries[key]
         self.misses += 1
         return None
 
@@ -59,24 +52,13 @@ class FileGrainCache:
         if len(data) > self.capacity_bytes:
             return  # larger than the whole budget: not cacheable
         key = self.key(image_id, path)
-        if key in self._entries:
-            self._used -= len(self._entries.pop(key))
-        self._entries[key] = data
-        self._used += len(data)
-        while self._used > self.capacity_bytes:
-            _, victim = self._entries.popitem(last=False)
-            self._used -= len(victim)
-
-    def stats(self) -> dict:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / total if total else 0.0,
-            "files": len(self._entries),
-            "used_bytes": self._used,
-            "capacity_bytes": self.capacity_bytes,
-        }
+        if key in self.entries:
+            self.used_bytes -= len(self.entries.pop(key))
+        self.entries[key] = data
+        self.used_bytes += len(data)
+        while self.used_bytes > self.capacity_bytes:
+            _, victim = self.entries.popitem(last=False)
+            self.used_bytes -= len(victim)
 
 
 class SequentialPrefetcher:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import units
 
 #: Measured corner points (§5.1).
 IDLE_POWER_W = 185.0
@@ -129,10 +128,3 @@ class PowerModel:
             disk_tier_j=HDD_ACTIVE_W * _HDD_COUNT * disk_seconds,
             cpu_j=SC_LOAD_W * cpu_seconds,
         )
-
-    def energy_per_tb_ingested(self) -> float:
-        """Joules per TB written so far (the archival-efficiency metric)."""
-        written = sum(v.write_bytes_total for v in self.ros.buffer_volumes)
-        if written <= 0:
-            return float("inf")
-        return self.report().total_j / (written / units.TB)

@@ -114,11 +114,7 @@ def _evict_everything(rack) -> None:
             # A cached image superseded mid-campaign (scrub migration
             # marked it lost); its MV entries point elsewhere already.
             pass
-    file_cache = getattr(rack.ftm, "file_cache", None)
-    if file_cache is not None:
-        from repro.olfs.prefetch import FileGrainCache
-
-        rack.ftm.file_cache = FileGrainCache(file_cache.capacity_bytes)
+    rack.ftm.forget_file_cache()
     for image_id in sorted(rack.dim.records):
         record = rack.dim.records[image_id]
         if record.state == "burned" and record.image is not None:

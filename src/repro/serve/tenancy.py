@@ -433,10 +433,6 @@ class AdmissionController:
         self._kick()
 
     @property
-    def inflight(self) -> int:
-        return self._inflight
-
-    @property
     def queued(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 

@@ -140,11 +140,6 @@ class SharedBandwidth:
         """
         self._settle()
 
-    def current_rate(self, weight: float = 1.0) -> float:
-        """Rate a new flow of ``weight`` would receive right now, bytes/s."""
-        total = self._weight_total + weight
-        return self.capacity * weight / total
-
     def transfer(self, nbytes: float, weight: float = 1.0) -> Generator:
         """Generator effect: completes when ``nbytes`` have moved.
 

@@ -131,9 +131,6 @@ class Delay(Effect):
             raise ValueError(f"negative delay: {seconds!r}")
         self.seconds = float(seconds)
 
-    def __repr__(self) -> str:
-        return f"Delay({self.seconds!r})"
-
 
 class Wait(Effect):
     """Suspend the yielding process until the event fires."""
@@ -476,10 +473,6 @@ class Process:
         else:
             suspension._detach(self)
         self.engine._schedule_resume(self, exception=Interrupt(cause))
-
-    def __repr__(self) -> str:
-        state = "done" if self.done else f"waiting:{self.waiting_on()}"
-        return f"<Process {self.name} {state}>"
 
 
 class _NullFaults:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.sim.engine import SimulationError
 
@@ -55,14 +55,6 @@ class Resource:
     @property
     def queue_length(self) -> int:
         return len(self._queue)
-
-    def try_acquire(self) -> Optional[Grant]:
-        """Non-blocking acquire: a Grant if a unit is free *and* no process
-        is queued ahead, else ``None``."""
-        if self._in_use < self.capacity and not self._queue:
-            self._in_use += 1
-            return Grant(self)
-        return None
 
     # ------------------------------------------------------------------
     # Engine integration

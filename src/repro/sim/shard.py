@@ -58,7 +58,7 @@ acceptance gate).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.sim.engine import Engine, SimulationError, Wait
 
@@ -108,9 +108,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def shard_of(self, group: str) -> int:
-        return self._shard_of[group]
-
     def engine_for(self, group: str) -> Engine:
         return self.engines[self._shard_of[group]]
 
@@ -242,13 +239,3 @@ class ShardedEngine:
     @property
     def events_issued(self) -> int:
         return sum(engine.events_issued for engine in self.engines)
-
-    def health(self) -> dict[str, Any]:
-        return {
-            "shards": self.shards,
-            "groups": len(self.groups),
-            "lookahead_s": self.lookahead,
-            "clocks": [round(e._now, 9) for e in self.engines],
-            "events_issued": self.events_issued,
-            "idle": self.is_idle,
-        }

@@ -8,9 +8,7 @@ stopped or until its horizon passes.
 
 Stopping is immediate: :meth:`Sampler.stop` interrupts the background
 process at its current suspension point instead of waiting for the next
-tick, so no sample is ever collected after ``stop()`` returns.  Samplers
-are also context managers — ``with Sampler(...) as s:`` starts on entry
-and stops on exit.
+tick, so no sample is ever collected after ``stop()`` returns.
 
 The whole-run aggregate types (:class:`MetricsRegistry` and its
 counters/gauges/le-histograms, including :meth:`Histogram.quantile` for
@@ -93,12 +91,6 @@ class Sampler:
         ):
             process.interrupt("sampler-stop")
 
-    def __enter__(self) -> "Sampler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
     def _run(self) -> Generator:
         deadline = (
             self.engine.now + self.horizon if self.horizon is not None else None
@@ -133,23 +125,3 @@ class Sampler:
     def mean(self, name: str) -> float:
         values = self.values(name)
         return sum(values) / len(values) if values else 0.0
-
-    def time_above(self, name: str, threshold: float) -> float:
-        """Simulated seconds the series spent at or above ``threshold``."""
-        return self.period * sum(
-            1 for value in self.values(name) if value >= threshold
-        )
-
-    def to_rows(self, stride: int = 1) -> list[dict]:
-        """Tabular form for report printing (one row per sample time)."""
-        if not self.series:
-            return []
-        names = list(self.series)
-        length = min(len(self.series[name]) for name in names)
-        rows = []
-        for index in range(0, length, max(1, stride)):
-            row = {"t_s": round(self.series[names[0]][index][0], 1)}
-            for name in names:
-                row[name] = round(self.series[name][index][1], 2)
-            rows.append(row)
-        return rows

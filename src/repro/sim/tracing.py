@@ -70,10 +70,6 @@ class Span:
         self.tags[key] = value
         return self
 
-    def __repr__(self) -> str:
-        state = f"{self.duration:.6f}s" if self.finished else "open"
-        return f"<Span {self.name} {state}>"
-
 
 class _SpanScope:
     """Context manager that closes its span and pops the right stack."""
@@ -272,13 +268,6 @@ class Tracer:
     def children_of(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
-    def subtree(self, span: Span) -> list[Span]:
-        """``span`` plus every descendant, depth-first in start order."""
-        out = [span]
-        for child in self.children_of(span):
-            out.extend(self.subtree(child))
-        return out
-
     def render_tree(self, span: Span, indent: int = 0) -> str:
         """Human-readable indented tree (the CLI's trace summary)."""
         line = (
@@ -403,25 +392,13 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
 
 class Histogram:
     """Fixed-bound histogram with Prometheus-style ``le`` buckets.
 
     ``observe(v)`` lands in the first bucket whose bound satisfies
     ``v <= bound``; values above every bound land in the overflow bucket.
-
-    Bucket counts live in a preallocated ``int64`` ndarray so bulk
-    recording (:meth:`record_many`) is one ``searchsorted`` + ``bincount``
-    per batch instead of a Python-level scan per value — the accounting
-    path million-client ``aggregate`` fleets ride.  ``record_many`` is
-    exactly equivalent to calling :meth:`observe` once per value, in
-    order, including the float ``total`` (accumulated sequentially, never
-    via pairwise ``np.sum``, so the running sum rounds identically); the
-    equivalence — overflow saturation and quantile interpolation included
-    — is pinned by property tests.
+    Bucket counts live in a preallocated ``int64`` ndarray.
     """
 
     __slots__ = ("name", "bounds", "counts", "total", "count")
@@ -445,21 +422,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.total += value
         self.count += 1
-
-    def record_many(self, values) -> None:
-        """Record a batch of observations; ≡ ``observe`` per value, in order."""
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size == 0:
-            return
-        indices = np.searchsorted(self.bounds, arr, side="left")
-        self.counts += np.bincount(indices, minlength=self.counts.size)
-        # Sequential adds on Python floats: bit-identical to n× observe
-        # (np.sum's pairwise reduction would round differently).
-        total = self.total
-        for value in arr.tolist():
-            total += value
-        self.total = total
-        self.count += arr.size
 
     @property
     def mean(self) -> float:

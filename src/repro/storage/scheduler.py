@@ -70,10 +70,6 @@ class IOStreamScheduler:
             self.metrics.counter(f"scheduler.requests.{kind.value}").inc()
         return self._assignment[kind]
 
-    def assignment(self) -> dict[StreamKind, str]:
-        """Human-readable mapping for reports."""
-        return {kind: vol.name for kind, vol in self._assignment.items()}
-
     def health(self) -> dict:
         """Cheap read-only snapshot for the system monitor."""
         return {

@@ -122,6 +122,3 @@ class Volume:
     def effective_write_rate(self) -> float:
         """Uncontended sequential write throughput, bytes/s."""
         return self._pipe.capacity / self._write_scale
-
-    def __repr__(self) -> str:
-        return f"<Volume {self.name} used={self.used}/{self.capacity}>"

@@ -321,19 +321,6 @@ class TimeSeriesStore:
         found.sort(key=lambda series: series.labels)
         return found
 
-    def names(self) -> list[str]:
-        return sorted({name for name, _labels in self._series})
-
-    def points(
-        self,
-        name: str,
-        labels: Optional[dict] = None,
-        t0: Optional[float] = None,
-        t1: Optional[float] = None,
-    ) -> list[tuple[float, float]]:
-        series = self.series(name, labels)
-        return series.raw_points(t0, t1) if series is not None else []
-
     def latest(
         self, name: str, labels: Optional[dict] = None
     ) -> Optional[tuple[float, float]]:

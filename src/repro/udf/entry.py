@@ -53,12 +53,5 @@ class DirectoryEntry:
     children: dict = field(default_factory=dict)
     mtime: float = 0.0
 
-    @property
-    def blocks(self) -> int:
-        return ENTRY_BLOCKS
-
     def child_names(self) -> list[str]:
         return sorted(self.children)
-
-    def is_empty(self) -> bool:
-        return not self.children

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.errors import (
-    DirectoryNotEmptyOLFSError,
     FileExistsOLFSError,
     FileNotFoundOLFSError,
     InvalidPathError,
@@ -112,40 +111,11 @@ class UDFFileSystem:
             node = node.children[part]
         return node
 
-    def exists(self, path: str) -> bool:
-        try:
-            self._lookup(path)
-            return True
-        except (FileNotFoundOLFSError, NotADirectoryOLFSError):
-            return False
-
-    def is_dir(self, path: str) -> bool:
-        try:
-            return isinstance(self._lookup(path), DirectoryEntry)
-        except (FileNotFoundOLFSError, NotADirectoryOLFSError):
-            return False
-
     def is_file(self, path: str) -> bool:
         try:
             return isinstance(self._lookup(path), FileEntry)
         except (FileNotFoundOLFSError, NotADirectoryOLFSError):
             return False
-
-    def stat(self, path: str) -> dict:
-        node = self._lookup(path)
-        if isinstance(node, FileEntry):
-            return {
-                "type": "file",
-                "size": node.size,
-                "blocks": node.blocks,
-                "mtime": node.mtime,
-            }
-        return {
-            "type": "dir",
-            "entries": len(node.children),
-            "blocks": node.blocks,
-            "mtime": node.mtime,
-        }
 
     def listdir(self, path: str = "/") -> list[str]:
         node = self.root if path == "/" else self._lookup(path)
@@ -238,28 +208,6 @@ class UDFFileSystem:
         parent.children[name] = entry
         return entry
 
-    def append_file(self, path: str, data: bytes, mtime: float = 0.0) -> FileEntry:
-        """Append to an existing file (open volumes only)."""
-        self._require_writable()
-        entry = self._lookup(path)
-        if isinstance(entry, DirectoryEntry):
-            raise IsADirectoryOLFSError(f"{path!r} is a directory")
-        if entry.logical_size != len(entry.data):
-            raise InvalidPathError(
-                f"{path!r}: cannot append to a declared-size file"
-            )
-        new_data = entry.data + bytes(data)
-        new_entry = FileEntry(name=entry.name, data=new_data, mtime=mtime)
-        delta = new_entry.blocks - entry.blocks
-        if delta > 0:
-            self._charge(delta)
-        parts = split_path(path)
-        parent = self.root if len(parts) == 1 else self._lookup(
-            "/" + "/".join(parts[:-1])
-        )
-        parent.children[entry.name] = new_entry
-        return new_entry
-
     def read_file(self, path: str) -> bytes:
         entry = self._lookup(path)
         if isinstance(entry, DirectoryEntry):
@@ -272,36 +220,6 @@ class UDFFileSystem:
             raise IsADirectoryOLFSError(f"{path!r} is a directory")
         return entry
 
-    def remove(self, path: str) -> None:
-        """Remove a file or empty directory (open volumes only)."""
-        self._require_writable()
-        parts = split_path(path)
-        if not parts:
-            raise InvalidPathError("cannot remove /")
-        parent = self.root if len(parts) == 1 else self._lookup(
-            "/" + "/".join(parts[:-1])
-        )
-        if not isinstance(parent, DirectoryEntry) or parts[-1] not in parent.children:
-            raise FileNotFoundOLFSError(f"{path!r}: no such entry")
-        entry = parent.children[parts[-1]]
-        if isinstance(entry, DirectoryEntry) and not entry.is_empty():
-            raise DirectoryNotEmptyOLFSError(f"{path!r} is not empty")
-        del parent.children[parts[-1]]
-        self._refund(entry.blocks)
-
-    def clear(self) -> None:
-        """Wipe all contents (bucket recycling, §4.3)."""
-        self._require_writable()
-        self.root = DirectoryEntry(name="/")
-        self._used_blocks = ENTRY_BLOCKS
-
     def close(self) -> None:
         """Finalize the volume: no further writes (bucket -> image)."""
         self.read_only = True
-
-    def __repr__(self) -> str:
-        mode = "ro" if self.read_only else "rw"
-        return (
-            f"<UDFFileSystem {self.label!r} {mode} "
-            f"{self.used_blocks}/{self.total_blocks} blocks>"
-        )

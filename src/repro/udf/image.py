@@ -187,6 +187,3 @@ class DiscImage:
     def peek_header(blob: bytes) -> dict:
         """Read just the JSON header (recovery scans discs cheaply)."""
         return _decode_header(blob)[0]
-
-    def __repr__(self) -> str:
-        return f"<DiscImage {self.image_id} {self.kind} {self.logical_size}B>"

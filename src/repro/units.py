@@ -23,7 +23,6 @@ GIB = 1 << 30
 BLU_RAY_1X = 4.49 * MB
 
 SECOND = 1.0
-MINUTE = 60.0
 HOUR = 3600.0
 DAY = 24 * HOUR
 YEAR = 365.25 * DAY
@@ -32,29 +31,3 @@ YEAR = 365.25 * DAY
 def bd_speed(multiple: float) -> float:
     """Blu-ray speed multiple -> bytes/second (e.g. ``bd_speed(12)`` = 12X)."""
     return multiple * BLU_RAY_1X
-
-
-def as_mb_per_s(rate_bytes_per_s: float) -> float:
-    """Bytes/second -> MB/s (decimal), for reporting."""
-    return rate_bytes_per_s / MB
-
-
-def fmt_bytes(n: float) -> str:
-    """Human-readable decimal byte count for reports."""
-    for unit, scale in (("PB", PB), ("TB", TB), ("GB", GB), ("MB", MB), ("KB", KB)):
-        if abs(n) >= scale:
-            return f"{n / scale:.2f} {unit}"
-    return f"{n:.0f} B"
-
-
-def fmt_seconds(t: float) -> str:
-    """Human-readable duration for reports."""
-    if t < 1e-3:
-        return f"{t * 1e6:.0f} us"
-    if t < 1.0:
-        return f"{t * 1e3:.1f} ms"
-    if t < 120.0:
-        return f"{t:.1f} s"
-    if t < 2 * HOUR:
-        return f"{t / MINUTE:.1f} min"
-    return f"{t / HOUR:.2f} h"

@@ -84,7 +84,3 @@ class ArchivalWorkloadGenerator:
                 payload=payload,
                 logical_size=size if size > real else None,
             )
-
-    def total_bytes(self, count: int) -> int:
-        """Declared bytes of a ``count``-file sample (re-generates)."""
-        return sum(spec.declared_size for spec in self.files(count))

@@ -99,7 +99,7 @@ def build_controller(roller_count, tray_states, cursors):
         elif state == PARTIAL:
             tray.put_back(tray.take_all()[:-1])
         elif state == ONE_BURNED:
-            tray.disc_at(1).burn_track(b"x", close=False)
+            list(tray.discs())[1].burn_track(b"x", close=False)
     for roller, cursor in zip(mech.rollers, cursors):
         mc._blank_cursor[roller.roller_id] = cursor
     return mc

@@ -36,7 +36,7 @@ def test_randomized_plan_replays_byte_identically(seed, horizon, intensity):
         )
         for _ in range(2)
     ]
-    assert plans[0].to_json() == plans[1].to_json()
+    assert [s.to_dict() for s in plans[0]] == [s.to_dict() for s in plans[1]]
     assert len(plans[0]) == len(BASE_KINDS)
     for spec in plans[0]:
         assert spec.kind in ALL_KINDS

@@ -128,7 +128,7 @@ class TestTelemetryAgent:
         assert agent.stats["samples"] > 0
         assert central.stats["points_ingested"] == agent.stats["samples"]
         assert agent.stats["batches_acked"] == agent.stats["batches_sealed"]
-        assert agent.outbox_depth == 0
+        assert agent.health()["outbox_depth"] == 0
         assert central.stats["duplicate_batches"] == 0
         # points land under the agent's labels at probe-sorted names
         assert central.store.latest("m.a", {"rack": "s0.r00"}) is not None
@@ -184,7 +184,7 @@ class TestTelemetryAgent:
         assert agent.stats["points_dropped"] > 0
         # stopped + dead link: the unacked tail is abandoned, counted
         assert agent.stats["batches_abandoned"] > 0
-        assert agent.outbox_depth == 0
+        assert agent.health()["outbox_depth"] == 0
         assert agent.stats["batches_acked"] == 0
         assert central.stats["points_ingested"] == 0
 

@@ -124,12 +124,13 @@ def test_figure7_samba_write_sequence():
     ros = make_ros()
     make_stack("samba+OLFS").attach(ros.pi)
     trace = ros.write("/smb/file.bin", b"x" * 1024)
-    names = trace.op_names()
+    names = [op.name for op in trace.ops]
     # stat; 7 extra stats; mknod; stat; write; close  (Figure 7, bottom)
     assert names.count("stat") == 9
     assert names[0] == "stat"
     assert "mknod" in names
-    assert trace.total_seconds == pytest.approx(0.053, rel=0.25)
+    seconds = sum(op.seconds for op in trace.ops)
+    assert seconds == pytest.approx(0.053, rel=0.25)
 
 
 def test_figure7_samba_read_latency():

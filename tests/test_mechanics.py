@@ -29,7 +29,6 @@ def test_default_geometry_counts():
     geometry = RollerGeometry()
     assert geometry.trays == 510
     assert geometry.disc_capacity == 6120
-    assert geometry.lowest_layer == 84
 
 
 def test_rack_capacity_two_rollers():
@@ -48,13 +47,6 @@ def test_layer_fraction_extremes():
     geometry = RollerGeometry()
     assert geometry.layer_fraction(0) == 0.0
     assert geometry.layer_fraction(84) == 1.0
-
-
-def test_slot_distance_wraps():
-    geometry = RollerGeometry()
-    assert geometry.slot_distance(0, 5) == 1
-    assert geometry.slot_distance(0, 3) == 3
-    assert geometry.slot_distance(2, 2) == 0
 
 
 # ----------------------------------------------------------------------

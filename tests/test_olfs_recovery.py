@@ -194,13 +194,3 @@ def test_status_summary_fields():
     assert status["arrays"]["Used"] >= 1
     assert status["mv_index_files"] == 12
     assert status["plc_instructions"] > 0
-
-
-def test_export_daindex_lists_used_arrays():
-    import json
-
-    ros, _ = populated()
-    rows = json.loads(ros.mi.export_daindex())
-    assert rows
-    assert all(row["state"] in ("Used", "Failed") for row in rows)
-    assert any(row["images"] for row in rows)

@@ -40,7 +40,7 @@ def test_file_cache_lru_order():
 def test_file_cache_oversized_entry_ignored():
     cache = FileGrainCache(10)
     cache.put("i", "/big", b"x" * 100)
-    assert len(cache) == 0
+    assert not cache.entries
 
 
 def test_file_cache_replace_updates_budget():
@@ -56,9 +56,7 @@ def test_file_cache_stats():
     cache.put("i", "/a", b"1234")
     cache.get("i", "/a")
     cache.get("i", "/nope")
-    stats = cache.stats()
-    assert stats["hits"] == 1 and stats["misses"] == 1
-    assert stats["hit_rate"] == 0.5
+    assert cache.hits == 1 and cache.misses == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,7 +76,7 @@ def test_property_file_cache_never_exceeds_budget(puts):
         cache.put("img", f"/{name}", b"z" * size)
     assert cache.used_bytes <= 100
     assert cache.used_bytes == sum(
-        len(v) for v in cache._entries.values()
+        len(v) for v in cache.entries.values()
     )
 
 
@@ -169,7 +167,7 @@ def test_file_grain_does_not_admit_whole_images():
     ros.drain_background()
     # No image content re-admitted to the buffer cache.
     assert ros.cache.cached_ids == []
-    assert ros.ftm.file_cache.stats()["files"] >= 1
+    assert ros.ftm.file_cache.entries
 
 
 def test_prefetch_warms_siblings():

@@ -61,9 +61,9 @@ def test_property_udf_tree_roundtrip(entries, mtime):
     assert sorted(mounted.file_paths()) == sorted(written)
     for path, (data, logical) in written.items():
         assert mounted.read_file(path) == data
-        stat = mounted.stat(path)
-        assert stat["size"] == logical
-        assert stat["mtime"] == mtime
+        entry = mounted.file_entry(path)
+        assert entry.size == logical
+        assert entry.mtime == mtime
 
 
 @settings(max_examples=25, deadline=None)

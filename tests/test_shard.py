@@ -33,9 +33,7 @@ def test_requires_groups_and_valid_parameters():
 
 def test_groups_pin_round_robin_and_shards_clamp():
     sharded = ShardedEngine(["a", "b", "c"], shards=2)
-    assert sharded.shard_of("a") == 0
-    assert sharded.shard_of("b") == 1
-    assert sharded.shard_of("c") == 0
+    assert sharded.engine_for("a") is sharded.engines[0]
     assert sharded.engine_for("a") is sharded.engine_for("c")
     assert sharded.engine_for("a") is not sharded.engine_for("b")
     # more shards than groups: clamped, never empty engines

@@ -106,29 +106,6 @@ def test_bytes_moved_accounting():
     assert bw.bytes_moved == pytest.approx(25.0)
 
 
-def test_current_rate_reflects_active_flows():
-    engine, bw = make(capacity=100.0)
-    observed = []
-
-    def flow():
-        yield from bw.transfer(1000.0)
-
-    def probe():
-        yield Delay(1.0)
-        observed.append(bw.current_rate())
-
-    def main():
-        engine.spawn(flow())
-        engine.spawn(flow())
-        engine.spawn(probe())
-        yield Delay(2)
-
-    engine.run_process(main())
-    engine.run()
-    # Two active flows of weight 1 each; a third flow would get 100/3.
-    assert observed[0] == pytest.approx(100.0 / 3.0)
-
-
 def test_negative_size_rejected():
     engine, bw = make()
 

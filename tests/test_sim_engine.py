@@ -365,20 +365,14 @@ def test_resource_priority_order():
     assert order == ["high", "low"]
 
 
-def test_resource_try_acquire():
-    engine = Engine()
-    resource = Resource(engine, capacity=1)
-    grant = resource.try_acquire()
-    assert grant is not None
-    assert resource.try_acquire() is None
-    grant.release()
-    assert resource.try_acquire() is not None
-
-
 def test_grant_double_release_rejected():
     engine = Engine()
     resource = Resource(engine, capacity=1)
-    grant = resource.try_acquire()
+
+    def proc():
+        return (yield Acquire(resource))
+
+    grant = engine.run_process(proc())
     grant.release()
     with pytest.raises(SimulationError):
         grant.release()

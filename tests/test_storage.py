@@ -425,14 +425,14 @@ def make_volumes(engine, count):
 def test_scheduler_shared_policy_uses_one_volume():
     engine = Engine()
     scheduler = IOStreamScheduler(make_volumes(engine, 3), policy="shared")
-    names = set(scheduler.assignment().values())
+    names = set(scheduler.health()["assignment"].values())
     assert names == {"vol0"}
 
 
 def test_scheduler_partitioned_spreads_streams():
     engine = Engine()
     scheduler = IOStreamScheduler(make_volumes(engine, 3), policy="partitioned")
-    names = set(scheduler.assignment().values())
+    names = set(scheduler.health()["assignment"].values())
     assert len(names) == 3
 
 

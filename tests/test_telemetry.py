@@ -48,21 +48,6 @@ def test_sampler_statistics():
     engine.run(until=20.0)
     assert sampler.peak("n") == 5.0
     assert sampler.mean("n") == 3.0
-    assert sampler.time_above("n", 4.0) == 4.0  # samples 4 and 5
-
-
-def test_sampler_rows():
-    engine = Engine()
-    sampler = Sampler(
-        engine,
-        period=1.0,
-        probes={"a": lambda: 1.0, "b": lambda: 2.0},
-        horizon=3.0,
-    ).start()
-    engine.run(until=10.0)
-    rows = sampler.to_rows()
-    assert rows[0] == {"t_s": 1.0, "a": 1.0, "b": 2.0}
-    assert len(rows) == 3
 
 
 def test_sampler_validation():
@@ -94,9 +79,6 @@ def test_sampler_zero_length_series_after_immediate_stop():
     assert sampler.values("x") == []
     assert sampler.peak("x") == 0.0
     assert sampler.mean("x") == 0.0
-    assert sampler.to_rows() == [] or all(
-        "x" not in row for row in sampler.to_rows()
-    )
 
 
 def test_sampler_stop_is_idempotent():
@@ -106,15 +88,6 @@ def test_sampler_stop_is_idempotent():
     sampler.stop()  # second stop must not raise or double-interrupt
     engine.run()
     assert engine.is_idle
-
-
-def test_sampler_context_manager():
-    engine = Engine()
-    with Sampler(engine, period=1.0, probes={"x": lambda: 1.0}) as sampler:
-        engine.run(until=3.0)
-    engine.run()
-    assert engine.is_idle
-    assert len(sampler.values("x")) == 3
 
 
 def test_sampler_horizon_on_tick_boundary_includes_boundary_sample():

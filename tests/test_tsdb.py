@@ -127,15 +127,15 @@ def test_shard_eviction_is_creation_order():
     store.append("b", None, 2.0, 1.0)
     assert store.stats["shards_evicted"] == 1
     assert store.stats["points_evicted"] == 2
-    assert [t for t, _v in store.points("a")] == [2.0, 3.0]
-    assert len(store.points("b")) == 3
+    assert [t for t, _v in store.series("a").raw_points()] == [2.0, 3.0]
+    assert len(store.series("b").raw_points()) == 3
 
 
 def test_raw_retention_drops_aged_shards_but_keeps_newest():
     store = make_store(shard_points=2, raw_retention_s=5.0)
     for i in range(10):
         store.append("m", None, float(i), float(i))
-    times = [t for t, _v in store.points("m")]
+    times = [t for t, _v in store.series("m").raw_points()]
     assert times[-1] == 9.0
     assert all(t >= 4.0 for t in times)
     # the under-retention tail still evicts whole shards only

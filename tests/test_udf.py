@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
-    DirectoryNotEmptyOLFSError,
     FileExistsOLFSError,
     FileNotFoundOLFSError,
     InvalidPathError,
@@ -41,8 +40,7 @@ def test_write_and_read_file():
 def test_write_creates_ancestor_directories():
     fs = small_fs()
     fs.write_file("/deep/nested/path/file.bin", b"data")
-    assert fs.is_dir("/deep")
-    assert fs.is_dir("/deep/nested")
+    assert fs.listdir("/deep") == ["nested"]
     assert fs.listdir("/deep/nested/path") == ["file.bin"]
 
 
@@ -89,52 +87,6 @@ def test_listdir_on_file_rejected():
         fs.listdir("/a")
 
 
-def test_stat_file_and_dir():
-    fs = small_fs()
-    fs.write_file("/f", b"x" * 5000, mtime=12.5)
-    assert fs.stat("/f") == {
-        "type": "file",
-        "size": 5000,
-        "blocks": 1 + 3,
-        "mtime": 12.5,
-    }
-    fs.makedirs("/d")
-    assert fs.stat("/d")["type"] == "dir"
-
-
-def test_append_file():
-    fs = small_fs()
-    fs.write_file("/log", b"one")
-    fs.append_file("/log", b"-two")
-    assert fs.read_file("/log") == b"one-two"
-
-
-def test_remove_file_refunds_blocks():
-    fs = small_fs()
-    before = fs.used_blocks
-    fs.write_file("/f", b"x" * 10000)
-    fs.remove("/f")
-    assert fs.used_blocks == before
-
-
-def test_remove_nonempty_dir_rejected():
-    fs = small_fs()
-    fs.write_file("/d/f", b"x")
-    with pytest.raises(DirectoryNotEmptyOLFSError):
-        fs.remove("/d")
-    fs.remove("/d/f")
-    fs.remove("/d")
-    assert not fs.exists("/d")
-
-
-def test_clear_recycles_bucket():
-    fs = small_fs()
-    fs.write_file("/a/b/c", b"data")
-    fs.clear()
-    assert fs.listdir("/") == []
-    assert fs.used_blocks == 1
-
-
 # ----------------------------------------------------------------------
 # Block accounting (§4.5 worst case)
 # ----------------------------------------------------------------------
@@ -172,7 +124,7 @@ def test_nospace_rejected_atomically():
     fs = UDFFileSystem(4 * BLOCK_SIZE)
     with pytest.raises(NoSpaceOLFSError):
         fs.write_file("/big", b"x" * (10 * BLOCK_SIZE))
-    assert not fs.exists("/big")
+    assert not fs.is_file("/big")
 
 
 def test_fits_predicts_ancestor_cost():
@@ -191,10 +143,6 @@ def test_closed_volume_rejects_writes():
     fs.close()
     with pytest.raises(ReadOnlyOLFSError):
         fs.write_file("/b", b"2")
-    with pytest.raises(ReadOnlyOLFSError):
-        fs.remove("/a")
-    with pytest.raises(ReadOnlyOLFSError):
-        fs.clear()
     assert fs.read_file("/a") == b"1"  # reads still fine
 
 
@@ -233,7 +181,7 @@ def test_image_roundtrip_preserves_tree_and_content():
     mounted = restored.mount()
     assert mounted.read_file("/archive/2026/records.csv") == b"a,b,c\n1,2,3\n"
     assert mounted.read_file("/archive/readme") == b"hi"
-    assert mounted.is_dir("/archive/empty-dir")
+    assert mounted.listdir("/archive/empty-dir") == []
     assert mounted.read_only
 
 

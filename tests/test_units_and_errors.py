@@ -21,25 +21,6 @@ def test_bd_speed():
     assert units.bd_speed(12) == pytest.approx(53.88e6)
 
 
-def test_as_mb_per_s():
-    assert units.as_mb_per_s(25e6) == 25.0
-
-
-def test_fmt_bytes():
-    assert units.fmt_bytes(1.5 * units.PB) == "1.50 PB"
-    assert units.fmt_bytes(2 * units.TB) == "2.00 TB"
-    assert units.fmt_bytes(25 * units.GB) == "25.00 GB"
-    assert units.fmt_bytes(999) == "999 B"
-
-
-def test_fmt_seconds():
-    assert units.fmt_seconds(5e-6) == "5 us"
-    assert units.fmt_seconds(0.0531) == "53.1 ms"
-    assert units.fmt_seconds(70.55) == "70.5 s"  # banker-ish float repr
-    assert units.fmt_seconds(1146) == "19.1 min"
-    assert units.fmt_seconds(3757 * 4) == "4.17 h"
-
-
 def test_year_constant():
     assert units.YEAR == pytest.approx(365.25 * 86400)
 

@@ -93,7 +93,7 @@ def test_wbm_split_produces_link_files():
             if image is not None
             else wbm.find_bucket(image_id).filesystem
         )
-        assert fs.exists(link_path("/big", part))
+        assert fs.is_file(link_path("/big", part))
 
 
 def test_wbm_buffer_space_accounting():
@@ -162,13 +162,11 @@ def test_dim_lifecycle_states():
     engine.run_process(wbm.write_file("/a", b"x" * 1000))
     bucket_id = wbm.open_buckets()[0].image_id
     assert dim.record(bucket_id).state == IN_BUCKET
-    assert dim.location_of(bucket_id) == "bucket"
     images = wbm.close_nonempty_buckets()
     image_id = images[0].image_id
     assert dim.record(image_id).state == BUFFERED
-    assert dim.location_of(image_id) == "buffer"
     dim.mark_burned(image_id, "disc-42", images[0].serialize(), (0, (0, 0)))
-    assert dim.location_of(image_id) == "disc-42"
+    assert dim.record(image_id).disc_id == "disc-42"
 
 
 def test_dim_unknown_image_rejected():
