@@ -12,7 +12,8 @@ called, as ``module:qualname``.  The roots are what the gates run:
 * every ``repro`` subcommand's default path;
 * ``pytest benchmarks/`` (the paper tables and the perf budgets);
 * the four ``bench/workloads.py`` workloads at scale 0.05, imported
-  read-only as ``event_ledger.py`` imports them.
+  read-only as ``event_ledger.py`` imports them, each once plain and
+  once traced as ``bench/run.py --trace 1`` runs it.
 
 ``tests/`` and ``examples/`` are not roots: a function only they run is
 unreached.  ``--check`` compares the list with ``reach_ledger.txt`` (one
@@ -20,8 +21,8 @@ unreached.  ``--check`` compares the list with ``reach_ledger.txt`` (one
 ROADMAP tag that decides its fate) and fails on an unreached function
 missing from the ledger, and on a ledger line whose function is reached
 now or no longer exists — so, like the source ceiling, the ledger only
-shrinks.  A run takes about six minutes: 6 min 14 s in one process on a
-2-core x86-64 container.
+shrinks.  A run takes four to six minutes in one process on a 2-core
+x86-64 container (4 min 12 s measured with the traced roots).
 """
 
 from __future__ import annotations
@@ -262,7 +263,32 @@ def run_roots(reach: Reach, log) -> list[str]:
             workload.run(inputs, workload.setup(inputs))
 
         root(f"workload {name} --scale 0.05", run)
+        root(f"workload {name} --scale 0.05 --trace 1",
+             lambda workload=workload: traced_rep(workload))
     return failed
+
+
+def traced_rep(workload) -> None:
+    """One repetition as ``bench/worker.py:traced_rep`` runs it, layer
+    wrappers installed and the per-layer ledger read: what ``bench/``
+    reads of the program (``health()`` probes) is reached too.  The
+    worker itself is not imported: it rewrites ``sys.path[0]``."""
+    from bench.ledger import per_layer_metrics, rack_counters
+    from bench.trace import Tracer
+
+    inputs = workload.inputs(42, 0.05)
+    tracer = Tracer().install()
+    try:
+        rig = workload.setup(inputs)
+        before = rack_counters(rig) if rig is not None else None
+        tracer.reset()
+        with tracer.root():
+            outcome = workload.run(inputs, rig)
+    finally:
+        tracer.uninstall()
+    rack = rig if rig is not None else tracer.seen.get("OLFS.settle")
+    after = rack_counters(rack) if rack is not None else None
+    per_layer_metrics(tracer, outcome, before, after)
 
 
 def main(argv=None) -> int:

@@ -266,7 +266,7 @@ class DiscImageManager:
             image = DiscImage(
                 parity_id,
                 kind="parity",
-                raw=parity.tobytes(),
+                raw=parity,
                 logical_size=logical,
             )
             self.register_parity(image)

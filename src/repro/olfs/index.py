@@ -28,7 +28,7 @@ VERSION_ENTRY_BYTES = 40
 _FOREPART = '"forepart": "'
 
 
-@dataclass
+@dataclass(frozen=True)
 class VersionEntry:
     """One version of a file: where its data lives.
 
@@ -36,8 +36,9 @@ class VersionEntry:
     the file straddled bucket boundaries (§4.5) — position ``i`` holds
     subfile ``i``.  ``subfile_sizes`` aligns with it.
 
-    An entry is replaced, never edited in place: the MV's parsed index
-    files share their entries with the copies lookups hand out.
+    An entry is replaced, never edited in place (it is frozen): the MV's
+    parsed index files, which its checkpoints are encoded from, share
+    their entries with the copies lookups hand out.
     """
 
     version: int
@@ -50,7 +51,7 @@ class VersionEntry:
         if not self.locations:
             raise FilesystemError("version entry needs at least one location")
         if not self.subfile_sizes:
-            self.subfile_sizes = [self.size]
+            object.__setattr__(self, "subfile_sizes", [self.size])
         if len(self.subfile_sizes) != len(self.locations):
             raise FilesystemError("subfile sizes misaligned with locations")
 
@@ -123,22 +124,36 @@ class IndexFile:
     # ------------------------------------------------------------------
     # Serialization (JSON, §4.2)
     # ------------------------------------------------------------------
-    def serialize(self) -> bytes:
-        """The record's ``json.dumps(..., sort_keys=True)``, byte for byte,
-        with the base64 forepart spliced in, not scanned by the encoder:
-        sorted, only ``"entries"`` (no bare ``"`` in its escaped strings)
-        precedes ``"forepart"``, and base64 text needs no escaping."""
+    def _skeleton(self) -> str:
+        """The record's JSON with an empty ``"forepart"`` string, if any."""
         record = {
             "path": self.path,
             "max_versions": self.max_versions,
             "entries": [entry.to_json() for entry in self.entries],
         }
+        if self.forepart is not None:
+            record["forepart"] = ""
+        return json.dumps(record, sort_keys=True)
+
+    def serialize(self) -> bytes:
+        """The record's ``json.dumps(..., sort_keys=True)``, byte for byte,
+        with the base64 forepart spliced in, not scanned by the encoder:
+        sorted, only ``"entries"`` (no bare ``"`` in its escaped strings)
+        precedes ``"forepart"``, and base64 text needs no escaping."""
+        skeleton = self._skeleton()
         if self.forepart is None:
-            return json.dumps(record, sort_keys=True).encode()
-        record["forepart"] = ""
-        head, tail = json.dumps(record, sort_keys=True).split(_FOREPART, 1)
+            return skeleton.encode()
+        head, tail = skeleton.split(_FOREPART, 1)
         head = f"{head}{_FOREPART}".encode()
         return b"".join((head, base64.b64encode(self.forepart), tail.encode()))
+
+    def serialized_size(self) -> int:
+        """``len(self.serialize())`` without encoding the forepart: the
+        skeleton is ASCII, and base64 spends 4 bytes per 3 started."""
+        size = len(self._skeleton())
+        if self.forepart is not None:
+            size += 4 * -(-len(self.forepart) // 3)
+        return size
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "IndexFile":

@@ -5,11 +5,13 @@ the global namespace, an index file at the same path.  Data and metadata
 storage are physically decoupled: MV answers every namespace operation at
 SSD latency while file bytes live in buckets/images/discs.
 
-The implementation keeps a real directory tree of serialized
-:class:`~repro.olfs.index.IndexFile` blobs, charges every operation against
-the MV volume's bandwidth/latency (plus the calibrated ext4 direct-I/O
-constant), tracks 1 KB-block/128 B-inode usage for the §4.2 sizing claim,
-and serializes to a snapshot for the periodic burn-to-disc checkpoints.
+The implementation keeps a real directory tree of parsed
+:class:`~repro.olfs.index.IndexFile` records, charges every operation
+against the MV volume's bandwidth/latency (plus the calibrated ext4
+direct-I/O constant) by each record's encoded length, tracks 1 KB-block/
+128 B-inode usage for the §4.2 sizing claim, and encodes the records
+again only to serialize a snapshot for the periodic burn-to-disc
+checkpoints.
 """
 
 from __future__ import annotations
@@ -43,21 +45,29 @@ class _Dir:
         self.mtime = 0.0
 
 
-class _IndexBlob:
-    """A stored index file.  ``blob`` is the truth; ``parsed`` derives from
-    it (the writer's copy, or parsed on first read) and never leaves."""
+class _IndexNode:
+    """A stored index file, held in one form: the writer's parsed record
+    (``parsed``), or a checkpoint's ``blob`` until the first read parses
+    it.  ``size`` is the encoded length every charge carries."""
 
-    __slots__ = ("blob", "mtime", "parsed")
+    __slots__ = ("blob", "mtime", "parsed", "size")
 
-    def __init__(self, blob: bytes, mtime: float = 0.0, parsed=None):
+    def __init__(self, blob=None, parsed=None, mtime: float = 0.0):
         self.blob = blob
-        self.mtime = mtime
         self.parsed = parsed
+        self.mtime = mtime
+        self.size = len(blob) if parsed is None else parsed.serialized_size()
 
     def index(self) -> IndexFile:
         if self.parsed is None:
             self.parsed = IndexFile.deserialize(self.blob)
+            self.blob = None
         return self.parsed.copy()
+
+    def encoded(self) -> str:
+        """The index file's bytes as a checkpoint entry carries them."""
+        blob = self.blob if self.parsed is None else self.parsed.serialize()
+        return blob.decode()
 
 
 class MetadataVolume:
@@ -80,13 +90,15 @@ class MetadataVolume:
     # ------------------------------------------------------------------
     def _walk_to(self, parts: list[str], create_dirs: bool = False) -> _Dir:
         node = self._root
-        for part in parts:
+        for depth, part in enumerate(parts, 1):
             child = node.children.get(part)
             if child is None:
                 if not create_dirs:
                     raise FileNotFoundOLFSError(f"missing directory {part!r}")
                 child = _Dir()
                 node.children[part] = child
+                # the next delta carries it, even once its files are gone
+                self._dirty.add("/" + "/".join(parts[:depth]))
             if not isinstance(child, _Dir):
                 raise NotADirectoryOLFSError(f"{part!r} is an index file")
             node = child
@@ -124,7 +136,7 @@ class MetadataVolume:
         node = self._find(path)  # untimed check first: miss costs too
         if isinstance(node, _Dir):
             raise FileNotFoundOLFSError(f"{path!r} is a directory in MV")
-        yield from self._charge_lookup(len(node.blob))
+        yield from self._charge_lookup(node.size)
         return node.index()
 
     def write_index(
@@ -134,15 +146,15 @@ class MetadataVolume:
         parts = split_path(path)
         if not parts:
             raise InvalidPathError("cannot index the root")
-        blob = index.serialize()
         parent = self._walk_to(parts[:-1], create_dirs=True)
         existing = parent.children.get(parts[-1])
         if isinstance(existing, _Dir):
             raise FileExistsOLFSError(f"{path!r} is a directory in MV")
-        parent.children[parts[-1]] = _IndexBlob(blob, mtime, index.copy())
+        node = _IndexNode(parsed=index.copy(), mtime=mtime)
+        parent.children[parts[-1]] = node
         self._dirty.add(path)
         self._deleted.discard(path)
-        yield from self._charge_update(len(blob))
+        yield from self._charge_update(node.size)
 
     def make_dir(self, path: str, mtime: float = 0.0) -> Generator:
         parts = split_path(path)
@@ -229,7 +241,7 @@ class MetadataVolume:
                 if isinstance(child, _Dir):
                     recurse(child)
                 else:
-                    blocks = -(-len(child.blob) // MV_BLOCK_SIZE)
+                    blocks = -(-child.size // MV_BLOCK_SIZE)
                     total += MV_INODE_SIZE + blocks * MV_BLOCK_SIZE
 
         recurse(self._root)
@@ -250,11 +262,7 @@ class MetadataVolume:
                     recurse(path, child)
                 else:
                     entries.append(
-                        {
-                            "path": path,
-                            "type": "index",
-                            "blob": child.blob.decode(),
-                        }
+                        {"path": path, "type": "index", "blob": child.encoded()}
                     )
 
         recurse("", self._root)
@@ -273,9 +281,7 @@ class MetadataVolume:
                 if parts[-1] not in parent.children:
                     parent.children[parts[-1]] = _Dir()
             else:
-                parent.children[parts[-1]] = _IndexBlob(
-                    entry["blob"].encode()
-                )
+                parent.children[parts[-1]] = _IndexNode(entry["blob"].encode())
 
     # ------------------------------------------------------------------
     # Incremental checkpoints (§4.2 extension)
@@ -292,7 +298,7 @@ class MetadataVolume:
                 entries.append({"path": path, "type": "dir"})
             else:
                 entries.append(
-                    {"path": path, "type": "index", "blob": node.blob.decode()}
+                    {"path": path, "type": "index", "blob": node.encoded()}
                 )
         return json.dumps(
             {
@@ -321,7 +327,7 @@ class MetadataVolume:
                 if parts[-1] not in parent.children:
                     parent.children[parts[-1]] = _Dir()
             else:
-                parent.children[parts[-1]] = _IndexBlob(entry["blob"].encode())
+                parent.children[parts[-1]] = _IndexNode(entry["blob"].encode())
 
     def clear_change_tracking(self) -> None:
         """Called after a checkpoint burns successfully."""

@@ -104,6 +104,8 @@ class POSIXInterface:
         self.last_trace: Optional[OpTrace] = None
         #: optional MetricsRegistry; OLFS wires its own in
         self.metrics = None
+        #: its ``posix.op_seconds`` histogram, fetched at the first op
+        self._op_seconds = None
 
     # ------------------------------------------------------------------
     # Internal-op plumbing
@@ -121,9 +123,11 @@ class POSIXInterface:
             trace.ops.append(OpRecord(name, elapsed))
             if self.metrics is not None:
                 self.metrics.counter(f"posix.ops.{name}").inc()
-                self.metrics.histogram(
-                    "posix.op_seconds", OP_LATENCY_BOUNDS
-                ).observe(elapsed)
+                if self._op_seconds is None:
+                    self._op_seconds = self.metrics.histogram(
+                        "posix.op_seconds", OP_LATENCY_BOUNDS
+                    )
+                self._op_seconds.observe(elapsed)
         return result
 
     def _stat_work(self, path: str) -> Generator:

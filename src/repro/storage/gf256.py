@@ -28,25 +28,25 @@ def _build_tables() -> None:
 
 _build_tables()
 
+#: the scalar functions index Python lists, not numpy arrays
+_EXP_INT = _EXP.tolist()
+_LOG_INT = _LOG.tolist()
+
+#: ``_MUL[a, b]`` is the product ``a * b``; row and column 0 stay zero
+_MUL = np.zeros((256, 256), dtype=np.uint8)
+_MUL[1:, 1:] = _EXP[_LOG[1:, None] + _LOG[None, 1:]]
+
 
 def gf_mul_bytes(data: np.ndarray, coefficient: int) -> np.ndarray:
     """Multiply every byte of ``data`` by ``coefficient`` in GF(256)."""
-    if coefficient == 0:
-        return np.zeros_like(data)
-    if coefficient == 1:
-        return data.copy()
-    log_c = _LOG[coefficient]
-    result = np.zeros_like(data)
-    nonzero = data != 0
-    result[nonzero] = _EXP[_LOG[data[nonzero]] + log_c]
-    return result
+    return _MUL[coefficient].take(data)
 
 
 def gf_mul(a: int, b: int) -> int:
     """Scalar GF(256) multiply."""
     if a == 0 or b == 0:
         return 0
-    return int(_EXP[_LOG[a] + _LOG[b]])
+    return _EXP_INT[_LOG_INT[a] + _LOG_INT[b]]
 
 
 def gf_div(a: int, b: int) -> int:
@@ -55,14 +55,14 @@ def gf_div(a: int, b: int) -> int:
         raise ZeroDivisionError("GF(256) division by zero")
     if a == 0:
         return 0
-    return int(_EXP[(_LOG[a] - _LOG[b]) % 255])
+    return _EXP_INT[(_LOG_INT[a] - _LOG_INT[b]) % 255]
 
 
 def gf_pow(base: int, exponent: int) -> int:
     """Scalar GF(256) power."""
     if base == 0:
         return 0 if exponent else 1
-    return int(_EXP[(_LOG[base] * exponent) % 255])
+    return _EXP_INT[(_LOG_INT[base] * exponent) % 255]
 
 
 def generator_coefficient(index: int) -> int:

@@ -46,16 +46,26 @@ def _decode_header(blob: bytes) -> tuple[dict, int]:
     return json.loads(blob[cursor : cursor + head_len]), cursor + head_len
 
 
+def _volume(header: dict, *body) -> bytes:
+    """magic | header length | JSON header | body, in one copy."""
+    head = json.dumps(header, sort_keys=True).encode()
+    length = len(head).to_bytes(_HEADER_LEN_BYTES, "big")
+    return b"".join((VOLUME_MAGIC, length, head, *body))
+
+
 class DiscImage:
-    """An identified, serializable volume that swaps between disks and discs."""
+    """An identified, serializable volume that swaps between disks and discs.
+
+    ``serialized``: a parity image's volume bytes, which ``raw`` views."""
 
     def __init__(
         self,
         image_id: str,
         kind: str = DATA,
         filesystem: Optional[UDFFileSystem] = None,
-        raw: Optional[bytes] = None,
+        raw=None,
         logical_size: Optional[int] = None,
+        serialized: Optional[bytes] = None,
     ):
         if kind not in _KINDS:
             raise ValueError(f"unknown image kind {kind!r}")
@@ -69,6 +79,18 @@ class DiscImage:
         self.filesystem = filesystem
         self.raw = raw
         self._declared_size = logical_size
+        if kind == PARITY and serialized is None:
+            # Serialized once, here: ``raw`` becomes a view of the bytes
+            # that are burned, so the buffer holds one copy of them.
+            serialized = _volume({
+                "version": FORMAT_VERSION,
+                "image_id": image_id,
+                "kind": kind,
+                "logical_size": self.logical_size,
+                "payload_length": len(raw),
+            }, raw)
+            self.raw = memoryview(serialized)[len(serialized) - len(raw):]
+        self._serialized = serialized
 
     @property
     def logical_size(self) -> int:
@@ -90,23 +112,10 @@ class DiscImage:
     # ------------------------------------------------------------------
     def serialize(self) -> bytes:
         """Self-describing byte layout: magic | header length | JSON header
-        | concatenated file extents (or raw parity bytes)."""
+        | concatenated file extents (or raw parity bytes, the object
+        ``raw`` views)."""
         if self.kind == PARITY:
-            header = {
-                "version": FORMAT_VERSION,
-                "image_id": self.image_id,
-                "kind": self.kind,
-                "logical_size": self.logical_size,
-                "payload_length": len(self.raw),
-            }
-            body = self.raw
-            head = json.dumps(header, sort_keys=True).encode()
-            return (
-                VOLUME_MAGIC
-                + len(head).to_bytes(_HEADER_LEN_BYTES, "big")
-                + head
-                + body
-            )
+            return self._serialized
         entries = []
         extents = []
         offset = 0
@@ -136,13 +145,7 @@ class DiscImage:
             "logical_size": self.logical_size,
             "entries": entries,
         }
-        head = json.dumps(header, sort_keys=True).encode()
-        return (
-            VOLUME_MAGIC
-            + len(head).to_bytes(_HEADER_LEN_BYTES, "big")
-            + head
-            + b"".join(extents)
-        )
+        return _volume(header, *extents)
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "DiscImage":
@@ -154,12 +157,15 @@ class DiscImage:
             )
         kind = header["kind"]
         if kind == PARITY:
-            raw = blob[cursor : cursor + header["payload_length"]]
+            # a view, not a copy; ``blob[:end]`` is ``blob`` itself when
+            # it holds nothing past the payload
+            serialized = blob[: cursor + header["payload_length"]]
             return cls(
                 header["image_id"],
                 kind=PARITY,
-                raw=raw,
+                raw=memoryview(serialized)[cursor:],
                 logical_size=header["logical_size"],
+                serialized=serialized,
             )
         fs = UDFFileSystem(header["capacity"], label=header["label"])
         data_base = cursor

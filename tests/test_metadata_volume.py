@@ -1,6 +1,8 @@
 """Direct tests for the Metadata Volume (§4.2)."""
 
 import base64
+import dataclasses
+import itertools
 import json
 import random
 
@@ -12,6 +14,8 @@ from repro import units
 from repro.errors import (
     FileExistsOLFSError,
     FileNotFoundOLFSError,
+    FilesystemError,
+    IsADirectoryOLFSError,
     NotADirectoryOLFSError,
 )
 from repro.olfs.index import IndexFile, VersionEntry
@@ -332,3 +336,287 @@ def test_charges_carry_the_encoded_size(mv):
         ("write", sizes[0]), ("read", sizes[0]),
         ("write", sizes[1]), ("read", sizes[1]),
     ]
+
+
+def test_version_entries_are_frozen():
+    entry = VersionEntry(version=1, size=10, mtime=0.0, locations=["img-1"])
+    assert entry.subfile_sizes == [10]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.locations = ["img-2"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.size = 11
+
+
+# ----------------------------------------------------------------------
+# Differential: parsed records against blob-as-truth
+# ----------------------------------------------------------------------
+class BlobReference:
+    """The MV as it was when each index file was kept as its encoded
+    blob, flattened to path sets: what every checkpoint, footprint and
+    charge must still come out as.  (One change on top: a directory
+    created on the way to a path is a change the next delta carries.)"""
+
+    def __init__(self):
+        self.files: dict[str, bytes] = {}
+        self.dirs: set[str] = set()
+        self.state: dict = {}
+        self.dirty: set[str] = set()
+        self.deleted: set[str] = set()
+        self.charges: list[tuple[str, int]] = []
+
+    @staticmethod
+    def parts(path):
+        return [part for part in path.split("/") if part]
+
+    def walk(self, parts, create=False):
+        """The MV's ``_walk_to``: the same error at the same ancestor."""
+        for depth in range(1, len(parts) + 1):
+            prefix = "/" + "/".join(parts[:depth])
+            if prefix in self.files:
+                raise NotADirectoryOLFSError(prefix)
+            if prefix not in self.dirs:
+                if not create:
+                    raise FileNotFoundOLFSError(prefix)
+                self.dirs.add(prefix)
+                self.dirty.add(prefix)
+
+    def find(self, path):
+        """'dir' or 'file'; raises as ``_find`` does."""
+        self.walk(self.parts(path)[:-1])
+        if path in self.dirs:
+            return "dir"
+        if path in self.files:
+            return "file"
+        raise FileNotFoundOLFSError(path)
+
+    def drop(self, path):
+        """Unlink ``path`` and, for a directory, everything under it."""
+        self.files.pop(path, None)
+        self.dirs.discard(path)
+        below = path + "/"
+        self.files = {p: b for p, b in self.files.items()
+                      if not p.startswith(below)}
+        self.dirs = {p for p in self.dirs if not p.startswith(below)}
+
+    # -- the operations ------------------------------------------------
+    def write_index(self, path, index):
+        self.walk(self.parts(path)[:-1], create=True)
+        if path in self.dirs:
+            raise FileExistsOLFSError(path)
+        blob = reference_serialize(index)
+        self.files[path] = blob
+        self.dirty.add(path)
+        self.deleted.discard(path)
+        self.charges.append(("write", max(len(blob), 256)))
+
+    def make_dir(self, path):
+        self.walk(self.parts(path), create=True)
+        self.dirty.add(path)
+        self.deleted.discard(path)
+        self.charges.append(("write", 256))
+
+    def remove_index(self, path):
+        if self.find(path) == "dir":
+            raise IsADirectoryOLFSError(path)
+        del self.files[path]
+        self.dirty.discard(path)
+        self.deleted.add(path)
+        self.charges.append(("write", 256))
+
+    def lookup_index(self, path):
+        if self.find(path) == "dir":
+            raise FileNotFoundOLFSError(path)
+        blob = self.files[path]
+        self.charges.append(("read", max(len(blob), 256)))
+        return blob
+
+    def entry(self, path):
+        if path in self.dirs:
+            return {"path": path, "type": "dir"}
+        return {"path": path, "type": "index",
+                "blob": self.files[path].decode()}
+
+    def serialize_snapshot(self):
+        paths = sorted(self.dirs | set(self.files), key=self.parts)
+        return json.dumps(
+            {"state": self.state, "entries": list(map(self.entry, paths))},
+            sort_keys=True,
+        ).encode()
+
+    def collect_delta(self):
+        entries = []
+        for path in sorted(self.dirty):
+            try:
+                self.find(path)
+            except (FileNotFoundOLFSError, NotADirectoryOLFSError):
+                continue
+            entries.append(self.entry(path))
+        return json.dumps(
+            {"state": self.state, "entries": entries,
+             "deleted": sorted(self.deleted)},
+            sort_keys=True,
+        ).encode()
+
+    def load_snapshot(self, blob):
+        snapshot = json.loads(blob)
+        self.files, self.dirs = {}, set()
+        self.state = snapshot["state"]
+        self.replay(snapshot["entries"])
+
+    def apply_delta(self, blob):
+        delta = json.loads(blob)
+        self.state = delta.get("state", self.state)
+        for path in delta.get("deleted", []):
+            try:
+                self.walk(self.parts(path)[:-1])
+            except (FileNotFoundOLFSError, NotADirectoryOLFSError):
+                continue
+            self.drop(path)
+        self.replay(delta["entries"])
+
+    def replay(self, entries):
+        for entry in entries:
+            path = entry["path"]
+            self.walk(self.parts(path)[:-1], create=True)
+            if entry["type"] == "dir":
+                if path not in self.files:
+                    self.dirs.add(path)
+            else:
+                self.drop(path)
+                self.files[path] = entry["blob"].encode()
+
+    def used_bytes(self):
+        blocks = sum(-(-len(blob) // MV_BLOCK_SIZE)
+                     for blob in self.files.values())
+        return ((1 + len(self.dirs)) * (MV_INODE_SIZE + MV_BLOCK_SIZE)
+                + len(self.files) * MV_INODE_SIZE + blocks * MV_BLOCK_SIZE)
+
+
+#: /a, /b, /a/a, ... /b/b/b: few enough that ops collide
+mv_paths = st.sampled_from([
+    "/" + "/".join(parts)
+    for depth in (1, 2, 3) for parts in itertools.product("ab", repeat=depth)
+])
+
+#: None, or 0, 1, 2, ... bytes up to beyond the 256 KiB forepart
+forepart_sizes = st.one_of(
+    st.none(),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=300 * 1024),
+)
+
+mv_indexes = st.builds(
+    lambda path, max_versions, entries, size: index_of(
+        path, max_versions, entries,
+        None if size is None else random.Random(size).randbytes(size),
+    ),
+    st.sampled_from(["/f", 'q"\\', "\u00e9\n"]),
+    st.integers(min_value=1, max_value=20),
+    st.lists(version_entries, max_size=2),
+    forepart_sizes,
+)
+
+#: op -> weight; a ``restore`` loads one checkpoint's snapshot, then
+#: applies every later checkpoint's delta in order
+MV_OPS = (["write_index"] * 4 + ["lookup_index"] * 3
+          + ["make_dir", "remove_index", "checkpoint", "checkpoint",
+             "restore", "apply_delta"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parsed_records_match_blob_truth(data):
+    engine = Engine()
+    volume = MetadataVolume(engine, Volume(
+        engine, "mv", read_throughput=units.GB, write_throughput=units.GB,
+        capacity=units.GB, access_latency=0.0,
+    ))
+    reference = BlobReference()
+    log = charged(volume)
+    # the checkpoint chain since the last restore, and every delta taken
+    snapshots = [volume.serialize_snapshot()]
+    deltas = [volume.collect_delta()]
+    every_delta = list(deltas)
+    for _ in range(data.draw(st.integers(0, 30), label="ops")):
+        op = data.draw(st.sampled_from(MV_OPS), label="op")
+        if op == "checkpoint":
+            snapshots.append(volume.serialize_snapshot())
+            deltas.append(volume.collect_delta())
+            every_delta.append(deltas[-1])
+            assert deltas[-1] == reference.collect_delta()
+            volume.clear_change_tracking()
+            reference.dirty.clear()
+            reference.deleted.clear()
+            # recovery: any checkpoint's snapshot plus every later delta
+            # is the namespace now, also once every record is parsed
+            for base, snapshot in enumerate(snapshots):
+                restored = MetadataVolume(engine, volume.volume)
+                restored.load_snapshot(snapshot)
+                for delta in deltas[base + 1:]:
+                    restored.apply_delta(delta)
+                for path in restored.all_index_paths():
+                    restored.peek_index(path)
+                assert restored.serialize_snapshot() == snapshots[-1]
+            continue
+        if op == "restore":
+            base = data.draw(st.integers(0, len(snapshots) - 1), label="base")
+            steps = [("load_snapshot", snapshots[base])] + [
+                ("apply_delta", delta) for delta in deltas[base + 1:]
+            ]
+        elif op == "apply_delta":
+            steps = [(op, data.draw(st.sampled_from(every_delta),
+                                    label="delta"))]
+        elif op == "write_index":
+            steps = [(op, data.draw(mv_paths, label="path"),
+                      data.draw(mv_indexes, label="index"))]
+        elif reference.files and data.draw(st.booleans(), label="a file"):
+            files = st.sampled_from(sorted(reference.files))
+            steps = [(op, data.draw(files, label="path"))]
+        else:
+            steps = [(op, data.draw(mv_paths, label="path"))]
+        for step, *args in steps:
+            try:
+                expected = getattr(reference, step)(*args)
+            except FilesystemError as error:
+                with pytest.raises(type(error)):
+                    result = getattr(volume, step)(*args)
+                    if step not in ("load_snapshot", "apply_delta"):
+                        engine.run_process(result)
+                break
+            result = getattr(volume, step)(*args)
+            if step not in ("load_snapshot", "apply_delta"):
+                result = engine.run_process(result)
+            if step == "lookup_index":
+                assert result.serialize() == expected
+            elif step == "write_index":
+                path, index = args
+                assert index.serialized_size() == len(index.serialize())
+                node = volume._find(path)
+                assert node.blob is None
+                assert node.size == len(reference.files[path])
+        if op in ("restore", "apply_delta"):
+            # as after a recovery: changes count from the restored tree
+            volume.clear_change_tracking()
+            reference.dirty.clear()
+            reference.deleted.clear()
+            snapshots = [volume.serialize_snapshot()]
+            deltas = [volume.collect_delta()]
+        assert log == reference.charges
+        assert volume.used_bytes() == reference.used_bytes()
+        assert volume.serialize_snapshot() == reference.serialize_snapshot()
+    assert volume.collect_delta() == reference.collect_delta()
+
+
+def test_delta_keeps_a_directory_whose_files_are_gone(mv):
+    """A directory made on the way to a file outlives the file; a delta
+    that only recorded the file's removal lost it on recovery."""
+    engine, volume = mv
+    base = volume.serialize_snapshot()
+    engine.run_process(volume.write_index("/d/e/f", make_index("/d/e/f")))
+    engine.run_process(volume.remove_index("/d/e/f"))
+    delta = volume.collect_delta()
+    live = volume.serialize_snapshot()
+    volume.load_snapshot(base)
+    volume.apply_delta(delta)
+    assert volume.serialize_snapshot() == live
+    assert engine.run_process(volume.listdir("/d")) == ["e"]

@@ -1,5 +1,6 @@
 """Tests for block devices, RAID parity/reconstruction and volumes."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -329,6 +330,33 @@ def test_gf256_field_axioms():
             assert gf_div(gf_mul(a, b), b) == a
     assert gf_pow(2, 0) == 1
     assert gf_pow(2, 1) == 2
+
+
+def carryless_product(a: int, b: int) -> int:
+    """GF(256) multiply by shift-and-add, reducing by 0x11d: no tables."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11D
+        b >>= 1
+    return product
+
+
+def test_gf256_product_table_holds_all_65536_products():
+    from repro.storage.gf256 import gf_mul, gf_mul_bytes
+
+    every = np.arange(256, dtype=np.uint8)
+    for coefficient in range(256):
+        products = gf_mul_bytes(every, coefficient)
+        assert products.dtype == np.uint8
+        expected = [gf_mul(a, coefficient) for a in range(256)]
+        assert products.tolist() == expected
+        assert expected == [
+            carryless_product(a, coefficient) for a in range(256)
+        ]
 
 
 # ----------------------------------------------------------------------

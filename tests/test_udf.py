@@ -1,5 +1,6 @@
 """Tests for the UDF file system and disc image serialization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,6 +205,29 @@ def test_parity_image_roundtrip():
     assert restored.raw == b"\x12\x34" * 100
     with pytest.raises(MediaError):
         restored.mount()
+
+
+def test_parity_raw_is_a_view_of_the_serialized_bytes():
+    payload = np.arange(4096, dtype=np.uint8)
+    image = DiscImage("par-2", kind="parity", raw=payload, logical_size=9999)
+    blob = image.serialize()
+    assert image.serialize() is blob
+    assert image.raw.obj is blob
+    assert np.shares_memory(np.frombuffer(image.raw, np.uint8),
+                            np.frombuffer(blob, np.uint8))
+    assert image.raw == payload.tobytes()
+    assert image.logical_size == 9999
+    header = DiscImage.peek_header(blob)
+    assert (header["payload_length"], header["logical_size"]) == (4096, 9999)
+    assert blob.endswith(payload.tobytes())
+
+    restored = DiscImage.deserialize(blob)
+    assert restored.raw.obj is blob
+    assert restored.serialize() is blob
+    # bytes past the payload are not part of the image
+    trailing = DiscImage.deserialize(blob + b"junk")
+    assert trailing.serialize() == blob
+    assert trailing.raw == payload.tobytes()
 
 
 def test_peek_header_without_full_parse():
