@@ -11,31 +11,64 @@ and only go down — mechanically: a workload that measures more than 2 %
 *under* its budget fails too ("stale budget: lower it to ..."), so the
 change that saves events lowers the budget in the same commit.
 
+The same runs count the host's side of an event: the generator frames
+each engine step resumes, read off the ``gi_yieldfrom`` chain of the
+stepped process at every ``Engine._step``.  That count repeats exactly
+per seed too, so ``frames_per_step`` budgets in the same file gate the
+depth of the read and write paths' generator chains by the same rule.
+
 Outside tier-1 (the four campaigns cost about 8.5 host-seconds); CI's
 ``perf`` job and every PR's gate list run it as::
 
     PYTHONPATH=src:. python -m pytest benchmarks/perf/bench_event_budgets.py -q
 """
 
+import functools
 import pathlib
+from types import GeneratorType
 
 import pytest
 
 from bench.workloads import WORKLOADS
 from repro.perf.harness import budget_check, load_baseline
+from repro.sim.engine import Engine
 
 SEED = 42
 SCALE = 1.0
-BUDGETS = load_baseline(
-    str(pathlib.Path(__file__).parent / "baseline.json"), "events_per_op"
-)
+BASELINE = str(pathlib.Path(__file__).parent / "baseline.json")
+BUDGETS = load_baseline(BASELINE, "events_per_op")
+FRAME_BUDGETS = load_baseline(BASELINE, "frames_per_step")
+
+
+@functools.cache
+def measure(name):
+    """One repetition of ``name``: its outcome, and the engine steps of
+    its timed region with the generator frames they resumed."""
+    workload = WORKLOADS[name]
+    inputs = workload.inputs(SEED, SCALE)
+    rig = workload.setup(inputs)
+    counts = {"events": 0, "ops": 0}  # frames over steps
+    step = Engine._step
+
+    def counting_step(engine, process, value, exception):
+        counts["ops"] += 1
+        generator = process._generator
+        while type(generator) is GeneratorType:
+            counts["events"] += 1
+            generator = generator.gi_yieldfrom
+        step(engine, process, value, exception)
+
+    Engine._step = counting_step
+    try:
+        outcome = workload.run(inputs, rig)
+    finally:
+        Engine._step = step
+    return outcome, counts
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_events_per_op_within_budget(name):
-    workload = WORKLOADS[name]
-    inputs = workload.inputs(SEED, SCALE)
-    outcome = workload.run(inputs, workload.setup(inputs))
+    outcome, _ = measure(name)
     stats = {"events": outcome["events"], "ops": outcome["ok"]}
     print(f"\n{name}: {stats['events']} events / {stats['ops']} ops = "
           f"{stats['events'] / stats['ops']:.3f} (budget {BUDGETS.get(name)})")
@@ -43,4 +76,15 @@ def test_events_per_op_within_budget(name):
     # through that way.
     assert name in BUDGETS, f"no events_per_op budget for {name}"
     failures = budget_check({name: stats}, BUDGETS)
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_BUDGETS))
+def test_frames_per_step_within_budget(name):
+    _, frames = measure(name)
+    print(f"\n{name}: {frames['events']} frames / {frames['ops']} steps = "
+          f"{frames['events'] / frames['ops']:.3f} "
+          f"(budget {FRAME_BUDGETS[name]})")
+    failures = budget_check({name: frames}, FRAME_BUDGETS,
+                            unit="frames/step")
     assert not failures, failures

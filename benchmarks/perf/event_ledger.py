@@ -42,21 +42,15 @@ from bench.workloads import WORKLOADS
 from repro.sim.engine import Engine
 
 SRC = pathlib.Path(repro.__file__).resolve().parents[1]
-LANDING = str(SRC / "repro" / "sim" / "landing.py")
 ENGINE = inspect.getsourcefile(Engine)
 STEP = Engine._step.__code__
 
 
 def innermost(generator):
-    """The frame a resume lands in: the end of the ``yield from`` chain.
-
-    ``repro.sim.landing`` sleeps on its caller's behalf (which motion is
-    the question, not that it slept), so the chain ends at that caller.
-    """
+    """The frame a resume lands in: the end of the ``yield from`` chain."""
     while True:
         inner = getattr(generator, "gi_yieldfrom", None)
-        code = getattr(inner, "gi_code", None)
-        if code is None or code.co_filename == LANDING:
+        if getattr(inner, "gi_code", None) is None:
             return generator
         generator = inner
 
@@ -77,8 +71,7 @@ def drawing_site(engine, frame):
         if code is STEP:
             return innermost(frame.f_locals["process"]._generator).gi_code
         if running:
-            if code.co_flags & inspect.CO_GENERATOR \
-                    and code.co_filename != LANDING:
+            if code.co_flags & inspect.CO_GENERATOR:
                 return code
         elif code.co_filename != ENGINE:
             return code

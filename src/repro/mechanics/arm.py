@@ -8,14 +8,11 @@ drive trays.  Unloading reverses the process.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
-
 from repro.errors import MechanicsError
 from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry
 from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.media.disc import OpticalDisc
-from repro.sim.engine import Delay, Engine
-from repro.sim.landing import sleep_after
+from repro.media.tray import Tray
 
 #: The arm parks at the uppermost layer (§5.2 measurement note).
 PARK_LAYER = 0
@@ -25,12 +22,8 @@ class RoboticArm:
     """One vertical-travel robotic arm serving one roller."""
 
     def __init__(
-        self,
-        engine: Engine,
-        arm_id: int = 0,
-        geometry: RollerGeometry = DEFAULT_GEOMETRY,
+        self, arm_id: int = 0, geometry: RollerGeometry = DEFAULT_GEOMETRY
     ):
-        self.engine = engine
         self.arm_id = arm_id
         self.geometry = geometry
         self.timings = DEFAULT_TIMINGS
@@ -40,57 +33,54 @@ class RoboticArm:
         self.travel_seconds = 0.0
         self.moves = 0
 
-    @property
-    def is_loaded(self) -> bool:
-        return bool(self.holding)
-
     # ------------------------------------------------------------------
-    # Motion processes.  ``lead`` is command latency still to be spent
-    # before the motion starts: one sleep covers both, and the span opens
-    # where the motion starts.  A motion that refuses or has nothing to
-    # move does not sleep, lead included.
+    # Motions.  Each checks that it can run and returns ``(seconds, span
+    # name, span tags, commit)``: the PLC sleeps ``seconds`` inside the
+    # span (none when its name is None), then ``commit()`` lands the state
+    # change and returns the motion's result.  ``None`` means there is
+    # nothing to move; a refusal raises before anything changes.
     # ------------------------------------------------------------------
-    def move_to_layer(self, layer: int, lead: float = 0.0) -> Generator:
+    def move_to_layer(self, layer: int):
         """Travel vertically to ``layer``; slower when carrying a stack."""
         if not (0 <= layer < self.geometry.layers):
             raise MechanicsError(f"layer {layer} out of range")
         if layer == self.layer:
-            return
+            return None
         distance = abs(
             self.geometry.layer_fraction(layer)
             - self.geometry.layer_fraction(self.layer)
         )
-        seconds = self.timings.travel(distance, loaded=self.is_loaded)
-        with self.engine.trace.span(
-            "arm.move", "arm", {"arm_id": self.arm_id, "layer": layer},
-            at=self.engine.now + lead,
-        ):
-            yield from sleep_after(self.engine, lead, seconds)
-        self.travel_seconds += seconds
-        self.moves += 1
-        self.layer = layer
+        seconds = self.timings.travel(distance, loaded=bool(self.holding))
 
-    def hook_tray(self, lead: float = 0.0) -> Generator:
+        def arrive():
+            self.travel_seconds += seconds
+            self.moves += 1
+            self.layer = layer
+
+        tags = {"arm_id": self.arm_id, "layer": layer}
+        return seconds, "arm.move", tags, arrive
+
+    def hook_tray(self):
         """Lock the outer hook of the tray facing the arm."""
         if self.hooked:
             raise MechanicsError("arm already hooked to a tray")
-        with self.engine.trace.span(
-            "arm.hook", "arm", {"arm_id": self.arm_id},
-            at=self.engine.now + lead,
-        ):
-            yield from sleep_after(self.engine, lead, self.timings.engage)
+        tags = {"arm_id": self.arm_id}
+        return self.timings.engage, "arm.hook", tags, self._hook
+
+    def _hook(self) -> None:
         self.hooked = True
 
-    def release_tray(self, lead: float = 0.0) -> Generator:
+    def release_tray(self):
         if not self.hooked:
             raise MechanicsError("arm is not hooked to a tray")
-        yield from sleep_after(self.engine, lead, 0.0)
+        return 0.0, None, None, self._release
+
+    def _release(self) -> None:
         self.hooked = False
 
-    def grab_stack(
-        self, discs: list[OpticalDisc], lead: float = 0.0
-    ) -> Generator:
-        """Lift a fetched disc stack up to the position atop the drives.
+    def grab_stack(self, tray: Tray):
+        """Take ``tray``'s disc stack and lift it atop the drives; the
+        commit returns the discs.
 
         The prototype charges the lift-to-drives motion at a constant time
         regardless of source layer (the layer-dependent cost shows up only
@@ -100,50 +90,42 @@ class RoboticArm:
         """
         if self.holding:
             raise MechanicsError("arm is already holding discs")
-        with self.engine.trace.span(
-            "arm.grab", "arm", {"arm_id": self.arm_id, "discs": len(discs)},
-            at=self.engine.now + lead,
-        ):
-            yield from sleep_after(self.engine, lead, self.timings.lift)
-        self.holding = list(discs)
-        self.layer = PARK_LAYER
+        discs = tray.take_all()
 
-    def lower_stack(self, lead: float = 0.0) -> Generator:
-        """Lower the held stack into the open tray; returns the discs."""
+        def lifted():
+            self.holding = list(discs)
+            self.layer = PARK_LAYER
+            return discs
+
+        tags = {"arm_id": self.arm_id, "discs": len(discs)}
+        return self.timings.lift, "arm.grab", tags, lifted
+
+    def lower_stack(self, tray: Tray):
+        """Lower the held stack into ``tray``, which must be taking it."""
         if not self.holding:
             raise MechanicsError("arm is not holding discs")
-        with self.engine.trace.span(
-            "arm.lower", "arm", {"arm_id": self.arm_id},
-            at=self.engine.now + lead,
-        ):
-            yield from sleep_after(self.engine, lead, self.timings.lift)
-        discs, self.holding = self.holding, []
-        return discs
+        tray.check_return(len(self.holding))
 
-    def separate_next(self, lead: float = 0.0) -> Generator:
+        def lowered():
+            discs, self.holding = self.holding, []
+            tray.put_back(discs)
+
+        return self.timings.lift, "arm.lower", {"arm_id": self.arm_id}, lowered
+
+    def separate_next(self):
         """Separate the bottom disc of the held stack (for the next drive).
 
         The ROS arm places discs from the bottom of the stack into drives
-        from the top down (§3.2).  Returns the separated disc.
+        from the top down (§3.2).  The commit returns the separated disc.
         """
         if not self.holding:
             raise MechanicsError("no discs left to separate")
-        with self.engine.trace.span(
-            "arm.separate", "arm", {"arm_id": self.arm_id},
-            at=self.engine.now + lead,
-        ):
-            yield from sleep_after(
-                self.engine, lead, self.timings.separate_one()
-            )
-        return self.holding.pop(0)
+        tags = {"arm_id": self.arm_id}
+        seconds = self.timings.separate_one()
+        return seconds, "arm.separate", tags, self._separate
 
-    def collect_next(self, disc: OpticalDisc) -> Generator:
-        """Fetch one disc from an ejected drive tray onto the held stack."""
-        with self.engine.trace.span(
-            "arm.collect", "arm", {"arm_id": self.arm_id}
-        ):
-            yield Delay(self.timings.collect_one())
-        self.holding.append(disc)
+    def _separate(self) -> OpticalDisc:
+        return self.holding.pop(0)
 
     def health(self) -> dict:
         """Cheap read-only snapshot for the system monitor."""

@@ -59,11 +59,11 @@ class MechanicalSubsystem:
         self.timings = DEFAULT_TIMINGS
         self.parallel_scheduling = parallel_scheduling
         self.rollers = [
-            Roller(engine, index, geometry)
+            Roller(index, geometry)
             for index in range(roller_count)
         ]
         self.arms = [
-            RoboticArm(engine, index, geometry)
+            RoboticArm(index, geometry)
             for index in range(roller_count)
         ]
         self.plc = PLCController(engine, self.rollers, self.arms)
@@ -167,50 +167,41 @@ class MechanicalSubsystem:
             "mech",
             {"set_id": set_id, "layer": address.layer, "slot": address.slot},
         ):
-            placed = yield from self._load_array(set_id, address, priority)
-        return placed
-
-    def _load_array(
-        self,
-        set_id: int,
-        address: TrayAddress,
-        priority: int = 0,
-    ) -> Generator:
-        roller_index = self.roller_of_set(set_id)
-        drive_set = self.drive_sets[set_id]
-        if not drive_set.is_empty:
-            raise MechanicsError(f"drive set {set_id} is not empty")
-        roller = self.rollers[roller_index]
-        tray = roller.tray_at(address)
-        if tray.checked_out or tray.is_empty:
-            raise MechanicsError(f"tray {address} has no discs to load")
-        grant = yield Acquire(self._arm_locks[roller_index], priority)
-        try:
-            if self.parallel_scheduling:
-                discs = yield from self._load_positioning_parallel(
-                    roller_index, address
-                )
-            else:
-                discs = yield from self._load_positioning_serial(
-                    roller_index, address
-                )
-            drive_set.open_all_trays()
-            placed = []
-            for index in range(len(discs)):
-                disc = yield from self.channel.send(
-                    SeparateDisc(roller_index, set_id, index)
-                )
-                drive = drive_set.drives[index]
-                drive.insert_disc(disc)
-                drive.close_tray()
-                placed.append(disc)
-            # Any drives beyond the disc count close empty.
-            for index in range(len(discs), len(drive_set.drives)):
-                drive_set.drives[index].close_tray()
-            drive_set.loaded_from = (roller_index, address)
-            return placed
-        finally:
-            grant.release()
+            roller_index = self.roller_of_set(set_id)
+            drive_set = self.drive_sets[set_id]
+            if not drive_set.is_empty:
+                raise MechanicsError(f"drive set {set_id} is not empty")
+            roller = self.rollers[roller_index]
+            tray = roller.tray_at(address)
+            if tray.checked_out or tray.is_empty:
+                raise MechanicsError(f"tray {address} has no discs to load")
+            grant = yield Acquire(self._arm_locks[roller_index], priority)
+            try:
+                if self.parallel_scheduling:
+                    discs = yield from self._load_positioning_parallel(
+                        roller_index, address
+                    )
+                else:
+                    discs = yield from self._load_positioning_serial(
+                        roller_index, address
+                    )
+                drive_set.open_all_trays()
+                placed = []
+                for index in range(len(discs)):
+                    disc = yield from self.channel.send(
+                        SeparateDisc(roller_index, set_id, index)
+                    )
+                    drive = drive_set.drives[index]
+                    drive.insert_disc(disc)
+                    drive.close_tray()
+                    placed.append(disc)
+                # Any drives beyond the disc count close empty.
+                for index in range(len(discs), len(drive_set.drives)):
+                    drive_set.drives[index].close_tray()
+                drive_set.loaded_from = (roller_index, address)
+                return placed
+            finally:
+                grant.release()
 
     def _load_positioning_serial(
         self, roller_index: int, address: TrayAddress
@@ -263,74 +254,66 @@ class MechanicalSubsystem:
         with self.engine.trace.span(
             "mech.unload_array", "mech", {"set_id": set_id}
         ):
-            result = yield from self._unload_array(set_id, address, priority)
-        return result
-
-    def _unload_array(
-        self,
-        set_id: int,
-        address: Optional[TrayAddress] = None,
-        priority: int = 0,
-    ) -> Generator:
-        roller_index = self.roller_of_set(set_id)
-        drive_set = self.drive_sets[set_id]
-        if drive_set.is_busy:
-            raise MechanicsError(f"drive set {set_id} has busy drives")
-        if address is None:
-            if drive_set.loaded_from is None:
-                raise MechanicsError(
-                    f"drive set {set_id} has no home tray recorded"
-                )
-            roller_index, address = drive_set.loaded_from
-        roller = self.rollers[roller_index]
-        tray = roller.tray_at(address)
-        if not tray.checked_out and not tray.is_empty:
-            raise MechanicsError(f"tray {address} already holds discs")
-        grant = yield Acquire(self._arm_locks[roller_index], priority)
-        try:
-            send = self.channel.send
-            arm = self.arms[roller_index]
-            yield from send(MoveArm(roller_index, PARK_LAYER))
-            # Collect discs from drive trays, top down, one by one.
-            for drive in drive_set.drives:
-                if drive.disc is None:
-                    continue
-                drive.open_tray()
-                disc = drive.remove_disc()
-                drive.close_tray()
-                yield from self.plc.collect_into_arm(roller_index, disc)
-            if self.parallel_scheduling:
-                fraction = self.geometry.layer_fraction(address.layer)
-                positioning = (
-                    self.timings.unload_total(fraction, parallel=True)
-                    - self.timings.collect_all
-                )
-                yield Delay(positioning)
-                roller.facing_slot = address.slot
-                roller.aligned = False
-                discs = list(arm.holding)
-                arm.holding = []
-                if not tray.checked_out:
-                    tray.checked_out = True
-                tray.put_back(discs)
-                arm.layer = address.layer
-            else:
-                yield from send(Rotate(roller_index, address.slot))
-                yield from send(MoveArm(roller_index, address.layer))
-                yield from send(HookTray(roller_index))
-                yield from send(
-                    FanOut(roller_index, address.layer, address.slot)
-                )
-                if not tray.checked_out:
-                    # Returning to a different (empty) tray than the origin.
-                    tray.checked_out = True
-                yield from send(LowerStack(roller_index, roller_index))
-                yield from send(ReleaseTray(roller_index))
-                yield from send(FanIn(roller_index))
-            drive_set.loaded_from = None
-            return address
-        finally:
-            grant.release()
+            roller_index = self.roller_of_set(set_id)
+            drive_set = self.drive_sets[set_id]
+            if drive_set.is_busy:
+                raise MechanicsError(f"drive set {set_id} has busy drives")
+            if address is None:
+                if drive_set.loaded_from is None:
+                    raise MechanicsError(
+                        f"drive set {set_id} has no home tray recorded"
+                    )
+                roller_index, address = drive_set.loaded_from
+            roller = self.rollers[roller_index]
+            tray = roller.tray_at(address)
+            if not tray.checked_out and not tray.is_empty:
+                raise MechanicsError(f"tray {address} already holds discs")
+            grant = yield Acquire(self._arm_locks[roller_index], priority)
+            try:
+                send = self.channel.send
+                arm = self.arms[roller_index]
+                yield from send(MoveArm(roller_index, PARK_LAYER))
+                # Collect discs from drive trays, top down, one by one.
+                for drive in drive_set.drives:
+                    if drive.disc is None:
+                        continue
+                    drive.open_tray()
+                    disc = drive.remove_disc()
+                    drive.close_tray()
+                    yield from self.plc.collect_into_arm(roller_index, disc)
+                if self.parallel_scheduling:
+                    fraction = self.geometry.layer_fraction(address.layer)
+                    positioning = (
+                        self.timings.unload_total(fraction, parallel=True)
+                        - self.timings.collect_all
+                    )
+                    yield Delay(positioning)
+                    roller.facing_slot = address.slot
+                    roller.aligned = False
+                    discs = list(arm.holding)
+                    arm.holding = []
+                    if not tray.checked_out:
+                        tray.checked_out = True
+                    tray.put_back(discs)
+                    arm.layer = address.layer
+                else:
+                    yield from send(Rotate(roller_index, address.slot))
+                    yield from send(MoveArm(roller_index, address.layer))
+                    yield from send(HookTray(roller_index))
+                    yield from send(
+                        FanOut(roller_index, address.layer, address.slot)
+                    )
+                    if not tray.checked_out:
+                        # Returning to a different (empty) tray than the
+                        # origin.
+                        tray.checked_out = True
+                    yield from send(LowerStack(roller_index, roller_index))
+                    yield from send(ReleaseTray(roller_index))
+                    yield from send(FanIn(roller_index))
+                drive_set.loaded_from = None
+                return address
+            finally:
+                grant.release()
 
     def _orphaned_sets(self, roller_index: int) -> list:
         """Idle drive sets holding discs with no home tray recorded.

@@ -9,15 +9,13 @@ here they are modelled as timed roller operations with sensor feedback.
 from __future__ import annotations
 
 import re
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.errors import MechanicsError
 from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddress
 from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.media.disc import DiscType, OpticalDisc, BD25
 from repro.media.tray import Tray
-from repro.sim.engine import Engine
-from repro.sim.landing import sleep_after
 
 #: The ids :meth:`Roller.populate_blank` gives discs name their home tray.
 _POPULATED_DISC_ID = re.compile(r"r\d+-l(\d+)-s(\d+)-d\d+")
@@ -35,12 +33,8 @@ class Roller:
     """One rotatable cylinder of trays plus its rotation state."""
 
     def __init__(
-        self,
-        engine: Engine,
-        roller_id: int = 0,
-        geometry: RollerGeometry = DEFAULT_GEOMETRY,
+        self, roller_id: int = 0, geometry: RollerGeometry = DEFAULT_GEOMETRY
     ):
-        self.engine = engine
         self.roller_id = roller_id
         self.geometry = geometry
         self.timings = DEFAULT_TIMINGS
@@ -103,29 +97,30 @@ class Roller:
         return None
 
     # ------------------------------------------------------------------
-    # Motion (simulation processes); ``lead`` as in ``RoboticArm``
+    # Motions: checked now, committed when the PLC's sleep ends; see
+    # ``RoboticArm``
     # ------------------------------------------------------------------
-    def rotate_to(self, slot: int, lead: float = 0.0) -> Generator:
-        """Rotate the roller so ``slot`` faces the arm (process)."""
+    def rotate_to(self, slot: int):
+        """Rotate the roller so ``slot`` faces the arm."""
         if self._fanned_out is not None:
             raise MechanicsError(
                 f"cannot rotate roller {self.roller_id}: tray "
                 f"{self._fanned_out} is fanned out"
             )
         if slot == self.facing_slot and self.aligned:
-            return
-        with self.engine.trace.span(
-            "roller.rotate", "roller", {"roller_id": self.roller_id, "slot": slot},
-            at=self.engine.now + lead,
-        ):
-            yield from sleep_after(self.engine, lead, self.timings.rotate)
-        self.rotation_count += 1
-        self.rotation_seconds += self.timings.rotate
-        self.facing_slot = slot
-        self.aligned = True
+            return None
 
-    def fan_out(self, address: TrayAddress, lead: float = 0.0) -> Generator:
-        """Fan the addressed tray out of the roller (process).
+        def rotated():
+            self.rotation_count += 1
+            self.rotation_seconds += self.timings.rotate
+            self.facing_slot = slot
+            self.aligned = True
+
+        tags = {"roller_id": self.roller_id, "slot": slot}
+        return self.timings.rotate, "roller.rotate", tags, rotated
+
+    def fan_out(self, address: TrayAddress):
+        """Fan the addressed tray out of the roller.
 
         Requires the roller to already face the tray's slot; the arm must
         have locked the tray's outer hook (the caller sequences this).
@@ -138,22 +133,21 @@ class Roller:
             )
         if self._fanned_out is not None:
             raise MechanicsError(f"tray {self._fanned_out} already fanned out")
-        with self.engine.trace.span(
-            "roller.fan_out", "roller", {"roller_id": self.roller_id},
-            at=self.engine.now + lead,
-        ):
-            yield from sleep_after(self.engine, lead, self.timings.fan_out)
-        self._fanned_out = address
 
-    def fan_in(self, lead: float = 0.0) -> Generator:
+        def fanned():
+            self._fanned_out = address
+
+        tags = {"roller_id": self.roller_id}
+        return self.timings.fan_out, "roller.fan_out", tags, fanned
+
+    def fan_in(self):
         """Close the currently fanned-out tray back into the roller."""
         if self._fanned_out is None:
             raise MechanicsError("no tray is fanned out")
-        with self.engine.trace.span(
-            "roller.fan_in", "roller", {"roller_id": self.roller_id},
-            at=self.engine.now + lead,
-        ):
-            yield from sleep_after(self.engine, lead, self.timings.fan_in)
+        tags = {"roller_id": self.roller_id}
+        return self.timings.fan_in, "roller.fan_in", tags, self._closed
+
+    def _closed(self) -> None:
         self._fanned_out = None
         self.aligned = False
 

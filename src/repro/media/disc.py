@@ -151,8 +151,10 @@ class ImageOnDisc:
         return sum(len(track.payload) for track in self.tracks)
 
     def read(self) -> bytes:
-        """The image's bytes; a sector error on any piece raises."""
-        return b"".join(self.disc.read_track(track) for track in self.tracks)
+        """The image's bytes; a sector error on any piece raises.  Those
+        of a one-track image are that track's payload object itself."""
+        pieces = [self.disc.read_track(track) for track in self.tracks]
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
 
 class OpticalDisc:

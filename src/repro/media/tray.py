@@ -66,12 +66,16 @@ class Tray:
         self.checked_out = True
         return discs
 
-    def put_back(self, discs: list[OpticalDisc]) -> None:
-        """Return a stack of discs fetched earlier."""
+    def check_return(self, count: int) -> None:
+        """Raise unless this tray can take back a stack of ``count``."""
         if not self.checked_out:
             raise MechanicsError(f"tray {self.address} was not checked out")
-        if len(discs) > self.capacity:
+        if count > self.capacity:
             raise MechanicsError("too many discs for tray")
+
+    def put_back(self, discs: list[OpticalDisc]) -> None:
+        """Return a stack of discs fetched earlier."""
+        self.check_return(len(discs))
         self.checked_out = False
         for index, disc in enumerate(discs):
             self._discs[index] = disc

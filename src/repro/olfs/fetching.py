@@ -87,6 +87,10 @@ class FetchController:
         self.burn_controller = burn_controller
         self.fetch_tasks = 0
         self.fetch_retries = 0
+        #: an image's bytes on disc -> its parse, which WORM never makes
+        #: stale.  Keyed by what ``ImageOnDisc.read()`` returns, so every
+        #: fetch still reads the disc (sector errors raise there).
+        self._parsed: dict[bytes, DiscImage] = {}
         #: §4.1 future-work knobs (config-gated)
         self.file_cache = (
             FileGrainCache(FILE_CACHE_BYTES)
@@ -116,62 +120,55 @@ class FetchController:
 
         Returns a :class:`FetchResult`.
         """
-        with self.engine.trace.span(
+        trace = self.engine.trace
+        with trace.span(
             "ftm.fetch", "ftm", {"image_id": image_id, "path": path}
         ) as span:
-            result = yield from self._fetch_file(image_id, path, priority)
-            span.tag("source", result.source)
-        return result
-
-    def _fetch_file(
-        self, image_id: str, path: str, priority: int
-    ) -> Generator:
-        trace = self.engine.trace
-        record = self.dim.record(image_id)
-        if record.state == IN_BUCKET:
-            with trace.span("ftm.read_bucket", "ftm"):
-                data = yield from self.wbm.read_file(image_id, path)
-            return FetchResult(data, "bucket", mechanical=False)
-        if self.file_cache is not None and record.state == BURNED:
-            cached_file = self.file_cache.get(image_id, path)
-            if cached_file is not None:
+            record = self.dim.record(image_id)
+            cached_file = image = None
+            if self.file_cache is not None and record.state == BURNED:
+                cached_file = self.file_cache.get(image_id, path)
+            if record.state == BURNED and cached_file is None:
+                # Burned content lives under the read cache's LRU policy.
+                image = self.cache.get(image_id)
+                trace.event(
+                    "cache.hit" if image is not None else "cache.miss",
+                    "cache",
+                    {"image_id": image_id},
+                )
+            if image is None and cached_file is None:
+                image = self.dim.get_buffered(image_id)
+            if record.state == IN_BUCKET:
+                with trace.span("ftm.read_bucket", "ftm"):
+                    data = yield from self.wbm.read_file(image_id, path)
+                result = FetchResult(data, "bucket", mechanical=False)
+            elif cached_file is not None:
                 with trace.span("ftm.read_file_cache", "ftm"):
                     volume = self.scheduler.volume_for(StreamKind.USER_READ)
                     yield Delay(BUCKET_ACCESS_SECONDS)
                     yield from volume.read(len(cached_file))
-                return FetchResult(cached_file, "file-cache", mechanical=False)
-        image = None
-        if record.state == BURNED:
-            # Burned content lives under the read cache's LRU policy.
-            image = self.cache.get(image_id)
-            trace.event(
-                "cache.hit" if image is not None else "cache.miss",
-                "cache",
-                {"image_id": image_id},
-            )
-        if image is None:
-            image = self.dim.get_buffered(image_id)
-        if image is not None:
-            with trace.span("ftm.read_buffer", "ftm"):
-                result = yield from self._read_from_buffer(image, path)
-            return result
-        if record.state != BURNED:
-            raise FilesystemError(
-                f"image {image_id} unreadable in state {record.state}"
-            )
-        with trace.span(
-            "ftm.read_disc", "ftm", {"disc_id": record.disc_id}
-        ):
-            result = yield from self._read_from_disc(record, path, priority)
+                result = FetchResult(cached_file, "file-cache", False)
+            elif image is not None:
+                # A closed image on the disk buffer (~2 ms for small files).
+                with trace.span("ftm.read_buffer", "ftm"):
+                    volume = self.scheduler.volume_for(StreamKind.USER_READ)
+                    entry = image.file_entry(path)
+                    yield Delay(IMAGE_ACCESS_SECONDS)
+                    yield from volume.read(entry.size)
+                result = FetchResult(entry.data, "buffer", mechanical=False)
+            elif record.state != BURNED:
+                raise FilesystemError(
+                    f"image {image_id} unreadable in state {record.state}"
+                )
+            else:
+                with trace.span(
+                    "ftm.read_disc", "ftm", {"disc_id": record.disc_id}
+                ):
+                    result = yield from self._read_from_disc(
+                        record, path, priority
+                    )
+            span.tag("source", result.source)
         return result
-
-    def _read_from_buffer(self, image: DiscImage, path: str) -> Generator:
-        """Case 2: closed image on the disk buffer (~2 ms for small files)."""
-        volume = self.scheduler.volume_for(StreamKind.USER_READ)
-        entry = image.mount().file_entry(path)
-        yield Delay(IMAGE_ACCESS_SECONDS)
-        yield from volume.read(entry.size)
-        return FetchResult(entry.data, "buffer", mechanical=False)
 
     def _read_from_disc(self, record, path: str, priority: int) -> Generator:
         """Cases 3-6, under the fetch retry policy.
@@ -229,8 +226,11 @@ class FetchController:
                 raise FileNotFoundOLFSError(
                     f"image {record.image_id} not on disc {drive.disc.disc_id}"
                 )
-            image = DiscImage.deserialize(on_disc.read())
-            entry = image.mount().file_entry(path)
+            blob = on_disc.read()
+            image = self._parsed.get(blob)
+            if image is None:
+                image = self._parsed[blob] = DiscImage.deserialize(blob)
+            entry = image.file_entry(path)
             # Stream the file's bytes off the disc.
             yield from drive.read_bytes(entry.size)
         except BaseException:
@@ -267,9 +267,8 @@ class FetchController:
             yield from volume.write(entry.size)
             self.file_cache.put(record.image_id, path, entry.data)
             if self.prefetcher is not None:
-                fs = image.mount()
                 for sibling in self.prefetcher.candidates(image, path):
-                    sibling_entry = fs.file_entry(sibling)
+                    sibling_entry = image.file_entry(sibling)
                     yield from drive.read_bytes(sibling_entry.size)
                     yield from volume.write(sibling_entry.size)
                     self.file_cache.put(

@@ -219,47 +219,45 @@ class MechanicalController:
         with self.engine.trace.span(
             "mc.ensure_disc_in_drive", "mc", {"disc_id": disc_id}
         ) as span:
-            result = yield from self._ensure_disc_in_drive(
-                disc_id, priority, span
-            )
-        return result
-
-    def _ensure_disc_in_drive(
-        self, disc_id: str, priority: int, span
-    ) -> Generator:
-        # Already sitting in a drive set?
-        for drive_set in self.mech.drive_sets:
-            if drive_set.find_disc(disc_id) is not None:
-                grant = yield from self.acquire_set(drive_set.set_id, priority)
+            # Already sitting in a drive set?
+            for drive_set in self.mech.drive_sets:
+                if drive_set.find_disc(disc_id) is not None:
+                    grant = yield from self.acquire_set(
+                        drive_set.set_id, priority
+                    )
+                    drive = drive_set.find_disc(disc_id)
+                    if drive is not None:
+                        span.tag("already_in_drive", True)
+                        return drive, drive_set.set_id, grant
+                    grant.release()  # moved away while we queued; fall through
+                    break
+            located = self.mech.locate_disc(disc_id)
+            if located is None:
+                raise MechanicsError(
+                    f"disc {disc_id} is nowhere in the library"
+                )
+            roller_index, address = located
+            set_id = self._choose_fetch_set(roller_index)
+            span.tag("set_id", set_id)
+            grant = yield from self.acquire_set(set_id, priority)
+            try:
+                drive_set = self.mech.drive_sets[set_id]
+                # The disc may have arrived while we waited.
                 drive = drive_set.find_disc(disc_id)
                 if drive is not None:
-                    span.tag("already_in_drive", True)
-                    return drive, drive_set.set_id, grant
-                grant.release()  # moved away while we queued; fall through
-                break
-        located = self.mech.locate_disc(disc_id)
-        if located is None:
-            raise MechanicsError(f"disc {disc_id} is nowhere in the library")
-        roller_index, address = located
-        set_id = self._choose_fetch_set(roller_index)
-        span.tag("set_id", set_id)
-        grant = yield from self.acquire_set(set_id, priority)
-        try:
-            drive_set = self.mech.drive_sets[set_id]
-            # The disc may have arrived while we waited.
-            drive = drive_set.find_disc(disc_id)
-            if drive is not None:
-                return drive, set_id, grant
-            yield from self.mech.swap_array(set_id, address, priority=priority)
-            drive = drive_set.find_disc(disc_id)
-            if drive is None:
-                raise MechanicsError(
-                    f"disc {disc_id} missing after loading tray {address}"
+                    return drive, set_id, grant
+                yield from self.mech.swap_array(
+                    set_id, address, priority=priority
                 )
-            return drive, set_id, grant
-        except BaseException:
-            grant.release()
-            raise
+                drive = drive_set.find_disc(disc_id)
+                if drive is None:
+                    raise MechanicsError(
+                        f"disc {disc_id} missing after loading tray {address}"
+                    )
+                return drive, set_id, grant
+            except BaseException:
+                grant.release()
+                raise
 
     def _choose_fetch_set(self, roller_index: int) -> int:
         """Pick the drive set a fetch should use, honouring the §4.8

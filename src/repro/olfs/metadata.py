@@ -324,7 +324,8 @@ class MetadataVolume:
             parts = split_path(entry["path"])
             parent = self._walk_to(parts[:-1], create_dirs=True)
             if entry["type"] == "dir":
-                if parts[-1] not in parent.children:
+                # may replace an index file (make_dir unlists its removal)
+                if not isinstance(parent.children.get(parts[-1]), _Dir):
                     parent.children[parts[-1]] = _Dir()
             else:
                 parent.children[parts[-1]] = _IndexNode(entry["blob"].encode())

@@ -154,90 +154,82 @@ class POSIXInterface:
         with self.engine.trace.span(
             "posix.write", "posix", {"path": path, "bytes": len(data)}
         ):
-            trace = yield from self._write_file(path, data, logical_size)
-        return trace
-
-    def _write_file(
-        self,
-        path: str,
-        data: bytes,
-        logical_size: Optional[int] = None,
-    ) -> Generator:
-        trace = OpTrace("write")
-        now = self.engine.now
-        index = yield from self._op(trace, "stat", self._stat_work(path))
-        kind = yield from self.mv.entry_kind(path)
-        if kind == "dir":
-            raise IsADirectoryOLFSError(f"{path!r} is a directory")
-        creating = index is None
-        if creating:
-            # The frontend (samba) re-stats around creation (§5.3).
-            for _ in range(self.frontend_extra_write_stats):
+            trace = OpTrace("write")
+            now = self.engine.now
+            index = yield from self._op(trace, "stat", self._stat_work(path))
+            kind = yield from self.mv.entry_kind(path)
+            if kind == "dir":
+                raise IsADirectoryOLFSError(f"{path!r} is a directory")
+            creating = index is None
+            if creating:
+                # The frontend (samba) re-stats around creation (§5.3).
+                for _ in range(self.frontend_extra_write_stats):
+                    yield from self._op(trace, "stat", self._stat_work(path))
+                index = IndexFile(path)
+                yield from self._op(
+                    trace, "mknod", self.mv.write_index(path, index, now)
+                )
                 yield from self._op(trace, "stat", self._stat_work(path))
-            index = IndexFile(path)
-            yield from self._op(
-                trace, "mknod", self.mv.write_index(path, index, now)
-            )
-            yield from self._op(trace, "stat", self._stat_work(path))
 
-        # §4.6: update in place when the current version sits in an open
-        # bucket with room (no new version entry — the old bytes are
-        # overwritten); otherwise the regenerating update writes the new
-        # copy elsewhere and bumps the version.
-        prefer = None
-        avoid: set = set()
-        if not creating:
-            old_locations = index.current.locations
-            # Every live version sitting in a still-open bucket must not
-            # be overwritten by the regenerating update.
-            for entry in index.entries:
-                for image_id in entry.locations:
-                    if self.wbm.find_bucket(image_id) is not None:
-                        avoid.add(image_id)
-            in_place_ok = (
-                self.config.update_in_place
-                and len(old_locations) == 1
-                and self.wbm.find_bucket(old_locations[0]) is not None
-            )
-            if in_place_ok:
-                prefer = old_locations[0]
-                avoid.discard(prefer)
+            # §4.6: update in place when the current version sits in an open
+            # bucket with room (no new version entry — the old bytes are
+            # overwritten); otherwise the regenerating update writes the new
+            # copy elsewhere and bumps the version.
+            prefer = None
+            avoid: set = set()
+            if not creating:
+                old_locations = index.current.locations
+                # Every live version sitting in a still-open bucket must not
+                # be overwritten by the regenerating update.
+                for entry in index.entries:
+                    for image_id in entry.locations:
+                        if self.wbm.find_bucket(image_id) is not None:
+                            avoid.add(image_id)
+                in_place_ok = (
+                    self.config.update_in_place
+                    and len(old_locations) == 1
+                    and self.wbm.find_bucket(old_locations[0]) is not None
+                )
+                if in_place_ok:
+                    prefer = old_locations[0]
+                    avoid.discard(prefer)
 
-        def do_write() -> Generator:
-            image_ids, sizes = yield from self.wbm.write_file(
-                path,
-                data,
-                logical_size,
+            def do_write() -> Generator:
+                image_ids, sizes = yield from self.wbm.write_file(
+                    path,
+                    data,
+                    logical_size,
+                    mtime=self.engine.now,
+                    prefer_bucket=prefer,
+                    avoid_buckets=avoid or None,
+                )
+                return image_ids, sizes
+
+            image_ids, sizes = yield from self._op(trace, "write", do_write())
+            size = len(data) if logical_size is None else int(logical_size)
+            in_place = (
+                not creating
+                and prefer is not None
+                and image_ids == [prefer]
+            )
+            entry = VersionEntry(
+                version=(
+                    index.current.version if in_place else index.next_version
+                ),
+                size=size,
                 mtime=self.engine.now,
-                prefer_bucket=prefer,
-                avoid_buckets=avoid or None,
+                locations=image_ids,
+                subfile_sizes=sizes,
             )
-            return image_ids, sizes
+            if in_place:
+                index.entries[-1] = entry
+            else:
+                index.add_version(entry)
+            index.forepart = self.foreparts.forepart_of(data)
 
-        image_ids, sizes = yield from self._op(trace, "write", do_write())
-        size = len(data) if logical_size is None else int(logical_size)
-        in_place = (
-            not creating
-            and prefer is not None
-            and image_ids == [prefer]
-        )
-        entry = VersionEntry(
-            version=index.current.version if in_place else index.next_version,
-            size=size,
-            mtime=self.engine.now,
-            locations=image_ids,
-            subfile_sizes=sizes,
-        )
-        if in_place:
-            index.entries[-1] = entry
-        else:
-            index.add_version(entry)
-        index.forepart = self.foreparts.forepart_of(data)
-
-        yield from self._op(
-            trace, "close", self.mv.write_index(path, index, self.engine.now)
-        )
-        self.last_trace = trace
+            close = self.mv.write_index(path, index, self.engine.now)
+            yield from self._op(trace, "close", close)
+            self.last_trace = trace
         return trace
 
     def read_file(
@@ -251,85 +243,84 @@ class POSIXInterface:
         with self.engine.trace.span(
             "posix.read", "posix", {"path": path}
         ) as span:
-            result = yield from self._read_file(path, version)
+            trace = OpTrace("read")
+            start = self.engine.now
+            index = yield from self._op(trace, "stat", self._stat_work(path))
+            if index is None:
+                self.last_trace = trace
+                raise FileNotFoundOLFSError(f"{path!r}: no such file")
+            entry = (
+                index.current if version is None else index.version(version)
+            )
+            first_byte = None
+            used_forepart = False
+            if (
+                index.forepart
+                and version is None
+                and self._needs_mechanical_fetch(entry)
+            ):
+                # §4.8: answer the first bytes from the index file right away.
+                used_forepart = True
+                from repro.olfs.forepart import FOREPART_RESPONSE_SECONDS
+
+                first_byte = (
+                    self.engine.now - start
+                ) + FOREPART_RESPONSE_SECONDS
+
+            def do_read() -> Generator:
+                parts = []
+                for image_id in entry.locations:
+                    result = yield from self.fetcher.fetch_file(image_id, path)
+                    parts.append(result)
+                return parts
+
+            timeout = self.config.client_read_timeout
+            if timeout is not None and not used_forepart:
+                # §4.8: an impatient client gives up if the fetch outlasts its
+                # deadline; the fetch keeps running in the background (and
+                # warms the cache), but this call errors out.
+                from repro.errors import TimeoutOLFSError
+                from repro.sim.engine import FirstOf
+
+                def deadline() -> Generator:
+                    yield Delay(timeout)
+                    return None
+
+                def race() -> Generator:
+                    spawn = self.engine.spawn
+                    fetch_process = spawn(do_read(), name="client-fetch")
+                    timer_process = spawn(deadline(), name="client-timer")
+                    index, value = yield FirstOf(
+                        [fetch_process, timer_process]
+                    )
+                    if index == 1:
+                        raise TimeoutOLFSError(
+                            f"read of {path!r} exceeded the client's "
+                            f"{timeout:.0f} s deadline"
+                        )
+                    return value
+
+                try:
+                    parts = yield from self._op(trace, "read", race())
+                except TimeoutOLFSError:
+                    self.last_trace = trace
+                    raise
+            else:
+                parts = yield from self._op(trace, "read", do_read())
+            if first_byte is None:
+                first_byte = self.engine.now - start
+            yield from self._op(trace, "close")
+            self.last_trace = trace
+            data = b"".join(part.data for part in parts)
+            result = ReadResult(
+                data=data,
+                source=parts[-1].source if parts else "none",
+                first_byte_seconds=first_byte,
+                total_seconds=self.engine.now - start,
+                used_forepart=used_forepart,
+            )
             span.tag("source", result.source)
         return result
-
-    def _read_file(
-        self, path: str, version: Optional[int] = None
-    ) -> Generator:
-        trace = OpTrace("read")
-        start = self.engine.now
-        index = yield from self._op(trace, "stat", self._stat_work(path))
-        if index is None:
-            self.last_trace = trace
-            raise FileNotFoundOLFSError(f"{path!r}: no such file")
-        entry = index.current if version is None else index.version(version)
-        first_byte = None
-        used_forepart = False
-        if (
-            index.forepart
-            and version is None
-            and self._needs_mechanical_fetch(entry)
-        ):
-            # §4.8: answer the first bytes from the index file right away.
-            used_forepart = True
-            from repro.olfs.forepart import FOREPART_RESPONSE_SECONDS
-
-            first_byte = (
-                self.engine.now - start
-            ) + FOREPART_RESPONSE_SECONDS
-
-        def do_read() -> Generator:
-            parts = []
-            for image_id in entry.locations:
-                result = yield from self.fetcher.fetch_file(image_id, path)
-                parts.append(result)
-            return parts
-
-        timeout = self.config.client_read_timeout
-        if timeout is not None and not used_forepart:
-            # §4.8: an impatient client gives up if the fetch outlasts its
-            # deadline; the fetch keeps running in the background (and
-            # warms the cache), but this call errors out.
-            from repro.errors import TimeoutOLFSError
-            from repro.sim.engine import FirstOf
-
-            def deadline() -> Generator:
-                yield Delay(timeout)
-                return None
-
-            def race() -> Generator:
-                spawn = self.engine.spawn
-                fetch_process = spawn(do_read(), name="client-fetch")
-                timer_process = spawn(deadline(), name="client-timer")
-                index, value = yield FirstOf([fetch_process, timer_process])
-                if index == 1:
-                    raise TimeoutOLFSError(
-                        f"read of {path!r} exceeded the client's "
-                        f"{timeout:.0f} s deadline"
-                    )
-                return value
-
-            try:
-                parts = yield from self._op(trace, "read", race())
-            except TimeoutOLFSError:
-                self.last_trace = trace
-                raise
-        else:
-            parts = yield from self._op(trace, "read", do_read())
-        if first_byte is None:
-            first_byte = self.engine.now - start
-        yield from self._op(trace, "close")
-        self.last_trace = trace
-        data = b"".join(part.data for part in parts)
-        return ReadResult(
-            data=data,
-            source=parts[-1].source if parts else "none",
-            first_byte_seconds=first_byte,
-            total_seconds=self.engine.now - start,
-            used_forepart=used_forepart,
-        )
 
     def _needs_mechanical_fetch(self, entry: VersionEntry) -> bool:
         from repro.olfs.images import BURNED
@@ -351,27 +342,23 @@ class POSIXInterface:
     def stat(self, path: str) -> Generator:
         """getattr: size/mtime/versions from the index file."""
         with self.engine.trace.span("posix.stat", "posix", {"path": path}):
-            result = yield from self._stat(path)
-        return result
-
-    def _stat(self, path: str) -> Generator:
-        trace = OpTrace("stat")
-        index = yield from self._op(trace, "stat", self._stat_work(path))
-        self.last_trace = trace
-        if index is None:
-            kind = yield from self.mv.entry_kind(path)
-            if kind == "dir":
-                return {"type": "dir"}
-            raise FileNotFoundOLFSError(f"{path!r}: no such entry")
-        entry = index.current
-        return {
-            "type": "file",
-            "size": entry.size,
-            "mtime": entry.mtime,
-            "version": entry.version,
-            "versions": index.versions(),
-            "locations": list(entry.locations),
-        }
+            trace = OpTrace("stat")
+            index = yield from self._op(trace, "stat", self._stat_work(path))
+            self.last_trace = trace
+            if index is None:
+                kind = yield from self.mv.entry_kind(path)
+                if kind == "dir":
+                    return {"type": "dir"}
+                raise FileNotFoundOLFSError(f"{path!r}: no such entry")
+            entry = index.current
+            return {
+                "type": "file",
+                "size": entry.size,
+                "mtime": entry.mtime,
+                "version": entry.version,
+                "versions": index.versions(),
+                "locations": list(entry.locations),
+            }
 
     def mkdir(self, path: str) -> Generator:
         with self.engine.trace.span("posix.mkdir", "posix", {"path": path}):

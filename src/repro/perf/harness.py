@@ -108,9 +108,12 @@ def budget_check(
     workloads: Dict[str, dict],
     budgets: Dict[str, float],
     slack: float = EVENTS_PER_OP_SLACK,
+    unit: str = "events/op",
 ) -> list[str]:
     """Failure messages for workloads above ``(1 + slack) * budget``
     engine events per op, or more than ``STALE_BUDGET_SLACK`` below it.
+    Any other ratio gates the same way, given as ``events`` over ``ops``
+    and named by ``unit`` (generator frames resumed per engine step).
 
     A saving lowers the budget with it, so slack never piles up.  A workload
     with no budget, or that reports no ``events``/``ops``, is not gated.
@@ -123,14 +126,14 @@ def budget_check(
         measured = stats["events"] / stats["ops"]
         if measured > budget * (1.0 + slack):
             failures.append(
-                f"{name}: {measured:.2f} events/op is over its budget "
-                f"({budget:.2f} + {slack:.1%}; {stats['events']} events "
-                f"/ {stats['ops']} ops)"
+                f"{name}: {measured:.2f} {unit} is over its budget "
+                f"({budget:.2f} + {slack:.1%}; {stats['events']} "
+                f"/ {stats['ops']})"
             )
         elif measured < budget * (1.0 - STALE_BUDGET_SLACK):
             lower = math.ceil(measured * 100) / 100
             failures.append(f"{name}: stale budget: lower it to {lower} "
-                            f"({measured:.3f} events/op against {budget:.2f})")
+                            f"({measured:.3f} {unit} against {budget:.2f})")
     return failures
 
 

@@ -7,7 +7,7 @@ in traces.
 
 A command is one occurrence, not two: :meth:`ControlChannel.send` hands its
 wire latency to the PLC as a *lead* and the motion sleeps through both at
-once (:func:`~repro.sim.landing.sleep_after`), ending on the instant the
+once (the :mod:`~repro.sim.landing` rule), ending on the instant the
 two sleeps ended on.  The counters, the journal entry and the spans are
 stamped with the arrival instant, so a traced or recorded run takes the
 same path, and issues the same events, as a bare one.  The wire stretch is
@@ -59,9 +59,10 @@ class ControlChannel:
                 )
         self.commands_sent += 1
         self.last_command = (arrival, instruction.mnemonic)
-        engine.recorder.record(
-            "plc.instruction", at=arrival, mnemonic=instruction.mnemonic
-        )
+        if engine.recorder.enabled:
+            engine.recorder.record(
+                "plc.instruction", at=arrival, mnemonic=instruction.mnemonic
+            )
         result = yield from self.plc.execute(instruction, lead)
         return result
 

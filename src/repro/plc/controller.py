@@ -30,7 +30,8 @@ from repro.plc.instructions import (
     SeparateDisc,
 )
 from repro.sim.engine import Delay, Engine
-from repro.sim.landing import sleep_after
+from repro.sim.landing import delay_until
+from repro.sim.tracing import NULL_TRACER
 
 
 class PLCController:
@@ -53,8 +54,6 @@ class PLCController:
         ]
         self.instructions_executed = 0
         self.faults = 0
-        #: a disc picked up by SeparateDisc awaiting drive insertion
-        self._separated = {index: None for index in range(len(arms))}
 
     @staticmethod
     def _build_suite(roller: Roller, arm: RoboticArm) -> SensorSuite:
@@ -70,106 +69,90 @@ class PLCController:
         """Run one instruction to completion; returns its result, if any.
 
         ``lead`` is wire latency the command has yet to spend (see
-        :meth:`~repro.plc.channel.ControlChannel.send`); the motion sleeps
-        through it and itself in one occurrence, and its spans open at the
-        arrival instant.  A motion that refuses, or finds nothing to move,
-        has not slept: the lead is spent here, so either outcome surfaces
-        when the command arrives.
+        :meth:`~repro.plc.channel.ControlChannel.send`).  The instruction
+        is checked now; its spans open at the arrival instant, and one
+        sleep (the :mod:`~repro.sim.landing` rule) covers the lead and the
+        motion, after which the motion commits and the sensors are read.
+        A motion that refuses, or finds nothing to move, sleeps only the
+        lead, so either outcome surfaces when the command arrives.
         """
         self.instructions_executed += 1
-        sent = self.engine.now
-        with self.engine.trace.span(
-            f"plc.{type(instruction).__name__.lower()}", "plc",
-            at=sent + lead,
-        ):
+        engine = self.engine
+        trace = engine.trace
+        arrival = engine.now + lead
+        check = _CHECKS.get(instruction.__class__)
+        with trace.span(instruction.span, "plc", at=arrival):
             try:
                 try:
-                    result = yield from self._dispatch(instruction, lead)
+                    handler = _HANDLERS.get(instruction.__class__)
+                    if handler is None:
+                        # A collect runs through collect_into_arm(), which
+                        # the caller hands the disc it took out of a drive.
+                        raise PLCFaultError(
+                            "CollectDisc must be executed via "
+                            "collect_into_arm()"
+                            if instruction.__class__ is CollectDisc
+                            else f"unknown instruction {instruction!r}"
+                        )
+                    motion = handler(self, instruction)
+                    if motion is None and check is not None:
+                        check(self, instruction)  # where it already is
                 except MechanicsError:
-                    if lead and self.engine.now == sent:
+                    if lead:
                         yield Delay(lead)  # refused on arrival
                     raise
-                if lead and self.engine.now == sent:
-                    yield Delay(lead)  # nothing to move
+                if motion is None:
+                    if lead:
+                        yield Delay(lead)  # nothing to move
+                    return None
+                seconds, name, tags, commit = motion
+                scope = (
+                    trace.span(name, name.partition(".")[0], tags, at=arrival)
+                    if name is not None
+                    else NULL_TRACER.span(name)
+                )
+                with scope:
+                    if lead:
+                        due = arrival + seconds
+                        while engine.now < due:
+                            yield Delay(delay_until(engine.now, due))
+                    else:
+                        yield Delay(seconds)
+                result = commit()
+                if check is not None:
+                    check(self, instruction)
+                return result
             except PLCFaultError:
                 self.faults += 1
                 raise
-        return result
 
-    def _dispatch(self, instruction: Instruction, lead: float) -> Generator:
-        if isinstance(instruction, Rotate):
-            roller = self.rollers[instruction.roller]
-            yield from roller.rotate_to(instruction.slot, lead)
-            self.suites[instruction.roller].verify_roller_at(instruction.slot)
-            return None
-        if isinstance(instruction, MoveArm):
-            arm = self.arms[instruction.arm]
-            yield from arm.move_to_layer(instruction.layer, lead)
-            self.suites[instruction.arm].verify_arm_at(instruction.layer)
-            return None
-        if isinstance(instruction, HookTray):
-            yield from self.arms[instruction.arm].hook_tray(lead)
-            return None
-        if isinstance(instruction, ReleaseTray):
-            yield from self.arms[instruction.arm].release_tray(lead)
-            return None
-        if isinstance(instruction, FanOut):
-            roller = self.rollers[instruction.roller]
-            arm = self.arms[instruction.roller]
-            if not arm.hooked:
-                raise PLCFaultError("fan-out without the tray hooked")
-            address = TrayAddress(instruction.layer, instruction.slot)
-            yield from roller.fan_out(address, lead)
-            return None
-        if isinstance(instruction, FanIn):
-            yield from self.rollers[instruction.roller].fan_in(lead)
-            return None
-        if isinstance(instruction, GrabStack):
-            roller = self.rollers[instruction.roller]
-            arm = self.arms[instruction.arm]
-            address = roller.fanned_out
-            if address is None:
-                raise PLCFaultError("grab-stack with no tray fanned out")
-            tray = roller.tray_at(address)
-            discs = tray.take_all()
-            yield from arm.grab_stack(discs, lead)
-            return discs
-        if isinstance(instruction, LowerStack):
-            roller = self.rollers[instruction.roller]
-            arm = self.arms[instruction.arm]
-            address = roller.fanned_out
-            if address is None:
-                raise PLCFaultError("lower-stack with no tray fanned out")
-            discs = yield from arm.lower_stack(lead)
-            roller.tray_at(address).put_back(discs)
-            return None
-        if isinstance(instruction, SeparateDisc):
-            arm = self.arms[instruction.arm]
-            disc = yield from arm.separate_next(lead)
-            suite = self.suites[instruction.arm]
-            suite.verify_separation_gap(0.0)
-            return disc
-        if isinstance(instruction, CollectDisc):
-            # The caller removes the disc from the drive and passes it via
-            # the two-phase collect protocol (see MechanicalSubsystem).
-            raise PLCFaultError(
-                "CollectDisc must be executed via collect_into_arm()"
-            )
-        if isinstance(instruction, Calibrate):
-            yield from sleep_after(self.engine, lead, 1.0)
-            for sensor in self.suites[instruction.arm].all_sensors():
+    # What the handler table calls beyond one arm or roller motion.
+    def _fan_out(self, fan_out: FanOut):
+        if not self.arms[fan_out.roller].hooked:
+            raise PLCFaultError("fan-out without the tray hooked")
+        address = TrayAddress(fan_out.layer, fan_out.slot)
+        return self.rollers[fan_out.roller].fan_out(address)
+
+    def _fanned_tray(self, roller_index: int, command: str):
+        roller = self.rollers[roller_index]
+        if roller.fanned_out is None:
+            raise PLCFaultError(f"{command} with no tray fanned out")
+        return roller.tray_at(roller.fanned_out)
+
+    def _calibrate(self, calibrate: Calibrate):
+        def repair():
+            for sensor in self.suites[calibrate.arm].all_sensors():
                 sensor.repair()
-            return None
-        raise PLCFaultError(f"unknown instruction {instruction!r}")
+
+        return 1.0, None, None, repair
 
     def health(self) -> dict:
         """Cheap read-only snapshot for the system monitor."""
         return {
             "instructions_executed": self.instructions_executed,
             "faults": self.faults,
-            "separated_pending": sum(
-                1 for disc in self._separated.values() if disc is not None
-            ),
+            # a separated disc goes straight into its drive
+            "separated_pending": 0,
             "sensors_unhealthy": sum(
                 1
                 for suite in self.suites
@@ -181,5 +164,40 @@ class PLCController:
     def collect_into_arm(self, arm_index: int, disc) -> Generator:
         """Timed fetch of one disc from a drive tray onto the arm's stack."""
         self.instructions_executed += 1
-        with self.engine.trace.span("plc.collectdisc", "plc"):
-            yield from self.arms[arm_index].collect_next(disc)
+        arm = self.arms[arm_index]
+        trace = self.engine.trace
+        with trace.span("plc.collectdisc", "plc"):
+            with trace.span("arm.collect", "arm", {"arm_id": arm.arm_id}):
+                yield Delay(arm.timings.collect_one())
+            arm.holding.append(disc)
+
+
+#: instruction class -> ``handler(plc, instruction)``: checks the
+#: instruction and returns its motion (see ``RoboticArm``), or None when
+#: there is nothing to move
+_HANDLERS = {
+    Rotate: lambda plc, i: plc.rollers[i.roller].rotate_to(i.slot),
+    MoveArm: lambda plc, i: plc.arms[i.arm].move_to_layer(i.layer),
+    HookTray: lambda plc, i: plc.arms[i.arm].hook_tray(),
+    ReleaseTray: lambda plc, i: plc.arms[i.arm].release_tray(),
+    FanOut: PLCController._fan_out,
+    FanIn: lambda plc, i: plc.rollers[i.roller].fan_in(),
+    GrabStack: lambda plc, i: plc.arms[i.arm].grab_stack(
+        plc._fanned_tray(i.roller, "grab-stack")
+    ),
+    LowerStack: lambda plc, i: plc.arms[i.arm].lower_stack(
+        plc._fanned_tray(i.roller, "lower-stack")
+    ),
+    SeparateDisc: lambda plc, i: plc.arms[i.arm].separate_next(),
+    Calibrate: PLCController._calibrate,
+}
+
+#: instruction class -> the sensor check after its motion commits (or at
+#: once, when there was nothing to move)
+_CHECKS = {
+    Rotate: lambda plc, i: plc.suites[i.roller].verify_roller_at(i.slot),
+    MoveArm: lambda plc, i: plc.suites[i.arm].verify_arm_at(i.layer),
+    SeparateDisc: lambda plc, i: (
+        plc.suites[i.arm].verify_separation_gap(0.0)
+    ),
+}

@@ -8,16 +8,22 @@ mechanical operations".  Each instruction is a small immutable record; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
 class Instruction:
-    """Base class for PLC instructions."""
+    """Base class for PLC instructions; ``mnemonic`` (``ROTATE``) is what
+    the channel journals, ``span`` (``plc.rotate``) what the PLC traces."""
 
-    @property
-    def mnemonic(self) -> str:
-        return type(self).__name__.upper()
+    mnemonic: ClassVar[str] = "INSTRUCTION"
+    span: ClassVar[str] = "plc.instruction"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.mnemonic = cls.__name__.upper()
+        cls.span = f"plc.{cls.__name__.lower()}"
 
 
 @dataclass(frozen=True)

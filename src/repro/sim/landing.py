@@ -1,15 +1,15 @@
 """Landing the clock on an instant computed ahead of time.
 
 The engine wakes a sleeper at ``now + delay``; a caller that knows the
-instant it must wake at, not the delay, gets the delay from here.
+instant it must wake at, not the delay, gets the delay from here, in a
+loop on ``engine.now < due``: a burn's ``nap``, and a PLC instruction
+sleeping its command's wire latency and its motion as one, until ``(now +
+lead) + seconds`` (where ``Delay(lead)``, ``Delay(seconds)`` would end).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Generator
-
-from repro.sim.engine import Delay, Engine
 
 
 def delay_until(now: float, due: float) -> float:
@@ -22,17 +22,3 @@ def delay_until(now: float, due: float) -> float:
     while now + delay > due:
         delay = math.nextafter(delay, 0.0)
     return delay
-
-
-def sleep_after(engine: Engine, lead: float, seconds: float) -> Generator:
-    """Sleep ``seconds`` starting ``lead`` from now, in one occurrence.
-
-    Ends on the very double ``Delay(lead)`` then ``Delay(seconds)`` would
-    end on; with no lead it is ``Delay(seconds)`` itself.
-    """
-    if not lead:
-        yield Delay(seconds)
-        return
-    due = (engine.now + lead) + seconds
-    while engine.now < due:
-        yield Delay(delay_until(engine.now, due))

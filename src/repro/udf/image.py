@@ -15,6 +15,8 @@ Three kinds exist:
 
 The serialized layout is self-describing (magic + JSON header + extents),
 which is what lets recovery reconstruct everything from survived discs.
+Parsing one decodes only the header: a file is sliced out of the bytes
+when read, and the tree is built the first time something walks it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.errors import MediaError
+from repro.errors import FileNotFoundOLFSError, MediaError
 from repro.udf.constants import FORMAT_VERSION, VOLUME_MAGIC
 from repro.udf.entry import DirectoryEntry, FileEntry
 from repro.udf.filesystem import UDFFileSystem
@@ -46,6 +48,25 @@ def _decode_header(blob: bytes) -> tuple[dict, int]:
     return json.loads(blob[cursor : cursor + head_len]), cursor + head_len
 
 
+def _mount(blob: bytes) -> UDFFileSystem:
+    """The closed UDF volume a data or metadata image's bytes hold."""
+    header, cursor = _decode_header(blob)
+    fs = UDFFileSystem(header["capacity"], label=header["label"])
+    for entry in header["entries"]:
+        if entry["type"] == "dir":
+            fs.makedirs(entry["path"], mtime=entry["mtime"])
+        else:
+            start = cursor + entry["offset"]
+            fs.write_file(
+                entry["path"],
+                blob[start : start + entry["length"]],
+                logical_size=entry["size"],
+                mtime=entry["mtime"],
+            )
+    fs.close()
+    return fs
+
+
 def _volume(header: dict, *body) -> bytes:
     """magic | header length | JSON header | body, in one copy."""
     head = json.dumps(header, sort_keys=True).encode()
@@ -56,7 +77,8 @@ def _volume(header: dict, *body) -> bytes:
 class DiscImage:
     """An identified, serializable volume that swaps between disks and discs.
 
-    ``serialized``: a parity image's volume bytes, which ``raw`` views."""
+    ``serialized``: the volume's bytes.  A parity image's ``raw`` views
+    them; a parsed data or metadata image reads its files out of them."""
 
     def __init__(
         self,
@@ -72,7 +94,7 @@ class DiscImage:
         if kind == PARITY:
             if raw is None:
                 raise ValueError("parity images need raw bytes")
-        elif filesystem is None:
+        elif filesystem is None and serialized is None:
             raise ValueError(f"{kind} images need a filesystem")
         self.image_id = image_id
         self.kind = kind
@@ -91,6 +113,9 @@ class DiscImage:
             }, raw)
             self.raw = memoryview(serialized)[len(serialized) - len(raw):]
         self._serialized = serialized
+        #: a parsed image's files: path -> (offset in ``_serialized``,
+        #: length, size, mtime); None for one built from a filesystem
+        self._files: Optional[dict[str, tuple]] = None
 
     @property
     def logical_size(self) -> int:
@@ -99,13 +124,30 @@ class DiscImage:
             return self._declared_size
         if self.kind == PARITY:
             return len(self.raw)
-        return self.filesystem.used_bytes
+        return self.mount().used_bytes
 
     def mount(self) -> UDFFileSystem:
-        """The image's read-only file system view (data/metadata only)."""
+        """The image's read-only file system view (data/metadata only);
+        a parsed image builds it from its bytes the first time."""
         if self.filesystem is None:
-            raise MediaError(f"image {self.image_id} ({self.kind}) has no fs")
+            if self.kind == PARITY:
+                raise MediaError(
+                    f"image {self.image_id} ({self.kind}) has no fs"
+                )
+            self.filesystem = _mount(self._serialized)
         return self.filesystem
+
+    def file_entry(self, path: str) -> FileEntry:
+        """The file at ``path``; a parsed image slices it out of its
+        bytes without building the tree."""
+        if self._files is None:
+            return self.mount().file_entry(path)
+        try:
+            start, length, size, mtime = self._files[path]
+        except KeyError:
+            raise FileNotFoundOLFSError(f"{path!r}: no such file") from None
+        data = self._serialized[start : start + length]
+        return FileEntry(path.rpartition("/")[2], data, size, mtime)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -119,7 +161,7 @@ class DiscImage:
         entries = []
         extents = []
         offset = 0
-        fs = self.filesystem
+        fs = self.mount()
         for path, entry in fs.walk():
             if isinstance(entry, DirectoryEntry):
                 entries.append({"path": path, "type": "dir", "mtime": entry.mtime})
@@ -149,7 +191,8 @@ class DiscImage:
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "DiscImage":
-        """Rebuild an image (and its fs) from serialized bytes."""
+        """Rebuild an image from serialized bytes, which it keeps: only
+        the header is decoded (see :meth:`file_entry` and :meth:`mount`)."""
         header, cursor = _decode_header(blob)
         if header.get("version") != FORMAT_VERSION:
             raise MediaError(
@@ -167,27 +210,19 @@ class DiscImage:
                 logical_size=header["logical_size"],
                 serialized=serialized,
             )
-        fs = UDFFileSystem(header["capacity"], label=header["label"])
-        data_base = cursor
-        for entry in header["entries"]:
-            if entry["type"] == "dir":
-                fs.makedirs(entry["path"], mtime=entry["mtime"])
-            else:
-                start = data_base + entry["offset"]
-                payload = blob[start : start + entry["length"]]
-                fs.write_file(
-                    entry["path"],
-                    payload,
-                    logical_size=entry["size"],
-                    mtime=entry["mtime"],
-                )
-        fs.close()
-        return cls(
+        image = cls(
             header["image_id"],
             kind=kind,
-            filesystem=fs,
             logical_size=header["logical_size"],
+            serialized=blob,
         )
+        image._files = {
+            entry["path"]: (cursor + entry["offset"], entry["length"],
+                            entry["size"], entry["mtime"])
+            for entry in header["entries"]
+            if entry["type"] != "dir"
+        }
+        return image
 
     @staticmethod
     def peek_header(blob: bytes) -> dict:

@@ -14,7 +14,17 @@ from repro.mechanics import (
     TrayAddress,
 )
 from repro.mechanics.timing import DEFAULT_TIMINGS
-from repro.plc import Calibrate, FanOut, GrabStack, HookTray, MoveArm, Rotate
+from repro.plc import (
+    Calibrate,
+    FanIn,
+    FanOut,
+    GrabStack,
+    HookTray,
+    LowerStack,
+    MoveArm,
+    ReleaseTray,
+    Rotate,
+)
 from repro.plc.channel import COMMAND_LATENCY
 from repro.obs.recorder import FlightRecorder
 from repro.sim import Delay, Engine, Tracer
@@ -614,3 +624,49 @@ def test_live_answers_for_untargeted_faults_at_the_given_instant():
     injector.stop()
     assert not injector.live(PLC_CHANNEL_SITE, 0.001)
     assert not NULL_FAULTS.live(PLC_CHANNEL_SITE, 0.001)
+
+
+# ----------------------------------------------------------------------
+# A refused stack command checks everything before it moves a disc
+# ----------------------------------------------------------------------
+def _discs_anywhere(subsystem):
+    held = sum(len(arm.holding) for arm in subsystem.arms)
+    return subsystem.total_discs() + held
+
+
+def _holding_a_stack_before(tray):
+    """A rig whose arm holds tray (2, 1)'s stack and has ``tray``, full
+    and never checked out, fanned out in front of it."""
+    engine, subsystem = _rig()
+    for instruction in (
+        Rotate(0, 1), MoveArm(0, 2), HookTray(0), FanOut(0, 2, 1),
+        GrabStack(0, 0), ReleaseTray(0), FanIn(0),
+        Rotate(0, tray.slot), MoveArm(0, tray.layer), HookTray(0),
+        FanOut(0, tray.layer, tray.slot),
+    ):
+        engine.run_process(subsystem.channel.send(instruction))
+    assert len(subsystem.arms[0].holding) == 12
+    assert subsystem.tray_at(0, tray).is_full
+    return engine, subsystem
+
+
+@pytest.mark.parametrize(
+    "instruction, message",
+    [
+        (GrabStack(0, 0), "arm is already holding discs"),
+        (LowerStack(0, 0), "was not checked out"),
+    ],
+)
+def test_a_refused_stack_command_loses_no_disc(instruction, message):
+    tray = TrayAddress(3, 2)
+    engine, subsystem = _holding_a_stack_before(tray)
+    before = _discs_anywhere(subsystem)
+    sent = engine.now
+    with pytest.raises(MechanicsError, match=message):
+        engine.run_process(subsystem.channel.send(instruction))
+    assert engine.now == sent + COMMAND_LATENCY  # refused on arrival
+    assert _discs_anywhere(subsystem) == before
+    assert len(subsystem.arms[0].holding) == 12
+    assert subsystem.tray_at(0, tray).is_full
+    assert not subsystem.tray_at(0, tray).checked_out
+

@@ -620,3 +620,21 @@ def test_delta_keeps_a_directory_whose_files_are_gone(mv):
     volume.apply_delta(delta)
     assert volume.serialize_snapshot() == live
     assert engine.run_process(volume.listdir("/d")) == ["e"]
+
+
+def test_delta_replaces_a_removed_file_by_the_directory_made_there(mv):
+    """Removing an index file and making a directory at its path leaves
+    the path out of the delta's deletions; recovery kept the old file."""
+    engine, volume = mv
+    engine.run_process(volume.write_index("/b", make_index("/b")))
+    base = volume.serialize_snapshot()
+    volume.clear_change_tracking()
+    engine.run_process(volume.remove_index("/b"))
+    engine.run_process(volume.make_dir("/b"))
+    delta = volume.collect_delta()
+    live = volume.serialize_snapshot()
+    volume.load_snapshot(base)
+    volume.apply_delta(delta)
+    assert volume.serialize_snapshot() == live
+    assert engine.run_process(volume.entry_kind("/b")) == "dir"
+

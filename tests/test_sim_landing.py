@@ -2,8 +2,22 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.mechanics import MechanicalSubsystem, RollerGeometry
+from repro.mechanics.timing import DEFAULT_TIMINGS
+from repro.plc import Rotate
 from repro.sim import Delay, Engine
-from repro.sim.landing import delay_until, sleep_after
+from repro.sim.landing import delay_until
+
+
+def sleep_after(engine, lead, seconds):
+    """The rule ``PLCController.execute`` inlines: sleep ``seconds``
+    starting ``lead`` from now, in one occurrence."""
+    if not lead:
+        yield Delay(seconds)
+        return
+    due = (engine.now + lead) + seconds
+    while engine.now < due:
+        yield Delay(delay_until(engine.now, due))
 
 
 def test_delay_until_steps_back_from_a_ulp_past_due():
@@ -69,3 +83,23 @@ def test_sleep_after_ends_where_the_two_delays_end(start, lead, seconds):
     stepped_end, stepped_events = _end_of(_stepped(lead, seconds), start)
     assert fused_end.hex() == stepped_end.hex()
     assert fused_events <= stepped_events
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.floats(0.0, 1e4), lead=st.floats(1e-6, 0.1))
+def test_a_plc_motion_ends_where_sleep_after_does(start, lead):
+    engine = Engine()
+    geometry = RollerGeometry(layers=3, slots_per_layer=3, discs_per_tray=2)
+    plc = MechanicalSubsystem(engine, roller_count=1, geometry=geometry).plc
+
+    def body():
+        yield Delay(start)
+        yield from plc.execute(Rotate(0, 1), lead)
+
+    engine.run_process(body())
+    reference = _end_of(
+        lambda engine: sleep_after(engine, lead, DEFAULT_TIMINGS.rotate),
+        start,
+    )
+    assert (engine.now.hex(), engine.events_issued) \
+        == (reference[0].hex(), reference[1])
