@@ -264,7 +264,7 @@ class MaintenanceInterface:
                 )
                 changed = True
             if changed:
-                yield from self.mv.write_index(path, index, self.engine.now)
+                yield from self.mv.write_index(path, index)
         # The lost image is superseded: its data lives on in the new
         # buckets (which will burn to a fresh array); mark it dead.
         self.dim.mark_lost(lost_image_id)

@@ -17,7 +17,7 @@ checkpoints.
 from __future__ import annotations
 
 import json
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.errors import (
     FileExistsOLFSError,
@@ -37,37 +37,22 @@ MV_BLOCK_SIZE = 1024
 MV_INODE_SIZE = 128
 
 
-class _Dir:
-    __slots__ = ("children", "mtime")
-
-    def __init__(self):
-        self.children: dict[str, object] = {}
-        self.mtime = 0.0
-
-
 class _IndexNode:
-    """A stored index file, held in one form: the writer's parsed record
-    (``parsed``), or a checkpoint's ``blob`` until the first read parses
-    it.  ``size`` is the encoded length every charge carries."""
+    """A stored index file: its parsed record and the encoded length
+    every charge carries."""
 
-    __slots__ = ("blob", "mtime", "parsed", "size")
+    __slots__ = ("parsed", "size")
 
-    def __init__(self, blob=None, parsed=None, mtime: float = 0.0):
-        self.blob = blob
+    def __init__(self, parsed: IndexFile):
         self.parsed = parsed
-        self.mtime = mtime
-        self.size = len(blob) if parsed is None else parsed.serialized_size()
+        self.size = parsed.serialized_size()
 
     def index(self) -> IndexFile:
-        if self.parsed is None:
-            self.parsed = IndexFile.deserialize(self.blob)
-            self.blob = None
         return self.parsed.copy()
 
     def encoded(self) -> str:
-        """The index file's bytes as a checkpoint entry carries them."""
-        blob = self.blob if self.parsed is None else self.parsed.serialize()
-        return blob.decode()
+        """The index file's bytes as a snapshot entry carries them."""
+        return self.parsed.serialize().decode()
 
 
 class MetadataVolume:
@@ -76,30 +61,24 @@ class MetadataVolume:
     def __init__(self, engine: Engine, volume: Volume):
         self.engine = engine
         self.volume = volume
-        self._root = _Dir()
+        #: a directory is its children dict; a file is an _IndexNode
+        self._root: dict = {}
         self._state: dict[str, dict] = {}
         self.lookups = 0
         self.updates = 0
-        # Change tracking for incremental checkpoints (§4.2 extension):
-        # paths touched / removed since the last checkpoint cleared them.
-        self._dirty: set[str] = set()
-        self._deleted: set[str] = set()
 
     # ------------------------------------------------------------------
     # Tree plumbing (untimed)
     # ------------------------------------------------------------------
-    def _walk_to(self, parts: list[str], create_dirs: bool = False) -> _Dir:
+    def _walk_to(self, parts: list[str], create_dirs: bool = False) -> dict:
         node = self._root
-        for depth, part in enumerate(parts, 1):
-            child = node.children.get(part)
+        for part in parts:
+            child = node.get(part)
             if child is None:
                 if not create_dirs:
                     raise FileNotFoundOLFSError(f"missing directory {part!r}")
-                child = _Dir()
-                node.children[part] = child
-                # the next delta carries it, even once its files are gone
-                self._dirty.add("/" + "/".join(parts[:depth]))
-            if not isinstance(child, _Dir):
+                child = node[part] = {}
+            if not isinstance(child, dict):
                 raise NotADirectoryOLFSError(f"{part!r} is an index file")
             node = child
         return node
@@ -109,9 +88,9 @@ class MetadataVolume:
         if not parts:
             return self._root
         parent = self._walk_to(parts[:-1])
-        if parts[-1] not in parent.children:
+        if parts[-1] not in parent:
             raise FileNotFoundOLFSError(f"{path!r}: not in MV")
-        return parent.children[parts[-1]]
+        return parent[parts[-1]]
 
     # ------------------------------------------------------------------
     # Timed namespace operations
@@ -127,62 +106,53 @@ class MetadataVolume:
     def is_dir(self, path: str) -> Generator:
         yield from self._charge_lookup(0)
         try:
-            return isinstance(self._find(path), _Dir)
+            return isinstance(self._find(path), dict)
         except (FileNotFoundOLFSError, NotADirectoryOLFSError):
             return False
 
     def lookup_index(self, path: str) -> Generator:
         """Timed read of an index file (a private copy); raises if absent."""
         node = self._find(path)  # untimed check first: miss costs too
-        if isinstance(node, _Dir):
+        if isinstance(node, dict):
             raise FileNotFoundOLFSError(f"{path!r} is a directory in MV")
         yield from self._charge_lookup(node.size)
         return node.index()
 
-    def write_index(
-        self, path: str, index: IndexFile, mtime: float = 0.0
-    ) -> Generator:
+    def write_index(self, path: str, index: IndexFile) -> Generator:
         """Create or update an index file, creating ancestor directories."""
         parts = split_path(path)
         if not parts:
             raise InvalidPathError("cannot index the root")
         parent = self._walk_to(parts[:-1], create_dirs=True)
-        existing = parent.children.get(parts[-1])
-        if isinstance(existing, _Dir):
+        if isinstance(parent.get(parts[-1]), dict):
             raise FileExistsOLFSError(f"{path!r} is a directory in MV")
-        node = _IndexNode(parsed=index.copy(), mtime=mtime)
-        parent.children[parts[-1]] = node
-        self._dirty.add(path)
-        self._deleted.discard(path)
+        node = parent[parts[-1]] = _IndexNode(index.copy())
         yield from self._charge_update(node.size)
 
-    def make_dir(self, path: str, mtime: float = 0.0) -> Generator:
-        parts = split_path(path)
-        self._walk_to(parts, create_dirs=True).mtime = mtime
-        self._dirty.add(path)
-        self._deleted.discard(path)
+    def make_dir(self, path: str) -> Generator:
+        self._walk_to(split_path(path), create_dirs=True)
         yield from self._charge_update(0)
 
     def remove_index(self, path: str) -> Generator:
         parts = split_path(path)
+        if not parts:
+            raise IsADirectoryOLFSError("cannot unlink the root")
         parent = self._walk_to(parts[:-1])
-        if parts[-1] not in parent.children:
+        if parts[-1] not in parent:
             raise FileNotFoundOLFSError(f"{path!r}: not in MV")
-        if isinstance(parent.children[parts[-1]], _Dir):
+        if isinstance(parent[parts[-1]], dict):
             # unlink(2): a directory is not unlinked, and dropping it would
-            # drop its files without recording them in the next delta
+            # silently drop every file under it
             raise IsADirectoryOLFSError(f"{path!r} is a directory in MV")
-        del parent.children[parts[-1]]
-        self._dirty.discard(path)
-        self._deleted.add(path)
+        del parent[parts[-1]]
         yield from self._charge_update(0)
 
     def listdir(self, path: str) -> Generator:
         node = self._root if path == "/" else self._find(path)
-        if not isinstance(node, _Dir):
+        if not isinstance(node, dict):
             raise NotADirectoryOLFSError(f"{path!r} is an index file")
         yield from self._charge_lookup(0)
-        return sorted(node.children)
+        return sorted(node)
 
     def entry_kind(self, path: str) -> Generator:
         """'dir', 'file', or None — one lookup charge."""
@@ -191,7 +161,7 @@ class MetadataVolume:
             node = self._find(path)
         except (FileNotFoundOLFSError, NotADirectoryOLFSError):
             return None
-        return "dir" if isinstance(node, _Dir) else "file"
+        return "dir" if isinstance(node, dict) else "file"
 
     # ------------------------------------------------------------------
     # System state (§4.2: running state + checkpoints live in MV)
@@ -211,11 +181,11 @@ class MetadataVolume:
     def all_index_paths(self) -> list[str]:
         paths: list[str] = []
 
-        def recurse(prefix: str, directory: _Dir):
-            for name in sorted(directory.children):
-                child = directory.children[name]
+        def recurse(prefix: str, directory: dict):
+            for name in sorted(directory):
+                child = directory[name]
                 path = f"{prefix}/{name}"
-                if isinstance(child, _Dir):
+                if isinstance(child, dict):
                     recurse(path, child)
                 else:
                     paths.append(path)
@@ -226,7 +196,7 @@ class MetadataVolume:
     def peek_index(self, path: str) -> IndexFile:
         """Untimed index read (recovery verification, tests)."""
         node = self._find(path)
-        if isinstance(node, _Dir):
+        if isinstance(node, dict):
             raise FileNotFoundOLFSError(f"{path!r} is a directory in MV")
         return node.index()
 
@@ -234,11 +204,11 @@ class MetadataVolume:
         """MV footprint with 1 KB blocks + 128 B inodes (§4.2 sizing)."""
         total = 0
 
-        def recurse(directory: _Dir):
+        def recurse(directory: dict):
             nonlocal total
             total += MV_INODE_SIZE + MV_BLOCK_SIZE  # dir inode + block
-            for child in directory.children.values():
-                if isinstance(child, _Dir):
+            for child in directory.values():
+                if isinstance(child, dict):
                     recurse(child)
                 else:
                     blocks = -(-child.size // MV_BLOCK_SIZE)
@@ -253,11 +223,11 @@ class MetadataVolume:
     def serialize_snapshot(self) -> bytes:
         entries = []
 
-        def recurse(prefix: str, directory: _Dir):
-            for name in sorted(directory.children):
-                child = directory.children[name]
+        def recurse(prefix: str, directory: dict):
+            for name in sorted(directory):
+                child = directory[name]
                 path = f"{prefix}/{name}"
-                if isinstance(child, _Dir):
+                if isinstance(child, dict):
                     entries.append({"path": path, "type": "dir"})
                     recurse(path, child)
                 else:
@@ -272,72 +242,17 @@ class MetadataVolume:
 
     def load_snapshot(self, blob: bytes) -> None:
         snapshot = json.loads(blob)
-        self._root = _Dir()
+        self._root = {}
         self._state = snapshot["state"]
         for entry in snapshot["entries"]:
             parts = split_path(entry["path"])
             parent = self._walk_to(parts[:-1], create_dirs=True)
             if entry["type"] == "dir":
-                if parts[-1] not in parent.children:
-                    parent.children[parts[-1]] = _Dir()
+                parent.setdefault(parts[-1], {})
             else:
-                parent.children[parts[-1]] = _IndexNode(entry["blob"].encode())
-
-    # ------------------------------------------------------------------
-    # Incremental checkpoints (§4.2 extension)
-    # ------------------------------------------------------------------
-    def collect_delta(self) -> bytes:
-        """Serialize only the entries changed since the last checkpoint."""
-        entries = []
-        for path in sorted(self._dirty):
-            try:
-                node = self._find(path)
-            except (FileNotFoundOLFSError, NotADirectoryOLFSError):
-                continue  # vanished since dirtied
-            if isinstance(node, _Dir):
-                entries.append({"path": path, "type": "dir"})
-            else:
-                entries.append(
-                    {"path": path, "type": "index", "blob": node.encoded()}
+                parent[parts[-1]] = _IndexNode(
+                    IndexFile.deserialize(entry["blob"].encode())
                 )
-        return json.dumps(
-            {
-                "state": self._state,
-                "entries": entries,
-                "deleted": sorted(self._deleted),
-            },
-            sort_keys=True,
-        ).encode()
-
-    def apply_delta(self, blob: bytes) -> None:
-        """Replay a delta over the current tree (after the base load)."""
-        delta = json.loads(blob)
-        self._state = delta.get("state", self._state)
-        for path in delta.get("deleted", []):
-            parts = split_path(path)
-            try:
-                parent = self._walk_to(parts[:-1])
-            except (FileNotFoundOLFSError, NotADirectoryOLFSError):
-                continue  # parent already gone: nothing to delete
-            parent.children.pop(parts[-1], None)
-        for entry in delta["entries"]:
-            parts = split_path(entry["path"])
-            parent = self._walk_to(parts[:-1], create_dirs=True)
-            if entry["type"] == "dir":
-                # may replace an index file (make_dir unlists its removal)
-                if not isinstance(parent.children.get(parts[-1]), _Dir):
-                    parent.children[parts[-1]] = _Dir()
-            else:
-                parent.children[parts[-1]] = _IndexNode(entry["blob"].encode())
-
-    def clear_change_tracking(self) -> None:
-        """Called after a checkpoint burns successfully."""
-        self._dirty.clear()
-        self._deleted.clear()
-
-    @property
-    def pending_changes(self) -> int:
-        return len(self._dirty) + len(self._deleted)
 
     # ------------------------------------------------------------------
     def _charge_lookup(self, nbytes: int) -> Generator:

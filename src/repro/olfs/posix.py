@@ -155,7 +155,6 @@ class POSIXInterface:
             "posix.write", "posix", {"path": path, "bytes": len(data)}
         ):
             trace = OpTrace("write")
-            now = self.engine.now
             index = yield from self._op(trace, "stat", self._stat_work(path))
             kind = yield from self.mv.entry_kind(path)
             if kind == "dir":
@@ -167,7 +166,7 @@ class POSIXInterface:
                     yield from self._op(trace, "stat", self._stat_work(path))
                 index = IndexFile(path)
                 yield from self._op(
-                    trace, "mknod", self.mv.write_index(path, index, now)
+                    trace, "mknod", self.mv.write_index(path, index)
                 )
                 yield from self._op(trace, "stat", self._stat_work(path))
 
@@ -227,7 +226,7 @@ class POSIXInterface:
                 index.add_version(entry)
             index.forepart = self.foreparts.forepart_of(data)
 
-            close = self.mv.write_index(path, index, self.engine.now)
+            close = self.mv.write_index(path, index)
             yield from self._op(trace, "close", close)
             self.last_trace = trace
         return trace
@@ -366,9 +365,7 @@ class POSIXInterface:
             kind = yield from self.mv.entry_kind(path)
             if kind is not None:
                 raise FileExistsOLFSError(f"{path!r} exists")
-            yield from self._op(
-                trace, "mkdir", self.mv.make_dir(path, self.engine.now)
-            )
+            yield from self._op(trace, "mkdir", self.mv.make_dir(path))
             self.last_trace = trace
 
     def readdir(self, path: str) -> Generator:

@@ -64,31 +64,17 @@ class RecoveryManager:
         self.btm = btm
         self._snapshot_counter = itertools.count(1)
         self._metadata_counter = itertools.count(1)
-        #: id of the last successfully burned checkpoint (delta base)
-        self._last_checkpoint_id: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Checkpoint burning
     # ------------------------------------------------------------------
-    def burn_mv_snapshot(self, incremental: bool = False) -> Generator:
+    def burn_mv_snapshot(self) -> Generator:
         """Serialize MV, chunk it into metadata images, burn the arrays.
 
-        ``incremental=True`` burns only the entries changed since the last
-        checkpoint (a *delta* chained to its base) — far fewer discs for a
-        mostly-static namespace.  Returns the completed
-        :class:`BurnTask` objects.
+        Returns the completed :class:`BurnTask` objects.
         """
         snapshot_id = next(self._snapshot_counter)
-        if incremental:
-            if self._last_checkpoint_id is None:
-                raise FilesystemError(
-                    "no base checkpoint: burn a full snapshot first"
-                )
-            blob = self.mv.collect_delta()
-            kind, base = "delta", self._last_checkpoint_id
-        else:
-            blob = self.mv.serialize_snapshot()
-            kind, base = "full", None
+        blob = self.mv.serialize_snapshot()
         chunk_size = self.config.bucket_capacity - _CHUNK_OVERHEAD
         if chunk_size <= 0:
             raise FilesystemError("bucket capacity too small for snapshots")
@@ -107,8 +93,6 @@ class RecoveryManager:
                         "snapshot": snapshot_id,
                         "seq": seq,
                         "total": len(chunks),
-                        "kind": kind,
-                        "base": base,
                     }
                 ).encode(),
                 mtime=self.engine.now,
@@ -125,24 +109,21 @@ class RecoveryManager:
 
         for task in tasks:
             yield Wait(task.done_event)
-        self._last_checkpoint_id = snapshot_id
-        self.mv.clear_change_tracking()
         return tasks
 
     # ------------------------------------------------------------------
     # MV recovery from discs (the ~30-minute experiment)
     # ------------------------------------------------------------------
     def recover_mv_from_discs(self) -> Generator:
-        """Scan used arrays for MV checkpoints and rebuild the newest view.
+        """Scan used arrays for MV snapshots and load the newest one.
 
-        Loads the newest *complete full* snapshot, then replays every
-        complete delta chained after it in order.  Returns
-        ``(last_applied_snapshot_id, discs_read)``.  Timed: every
-        candidate array is mechanically loaded and its metadata chunks
-        streamed off the discs.
+        The newest snapshot whose every chunk was read wins.  Returns
+        ``(snapshot_id, discs_read)``.  Timed: every candidate array is
+        mechanically loaded and its metadata chunks streamed off the
+        discs.
         """
         chunks: dict[int, dict[int, bytes]] = {}
-        meta: dict[int, dict] = {}
+        totals: dict[int, int] = {}
         discs_read = 0
         for (roller, address), state in sorted(self.mc.da_index.items()):
             if state is not ArrayState.USED:
@@ -159,48 +140,23 @@ class RecoveryManager:
                 fs = image.mount()
                 manifest = json.loads(fs.read_file("/mv/manifest.json"))
                 snapshot_id = manifest["snapshot"]
-                meta[snapshot_id] = {
-                    "total": manifest["total"],
-                    "kind": manifest.get("kind", "full"),
-                    "base": manifest.get("base"),
-                }
+                totals[snapshot_id] = manifest["total"]
                 seq = manifest["seq"]
                 chunks.setdefault(snapshot_id, {})[seq] = fs.read_file(
                     f"/mv/chunk-{seq:06d}"
                 )
 
-        def complete(snapshot_id: int) -> bool:
-            have = chunks.get(snapshot_id, {})
-            return len(have) == meta[snapshot_id]["total"]
-
-        def blob_of(snapshot_id: int) -> bytes:
-            have = chunks[snapshot_id]
-            return b"".join(have[seq] for seq in sorted(have))
-
-        fulls = [
+        complete = [
             snapshot_id
-            for snapshot_id, info in meta.items()
-            if info["kind"] == "full" and complete(snapshot_id)
+            for snapshot_id, have in chunks.items()
+            if len(have) == totals[snapshot_id]
         ]
-        if not fulls:
+        if not complete:
             raise FilesystemError("no complete MV snapshot found on discs")
-        base = max(fulls)
-        self.mv.load_snapshot(blob_of(base))
-        applied = base
-        for snapshot_id in sorted(meta):
-            if snapshot_id <= base:
-                continue
-            info = meta[snapshot_id]
-            if (
-                info["kind"] == "delta"
-                and info.get("base") == applied
-                and complete(snapshot_id)
-            ):
-                self.mv.apply_delta(blob_of(snapshot_id))
-                applied = snapshot_id
-        self.mv.clear_change_tracking()
-        self._last_checkpoint_id = applied
-        return applied, discs_read
+        newest = max(complete)
+        have = chunks[newest]
+        self.mv.load_snapshot(b"".join(have[seq] for seq in sorted(have)))
+        return newest, discs_read
 
     def _with_retries(self, factory, label: str) -> Generator:
         """Run ``factory()`` (a fresh generator per attempt) under the
@@ -310,7 +266,7 @@ class RecoveryManager:
                     )
                 )
             if index.entries:
-                yield from self.mv.write_index(path, index, self.engine.now)
+                yield from self.mv.write_index(path, index)
                 restored += 1
         return restored
 

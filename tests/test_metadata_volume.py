@@ -298,27 +298,25 @@ def test_loaded_trees_are_parsed_from_their_blobs(mv):
         index.forepart = path.encode() * 100
         engine.run_process(volume.write_index(path, index))
     snapshot = volume.serialize_snapshot()
-    volume.clear_change_tracking()
     changed = make_index("/s/b", image="img-2")
     engine.run_process(volume.write_index("/s/b", changed))
     engine.run_process(volume.write_index("/s/c", make_index("/s/c")))
     engine.run_process(volume.remove_index("/s/a"))
-    delta = volume.collect_delta()
 
     volume.load_snapshot(snapshot)
-    for path in ("/s/a", "/s/b"):
-        blob = volume._find(path).blob
+    blobs = {
+        entry["path"]: entry["blob"].encode()
+        for entry in json.loads(snapshot)["entries"]
+        if entry["type"] == "index"
+    }
+    assert volume.all_index_paths() == sorted(blobs) == ["/s/a", "/s/b"]
+    for path, blob in blobs.items():
         expected = fields(IndexFile.deserialize(blob))
         assert fields(volume.peek_index(path)) == expected
         assert fields(engine.run_process(volume.lookup_index(path))) \
             == expected
-    volume.apply_delta(delta)
-    assert volume.all_index_paths() == ["/s/b", "/s/c"]
-    for path in ("/s/b", "/s/c"):
-        blob = volume._find(path).blob
-        assert fields(volume.peek_index(path)) \
-            == fields(IndexFile.deserialize(blob))
-    assert volume.peek_index("/s/b").current.locations == ["img-2"]
+        assert volume._find(path).size == len(blob)
+    assert volume.peek_index("/s/b").current.locations == ["img-1"]
 
 
 def test_charges_carry_the_encoded_size(mv):
@@ -353,15 +351,12 @@ def test_version_entries_are_frozen():
 class BlobReference:
     """The MV as it was when each index file was kept as its encoded
     blob, flattened to path sets: what every checkpoint, footprint and
-    charge must still come out as.  (One change on top: a directory
-    created on the way to a path is a change the next delta carries.)"""
+    charge must still come out as."""
 
     def __init__(self):
         self.files: dict[str, bytes] = {}
         self.dirs: set[str] = set()
         self.state: dict = {}
-        self.dirty: set[str] = set()
-        self.deleted: set[str] = set()
         self.charges: list[tuple[str, int]] = []
 
     @staticmethod
@@ -378,7 +373,6 @@ class BlobReference:
                 if not create:
                     raise FileNotFoundOLFSError(prefix)
                 self.dirs.add(prefix)
-                self.dirty.add(prefix)
 
     def find(self, path):
         """'dir' or 'file'; raises as ``_find`` does."""
@@ -389,15 +383,6 @@ class BlobReference:
             return "file"
         raise FileNotFoundOLFSError(path)
 
-    def drop(self, path):
-        """Unlink ``path`` and, for a directory, everything under it."""
-        self.files.pop(path, None)
-        self.dirs.discard(path)
-        below = path + "/"
-        self.files = {p: b for p, b in self.files.items()
-                      if not p.startswith(below)}
-        self.dirs = {p for p in self.dirs if not p.startswith(below)}
-
     # -- the operations ------------------------------------------------
     def write_index(self, path, index):
         self.walk(self.parts(path)[:-1], create=True)
@@ -405,22 +390,16 @@ class BlobReference:
             raise FileExistsOLFSError(path)
         blob = reference_serialize(index)
         self.files[path] = blob
-        self.dirty.add(path)
-        self.deleted.discard(path)
         self.charges.append(("write", max(len(blob), 256)))
 
     def make_dir(self, path):
         self.walk(self.parts(path), create=True)
-        self.dirty.add(path)
-        self.deleted.discard(path)
         self.charges.append(("write", 256))
 
     def remove_index(self, path):
         if self.find(path) == "dir":
             raise IsADirectoryOLFSError(path)
         del self.files[path]
-        self.dirty.discard(path)
-        self.deleted.add(path)
         self.charges.append(("write", 256))
 
     def lookup_index(self, path):
@@ -443,46 +422,17 @@ class BlobReference:
             sort_keys=True,
         ).encode()
 
-    def collect_delta(self):
-        entries = []
-        for path in sorted(self.dirty):
-            try:
-                self.find(path)
-            except (FileNotFoundOLFSError, NotADirectoryOLFSError):
-                continue
-            entries.append(self.entry(path))
-        return json.dumps(
-            {"state": self.state, "entries": entries,
-             "deleted": sorted(self.deleted)},
-            sort_keys=True,
-        ).encode()
-
     def load_snapshot(self, blob):
         snapshot = json.loads(blob)
         self.files, self.dirs = {}, set()
         self.state = snapshot["state"]
-        self.replay(snapshot["entries"])
-
-    def apply_delta(self, blob):
-        delta = json.loads(blob)
-        self.state = delta.get("state", self.state)
-        for path in delta.get("deleted", []):
-            try:
-                self.walk(self.parts(path)[:-1])
-            except (FileNotFoundOLFSError, NotADirectoryOLFSError):
-                continue
-            self.drop(path)
-        self.replay(delta["entries"])
-
-    def replay(self, entries):
-        for entry in entries:
+        for entry in snapshot["entries"]:
             path = entry["path"]
             self.walk(self.parts(path)[:-1], create=True)
             if entry["type"] == "dir":
                 if path not in self.files:
                     self.dirs.add(path)
             else:
-                self.drop(path)
                 self.files[path] = entry["blob"].encode()
 
     def used_bytes(self):
@@ -516,11 +466,10 @@ mv_indexes = st.builds(
     forepart_sizes,
 )
 
-#: op -> weight; a ``restore`` loads one checkpoint's snapshot, then
-#: applies every later checkpoint's delta in order
+#: op -> weight; a ``restore`` loads any earlier checkpoint's snapshot
 MV_OPS = (["write_index"] * 4 + ["lookup_index"] * 3
           + ["make_dir", "remove_index", "checkpoint", "checkpoint",
-             "restore", "apply_delta"])
+             "restore"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,108 +482,51 @@ def test_parsed_records_match_blob_truth(data):
     ))
     reference = BlobReference()
     log = charged(volume)
-    # the checkpoint chain since the last restore, and every delta taken
     snapshots = [volume.serialize_snapshot()]
-    deltas = [volume.collect_delta()]
-    every_delta = list(deltas)
     for _ in range(data.draw(st.integers(0, 30), label="ops")):
         op = data.draw(st.sampled_from(MV_OPS), label="op")
         if op == "checkpoint":
             snapshots.append(volume.serialize_snapshot())
-            deltas.append(volume.collect_delta())
-            every_delta.append(deltas[-1])
-            assert deltas[-1] == reference.collect_delta()
-            volume.clear_change_tracking()
-            reference.dirty.clear()
-            reference.deleted.clear()
-            # recovery: any checkpoint's snapshot plus every later delta
-            # is the namespace now, also once every record is parsed
-            for base, snapshot in enumerate(snapshots):
+            # recovery: every checkpoint's snapshot loads back to its own
+            # bytes and footprint, also once every record is read
+            for snapshot in snapshots:
                 restored = MetadataVolume(engine, volume.volume)
                 restored.load_snapshot(snapshot)
-                for delta in deltas[base + 1:]:
-                    restored.apply_delta(delta)
                 for path in restored.all_index_paths():
                     restored.peek_index(path)
-                assert restored.serialize_snapshot() == snapshots[-1]
+                assert restored.serialize_snapshot() == snapshot
+                loaded = BlobReference()
+                loaded.load_snapshot(snapshot)
+                assert restored.used_bytes() == loaded.used_bytes()
             continue
         if op == "restore":
             base = data.draw(st.integers(0, len(snapshots) - 1), label="base")
-            steps = [("load_snapshot", snapshots[base])] + [
-                ("apply_delta", delta) for delta in deltas[base + 1:]
-            ]
-        elif op == "apply_delta":
-            steps = [(op, data.draw(st.sampled_from(every_delta),
-                                    label="delta"))]
+            op, args = "load_snapshot", [snapshots[base]]
         elif op == "write_index":
-            steps = [(op, data.draw(mv_paths, label="path"),
-                      data.draw(mv_indexes, label="index"))]
+            args = [data.draw(mv_paths, label="path"),
+                    data.draw(mv_indexes, label="index")]
         elif reference.files and data.draw(st.booleans(), label="a file"):
             files = st.sampled_from(sorted(reference.files))
-            steps = [(op, data.draw(files, label="path"))]
+            args = [data.draw(files, label="path")]
         else:
-            steps = [(op, data.draw(mv_paths, label="path"))]
-        for step, *args in steps:
-            try:
-                expected = getattr(reference, step)(*args)
-            except FilesystemError as error:
-                with pytest.raises(type(error)):
-                    result = getattr(volume, step)(*args)
-                    if step not in ("load_snapshot", "apply_delta"):
-                        engine.run_process(result)
-                break
-            result = getattr(volume, step)(*args)
-            if step not in ("load_snapshot", "apply_delta"):
+            args = [data.draw(mv_paths, label="path")]
+        try:
+            expected = getattr(reference, op)(*args)
+        except FilesystemError as error:
+            with pytest.raises(type(error)):
+                result = getattr(volume, op)(*args)
+                if op != "load_snapshot":
+                    engine.run_process(result)
+        else:
+            result = getattr(volume, op)(*args)
+            if op != "load_snapshot":
                 result = engine.run_process(result)
-            if step == "lookup_index":
+            if op == "lookup_index":
                 assert result.serialize() == expected
-            elif step == "write_index":
+            elif op == "write_index":
                 path, index = args
                 assert index.serialized_size() == len(index.serialize())
-                node = volume._find(path)
-                assert node.blob is None
-                assert node.size == len(reference.files[path])
-        if op in ("restore", "apply_delta"):
-            # as after a recovery: changes count from the restored tree
-            volume.clear_change_tracking()
-            reference.dirty.clear()
-            reference.deleted.clear()
-            snapshots = [volume.serialize_snapshot()]
-            deltas = [volume.collect_delta()]
+                assert volume._find(path).size == len(reference.files[path])
         assert log == reference.charges
         assert volume.used_bytes() == reference.used_bytes()
         assert volume.serialize_snapshot() == reference.serialize_snapshot()
-    assert volume.collect_delta() == reference.collect_delta()
-
-
-def test_delta_keeps_a_directory_whose_files_are_gone(mv):
-    """A directory made on the way to a file outlives the file; a delta
-    that only recorded the file's removal lost it on recovery."""
-    engine, volume = mv
-    base = volume.serialize_snapshot()
-    engine.run_process(volume.write_index("/d/e/f", make_index("/d/e/f")))
-    engine.run_process(volume.remove_index("/d/e/f"))
-    delta = volume.collect_delta()
-    live = volume.serialize_snapshot()
-    volume.load_snapshot(base)
-    volume.apply_delta(delta)
-    assert volume.serialize_snapshot() == live
-    assert engine.run_process(volume.listdir("/d")) == ["e"]
-
-
-def test_delta_replaces_a_removed_file_by_the_directory_made_there(mv):
-    """Removing an index file and making a directory at its path leaves
-    the path out of the delta's deletions; recovery kept the old file."""
-    engine, volume = mv
-    engine.run_process(volume.write_index("/b", make_index("/b")))
-    base = volume.serialize_snapshot()
-    volume.clear_change_tracking()
-    engine.run_process(volume.remove_index("/b"))
-    engine.run_process(volume.make_dir("/b"))
-    delta = volume.collect_delta()
-    live = volume.serialize_snapshot()
-    volume.load_snapshot(base)
-    volume.apply_delta(delta)
-    assert volume.serialize_snapshot() == live
-    assert engine.run_process(volume.entry_kind("/b")) == "dir"
-

@@ -103,9 +103,16 @@ def test_unlink_of_a_directory_raises_and_keeps_its_files(ros):
     with pytest.raises(IsADirectoryOLFSError):
         ros.unlink("/d")
     assert ros.read("/d/a.bin").data == b"alpha"
-    # the next incremental checkpoint still carries the file
-    assert ros.mv._deleted == set()
-    assert "/d/a.bin" in ros.mv._dirty
+    # the next snapshot still carries the file
+    ros.mv.load_snapshot(ros.mv.serialize_snapshot())
+    assert ros.read("/d/a.bin").data == b"alpha"
+
+
+def test_unlink_of_the_root_raises_is_a_directory(ros):
+    ros.write("/d/a.bin", b"alpha")
+    with pytest.raises(IsADirectoryOLFSError):
+        ros.unlink("/")
+    assert ros.read("/d/a.bin").data == b"alpha"
 
 
 # ----------------------------------------------------------------------

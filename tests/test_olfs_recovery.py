@@ -50,6 +50,29 @@ def test_recover_mv_picks_latest_snapshot():
     assert ros.read("/late/addition.bin").data == b"late"
 
 
+def test_recover_mv_skips_a_snapshot_missing_a_chunk():
+    """A newest snapshot with a chunk on an unreadable array is passed
+    over for the newest one read whole."""
+    ros = make_ros(data_discs=3, parity_discs=1, auto_burn=False)
+    for index in range(600):
+        ros.write(f"/big/d{index % 20:02d}/f{index:04d}", b".")
+    ros.checkpoint_mv()
+    first = ros.mv.all_index_paths()
+    ros.write("/big/late", b"late")
+    ros.checkpoint_mv()
+    holding = [
+        key for key, images in ros.mc.array_images.items()
+        if "mv-00000008" in images
+    ]
+    assert len(holding) == 1
+    assert "mv-00000005" not in ros.mc.array_images[holding[0]]
+    ros.mc.set_state(*holding[0], ArrayState.FAILED)
+    ros.mv.load_snapshot(b'{"state": {}, "entries": []}')
+    snapshot_id, _ = ros.recover_mv()
+    assert snapshot_id == 1
+    assert ros.mv.all_index_paths() == first
+
+
 def test_recovery_takes_mechanical_time():
     ros, _ = populated()
     ros.checkpoint_mv()

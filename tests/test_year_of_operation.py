@@ -44,10 +44,9 @@ def test_year_of_operation(monkeypatch):
         for path in sorted(oracle)[:3]:
             result = ros.read(path)
             assert result.data[: len(oracle[path])] == oracle[path]
-        # Quarterly MV checkpoint (incremental after the first).
+        # Quarterly MV checkpoint.
         if month % 3 == 2:
-            incremental = month > 2
-            ros.run(ros.recovery.burn_mv_snapshot(incremental=incremental))
+            ros.run(ros.recovery.burn_mv_snapshot())
 
     # -- invariants at mid-life -----------------------------------------
     status = ros.status()
@@ -92,8 +91,8 @@ def test_year_of_operation(monkeypatch):
     ros.flush()
     assert ros.mc.counts()["Failed"] == failed_before + 1
 
-    # -- year-end: MV disaster, recover from checkpoints + delta ---------
-    ros.run(ros.recovery.burn_mv_snapshot(incremental=True))
+    # -- year-end: MV disaster, recover from the newest snapshot ---------
+    ros.run(ros.recovery.burn_mv_snapshot())
     expected_paths = set(ros.mv.all_index_paths())
     ros.mv.load_snapshot(b'{"state": {}, "entries": []}')
     ros.recover_mv()
