@@ -16,7 +16,7 @@ loop (``python -m repro fleet-monitor``).
 """
 
 from repro.fleet.campaign import render_text, report_to_json, run_fleet
-from repro.fleet.frontend import FleetBackend, FleetFrontend
+from repro.fleet.frontend import FleetBackend
 from repro.fleet.monitor import run_fleet_monitor
 from repro.fleet.supervisor import FleetSupervisor, TriggerRule
 from repro.fleet.telemetry import (
@@ -39,7 +39,6 @@ from repro.fleet.topology import FleetTopology, Layout
 __all__ = [
     "CentralTelemetry",
     "FleetBackend",
-    "FleetFrontend",
     "FleetStore",
     "FleetSupervisor",
     "FleetTopology",

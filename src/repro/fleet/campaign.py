@@ -32,7 +32,7 @@ from repro.faults.invariants import (
     check_no_admitted_request_lost,
 )
 from repro.faults.plan import FaultPlan, RACK_LOSS, SITE_LOSS
-from repro.fleet.frontend import FleetFrontend
+from repro.fleet.frontend import FleetBackend
 from repro.fleet.placement import balance
 from repro.fleet.recovery import RecoveryManager
 from repro.fleet.store import FleetStore
@@ -218,7 +218,6 @@ class FleetRig:
         part is ``stop()``-ped, the manager parked, the engine drained.
         """
         engine = self.engine
-        frontend = FleetFrontend(self.store)
         serve_rng = self.rng.child("serve")
 
         def main() -> Generator:
@@ -226,7 +225,7 @@ class FleetRig:
             for site, fleet in zip(self.site_names, self.fleets):
                 pool = ClientPool(
                     engine, fleet, serve_rng, self.links[site],
-                    self.admission, frontend.backend(site),
+                    self.admission, FleetBackend(self.store, site),
                     self.metrics, self.catalog, self.t_end,
                 )
                 self.sessions.append(pool.session)

@@ -12,9 +12,6 @@ into a single rack or a :class:`~repro.cluster.RackCluster`:
 * **writes** are erasure-coded across sites by placement, acked only
   when all ``n`` shards land;
 * **stats** hit the catalog (metadata is replicated fleet-wide).
-
-The :class:`FleetFrontend` holds one backend per site and answers
-fleet-level health, which `repro.obs` rolls into monitor output.
 """
 
 from __future__ import annotations
@@ -50,19 +47,3 @@ class FleetBackend:
         yield Delay(STAT_LATENCY_S)
         return self.store.stat(path)
 
-
-class FleetFrontend:
-    """Per-site backends over one store, plus fleet-level health."""
-
-    def __init__(self, store: FleetStore):
-        self.store = store
-        self.backends = {
-            site: FleetBackend(store, site)
-            for site in store.topology.site_names()
-        }
-
-    def backend(self, site: str) -> FleetBackend:
-        try:
-            return self.backends[site]
-        except KeyError:
-            raise FleetError(f"unknown site {site}") from None

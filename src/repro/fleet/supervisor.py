@@ -2,8 +2,8 @@
 
 LOCKSS' lesson (PAPERS.md) is that long-term preservation must detect
 *and repair* degradation autonomously.  The :class:`FleetSupervisor` is
-that loop: a background process that evaluates declarative
-:class:`TriggerRule`\\ s against the central
+that loop: a :class:`~repro.sim.telemetry.Sampler` tick that evaluates
+declarative :class:`TriggerRule`\\ s against the central
 :class:`~repro.tsdb.TimeSeriesStore` every period and invokes named
 remediation actions — drain a sick rack out of placement, kick a
 rebuild migration, raise a scrub budget — with hysteresis and
@@ -32,9 +32,10 @@ to the deterministic remediation ``log`` campaign reports embed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
-from repro.sim.engine import Delay, Engine
+from repro.sim.engine import Engine
+from repro.sim.telemetry import Sampler
 from repro.tsdb import TimeSeriesStore
 
 #: flight-recorder event kinds for supervisor journaling
@@ -118,10 +119,12 @@ class FleetSupervisor:
         self.store = store
         self.rules = list(rules)
         self.actions = dict(actions)
-        self.eval_period_s = float(eval_period_s)
-        self.horizon_s = horizon_s
-        self._stopped = False
-        self._process = None
+        self.sampler = Sampler(
+            engine,
+            period=eval_period_s,
+            on_tick=lambda _now: self.evaluate(),
+            horizon=horizon_s,
+        )
         #: (rule name, target) -> {"latched": bool, "last_fire_t": float}
         self._state: dict[tuple[str, str], dict] = {}
         #: deterministic remediation journal campaign reports embed
@@ -136,28 +139,11 @@ class FleetSupervisor:
 
     # ------------------------------------------------------------------
     def start(self) -> "FleetSupervisor":
-        if self._process is None or self._process.done:
-            self._process = self.engine.spawn(
-                self._run(), name="fleet-supervisor"
-            )
+        self.sampler.start()
         return self
 
     def stop(self) -> None:
-        self._stopped = True
-
-    def _run(self) -> Generator:
-        deadline = (
-            self.engine.now + self.horizon_s
-            if self.horizon_s is not None
-            else None
-        )
-        while not self._stopped:
-            yield Delay(self.eval_period_s)
-            if self._stopped:
-                return
-            if deadline is not None and self.engine.now > deadline:
-                return
-            self.evaluate()
+        self.sampler.stop()
 
     # ------------------------------------------------------------------
     def evaluate(self) -> int:

@@ -21,9 +21,10 @@ about):
   heals — an acked batch can never be lost, and after an outage the
   agent catches up from its outbox.
 * The outbox is bounded: when sealing a batch would exceed it, the
-  oldest *unacked* batch is dropped and counted (``batches_dropped`` /
-  ``points_dropped``).  Backpressure loses the oldest unsent samples,
-  never acked ones.
+  oldest batch not yet sent is dropped and counted (``batches_dropped``
+  / ``points_dropped``).  The head, once sent, stays until it is acked:
+  it may already be ingested, so a batch counted acked is one the
+  central store ingested and one counted dropped is one it never saw.
 * While the source rack is down the sampler skips ticks (an agent dies
   with its rack) and the replicator backs off; a destroyed rack's
   agent simply goes silent — the supervisor's staleness rule is how
@@ -125,6 +126,8 @@ class TelemetryAgent:
         self._pending: list[tuple[str, dict, float, float]] = []
         self._outbox: deque[tuple[int, list]] = deque()
         self._seq = 0
+        #: 1 once the outbox head has gone on the wire, until it is acked
+        self._head_sent = 0
         self._ticks = 0
         self._stopped = False
         self._wake: SimEvent = engine.event(f"telemetry.{agent_id}")
@@ -132,9 +135,8 @@ class TelemetryAgent:
         self.sampler = Sampler(
             engine,
             period=sample_period_s,
-            probes={},
-            horizon=horizon_s,
             on_tick=self._tick,
+            horizon=horizon_s,
         )
         self.stats = {
             "samples": 0,
@@ -190,8 +192,9 @@ class TelemetryAgent:
     def _seal(self) -> None:
         if not self._pending:
             return
-        if len(self._outbox) >= self.max_outbox_batches:
-            _seq, dropped = self._outbox.popleft()
+        if len(self._outbox) - self._head_sent >= self.max_outbox_batches:
+            _seq, dropped = self._outbox[self._head_sent]
+            del self._outbox[self._head_sent]
             self.stats["batches_dropped"] += 1
             self.stats["points_dropped"] += len(dropped)
         self._outbox.append((self._seq, self._pending))
@@ -226,6 +229,7 @@ class TelemetryAgent:
                 continue
             seq, points = self._outbox[0]
             wire = BATCH_HEADER_BYTES + POINT_WIRE_BYTES * len(points)
+            self._head_sent = 1
             try:
                 yield from self.link.request(wire, LINK_WEIGHT)
                 self.central.ingest(self.agent_id, seq, points)
@@ -240,6 +244,7 @@ class TelemetryAgent:
                 backoff = min(backoff * 2, MAX_BACKOFF_S)
                 continue
             self._outbox.popleft()
+            self._head_sent = 0
             self.stats["batches_acked"] += 1
             backoff = BACKOFF_S
             attempts = 0

@@ -2,13 +2,13 @@
 
 Every major subsystem exposes ``health() -> dict`` — a cheap, read-only
 snapshot of its state machine, queue depths, occupancy and fault
-counters.  :class:`SystemMonitor` aggregates those snapshots on the
-simulated clock (riding the existing :class:`~repro.sim.telemetry.Sampler`
-machinery via its ``on_tick`` hook, so one background process drives both
-the numeric series and the health timeline), keeps a bounded timeline of
-them, and polls an :class:`~repro.obs.slo.SLOWatchdog` on the same
-cadence so paper-envelope violations are caught *while the run executes*,
-not in a post-hoc sweep.
+counters.  :class:`SystemMonitor` rides one
+:class:`~repro.sim.telemetry.Sampler` tick: each tick appends four
+numeric probes to the monitor's :class:`~repro.tsdb.TimeSeriesStore`
+(the same store type the fleet's telemetry writes to), keeps the health
+snapshot in a bounded timeline, and polls an
+:class:`~repro.obs.slo.SLOWatchdog` so paper-envelope violations are
+caught *while the run executes*, not in a post-hoc sweep.
 
 The monitor is strictly an observer: probes and snapshots never yield,
 draw random numbers, or mutate subsystem state, so two runs of the same
@@ -26,6 +26,7 @@ from typing import Optional
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLOWatchdog
 from repro.sim.telemetry import Sampler
+from repro.tsdb import TimeSeriesStore
 
 #: Default sampling period (simulated seconds): fine enough to catch a
 #: mechanical phase in flight, coarse enough to stay out of the way.
@@ -57,21 +58,19 @@ class SystemMonitor:
         #: monotonic event counters (gauges live in the timeline); unlike
         #: ``len(self.timeline)`` these never lose history to the ring
         self.counters = {"ticks": 0, "snapshots": 0, "slo_violations": 0}
-        self.sampler = Sampler(
-            self.engine,
-            period=period,
-            probes={
-                "cache_images": lambda: len(ros.cache),
-                "burning_drives": lambda: sum(
-                    1 for ds in ros.mech.drive_sets if ds.is_burning
-                ),
-                "burn_tasks": lambda: len(ros.btm.active_tasks),
-                "mech_queue": lambda: sum(
-                    lock.queue_length for lock in ros.mc._locks.values()
-                ),
-            },
-            on_tick=self._tick,
-        )
+        #: the probes' series: one raw point per probe per tick
+        self.store = TimeSeriesStore()
+        self.probes = {
+            "cache_images": lambda: len(ros.cache),
+            "burning_drives": lambda: sum(
+                1 for ds in ros.mech.drive_sets if ds.is_burning
+            ),
+            "burn_tasks": lambda: len(ros.btm.active_tasks),
+            "mech_queue": lambda: sum(
+                lock.queue_length for lock in ros.mc._locks.values()
+            ),
+        }
+        self.sampler = Sampler(self.engine, period=period, on_tick=self._tick)
 
     # ------------------------------------------------------------------
     def start(self) -> "SystemMonitor":
@@ -98,6 +97,8 @@ class SystemMonitor:
 
     # ------------------------------------------------------------------
     def _tick(self, now: float) -> None:
+        for name, probe in self.probes.items():
+            self.store.append(name, None, now, probe())
         self.counters["ticks"] += 1
         self.timeline.append(self.snapshot())
         if self.watchdog is not None:
@@ -132,10 +133,14 @@ class SystemMonitor:
             "final": final,
             "slo": slo,
             "series": {
-                name: {
-                    "peak": self.sampler.peak(name),
-                    "mean": round(self.sampler.mean(name), 3),
-                }
-                for name in sorted(self.sampler.series)
+                name: self._summarize(name) for name in sorted(self.probes)
             },
         }
+
+    def _summarize(self, name: str) -> dict:
+        series = self.store.series(name)
+        values = [v for _t, v in series.raw_points()] if series else []
+        if not values:
+            return {"peak": 0.0, "mean": 0.0}
+        mean = round(sum(values) / len(values), 3)
+        return {"peak": max(values), "mean": mean}

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import FleetError, ObjectUnrecoverableError
 from repro.fleet import (
-    FleetFrontend,
+    FleetBackend,
     FleetStore,
     FleetTopology,
     Layout,
@@ -246,9 +246,8 @@ class TestRecovery:
 class TestFrontend:
     def test_unknown_site_rejected(self):
         store = small_fleet()
-        frontend = FleetFrontend(store)
         with pytest.raises(FleetError):
-            frontend.backend("site-99")
+            FleetBackend(store, "site-99")
 
     def test_local_reads_avoid_wan_until_locals_die(self):
         store = small_fleet()

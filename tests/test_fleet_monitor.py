@@ -188,6 +188,56 @@ class TestTelemetryAgent:
         assert agent.stats["batches_acked"] == 0
         assert central.stats["points_ingested"] == 0
 
+    @pytest.mark.parametrize("horizon_s", [1.2, 3.2])
+    def test_batch_sealed_during_a_send_never_evicts_it(self, horizon_s):
+        """A full outbox drops an unsent batch, never the one on the wire.
+
+        Each send takes 1 s while ticks seal a batch every 0.5 s into a
+        one-batch outbox: every counted ack is a batch the central store
+        ingested, and every counted drop is one it never saw.
+        """
+
+        class SlowLink:
+            def request(self, nbytes, weight):
+                yield Delay(1.0)
+
+            def respond(self, nbytes, weight):
+                yield Delay(0.0)
+
+        engine = Engine()
+        agent, central, _link = make_agent(
+            engine,
+            link=SlowLink(),
+            flush_every=1,
+            max_outbox_batches=1,
+            horizon_s=horizon_s,
+        )
+        agent.start()
+        engine.run()
+        agent.stop()
+        engine.run()
+        stats = agent.stats
+        assert stats["batches_abandoned"] == 0
+        assert central.stats["batches_ingested"] == stats["batches_acked"]
+        assert stats["batches_acked"] + stats["batches_dropped"] == (
+            stats["batches_sealed"]
+        )
+        assert central.stats["points_ingested"] == (
+            stats["samples"] - stats["points_dropped"]
+        )
+        ingested = [
+            t for t, _v in central.store.series(
+                "m.a", {"rack": "s0.r00"}
+            ).raw_points()
+        ]
+        if horizon_s == 1.2:
+            # seq 0 was on the wire when seq 1 sealed: both arrive
+            assert ingested == [0.5, 1.0]
+            assert stats["batches_dropped"] == 0
+        else:
+            assert stats["batches_dropped"] > 0
+            assert len(ingested) == stats["batches_acked"]
+
     def test_dead_source_skips_ticks_and_goes_silent(self):
         engine = Engine()
         up = {"value": True}
@@ -348,6 +398,18 @@ class TestFleetSupervisor:
         advance(engine, 5.0)
         assert sup.evaluate() == 1  # 5s old > 3s
         assert fired == [("drain", "r0")]
+
+    def test_stop_mid_run_stops_now(self):
+        """stop() between ticks ends the loop without another tick."""
+        sup, engine, _store, _fired = make_supervisor([LATEST_RULE])
+        sup.start()
+        advance(engine, 2.5)  # ticks at 1.0 and 2.0; next due at 3.0
+        assert sup.stats["evaluations"] == 2
+        sup.stop()
+        engine.run()
+        assert engine.now == 2.5
+        assert engine.is_idle
+        assert sup.stats["evaluations"] == 2
 
     def test_actions_are_journaled_to_log_and_recorder(self):
         from repro.obs.recorder import FlightRecorder

@@ -278,9 +278,45 @@ def test_monitor_builds_timeline_on_the_simulated_clock():
     times = [snap["t"] for snap in timeline]
     assert times == sorted(times)
     assert set(timeline[-1]) > {"t", "mech", "cache", "btm"}
-    series = ros.monitor.sampler.series
-    assert set(series) == {
-        "cache_images", "burning_drives", "burn_tasks", "mech_queue"
+    store = ros.monitor.store
+    names = {"cache_images", "burning_drives", "burn_tasks", "mech_queue"}
+    assert {name for name in names if store.series(name)} == names
+    # one raw point per series per tick, stamped with the tick's clock
+    ticks = ros.monitor.counters["ticks"]
+    for name in names:
+        points = store.series(name).raw_points()
+        assert len(points) == ticks
+        assert [t for t, _v in points] == sorted(t for t, _v in points)
+
+
+def test_monitor_summary_peak_and_mean():
+    """finish()'s series section: peak is max, mean rounds to 3 places."""
+    ros = make_ros()
+    monitor = SystemMonitor(ros, period=2.0)
+    readings = iter([1.0, 2.0, 2.0])
+    monitor.probes = {"n": lambda: next(readings)}
+    monitor.start()
+    ros.engine.run(until=6.5)
+    summary = monitor.finish()
+    assert [v for _t, v in monitor.store.series("n").raw_points()] == [
+        1.0, 2.0, 2.0
+    ]
+    assert summary["series"] == {"n": {"peak": 2.0, "mean": 1.667}}
+
+
+def test_monitor_summary_of_a_tickless_run_reads_zero():
+    """A monitor finished before its first tick reports 0.0, not a crash."""
+    ros = make_ros()
+    monitor = SystemMonitor(ros).start()
+    summary = monitor.finish()
+    ros.engine.run()
+    assert ros.engine.is_idle
+    assert summary["counters"]["ticks"] == 0
+    assert summary["series"] == {
+        name: {"peak": 0.0, "mean": 0.0}
+        for name in (
+            "burn_tasks", "burning_drives", "cache_images", "mech_queue"
+        )
     }
 
 

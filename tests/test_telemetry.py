@@ -1,4 +1,4 @@
-"""Tests for the telemetry sampler."""
+"""Tests for the telemetry sampler: a periodic tick on the simulated clock."""
 
 import pytest
 
@@ -9,7 +9,10 @@ from repro.sim.telemetry import Sampler
 def test_sampler_collects_series():
     engine = Engine()
     state = {"x": 0.0}
-    sampler = Sampler(engine, period=1.0, probes={"x": lambda: state["x"]})
+    values = []
+    sampler = Sampler(
+        engine, period=1.0, on_tick=lambda _now: values.append(state["x"])
+    )
     sampler.start()
 
     def mutator():
@@ -20,98 +23,83 @@ def test_sampler_collects_series():
 
     engine.run_process(mutator())
     engine.run(until=engine.now + 2)
-    values = sampler.values("x")
-    assert values  # sampled something
+    assert values  # ticked while the mutator ran
     assert values == sorted(values)  # monotone, tracks the mutation
 
 
 def test_sampler_horizon_ends_collection():
     engine = Engine()
-    sampler = Sampler(
-        engine, period=1.0, probes={"c": lambda: 1.0}, horizon=5.0
-    ).start()
+    ticks = []
+    Sampler(engine, period=1.0, on_tick=ticks.append, horizon=5.0).start()
     engine.run(until=100.0)
-    assert len(sampler.values("c")) == 5
-
-
-def test_sampler_statistics():
-    engine = Engine()
-    counter = {"n": 0.0}
-
-    def probe():
-        counter["n"] += 1
-        return counter["n"]
-
-    sampler = Sampler(
-        engine, period=2.0, probes={"n": probe}, horizon=10.0
-    ).start()
-    engine.run(until=20.0)
-    assert sampler.peak("n") == 5.0
-    assert sampler.mean("n") == 3.0
+    assert len(ticks) == 5
 
 
 def test_sampler_validation():
     engine = Engine()
     with pytest.raises(ValueError):
-        Sampler(engine, period=0.0, probes={"x": lambda: 0})
+        Sampler(engine, period=0.0, on_tick=lambda _now: None)
     with pytest.raises(ValueError):
-        Sampler(engine, period=1.0, probes={})
+        Sampler(engine, period=-1.0, on_tick=lambda _now: None)
 
 
 def test_sampler_stop_is_immediate():
     """stop() interrupts the sampler process instead of waiting a tick."""
     engine = Engine()
-    sampler = Sampler(engine, period=1.0, probes={"x": lambda: 1.0}).start()
+    ticks = []
+    sampler = Sampler(engine, period=1.0, on_tick=ticks.append).start()
     engine.run(until=2.5)
     sampler.stop()
     # A no-horizon drain returns because the process was interrupted at
-    # its mid-period Delay — before the fix it would tick forever.
+    # its mid-period Delay — otherwise it would tick forever.
     engine.run()
     assert engine.is_idle
-    assert len(sampler.values("x")) == 2  # t=1 and t=2 only
+    assert engine.now == 2.5
+    assert ticks == [1.0, 2.0]
 
 
 def test_sampler_zero_length_series_after_immediate_stop():
     engine = Engine()
-    sampler = Sampler(engine, period=1.0, probes={"x": lambda: 1.0}).start()
+    ticks = []
+    sampler = Sampler(engine, period=1.0, on_tick=ticks.append).start()
     sampler.stop()
     engine.run()
-    assert sampler.values("x") == []
-    assert sampler.peak("x") == 0.0
-    assert sampler.mean("x") == 0.0
+    assert engine.is_idle
+    assert ticks == []
 
 
 def test_sampler_stop_is_idempotent():
     engine = Engine()
-    sampler = Sampler(engine, period=1.0, probes={"x": lambda: 1.0}).start()
+    ticks = []
+    sampler = Sampler(engine, period=1.0, on_tick=ticks.append).start()
     sampler.stop()
     sampler.stop()  # second stop must not raise or double-interrupt
     engine.run()
     assert engine.is_idle
+    assert ticks == []
 
 
 def test_sampler_horizon_on_tick_boundary_includes_boundary_sample():
-    """A tick landing exactly on the horizon is still collected."""
+    """A tick landing exactly on the horizon still runs."""
     engine = Engine()
-    sampler = Sampler(
-        engine, period=1.5, probes={"x": lambda: 1.0}, horizon=3.0
-    ).start()
+    ticks = []
+    Sampler(engine, period=1.5, on_tick=ticks.append, horizon=3.0).start()
     engine.run(until=20.0)
-    times = [t for t, _ in sampler.series["x"]]
-    assert times == [1.5, 3.0]
+    assert ticks == [1.5, 3.0]
 
 
 def test_sampler_restarts_after_stop():
-    """start() after stop() resumes sampling (the monitor's pause path)."""
+    """start() after stop() resumes ticking (the monitor's pause path)."""
     engine = Engine()
-    sampler = Sampler(engine, period=1.0, probes={"x": lambda: 1.0}).start()
+    ticks = []
+    sampler = Sampler(engine, period=1.0, on_tick=ticks.append).start()
     engine.run(until=2.0)
     sampler.stop()
     engine.run(until=5.0)
-    paused_count = len(sampler.values("x"))
+    assert ticks == [1.0, 2.0]
     sampler.start()
     engine.run(until=8.0)
-    assert len(sampler.values("x")) > paused_count
+    assert ticks == [1.0, 2.0, 6.0, 7.0, 8.0]
     sampler.stop()
     engine.run()
     assert engine.is_idle
@@ -120,31 +108,26 @@ def test_sampler_restarts_after_stop():
 def test_sampler_stop_from_on_tick_callback():
     """stop() from inside the running process (no suspension) is safe."""
     engine = Engine()
-    holder = {}
+    ticks = []
 
     def tick(now):
+        ticks.append(now)
         if now >= 2.0:
-            holder["sampler"].stop()
+            sampler.stop()
 
-    sampler = Sampler(
-        engine, period=1.0, probes={"x": lambda: 1.0}, on_tick=tick
-    )
-    holder["sampler"] = sampler
+    sampler = Sampler(engine, period=1.0, on_tick=tick)
     sampler.start()
     engine.run()
     assert engine.is_idle
-    assert len(sampler.values("x")) == 2
+    assert ticks == [1.0, 2.0]
 
 
-def test_sampler_on_tick_only_needs_no_probes():
+def test_sampler_on_tick_receives_the_clock():
     engine = Engine()
     ticks = []
-    sampler = Sampler(
-        engine, period=1.0, probes={}, on_tick=ticks.append, horizon=3.0
-    ).start()
+    Sampler(engine, period=1.0, on_tick=ticks.append, horizon=3.0).start()
     engine.run(until=10.0)
     assert ticks == [1.0, 2.0, 3.0]
-    assert sampler.series == {}
 
 
 def test_sampler_on_live_system():
@@ -153,17 +136,17 @@ def test_sampler_on_live_system():
 
     ros = make_ros()
     volume = ros.buffer_volumes[0]
+    values = []
     sampler = Sampler(
         ros.engine,
         period=20.0,
-        probes={"buffer_used": lambda: float(volume.used)},
+        on_tick=lambda _now: values.append(float(volume.used)),
     ).start()
     for index in range(8):
         ros.write(f"/tl/f{index}.bin", b"t" * 25000)
     ros.flush()
     sampler.stop()
     ros.drain_background()
-    values = sampler.values("buffer_used")
     assert values
     # Occupancy moves over the run (burn + cache eviction release space).
     assert min(values) < max(values)
