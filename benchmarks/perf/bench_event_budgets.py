@@ -12,10 +12,11 @@ and only go down — mechanically: a workload that measures more than 2 %
 change that saves events lowers the budget in the same commit.
 
 The same runs count the host's side of an event: the generator frames
-each engine step resumes, read off the ``gi_yieldfrom`` chain of the
-stepped process at every ``Engine._step``.  That count repeats exactly
-per seed too, so ``frames_per_step`` budgets in the same file gate the
-depth of the read and write paths' generator chains by the same rule.
+each engine step resumes, the stepped process's ``gi_yieldfrom`` chain,
+as the engine's own :class:`~repro.sim.owners.OwnerCounter` files them.
+That count repeats exactly per seed too, so ``frames_per_step`` budgets
+in the same file gate the depth of the read and write paths' generator
+chains by the same rule.
 
 Outside tier-1 (the four campaigns cost about 8.5 host-seconds); CI's
 ``perf`` job and every PR's gate list run it as::
@@ -25,13 +26,12 @@ Outside tier-1 (the four campaigns cost about 8.5 host-seconds); CI's
 
 import functools
 import pathlib
-from types import GeneratorType
 
 import pytest
 
 from bench.workloads import WORKLOADS
 from repro.perf.harness import budget_check, load_baseline
-from repro.sim.engine import Engine
+from repro.sim.owners import OwnerCounter
 
 SEED = 42
 SCALE = 1.0
@@ -46,24 +46,15 @@ def measure(name):
     its timed region with the generator frames they resumed."""
     workload = WORKLOADS[name]
     inputs = workload.inputs(SEED, SCALE)
-    rig = workload.setup(inputs)
-    counts = {"events": 0, "ops": 0}  # frames over steps
-    step = Engine._step
-
-    def counting_step(engine, process, value, exception):
-        counts["ops"] += 1
-        generator = process._generator
-        while type(generator) is GeneratorType:
-            counts["events"] += 1
-            generator = generator.gi_yieldfrom
-        step(engine, process, value, exception)
-
-    Engine._step = counting_step
-    try:
+    with OwnerCounter() as counter:
+        rig = workload.setup(inputs)
+        counter.clear()
         outcome = workload.run(inputs, rig)
-    finally:
-        Engine._step = step
-    return outcome, counts
+    # the counter sees every draw events_issued counts
+    assert counter.draws.total() == outcome["events"], name
+    return outcome, {
+        "events": counter.frames.total(), "ops": counter.steps.total()
+    }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -25,6 +25,9 @@ about):
   / ``points_dropped``).  The head, once sent, stays until it is acked:
   it may already be ingested, so a batch counted acked is one the
   central store ingested and one counted dropped is one it never saw.
+* A batch whose request arrived but whose ack never did, still unacked
+  when its rack goes, is counted *in doubt* (``batches_in_doubt`` /
+  ``points_in_doubt``), not dropped: the central store may hold it.
 * While the source rack is down the sampler skips ticks (an agent dies
   with its rack) and the replicator backs off; a destroyed rack's
   agent simply goes silent — the supervisor's staleness rule is how
@@ -128,6 +131,8 @@ class TelemetryAgent:
         self._seq = 0
         #: 1 once the outbox head has gone on the wire, until it is acked
         self._head_sent = 0
+        #: the outbox head's request has arrived, its ack has not
+        self._head_in_doubt = False
         self._ticks = 0
         self._stopped = False
         self._wake: SimEvent = engine.event(f"telemetry.{agent_id}")
@@ -145,7 +150,9 @@ class TelemetryAgent:
             "batches_acked": 0,
             "batches_dropped": 0,
             "batches_abandoned": 0,
+            "batches_in_doubt": 0,
             "points_dropped": 0,
+            "points_in_doubt": 0,
             "retries": 0,
         }
 
@@ -232,6 +239,7 @@ class TelemetryAgent:
             self._head_sent = 1
             try:
                 yield from self.link.request(wire, LINK_WEIGHT)
+                self._head_in_doubt = True
                 self.central.ingest(self.agent_id, seq, points)
                 yield from self.link.respond(ACK_WIRE_BYTES, LINK_WEIGHT)
             except (LinkDownError, RackLostError):
@@ -245,11 +253,16 @@ class TelemetryAgent:
                 continue
             self._outbox.popleft()
             self._head_sent = 0
+            self._head_in_doubt = False
             self.stats["batches_acked"] += 1
             backoff = BACKOFF_S
             attempts = 0
 
     def _abandon_outbox(self) -> None:
+        if self._head_in_doubt:
+            _seq, points = self._outbox.popleft()
+            self.stats["batches_in_doubt"] += 1
+            self.stats["points_in_doubt"] += len(points)
         while self._outbox:
             _seq, points = self._outbox.popleft()
             self.stats["batches_abandoned"] += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.drives.drive_set import DriveSet
+from repro.drives.drive_set import DRIVES_PER_SET, DriveSet
 from repro.errors import MechanicsError
 from repro.mechanics.arm import PARK_LAYER, RoboticArm
 from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddress
@@ -70,11 +70,18 @@ class MechanicalSubsystem:
         self.channel = ControlChannel(engine, self.plc)
         self.drive_sets: list[DriveSet] = []
         self._set_roller: dict[int, int] = {}
+        #: frozen instructions built once: separations, commands_for()'s
+        self._separations: dict[int, tuple[SeparateDisc, ...]] = {}
+        self._tray_commands: dict[tuple[int, TrayAddress], tuple] = {}
         for roller_index in range(roller_count):
             for _ in range(drive_sets_per_roller):
                 set_id = len(self.drive_sets)
                 self.drive_sets.append(DriveSet(engine, set_id))
                 self._set_roller[set_id] = roller_index
+                self._separations[set_id] = tuple(
+                    SeparateDisc(roller_index, set_id, index)
+                    for index in range(DRIVES_PER_SET)
+                )
         self._arm_locks = [
             Resource(engine, 1, name=f"arm{index}")
             for index in range(roller_count)
@@ -94,6 +101,21 @@ class MechanicalSubsystem:
             for drive_set in self.drive_sets
             if self._set_roller[drive_set.set_id] == roller_index
         ]
+
+    def commands_for(self, roller: int, address: TrayAddress) -> tuple:
+        """A tray's park, approach (rotate, travel, hook, fan out), grab,
+        lower, release and fan-in instructions, built on first use."""
+        commands = self._tray_commands.get((roller, address))
+        if commands is None:
+            layer, slot = address
+            commands = self._tray_commands[roller, address] = (
+                MoveArm(roller, PARK_LAYER),
+                (Rotate(roller, slot), MoveArm(roller, layer),
+                 HookTray(roller), FanOut(roller, layer, slot)),
+                GrabStack(roller, roller), LowerStack(roller, roller),
+                ReleaseTray(roller), FanIn(roller),
+            )
+        return commands
 
     def tray_at(self, roller_index: int, address: TrayAddress) -> Tray:
         return self.rollers[roller_index].tray_at(address)
@@ -177,20 +199,25 @@ class MechanicalSubsystem:
                 raise MechanicsError(f"tray {address} has no discs to load")
             grant = yield Acquire(self._arm_locks[roller_index], priority)
             try:
+                send = self.channel.send
                 if self.parallel_scheduling:
                     discs = yield from self._load_positioning_parallel(
                         roller_index, address
                     )
-                else:
-                    discs = yield from self._load_positioning_serial(
-                        roller_index, address
+                else:  # fully sequential
+                    _, approach, grab, _, release, fan_in = (
+                        self.commands_for(roller_index, address)
                     )
+                    for command in approach:
+                        yield from send(command)
+                    discs = yield from send(grab)
+                    yield from send(release)
+                    yield from send(fan_in)
                 drive_set.open_all_trays()
                 placed = []
+                separations = self._separations[set_id]
                 for index in range(len(discs)):
-                    disc = yield from self.channel.send(
-                        SeparateDisc(roller_index, set_id, index)
-                    )
+                    disc = yield from send(separations[index])
                     drive = drive_set.drives[index]
                     drive.insert_disc(disc)
                     drive.close_tray()
@@ -202,20 +229,6 @@ class MechanicalSubsystem:
                 return placed
             finally:
                 grant.release()
-
-    def _load_positioning_serial(
-        self, roller_index: int, address: TrayAddress
-    ) -> Generator:
-        """Rotate/travel/hook/fan-out/grab/fan-in, fully sequential."""
-        send = self.channel.send
-        yield from send(Rotate(roller_index, address.slot))
-        yield from send(MoveArm(roller_index, address.layer))
-        yield from send(HookTray(roller_index))
-        yield from send(FanOut(roller_index, address.layer, address.slot))
-        discs = yield from send(GrabStack(roller_index, roller_index))
-        yield from send(ReleaseTray(roller_index))
-        yield from send(FanIn(roller_index))
-        return discs
 
     def _load_positioning_parallel(
         self, roller_index: int, address: TrayAddress
@@ -272,7 +285,10 @@ class MechanicalSubsystem:
             try:
                 send = self.channel.send
                 arm = self.arms[roller_index]
-                yield from send(MoveArm(roller_index, PARK_LAYER))
+                park, approach, _, lower, release, fan_in = (
+                    self.commands_for(roller_index, address)
+                )
+                yield from send(park)
                 # Collect discs from drive trays, top down, one by one.
                 for drive in drive_set.drives:
                     if drive.disc is None:
@@ -297,19 +313,15 @@ class MechanicalSubsystem:
                     tray.put_back(discs)
                     arm.layer = address.layer
                 else:
-                    yield from send(Rotate(roller_index, address.slot))
-                    yield from send(MoveArm(roller_index, address.layer))
-                    yield from send(HookTray(roller_index))
-                    yield from send(
-                        FanOut(roller_index, address.layer, address.slot)
-                    )
+                    for command in approach:
+                        yield from send(command)
                     if not tray.checked_out:
                         # Returning to a different (empty) tray than the
                         # origin.
                         tray.checked_out = True
-                    yield from send(LowerStack(roller_index, roller_index))
-                    yield from send(ReleaseTray(roller_index))
-                    yield from send(FanIn(roller_index))
+                    yield from send(lower)
+                    yield from send(release)
+                    yield from send(fan_in)
                 drive_set.loaded_from = None
                 return address
             finally:

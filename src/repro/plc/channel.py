@@ -5,14 +5,14 @@ The system controller talks to the PLC over an internal TCP/IP network
 times, but it is modelled (and counted) so the control-path cost is visible
 in traces.
 
-A command is one occurrence, not two: :meth:`ControlChannel.send` hands its
-wire latency to the PLC as a *lead* and the motion sleeps through both at
-once (the :mod:`~repro.sim.landing` rule), ending on the instant the
-two sleeps ended on.  The counters, the journal entry and the spans are
-stamped with the arrival instant, so a traced or recorded run takes the
-same path, and issues the same events, as a bare one.  The wire stretch is
-its own occurrence only when the simulated world can make something happen
-at its end: :meth:`~repro.faults.injector.FaultInjector.live` says a
+A command is one occurrence in one frame: :meth:`ControlChannel.send`
+hands the instruction, its wire latency as a *lead* and the channel to
+:meth:`~repro.plc.controller.PLCController.execute`, whose frame stamps
+the channel's counters and journal entry with the arrival instant and
+sleeps the wire and the motion at once (the :mod:`~repro.sim.landing`
+rule), so a traced or recorded run takes the same path, and issues the
+same events, as a bare one.  The wire stretch is its own occurrence only
+when :meth:`~repro.faults.injector.FaultInjector.live` says a
 ``plc.channel`` fault could trip on arrival, and the channel is checked
 then.  A fault armed *during* a command's flight was not live when the
 command was sent, so it trips the next command instead.
@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from typing import Generator, Optional, TYPE_CHECKING
 
-from repro.errors import PLCFaultError
 from repro.plc.instructions import Instruction
-from repro.sim.engine import Delay, Engine
+from repro.sim.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.plc.controller import PLCController
@@ -44,27 +43,8 @@ class ControlChannel:
         self.last_command: Optional[tuple[float, str]] = None
 
     def send(self, instruction: Instruction) -> Generator:
-        """Transmit and execute one instruction; returns its result."""
-        engine = self.engine
-        lead = COMMAND_LATENCY
-        arrival = engine.now + lead
-        if engine.faults.live("plc.channel", arrival):
-            yield Delay(lead)
-            lead = 0.0
-            fault = engine.faults.check("plc.channel")
-            if fault is not None:
-                raise PLCFaultError(
-                    f"control link error sending {instruction.mnemonic} "
-                    f"(injected {fault.kind})"
-                )
-        self.commands_sent += 1
-        self.last_command = (arrival, instruction.mnemonic)
-        if engine.recorder.enabled:
-            engine.recorder.record(
-                "plc.instruction", at=arrival, mnemonic=instruction.mnemonic
-            )
-        result = yield from self.plc.execute(instruction, lead)
-        return result
+        """Transmit and execute one instruction, in the PLC's frame."""
+        return self.plc.execute(instruction, COMMAND_LATENCY, self)
 
     def health(self) -> dict:
         """Cheap read-only snapshot for the system monitor."""

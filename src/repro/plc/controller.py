@@ -31,7 +31,6 @@ from repro.plc.instructions import (
 )
 from repro.sim.engine import Delay, Engine
 from repro.sim.landing import delay_until
-from repro.sim.tracing import NULL_TRACER
 
 
 class PLCController:
@@ -65,66 +64,93 @@ class PLCController:
             separation_gap_mm=lambda: 0.0,
         )
 
-    def execute(self, instruction: Instruction, lead: float = 0.0) -> Generator:
+    def execute(
+        self, instruction: Instruction, lead: float = 0.0, channel=None
+    ) -> Generator:
         """Run one instruction to completion; returns its result, if any.
 
-        ``lead`` is wire latency the command has yet to spend (see
+        ``lead`` is wire latency the command has yet to spend, ``channel``
+        the link it stamps on arrival (see
         :meth:`~repro.plc.channel.ControlChannel.send`).  The instruction
-        is checked now; its spans open at the arrival instant, and one
-        sleep (the :mod:`~repro.sim.landing` rule) covers the lead and the
-        motion, after which the motion commits and the sensors are read.
-        A motion that refuses, or finds nothing to move, sleeps only the
-        lead, so either outcome surfaces when the command arrives.
+        is checked now; its spans, opened only when tracing, start at the
+        arrival instant, and one sleep (the :mod:`~repro.sim.landing`
+        rule) covers the lead and the motion, after which the motion
+        commits and the sensors are read.  A motion that refuses, or finds
+        nothing to move, sleeps only the lead, so either outcome surfaces
+        when the command arrives.
         """
-        self.instructions_executed += 1
         engine = self.engine
-        trace = engine.trace
         arrival = engine.now + lead
-        check = _CHECKS.get(instruction.__class__)
-        with trace.span(instruction.span, "plc", at=arrival):
-            try:
-                try:
-                    handler = _HANDLERS.get(instruction.__class__)
-                    if handler is None:
-                        # A collect runs through collect_into_arm(), which
-                        # the caller hands the disc it took out of a drive.
-                        raise PLCFaultError(
-                            "CollectDisc must be executed via "
-                            "collect_into_arm()"
-                            if instruction.__class__ is CollectDisc
-                            else f"unknown instruction {instruction!r}"
-                        )
-                    motion = handler(self, instruction)
-                    if motion is None and check is not None:
-                        check(self, instruction)  # where it already is
-                except MechanicsError:
-                    if lead:
-                        yield Delay(lead)  # refused on arrival
-                    raise
-                if motion is None:
-                    if lead:
-                        yield Delay(lead)  # nothing to move
-                    return None
-                seconds, name, tags, commit = motion
-                scope = (
-                    trace.span(name, name.partition(".")[0], tags, at=arrival)
-                    if name is not None
-                    else NULL_TRACER.span(name)
+        if channel is not None:
+            if engine.faults.live("plc.channel", arrival):
+                yield Delay(lead)
+                lead = 0.0
+                fault = engine.faults.check("plc.channel")
+                if fault is not None:
+                    raise PLCFaultError(
+                        f"control link error sending {instruction.mnemonic} "
+                        f"(injected {fault.kind})"
+                    )
+            channel.commands_sent += 1
+            channel.last_command = (arrival, instruction.mnemonic)
+            if engine.recorder.enabled:
+                engine.recorder.record(
+                    "plc.instruction", at=arrival, mnemonic=instruction.mnemonic
                 )
-                with scope:
-                    if lead:
-                        due = arrival + seconds
-                        while engine.now < due:
-                            yield Delay(delay_until(engine.now, due))
-                    else:
-                        yield Delay(seconds)
+        self.instructions_executed += 1
+        trace = engine.trace
+        check = _CHECKS.get(instruction.__class__)
+        scope = trace.enabled and trace.span(instruction.span, "plc", at=arrival)
+        moving = False
+        try:
+            try:
+                handler = _HANDLERS.get(instruction.__class__)
+                if handler is None:
+                    # A collect runs through collect_into_arm(), which the
+                    # caller hands the disc it took out of a drive.
+                    raise PLCFaultError(
+                        "CollectDisc must be executed via collect_into_arm()"
+                        if instruction.__class__ is CollectDisc
+                        else f"unknown instruction {instruction!r}"
+                    )
+                motion = handler(self, instruction)
+                if motion is None and check is not None:
+                    check(self, instruction)  # where it already is
+            except MechanicsError:
+                if lead:
+                    yield Delay(lead)  # refused on arrival
+                raise
+            result = None
+            if motion is None:
+                if lead:
+                    yield Delay(lead)  # nothing to move
+            else:
+                seconds, name, tags, commit = motion
+                moving = scope and name is not None and trace.span(
+                    name, name.partition(".")[0], tags, at=arrival
+                )
+                if lead:
+                    due = arrival + seconds
+                    while (now := engine.now) < due:
+                        yield Delay(delay_until(now, due))
+                else:
+                    yield Delay(seconds)
+                if moving:
+                    moving.__exit__(None, None, None)
+                    moving = False
                 result = commit()
                 if check is not None:
                     check(self, instruction)
-                return result
-            except PLCFaultError:
+        except BaseException as error:
+            if isinstance(error, PLCFaultError):
                 self.faults += 1
-                raise
+            for open_scope in (moving, scope):  # innermost first
+                if open_scope:
+                    open_scope.__exit__(type(error), error, None)
+            raise
+        if scope:
+            scope.__exit__(None, None, None)
+        return result
 
     # What the handler table calls beyond one arm or roller motion.
     def _fan_out(self, fan_out: FanOut):
@@ -166,10 +192,14 @@ class PLCController:
         self.instructions_executed += 1
         arm = self.arms[arm_index]
         trace = self.engine.trace
-        with trace.span("plc.collectdisc", "plc"):
-            with trace.span("arm.collect", "arm", {"arm_id": arm.arm_id}):
+        if trace.enabled:
+            with trace.span("plc.collectdisc", "plc"), trace.span(
+                "arm.collect", "arm", {"arm_id": arm.arm_id}
+            ):
                 yield Delay(arm.timings.collect_one())
-            arm.holding.append(disc)
+        else:
+            yield Delay(arm.timings.collect_one())
+        arm.holding.append(disc)
 
 
 #: instruction class -> ``handler(plc, instruction)``: checks the

@@ -518,6 +518,9 @@ NULL_RECORDER = _NullRecorder()
 class Engine:
     """The discrete-event simulator: clock, run queue, heap and scheduler."""
 
+    #: the :class:`~repro.sim.owners.OwnerCounter` counting, if any
+    owner_counter = None
+
     def __init__(self):
         self._now = 0.0
         #: heap entries are (time, sequence, owner): the suspended Process
@@ -542,6 +545,8 @@ class Engine:
         #: flight-recorder hook; replace with
         #: :class:`repro.obs.recorder.FlightRecorder`
         self.recorder = NULL_RECORDER
+        if Engine.owner_counter is not None:
+            Engine.owner_counter.attach(self)
 
     @property
     def now(self) -> float:

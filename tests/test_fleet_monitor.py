@@ -165,6 +165,32 @@ class TestTelemetryAgent:
         assert central.stats["points_ingested"] == agent.stats["samples"]
         assert agent.stats["batches_acked"] == agent.stats["batches_sealed"]
 
+    def test_ingested_batch_with_a_lost_ack_is_in_doubt_not_dropped(self):
+        """The rack goes down while the batch central ingested waits for
+        its retry: the agent cannot know it arrived, and says so."""
+        engine = Engine()
+        # link checks: 1=request(ok) 2=respond(FAIL); then the source dies
+        engine.faults = ScriptedFaults(fail_calls={2})
+        up = {"value": True}
+        agent, central, _link = make_agent(
+            engine, source_up=lambda: up["value"]
+        )
+        agent.start()
+        advance(engine, 0.55)
+        up["value"] = False
+        agent.stop()
+        engine.run()
+        stats = agent.stats
+        assert central.stats["batches_ingested"] == 1
+        assert central.stats["points_ingested"] == 2
+        assert stats["points_dropped"] == 0
+        assert stats["batches_abandoned"] == 0
+        assert stats["batches_in_doubt"] == 1
+        assert stats["points_in_doubt"] == 2
+        assert stats["batches_acked"] + stats["batches_dropped"] + (
+            stats["batches_abandoned"] + stats["batches_in_doubt"]
+        ) == stats["batches_sealed"]
+
     def test_outbox_overflow_drops_oldest_unacked(self):
         engine = Engine()
         engine.faults = WindowFaults(engine, 0.0, float("inf"))

@@ -670,3 +670,83 @@ def test_a_refused_stack_command_loses_no_disc(instruction, message):
     assert subsystem.tray_at(0, tray).is_full
     assert not subsystem.tray_at(0, tray).checked_out
 
+
+
+# ----------------------------------------------------------------------
+# A PLC command runs in one frame: ``ControlChannel.send`` hands the
+# instruction to ``PLCController.execute``, which stamps the channel's
+# counters and journal, opens the spans only when the engine traces, and
+# sleeps the motion.  The load and unload choreographies build their
+# instructions once and reuse them.
+# ----------------------------------------------------------------------
+def _load_and_swap(observed):
+    """A load, then a swap to another tray, under a tracer and a flight
+    recorder or bare: what the engine and the channel did, and when each
+    command was sent."""
+    engine, subsystem = _rig(traced=observed)
+    recorder = FlightRecorder(engine).install() if observed else None
+    sent = []
+    send = subsystem.channel.send
+
+    def timed_send(instruction):
+        sent.append((engine.now, instruction.mnemonic))
+        return send(instruction)
+
+    subsystem.channel.send = timed_send
+    before = engine.events_issued
+    engine.run_process(subsystem.load_array(0, TrayAddress(3, 1)))
+    engine.run_process(subsystem.swap_array(0, TrayAddress(40, 4)))
+    seen = (
+        engine.events_issued - before,
+        engine.now.hex(),
+        subsystem.channel.commands_sent,
+        subsystem.plc.instructions_executed,
+        subsystem.health(),
+    )
+    return seen, sent, recorder, engine.trace
+
+
+def test_a_swap_does_the_same_work_traced_and_recorded_as_bare():
+    bare, bare_sent, _, _ = _load_and_swap(False)
+    observed, sent, recorder, tracer = _load_and_swap(True)
+    assert observed == bare and sent == bare_sent
+    # 7 + 12 to load, then 8 to unload and 7 + 12 to load again
+    assert observed[2] == len(sent) == 46
+    arrivals = [(now + COMMAND_LATENCY, name) for now, name in sent]
+    assert [
+        (event["t"], event["mnemonic"])
+        for event in recorder.events("plc.instruction")
+    ] == [(round(t, 6), name) for t, name in arrivals]
+    # each command's span opens at its arrival too
+    assert [
+        (span.start, span.name)
+        for span in tracer.spans
+        if span.name.startswith("plc.") and span.name != "plc.collectdisc"
+    ] == [(t, f"plc.{name.lower()}") for t, name in arrivals]
+
+
+def test_two_loads_of_one_tray_send_the_same_instruction_objects():
+    engine, subsystem = _rig()
+    sent = []
+    send = subsystem.channel.send
+    subsystem.channel.send = lambda instruction: (
+        sent.append(instruction) or send(instruction)
+    )
+    for _ in range(2):
+        engine.run_process(subsystem.load_array(0, TrayAddress(3, 1)))
+        engine.run_process(subsystem.unload_array(0))
+    first, second = sent[:len(sent) // 2], sent[len(sent) // 2:]
+    assert len(first) == 7 + 12 + 8
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_a_sent_command_runs_as_a_process_of_its_own():
+    from tests.conftest import make_ros
+
+    ros = make_ros(auto_burn=False)
+    channel = ros.mech.channel
+    start, commands = ros.now, channel.commands_sent
+    ros.run(channel.send(Calibrate(0)), "calibrate")
+    assert ros.now == (start + COMMAND_LATENCY) + 1.0
+    assert channel.commands_sent == commands + 1
+    assert channel.last_command == (start + COMMAND_LATENCY, "CALIBRATE")

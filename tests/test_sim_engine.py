@@ -1299,3 +1299,41 @@ def test_deadlock_on_a_join_names_the_target_that_never_finished():
         engine.run_process(main(AllOf))
     with pytest.raises(SimulationError, match=r"firstof\(hangs, hangs\)"):
         engine.run_process(main(FirstOf))
+
+
+# ----------------------------------------------------------------------
+# The opt-in owner counter: an engine built while one counts files each
+# sequence draw, step and resumed frame under the package of the
+# generator its process was spawned with; any other engine is untouched.
+# ----------------------------------------------------------------------
+def test_owner_counter_files_cost_under_the_spawning_package():
+    from collections import Counter
+
+    from repro.mechanics import MechanicalSubsystem
+    from repro.plc import Rotate
+    from repro.sim.owners import OwnerCounter
+
+    assert "_step" not in vars(Engine())
+    with OwnerCounter() as counter:
+        with pytest.raises(RuntimeError):
+            with OwnerCounter():
+                pass
+        engine = Engine()
+        subsystem = MechanicalSubsystem(engine, roller_count=1)
+    assert Engine.owner_counter is None
+    assert "_step" not in vars(Engine())
+
+    def via_tests():
+        yield from subsystem.channel.send(Rotate(0, 4))
+
+    # The spawns are drawn by this file's code, each process's sleep
+    # under its owner; the second process's first step resumes one
+    # frame, its second two (``via_tests`` and ``execute`` below it).
+    engine.run_process(subsystem.channel.send(Rotate(0, 3)))
+    engine.run_process(via_tests())
+    assert counter.draws == Counter({"tests": 3, "plc": 1})
+    assert counter.steps == Counter({"plc": 2, "tests": 2})
+    assert counter.frames == Counter({"plc": 2, "tests": 3})
+    assert counter.draws.total() == engine.events_issued
+    counter.clear()
+    assert not (counter.draws or counter.steps or counter.frames)
