@@ -42,8 +42,9 @@ FRAME_BUDGETS = load_baseline(BASELINE, "frames_per_step")
 
 @functools.cache
 def measure(name):
-    """One repetition of ``name``: its outcome, and the engine steps of
-    its timed region with the generator frames they resumed."""
+    """One repetition of ``name``: its outcome, the engine steps of its
+    timed region with the generator frames they resumed, and each
+    engine's gauges (largest heap and run queue, compactions)."""
     workload = WORKLOADS[name]
     inputs = workload.inputs(SEED, SCALE)
     with OwnerCounter() as counter:
@@ -54,15 +55,16 @@ def measure(name):
     assert counter.draws.total() == outcome["events"], name
     return outcome, {
         "events": counter.frames.total(), "ops": counter.steps.total()
-    }
+    }, counter.gauges()
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_events_per_op_within_budget(name):
-    outcome, _ = measure(name)
+    outcome, _, gauges = measure(name)
     stats = {"events": outcome["events"], "ops": outcome["ok"]}
     print(f"\n{name}: {stats['events']} events / {stats['ops']} ops = "
-          f"{stats['events'] / stats['ops']:.3f} (budget {BUDGETS.get(name)})")
+          f"{stats['events'] / stats['ops']:.3f} (budget {BUDGETS.get(name)}"
+          f"; engine gauges {gauges})")
     # budget_check skips what has no budget; a workload must not slip
     # through that way.
     assert name in BUDGETS, f"no events_per_op budget for {name}"
@@ -72,7 +74,7 @@ def test_events_per_op_within_budget(name):
 
 @pytest.mark.parametrize("name", sorted(FRAME_BUDGETS))
 def test_frames_per_step_within_budget(name):
-    _, frames = measure(name)
+    _, frames, _ = measure(name)
     print(f"\n{name}: {frames['events']} frames / {frames['ops']} steps = "
           f"{frames['events'] / frames['ops']:.3f} "
           f"(budget {FRAME_BUDGETS[name]})")

@@ -21,7 +21,13 @@ spawned with:
   draw of their own;
 * **frames** — the generator frames those resumptions ran through (the
   stepped process's ``gi_yieldfrom`` chain), what the ``frames_per_step``
-  budgets gate.
+  budgets gate;
+* **frames by code** — the same frames filed under the package of each
+  frame's own code, not its process's owner, so a ``plc`` or
+  ``mechanics`` frame an ``olfs`` process resumes shows as such.  Its
+  total is the frames total;
+* **engine gauges** — per counted engine, the largest heap and run
+  queue seen at a draw or after a step, and the heap compactions.
 
 Counts repeat exactly per seed; the "where the events go" tables in
 ``docs/performance.md`` are read off this ledger, before and after a
@@ -49,9 +55,10 @@ def ledger(name: str, seed: int, scale: float):
     return counter, outcome
 
 
-def table(title: str, counts: Counter, ops: int, top: int) -> None:
+def table(title: str, counts: Counter, ops: int, top: int,
+          label: str = "owner") -> None:
     total = counts.total()
-    print(f"{title:>12} {'per op':>8} {'share':>6}  owner")
+    print(f"{title:>12} {'per op':>8} {'share':>6}  {label}")
     rows = counts.most_common()
     for owner, n in rows[:top]:
         print(f"{n:>12} {n / ops:>8.2f} {n / total:>6.1%}  {owner}")
@@ -84,6 +91,15 @@ def main(argv=None) -> int:
     table("resumptions", counter.steps, ops, args.top)
     print()
     table("frames", counter.frames, ops, args.top)
+    print()
+    table("frames", counter.code_frames, ops, args.top, "code's package")
+    if counter.code_frames.total() != frames:
+        raise SystemExit("frames by code do not add up to the frames total")
+    print()
+    print(f"{'engine':>6} {'max heap':>9} {'max runq':>9} {'compactions':>12}")
+    for number, gauges in enumerate(counter.gauges()):
+        print(f"{number:>6} {gauges['heap']:>9} {gauges['runq']:>9} "
+              f"{gauges['compactions']:>12}")
     return 0
 
 

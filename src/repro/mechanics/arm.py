@@ -35,8 +35,9 @@ class RoboticArm:
 
     # ------------------------------------------------------------------
     # Motions.  Each checks that it can run and returns ``(seconds, span
-    # name, span tags, commit)``: the PLC sleeps ``seconds`` inside the
-    # span (none when its name is None), then ``commit()`` lands the state
+    # name, span tag value or None, commit)``: the PLC sleeps ``seconds``
+    # inside the span (none when its name is None; the PLC builds its tags
+    # only when tracing), then ``commit()`` lands the state
     # change and returns the motion's result.  ``None`` means there is
     # nothing to move; a refusal raises before anything changes.
     # ------------------------------------------------------------------
@@ -57,15 +58,13 @@ class RoboticArm:
             self.moves += 1
             self.layer = layer
 
-        tags = {"arm_id": self.arm_id, "layer": layer}
-        return seconds, "arm.move", tags, arrive
+        return seconds, "arm.move", layer, arrive
 
     def hook_tray(self):
         """Lock the outer hook of the tray facing the arm."""
         if self.hooked:
             raise MechanicsError("arm already hooked to a tray")
-        tags = {"arm_id": self.arm_id}
-        return self.timings.engage, "arm.hook", tags, self._hook
+        return self.timings.engage, "arm.hook", None, self._hook
 
     def _hook(self) -> None:
         self.hooked = True
@@ -97,8 +96,7 @@ class RoboticArm:
             self.layer = PARK_LAYER
             return discs
 
-        tags = {"arm_id": self.arm_id, "discs": len(discs)}
-        return self.timings.lift, "arm.grab", tags, lifted
+        return self.timings.lift, "arm.grab", len(discs), lifted
 
     def lower_stack(self, tray: Tray):
         """Lower the held stack into ``tray``, which must be taking it."""
@@ -110,7 +108,7 @@ class RoboticArm:
             discs, self.holding = self.holding, []
             tray.put_back(discs)
 
-        return self.timings.lift, "arm.lower", {"arm_id": self.arm_id}, lowered
+        return self.timings.lift, "arm.lower", None, lowered
 
     def separate_next(self):
         """Separate the bottom disc of the held stack (for the next drive).
@@ -120,9 +118,8 @@ class RoboticArm:
         """
         if not self.holding:
             raise MechanicsError("no discs left to separate")
-        tags = {"arm_id": self.arm_id}
         seconds = self.timings.separate_one()
-        return seconds, "arm.separate", tags, self._separate
+        return seconds, "arm.separate", None, self._separate
 
     def _separate(self) -> OpticalDisc:
         return self.holding.pop(0)

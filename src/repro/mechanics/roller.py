@@ -116,8 +116,7 @@ class Roller:
             self.facing_slot = slot
             self.aligned = True
 
-        tags = {"roller_id": self.roller_id, "slot": slot}
-        return self.timings.rotate, "roller.rotate", tags, rotated
+        return self.timings.rotate, "roller.rotate", slot, rotated
 
     def fan_out(self, address: TrayAddress):
         """Fan the addressed tray out of the roller.
@@ -137,15 +136,13 @@ class Roller:
         def fanned():
             self._fanned_out = address
 
-        tags = {"roller_id": self.roller_id}
-        return self.timings.fan_out, "roller.fan_out", tags, fanned
+        return self.timings.fan_out, "roller.fan_out", None, fanned
 
     def fan_in(self):
         """Close the currently fanned-out tray back into the roller."""
         if self._fanned_out is None:
             raise MechanicsError("no tray is fanned out")
-        tags = {"roller_id": self.roller_id}
-        return self.timings.fan_in, "roller.fan_in", tags, self._closed
+        return self.timings.fan_in, "roller.fan_in", None, self._closed
 
     def _closed(self) -> None:
         self._fanned_out = None

@@ -61,6 +61,11 @@ class BurnTask:
         self._resume_event = None
         #: fires when the latest round that started burning has ended
         self.round_over = None
+        self.data_images: list[DiscImage] = []
+        self.parity_records: list[ImageRecord] = []
+        #: per disc (blob, logical size, image id), and each data blob's
+        #: file extents, from the first round on (see _encode)
+        self.payloads, self.extents = None, []
 
     # ------------------------------------------------------------------
     def request_interrupt(self) -> None:
@@ -87,24 +92,12 @@ class BurnTask:
         config = self.controller.config
         try:
             self.state = "parity"
-            data_images = [record.image for record in self.data_records]
-            # A sealed image is immutable (its volume is closed), so the
-            # bytes parity is computed over are the bytes that get burned.
-            data_blobs = [image.serialize() for image in data_images]
-            parity_images: list[DiscImage] = []
+            self.data_images = [record.image for record in self.data_records]
             if config.parity_discs_per_array > 0:
                 with self.engine.trace.span("btm.parity", "btm"):
-                    parity_images = yield from dim.generate_parity(
-                        data_images, data_blobs
+                    self.parity_records = yield from dim.generate_parity(
+                        self.data_images
                     )
-            all_images = data_images + parity_images
-            blobs = data_blobs + [
-                image.serialize() for image in parity_images
-            ]
-            payloads = [
-                (blob, image.logical_size, image.image_id)
-                for blob, image in zip(blobs, all_images)
-            ]
             burned_prefix: dict[str, float] = {}
             real_prefix: dict[str, int] = {}
             attempts = 0
@@ -119,7 +112,7 @@ class BurnTask:
                         "btm.burn_round", "btm", {"task_id": self.task_id}
                     ):
                         finished = yield from self._burn_round(
-                            all_images, payloads, burned_prefix, real_prefix
+                            burned_prefix, real_prefix
                         )
                 except ROSError as round_error:
                     # The whole array is abandoned: mark its tray Failed
@@ -169,29 +162,43 @@ class BurnTask:
                 mc.set_state(self.tray[0], self.tray[1], ArrayState.FAILED)
             self.controller.task_failed(self, error)
             self.done_event.fail(error)
+        finally:
+            # the controller keeps finished tasks; their bytes go
+            self.data_images, self.payloads, self.extents = [], None, []
 
-    def _burn_round(
-        self,
-        all_images: list[DiscImage],
-        payloads: list[tuple[bytes, int, str]],
-        burned_prefix: dict[str, float],
-        real_prefix: dict[str, int],
-    ) -> Generator:
+    def _encode(self) -> None:
+        """Serialize the data images and encode their parity, once a
+        round holds the drive set, so a queued task holds no bytes.  A
+        sealed image is immutable, so parity covers the burned bytes."""
+        self.extents = [{} for _ in self.data_images]
+        blobs = [image.serialize(extents)
+                 for image, extents in zip(self.data_images, self.extents)]
+        parity = self.controller.dim.encode_parity(self.parity_records, blobs)
+        blobs += [image.serialize() for image in parity]
+        self.payloads = [
+            (blob, image.logical_size, image.image_id)
+            for blob, image in zip(blobs, self.data_images + parity)
+        ]
+
+    def _burn_round(self, burned_prefix: dict, real_prefix: dict) -> Generator:
         """Load the tray (blank on the first round), burn what remains of
         each image, unload.  Returns True when every image completed."""
         mc = self.controller.mc
         dim = self.controller.dim
         mech = mc.mech
-        if self.tray is None:
-            roller_index = 0
-        else:
-            roller_index = self.tray[0]
         if self.set_id is None:
+            roller_index = 0 if self.tray is None else self.tray[0]
             self.set_id = mc.pick_set_for_burn(roller_index)
         grant = yield from mc.acquire_set(self.set_id, PRIORITY_BURN)
         mc.burn_task_of_set[self.set_id] = self
         drive_set = mech.drive_sets[self.set_id]
         try:
+            if self.payloads is None:
+                self._encode()
+            payloads = self.payloads
+            all_images = self.data_images + [
+                record.image for record in self.parity_records
+            ]
             if not drive_set.is_empty:
                 yield from mech.unload_array(
                     self.set_id, priority=PRIORITY_BURN
@@ -247,8 +254,8 @@ class BurnTask:
                 raise
             self.state = "placing"
             all_done = True
-            for result, job, (payload, size, image_id), image in zip(
-                results, jobs, payloads, all_images
+            for result, job, (payload, size, image_id) in zip(
+                results, jobs, payloads
             ):
                 if job is None:
                     continue  # disc already finished in an earlier round
@@ -278,6 +285,8 @@ class BurnTask:
                             blob,
                             (roller_index, address),
                         )
+                if self.controller.foreparts is not None:
+                    self.controller.foreparts.view_burned(payloads, self.extents)
                 mc.set_state(roller_index, address, ArrayState.USED)
                 mc.array_images[(roller_index, address)] = [
                     image.image_id for image in all_images
@@ -340,8 +349,10 @@ class BurnController:
         self.mc = mc
         self.scheduler = scheduler
         #: wired by OLFS after construction: burned data images migrate
-        #: from pinned buffer space into the LRU read cache
+        #: from pinned buffer space into the LRU read cache, and MV
+        #: foreparts held in a burned blob become views of it
         self.cache = None
+        self.foreparts = None
         self._task_ids = itertools.count(1)
         self.active_tasks: list[BurnTask] = []
         self.completed_tasks: list[BurnTask] = []

@@ -165,7 +165,8 @@ class OLFS:
             self.scheduler,
             burn_controller=self.btm,
         )
-        self.foreparts = ForepartManager(self.config)
+        self.foreparts = ForepartManager(self.config, self.mv)
+        self.btm.foreparts = self.foreparts
         self.pi = POSIXInterface(
             self.engine,
             self.config,

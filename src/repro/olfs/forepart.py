@@ -49,8 +49,9 @@ class TrickleePlan:
 class ForepartManager:
     """Stores and serves file foreparts via the index files."""
 
-    def __init__(self, config: OLFSConfig):
+    def __init__(self, config: OLFSConfig, mv=None):
         self.config = config
+        self.mv = mv  # the MetadataVolume whose index files hold them
 
     @property
     def enabled(self) -> bool:
@@ -69,6 +70,22 @@ class ForepartManager:
         if not self.enabled:
             return None
         return data[:FOREPART_BYTES]
+
+    def view_burned(self, payloads: list, extents: list[dict]) -> None:
+        """MV foreparts the burned blobs of ``payloads`` hold become views
+        of them.  ``extents`` maps each data blob's paths to (data, offset);
+        a forepart qualifies as its file's whole extent or a prefix of the
+        current version's first."""
+        for (blob, _, image_id), files in zip(payloads, extents):
+            view = memoryview(blob)
+            for path, (data, offset) in files.items():
+                index = self.mv.stored_index(path)
+                forepart = index and index.forepart
+                if forepart and (forepart is data or (
+                    index.current.locations[0] == image_id
+                    and data.startswith(forepart)
+                )):
+                    index.forepart = view[offset : offset + len(forepart)]
 
     def plan(
         self,

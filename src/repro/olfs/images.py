@@ -46,7 +46,8 @@ class ImageRecord:
     kind: str
     state: str
     logical_size: int = 0
-    #: in-memory content while buffered/cached; None once evicted
+    #: in-memory content while buffered/cached; None once evicted, and
+    #: for a parity image until its burn task's first round
     image: Optional[DiscImage] = None
     #: disc holding the burned image, if any
     disc_id: Optional[str] = None
@@ -80,7 +81,6 @@ class DiscImageManager:
         #: buffered data images not claimed, in DILindex order (read-only)
         self.ready: list[ImageRecord] = []
         self._parity_counter = itertools.count(1)
-        self.parity_images_generated = 0
 
     def _add(self, record: ImageRecord) -> ImageRecord:
         """Enter a new image's record at the end of the DILindex."""
@@ -124,19 +124,15 @@ class DiscImageManager:
         volume.allocate(image.logical_size)
         return record
 
-    def register_parity(self, image: DiscImage) -> ImageRecord:
-        record = ImageRecord(
-            image.image_id,
-            kind="parity",
-            state=BUFFERED,
-            image=image,
-            logical_size=image.logical_size,
-        )
-        self._add(record)
+    def register_parity(self, image_id: str, logical_size: int) -> ImageRecord:
+        """A parity record, with no image until :meth:`encode_parity`."""
+        record = self._add(ImageRecord(
+            image_id, kind="parity", state=BUFFERED, logical_size=logical_size
+        ))
         # Buffer-space accounting is kept on the USER_WRITE volume for
         # every buffered image, wherever its stream was charged.
         volume = self.scheduler.volume_for(StreamKind.USER_WRITE)
-        volume.allocate(image.logical_size)
+        volume.allocate(logical_size)
         return record
 
     def claim(self, records: list[ImageRecord]) -> None:
@@ -217,32 +213,20 @@ class DiscImageManager:
     # ------------------------------------------------------------------
     # Delayed parity generation (§4.7)
     # ------------------------------------------------------------------
-    def generate_parity(
-        self,
-        data_images: list[DiscImage],
-        blobs: Optional[list[bytes]] = None,
-    ) -> Generator:
-        """Create the parity images over a prepared array's data images.
+    def generate_parity(self, data_images: list[DiscImage]) -> Generator:
+        """The timed part of parity generation over a prepared array.
 
-        ``blobs`` are the images' serialized bytes when the caller already
-        has them (a burn task burns the same bytes it protects).
-
-        Streams every data image off the buffer (parity-read), encodes
-        the serialized bytes, zero-padded to the widest, with
-        :func:`~repro.storage.raid.erasure_parity`, and writes each parity
-        image back (parity-write); both streams are charged to the volumes
-        the scheduler assigned, so this is exactly the interference
-        workload §4.7 describes.  Returns ``[P]`` for the 11+1 schema and
-        ``[P, Q]`` for 10+2, in the shard positions
-        :func:`~repro.storage.raid.erasure_decode` expects after the data.
+        Streams every data image off the buffer (parity-read), then
+        registers each parity image and writes it back (parity-write);
+        both streams are charged to the volumes the scheduler assigned,
+        so this is exactly the interference workload §4.7 describes.
+        Returns the parity records, ``[P]`` for the 11+1 schema and
+        ``[P, Q]`` for 10+2, whose bytes :meth:`encode_parity` makes.
         """
         if not data_images:
             raise FilesystemError("parity over an empty image set")
         read_volume = self.scheduler.volume_for(StreamKind.PARITY_READ)
         write_volume = self.scheduler.volume_for(StreamKind.PARITY_WRITE)
-
-        if blobs is None:
-            blobs = [image.serialize() for image in data_images]
         logical = max(image.logical_size for image in data_images)
 
         def read_one(blob_size: float) -> Generator:
@@ -257,22 +241,29 @@ class DiscImageManager:
         ]
         yield AllOf(readers)
 
-        images_out = []
-        for parity in erasure_parity(
-            pad_blobs(blobs), self.config.parity_discs_per_array
-        ):
+        records = []
+        for _ in range(self.config.parity_discs_per_array):
             parity_id = f"par-{next(self._parity_counter):08d}"
             yield from write_volume.write(logical)
-            image = DiscImage(
-                parity_id,
+            records.append(self.register_parity(parity_id, logical))
+        return records
+
+    @staticmethod
+    def encode_parity(records: list, blobs: list) -> list[DiscImage]:
+        """Attach (and return) ``records``' parity images over the data
+        ``blobs``, zero-padded to the widest, in erasure_decode's order."""
+        if not records:
+            return []
+        for record, raw in zip(
+            records, erasure_parity(pad_blobs(blobs), len(records))
+        ):
+            record.image = DiscImage(
+                record.image_id,
                 kind="parity",
-                raw=parity,
-                logical_size=logical,
+                raw=raw,
+                logical_size=record.logical_size,
             )
-            self.register_parity(image)
-            self.parity_images_generated += 1
-            images_out.append(image)
-        return images_out
+        return [record.image for record in records]
 
 
 def pad_blobs(blobs: list[bytes]) -> list[np.ndarray]:

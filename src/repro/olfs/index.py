@@ -82,7 +82,7 @@ class IndexFile:
         self.path = path
         self.max_versions = max_versions
         self.entries: list[VersionEntry] = []
-        self.forepart: Optional[bytes] = None
+        self.forepart: Optional[bytes] = None  # or a burned blob's view
 
     # ------------------------------------------------------------------
     # Versions (§4.6: ring of up to 15 entries)

@@ -200,6 +200,14 @@ class MetadataVolume:
             raise FileNotFoundOLFSError(f"{path!r} is a directory in MV")
         return node.index()
 
+    def stored_index(self, path: str):
+        """The stored index file itself (not a copy), untimed, or None."""
+        try:
+            node = self._find(path)
+        except (FileNotFoundOLFSError, NotADirectoryOLFSError):
+            return None
+        return None if isinstance(node, dict) else node.parsed
+
     def used_bytes(self) -> int:
         """MV footprint with 1 KB blocks + 128 B inodes (§4.2 sizing)."""
         total = 0

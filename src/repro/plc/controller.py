@@ -125,9 +125,10 @@ class PLCController:
                 if lead:
                     yield Delay(lead)  # nothing to move
             else:
-                seconds, name, tags, commit = motion
+                seconds, name, tag, commit = motion
                 moving = scope and name is not None and trace.span(
-                    name, name.partition(".")[0], tags, at=arrival
+                    name, name.partition(".")[0],
+                    _span_tags(self, instruction, name, tag), at=arrival
                 )
                 if lead:
                     due = arrival + seconds
@@ -221,6 +222,17 @@ _HANDLERS = {
     SeparateDisc: lambda plc, i: plc.arms[i.arm].separate_next(),
     Calibrate: PLCController._calibrate,
 }
+
+#: motion span name -> the key of the tag value its motion returns
+_TAG_KEYS = {"arm.move": "layer", "arm.grab": "discs", "roller.rotate": "slot"}
+
+
+def _span_tags(plc: PLCController, instruction, name: str, tag) -> dict:
+    """A motion span's tags: its arm's or roller's id, and ``tag``."""
+    tags = ({"arm_id": plc.arms[instruction.arm].arm_id} if name[:4] == "arm."
+            else {"roller_id": plc.rollers[instruction.roller].roller_id})
+    return tags if tag is None else {**tags, _TAG_KEYS[name]: tag}
+
 
 #: instruction class -> the sensor check after its motion commits (or at
 #: once, when there was nothing to move)

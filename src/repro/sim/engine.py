@@ -535,6 +535,7 @@ class Engine:
         self._active: int = 0  # number of live (unfinished) processes
         self._live_timers: int = 0  # live entries in the heap
         self._dead_timers: int = 0  # dead (cancelled) entries still in it
+        self.compactions = 0  # heap rebuilds, one count per O(n) rebuild
         #: the process whose generator is currently being stepped (tracing
         #: context; never nested: see the alarm-resume rule)
         self.current_process: Optional[Process] = None
@@ -651,6 +652,7 @@ class Engine:
         heapq.heapify(alive)
         self._heap[:] = alive
         self._dead_timers = 0
+        self.compactions += 1
 
     def event(self, name: str = "") -> SimEvent:
         return SimEvent(self, name)

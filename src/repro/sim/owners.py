@@ -10,9 +10,10 @@ attribute because the engines worth counting are built deep inside the
 campaign drivers.  Under its owner the counter files each sequence draw
 (what ``events_issued`` counts) made while a process is stepped, its
 joiners' wake-ups included; each step; and each generator frame a step
-resumes (the stepped process's ``gi_yieldfrom`` chain).  A draw with no
-process stepping (an alarm callback, the campaign's own code) goes under
-the package of the code that asked for it.  Usage::
+resumes (the stepped process's ``gi_yieldfrom`` chain), also by each
+frame's own package.  A draw with no process stepping (an alarm callback,
+the campaign's own code) goes under the package of the code that asked
+for it; :meth:`gauges` reads each engine's heap and run queue.  Usage::
 
     with OwnerCounter() as counter:
         rig = build()       # engines built here are counted
@@ -37,6 +38,8 @@ class OwnerCounter:
         self.draws: Counter = Counter()
         self.steps: Counter = Counter()
         self.frames: Counter = Counter()
+        self.code_frames: Counter = Counter()  # by each frame's package
+        self._peaks: list[tuple[Engine, dict]] = []  # largest heap, runq
         self._owners: dict = {}  # code object -> its package
         self._stepping = None  # owner of the process being stepped
 
@@ -52,8 +55,17 @@ class OwnerCounter:
 
     def clear(self) -> None:
         """Forget what was counted so far (engines stay counted)."""
-        for counts in (self.draws, self.steps, self.frames):
+        for counts in (self.draws, self.steps, self.frames, self.code_frames):
             counts.clear()
+        for engine, peaks in self._peaks:
+            peaks.update(heap=0, runq=0)
+            engine.compactions = 0
+
+    def gauges(self) -> list[dict]:
+        """Per counted engine since the last clear: the largest heap and
+        run queue seen at a draw or a step's end, and heap compactions."""
+        return [dict(peaks, compactions=engine.compactions)
+                for engine, peaks in self._peaks]
 
     def _owner(self, code) -> str:
         owner = self._owners.get(code)
@@ -65,11 +77,16 @@ class OwnerCounter:
     def attach(self, engine: Engine) -> None:
         """Count ``engine`` (called by ``Engine.__init__`` while counting)."""
         draw, resume = engine._seq_next, engine._step
-        owner_of, draws, steps, frames = (
-            self._owner, self.draws, self.steps, self.frames
+        owner_of, draws, steps, frames, code_frames = (
+            self._owner, self.draws, self.steps, self.frames, self.code_frames
         )
+        heap, runq = engine._heap, engine._runq
+        peaks = {"heap": 0, "runq": 0}
+        self._peaks.append((engine, peaks))
 
         def counting_draw() -> int:
+            peaks["heap"] = max(peaks["heap"], len(heap))
+            peaks["runq"] = max(peaks["runq"], len(runq))
             owner = self._stepping
             if owner is None:
                 caller = sys._getframe(1)
@@ -85,12 +102,15 @@ class OwnerCounter:
             steps[owner] += 1
             while type(generator) is GeneratorType:
                 frames[owner] += 1
+                code_frames[owner_of(generator.gi_code)] += 1
                 generator = generator.gi_yieldfrom
             outer, self._stepping = self._stepping, owner
             try:
                 resume(process, value, exception)
             finally:
                 self._stepping = outer
+                peaks["heap"] = max(peaks["heap"], len(heap))
+                peaks["runq"] = max(peaks["runq"], len(runq))
 
         engine._seq_next, engine._step = counting_draw, counting_step
 

@@ -152,14 +152,14 @@ class DiscImage:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def serialize(self) -> bytes:
+    def serialize(self, extents: Optional[dict] = None) -> bytes:
         """Self-describing byte layout: magic | header length | JSON header
-        | concatenated file extents (or raw parity bytes, the object
-        ``raw`` views)."""
+        | concatenated file extents (or raw parity bytes, the object ``raw``
+        views); ``extents`` gets path -> (file data, offset in the bytes)."""
         if self.kind == PARITY:
             return self._serialized
         entries = []
-        extents = []
+        files = []  # (path, data, offset in the body)
         offset = 0
         fs = self.mount()
         for path, entry in fs.walk():
@@ -176,7 +176,7 @@ class DiscImage:
                         "mtime": entry.mtime,
                     }
                 )
-                extents.append(entry.data)
+                files.append((path, entry.data, offset))
                 offset += len(entry.data)
         header = {
             "version": FORMAT_VERSION,
@@ -187,7 +187,11 @@ class DiscImage:
             "logical_size": self.logical_size,
             "entries": entries,
         }
-        return _volume(header, *extents)
+        blob = _volume(header, *[data for _, data, _ in files])
+        if extents is not None:
+            start = len(blob) - offset
+            extents.update((p, (data, start + at)) for p, data, at in files)
+        return blob
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "DiscImage":

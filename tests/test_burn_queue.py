@@ -76,8 +76,6 @@ def build(width):
 
 
 def image(image_id, kind="data"):
-    if kind == "parity":
-        return DiscImage(image_id, kind=kind, raw=b"\x00" * 64)
     fs = UDFFileSystem(64 * 1024, label=image_id)
     fs.write_file("/f", image_id.encode())
     fs.close()
@@ -115,7 +113,7 @@ def test_ready_queue_picks_what_the_full_scan_picked(width, ops):
             # Buckets close out of creation order.
             dim.bucket_closed(image(open_ids.pop(arg % len(open_ids))))
         elif op == "parity":
-            dim.register_parity(image(f"par-{next(serial):05d}", "parity"))
+            dim.register_parity(f"par-{next(serial):05d}", 64)
         elif op == "metadata":
             dim.bucket_closed(image(f"mv-{next(serial):05d}", "metadata"))
         elif op in ("maybe", "flush"):
@@ -178,14 +176,18 @@ def test_interrupted_then_resumed_burns_checksum_the_whole_image():
         auto_burn=False,
     )
     images = {}
-    for name in ("bucket_closed", "register_parity"):
-        original = getattr(ros.dim, name)
+    bucket_closed, encode_parity = ros.dim.bucket_closed, ros.dim.encode_parity
 
-        def spy(entering, _original=original):
-            images[entering.image_id] = entering
-            return _original(entering)
+    def closed_spy(entering):
+        images[entering.image_id] = entering
+        return bucket_closed(entering)
 
-        setattr(ros.dim, name, spy)
+    def encode_spy(records, blobs):
+        encoded = encode_parity(records, blobs)
+        images.update((parity.image_id, parity) for parity in encoded)
+        return encoded
+
+    ros.dim.bucket_closed, ros.dim.encode_parity = closed_spy, encode_spy
     for index in range(4):
         ros.write(f"/old/f{index}.bin", b"o" * 300_000)
     ros.flush()

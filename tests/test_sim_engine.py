@@ -1334,6 +1334,40 @@ def test_owner_counter_files_cost_under_the_spawning_package():
     assert counter.draws == Counter({"tests": 3, "plc": 1})
     assert counter.steps == Counter({"plc": 2, "tests": 2})
     assert counter.frames == Counter({"plc": 2, "tests": 3})
+    # filed by each frame's own code, ``execute`` under ``via_tests`` is
+    # a plc frame
+    assert counter.code_frames == Counter({"plc": 3, "tests": 2})
     assert counter.draws.total() == engine.events_issued
     counter.clear()
     assert not (counter.draws or counter.steps or counter.frames)
+    assert not counter.code_frames
+    assert counter.gauges() == [{"heap": 0, "runq": 0, "compactions": 0}]
+
+
+def test_owner_counter_gauges_heap_run_queue_and_compactions():
+    from repro.sim.owners import OwnerCounter
+
+    with OwnerCounter() as counter:
+        engine = Engine()
+        counted = Engine()
+    Engine()  # built outside the counter: no gauges
+
+    def sleeper(seconds):
+        yield Delay(seconds)
+
+    def main():
+        for index in range(70):
+            engine.spawn(sleeper(1.0 + index))
+        yield Delay(0.5)
+
+    engine.run_process(main())
+    # main queued 70 spawns, then each sleeper's sleep joined main's
+    assert counter.gauges()[0] == {"heap": 71, "runq": 70, "compactions": 0}
+    engine.run()
+    alarms = [engine.call_later(1.0 + i, lambda: None) for i in range(100)]
+    for alarm in alarms[:60]:
+        alarm.disarm()
+    engine.run()
+    assert counter.gauges()[0]["compactions"] == 1
+    assert counter.gauges()[1] == {"heap": 0, "runq": 0, "compactions": 0}
+    assert len(counter.gauges()) == 2 and counted is not engine

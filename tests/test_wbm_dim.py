@@ -210,9 +210,11 @@ def test_dim_parity_generation_xor_correct():
         dim.bucket_closed(image)
         images.append(image)
         blobs.append(image.serialize())
-    parity_images = engine.run_process(dim.generate_parity(images))
-    assert len(parity_images) == 1
-    parity = parity_images[0]
+    records = engine.run_process(dim.generate_parity(images))
+    assert len(records) == 1
+    assert records[0].image is None  # the timed part carries no bytes
+    [parity] = dim.encode_parity(records, blobs)
+    assert records[0].image is parity
     # Blob 0 decodes from the other two + P (shard position 3).
     shards = dict(zip((1, 2, 3), pad_blobs([blobs[1], blobs[2], parity.raw])))
     recovered = erasure_decode(3, shards)[0].tobytes()[: len(blobs[0])]
@@ -255,8 +257,11 @@ def test_dim_raid6_schema_generates_two_parities():
         dim.bucket_closed(image)
         images.append(image)
     blobs = [image.serialize() for image in images]
-    parity_images = engine.run_process(dim.generate_parity(images))
-    assert len(parity_images) == 2
+    records = engine.run_process(dim.generate_parity(images))
+    assert len(records) == 2
+    assert [record.image for record in records] == [None, None]
+    parity_images = dim.encode_parity(records, blobs)
+    assert [record.image for record in records] == parity_images
     padded = pad_blobs(blobs + [image.raw for image in parity_images])
     # Any two lost data blobs decode from the third plus P (position 3)
     # and Q (position 4).
