@@ -39,7 +39,7 @@ def _op_spans(tracer, call_name):
 
 def run_breakdown(config: str):
     ros = make_ros(tracing=True)
-    tracer = ros.tracer
+    tracer = ros.engine.trace
     if config != "ext4+OLFS":
         make_stack(config).attach(ros.pi)
     write_totals, read_totals = [], []

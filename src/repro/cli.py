@@ -164,9 +164,18 @@ def cmd_power(_args) -> int:
 TRACE_SCENARIOS = ("cold-read", "write-burn", "ops")
 
 
+def _traced_rack(seed: int):
+    """The scenario rack, with a tracer on its engine."""
+    from repro import small_rack
+    from repro.sim.tracing import Tracer
+
+    ros = small_rack()
+    return ros, Tracer(ros.engine, seed=seed).install()
+
+
 def _run_scenario(ros, scenario: str) -> str:
     """Drive one canonical scenario; returns its headline summary line."""
-    tracer = ros.tracer
+    tracer = ros.engine.trace
     if scenario == "cold-read":
         for index in range(3):
             ros.write(f"/trace/file-{index}.bin", bytes([index]) * 9000)
@@ -199,11 +208,9 @@ def _run_scenario(ros, scenario: str) -> str:
 
 def cmd_trace(args) -> int:
     """Run one traced scenario end to end and report its span trees."""
-    from repro import small_rack
     from repro.sim.tracing import to_chrome_trace, to_flat_json
 
-    ros = small_rack(tracing=True, trace_seed=args.seed)
-    tracer = ros.tracer
+    ros, tracer = _traced_rack(args.seed)
     print(_run_scenario(ros, args.scenario))
 
     for root in tracer.roots():
@@ -236,16 +243,16 @@ def cmd_trace(args) -> int:
 
 def cmd_monitor(args) -> int:
     """Run a scenario under full monitoring; emit the run report."""
-    from repro import small_rack
-    from repro.obs import build_report, render_report
-
-    ros = small_rack(
-        tracing=True, trace_seed=args.seed, monitoring=True,
-        monitor_period=args.period,
+    from repro.obs import (
+        FlightRecorder, SystemMonitor, build_report, render_report,
     )
+
+    ros, _ = _traced_rack(args.seed)
+    recorder = FlightRecorder(ros.engine).install()
+    SystemMonitor(ros, period=args.period).start()
     print(_run_scenario(ros, args.scenario))
 
-    report = build_report(ros, monitor=ros.monitor, recorder=ros.recorder)
+    report = build_report(ros)
     print(render_report(report))
 
     if args.out:
@@ -253,7 +260,7 @@ def cmd_monitor(args) -> int:
             handle.write(report_to_json(report) + "\n")
         print(f"wrote run report to {args.out}")
     if args.flight_out:
-        count = ros.recorder.dump(args.flight_out)
+        count = recorder.dump(args.flight_out)
         print(f"wrote {count} flight-recorder events to {args.flight_out}")
 
     slo = report.get("monitor", {}).get("slo")

@@ -128,13 +128,14 @@ class FaultInjector:
         self.engine.faults = self
         return self
 
-    def start(self) -> None:
+    def start(self) -> "FaultInjector":
         """Start one driver process per plan spec."""
         for index, spec in enumerate(self.plan):
             process = self.engine.spawn(
                 self._driver(spec), name=f"fault-driver-{index}-{spec.kind}"
             )
             self._drivers.append(process)
+        return self
 
     def stop(self) -> None:
         """Silence the injector: no new arrivals, no more site trips."""

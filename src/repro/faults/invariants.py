@@ -129,8 +129,8 @@ def check_engine_drained(ros) -> dict:
 # ----------------------------------------------------------------------
 def check_spans(ros) -> dict:
     """I3: spans all closed, parents resolve, children nest in time."""
-    tracer = ros.tracer
-    if tracer is None:
+    tracer = ros.engine.trace
+    if not tracer.enabled:
         return _result("spans_well_formed", True, {"checked": 0})
     by_id = {span.span_id: span for span in tracer.spans}
     problems = []

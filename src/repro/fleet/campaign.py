@@ -170,8 +170,8 @@ class FleetRig:
             FaultInjector(engine, self.plan, seed=seed)
             .bind_fleet(self.store)
             .install()
+            .start()
         )
-        self.injector.start()
 
         self.manager = RecoveryManager(
             self.store, detection_delay_s=detection_delay_s

@@ -11,10 +11,6 @@ serialises it canonically for artifacts and diffing.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.obs.health import SystemMonitor
-from repro.obs.recorder import FlightRecorder
 from repro.report import report_to_json as report_json  # noqa: F401
 from repro.sim.tracing import Tracer
 
@@ -41,22 +37,22 @@ def top_spans(tracer: Tracer, limit: int = 12) -> list[dict]:
     return rows
 
 
-def build_report(
-    ros,
-    monitor: Optional[SystemMonitor] = None,
-    recorder: Optional[FlightRecorder] = None,
-) -> dict:
-    """One dict holding the run's complete observability picture."""
-    report: dict = {"final_time": round(ros.engine.now, 6)}
+def build_report(ros) -> dict:
+    """One dict holding the run's complete observability picture: the
+    rack's monitor (finished here) and whatever tracer and flight
+    recorder its engine carries."""
+    engine = ros.engine
+    report: dict = {"final_time": round(engine.now, 6)}
     report["health"] = ros.health()
-    if monitor is not None:
-        report["monitor"] = monitor.finish()
-        report["health_timeline"] = list(monitor.timeline)
-    if ros.engine.trace.enabled:
-        report["top_spans"] = top_spans(ros.engine.trace)
-        report["span_count"] = len(ros.engine.trace.spans)
+    if ros.monitor is not None:
+        report["monitor"] = ros.monitor.finish()
+        report["health_timeline"] = list(ros.monitor.timeline)
+    if engine.trace.enabled:
+        report["top_spans"] = top_spans(engine.trace)
+        report["span_count"] = len(engine.trace.spans)
     report["metrics"] = ros.metrics.snapshot()
-    if recorder is not None:
+    recorder = engine.recorder
+    if recorder.enabled:
         report["flight_recorder"] = {
             "capacity": recorder.capacity,
             "recorded": recorder.recorded,

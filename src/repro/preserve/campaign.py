@@ -76,11 +76,7 @@ def _build_cluster(seed: int):
     cluster = small_rack(
         RackCluster, config=CAMPAIGN_CONFIG, rack_count=2, replicas=1
     )
-    tracer = Tracer(cluster.engine, seed=seed)
-    cluster.engine.trace = tracer
-    for rack in cluster.racks:
-        rack.tracer = tracer
-    return cluster, tracer
+    return cluster, Tracer(cluster.engine, seed=seed).install()
 
 
 def _populate(cluster, rng, files: int) -> dict:

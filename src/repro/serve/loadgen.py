@@ -389,10 +389,8 @@ def run_serve(
     if plan is not None:
         from repro.faults.injector import FaultInjector
 
-        injector = (
-            FaultInjector(engine, plan, seed=seed).bind(racks[0]).install()
-        )
-        injector.start()
+        injector = FaultInjector(engine, plan, seed=seed).bind(racks[0])
+        injector.install().start()
 
     recorder = None
     if flight_out:

@@ -147,9 +147,9 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Records spans against an engine's simulated clock.
 
-    Install with ``engine.trace = Tracer(engine)`` (or pass
-    ``tracing=True`` to :class:`~repro.olfs.filesystem.OLFS`); every
-    instrumented layer reads ``engine.trace``.
+    ``Tracer(engine, seed).install()`` attaches it to an engine, and
+    every instrumented layer of every rack on that engine reads
+    ``engine.trace``.
     """
 
     enabled = True
@@ -161,6 +161,11 @@ class Tracer:
         self._rng = DeterministicRNG(seed).child("span-ids")
         #: span stack for code running outside any simulation process
         self._global_stack: list[Span] = []
+
+    def install(self) -> "Tracer":
+        """Attach to the engine so instrumented sites record here."""
+        self.engine.trace = self
+        return self
 
     # ------------------------------------------------------------------
     # Context

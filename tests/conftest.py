@@ -3,6 +3,9 @@
 import pytest
 
 from repro import ROS, OLFSConfig, units
+from repro.faults import FaultInjector
+from repro.obs import FlightRecorder, SystemMonitor
+from repro.sim.tracing import Tracer
 
 
 def make_ros(
@@ -27,9 +30,14 @@ def make_ros(
 ):
     """A small ROS rack: tiny buckets so burns complete in simulated minutes.
 
-    Passing ``fault_plan`` (even an empty ``FaultPlan()``) installs a
-    seeded :class:`repro.faults.FaultInjector` as ``ros.fault_injector``
-    for scheduled or imperative fault injection.
+    The observer keywords attach to the rack's engine the way every
+    campaign does, in this order: ``tracing`` installs a
+    :class:`~repro.sim.tracing.Tracer` (``ros.engine.trace``);
+    ``fault_plan`` (even an empty ``FaultPlan()``, for imperative
+    injection) a seeded :class:`repro.faults.FaultInjector` bound to the
+    rack (``ros.engine.faults``); ``monitoring`` a
+    :class:`~repro.obs.FlightRecorder` (``ros.engine.recorder``) and a
+    :class:`~repro.obs.SystemMonitor` (``ros.monitor``).
     """
     config = OLFSConfig(
         data_discs_per_array=data_discs,
@@ -42,17 +50,20 @@ def make_ros(
         cache_granularity=cache_granularity,
         prefetch_siblings=prefetch_siblings,
     ).scaled_for_tests(bucket_capacity=bucket_capacity)
-    return ROS(
+    ros = ROS(
         config=config,
         roller_count=roller_count,
         buffer_volume_capacity=buffer_volume_capacity,
-        tracing=tracing,
-        trace_seed=trace_seed,
-        fault_plan=fault_plan,
-        fault_seed=fault_seed,
-        monitoring=monitoring,
-        monitor_period=monitor_period,
     )
+    if tracing:
+        Tracer(ros.engine, seed=trace_seed).install()
+    if fault_plan is not None:
+        injector = FaultInjector(ros.engine, fault_plan, seed=fault_seed)
+        injector.bind(ros).install().start()
+    if monitoring:
+        FlightRecorder(ros.engine).install()
+        SystemMonitor(ros, period=monitor_period).start()
+    return ros
 
 
 def write_batch(ros, count=8, size=20000, prefix="/inj"):

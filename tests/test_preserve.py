@@ -114,12 +114,12 @@ def test_media_aging_fault_reaches_one_bound_clock():
     ros, _payloads = burned_rack(with_injector=True)
     clock = AgingClock(ros, _quiet_model(), years_per_second=0.0)
     clock.tick()
-    ros.fault_injector.bind_aging(clock)
-    ros.fault_injector.inject(MEDIA_AGING, detail={"years": 2.0})
+    ros.engine.faults.bind_aging(clock)
+    ros.engine.faults.inject(MEDIA_AGING, detail={"years": 2.0})
     assert clock.shock_years == pytest.approx(2.0)
     applied = [
         entry
-        for entry in ros.fault_injector.log
+        for entry in ros.engine.faults.log
         if entry["kind"] == MEDIA_AGING and entry["event"] == "apply"
     ]
     assert applied and applied[0]["target"].startswith("rack-")
@@ -127,8 +127,8 @@ def test_media_aging_fault_reaches_one_bound_clock():
 
 def test_media_aging_fault_skips_without_a_clock():
     ros, _payloads = burned_rack(with_injector=True)
-    ros.fault_injector.inject(MEDIA_AGING, detail={"years": 2.0})
-    assert ros.fault_injector.log[-1]["event"] == "skip"
+    ros.engine.faults.inject(MEDIA_AGING, detail={"years": 2.0})
+    assert ros.engine.faults.log[-1]["event"] == "skip"
 
 
 def test_cache_loss_fault_drops_cached_images():
@@ -138,7 +138,7 @@ def test_cache_loss_fault_drops_cached_images():
     assert ros.cache.cached_ids
     from repro.faults.plan import CACHE_LOSS
 
-    ros.fault_injector.inject(CACHE_LOSS)
+    ros.engine.faults.inject(CACHE_LOSS)
     assert ros.cache.cached_ids == []
     assert ros.read(path).data == payloads[path]
 
@@ -235,7 +235,7 @@ def test_scrub_survives_plc_fault_mid_load(monkeypatch):
     scrubber = BackgroundScrubber(ros)
     # Arm a one-shot control-link fault: the next PLC send — somewhere
     # inside the scrub's load_array sequence — raises PLCFaultError.
-    ros.fault_injector.inject(PLC_CHANNEL)
+    ros.engine.faults.inject(PLC_CHANNEL)
     ros.run(scrubber.scrub_pass())
     ros.settle()
     assert scrubber.stats["skipped"] >= 1

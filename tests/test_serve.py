@@ -366,7 +366,9 @@ def _serving_rack(factory=None, **kwargs):
 
 
 def _serving_rig(plan=None):
-    ros = _serving_rack(fault_plan=plan, fault_seed=3)
+    ros = _serving_rack()
+    if plan is not None:
+        FaultInjector(ros.engine, plan, seed=3).bind(ros).install().start()
     return (ros, *_session_over(ros.engine, ros.pi))
 
 

@@ -85,7 +85,7 @@ def test_year_of_operation(monkeypatch):
         path = f"/late/burst-{index}.bin"
         oracle[path] = bytes([index + 60]) * 18000
         ros.write(path, oracle[path])
-    ros.fault_injector.inject(
+    ros.engine.faults.inject(
         DRIVE_TRANSIENT, target=ros.mech.drive_sets[0].drives[2].drive_id
     )
     ros.flush()
