@@ -3,13 +3,18 @@
 Burning, fetching and recovery all face the same question when a drive,
 disc or PLC operation fails: how many times to retry and how long to back
 off between attempts.  :class:`RetryPolicy` centralizes the answer; each
-of the three modules states its own policy as a module constant.
+of the three modules states its own policy as a module constant, and
+fetching and recovery run their reads through :meth:`RetryPolicy.retry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Callable, Generator, Iterator
+
+from repro.errors import DriveError, MechanicsError
+from repro.sim.engine import Delay
 
 
 @dataclass(frozen=True)
@@ -36,13 +41,29 @@ class RetryPolicy:
             yield min(delay, self.max_delay)
             delay *= self.multiplier
 
-    def schedule(self) -> Iterator[tuple[int, Optional[float]]]:
-        """``(attempt_index, backoff_after_failure)`` pairs.
+    def retry(
+        self,
+        attempt: Callable[[], Generator],
+        on_failure: Callable[[Exception, int], None],
+        mech,
+        priority: int,
+    ) -> Generator:
+        """Run ``attempt()`` (a fresh process per try) under this policy;
+        returns its result.
 
-        The backoff is ``None`` on the final attempt — the caller should
-        re-raise instead of sleeping.
+        Drive and mechanics errors (injected PLC faults among them) are
+        retried: ``on_failure(error, attempt_index)`` journals the failed
+        try, the mechanical subsystem ``mech`` resets at ``priority``,
+        then the backoff; the last failure re-raises.  Media errors
+        (:class:`~repro.errors.SectorError`) propagate at once.
         """
-        backoffs = list(self.delays())
-        total = len(backoffs) + 1
-        for index in range(total):
-            yield index, (backoffs[index] if index < len(backoffs) else None)
+        backoffs = chain(self.delays(), (None,))
+        for index, backoff in enumerate(backoffs):
+            try:
+                return (yield from attempt())
+            except (DriveError, MechanicsError) as error:
+                on_failure(error, index)
+                yield from mech.reset_after_fault(priority)
+                if backoff is None:
+                    raise
+                yield Delay(backoff)

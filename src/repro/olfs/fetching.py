@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional, TYPE_CHECKING
 
-from repro.errors import (
-    DriveError,
-    FileNotFoundOLFSError,
-    FilesystemError,
-    MechanicsError,
-)
+from repro.errors import FileNotFoundOLFSError, FilesystemError
 from repro.olfs.bucket import WritingBucketManager
 from repro.olfs.cache import ReadCache
 from repro.faults.policy import RetryPolicy
@@ -171,40 +166,30 @@ class FetchController:
         return result
 
     def _read_from_disc(self, record, path: str, priority: int) -> Generator:
-        """Cases 3-6, under the fetch retry policy.
+        """Cases 3-6, under the fetch retry policy: a drive or mechanics
+        error is journalled and the mechanics reset before the retry; a
+        media error (:class:`~repro.errors.SectorError`) propagates so
+        the caller can fall through to the scrub + parity-repair path."""
 
-        Drive and mechanics errors (including injected PLC faults) are
-        retried with backoff after a mechanical reset; media errors
-        (:class:`~repro.errors.SectorError`) propagate immediately so the
-        caller can fall through to the scrub + parity-repair path.
-        """
-        last_error = None
-        for attempt, backoff in FETCH_RETRY.schedule():
-            try:
-                result = yield from self._read_from_disc_once(
-                    record, path, priority
+        def failed(error, attempt) -> None:
+            self.fetch_retries += 1
+            self.engine.trace.event(
+                "ftm.fetch_retry",
+                "ftm",
+                {"image_id": record.image_id, "attempt": attempt},
+            )
+            if self.engine.recorder.enabled:
+                self.engine.recorder.record(
+                    "ftm.retry",
+                    image_id=record.image_id,
+                    attempt=attempt,
+                    error=str(error),
                 )
-                return result
-            except (DriveError, MechanicsError) as error:
-                last_error = error
-                self.fetch_retries += 1
-                self.engine.trace.event(
-                    "ftm.fetch_retry",
-                    "ftm",
-                    {"image_id": record.image_id, "attempt": attempt},
-                )
-                if self.engine.recorder.enabled:
-                    self.engine.recorder.record(
-                        "ftm.retry",
-                        image_id=record.image_id,
-                        attempt=attempt,
-                        error=str(error),
-                    )
-                yield from self.mc.mech.reset_after_fault(priority)
-                if backoff is None:
-                    raise
-                yield Delay(backoff)
-        raise last_error  # pragma: no cover — schedule() always raises first
+
+        return FETCH_RETRY.retry(
+            lambda: self._read_from_disc_once(record, path, priority),
+            failed, self.mc.mech, priority,
+        )
 
     def _read_from_disc_once(
         self, record, path: str, priority: int

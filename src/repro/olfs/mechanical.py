@@ -152,18 +152,29 @@ class MechanicalController:
             grant = yield Acquire(self._locks[set_id], priority)
         return grant
 
-    def pick_set_for_burn(self, roller_index: int) -> int:
-        """Preferred set for a background burn: empty and unlocked first,
-        then unlocked, then least-contended."""
+    def pick_set(self, roller_index: int, fetch: bool = False) -> int:
+        """The drive set a burn (or, with ``fetch``, a read) should use:
+        a free empty set (no unload first), then any free set, then —
+        for a fetch under the §4.8 interrupt policy — a set whose burn
+        it stops now, then the set with the shortest queue, where
+        priority puts fetches ahead of new burns."""
         candidates = self.mech.sets_of_roller(roller_index)
-        for drive_set in candidates:
-            lock = self._locks[drive_set.set_id]
-            if drive_set.is_empty and lock.available and not lock.queue_length:
+        free = [
+            drive_set for drive_set in candidates
+            if self._locks[drive_set.set_id].available
+            and not self._locks[drive_set.set_id].queue_length
+        ]
+        for drive_set in free:
+            if drive_set.is_empty:
                 return drive_set.set_id
-        for drive_set in candidates:
-            lock = self._locks[drive_set.set_id]
-            if lock.available and not lock.queue_length:
-                return drive_set.set_id
+        if free:
+            return free[0].set_id
+        if fetch and self.config.busy_drive_policy == "interrupt":
+            for drive_set in candidates:
+                task = self.burn_task_of_set.get(drive_set.set_id)
+                if task is not None and task.state == "burning":
+                    task.request_interrupt()
+                    return drive_set.set_id
         return min(
             candidates, key=lambda s: self._locks[s.set_id].queue_length
         ).set_id
@@ -182,7 +193,7 @@ class MechanicalController:
         per disc that holds an image, in drive order), unload and release;
         returns the body's result.  On an error the set is released
         without an unload."""
-        set_id = self.pick_set_for_burn(roller_index)
+        set_id = self.pick_set(roller_index)
         grant = yield from self.acquire_set(set_id, PRIORITY_FETCH)
         try:
             yield from self.mech.swap_array(
@@ -237,7 +248,7 @@ class MechanicalController:
                     f"disc {disc_id} is nowhere in the library"
                 )
             roller_index, address = located
-            set_id = self._choose_fetch_set(roller_index)
+            set_id = self.pick_set(roller_index, fetch=True)
             span.tag("set_id", set_id)
             grant = yield from self.acquire_set(set_id, priority)
             try:
@@ -259,29 +270,3 @@ class MechanicalController:
                 grant.release()
                 raise
 
-    def _choose_fetch_set(self, roller_index: int) -> int:
-        """Pick the drive set a fetch should use, honouring the §4.8
-        busy-drive policy."""
-        candidates = self.mech.sets_of_roller(roller_index)
-        # 1. A free (unlocked) empty set.
-        for drive_set in candidates:
-            lock = self._locks[drive_set.set_id]
-            if drive_set.is_empty and lock.available and not lock.queue_length:
-                return drive_set.set_id
-        # 2. A free set with idle discs (costs an unload first).
-        for drive_set in candidates:
-            lock = self._locks[drive_set.set_id]
-            if lock.available and not lock.queue_length:
-                return drive_set.set_id
-        # 3. Every set is busy.  Interrupt policy: stop one burn now.
-        if self.config.busy_drive_policy == "interrupt":
-            for drive_set in candidates:
-                task = self.burn_task_of_set.get(drive_set.set_id)
-                if task is not None and task.state == "burning":
-                    task.request_interrupt()
-                    return drive_set.set_id
-        # Wait policy (or nothing interruptible): queue on the set with
-        # the shortest line; priority puts fetches ahead of new burns.
-        return min(
-            candidates, key=lambda s: self._locks[s.set_id].queue_length
-        ).set_id

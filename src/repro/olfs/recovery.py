@@ -19,7 +19,7 @@ import itertools
 import json
 from typing import Generator, Optional
 
-from repro.errors import DriveError, FilesystemError, MechanicsError
+from repro.errors import FilesystemError
 from repro.faults.policy import RetryPolicy
 from repro.mechanics.geometry import TrayAddress
 from repro.olfs.bucket import LINK_SUFFIX, WritingBucketManager
@@ -29,7 +29,7 @@ from repro.olfs.images import DiscImageManager
 from repro.olfs.index import IndexFile, VersionEntry
 from repro.olfs.mechanical import ArrayState, MechanicalController, PRIORITY_FETCH
 from repro.olfs.metadata import MetadataVolume
-from repro.sim.engine import Delay, Engine, Join
+from repro.sim.engine import Engine
 from repro.udf.entry import FileEntry
 from repro.udf.filesystem import UDFFileSystem
 from repro.udf.image import DiscImage
@@ -162,23 +162,13 @@ class RecoveryManager:
         """Run ``factory()`` (a fresh generator per attempt) under the
         recovery retry policy, resetting the mechanics between attempts.
         Drive/mechanics faults are retried; media errors propagate."""
-        last_error = None
-        for attempt, backoff in RECOVERY_RETRY.schedule():
-            try:
-                result = yield from factory()
-                return result
-            except (DriveError, MechanicsError) as error:
-                last_error = error
-                self.engine.trace.event(
-                    "recovery.retry",
-                    "recovery",
-                    {"op": label, "attempt": attempt},
-                )
-                yield from self.mc.mech.reset_after_fault(PRIORITY_FETCH)
-                if backoff is None:
-                    raise
-                yield Delay(backoff)
-        raise last_error  # pragma: no cover — schedule() raises on last
+        return RECOVERY_RETRY.retry(
+            factory,
+            lambda _error, attempt: self.engine.trace.event(
+                "recovery.retry", "recovery", {"op": label, "attempt": attempt}
+            ),
+            self.mc.mech, PRIORITY_FETCH,
+        )
 
     def _read_images(
         self, roller: int, address: TrayAddress, kind: str
