@@ -141,10 +141,12 @@ class DiscImageManager:
             self.claimed.add(record.image_id)
             self._place(record)
 
-    def release_claims(self) -> list[ImageRecord]:
-        """Forget every claim; returns the released images that are still
-        buffered (back in the ready queue), in DILindex order."""
-        released, self.claimed = self.claimed, set()
+    def release_claims(self, keep: set[str]) -> list[ImageRecord]:
+        """Forget every claim but those in ``keep``; returns the released
+        images that are still buffered (back in the ready queue), in
+        DILindex order."""
+        released = self.claimed - keep
+        self.claimed -= released
         for image_id in released:
             self._place(self.records[image_id])
         return [record for record in self.ready if record.image_id in released]

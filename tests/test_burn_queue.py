@@ -136,8 +136,14 @@ def test_ready_queue_picks_what_the_full_scan_picked(width, ops):
             task = btm.active_tasks[arg % len(btm.active_tasks)]
             btm.task_failed(task, ROSError("burn failed"))
         elif op == "release":
+            # An active task keeps its claims; a failed one's are freed.
             returned = btm.release_claims()
-            released, claimed = claimed, set()
+            held = {
+                record.image_id
+                for task in btm.active_tasks
+                for record in task.data_records
+            }
+            released, claimed = claimed - held, claimed & held
             assert returned == [
                 record
                 for record in reference_ready(dim, claimed)
@@ -163,6 +169,23 @@ def test_released_images_of_a_failed_task_burn_again():
     assert btm.health()["claimed_images"] == 0
     [retry] = btm.flush_pending()
     assert retry.data_records == first.data_records
+
+
+def test_release_keeps_the_claims_of_active_tasks():
+    """Releasing after a storm frees what failed tasks left, never the
+    images a queued or burning task still holds (those would burn twice)."""
+    dim, btm = build(width=2)
+    for index in range(4):
+        dim.register_open_bucket(f"img-{index}")
+        dim.bucket_closed(image(f"img-{index}"))
+    [failed, active] = btm.flush_pending()
+    btm.task_failed(failed, ROSError("tray jammed"))
+    assert [r.image_id for r in btm.release_claims()] == ["img-0", "img-1"]
+    assert btm.health()["claimed_images"] == 2
+    [retry] = btm.flush_pending()
+    assert retry.data_records == failed.data_records
+    assert btm.release_claims() == []
+    assert btm.flush_pending() == []
 
 
 # ----------------------------------------------------------------------
