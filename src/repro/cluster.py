@@ -40,14 +40,13 @@ class RackCluster:
         rack_count: int = 2,
         replicas: int = 0,
         config: Optional[OLFSConfig] = None,
-        engine: Optional[Engine] = None,
         **rack_kwargs,
     ):
         if rack_count < 1:
             raise ValueError("need at least one rack")
         if replicas >= rack_count:
             raise ValueError("replicas must be below the rack count")
-        self.engine = engine or Engine()
+        self.engine = Engine()
         self.replicas = replicas
         self.racks = [
             OLFS(config=config, engine=self.engine, **rack_kwargs)

@@ -22,7 +22,6 @@ from typing import Generator, Optional
 from repro import units
 from repro.errors import DriveError, ROSError
 from repro.drives.drive import BurnResult, DriveState, OpticalDrive, nap, wake
-from repro.drives.speed import RecordingCurve
 from repro.sim.engine import AllOf, Engine, Join
 
 #: Drives per set, matching the 12-disc tray (§3.3).
@@ -136,7 +135,6 @@ class DriveSet:
         self,
         images: list[tuple[bytes, Optional[int], str]],
         close: bool = True,
-        curves: Optional[list[RecordingCurve]] = None,
         stagger_seconds: Optional[float] = None,
         abort_check=None,
     ) -> Generator:
@@ -206,7 +204,7 @@ class DriveSet:
             drive = self.drives[index]
             if drive.disc is None:
                 raise DriveError(f"{drive.drive_id}: no disc for burn")
-            curve = curves[index] if curves else drive.recording_curve()
+            curve = drive.recording_curve()
             payload, logical_size, _label = image
             size = len(payload) if logical_size is None else int(logical_size)
             table = curve.burn_table(
@@ -238,8 +236,8 @@ class DriveSet:
             results[index] = result
         return results
 
-    def read_all_tracks(self, track_index: int = 0) -> Generator:
-        """Read one full track from every loaded disc concurrently.
+    def read_all_tracks(self) -> Generator:
+        """Read the first track of every loaded disc concurrently.
 
         Returns ``list[bytes]`` payloads in drive order.  Models Table 2's
         aggregate-read experiment.
@@ -250,7 +248,7 @@ class DriveSet:
         def one(drive: OpticalDrive) -> Generator:
             yield from drive.mount()
             yield from drive.seek()
-            payload = yield from drive.read_track_payload(track_index)
+            payload = yield from drive.read_track_payload(0)
             return payload
 
         processes = [

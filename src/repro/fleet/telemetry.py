@@ -56,6 +56,10 @@ BACKOFF_S = 0.25
 MAX_BACKOFF_S = 4.0
 #: replication's flow weight on the site link (tenant traffic weighs 1)
 LINK_WEIGHT = 0.25
+#: sealed batches an agent holds unsent; a new seal drops the oldest
+MAX_OUTBOX_BATCHES = 16
+#: failed sends a stopped agent still tries before abandoning its outbox
+DRAIN_RETRY_LIMIT = 8
 
 
 class CentralTelemetry:
@@ -107,15 +111,11 @@ class TelemetryAgent:
         labels: Optional[dict] = None,
         sample_period_s: float = 1.0,
         flush_every: int = 4,
-        max_outbox_batches: int = 16,
         horizon_s: Optional[float] = None,
         source_up: Optional[Callable[[], bool]] = None,
-        drain_retry_limit: int = 8,
     ):
         if flush_every <= 0:
             raise ValueError("flush_every must be positive")
-        if max_outbox_batches <= 0:
-            raise ValueError("max_outbox_batches must be positive")
         self.engine = engine
         self.agent_id = agent_id
         self.central = central
@@ -123,8 +123,6 @@ class TelemetryAgent:
         self.probes = dict(probes)
         self.labels = dict(labels or {})
         self.flush_every = int(flush_every)
-        self.max_outbox_batches = int(max_outbox_batches)
-        self.drain_retry_limit = int(drain_retry_limit)
         self.source_up = source_up
         self._pending: list[tuple[str, dict, float, float]] = []
         self._outbox: deque[tuple[int, list]] = deque()
@@ -199,7 +197,7 @@ class TelemetryAgent:
     def _seal(self) -> None:
         if not self._pending:
             return
-        if len(self._outbox) - self._head_sent >= self.max_outbox_batches:
+        if len(self._outbox) - self._head_sent >= MAX_OUTBOX_BATCHES:
             _seq, dropped = self._outbox[self._head_sent]
             del self._outbox[self._head_sent]
             self.stats["batches_dropped"] += 1
@@ -245,7 +243,7 @@ class TelemetryAgent:
             except (LinkDownError, RackLostError):
                 self.stats["retries"] += 1
                 attempts += 1
-                if self._stopped and attempts > self.drain_retry_limit:
+                if self._stopped and attempts > DRAIN_RETRY_LIMIT:
                     self._abandon_outbox()
                     return
                 yield Delay(backoff)

@@ -9,7 +9,7 @@ drive trays.  Unloading reverses the process.
 from __future__ import annotations
 
 from repro.errors import MechanicsError
-from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry
+from repro.mechanics import geometry
 from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.media.disc import OpticalDisc
 from repro.media.tray import Tray
@@ -21,11 +21,9 @@ PARK_LAYER = 0
 class RoboticArm:
     """One vertical-travel robotic arm serving one roller."""
 
-    def __init__(
-        self, arm_id: int = 0, geometry: RollerGeometry = DEFAULT_GEOMETRY
-    ):
+    def __init__(self, arm_id: int = 0):
         self.arm_id = arm_id
-        self.geometry = geometry
+        self.geometry = geometry.DEFAULT_GEOMETRY
         self.timings = DEFAULT_TIMINGS
         self.layer = PARK_LAYER
         self.holding: list[OpticalDisc] = []

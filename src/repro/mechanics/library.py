@@ -20,8 +20,9 @@ from typing import Generator, Optional
 
 from repro.drives.drive_set import DRIVES_PER_SET, DriveSet
 from repro.errors import MechanicsError
+from repro.mechanics import geometry
 from repro.mechanics.arm import PARK_LAYER, RoboticArm
-from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddress
+from repro.mechanics.geometry import TrayAddress
 from repro.mechanics.roller import Roller, home_of_disc
 from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.media.disc import OpticalDisc
@@ -44,44 +45,38 @@ from repro.sim.resources import Resource
 
 
 class MechanicalSubsystem:
-    """Rollers, arms, PLC and drive sets of one ROS rack."""
+    """Rollers, arms, PLC and drive sets of one ROS rack.
+
+    Each roller feeds one 12-drive set (§3: two rollers, 24 drives), so
+    a drive set's id is its roller's index.
+    """
 
     def __init__(
         self,
         engine: Engine,
         roller_count: int = 2,
-        drive_sets_per_roller: int = 1,
-        geometry: RollerGeometry = DEFAULT_GEOMETRY,
         parallel_scheduling: bool = False,
     ):
         self.engine = engine
-        self.geometry = geometry
+        self.geometry = geometry.DEFAULT_GEOMETRY
         self.timings = DEFAULT_TIMINGS
         self.parallel_scheduling = parallel_scheduling
-        self.rollers = [
-            Roller(index, geometry)
-            for index in range(roller_count)
-        ]
-        self.arms = [
-            RoboticArm(index, geometry)
-            for index in range(roller_count)
-        ]
+        self.rollers = [Roller(index) for index in range(roller_count)]
+        self.arms = [RoboticArm(index) for index in range(roller_count)]
         self.plc = PLCController(engine, self.rollers, self.arms)
         self.channel = ControlChannel(engine, self.plc)
-        self.drive_sets: list[DriveSet] = []
-        self._set_roller: dict[int, int] = {}
+        self.drive_sets = [
+            DriveSet(engine, index) for index in range(roller_count)
+        ]
         #: frozen instructions built once: separations, commands_for()'s
-        self._separations: dict[int, tuple[SeparateDisc, ...]] = {}
+        self._separations = [
+            tuple(
+                SeparateDisc(index, index, drive)
+                for drive in range(DRIVES_PER_SET)
+            )
+            for index in range(roller_count)
+        ]
         self._tray_commands: dict[tuple[int, TrayAddress], tuple] = {}
-        for roller_index in range(roller_count):
-            for _ in range(drive_sets_per_roller):
-                set_id = len(self.drive_sets)
-                self.drive_sets.append(DriveSet(engine, set_id))
-                self._set_roller[set_id] = roller_index
-                self._separations[set_id] = tuple(
-                    SeparateDisc(roller_index, set_id, index)
-                    for index in range(DRIVES_PER_SET)
-                )
         self._arm_locks = [
             Resource(engine, 1, name=f"arm{index}")
             for index in range(roller_count)
@@ -92,16 +87,6 @@ class MechanicalSubsystem:
     # ------------------------------------------------------------------
     # Topology helpers
     # ------------------------------------------------------------------
-    def roller_of_set(self, set_id: int) -> int:
-        return self._set_roller[set_id]
-
-    def sets_of_roller(self, roller_index: int) -> list[DriveSet]:
-        return [
-            drive_set
-            for drive_set in self.drive_sets
-            if self._set_roller[drive_set.set_id] == roller_index
-        ]
-
     def commands_for(self, roller: int, address: TrayAddress) -> tuple:
         """A tray's park, approach (rotate, travel, hook, fan out), grab,
         lower, release and fan-in instructions, built on first use."""
@@ -189,7 +174,7 @@ class MechanicalSubsystem:
             "mech",
             {"set_id": set_id, "layer": address.layer, "slot": address.slot},
         ):
-            roller_index = self.roller_of_set(set_id)
+            roller_index = set_id
             drive_set = self.drive_sets[set_id]
             if not drive_set.is_empty:
                 raise MechanicsError(f"drive set {set_id} is not empty")
@@ -253,34 +238,25 @@ class MechanicalSubsystem:
         arm.layer = PARK_LAYER
         return discs
 
-    def unload_array(
-        self,
-        set_id: int,
-        address: Optional[TrayAddress] = None,
-        priority: int = 0,
-    ) -> Generator:
-        """Return the discs in drive set ``set_id`` to a roller tray.
-
-        ``address`` defaults to the tray the array was loaded from.
-        Table 3, "unloading" rows.
+    def unload_array(self, set_id: int, priority: int = 0) -> Generator:
+        """Return the discs in drive set ``set_id`` to the tray they were
+        loaded from.  Table 3, "unloading" rows.
         """
         with self.engine.trace.span(
             "mech.unload_array", "mech", {"set_id": set_id}
         ):
-            roller_index = self.roller_of_set(set_id)
             drive_set = self.drive_sets[set_id]
             if drive_set.is_busy:
                 raise MechanicsError(f"drive set {set_id} has busy drives")
-            if address is None:
-                if drive_set.loaded_from is None:
-                    raise MechanicsError(
-                        f"drive set {set_id} has no home tray recorded"
-                    )
-                roller_index, address = drive_set.loaded_from
+            if drive_set.loaded_from is None:
+                raise MechanicsError(
+                    f"drive set {set_id} has no home tray recorded"
+                )
+            roller_index, address = drive_set.loaded_from
             roller = self.rollers[roller_index]
             tray = roller.tray_at(address)
-            if not tray.checked_out and not tray.is_empty:
-                raise MechanicsError(f"tray {address} already holds discs")
+            if not tray.checked_out:
+                raise MechanicsError(f"tray {address} was not checked out")
             grant = yield Acquire(self._arm_locks[roller_index], priority)
             try:
                 send = self.channel.send
@@ -308,17 +284,11 @@ class MechanicalSubsystem:
                     roller.aligned = False
                     discs = list(arm.holding)
                     arm.holding = []
-                    if not tray.checked_out:
-                        tray.checked_out = True
                     tray.put_back(discs)
                     arm.layer = address.layer
                 else:
                     for command in approach:
                         yield from send(command)
-                    if not tray.checked_out:
-                        # Returning to a different (empty) tray than the
-                        # origin.
-                        tray.checked_out = True
                     yield from send(lower)
                     yield from send(release)
                     yield from send(fan_in)
@@ -327,20 +297,53 @@ class MechanicalSubsystem:
             finally:
                 grant.release()
 
-    def _orphaned_sets(self, roller_index: int) -> list:
-        """Idle drive sets holding discs with no home tray recorded.
+    @staticmethod
+    def _orphaned(drive_set: DriveSet) -> bool:
+        """An idle drive set holding discs with no home tray recorded.
 
         The signature of a load aborted after disc separation began but
         before ``loaded_from`` was stamped; only
         :meth:`reset_after_fault` can return such a set's discs home.
         """
-        return [
-            drive_set
-            for drive_set in self.sets_of_roller(roller_index)
-            if not drive_set.is_busy
+        return (
+            not drive_set.is_busy
             and drive_set.loaded_from is None
             and any(drive.disc is not None for drive in drive_set.drives)
-        ]
+        )
+
+    @staticmethod
+    def _take_discs(drive_set: DriveSet) -> list[OpticalDisc]:
+        """Pull every disc out of the set's drives, top drive first."""
+        discs = []
+        for drive in drive_set.drives:
+            if drive.disc is None:
+                continue
+            drive.open_tray()
+            discs.append(drive.remove_disc())
+            drive.close_tray()
+        return discs
+
+    def _home_or_spare(
+        self, roller: Roller, home: Optional[TrayAddress]
+    ) -> Optional[TrayAddress]:
+        """``home``, else the first checked-out, empty tray: somewhere
+        discs can go (None when there is nowhere)."""
+        if home is not None:
+            return home
+        return next(
+            (
+                address
+                for address in self.geometry.addresses()
+                if roller.tray_at(address).checked_out
+                and roller.tray_at(address).is_empty
+            ),
+            None,
+        )
+
+    @staticmethod
+    def _put_back(tray: Tray, stack: list[OpticalDisc]) -> None:
+        tray.checked_out = True
+        tray.put_back(stack)
 
     def reset_after_fault(self, priority: int = 0) -> Generator:
         """Return the mechanics to a consistent state after an aborted
@@ -351,15 +354,14 @@ class MechanicalSubsystem:
         hooks release, and a partially loaded/unloaded drive set is fully
         emptied back home.  No-op when every pair is already consistent.
         """
-        for roller_index, (roller, arm) in enumerate(
-            zip(self.rollers, self.arms)
+        for roller_index, (roller, arm, drive_set) in enumerate(
+            zip(self.rollers, self.arms, self.drive_sets)
         ):
-            orphaned = self._orphaned_sets(roller_index)
             if not (
                 roller.fanned_out is not None
                 or arm.hooked
                 or arm.holding
-                or orphaned
+                or self._orphaned(drive_set)
             ):
                 continue
             grant = yield Acquire(self._arm_locks[roller_index], priority)
@@ -374,48 +376,26 @@ class MechanicalSubsystem:
                     stack = list(arm.holding)
                     arm.holding = []
                     home = home_of_disc(stack[0].disc_id)
-                    for drive_set in self.sets_of_roller(roller_index):
-                        if drive_set.is_busy:
-                            continue
-                        loaded = drive_set.loaded_from
-                        if loaded is not None and loaded[1] != home:
-                            continue  # a healthy idle set; leave it be
-                        if not any(
-                            d.disc is not None for d in drive_set.drives
-                        ):
-                            continue
+                    loaded = drive_set.loaded_from
+                    # an idle set loaded from another tray is healthy
+                    if (
+                        not drive_set.is_busy
+                        and (loaded is None or loaded[1] == home)
+                        and any(d.disc is not None for d in drive_set.drives)
+                    ):
                         if home is None and loaded is not None:
                             home = loaded[1]
-                        for drive in drive_set.drives:
-                            if drive.disc is None:
-                                continue
-                            drive.open_tray()
-                            stack.append(drive.remove_disc())
-                            drive.close_tray()
+                        stack += self._take_discs(drive_set)
                         drive_set.loaded_from = None
-                    if home is None:
-                        home = next(
-                            (
-                                address
-                                for address in self.geometry.addresses()
-                                if roller.tray_at(address).checked_out
-                                and roller.tray_at(address).is_empty
-                            ),
-                            None,
-                        )
+                    home = self._home_or_spare(roller, home)
                     if home is not None:
-                        tray = roller.tray_at(home)
-                        if not tray.checked_out:
-                            tray.checked_out = True
-                        tray.put_back(stack)
+                        self._put_back(roller.tray_at(home), stack)
                 elif roller.fanned_out is not None:
                     tray = roller.tray_at(roller.fanned_out)
                     if arm.holding:
                         stack = list(arm.holding)
                         arm.holding = []
-                        if not tray.checked_out:
-                            tray.checked_out = True
-                        tray.put_back(stack)
+                        self._put_back(tray, stack)
                     roller._fanned_out = None
                     roller.aligned = False
                 # A load aborted between the first disc separation and
@@ -424,40 +404,22 @@ class MechanicalSubsystem:
                 # separation, an empty arm — invisible to the checks
                 # above).  Such a set can never be unloaded through the
                 # normal path, so empty it back to its home tray here.
-                for drive_set in self._orphaned_sets(roller_index):
-                    held = [
+                if self._orphaned(drive_set):
+                    held = next(
                         drive.disc
                         for drive in drive_set.drives
                         if drive.disc is not None
-                    ]
-                    home = home_of_disc(held[0].disc_id)
+                    )
+                    home = home_of_disc(held.disc_id)
                     if home is not None:
                         candidate = roller.tray_at(home)
                         if not candidate.checked_out and not candidate.is_empty:
                             home = None  # home tray re-occupied; fall back
-                    if home is None:
-                        home = next(
-                            (
-                                address
-                                for address in self.geometry.addresses()
-                                if roller.tray_at(address).checked_out
-                                and roller.tray_at(address).is_empty
-                            ),
-                            None,
+                    home = self._home_or_spare(roller, home)
+                    if home is not None:  # else nowhere safe for the discs
+                        self._put_back(
+                            roller.tray_at(home), self._take_discs(drive_set)
                         )
-                    if home is None:
-                        continue  # nowhere safe to put the discs back
-                    stack = []
-                    for drive in drive_set.drives:
-                        if drive.disc is None:
-                            continue
-                        drive.open_tray()
-                        stack.append(drive.remove_disc())
-                        drive.close_tray()
-                    tray = roller.tray_at(home)
-                    if not tray.checked_out:
-                        tray.checked_out = True
-                    tray.put_back(stack)
                 arm.hooked = False
             finally:
                 grant.release()

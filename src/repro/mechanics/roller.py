@@ -12,9 +12,10 @@ import re
 from typing import Optional
 
 from repro.errors import MechanicsError
-from repro.mechanics.geometry import DEFAULT_GEOMETRY, RollerGeometry, TrayAddress
+from repro.mechanics import geometry
+from repro.mechanics.geometry import TrayAddress
 from repro.mechanics.timing import DEFAULT_TIMINGS
-from repro.media.disc import DiscType, OpticalDisc, BD25
+from repro.media.disc import OpticalDisc, BD25
 from repro.media.tray import Tray
 
 #: The ids :meth:`Roller.populate_blank` gives discs name their home tray.
@@ -32,15 +33,15 @@ def home_of_disc(disc_id: str) -> Optional[TrayAddress]:
 class Roller:
     """One rotatable cylinder of trays plus its rotation state."""
 
-    def __init__(
-        self, roller_id: int = 0, geometry: RollerGeometry = DEFAULT_GEOMETRY
-    ):
+    def __init__(self, roller_id: int = 0):
         self.roller_id = roller_id
-        self.geometry = geometry
+        self.geometry = geometry.DEFAULT_GEOMETRY
         self.timings = DEFAULT_TIMINGS
         self.trays: dict[TrayAddress, Tray] = {
-            address: Tray(address.layer, address.slot, geometry.discs_per_tray)
-            for address in geometry.addresses()
+            address: Tray(
+                address.layer, address.slot, self.geometry.discs_per_tray
+            )
+            for address in self.geometry.addresses()
         }
         #: which slot column currently faces the arm
         self.facing_slot = 0
@@ -59,8 +60,8 @@ class Roller:
         self.geometry.validate(address)
         return self.trays[address]
 
-    def populate_blank(self, disc_type: DiscType = BD25) -> int:
-        """Fill every tray with blank discs; returns the disc count."""
+    def populate_blank(self) -> int:
+        """Fill every tray with blank BD-25 discs; returns the disc count."""
         count = 0
         for address, tray in self.trays.items():
             if not tray.is_empty:
@@ -71,7 +72,7 @@ class Roller:
                         f"r{self.roller_id}-l{address.layer:02d}"
                         f"-s{address.slot}-d{position:02d}"
                     ),
-                    disc_type=disc_type,
+                    disc_type=BD25,
                 )
                 for position in range(self.geometry.discs_per_tray)
             ]

@@ -204,7 +204,7 @@ class BurnTask:
                     self.set_id, priority=PRIORITY_BURN
                 )
             if self.tray is None:
-                self.tray = mc.find_blank_tray(mc.mech.roller_of_set(self.set_id))
+                self.tray = mc.find_blank_tray(self.set_id)
             roller_index, address = self.tray
             yield from mech.load_array(
                 self.set_id, address, priority=PRIORITY_BURN

@@ -105,12 +105,7 @@ class FetchController:
             self.file_cache = FileGrainCache(self.file_cache.capacity_bytes)
 
     # ------------------------------------------------------------------
-    def fetch_file(
-        self,
-        image_id: str,
-        path: str,
-        priority: int = PRIORITY_FETCH,
-    ) -> Generator:
+    def fetch_file(self, image_id: str, path: str) -> Generator:
         """Read ``path`` out of ``image_id`` wherever it lives.
 
         Returns a :class:`FetchResult`.
@@ -159,13 +154,11 @@ class FetchController:
                 with trace.span(
                     "ftm.read_disc", "ftm", {"disc_id": record.disc_id}
                 ):
-                    result = yield from self._read_from_disc(
-                        record, path, priority
-                    )
+                    result = yield from self._read_from_disc(record, path)
             span.tag("source", result.source)
         return result
 
-    def _read_from_disc(self, record, path: str, priority: int) -> Generator:
+    def _read_from_disc(self, record, path: str) -> Generator:
         """Cases 3-6, under the fetch retry policy: a drive or mechanics
         error is journalled and the mechanics reset before the retry; a
         media error (:class:`~repro.errors.SectorError`) propagates so
@@ -187,13 +180,11 @@ class FetchController:
                 )
 
         return FETCH_RETRY.retry(
-            lambda: self._read_from_disc_once(record, path, priority),
-            failed, self.mc.mech, priority,
+            lambda: self._read_from_disc_once(record, path),
+            failed, self.mc.mech, PRIORITY_FETCH,
         )
 
-    def _read_from_disc_once(
-        self, record, path: str, priority: int
-    ) -> Generator:
+    def _read_from_disc_once(self, record, path: str) -> Generator:
         """Cases 3-6: the disc itself, maybe via mechanical operations."""
         self.fetch_tasks += 1
         was_in_drive = any(
@@ -201,7 +192,7 @@ class FetchController:
             for drive_set in self.mc.mech.drive_sets
         )
         drive, set_id, grant = yield from self.mc.ensure_disc_in_drive(
-            record.disc_id, priority
+            record.disc_id
         )
         try:
             yield from drive.mount()

@@ -15,7 +15,6 @@ from contextlib import nullcontext
 from typing import Generator, Optional
 
 from repro import units
-from repro.mechanics.geometry import RollerGeometry, DEFAULT_GEOMETRY
 from repro.mechanics.library import MechanicalSubsystem
 from repro.olfs.bucket import WritingBucketManager
 from repro.olfs.burning import BurnController
@@ -61,10 +60,7 @@ class OLFS:
         config: Optional[OLFSConfig] = None,
         engine: Optional[Engine] = None,
         roller_count: int = 2,
-        drive_sets_per_roller: int = 1,
         buffer_volume_capacity: int = 24 * units.TB,
-        geometry: RollerGeometry = DEFAULT_GEOMETRY,
-        parallel_scheduling: bool = False,
     ):
         self.engine = engine or Engine()
         self.config = config or OLFSConfig()
@@ -103,13 +99,7 @@ class OLFS:
         self.scheduler.metrics = self.metrics
 
         # -- mechanics ------------------------------------------------------
-        self.mech = MechanicalSubsystem(
-            self.engine,
-            roller_count=roller_count,
-            drive_sets_per_roller=drive_sets_per_roller,
-            geometry=geometry,
-            parallel_scheduling=parallel_scheduling,
-        )
+        self.mech = MechanicalSubsystem(self.engine, roller_count=roller_count)
         for drive_set in self.mech.drive_sets:
             for drive in drive_set.drives:
                 drive.idle_sleep_seconds = DRIVE_IDLE_SLEEP_SECONDS
@@ -338,9 +328,10 @@ def small_rack(factory=OLFS, config: Optional[dict] = None, **kwargs):
     200 MB buffer volumes.
 
     ``config`` overrides :class:`OLFSConfig` fields; the remaining
-    keywords go to ``factory`` — :class:`OLFS` itself, or a
-    :class:`~repro.cluster.RackCluster`, which builds each of its racks
-    from the same keywords.  Observers attach to the returned rack's
+    keywords go to ``factory`` — :class:`OLFS` itself (an ``engine``),
+    or a :class:`~repro.cluster.RackCluster` (``rack_count``,
+    ``replicas``), which builds its own engine and each of its racks
+    from the same rack keywords.  Observers attach to the returned rack's
     engine afterwards, once for all its racks: ``Tracer(engine,
     seed).install()``, ``FaultInjector(engine, plan, seed).bind(rack)
     .install().start()``, ``FlightRecorder(engine).install()``, then

@@ -8,8 +8,8 @@ Responsibilities here:
 * **DAindex** (§4.1) — every tray/disc-array is Empty, Used or Failed;
 * **drive-set locks** — one burn or fetch owns a set at a time; urgent
   fetches (priority 0) queue ahead of background burns (priority 10);
-* **the busy-drive read policy** (§4.8) — when every drive set is burning,
-  either wait for the burn or interrupt it (appending-burn mode);
+* **the busy-drive read policy** (§4.8) — when the roller's drive set is
+  burning, either wait for the burn or interrupt it (appending-burn mode);
 * the mapping from burned image IDs to tray addresses so fetches know
   which array to load.
 """
@@ -154,30 +154,17 @@ class MechanicalController:
 
     def pick_set(self, roller_index: int, fetch: bool = False) -> int:
         """The drive set a burn (or, with ``fetch``, a read) should use:
-        a free empty set (no unload first), then any free set, then —
-        for a fetch under the §4.8 interrupt policy — a set whose burn
-        it stops now, then the set with the shortest queue, where
-        priority puts fetches ahead of new burns."""
-        candidates = self.mech.sets_of_roller(roller_index)
-        free = [
-            drive_set for drive_set in candidates
-            if self._locks[drive_set.set_id].available
-            and not self._locks[drive_set.set_id].queue_length
-        ]
-        for drive_set in free:
-            if drive_set.is_empty:
-                return drive_set.set_id
-        if free:
-            return free[0].set_id
-        if fetch and self.config.busy_drive_policy == "interrupt":
-            for drive_set in candidates:
-                task = self.burn_task_of_set.get(drive_set.set_id)
-                if task is not None and task.state == "burning":
-                    task.request_interrupt()
-                    return drive_set.set_id
-        return min(
-            candidates, key=lambda s: self._locks[s.set_id].queue_length
-        ).set_id
+        the roller's own, whose id is the roller's index.  A fetch under
+        the §4.8 interrupt policy first stops the burn holding that set
+        when it is busy; otherwise lock priority puts fetches ahead of
+        new burns."""
+        lock = self._locks[roller_index]
+        busy = not lock.available or lock.queue_length
+        if busy and fetch and self.config.busy_drive_policy == "interrupt":
+            task = self.burn_task_of_set.get(roller_index)
+            if task is not None and task.state == "burning":
+                task.request_interrupt()
+        return roller_index
 
     # ------------------------------------------------------------------
     # Whole-array reads (scrub, disc-scan recovery)
@@ -222,11 +209,10 @@ class MechanicalController:
     # ------------------------------------------------------------------
     # Fetch path (§4.8 read policies)
     # ------------------------------------------------------------------
-    def ensure_disc_in_drive(
-        self, disc_id: str, priority: int = PRIORITY_FETCH
-    ) -> Generator:
-        """Make ``disc_id`` readable in some drive; returns
-        ``(drive, set_id, grant)`` with the set lock held by the caller."""
+    def ensure_disc_in_drive(self, disc_id: str) -> Generator:
+        """Make ``disc_id`` readable in some drive at fetch priority;
+        returns ``(drive, set_id, grant)`` with the set lock held by the
+        caller."""
         with self.engine.trace.span(
             "mc.ensure_disc_in_drive", "mc", {"disc_id": disc_id}
         ) as span:
@@ -234,7 +220,7 @@ class MechanicalController:
             for drive_set in self.mech.drive_sets:
                 if drive_set.find_disc(disc_id) is not None:
                     grant = yield from self.acquire_set(
-                        drive_set.set_id, priority
+                        drive_set.set_id, PRIORITY_FETCH
                     )
                     drive = drive_set.find_disc(disc_id)
                     if drive is not None:
@@ -250,7 +236,7 @@ class MechanicalController:
             roller_index, address = located
             set_id = self.pick_set(roller_index, fetch=True)
             span.tag("set_id", set_id)
-            grant = yield from self.acquire_set(set_id, priority)
+            grant = yield from self.acquire_set(set_id, PRIORITY_FETCH)
             try:
                 drive_set = self.mech.drive_sets[set_id]
                 # The disc may have arrived while we waited.
@@ -258,7 +244,7 @@ class MechanicalController:
                 if drive is not None:
                     return drive, set_id, grant
                 yield from self.mech.swap_array(
-                    set_id, address, priority=priority
+                    set_id, address, priority=PRIORITY_FETCH
                 )
                 drive = drive_set.find_disc(disc_id)
                 if drive is None:

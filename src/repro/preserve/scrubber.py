@@ -47,6 +47,9 @@ IDLE_SLEEP_SECONDS = 5.0
 #: backoff after an admission rejection/timeout before retrying
 DEFER_SECONDS = 10.0
 
+#: the admission tenant scrub I/O is charged to
+TENANT = "scrub"
+
 
 class BackgroundScrubber:
     """Budgeted, checksum-verifying patrol scrubs over one rack."""
@@ -56,14 +59,12 @@ class BackgroundScrubber:
         ros,
         clock=None,
         admission: Optional[AdmissionController] = None,
-        tenant: str = "scrub",
         migrate_after_years: Optional[float] = None,
     ):
         self.ros = ros
         self.engine = ros.engine
         self.clock = clock
         self.admission = admission
-        self.tenant = tenant
         self.migrate_after_years = migrate_after_years
         self.bucket: Optional[TokenBucket] = None
         if admission is None:
@@ -141,7 +142,7 @@ class BackgroundScrubber:
         grant = None
         if self.admission is not None:
             try:
-                grant = yield from self.admission.admit(self.tenant, est)
+                grant = yield from self.admission.admit(TENANT, est)
             except (AdmissionRejectedError, AdmissionTimeoutError):
                 self.stats["deferred"] += 1
                 yield Delay(DEFER_SECONDS)

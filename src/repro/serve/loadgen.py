@@ -452,9 +452,7 @@ def run_serve(
         except ROSError:
             pass
         racks[0].settle()
-        scrubber = BackgroundScrubber(
-            racks[0], admission=admission, tenant="scrub"
-        )
+        scrubber = BackgroundScrubber(racks[0], admission=admission)
 
     # -- fleets --------------------------------------------------------
     serve_start = engine.now

@@ -19,6 +19,7 @@ from repro.drives.speed import (
     curve_for,
 )
 from repro.errors import MechanicsError
+from repro.mechanics import geometry
 from repro.mechanics.geometry import RollerGeometry, TrayAddress
 from repro.mechanics.library import MechanicalSubsystem
 from repro.mechanics.roller import Roller
@@ -79,9 +80,9 @@ def build_controller(roller_count, tray_states, cursors):
     """A small rack put into the drawn state; built twice per example so
     the oracle and the code under test start from equal states."""
     engine = Engine()
-    mech = MechanicalSubsystem(
-        engine, roller_count=roller_count, geometry=SMALL
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "DEFAULT_GEOMETRY", SMALL)
+        mech = MechanicalSubsystem(engine, roller_count=roller_count)
     mc = MechanicalController(engine, mech, OLFSConfig())
     keys = [
         (roller.roller_id, address)

@@ -33,6 +33,7 @@ from repro.fleet.supervisor import (
     FleetSupervisor,
     TriggerRule,
 )
+from repro.fleet import telemetry
 from repro.fleet.telemetry import (
     CentralTelemetry,
     TelemetryAgent,
@@ -191,15 +192,12 @@ class TestTelemetryAgent:
             stats["batches_abandoned"] + stats["batches_in_doubt"]
         ) == stats["batches_sealed"]
 
-    def test_outbox_overflow_drops_oldest_unacked(self):
+    def test_outbox_overflow_drops_oldest_unacked(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "MAX_OUTBOX_BATCHES", 2)
+        monkeypatch.setattr(telemetry, "DRAIN_RETRY_LIMIT", 2)
         engine = Engine()
         engine.faults = WindowFaults(engine, 0.0, float("inf"))
-        agent, central, _link = make_agent(
-            engine,
-            flush_every=1,
-            max_outbox_batches=2,
-            drain_retry_limit=2,
-        )
+        agent, central, _link = make_agent(engine, flush_every=1)
         agent.start()
         # the replicator backs off forever against a dead link, so bound
         # the first drain instead of waiting for idle
@@ -215,7 +213,9 @@ class TestTelemetryAgent:
         assert central.stats["points_ingested"] == 0
 
     @pytest.mark.parametrize("horizon_s", [1.2, 3.2])
-    def test_batch_sealed_during_a_send_never_evicts_it(self, horizon_s):
+    def test_batch_sealed_during_a_send_never_evicts_it(
+        self, horizon_s, monkeypatch
+    ):
         """A full outbox drops an unsent batch, never the one on the wire.
 
         Each send takes 1 s while ticks seal a batch every 0.5 s into a
@@ -230,13 +230,10 @@ class TestTelemetryAgent:
             def respond(self, nbytes, weight):
                 yield Delay(0.0)
 
+        monkeypatch.setattr(telemetry, "MAX_OUTBOX_BATCHES", 1)
         engine = Engine()
         agent, central, _link = make_agent(
-            engine,
-            link=SlowLink(),
-            flush_every=1,
-            max_outbox_batches=1,
-            horizon_s=horizon_s,
+            engine, link=SlowLink(), flush_every=1, horizon_s=horizon_s
         )
         agent.start()
         engine.run()
@@ -298,8 +295,6 @@ class TestTelemetryAgent:
         engine = Engine()
         with pytest.raises(ValueError):
             make_agent(engine, flush_every=0)
-        with pytest.raises(ValueError):
-            make_agent(engine, max_outbox_batches=0)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.mechanics import (
     MechanicalTimings,
     RollerGeometry,
     TrayAddress,
+    geometry,
 )
 from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.plc import (
@@ -186,7 +187,7 @@ def test_load_into_occupied_set_rejected(system):
 def test_load_checked_out_tray_rejected(system):
     engine, subsystem = system
     engine.run_process(subsystem.load_array(0, TrayAddress(0, 0)))
-    engine.run_process(subsystem.unload_array(0, TrayAddress(0, 0)))
+    engine.run_process(subsystem.unload_array(0))
     # tray is home again; unloading an empty set now fails
     with pytest.raises(MechanicsError):
         engine.run_process(subsystem.unload_array(0))
@@ -299,9 +300,7 @@ def test_calibrate_repairs_sensors():
 def test_two_rollers_independent_arms():
     engine = Engine()
     subsystem = MechanicalSubsystem(engine, roller_count=2)
-    assert len(subsystem.drive_sets) == 2
-    assert subsystem.roller_of_set(0) == 0
-    assert subsystem.roller_of_set(1) == 1
+    assert [drive_set.set_id for drive_set in subsystem.drive_sets] == [0, 1]
 
     from repro.sim import AllOf
 
@@ -346,12 +345,12 @@ def stepped_send(channel, instruction):
     return result
 
 
-def _rig(stepped=False, start=START, traced=False, **kwargs):
+def _rig(stepped=False, start=START, traced=False):
     """A one-roller rack whose clock already reads ``start``."""
     engine = Engine()
     if traced:
         engine.trace = Tracer(engine)
-    subsystem = MechanicalSubsystem(engine, roller_count=1, **kwargs)
+    subsystem = MechanicalSubsystem(engine, roller_count=1)
     if stepped:
         channel = subsystem.channel
         channel.send = lambda instruction: stepped_send(channel, instruction)
@@ -467,7 +466,9 @@ def _drive(stepped, start, ops, faults=()):
     """Run ``ops`` one after another under a tracer, a recorder and an
     injector arming ``faults``; what each op did and when it ended, what
     every observer saw, and where the faults met the wire."""
-    engine, subsystem = _rig(stepped, start, traced=True, geometry=SMALL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "DEFAULT_GEOMETRY", SMALL)
+        engine, subsystem = _rig(stepped, start, traced=True)
     recorder = FlightRecorder(engine).install()
     injector = FaultInjector(engine).install()
     armed = []

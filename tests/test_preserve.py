@@ -191,7 +191,7 @@ def test_scrubber_defers_when_admission_rejects():
         max_inflight=4,
     )
     admission.close()  # every admit now raises AdmissionRejectedError
-    scrubber = BackgroundScrubber(ros, admission=admission, tenant="scrub")
+    scrubber = BackgroundScrubber(ros, admission=admission)
     (roller, address) = next(iter(ros.mc.array_images))
     ros.run(scrubber.scrub_one(roller, address))
     assert scrubber.stats["deferred"] == 1

@@ -1,8 +1,9 @@
 """The one landing rule ``drives.drive.nap`` and the mechanics share."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mechanics import MechanicalSubsystem, RollerGeometry
+from repro.mechanics import MechanicalSubsystem, RollerGeometry, geometry
 from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.plc import Rotate
 from repro.sim import Delay, Engine
@@ -89,8 +90,10 @@ def test_sleep_after_ends_where_the_two_delays_end(start, lead, seconds):
 @given(start=st.floats(0.0, 1e4), lead=st.floats(1e-6, 0.1))
 def test_a_plc_motion_ends_where_sleep_after_does(start, lead):
     engine = Engine()
-    geometry = RollerGeometry(layers=3, slots_per_layer=3, discs_per_tray=2)
-    plc = MechanicalSubsystem(engine, roller_count=1, geometry=geometry).plc
+    small = RollerGeometry(layers=3, slots_per_layer=3, discs_per_tray=2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "DEFAULT_GEOMETRY", small)
+        plc = MechanicalSubsystem(engine, roller_count=1).plc
 
     def body():
         yield Delay(start)
