@@ -161,7 +161,7 @@ class OpticalDrive:
 
     def _check_op_fault(self) -> None:
         """Raise if the fault injector has an armed 'drive.op' fault."""
-        fault = self.engine.faults.check("drive.op", self.drive_id)
+        fault = self.engine.faults.check("drive.op", self)
         if fault is not None:
             raise DriveError(
                 f"{self.drive_id}: injected fault ({fault.kind})"
@@ -333,15 +333,13 @@ class OpticalDrive:
         faults = self.engine.faults
         self._burn_process = self.engine.current_process
         if faults.enabled:
-            faults.subscribe(self.drive_id, self._burn_process)
+            faults.subscribe(self, self._burn_process)
         started = self.engine.now
         seconds_in = 0.0  # uncontended table seconds behind the laser
 
         def trip_if_faulted() -> None:
             check = self.engine.faults.check
-            fault = check("drive.burn", self.drive_id) or check(
-                "drive.op", self.drive_id
-            )
+            fault = check("drive.burn", self) or check("drive.op", self)
             if fault is not None:
                 written = laser_position(table, seconds_in)[0]
                 raise DriveError(

@@ -10,7 +10,10 @@ as ``engine.faults`` (every engine starts with the no-op
   laser starts and when it stops, so a fault armed on an idle drive trips
   the next burn);
 * ``drive.op`` — checked on mount / seek / read / burn entry, and
-  delivered to a burn in flight the same way (hard-failure windows);
+  delivered to a burn in flight the same way (hard-failure windows).
+  Both drive sites pass the drive itself: drive ids repeat across the
+  racks of one engine, so a fault aimed at a drive id trips only the
+  bound rack's drive of that id;
 * ``plc.channel`` — checked by :meth:`ControlChannel.send` when the
   command arrives, if :meth:`FaultInjector.live` said at send time that
   an any-target fault could trip then; a fault armed during a command's
@@ -84,12 +87,14 @@ class FaultInjector:
         self.plan = plan or FaultPlan()
         self.rng = DeterministicRNG(seed).child("fault-injector")
         self._ros = None
+        #: the bound rack's drives, the only ones drive-id targets name
+        self._drives: frozenset = frozenset()
         #: one-shot faults armed per (site, target); "" target = any
         self._oneshots: dict[tuple[str, str], list[FaultSpec]] = {}
         #: windowed faults: (site, target, until, spec)
         self._windows: list[tuple[str, str, float, FaultSpec]] = []
-        #: burns in flight: the burn's process -> its drive id (ids repeat
-        #: across the racks of one engine, processes do not)
+        #: burns in flight: the burn's process -> its drive's target key
+        #: (see :meth:`_target`)
         self._burning: dict = {}
         #: arrays already carrying an injected burst (keep each array
         #: within its parity budget so scrub repair always succeeds)
@@ -107,8 +112,13 @@ class FaultInjector:
     # Wiring
     # ------------------------------------------------------------------
     def bind(self, ros) -> "FaultInjector":
-        """Attach the OLFS instance applied faults act on."""
+        """Attach the OLFS instance applied faults and drive-id targets
+        act on."""
         self._ros = ros
+        self._drives = frozenset(
+            drive for drive_set in ros.mech.drive_sets
+            for drive in drive_set.drives
+        )
         return self
 
     def bind_aging(self, clock) -> "FaultInjector":
@@ -147,10 +157,12 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Site consultation (hot path: called from drives / PLC channel)
     # ------------------------------------------------------------------
-    def check(self, site: str, target: str = "") -> Optional[FaultSpec]:
-        """Armed fault for ``site``/``target``?  One-shots are consumed."""
+    def check(self, site: str, target="") -> Optional[FaultSpec]:
+        """Armed fault for ``site``/``target`` (a string, or the drive at
+        a drive site)?  One-shots are consumed."""
         if not self._active:
             return None
+        target = self._target(target)
         now = self.engine.now
         if self._windows:
             self._windows = [
@@ -183,10 +195,10 @@ class FaultInjector:
             for window_site, window_target, until, _spec in self._windows
         )
 
-    def subscribe(self, drive_id: str, process) -> None:
-        """``process`` is burning on ``drive_id``: wake it whenever a
+    def subscribe(self, drive, process) -> None:
+        """``process`` is burning on ``drive``: wake it whenever a
         ``drive.burn`` / ``drive.op`` fault is armed that may concern it."""
-        self._burning[process] = drive_id
+        self._burning[process] = self._target(drive)
 
     def unsubscribe(self, process) -> None:
         self._burning.pop(process, None)
@@ -455,6 +467,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Target resolution
     # ------------------------------------------------------------------
+    def _target(self, target) -> Optional[str]:
+        """The key ``target`` matches armed faults by: a string is itself;
+        a drive is its id when it is the bound rack's (or no rack is
+        bound), else None, which only any-target faults match."""
+        if isinstance(target, str):
+            return target
+        if self._ros is None or target in self._drives:
+            return target.drive_id
+        return None
+
     def _require_ros(self):
         if self._ros is None:
             raise RuntimeError(

@@ -249,3 +249,39 @@ def test_cluster_all_holders_down_reraises_the_last_error():
         cluster.racks[second].pi.read_file = fail_with(TimeoutOLFSError)
         with pytest.raises(TimeoutOLFSError):
             read(cluster, "/ha/multi.bin")
+
+
+def _paths_homed_on(cluster, rack, count):
+    paths = (f"/homed/f{index:03d}.bin" for index in range(1000))
+    return [path for path in paths if cluster.home_rack(path) == rack][:count]
+
+
+def test_a_drive_fault_reaches_only_the_bound_racks_drive():
+    """Drive ids repeat across the racks of a cluster: a transient aimed
+    at rack 0's ``set0-drive00`` must not trip rack 1's drive of that
+    name, and still trips rack 0's once rack 0 burns."""
+    from repro.faults import DRIVE_TRANSIENT, FaultPlan
+    from repro.faults.injector import FaultInjector
+    from repro.olfs.filesystem import small_rack
+
+    cluster = small_rack(RackCluster, rack_count=2, replicas=0)
+    injector = (
+        FaultInjector(cluster.engine, FaultPlan(), seed=1)
+        .bind(cluster.racks[0])
+        .install()
+    )
+    injector.inject(DRIVE_TRANSIENT, target="set0-drive00")
+    for path in _paths_homed_on(cluster, 1, 12):
+        cluster.write(path, b"r1" * 3000)
+    cluster.flush()
+    for rack in cluster.racks:
+        rack.settle()
+    assert cluster.racks[1].btm.health()["completed"] > 0
+    assert [entry["event"] for entry in injector.log] == ["arm"]
+
+    for path in _paths_homed_on(cluster, 0, 12):
+        cluster.write(path, b"r0" * 3000)
+    cluster.flush()
+    for rack in cluster.racks:
+        rack.settle()
+    assert [entry["event"] for entry in injector.log] == ["arm", "trip"]
