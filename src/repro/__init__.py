@@ -11,7 +11,7 @@ Quickstart::
 
     from repro import ROS
 
-    ros = ROS()                       # a 2-roller, 1.16 PB-class rack
+    ros = ROS()                       # 2 x (roller, arm, 12 drives): 1.16 PB
     ros.write("/archive/a.bin", b"hello, 2076!")
     print(ros.read("/archive/a.bin").data)
     ros.flush()                       # seal buckets, burn disc arrays

@@ -230,7 +230,7 @@ def repair_rack(ros, label: str) -> None:
     from repro.plc import Calibrate
 
     for index in range(len(ros.mech.plc.suites)):
-        ros.run(ros.mech.channel.send(Calibrate(index)), f"{label}-calibrate")
+        ros.run(ros.mech.plc.execute(Calibrate(index)), f"{label}-calibrate")
     ros.run(ros.mech.reset_after_fault(), f"{label}-mech-reset")
     # Failed burn tasks keep their claims; release them (active tasks
     # keep theirs) and burn what they left.

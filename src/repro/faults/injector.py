@@ -14,7 +14,7 @@ as ``engine.faults`` (every engine starts with the no-op
   Both drive sites pass the drive itself: drive ids repeat across the
   racks of one engine, so a fault aimed at a drive id trips only the
   bound rack's drive of that id;
-* ``plc.channel`` — checked by :meth:`ControlChannel.send` when the
+* ``plc.channel`` — checked by :meth:`PLCController.execute` when the
   command arrives, if :meth:`FaultInjector.live` said at send time that
   an any-target fault could trip then; a fault armed during a command's
   1 ms flight trips the next command instead;

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.drives.drive_set import DRIVES_PER_SET, DriveSet
+from repro.drives.drive_set import DriveSet
 from repro.errors import MechanicsError
 from repro.mechanics import geometry
 from repro.mechanics.arm import PARK_LAYER, RoboticArm
@@ -27,7 +27,6 @@ from repro.mechanics.roller import Roller, home_of_disc
 from repro.mechanics.timing import DEFAULT_TIMINGS
 from repro.media.disc import OpticalDisc
 from repro.media.tray import Tray
-from repro.plc.channel import ControlChannel
 from repro.plc.controller import PLCController
 from repro.plc.instructions import (
     FanIn,
@@ -47,8 +46,9 @@ from repro.sim.resources import Resource
 class MechanicalSubsystem:
     """Rollers, arms, PLC and drive sets of one ROS rack.
 
-    Each roller feeds one 12-drive set (§3: two rollers, 24 drives), so
-    a drive set's id is its roller's index.
+    Each roller has its own arm and feeds its own 12-drive set (§3: two
+    rollers, 24 drives), so one index names the roller, its arm and its
+    drive set.
     """
 
     def __init__(
@@ -64,18 +64,11 @@ class MechanicalSubsystem:
         self.rollers = [Roller(index) for index in range(roller_count)]
         self.arms = [RoboticArm(index) for index in range(roller_count)]
         self.plc = PLCController(engine, self.rollers, self.arms)
-        self.channel = ControlChannel(engine, self.plc)
         self.drive_sets = [
             DriveSet(engine, index) for index in range(roller_count)
         ]
         #: frozen instructions built once: separations, commands_for()'s
-        self._separations = [
-            tuple(
-                SeparateDisc(index, index, drive)
-                for drive in range(DRIVES_PER_SET)
-            )
-            for index in range(roller_count)
-        ]
+        self._separations = [SeparateDisc(arm) for arm in range(roller_count)]
         self._tray_commands: dict[tuple[int, TrayAddress], tuple] = {}
         self._arm_locks = [
             Resource(engine, 1, name=f"arm{index}")
@@ -97,7 +90,7 @@ class MechanicalSubsystem:
                 MoveArm(roller, PARK_LAYER),
                 (Rotate(roller, slot), MoveArm(roller, layer),
                  HookTray(roller), FanOut(roller, layer, slot)),
-                GrabStack(roller, roller), LowerStack(roller, roller),
+                GrabStack(roller), LowerStack(roller),
                 ReleaseTray(roller), FanIn(roller),
             )
         return commands
@@ -143,7 +136,7 @@ class MechanicalSubsystem:
             "rollers": [roller.health() for roller in self.rollers],
             "arms": [arm.health() for arm in self.arms],
             "plc": self.plc.health(),
-            "channel": self.channel.health(),
+            "channel": self.plc.channel_health(),
             "arm_queues": [
                 {
                     "roller": index,
@@ -160,11 +153,11 @@ class MechanicalSubsystem:
     # ------------------------------------------------------------------
     def load_array(
         self,
-        set_id: int,
+        roller_index: int,
         address: TrayAddress,
         priority: int = 0,
     ) -> Generator:
-        """Move a tray's discs from the roller into drive set ``set_id``.
+        """Move a tray's discs from the roller into its drive set.
 
         Returns the list of discs now sitting in the drives (top drive
         first).  Table 3, "loading" rows.
@@ -172,19 +165,19 @@ class MechanicalSubsystem:
         with self.engine.trace.span(
             "mech.load_array",
             "mech",
-            {"set_id": set_id, "layer": address.layer, "slot": address.slot},
+            {"set_id": roller_index, "layer": address.layer,
+             "slot": address.slot},
         ):
-            roller_index = set_id
-            drive_set = self.drive_sets[set_id]
+            drive_set = self.drive_sets[roller_index]
             if not drive_set.is_empty:
-                raise MechanicsError(f"drive set {set_id} is not empty")
+                raise MechanicsError(f"drive set {roller_index} is not empty")
             roller = self.rollers[roller_index]
             tray = roller.tray_at(address)
             if tray.checked_out or tray.is_empty:
                 raise MechanicsError(f"tray {address} has no discs to load")
             grant = yield Acquire(self._arm_locks[roller_index], priority)
             try:
-                send = self.channel.send
+                send = self.plc.execute
                 if self.parallel_scheduling:
                     discs = yield from self._load_positioning_parallel(
                         roller_index, address
@@ -200,9 +193,9 @@ class MechanicalSubsystem:
                     yield from send(fan_in)
                 drive_set.open_all_trays()
                 placed = []
-                separations = self._separations[set_id]
+                separate = self._separations[roller_index]
                 for index in range(len(discs)):
-                    disc = yield from send(separations[index])
+                    disc = yield from send(separate)
                     drive = drive_set.drives[index]
                     drive.insert_disc(disc)
                     drive.close_tray()
@@ -238,28 +231,28 @@ class MechanicalSubsystem:
         arm.layer = PARK_LAYER
         return discs
 
-    def unload_array(self, set_id: int, priority: int = 0) -> Generator:
-        """Return the discs in drive set ``set_id`` to the tray they were
+    def unload_array(self, roller_index: int, priority: int = 0) -> Generator:
+        """Return the discs in the roller's drive set to the tray they were
         loaded from.  Table 3, "unloading" rows.
         """
         with self.engine.trace.span(
-            "mech.unload_array", "mech", {"set_id": set_id}
+            "mech.unload_array", "mech", {"set_id": roller_index}
         ):
-            drive_set = self.drive_sets[set_id]
+            drive_set = self.drive_sets[roller_index]
             if drive_set.is_busy:
-                raise MechanicsError(f"drive set {set_id} has busy drives")
+                raise MechanicsError(f"drive set {roller_index} has busy drives")
             if drive_set.loaded_from is None:
                 raise MechanicsError(
-                    f"drive set {set_id} has no home tray recorded"
+                    f"drive set {roller_index} has no home tray recorded"
                 )
-            roller_index, address = drive_set.loaded_from
+            address = drive_set.loaded_from[1]
             roller = self.rollers[roller_index]
             tray = roller.tray_at(address)
             if not tray.checked_out:
                 raise MechanicsError(f"tray {address} was not checked out")
             grant = yield Acquire(self._arm_locks[roller_index], priority)
             try:
-                send = self.channel.send
+                send = self.plc.execute
                 arm = self.arms[roller_index]
                 park, approach, _, lower, release, fan_in = (
                     self.commands_for(roller_index, address)
@@ -426,14 +419,13 @@ class MechanicalSubsystem:
 
     def swap_array(
         self,
-        set_id: int,
+        roller_index: int,
         new_address: TrayAddress,
         priority: int = 0,
     ) -> Generator:
         """Unload the current array (if any) and load another (Table 1's
         'drives are not working' case: ~155 s)."""
-        drive_set = self.drive_sets[set_id]
-        if not drive_set.is_empty:
-            yield from self.unload_array(set_id, priority=priority)
-        discs = yield from self.load_array(set_id, new_address, priority)
+        if not self.drive_sets[roller_index].is_empty:
+            yield from self.unload_array(roller_index, priority=priority)
+        discs = yield from self.load_array(roller_index, new_address, priority)
         return discs

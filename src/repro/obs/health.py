@@ -60,7 +60,7 @@ class SystemMonitor:
             ),
             "burn_tasks": lambda: len(ros.btm.active_tasks),
             "mech_queue": lambda: sum(
-                lock.queue_length for lock in ros.mc._locks.values()
+                lock.queue_length for lock in ros.mc._locks
             ),
         }
         self.sampler = Sampler(self.engine, period=period, on_tick=self._tick)

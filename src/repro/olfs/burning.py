@@ -55,7 +55,8 @@ class BurnTask:
         self.interrupt_requested = False
         self.interruptions = 0
         self.tray: Optional[tuple[int, TrayAddress]] = None
-        self.set_id: Optional[int] = None
+        #: the roller (and so the drive set) of the latest round
+        self.roller: Optional[int] = None
         self.state = "pending"
         #: signalled by the fetch that interrupted us once it is done
         self._resume_event = None
@@ -74,7 +75,7 @@ class BurnTask:
             return
         self.interrupt_requested = True
         self.interruptions += 1
-        self.controller.mc.mech.drive_sets[self.set_id].request_interrupt()
+        self.controller.mc.mech.drive_sets[self.roller].request_interrupt()
 
     # ------------------------------------------------------------------
     def run(self) -> Generator:
@@ -182,16 +183,24 @@ class BurnTask:
 
     def _burn_round(self, burned_prefix: dict, real_prefix: dict) -> Generator:
         """Load the tray (blank on the first round), burn what remains of
-        each image, unload.  Returns True when every image completed."""
+        each image, unload.  Returns True when every image completed.
+
+        A round runs on its tray's roller; a fresh tray comes from the first
+        roller, by index, that still holds a blank one, under its lock."""
         mc = self.controller.mc
         dim = self.controller.dim
         mech = mc.mech
-        if self.set_id is None:
-            roller_index = 0 if self.tray is None else self.tray[0]
-            self.set_id = mc.pick_set(roller_index)
-        grant = yield from mc.acquire_set(self.set_id, PRIORITY_BURN)
-        mc.burn_task_of_set[self.set_id] = self
-        drive_set = mech.drive_sets[self.set_id]
+        roller = self.roller = (
+            mc.blank_roller() if self.tray is None else self.tray[0]
+        )
+        grant = yield from mc.acquire_set(roller, PRIORITY_BURN)
+        while self.tray is None and mc.blank_roller() != roller:
+            # the roller's last blank tray went while this round queued
+            grant.release()
+            roller = self.roller = mc.blank_roller()
+            grant = yield from mc.acquire_set(roller, PRIORITY_BURN)
+        mc.burn_task_of_set[roller] = self
+        drive_set = mech.drive_sets[roller]
         try:
             if self.payloads is None:
                 self._encode()
@@ -200,15 +209,11 @@ class BurnTask:
                 record.image for record in self.parity_records
             ]
             if not drive_set.is_empty:
-                yield from mech.unload_array(
-                    self.set_id, priority=PRIORITY_BURN
-                )
+                yield from mech.unload_array(roller, priority=PRIORITY_BURN)
             if self.tray is None:
-                self.tray = mc.find_blank_tray(self.set_id)
-            roller_index, address = self.tray
-            yield from mech.load_array(
-                self.set_id, address, priority=PRIORITY_BURN
-            )
+                self.tray = mc.find_blank_tray(roller)
+            address = self.tray[1]
+            yield from mech.load_array(roller, address, priority=PRIORITY_BURN)
             # Stage the image streams off the disk buffer concurrently
             # with the burn (the §4.7 burn-read stream).
             volume = self.controller.scheduler.volume_for(StreamKind.BURN_READ)
@@ -248,9 +253,7 @@ class BurnTask:
                 # A drive/disc failed mid-burn (burn_array has waited for
                 # the surviving drives).  Clear the now junk array out of
                 # the drives, and let run() retry on a fresh tray.
-                yield from mech.unload_array(
-                    self.set_id, priority=PRIORITY_BURN
-                )
+                yield from mech.unload_array(roller, priority=PRIORITY_BURN)
                 raise
             self.state = "placing"
             all_done = True
@@ -274,7 +277,6 @@ class BurnTask:
                         ) + len(result.track.payload)
                     all_done = False
             if all_done:
-                roller_index, address = self.tray
                 for drive, (blob, _, image_id) in zip(
                     drive_set.drives, payloads
                 ):
@@ -283,12 +285,12 @@ class BurnTask:
                             image_id,
                             drive.disc.disc_id,
                             blob,
-                            (roller_index, address),
+                            self.tray,
                         )
                 if self.controller.foreparts is not None:
                     self.controller.foreparts.view_burned(payloads, self.extents)
-                mc.set_state(roller_index, address, ArrayState.USED)
-                mc.array_images[(roller_index, address)] = [
+                mc.set_state(roller, address, ArrayState.USED)
+                mc.array_images[self.tray] = [
                     image.image_id for image in all_images
                 ]
                 # Burned content demotes from pinned buffer space to the
@@ -302,9 +304,7 @@ class BurnTask:
             # Return the discs to their tray either way: on interrupt the
             # array must leave the drives for the urgent read (§4.8).
             try:
-                yield from mech.unload_array(
-                    self.set_id, priority=PRIORITY_BURN
-                )
+                yield from mech.unload_array(roller, priority=PRIORITY_BURN)
             except ROSError:
                 if not all_done:
                     raise
@@ -320,8 +320,8 @@ class BurnTask:
                 )
             return all_done
         finally:
-            if mc.burn_task_of_set.get(self.set_id) is self:
-                del mc.burn_task_of_set[self.set_id]
+            if mc.burn_task_of_set.get(roller) is self:
+                del mc.burn_task_of_set[roller]
             grant.release()
             if self.round_over is not None and not self.round_over.fired:
                 self.round_over.succeed()
@@ -435,7 +435,7 @@ class BurnController:
                 {
                     "task_id": task.task_id,
                     "state": task.state,
-                    "set_id": task.set_id,
+                    "set_id": task.roller,
                     "interruptions": task.interruptions,
                 }
                 for task in self.active_tasks

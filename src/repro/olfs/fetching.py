@@ -191,9 +191,7 @@ class FetchController:
             drive_set.find_disc(record.disc_id) is not None
             for drive_set in self.mc.mech.drive_sets
         )
-        drive, set_id, grant = yield from self.mc.ensure_disc_in_drive(
-            record.disc_id
-        )
+        drive, grant = yield from self.mc.ensure_disc_in_drive(record.disc_id)
         try:
             yield from drive.mount()
             yield from drive.seek()

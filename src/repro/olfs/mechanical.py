@@ -6,8 +6,9 @@ fetching tasks to optimize the usage of mechanical resources" (§4.1).
 Responsibilities here:
 
 * **DAindex** (§4.1) — every tray/disc-array is Empty, Used or Failed;
-* **drive-set locks** — one burn or fetch owns a set at a time; urgent
-  fetches (priority 0) queue ahead of background burns (priority 10);
+* **drive-set locks** — one per roller, as each roller feeds its own
+  drive set; one burn or fetch owns a set at a time, and urgent fetches
+  (priority 0) queue ahead of background burns (priority 10);
 * **the busy-drive read policy** (§4.8) — when the roller's drive set is
   burning, either wait for the burn or interrupt it (appending-burn mode);
 * the mapping from burned image IDs to tray addresses so fetches know
@@ -20,7 +21,6 @@ import enum
 from typing import Callable, Generator, Optional, TYPE_CHECKING
 
 from repro.drives.drive import OpticalDrive
-from repro.drives.drive_set import DriveSet
 from repro.errors import MechanicsError
 from repro.mechanics.geometry import TrayAddress
 from repro.mechanics.library import MechanicalSubsystem
@@ -58,13 +58,11 @@ class MechanicalController:
         self.da_index: dict[tuple[int, TrayAddress], ArrayState] = {}
         #: tray -> image ids burned there (in drive order)
         self.array_images: dict[tuple[int, TrayAddress], list[str]] = {}
-        self._locks: dict[int, Resource] = {
-            drive_set.set_id: Resource(
-                engine, 1, name=f"drive-set-{drive_set.set_id}"
-            )
-            for drive_set in mech.drive_sets
-        }
-        #: burn task currently holding each set (for the interrupt policy)
+        self._locks = [
+            Resource(engine, 1, name=f"drive-set-{index}")
+            for index in range(len(mech.rollers))
+        ]
+        #: burn task holding each roller's set (for the interrupt policy)
         self.burn_task_of_set: dict[int, "BurnTask"] = {}
         self._blank_cursor: dict[int, int] = {
             roller.roller_id: 0 for roller in mech.rollers
@@ -82,16 +80,16 @@ class MechanicalController:
             "da_index": self.counts(),
             "set_locks": [
                 {
-                    "set_id": set_id,
+                    "set_id": index,
                     "available": lock.available,
                     "queue_length": lock.queue_length,
                     "burning_task": (
-                        self.burn_task_of_set[set_id].task_id
-                        if set_id in self.burn_task_of_set
+                        self.burn_task_of_set[index].task_id
+                        if index in self.burn_task_of_set
                         else None
                     ),
                 }
-                for set_id, lock in sorted(self._locks.items())
+                for index, lock in enumerate(self._locks)
             ],
             "arrays_mapped": len(self.array_images),
         }
@@ -123,15 +121,31 @@ class MechanicalController:
             if roller_index is not None
             else self.mech.rollers
         )
-        addresses = self._addresses
         for roller in rollers:
-            start = self._blank_cursor[roller.roller_id]
-            for offset in range(len(addresses)):
-                index = (start + offset) % len(addresses)
-                if self._is_blank_tray(roller, addresses[index]):
-                    self._blank_cursor[roller.roller_id] = index
-                    return roller.roller_id, addresses[index]
+            index = self._next_blank(roller)
+            if index is not None:
+                self._blank_cursor[roller.roller_id] = index
+                return roller.roller_id, self._addresses[index]
         raise MechanicsError("no blank disc arrays left")
+
+    def blank_roller(self) -> int:
+        """The first roller, by index, that still holds a blank tray; the
+        last roller when none does (its :meth:`find_blank_tray` raises)."""
+        *others, last = self.mech.rollers
+        return next(
+            (r.roller_id for r in others if self._next_blank(r) is not None),
+            last.roller_id,
+        )
+
+    def _next_blank(self, roller) -> Optional[int]:
+        """Index of the roller's first blank tray at or after its cursor."""
+        addresses = self._addresses
+        start = self._blank_cursor[roller.roller_id]
+        for offset in range(len(addresses)):
+            index = (start + offset) % len(addresses)
+            if self._is_blank_tray(roller, addresses[index]):
+                return index
+        return None
 
     def _is_blank_tray(self, roller, address: TrayAddress) -> bool:
         """Empty in the DAindex, at home, full, and every disc blank."""
@@ -145,26 +159,13 @@ class MechanicalController:
     # ------------------------------------------------------------------
     # Drive-set locks
     # ------------------------------------------------------------------
-    def acquire_set(self, set_id: int, priority: int) -> Generator:
+    def acquire_set(self, roller_index: int, priority: int) -> Generator:
         with self.engine.trace.span(
-            "mc.acquire_set", "mc", {"set_id": set_id, "priority": priority}
+            "mc.acquire_set", "mc",
+            {"set_id": roller_index, "priority": priority},
         ):
-            grant = yield Acquire(self._locks[set_id], priority)
+            grant = yield Acquire(self._locks[roller_index], priority)
         return grant
-
-    def pick_set(self, roller_index: int, fetch: bool = False) -> int:
-        """The drive set a burn (or, with ``fetch``, a read) should use:
-        the roller's own, whose id is the roller's index.  A fetch under
-        the §4.8 interrupt policy first stops the burn holding that set
-        when it is busy; otherwise lock priority puts fetches ahead of
-        new burns."""
-        lock = self._locks[roller_index]
-        busy = not lock.available or lock.queue_length
-        if busy and fetch and self.config.busy_drive_policy == "interrupt":
-            task = self.burn_task_of_set.get(roller_index)
-            if task is not None and task.state == "burning":
-                task.request_interrupt()
-        return roller_index
 
     # ------------------------------------------------------------------
     # Whole-array reads (scrub, disc-scan recovery)
@@ -180,19 +181,18 @@ class MechanicalController:
         per disc that holds an image, in drive order), unload and release;
         returns the body's result.  On an error the set is released
         without an unload."""
-        set_id = self.pick_set(roller_index)
-        grant = yield from self.acquire_set(set_id, PRIORITY_FETCH)
+        grant = yield from self.acquire_set(roller_index, PRIORITY_FETCH)
         try:
             yield from self.mech.swap_array(
-                set_id, address, priority=PRIORITY_FETCH
+                roller_index, address, PRIORITY_FETCH
             )
             loaded = [
                 (drive, drive.disc.image())
-                for drive in self.mech.drive_sets[set_id].drives
+                for drive in self.mech.drive_sets[roller_index].drives
                 if drive.disc is not None and drive.disc.tracks
             ]
             result = yield from body(loaded)
-            yield from self.mech.unload_array(set_id, priority=PRIORITY_FETCH)
+            yield from self.mech.unload_array(roller_index, PRIORITY_FETCH)
             return result
         finally:
             grant.release()
@@ -211,8 +211,11 @@ class MechanicalController:
     # ------------------------------------------------------------------
     def ensure_disc_in_drive(self, disc_id: str) -> Generator:
         """Make ``disc_id`` readable in some drive at fetch priority;
-        returns ``(drive, set_id, grant)`` with the set lock held by the
-        caller."""
+        returns ``(drive, grant)`` with the set lock held by the caller.
+
+        A disc in a roller is read through that roller's drive set.  Under
+        the §4.8 interrupt policy the fetch first stops a burn on that set;
+        otherwise lock priority puts it ahead of new burns."""
         with self.engine.trace.span(
             "mc.ensure_disc_in_drive", "mc", {"disc_id": disc_id}
         ) as span:
@@ -225,7 +228,7 @@ class MechanicalController:
                     drive = drive_set.find_disc(disc_id)
                     if drive is not None:
                         span.tag("already_in_drive", True)
-                        return drive, drive_set.set_id, grant
+                        return drive, grant
                     grant.release()  # moved away while we queued; fall through
                     break
             located = self.mech.locate_disc(disc_id)
@@ -234,24 +237,27 @@ class MechanicalController:
                     f"disc {disc_id} is nowhere in the library"
                 )
             roller_index, address = located
-            set_id = self.pick_set(roller_index, fetch=True)
-            span.tag("set_id", set_id)
-            grant = yield from self.acquire_set(set_id, PRIORITY_FETCH)
+            if self.config.busy_drive_policy == "interrupt":
+                task = self.burn_task_of_set.get(roller_index)
+                if task is not None:
+                    task.request_interrupt()  # a no-op unless it burns
+            span.tag("set_id", roller_index)
+            grant = yield from self.acquire_set(roller_index, PRIORITY_FETCH)
             try:
-                drive_set = self.mech.drive_sets[set_id]
+                drive_set = self.mech.drive_sets[roller_index]
                 # The disc may have arrived while we waited.
                 drive = drive_set.find_disc(disc_id)
                 if drive is not None:
-                    return drive, set_id, grant
+                    return drive, grant
                 yield from self.mech.swap_array(
-                    set_id, address, priority=PRIORITY_FETCH
+                    roller_index, address, priority=PRIORITY_FETCH
                 )
                 drive = drive_set.find_disc(disc_id)
                 if drive is None:
                     raise MechanicsError(
                         f"disc {disc_id} missing after loading tray {address}"
                     )
-                return drive, set_id, grant
+                return drive, grant
             except BaseException:
                 grant.release()
                 raise

@@ -7,7 +7,6 @@ feedback and reports completion.
 
 from repro.plc.instructions import (
     Calibrate,
-    CollectDisc,
     FanIn,
     FanOut,
     GrabStack,
@@ -19,13 +18,10 @@ from repro.plc.instructions import (
     Rotate,
     SeparateDisc,
 )
-from repro.plc.channel import ControlChannel
 from repro.plc.controller import PLCController
 
 __all__ = [
     "Calibrate",
-    "CollectDisc",
-    "ControlChannel",
     "FanIn",
     "FanOut",
     "GrabStack",

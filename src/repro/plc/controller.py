@@ -4,11 +4,16 @@ Every motion ends with a feedback check against the sensor suite (§3.3:
 "all mechanical operations can be executed correctly by precise feedback
 control"); a mismatch raises :class:`~repro.errors.PLCFaultError`, which is
 how miscalibration faults surface in tests.
+
+The system controller sends each instruction over an internal TCP/IP
+network (§3.1): :meth:`PLCController.execute` spends the command's wire
+latency and its motion in one sleep, and counts and journals the command
+when it arrives (the ``plc.channel`` fault site).
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.errors import MechanicsError, PLCFaultError
 from repro.mechanics.arm import RoboticArm
@@ -17,7 +22,6 @@ from repro.mechanics.sensors import SensorSuite
 from repro.mechanics.geometry import TrayAddress
 from repro.plc.instructions import (
     Calibrate,
-    CollectDisc,
     FanIn,
     FanOut,
     GrabStack,
@@ -31,6 +35,9 @@ from repro.plc.instructions import (
 )
 from repro.sim.engine import Delay, Engine
 from repro.sim.landing import delay_until
+
+#: One command round-trip on the internal network.
+COMMAND_LATENCY = 0.001
 
 
 class PLCController:
@@ -53,6 +60,9 @@ class PLCController:
         ]
         self.instructions_executed = 0
         self.faults = 0
+        self.commands_sent = 0
+        #: ``(arrival time, mnemonic)`` of the latest command
+        self.last_command: Optional[tuple[float, str]] = None
 
     @staticmethod
     def _build_suite(roller: Roller, arm: RoboticArm) -> SensorSuite:
@@ -65,23 +75,27 @@ class PLCController:
         )
 
     def execute(
-        self, instruction: Instruction, lead: float = 0.0, channel=None
+        self, instruction: Instruction, lead: float = COMMAND_LATENCY
     ) -> Generator:
-        """Run one instruction to completion; returns its result, if any.
+        """Send one instruction and run it to completion; returns its
+        result, if any.
 
-        ``lead`` is wire latency the command has yet to spend, ``channel``
-        the link it stamps on arrival (see
-        :meth:`~repro.plc.channel.ControlChannel.send`).  The instruction
-        is checked now; its spans, opened only when tracing, start at the
-        arrival instant, and one sleep (the :mod:`~repro.sim.landing`
-        rule) covers the lead and the motion, after which the motion
-        commits and the sensors are read.  A motion that refuses, or finds
-        nothing to move, sleeps only the lead, so either outcome surfaces
-        when the command arrives.
+        ``lead`` is wire latency the command has yet to spend; a command
+        with a lead is counted and journalled when it arrives (``lead=0.0``
+        runs a motion whose wire was already spent).  The wire stretch is
+        its own sleep only when ``FaultInjector.live`` says a
+        ``plc.channel`` fault could trip on arrival, and the link is
+        checked then; a fault armed during the flight trips the next
+        command.  The instruction is checked now; its spans, opened only
+        when tracing, start at the arrival instant, and one sleep (the
+        :mod:`~repro.sim.landing` rule) covers the lead and the motion,
+        after which the motion commits and the sensors are read.  A motion
+        that refuses, or finds nothing to move, sleeps only the lead, so
+        either outcome surfaces when the command arrives.
         """
         engine = self.engine
         arrival = engine.now + lead
-        if channel is not None:
+        if lead:
             if engine.faults.live("plc.channel", arrival):
                 yield Delay(lead)
                 lead = 0.0
@@ -91,8 +105,8 @@ class PLCController:
                         f"control link error sending {instruction.mnemonic} "
                         f"(injected {fault.kind})"
                     )
-            channel.commands_sent += 1
-            channel.last_command = (arrival, instruction.mnemonic)
+            self.commands_sent += 1
+            self.last_command = (arrival, instruction.mnemonic)
             if engine.recorder.enabled:
                 engine.recorder.record(
                     "plc.instruction", at=arrival, mnemonic=instruction.mnemonic
@@ -106,13 +120,7 @@ class PLCController:
             try:
                 handler = _HANDLERS.get(instruction.__class__)
                 if handler is None:
-                    # A collect runs through collect_into_arm(), which the
-                    # caller hands the disc it took out of a drive.
-                    raise PLCFaultError(
-                        "CollectDisc must be executed via collect_into_arm()"
-                        if instruction.__class__ is CollectDisc
-                        else f"unknown instruction {instruction!r}"
-                    )
+                    raise PLCFaultError(f"unknown instruction {instruction!r}")
                 motion = handler(self, instruction)
                 if motion is None and check is not None:
                     check(self, instruction)  # where it already is
@@ -188,6 +196,19 @@ class PLCController:
             ),
         }
 
+    def channel_health(self) -> dict:
+        """The SC <-> PLC link's snapshot for the system monitor."""
+        last = self.last_command
+        return {
+            "commands_sent": self.commands_sent,
+            "command_latency": COMMAND_LATENCY,
+            "last_command": (
+                {"t": round(last[0], 6), "mnemonic": last[1]}
+                if last is not None
+                else None
+            ),
+        }
+
     def collect_into_arm(self, arm_index: int, disc) -> Generator:
         """Timed fetch of one disc from a drive tray onto the arm's stack."""
         self.instructions_executed += 1
@@ -214,10 +235,10 @@ _HANDLERS = {
     FanOut: PLCController._fan_out,
     FanIn: lambda plc, i: plc.rollers[i.roller].fan_in(),
     GrabStack: lambda plc, i: plc.arms[i.arm].grab_stack(
-        plc._fanned_tray(i.roller, "grab-stack")
+        plc._fanned_tray(i.arm, "grab-stack")
     ),
     LowerStack: lambda plc, i: plc.arms[i.arm].lower_stack(
-        plc._fanned_tray(i.roller, "lower-stack")
+        plc._fanned_tray(i.arm, "lower-stack")
     ),
     SeparateDisc: lambda plc, i: plc.arms[i.arm].separate_next(),
     Calibrate: PLCController._calibrate,

@@ -2,8 +2,7 @@
 
 §3.3: "the PLC controller defines an instruction set to execute basic
 mechanical operations".  Each instruction is a small immutable record; the
-:class:`~repro.plc.controller.PLCController` interprets them and the
-:class:`~repro.plc.channel.ControlChannel` carries them from the SC.
+:class:`~repro.plc.controller.PLCController` receives and interprets them.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import ClassVar
 @dataclass(frozen=True)
 class Instruction:
     """Base class for PLC instructions; ``mnemonic`` (``ROTATE``) is what
-    the channel journals, ``span`` (``plc.rotate``) what the PLC traces."""
+    the link journals, ``span`` (``plc.rotate``) what the PLC traces."""
 
     mnemonic: ClassVar[str] = "INSTRUCTION"
     span: ClassVar[str] = "plc.instruction"
@@ -77,7 +76,6 @@ class GrabStack(Instruction):
     """Lift the fanned-out tray's disc stack above the drives."""
 
     arm: int
-    roller: int
 
 
 @dataclass(frozen=True)
@@ -85,25 +83,13 @@ class LowerStack(Instruction):
     """Lower the held stack into the fanned-out tray."""
 
     arm: int
-    roller: int
 
 
 @dataclass(frozen=True)
 class SeparateDisc(Instruction):
-    """Separate the bottom disc of the held stack into one drive."""
+    """Separate the bottom disc of the held stack into the next drive."""
 
     arm: int
-    drive_set: int
-    drive_index: int
-
-
-@dataclass(frozen=True)
-class CollectDisc(Instruction):
-    """Fetch one disc from an ejected drive tray onto the held stack."""
-
-    arm: int
-    drive_set: int
-    drive_index: int
 
 
 @dataclass(frozen=True)

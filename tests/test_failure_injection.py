@@ -130,7 +130,7 @@ def test_calibration_recovers_plc_fault():
     ros.drain_background()
     assert ros.btm.failed_tasks
     # Administrator recalibrates; data is still on the buffer, re-burn.
-    ros.run(ros.mech.channel.send(Calibrate(0)))
+    ros.run(ros.mech.plc.execute(Calibrate(0)))
     assert ros.btm.release_claims()
     tasks = ros.btm.flush_pending()
     ros.drain_background()

@@ -26,7 +26,7 @@ from repro.plc import (
     ReleaseTray,
     Rotate,
 )
-from repro.plc.channel import COMMAND_LATENCY
+from repro.plc.controller import COMMAND_LATENCY, PLCController
 from repro.obs.recorder import FlightRecorder
 from repro.sim import Delay, Engine, Tracer
 from repro.sim.engine import NULL_FAULTS
@@ -292,7 +292,7 @@ def test_calibrate_repairs_sensors():
     suite.arm_encoder.inject_drift(2.0)
     from repro.plc import Calibrate
 
-    engine.run_process(subsystem.channel.send(Calibrate(0)))
+    engine.run_process(subsystem.plc.execute(Calibrate(0)))
     engine.run_process(subsystem.load_array(0, TrayAddress(5, 1)))
     assert subsystem.plc.faults == 0
 
@@ -320,17 +320,17 @@ def test_two_rollers_independent_arms():
 # ----------------------------------------------------------------------
 # One sleep per PLC instruction against the stepped reference: the wire
 # stretch as its own occurrence and the channel checked on arrival, the
-# way ``ControlChannel.send`` ran before the lead was fused into the
-# motion.  The send steps now only when ``FaultInjector.live`` says a
-# channel fault could trip on arrival; a tracer, a recorder or an idle
-# injector never changes the path.
+# way a command ran before the lead was fused into the motion.  The
+# send steps now only when ``FaultInjector.live`` says a channel fault
+# could trip on arrival; a tracer, a recorder or an idle injector never
+# changes the path.
 # ----------------------------------------------------------------------
 START = 1234.000321  # a clock no motion time divides
 
 
-def stepped_send(channel, instruction):
+def stepped_send(plc, instruction):
     """The reference send: sleep the wire, check the channel, execute."""
-    engine = channel.engine
+    engine = plc.engine
     yield Delay(COMMAND_LATENCY)
     fault = engine.faults.check("plc.channel")
     if fault is not None:
@@ -338,10 +338,10 @@ def stepped_send(channel, instruction):
             f"control link error sending {instruction.mnemonic} "
             f"(injected {fault.kind})"
         )
-    channel.commands_sent += 1
-    channel.last_command = (engine.now, instruction.mnemonic)
+    plc.commands_sent += 1
+    plc.last_command = (engine.now, instruction.mnemonic)
     engine.recorder.record("plc.instruction", mnemonic=instruction.mnemonic)
-    result = yield from channel.plc.execute(instruction)
+    result = yield from PLCController.execute(plc, instruction, 0.0)
     return result
 
 
@@ -352,8 +352,8 @@ def _rig(stepped=False, start=START, traced=False):
         engine.trace = Tracer(engine)
     subsystem = MechanicalSubsystem(engine, roller_count=1)
     if stepped:
-        channel = subsystem.channel
-        channel.send = lambda instruction: stepped_send(channel, instruction)
+        plc = subsystem.plc
+        plc.execute = lambda instruction: stepped_send(plc, instruction)
 
     def wait():
         yield Delay(start)
@@ -366,7 +366,7 @@ def _refusal_time(stepped, prepare, instruction, error):
     engine, subsystem = _rig(stepped)
     prepare(subsystem)
     with pytest.raises(error) as refusal:
-        engine.run_process(subsystem.channel.send(instruction))
+        engine.run_process(subsystem.plc.execute(instruction))
     return engine.now, str(refusal.value)
 
 
@@ -381,7 +381,7 @@ def _refusal_time(stepped, prepare, instruction, error):
          MechanicsError, "arm already hooked"),
         (lambda s: None, MoveArm(0, 85), MechanicsError,
          "layer 85 out of range"),
-        (lambda s: None, GrabStack(0, 0), PLCFaultError,
+        (lambda s: None, GrabStack(0), PLCFaultError,
          "grab-stack with no tray fanned out"),
     ],
 )
@@ -408,7 +408,7 @@ def test_a_motion_with_nothing_to_move_still_spends_the_wire(
 ):
     engine, subsystem = _rig(stepped)
     prepare(subsystem)
-    engine.run_process(subsystem.channel.send(instruction))
+    engine.run_process(subsystem.plc.execute(instruction))
     assert engine.now == START + COMMAND_LATENCY
     assert subsystem.arms[0].moves == subsystem.rollers[0].rotation_count == 0
     assert subsystem.plc.instructions_executed == 1
@@ -418,7 +418,7 @@ def test_a_motion_with_nothing_to_move_still_spends_the_wire(
 def test_calibrate_takes_the_lead_like_any_motion(traced):
     engine, subsystem = _rig(traced=traced)
     before = engine.events_issued
-    engine.run_process(subsystem.channel.send(Calibrate(0)))
+    engine.run_process(subsystem.plc.execute(Calibrate(0)))
     assert engine.now == (START + COMMAND_LATENCY) + 1.0
     # run_process's spawn, then one sleep for the wire and the second;
     # a tracer costs none
@@ -429,9 +429,9 @@ def test_last_command_is_stamped_with_the_arrival_time():
     stamps = []
     for stepped, traced in ((False, False), (False, True), (True, False)):
         engine, subsystem = _rig(stepped, traced=traced)
-        assert subsystem.channel.health()["last_command"] is None
-        engine.run_process(subsystem.channel.send(Rotate(0, 3)))
-        stamps.append(subsystem.channel.health()["last_command"])
+        assert subsystem.plc.channel_health()["last_command"] is None
+        engine.run_process(subsystem.plc.execute(Rotate(0, 3)))
+        stamps.append(subsystem.plc.channel_health()["last_command"])
     assert stamps[0] == stamps[1] == stamps[2] == {
         "t": round(START + COMMAND_LATENCY, 6),
         "mnemonic": Rotate(0, 3).mnemonic,
@@ -482,14 +482,14 @@ def _drive(stepped, start, ops, faults=()):
         engine.spawn(arm(offset, duration))
     sent = []
     wires = []
-    send = subsystem.channel.send
+    send = subsystem.plc.execute
 
     def recording_send(instruction):
         sent.append(instruction)
         wires.append((engine.now, engine.now + COMMAND_LATENCY))
         return send(instruction)
 
-    subsystem.channel.send = recording_send
+    subsystem.plc.execute = recording_send
     before = engine.events_issued
     ends = []
     for kind, layer, slot in ops:
@@ -563,7 +563,7 @@ def test_channel_fault_armed_mid_load_trips_the_instruction_it_always_did():
         engine.run_process(subsystem.load_array(0, TrayAddress(0, 1)))
     # five commands arrived and ran, the sixth's wire stretch met the fault
     assert engine.now.hex() == "0x1.8d2f1a9fbe76dp+2"  # 6.206, read off PR 23
-    assert subsystem.channel.commands_sent == 5
+    assert subsystem.plc.commands_sent == 5
     assert subsystem.arms[0].hooked and len(subsystem.arms[0].holding) == 12
 
 
@@ -580,7 +580,7 @@ def test_injector_installed_mid_instruction_is_consulted_by_the_next_send():
     # Rotate ran to its end untouched; MoveArm's wire stretch met the fault.
     assert engine.now == (0.001 + 1.9) + 0.001
     assert subsystem.rollers[0].rotation_count == 1
-    assert subsystem.channel.commands_sent == 1
+    assert subsystem.plc.commands_sent == 1
 
 
 @pytest.mark.parametrize("stepped", [False, True])
@@ -641,11 +641,11 @@ def _holding_a_stack_before(tray):
     engine, subsystem = _rig()
     for instruction in (
         Rotate(0, 1), MoveArm(0, 2), HookTray(0), FanOut(0, 2, 1),
-        GrabStack(0, 0), ReleaseTray(0), FanIn(0),
+        GrabStack(0), ReleaseTray(0), FanIn(0),
         Rotate(0, tray.slot), MoveArm(0, tray.layer), HookTray(0),
         FanOut(0, tray.layer, tray.slot),
     ):
-        engine.run_process(subsystem.channel.send(instruction))
+        engine.run_process(subsystem.plc.execute(instruction))
     assert len(subsystem.arms[0].holding) == 12
     assert subsystem.tray_at(0, tray).is_full
     return engine, subsystem
@@ -654,8 +654,8 @@ def _holding_a_stack_before(tray):
 @pytest.mark.parametrize(
     "instruction, message",
     [
-        (GrabStack(0, 0), "arm is already holding discs"),
-        (LowerStack(0, 0), "was not checked out"),
+        (GrabStack(0), "arm is already holding discs"),
+        (LowerStack(0), "was not checked out"),
     ],
 )
 def test_a_refused_stack_command_loses_no_disc(instruction, message):
@@ -664,7 +664,7 @@ def test_a_refused_stack_command_loses_no_disc(instruction, message):
     before = _discs_anywhere(subsystem)
     sent = engine.now
     with pytest.raises(MechanicsError, match=message):
-        engine.run_process(subsystem.channel.send(instruction))
+        engine.run_process(subsystem.plc.execute(instruction))
     assert engine.now == sent + COMMAND_LATENCY  # refused on arrival
     assert _discs_anywhere(subsystem) == before
     assert len(subsystem.arms[0].holding) == 12
@@ -674,11 +674,10 @@ def test_a_refused_stack_command_loses_no_disc(instruction, message):
 
 
 # ----------------------------------------------------------------------
-# A PLC command runs in one frame: ``ControlChannel.send`` hands the
-# instruction to ``PLCController.execute``, which stamps the channel's
-# counters and journal, opens the spans only when the engine traces, and
-# sleeps the motion.  The load and unload choreographies build their
-# instructions once and reuse them.
+# A PLC command runs in one frame: ``PLCController.execute`` stamps the
+# channel's counters and journal, opens the spans only when the engine
+# traces, and sleeps the motion.  The load and unload choreographies
+# build their instructions once and reuse them.
 # ----------------------------------------------------------------------
 def _load_and_swap(observed):
     """A load, then a swap to another tray, under a tracer and a flight
@@ -687,20 +686,20 @@ def _load_and_swap(observed):
     engine, subsystem = _rig(traced=observed)
     recorder = FlightRecorder(engine).install() if observed else None
     sent = []
-    send = subsystem.channel.send
+    send = subsystem.plc.execute
 
     def timed_send(instruction):
         sent.append((engine.now, instruction.mnemonic))
         return send(instruction)
 
-    subsystem.channel.send = timed_send
+    subsystem.plc.execute = timed_send
     before = engine.events_issued
     engine.run_process(subsystem.load_array(0, TrayAddress(3, 1)))
     engine.run_process(subsystem.swap_array(0, TrayAddress(40, 4)))
     seen = (
         engine.events_issued - before,
         engine.now.hex(),
-        subsystem.channel.commands_sent,
+        subsystem.plc.commands_sent,
         subsystem.plc.instructions_executed,
         subsystem.health(),
     )
@@ -729,8 +728,8 @@ def test_a_swap_does_the_same_work_traced_and_recorded_as_bare():
 def test_two_loads_of_one_tray_send_the_same_instruction_objects():
     engine, subsystem = _rig()
     sent = []
-    send = subsystem.channel.send
-    subsystem.channel.send = lambda instruction: (
+    send = subsystem.plc.execute
+    subsystem.plc.execute = lambda instruction: (
         sent.append(instruction) or send(instruction)
     )
     for _ in range(2):
@@ -745,9 +744,9 @@ def test_a_sent_command_runs_as_a_process_of_its_own():
     from tests.conftest import make_ros
 
     ros = make_ros(auto_burn=False)
-    channel = ros.mech.channel
-    start, commands = ros.now, channel.commands_sent
-    ros.run(channel.send(Calibrate(0)), "calibrate")
+    plc = ros.mech.plc
+    start, commands = ros.now, plc.commands_sent
+    ros.run(plc.execute(Calibrate(0)), "calibrate")
     assert ros.now == (start + COMMAND_LATENCY) + 1.0
-    assert channel.commands_sent == commands + 1
-    assert channel.last_command == (start + COMMAND_LATENCY, "CALIBRATE")
+    assert plc.commands_sent == commands + 1
+    assert plc.last_command == (start + COMMAND_LATENCY, "CALIBRATE")

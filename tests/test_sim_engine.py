@@ -1324,12 +1324,12 @@ def test_owner_counter_files_cost_under_the_spawning_package():
     assert "_step" not in vars(Engine())
 
     def via_tests():
-        yield from subsystem.channel.send(Rotate(0, 4))
+        yield from subsystem.plc.execute(Rotate(0, 4))
 
     # The spawns are drawn by this file's code, each process's sleep
     # under its owner; the second process's first step resumes one
     # frame, its second two (``via_tests`` and ``execute`` below it).
-    engine.run_process(subsystem.channel.send(Rotate(0, 3)))
+    engine.run_process(subsystem.plc.execute(Rotate(0, 3)))
     engine.run_process(via_tests())
     assert counter.draws == Counter({"tests": 3, "plc": 1})
     assert counter.steps == Counter({"plc": 2, "tests": 2})
