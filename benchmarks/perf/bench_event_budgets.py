@@ -18,14 +18,24 @@ That count repeats exactly per seed too, so ``frames_per_step`` budgets
 in the same file gate the depth of the read and write paths' generator
 chains by the same rule.
 
+A third count gates the host cost of the one mechanical operation a cold
+read pays for, the array swap: ``calls_per_swap`` is every Python and
+builtin call ``cProfile`` sees while the engine runs a fixed sequence of
+swaps on the ``rack_cold_read`` rig, the driving generator's own frame
+included, over the swap count.  It repeats to the digit too, and its
+budget follows the same rule.
+
 Outside tier-1 (the four campaigns cost about 8.5 host-seconds); CI's
 ``perf`` job and every PR's gate list run it as::
 
     PYTHONPATH=src:. python -m pytest benchmarks/perf/bench_event_budgets.py -q
 """
 
+import cProfile
 import functools
 import pathlib
+import pstats
+import sys
 
 import pytest
 
@@ -38,6 +48,12 @@ SCALE = 1.0
 BASELINE = str(pathlib.Path(__file__).parent / "baseline.json")
 BUDGETS = load_baseline(BASELINE, "events_per_op")
 FRAME_BUDGETS = load_baseline(BASELINE, "frames_per_step")
+SWAP_BUDGETS = load_baseline(BASELINE, "calls_per_swap")
+
+#: swaps ``calls_per_swap`` averages over, cycling through the rig's
+#: first eight trays that hold discs
+SWAPS = 1000
+SWAP_TRAYS = 8
 
 
 @functools.cache
@@ -80,4 +96,46 @@ def test_frames_per_step_within_budget(name):
           f"(budget {FRAME_BUDGETS[name]})")
     failures = budget_check({name: frames}, FRAME_BUDGETS,
                             unit="frames/step")
+    assert not failures, failures
+
+
+def count_swap_calls(swaps: int = SWAPS) -> int:
+    """Calls ``cProfile`` counts while ``swaps`` array swaps run on a
+    fresh ``rack_cold_read`` rig: roller 0 swaps to its first
+    ``SWAP_TRAYS`` trays with discs in turn, as a cold read's
+    ``ensure_disc_in_drive`` does (``MechanicalSubsystem.swap_array``)."""
+    workload = WORKLOADS["rack_cold_read"]
+    ros = workload.setup(workload.inputs(SEED, SCALE))
+    mech = ros.mech
+    roller = mech.rollers[0]
+    trays = [
+        address for address in mech.geometry.addresses()
+        if not roller.tray_at(address).is_empty
+    ][:SWAP_TRAYS]
+
+    def swap_all():
+        for index in range(swaps):
+            yield from mech.swap_array(0, trays[index % len(trays)])
+
+    # cProfile takes over the interpreter's profile hook; hand it back to
+    # whoever held it (benchmarks/perf/reach.py's collector)
+    previous = sys.getprofile()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        ros.engine.run_process(swap_all())
+    finally:
+        profiler.disable()
+        sys.setprofile(previous)
+    return sum(entry[1] for entry in pstats.Stats(profiler).stats.values())
+
+
+def test_calls_per_swap_within_budget():
+    name = "rack_cold_read"
+    calls = count_swap_calls()
+    print(f"\n{name}: {calls} calls / {SWAPS} swaps = "
+          f"{calls / SWAPS:.3f} (budget {SWAP_BUDGETS.get(name)})")
+    assert name in SWAP_BUDGETS, f"no calls_per_swap budget for {name}"
+    failures = budget_check({name: {"events": calls, "ops": SWAPS}},
+                            SWAP_BUDGETS, unit="calls/swap")
     assert not failures, failures

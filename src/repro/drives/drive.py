@@ -77,6 +77,10 @@ class DriveState(enum.Enum):
     READING = "reading"
 
 
+#: states in which the tray stays shut and the drive counts as busy
+BUSY_STATES = (DriveState.BURNING, DriveState.READING)
+
+
 @dataclass
 class BurnResult:
     """Outcome of a burn: completion flag, bytes/seconds, and the track."""
@@ -115,10 +119,12 @@ class OpticalDrive:
 
     # ------------------------------------------------------------------
     # Tray + disc handling (instantaneous: the mechanical constants of the
-    # arm's separate/collect phases already include drive-tray actuation)
+    # arm's separate/collect phases already include drive-tray actuation).
+    # The arm's loads and unloads take the same edges through
+    # :class:`~repro.drives.drive_set.DriveSet`'s set-level steps.
     # ------------------------------------------------------------------
     def open_tray(self) -> None:
-        if self.state in (DriveState.BURNING, DriveState.READING):
+        if self.state in BUSY_STATES:
             raise DriveError(f"{self.drive_id}: busy, cannot open tray")
         self._transition(DriveState.TRAY_OPEN, "open_tray")
 
@@ -128,7 +134,6 @@ class OpticalDrive:
         if self.disc is not None:
             raise DriveError(f"{self.drive_id}: already holds a disc")
         self.disc = disc
-        self._transition(DriveState.TRAY_OPEN, "insert_disc")
 
     def close_tray(self) -> None:
         if self.state is not DriveState.TRAY_OPEN:
@@ -137,14 +142,6 @@ class OpticalDrive:
             DriveState.SLEEPING if self.disc else DriveState.EMPTY,
             "close_tray",
         )
-
-    def remove_disc(self) -> OpticalDisc:
-        if self.state is not DriveState.TRAY_OPEN:
-            raise DriveError(f"{self.drive_id}: tray is not open")
-        if self.disc is None:
-            raise DriveError(f"{self.drive_id}: no disc to remove")
-        disc, self.disc = self.disc, None
-        return disc
 
     def _transition(self, state: DriveState, reason: str) -> None:
         """Change state, journalling the edge to the flight recorder."""
@@ -173,7 +170,7 @@ class OpticalDrive:
 
     @property
     def is_busy(self) -> bool:
-        return self.state in (DriveState.BURNING, DriveState.READING)
+        return self.state in BUSY_STATES
 
     # ------------------------------------------------------------------
     # Spin-up and mounting

@@ -21,7 +21,10 @@ from typing import Generator, Optional
 
 from repro import units
 from repro.errors import DriveError, ROSError
-from repro.drives.drive import BurnResult, DriveState, OpticalDrive, nap, wake
+from repro.drives.drive import (
+    BUSY_STATES, BurnResult, DriveState, OpticalDrive, nap, wake,
+)
+from repro.media.disc import OpticalDisc
 from repro.sim.engine import AllOf, Engine, Join
 
 #: Drives per set, matching the 12-disc tray (§3.3).
@@ -89,11 +92,17 @@ class DriveSet:
     # ------------------------------------------------------------------
     @property
     def is_empty(self) -> bool:
-        return all(not drive.has_disc for drive in self.drives)
+        for drive in self.drives:
+            if drive.disc is not None:
+                return False
+        return True
 
     @property
     def is_busy(self) -> bool:
-        return any(drive.is_busy for drive in self.drives)
+        for drive in self.drives:
+            if drive.state in BUSY_STATES:
+                return True
+        return False
 
     @property
     def is_burning(self) -> bool:
@@ -112,15 +121,43 @@ class DriveSet:
             drive.read_efficiency = efficiency
 
     # ------------------------------------------------------------------
-    # Array operations (simulation processes)
+    # The arm's tray steps: the edges OpticalDrive's open_tray /
+    # insert_disc / close_tray take, one step per array or disc
     # ------------------------------------------------------------------
     def open_all_trays(self) -> None:
+        """Open every tray for a load: each drive must be empty and idle."""
         for drive in self.drives:
-            if drive.has_disc or drive.is_busy:
+            if drive.disc is not None or drive.state in BUSY_STATES:
                 raise DriveError(
                     f"set {self.set_id}: drive {drive.drive_id} not free"
                 )
-            drive.open_tray()
+            drive._transition(DriveState.TRAY_OPEN, "open_tray")
+
+    def place_disc(self, index: int, disc: OpticalDisc) -> None:
+        """Drop ``disc`` into drive ``index``'s open tray and close it."""
+        drive = self.drives[index]
+        if drive.state is not DriveState.TRAY_OPEN:
+            raise DriveError(f"{drive.drive_id}: tray is not open")
+        if drive.disc is not None:
+            raise DriveError(f"{drive.drive_id}: already holds a disc")
+        drive.disc = disc
+        drive._transition(DriveState.SLEEPING, "close_tray")
+
+    def take_disc(self, drive: OpticalDrive) -> OpticalDisc:
+        """Open ``drive``'s tray, take its disc out and close it empty."""
+        if drive.state in BUSY_STATES:
+            raise DriveError(f"{drive.drive_id}: busy, cannot open tray")
+        disc = drive.disc
+        if disc is None:
+            raise DriveError(f"{drive.drive_id}: no disc to remove")
+        drive._transition(DriveState.TRAY_OPEN, "open_tray")
+        drive.disc = None
+        drive._transition(DriveState.EMPTY, "close_tray")
+        return disc
+
+    # ------------------------------------------------------------------
+    # Array operations (simulation processes)
+    # ------------------------------------------------------------------
 
     def request_interrupt(self) -> None:
         """Stop the array burn in flight now (§4.8): burning drives commit

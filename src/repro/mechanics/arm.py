@@ -116,7 +116,7 @@ class RoboticArm:
         """
         if not self.holding:
             raise MechanicsError("no discs left to separate")
-        seconds = self.timings.separate_one()
+        seconds = self.timings.separate_one
         return seconds, "arm.separate", None, self._separate
 
     def _separate(self) -> OpticalDisc:

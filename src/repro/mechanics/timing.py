@@ -28,6 +28,7 @@ to almost 10 seconds" per load/unload pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,12 @@ class MechanicalTimings:
         full = self.travel_loaded_full if loaded else self.travel_empty_full
         return full * layer_fraction
 
+    @cached_property
     def separate_one(self) -> float:
         """Time to separate a single disc from the stack into one drive."""
         return self.separate_all / 12.0
 
+    @cached_property
     def collect_one(self) -> float:
         """Time to fetch a single disc from one drive back onto the stack."""
         return self.collect_all / 12.0

@@ -39,7 +39,10 @@ class Tray:
 
     @property
     def is_empty(self) -> bool:
-        return self.disc_count == 0
+        for disc in self._discs:
+            if disc is not None:
+                return False
+        return True
 
     def discs(self) -> Iterator[OpticalDisc]:
         for disc in self._discs:

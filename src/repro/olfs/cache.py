@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.olfs.images import DiscImageManager
+from repro.olfs.images import BURNED, DiscImageManager
 from repro.udf.image import DiscImage
 
 
@@ -72,29 +72,38 @@ class ReadCache:
         self._lru.move_to_end(image_id)
         while len(self._lru) > self.capacity_images:
             victim, _ = self._lru.popitem(last=False)
-            self.dim.evict_content(victim)
-            self._record_eviction(victim, "lru")
+            if self._burned(victim) is not None:
+                self.dim.evict_content(victim)
+                self._record_eviction(victim, "lru")
         if self.metrics is not None:
             self.metrics.gauge("cache.cached_images").set(len(self._lru))
 
     def evict(self, image_id: str) -> None:
         if image_id in self._lru:
             del self._lru[image_id]
-            self.dim.evict_content(image_id)
-            self._record_eviction(image_id, "manual")
+            if self._burned(image_id) is not None:
+                self.dim.evict_content(image_id)
+                self._record_eviction(image_id, "manual")
+
+    def _burned(self, image_id: str):
+        """``image_id``'s record if it is still BURNED, else None: a lost
+        or migrated entry has no content to evict and simply leaves the
+        LRU."""
+        record = self.dim.records.get(image_id)
+        if record is None or record.state != BURNED:
+            return None
+        return record
 
     def reclaim(self, bytes_needed: int) -> int:
         """Evict LRU images until ``bytes_needed`` are freed (or the
         cache is empty).  Returns the bytes released — the buffer-pressure
         valve the bucket manager pulls before refusing a write."""
-        from repro.olfs.images import BURNED
-
         freed = 0
         while freed < bytes_needed and self._lru:
             victim, _ = self._lru.popitem(last=False)
-            record = self.dim.records.get(victim)
-            if record is None or record.state != BURNED:
-                continue  # lost/migrated entries simply leave the LRU
+            record = self._burned(victim)
+            if record is None:
+                continue
             if record.image is not None:
                 freed += record.logical_size
             self.dim.evict_content(victim)

@@ -111,22 +111,15 @@ class MechanicalController:
             summary[state.value] += 1
         return summary
 
-    def find_blank_tray(
-        self, roller_index: Optional[int] = None
-    ) -> tuple[int, TrayAddress]:
-        """Next Empty tray full of blank discs, filling top-down: each
-        roller's scan resumes from its cursor and stops at the first hit."""
-        rollers = (
-            [self.mech.rollers[roller_index]]
-            if roller_index is not None
-            else self.mech.rollers
-        )
-        for roller in rollers:
-            index = self._next_blank(roller)
-            if index is not None:
-                self._blank_cursor[roller.roller_id] = index
-                return roller.roller_id, self._addresses[index]
-        raise MechanicsError("no blank disc arrays left")
+    def find_blank_tray(self, roller_index: int) -> tuple[int, TrayAddress]:
+        """The roller's next Empty tray full of blank discs, filling
+        top-down: the scan resumes from its cursor and stops at the first
+        hit."""
+        index = self._next_blank(self.mech.rollers[roller_index])
+        if index is None:
+            raise MechanicsError("no blank disc arrays left")
+        self._blank_cursor[roller_index] = index
+        return roller_index, self._addresses[index]
 
     def blank_roller(self) -> int:
         """The first roller, by index, that still holds a blank tray; the

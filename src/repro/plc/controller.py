@@ -89,17 +89,18 @@ class PLCController:
         command.  The instruction is checked now; its spans, opened only
         when tracing, start at the arrival instant, and one sleep (the
         :mod:`~repro.sim.landing` rule) covers the lead and the motion,
-        after which the motion commits and the sensors are read.  A motion
+        after which the motion commits and the sensors are checked.  A motion
         that refuses, or finds nothing to move, sleeps only the lead, so
         either outcome surfaces when the command arrives.
         """
         engine = self.engine
-        arrival = engine.now + lead
+        arrival = engine._now + lead
         if lead:
-            if engine.faults.live("plc.channel", arrival):
+            faults = engine.faults
+            if faults.enabled and faults.live("plc.channel", arrival):
                 yield Delay(lead)
                 lead = 0.0
-                fault = engine.faults.check("plc.channel")
+                fault = faults.check("plc.channel")
                 if fault is not None:
                     raise PLCFaultError(
                         f"control link error sending {instruction.mnemonic} "
@@ -113,14 +114,13 @@ class PLCController:
                 )
         self.instructions_executed += 1
         trace = engine.trace
-        check = _CHECKS.get(instruction.__class__)
         scope = trace.enabled and trace.span(instruction.span, "plc", at=arrival)
         moving = False
         try:
             try:
-                handler = _HANDLERS.get(instruction.__class__)
-                if handler is None:
+                if instruction.__class__ not in _DISPATCH:
                     raise PLCFaultError(f"unknown instruction {instruction!r}")
+                handler, check = _DISPATCH[instruction.__class__]
                 motion = handler(self, instruction)
                 if motion is None and check is not None:
                     check(self, instruction)  # where it already is
@@ -140,8 +140,11 @@ class PLCController:
                 )
                 if lead:
                     due = arrival + seconds
-                    while (now := engine.now) < due:
-                        yield Delay(delay_until(now, due))
+                    while (now := engine._now) < due:
+                        delay = due - now
+                        if now + delay > due:  # rounded past it
+                            delay = delay_until(now, due)
+                        yield Delay(delay)
                 else:
                     yield Delay(seconds)
                 if moving:
@@ -192,7 +195,7 @@ class PLCController:
                 1
                 for suite in self.suites
                 for sensor in suite.all_sensors()
-                if sensor.failed or sensor._fault_offset != 0.0
+                if not sensor.healthy
             ),
         }
 
@@ -218,9 +221,9 @@ class PLCController:
             with trace.span("plc.collectdisc", "plc"), trace.span(
                 "arm.collect", "arm", {"arm_id": arm.arm_id}
             ):
-                yield Delay(arm.timings.collect_one())
+                yield Delay(arm.timings.collect_one)
         else:
-            yield Delay(arm.timings.collect_one())
+            yield Delay(arm.timings.collect_one)
         arm.holding.append(disc)
 
 
@@ -263,4 +266,9 @@ _CHECKS = {
     SeparateDisc: lambda plc, i: (
         plc.suites[i.arm].verify_separation_gap(0.0)
     ),
+}
+
+#: instruction class -> ``(handler, its sensor check or None)``
+_DISPATCH = {
+    cls: (handler, _CHECKS.get(cls)) for cls, handler in _HANDLERS.items()
 }

@@ -481,15 +481,14 @@ class _NullFaults:
     Defined here (not in :mod:`repro.faults`) because the real
     :class:`~repro.faults.injector.FaultInjector` imports this module;
     mirroring the ``NULL_TRACER`` pattern keeps the dependency one-way.
+    Sites ask ``live``, ``subscribe`` and ``unsubscribe`` only of an
+    ``enabled`` injector.
     """
 
     enabled = False
 
     def check(self, site: str, target: str = ""):
         return None
-
-    def live(self, site: str, at: float) -> bool:
-        return False
 
 
 NULL_FAULTS = _NullFaults()

@@ -9,7 +9,9 @@ or evaluate rules on it (the fleet supervisor).
 
 Stopping is immediate: :meth:`Sampler.stop` interrupts the background
 process at its current suspension point instead of waiting for the next
-tick, so no tick ever runs after ``stop()`` returns.
+tick, so no tick ever runs after ``stop()`` returns.  An ``on_tick`` that
+raises ends the sampling, and ``stop()`` re-raises its error, so a broken
+probe fails the run that stops its sampler instead of going quiet.
 """
 
 from __future__ import annotations
@@ -52,18 +54,20 @@ class Sampler:
 
         Interrupts the background process at its current ``Delay`` so the
         stop takes effect *now*, not at the next tick; a sampler stopped
-        before its first tick never ticks.  Idempotent.
+        before its first tick never ticks.  Raises what ``on_tick`` raised
+        if a tick ended the sampling.  Idempotent.
         """
         if self._stopped:
             return
         self._stopped = True
         process = self._process
-        if (
-            process is not None
-            and not process.done
-            and process._suspension is not None
-        ):
-            process.interrupt("sampler-stop")
+        if process is None:
+            return
+        if not process.done:
+            if process._suspension is not None:
+                process.interrupt("sampler-stop")
+        elif process.error is not None:
+            raise process.error
 
     def _run(self) -> Generator:
         deadline = (

@@ -56,6 +56,31 @@ def test_reclaim_frees_lru_first():
     assert cached_before[-1] in cached_after
 
 
+def test_cache_passes_over_an_image_marked_lost():
+    """An image marked lost while cached has no content left to evict: an
+    admission that reaches it in the LRU, or an explicit evict, drops the
+    id and evicts nothing instead of raising."""
+    from repro.olfs.cache import ReadCache
+
+    ros = make_ros(read_cache_images=2)
+    for index in range(6):
+        ros.write(f"/lost/f{index}.bin", b"l" * 30000)
+    ros.flush()
+    dim = ros.cache.dim
+    lost, kept = ros.cache.cached_ids  # two burned images with content
+    cache = ReadCache(dim, capacity_images=1)
+    cache.put(lost, dim.get_buffered(lost))
+    dim.mark_lost(lost)
+    cache.put(kept, dim.get_buffered(kept))  # the LRU slot is the lost id
+    assert cache.cached_ids == [kept]
+    assert cache.evictions == 0
+    assert dim.get_buffered(kept) is not None
+    evictions = ros.cache.evictions
+    ros.cache.evict(lost)
+    assert lost not in ros.cache
+    assert ros.cache.evictions == evictions
+
+
 # ----------------------------------------------------------------------
 # Drive idle-sleep policy (§5.4 sleep state)
 # ----------------------------------------------------------------------

@@ -51,28 +51,18 @@ def reference_blank_trays_of(mc, roller):
     return blanks
 
 
-def reference_find_blank_tray(mc, roller_index=None):
-    """The full-scan ``find_blank_tray``: list, then take the first blank
-    tray at or after the cursor."""
-    rollers = (
-        [mc.mech.rollers[roller_index]]
-        if roller_index is not None
-        else mc.mech.rollers
-    )
-    for roller in rollers:
-        blanks = reference_blank_trays_of(mc, roller)
-        if not blanks:
-            continue
-        addresses = list(mc.mech.geometry.addresses())
-        start = mc._blank_cursor[roller.roller_id]
-        blank_set = set(blanks)
-        for offset in range(len(addresses)):
-            address = addresses[(start + offset) % len(addresses)]
-            if address in blank_set:
-                mc._blank_cursor[roller.roller_id] = (
-                    start + offset
-                ) % len(addresses)
-                return roller.roller_id, address
+def reference_find_blank_tray(mc, roller_index):
+    """The full-scan ``find_blank_tray``: list the roller's blank trays,
+    then take the first at or after the cursor."""
+    roller = mc.mech.rollers[roller_index]
+    blank_set = set(reference_blank_trays_of(mc, roller))
+    addresses = list(mc.mech.geometry.addresses())
+    start = mc._blank_cursor[roller_index]
+    for offset in range(len(addresses)):
+        address = addresses[(start + offset) % len(addresses)]
+        if address in blank_set:
+            mc._blank_cursor[roller_index] = (start + offset) % len(addresses)
+            return roller_index, address
     raise MechanicsError("no blank disc arrays left")
 
 
@@ -135,14 +125,12 @@ def allocate(find, mc, roller_index, rounds=4):
     cursors=st.tuples(
         st.integers(0, SMALL.trays - 1), st.integers(0, SMALL.trays - 1)
     ),
-    roller_choice=st.sampled_from((None, 0, 1)),
+    roller_choice=st.sampled_from((0, 1)),
 )
 def test_find_blank_tray_matches_the_full_scan(
     roller_count, tray_states, cursors, roller_choice
 ):
-    roller_index = (
-        None if roller_choice is None else roller_choice % roller_count
-    )
+    roller_index = roller_choice % roller_count
     state = (roller_count, tray_states, cursors)
     expected = allocate(
         reference_find_blank_tray, build_controller(*state), roller_index
@@ -157,7 +145,7 @@ def test_find_blank_tray_matches_the_full_scan(
 
 def test_find_blank_tray_raises_when_nothing_is_blank():
     state = (2, [USED] * (2 * SMALL.trays), (4, 7))
-    for roller_index in (None, 0, 1):
+    for roller_index in (0, 1):
         with pytest.raises(MechanicsError, match="no blank disc arrays"):
             build_controller(*state).find_blank_tray(roller_index)
         with pytest.raises(MechanicsError, match="no blank disc arrays"):

@@ -50,12 +50,14 @@ def test_double_insert_rejected():
 
 
 def test_remove_disc_roundtrip():
-    drive = loaded_drive(Engine())
+    drive_set = DriveSet(Engine(), 0)
+    drive = drive_set.drives[0]
     drive.open_tray()
-    disc = drive.remove_disc()
-    assert disc.disc_id == "d0"
+    drive.insert_disc(OpticalDisc("d0", BD25))
     drive.close_tray()
-    assert drive.state is DriveState.EMPTY
+    disc = drive_set.take_disc(drive)
+    assert disc.disc_id == "d0"
+    assert drive.state is DriveState.EMPTY and not drive.has_disc
 
 
 def test_spin_up_takes_two_seconds():
@@ -342,9 +344,7 @@ def test_failed_burn_array_leaves_no_straggler_for_the_next_array():
         engine.run_process(proc())
     assert engine.now < stagger  # drives 1-3 had not started
     for drive in drive_set.drives:  # the arm collects the array
-        drive.open_tray()
-        drive.remove_disc()
-        drive.close_tray()
+        drive_set.take_disc(drive)
     load_blanks(drive_set, prefix="next")
     engine.run(until=engine.now + 3 * stagger + 60)
     assert [d.disc.disc_id for d in drive_set.drives if d.disc.tracks] == []

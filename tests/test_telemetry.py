@@ -150,3 +150,37 @@ def test_sampler_on_live_system():
     assert values
     # Occupancy moves over the run (burn + cache eviction release space).
     assert min(values) < max(values)
+
+
+def test_sampler_stop_raises_what_a_tick_raised():
+    """A raising on_tick ends the sampling, and stop() hands its error to
+    the caller instead of leaving the run with a silent, empty series."""
+    engine = Engine()
+    ticks = []
+
+    def tick(now):
+        ticks.append(now)
+        if now >= 2.0:
+            raise ValueError("probe broke")
+
+    sampler = Sampler(engine, period=1.0, on_tick=tick).start()
+    engine.run(until=5.0)
+    assert ticks == [1.0, 2.0]  # no tick after the one that raised
+    with pytest.raises(ValueError, match="probe broke"):
+        sampler.stop()
+    sampler.stop()  # raised once; idempotent afterwards
+    assert engine.is_idle
+
+
+def test_monitor_finish_raises_what_a_probe_raised():
+    from tests.conftest import make_ros
+
+    ros = make_ros(monitoring=True)
+
+    def broken_probe():
+        raise RuntimeError("probe broke")
+
+    ros.monitor.probes["broken"] = broken_probe
+    ros.engine.run(until=ros.now + 3 * ros.monitor.sampler.period)
+    with pytest.raises(RuntimeError, match="probe broke"):
+        ros.monitor.finish()
