@@ -130,7 +130,7 @@ class RackCluster:
     # failover.  Serving sessions are simulation processes and
     # ``yield from`` these; the synchronous facade above runs them.
     # ------------------------------------------------------------------
-    def _write_file(self, path: str, data: bytes, logical_size=None):
+    def _write_file(self, path: str, data: bytes, logical_size):
         """Write to the home rack and every replica (synchronous)."""
         targets = self._alive(self.placement(path))
         if not targets:

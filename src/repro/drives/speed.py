@@ -120,11 +120,11 @@ class RecordingCurve:
             memo[key] = table
         return table
 
-    def burn_seconds(self, nbytes: float, start_progress: float = 0.0) -> float:
-        """Total burn time for ``nbytes`` (no contention), by integration."""
+    def burn_seconds(self, nbytes: float) -> float:
+        """Total burn time for ``nbytes`` from the disc's inner edge (no
+        contention), by integration."""
         return sum(
-            segment.seconds
-            for segment in self.segments(nbytes, start_progress, count=600)
+            segment.seconds for segment in self.segments(nbytes, count=600)
         )
 
     def average_multiple(self, nbytes: float) -> float:

@@ -70,6 +70,16 @@ _GEOMETRY_FLAGS = {
     "rack_loss": "skip the early rack-destruction fault",
 }
 
+#: what every fleet campaign's pooled clients offer: ``iot``-profile
+#: files capped at 256 KiB, 80 % of ops reads, through an admission
+#: controller that holds at most 32 requests in flight
+PROFILE = "iot"
+MAX_FILE_BYTES = 256 * 1024
+READ_FRACTION = 0.8
+MAX_INFLIGHT = 32
+#: loss event to rebuild start, seconds
+DETECTION_DELAY_S = 0.5
+
 
 class FleetRig:
     """One fleet under load and faults — what every fleet campaign runs.
@@ -84,7 +94,11 @@ class FleetRig:
 
     What makes one campaign's bytes differ from another's is passed in,
     never branched on here: ``label`` names the RNG child stream and
-    ``record`` says whether a flight recorder journals the run.
+    ``record`` says whether a flight recorder journals the run.  What
+    every fleet campaign shares is a module constant: the client mix
+    (:data:`PROFILE`, :data:`MAX_FILE_BYTES`, :data:`READ_FRACTION`),
+    the admission cap (:data:`MAX_INFLIGHT`) and the recovery
+    manager's :data:`DETECTION_DELAY_S`.
     """
 
     def __init__(
@@ -101,13 +115,8 @@ class FleetRig:
         duration_s: float,
         objects: int,
         arrival_rate: float,
-        profile: str,
-        max_file_bytes: int,
         rack_loss: bool,
         site_loss: bool,
-        detection_delay_s: float,
-        read_fraction: float,
-        max_inflight: int,
     ):
         self.seed = seed
         self.clients = clients
@@ -121,9 +130,7 @@ class FleetRig:
         )
         self.rng = rng = DeterministicRNG(seed).child(label)
 
-        self.catalog = self._prepopulate(
-            rng.child("populate"), objects, profile, max_file_bytes
-        )
+        self.catalog = self._prepopulate(rng.child("populate"), objects)
 
         # -- serving plumbing: one link + one tenant per site -----------
         self.site_names = self.store.topology.site_names()
@@ -131,7 +138,7 @@ class FleetRig:
         self.admission = AdmissionController(
             engine,
             [TenantSpec(site, weight=1.0) for site in self.site_names],
-            max_inflight=max_inflight,
+            max_inflight=MAX_INFLIGHT,
         )
         self.metrics = MetricsRegistry()
 
@@ -143,9 +150,9 @@ class FleetRig:
                 clients=max(1, per_site + (remainder if index == 0 else 0)),
                 mode="open",
                 arrival_rate=arrival_rate,
-                read_fraction=read_fraction,
-                profile=profile,
-                max_file_bytes=max_file_bytes,
+                read_fraction=READ_FRACTION,
+                profile=PROFILE,
+                max_file_bytes=MAX_FILE_BYTES,
                 pooling="aggregate",
             )
             for index, site in enumerate(self.site_names)
@@ -174,27 +181,23 @@ class FleetRig:
         )
 
         self.manager = RecoveryManager(
-            self.store, detection_delay_s=detection_delay_s
+            self.store, detection_delay_s=DETECTION_DELAY_S
         )
         self.sessions: list[ClientSession] = []
 
     def _prepopulate(
-        self,
-        rng: DeterministicRNG,
-        objects: int,
-        profile: str,
-        max_file_bytes: int,
+        self, rng: DeterministicRNG, objects: int
     ) -> list[tuple[str, int]]:
         """Seed the fleet with ``objects`` erasure-coded images; returns
         the shared read catalog ``[(path, declared_size)]`` the pools
         draw from."""
-        mean, sigma = SIZE_PROFILES[profile]
+        mean, sigma = SIZE_PROFILES[PROFILE]
         catalog: list[tuple[str, int]] = []
 
         def populate() -> Generator:
             for index in range(objects):
                 size = max(1, int(min(rng.lognormal(mean, sigma),
-                                      max_file_bytes)))
+                                      MAX_FILE_BYTES)))
                 # wire sizes use the declared logical size; the bytes
                 # held in simulation are capped, as in the serve layer
                 payload = rng.bytes(min(size, PAYLOAD_CAP))
@@ -306,13 +309,8 @@ def run_fleet(
     duration_s: float = 12.0,
     objects: int = 18,
     arrival_rate: float = 60.0,
-    profile: str = "iot",
-    max_file_bytes: int = 256 * 1024,
     rack_loss: bool = True,
     site_loss: bool = True,
-    detection_delay_s: float = 0.5,
-    read_fraction: float = 0.8,
-    max_inflight: int = 32,
     flight_out: str | None = None,
 ) -> dict:
     """One fleet campaign; returns the (JSON-safe) report dict.
@@ -322,6 +320,8 @@ def run_fleet(
     defaults this serves 105 000 pooled clients over 24 racks in 3
     sites, loses one rack early and one whole site mid-run, and must
     end with every acked object decodable (I8) and zero bytes lost.
+    The client mix, admission cap and detection delay are
+    :class:`FleetRig`'s module constants.
 
     ``flight_out`` attaches a flight recorder for the run and dumps it
     (JSONL) to that path; unset, run and report stay byte-identical to
@@ -331,10 +331,7 @@ def run_fleet(
         seed, "fleet", bool(flight_out),
         sites=sites, racks_per_site=racks_per_site, k=k, m=m,
         clients=clients, duration_s=duration_s, objects=objects,
-        arrival_rate=arrival_rate, profile=profile,
-        max_file_bytes=max_file_bytes, rack_loss=rack_loss,
-        site_loss=site_loss, detection_delay_s=detection_delay_s,
-        read_fraction=read_fraction, max_inflight=max_inflight,
+        arrival_rate=arrival_rate, rack_loss=rack_loss, site_loss=site_loss,
     )
     rig.start_recovery_loop()
     rig.serve("fleet-main")

@@ -55,6 +55,11 @@ __all__ = ["run_fleet_monitor", "report_to_json", "render_text"]
 #: running — the remediation tail (stale detection + rebuild) needs it
 GRACE_S = 8.0
 
+#: each agent samples its probes every 0.5 s and flushes every third
+#: sample, one batch per 1.5 s
+SAMPLE_PERIOD_S = 0.5
+FLUSH_EVERY = 3
+
 #: staleness (seconds) after which a rack's telemetry is presumed dead;
 #: > 2 flush intervals so a congested link never reads as a dead rack
 STALE_AFTER_S = 3.0
@@ -118,16 +123,9 @@ def run_fleet_monitor(
     duration_s: float = 10.0,
     objects: int = 12,
     arrival_rate: float = 40.0,
-    profile: str = "iot",
-    max_file_bytes: int = 256 * 1024,
     rack_loss: bool = True,
     site_loss: bool = False,
-    detection_delay_s: float = 0.5,
-    read_fraction: float = 0.8,
-    max_inflight: int = 32,
     telemetry: bool = True,
-    sample_period_s: float = 0.5,
-    flush_every: int = 3,
     flight_out: Optional[str] = None,
 ) -> dict:
     """One monitored fleet campaign; returns the (JSON-safe) report.
@@ -137,16 +135,16 @@ def run_fleet_monitor(
     closed-loop supervisor detecting and repairing the loss while
     serving continues.  ``telemetry=False`` runs the identical fleet
     with the classic loss-event recovery loop instead — the baseline
-    the perf guard measures agent overhead against.
+    the perf guard measures agent overhead against.  Each agent samples
+    every :data:`SAMPLE_PERIOD_S` and flushes every :data:`FLUSH_EVERY`
+    samples; the rest of the fleet is :class:`~repro.fleet.campaign.
+    FleetRig`'s.
     """
     rig = campaign.FleetRig(
         seed, "fleet-monitor", True,
         sites=sites, racks_per_site=racks_per_site, k=k, m=m,
         clients=clients, duration_s=duration_s, objects=objects,
-        arrival_rate=arrival_rate, profile=profile,
-        max_file_bytes=max_file_bytes, rack_loss=rack_loss,
-        site_loss=site_loss, detection_delay_s=detection_delay_s,
-        read_fraction=read_fraction, max_inflight=max_inflight,
+        arrival_rate=arrival_rate, rack_loss=rack_loss, site_loss=site_loss,
     )
     engine, store, manager = rig.engine, rig.store, rig.manager
     links, metrics = rig.links, rig.metrics
@@ -164,8 +162,8 @@ def run_fleet_monitor(
                     agent_id=agent_id,
                     central=central,
                     link=links[site],
-                    sample_period_s=sample_period_s,
-                    flush_every=flush_every,
+                    sample_period_s=SAMPLE_PERIOD_S,
+                    flush_every=FLUSH_EVERY,
                     horizon_s=horizon_s,
                     **source,
                 ).start()

@@ -15,7 +15,11 @@ from repro.report import report_to_json as report_json  # noqa: F401
 from repro.sim.tracing import Tracer
 
 
-def top_spans(tracer: Tracer, limit: int = 12) -> list[dict]:
+#: rows :func:`top_spans` keeps, by total duration
+TOP_SPANS = 12
+
+
+def top_spans(tracer: Tracer) -> list[dict]:
     """Aggregate finished spans by name: count, total/max duration."""
     totals: dict[str, dict] = {}
     for span in tracer.spans:
@@ -30,7 +34,7 @@ def top_spans(tracer: Tracer, limit: int = 12) -> list[dict]:
         entry["max_s"] = max(entry["max_s"], span.duration)
     rows = sorted(
         totals.values(), key=lambda row: (-row["total_s"], row["name"])
-    )[:limit]
+    )[:TOP_SPANS]
     for row in rows:
         row["total_s"] = round(row["total_s"], 6)
         row["max_s"] = round(row["max_s"], 6)

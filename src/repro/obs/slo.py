@@ -44,7 +44,6 @@ class SLO:
     max_seconds: Optional[float] = None
     min_bytes_per_second: Optional[float] = None
     source: str = ""
-    description: str = ""
 
     def check(self, span: Span) -> Optional[dict]:
         """Return a violation dict if ``span`` breaks this SLO, else None."""
@@ -89,67 +88,63 @@ _E2E_MARGIN = 1.10
 _PHASE_MARGIN = 1.05
 
 PAPER_SLOS: tuple[SLO, ...] = (
+    # A read never exceeds the occupied-drives cold path (unload + load
+    # + mount + stream)
     SLO(
         name="read.cold_worst_case",
         span_name="op.read",
         max_seconds=155.037 * _E2E_MARGIN,
         source="Table 1",
-        description=(
-            "A read never exceeds the occupied-drives cold path "
-            "(unload + load + mount + stream)"
-        ),
     ),
+    # Array load within the bottom-layer budget
     SLO(
         name="mech.load_array",
         span_name="mech.load_array",
         max_seconds=73.2 * _PHASE_MARGIN,
         source="Table 3",
-        description="Array load within the bottom-layer budget",
     ),
+    # Array unload within the bottom-layer budget
     SLO(
         name="mech.unload_array",
         span_name="mech.unload_array",
         max_seconds=86.5 * _PHASE_MARGIN,
         source="Table 3",
-        description="Array unload within the bottom-layer budget",
     ),
+    # One roller rotation step takes under 2 s
     SLO(
         name="roller.rotate_step",
         span_name="roller.rotate",
         max_seconds=2.0,
         source="§5.5",
-        description="One roller rotation step takes under 2 s",
     ),
+    # Arm vertical travel at most ~5 s
     SLO(
         name="arm.travel",
         span_name="arm.move",
         max_seconds=5.0,
         source="§5.5",
-        description="Arm vertical travel at most ~5 s",
     ),
+    # Spin-up from sleep is 2 s
     SLO(
         name="drive.spin_up",
         span_name="drive.spin_up",
         max_seconds=2.0 * _PHASE_MARGIN,
         source="§5.4",
-        description="Spin-up from sleep is 2 s",
     ),
+    # VFS mount of a loaded disc is 220 ms
     SLO(
         name="drive.mount",
         span_name="drive.mount",
         max_seconds=0.220 * _E2E_MARGIN,
         source="§5.4 / Table 1",
-        description="VFS mount of a loaded disc is 220 ms",
     ),
+    # A completed burn averages at least 4X (the CAV ramp's inner-radius
+    # speed)
     SLO(
         name="burn.speed_floor",
         span_name="drive.burn",
         min_bytes_per_second=4.0 * units.BLU_RAY_1X,
         source="Fig 8 / Table 2",
-        description=(
-            "A completed burn averages at least 4X (the CAV ramp's "
-            "inner-radius speed)"
-        ),
     ),
 )
 
@@ -159,25 +154,21 @@ PAPER_SLOS: tuple[SLO, ...] = (
 #: repair rewrites; an anti-entropy round may cold-read every audited
 #: path from both replicas (Table 1 worst case per copy).
 PRESERVE_SLOS: tuple[SLO, ...] = (
+    # One patrol scrub (load, verify every disc, repair, unload) stays
+    # under 15 simulated minutes
     SLO(
         name="preserve.scrub_array",
         span_name="preserve.scrub_array",
         max_seconds=900.0,
         source="§4.7 / Table 3",
-        description=(
-            "One patrol scrub (load, verify every disc, repair, unload) "
-            "stays under 15 simulated minutes"
-        ),
     ),
+    # One anti-entropy round over the archive completes within a
+    # simulated hour even when every read is cold
     SLO(
         name="preserve.audit_round",
         span_name="preserve.audit_round",
         max_seconds=3600.0,
         source="Table 1",
-        description=(
-            "One anti-entropy round over the archive completes within a "
-            "simulated hour even when every read is cold"
-        ),
     ),
 )
 

@@ -97,9 +97,6 @@ class WritingBucketManager:
         self._image_counter = 0
         self.buckets_created = 0
         self.buckets_closed = 0
-        #: writes restarted because a concurrent writer filled or sealed
-        #: the chosen bucket while this write's transfer was in flight
-        self.write_races = 0
         for _ in range(OPEN_BUCKETS):
             self._new_bucket()
 
@@ -285,8 +282,7 @@ class WritingBucketManager:
     def _raced(
         self, bucket: Bucket, races: int, avoid_buckets: Optional[set]
     ) -> set:
-        """Account a mid-transfer bucket race; returns the new avoid set."""
-        self.write_races += 1
+        """Check a mid-transfer bucket race; returns the new avoid set."""
         if races + 1 >= self.MAX_WRITE_RACES:
             raise NoSpaceOLFSError(
                 f"write restarted {races + 1} times: every chosen bucket "

@@ -293,30 +293,30 @@ class BurnTask:
                 mc.array_images[self.tray] = [
                     image.image_id for image in all_images
                 ]
-                # Burned content demotes from pinned buffer space to the
-                # read cache (data) or is dropped outright (parity).
-                for image in all_images:
-                    record = dim.records[image.image_id]
-                    if record.kind == "data" and self.controller.cache is not None:
-                        self.controller.cache.put(image.image_id, image)
-                    elif record.kind != "data":
-                        dim.evict_content(image.image_id)
-            # Return the discs to their tray either way: on interrupt the
-            # array must leave the drives for the urgent read (§4.8).
             try:
+                if all_done:
+                    # Burned content demotes from pinned buffer space to
+                    # the read cache (data) or is dropped outright (parity).
+                    for image in all_images:
+                        record = dim.records[image.image_id]
+                        if (record.kind == "data"
+                                and self.controller.cache is not None):
+                            self.controller.cache.put(image.image_id, image)
+                        elif record.kind != "data":
+                            dim.evict_content(image.image_id)
+                # Return the discs to their tray either way: on interrupt
+                # the array must leave the drives for the urgent read (§4.8).
                 yield from mech.unload_array(roller, priority=PRIORITY_BURN)
             except ROSError:
                 if not all_done:
                     raise
                 # The array is already committed (records burned, DAindex
-                # Used) — a fault while putting it away must not condemn
-                # the tray and re-burn valid discs.  Leave the discs where
-                # the fault stranded them; the next unload or a mechanical
-                # reset returns them home.
+                # Used, array_images set) — a fault after that must not
+                # condemn the tray and re-burn valid discs.  Leave the discs
+                # where the fault stranded them; the next unload or a
+                # mechanical reset returns them home.
                 self.engine.trace.event(
-                    "btm.unload_fault_after_commit",
-                    "btm",
-                    {"task_id": self.task_id},
+                    "btm.fault_after_commit", "btm", {"task_id": self.task_id}
                 )
             return all_done
         finally:

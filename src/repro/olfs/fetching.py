@@ -54,8 +54,7 @@ class FetchResult:
     """Where a read was served from and the data itself."""
 
     data: bytes
-    source: str  # bucket | buffer | drive | roller
-    mechanical: bool
+    source: str  # bucket | file-cache | buffer | drive | roller
 
 
 class FetchController:
@@ -131,13 +130,13 @@ class FetchController:
             if record.state == IN_BUCKET:
                 with trace.span("ftm.read_bucket", "ftm"):
                     data = yield from self.wbm.read_file(image_id, path)
-                result = FetchResult(data, "bucket", mechanical=False)
+                result = FetchResult(data, "bucket")
             elif cached_file is not None:
                 with trace.span("ftm.read_file_cache", "ftm"):
                     volume = self.scheduler.volume_for(StreamKind.USER_READ)
                     yield Delay(BUCKET_ACCESS_SECONDS)
                     yield from volume.read(len(cached_file))
-                result = FetchResult(cached_file, "file-cache", False)
+                result = FetchResult(cached_file, "file-cache")
             elif image is not None:
                 # A closed image on the disk buffer (~2 ms for small files).
                 with trace.span("ftm.read_buffer", "ftm"):
@@ -145,7 +144,7 @@ class FetchController:
                     entry = image.file_entry(path)
                     yield Delay(IMAGE_ACCESS_SECONDS)
                     yield from volume.read(entry.size)
-                result = FetchResult(entry.data, "buffer", mechanical=False)
+                result = FetchResult(entry.data, "buffer")
             elif record.state != BURNED:
                 raise FilesystemError(
                     f"image {image_id} unreadable in state {record.state}"
@@ -227,8 +226,7 @@ class FetchController:
         # The §4.8 interrupt policy: the read is served, resume burns.
         if self.burn_controller is not None:
             self.burn_controller.resume_interrupted()
-        source = "drive" if was_in_drive else "roller"
-        return FetchResult(entry.data, source, mechanical=not was_in_drive)
+        return FetchResult(entry.data, "drive" if was_in_drive else "roller")
 
     def _file_cache_fill(
         self, drive, grant, record, image, path, entry

@@ -13,7 +13,8 @@ writes, image reads, mechanical fetches), so Figure 7's per-op averages of
 same machinery.  A frontend stack (samba) may add per-op overhead and the
 seven extra ``stat`` calls the paper observed on the SMB write path.
 
-The interface records an :class:`OpTrace` per call for the benchmarks.
+Each internal op is an ``op.*`` span under the call's ``posix.*`` span;
+``write_file`` also returns its ops as an :class:`OpTrace`.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class POSIXInterface:
         self.frontend_per_op_seconds = 0.0
         #: extra stat calls the frontend issues on the write path (§5.3)
         self.frontend_extra_write_stats = 0
-        self.last_trace: Optional[OpTrace] = None
         #: optional MetricsRegistry; OLFS wires its own in
         self.metrics = None
         #: its ``posix.op_seconds`` histogram, fetched at the first op
@@ -228,7 +228,6 @@ class POSIXInterface:
 
             close = self.mv.write_index(path, index)
             yield from self._op(trace, "close", close)
-            self.last_trace = trace
         return trace
 
     def read_file(
@@ -246,7 +245,6 @@ class POSIXInterface:
             start = self.engine.now
             index = yield from self._op(trace, "stat", self._stat_work(path))
             if index is None:
-                self.last_trace = trace
                 raise FileNotFoundOLFSError(f"{path!r}: no such file")
             entry = (
                 index.current if version is None else index.version(version)
@@ -302,14 +300,12 @@ class POSIXInterface:
                 try:
                     parts = yield from self._op(trace, "read", race())
                 except TimeoutOLFSError:
-                    self.last_trace = trace
                     raise
             else:
                 parts = yield from self._op(trace, "read", do_read())
             if first_byte is None:
                 first_byte = self.engine.now - start
             yield from self._op(trace, "close")
-            self.last_trace = trace
             data = b"".join(part.data for part in parts)
             result = ReadResult(
                 data=data,
@@ -343,7 +339,6 @@ class POSIXInterface:
         with self.engine.trace.span("posix.stat", "posix", {"path": path}):
             trace = OpTrace("stat")
             index = yield from self._op(trace, "stat", self._stat_work(path))
-            self.last_trace = trace
             if index is None:
                 kind = yield from self.mv.entry_kind(path)
                 if kind == "dir":
@@ -366,7 +361,6 @@ class POSIXInterface:
             if kind is not None:
                 raise FileExistsOLFSError(f"{path!r} exists")
             yield from self._op(trace, "mkdir", self.mv.make_dir(path))
-            self.last_trace = trace
 
     def readdir(self, path: str) -> Generator:
         with self.engine.trace.span("posix.readdir", "posix", {"path": path}):
@@ -374,7 +368,6 @@ class POSIXInterface:
             names = yield from self._op(
                 trace, "readdir", self.mv.listdir(path)
             )
-            self.last_trace = trace
         return names
 
     def unlink(self, path: str) -> Generator:
@@ -383,7 +376,6 @@ class POSIXInterface:
         with self.engine.trace.span("posix.unlink", "posix", {"path": path}):
             trace = OpTrace("unlink")
             yield from self._op(trace, "unlink", self.mv.remove_index(path))
-            self.last_trace = trace
 
     def versions(self, path: str) -> Generator:
         index = yield from self.mv.lookup_index(path)

@@ -29,7 +29,7 @@ from repro.sim.bandwidth import SharedBandwidth
 from repro.sim.engine import AllOf, Delay, Engine, Wait
 
 
-def bench_delay_chain(n: int = 200_000) -> float:
+def bench_delay_chain(n: int) -> float:
     engine = Engine()
 
     def proc():
@@ -41,7 +41,7 @@ def bench_delay_chain(n: int = 200_000) -> float:
     return n / (time.perf_counter() - start)
 
 
-def bench_ping_pong(n: int = 100_000) -> float:
+def bench_ping_pong(n: int) -> float:
     engine = Engine()
 
     def pinger(events):
@@ -71,7 +71,7 @@ def bench_ping_pong(n: int = 100_000) -> float:
     return 2 * n / (time.perf_counter() - start)
 
 
-def bench_spawn_join(n: int = 50_000) -> float:
+def bench_spawn_join(n: int) -> float:
     engine = Engine()
 
     def child():
@@ -86,16 +86,20 @@ def bench_spawn_join(n: int = 50_000) -> float:
     return 2 * n / (time.perf_counter() - start)
 
 
-def bench_bandwidth_flows(n: int = 2_000, concurrency: int = 8) -> float:
+#: flows sharing the link in :func:`bench_bandwidth_flows`
+FLOW_CONCURRENCY = 8
+
+
+def bench_bandwidth_flows(n: int) -> float:
     engine = Engine()
     bandwidth = SharedBandwidth(engine, 1e8, name="bench")
 
     def flow():
-        for _ in range(n // concurrency):
+        for _ in range(n // FLOW_CONCURRENCY):
             yield from bandwidth.transfer(1e6)
 
     def main():
-        yield AllOf([engine.spawn(flow()) for _ in range(concurrency)])
+        yield AllOf([engine.spawn(flow()) for _ in range(FLOW_CONCURRENCY)])
 
     start = time.perf_counter()
     engine.run_process(main())

@@ -87,15 +87,13 @@ class BackgroundScrubber:
         }
 
     # ------------------------------------------------------------------
-    def set_rate(
-        self, rate_bytes: float, burst_bytes: Optional[float] = None
-    ) -> bool:
+    def set_rate(self, rate_bytes: float) -> bool:
         """Re-budget the standalone patrol (bytes/second), in place.
 
         The fleet supervisor's "scrub error spike -> raise scrub budget"
         remediation.  Accrued tokens are refilled at the *old* rate up
-        to now, then the bucket switches over; ``granted`` accounting is
-        preserved.  Returns False (no-op) when the scrubber is admitted
+        to now, then the bucket switches over to a burst of four seconds
+        of the new rate; ``granted`` accounting is preserved.  Returns False (no-op) when the scrubber is admitted
         through an AdmissionController — its budget is the tenant spec's,
         not ours to change.
         """
@@ -105,7 +103,7 @@ class BackgroundScrubber:
             raise ValueError("rate must be positive")
         self.bucket._refill()
         self.bucket.rate = float(rate_bytes)
-        self.bucket.burst = float(burst_bytes or 4.0 * rate_bytes)
+        self.bucket.burst = 4.0 * float(rate_bytes)
         self.bucket.tokens = min(self.bucket.tokens, self.bucket.burst)
         self.stats["rate_changes"] += 1
         return True

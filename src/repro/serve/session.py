@@ -79,7 +79,6 @@ class ServeOp:
 class OpOutcome:
     """How one operation ended, as the client saw it."""
 
-    op: str
     path: str
     tenant: str
     session: str
@@ -196,7 +195,6 @@ class ClientSession:
             self._latency.observe(elapsed)
             self._bytes.inc(op.nbytes)
         return OpOutcome(
-            op=op.kind,
             path=op.path,
             tenant=self.tenant,
             session=self.session_id,

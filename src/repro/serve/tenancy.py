@@ -212,9 +212,7 @@ class AdmissionController:
         self._inflight = 0
         self._closed = False
         self._wake: Optional[SimEvent] = None
-        self._dispatcher = engine.spawn(
-            self._dispatch_loop(), name="admission-dispatcher"
-        )
+        engine.spawn(self._dispatch_loop(), name="admission-dispatcher")
         #: per-tenant decision counters (chaos invariant + reports)
         self.stats: dict[str, dict[str, float]] = {
             name: {

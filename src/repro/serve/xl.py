@@ -61,6 +61,9 @@ PAYLOAD = b"\xA5" * 4096
 #: fraction of ops that are writes
 WRITE_FRACTION = 0.2
 
+#: open-loop Poisson arrivals per rack, ops/second
+ARRIVAL_RATE = 40.0
+
 #: probability a client touches an object homed on its own rack rather
 #: than a uniformly random one
 LOCALITY = 0.85
@@ -89,14 +92,13 @@ def run_serve_xl(
     racks: int = 8,
     shards: int = 1,
     duration_s: float = 100.0,
-    arrival_rate: float = 40.0,
     objects_per_rack: int = 64,
     fault_rate: float = 0.25,
 ) -> dict:
     """One XL serving campaign; returns the deterministic report dict.
 
-    ``arrival_rate`` is per rack (ops/s), so the default scenario offers
-    ``racks * arrival_rate * duration_s = 32,000`` ops — roughly 13x the
+    Each rack offers :data:`ARRIVAL_RATE` ops/s, so the default scenario
+    offers ``racks * ARRIVAL_RATE * duration_s = 32,000`` ops — roughly 13x the
     ``repro serve`` scenario's volume.  ``shards`` picks the event-loop
     layout and **must not** change the report (pinned by tests and the
     chaos-replay gate).
@@ -188,7 +190,7 @@ def run_serve_xl(
         # ``loadgen.epoch_draws``, looked up at call time, so a test that
         # substitutes the scalar reference covers this campaign too.
         arrivals = loadgen.epoch_draws(
-            1.0 / arrival_rate,
+            1.0 / ARRIVAL_RATE,
             root.child(f"gaps-{group}"),
             root.child(f"rolls-{group}"),
             root.child(f"locality-{group}"),

@@ -55,10 +55,8 @@ class DeterministicRNG:
     # (or split one batch into several) without changing the values it
     # sees.  The vectorized load generator leans on this; the
     # scalar↔batch equivalence is pinned by a hypothesis property test.
-    def uniform_array(
-        self, n: int, low: float = 0.0, high: float = 1.0
-    ) -> np.ndarray:
-        return self._generator.uniform(low, high, int(n))
+    def uniform_array(self, n: int) -> np.ndarray:
+        return self._generator.uniform(0.0, 1.0, int(n))
 
     def exponential_array(self, mean: float, n: int) -> np.ndarray:
         return self._generator.exponential(mean, int(n))

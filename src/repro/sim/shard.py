@@ -90,7 +90,6 @@ class ShardedEngine:
             raise ValueError(
                 f"lookahead must be positive, got {lookahead}"
             )
-        self.groups = groups
         self.shards = min(int(shards), len(groups))
         self.lookahead = float(lookahead)
         self.engines = [Engine() for _ in range(self.shards)]
@@ -149,7 +148,6 @@ class ShardedEngine:
         src_group: str,
         dst_group: str,
         factory: Callable[[], Generator],
-        name: str = "xshard-call",
     ) -> Generator:
         """Generator effect: run ``factory()`` on the destination shard.
 
@@ -159,7 +157,7 @@ class ShardedEngine:
         so a round trip costs at least ``2 * lookahead`` plus the remote
         work.  Use as ``value = yield from sharded.call(src, dst, fn)``.
         """
-        done = self.engine_for(src_group).event(name)
+        done = self.engine_for(src_group).event("xshard-call")
         lookahead = self.lookahead
 
         def runner() -> Generator:
@@ -177,7 +175,7 @@ class ShardedEngine:
                 )
 
         def deliver() -> None:
-            self.engine_for(dst_group).spawn(runner(), name=name)
+            self.engine_for(dst_group).spawn(runner(), name="xshard-call")
 
         self.send(src_group, dst_group, lookahead, deliver)
         result = yield Wait(done)

@@ -252,14 +252,9 @@ class Tracer:
     # ------------------------------------------------------------------
     # Tree queries
     # ------------------------------------------------------------------
-    def find(
-        self, name: Optional[str] = None, category: Optional[str] = None
-    ) -> list[Span]:
+    def find(self, name: Optional[str] = None) -> list[Span]:
         return [
-            span
-            for span in self.spans
-            if (name is None or span.name == name)
-            and (category is None or span.category == category)
+            span for span in self.spans if name is None or span.name == name
         ]
 
     def roots(self) -> list[Span]:

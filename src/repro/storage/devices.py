@@ -19,11 +19,11 @@ SSD_LATENCY = 0.0001
 SSD_CAPACITY = 240 * units.GB
 
 
-def make_hdd(engine: Engine, name: str, capacity: int = HDD_CAPACITY) -> BlockDevice:
+def make_hdd(engine: Engine, name: str) -> BlockDevice:
     """A 4 TB 7200rpm-class HDD (150 MB/s, ~8 ms access)."""
-    return BlockDevice(engine, name, capacity, HDD_THROUGHPUT, HDD_LATENCY)
+    return BlockDevice(engine, name, HDD_CAPACITY, HDD_THROUGHPUT, HDD_LATENCY)
 
 
-def make_ssd(engine: Engine, name: str, capacity: int = SSD_CAPACITY) -> BlockDevice:
+def make_ssd(engine: Engine, name: str) -> BlockDevice:
     """A 240 GB SATA SSD (500 MB/s, ~0.1 ms access)."""
-    return BlockDevice(engine, name, capacity, SSD_THROUGHPUT, SSD_LATENCY)
+    return BlockDevice(engine, name, SSD_CAPACITY, SSD_THROUGHPUT, SSD_LATENCY)

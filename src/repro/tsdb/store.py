@@ -381,14 +381,9 @@ class TimeSeriesStore:
             return None
         return (v1 - v0) / (t1 - t0)
 
-    def staleness(
-        self,
-        name: str,
-        labels: Optional[dict] = None,
-        now: float = 0.0,
-    ) -> Optional[float]:
+    def staleness(self, name: str, now: float) -> Optional[float]:
         """Seconds since the series' newest point (None: never wrote)."""
-        newest = self.latest(name, labels)
+        newest = self.latest(name)
         if newest is None:
             return None
         return float(now) - newest[0]

@@ -123,10 +123,8 @@ class UDFFileSystem:
             raise NotADirectoryOLFSError(f"{path!r} is a file")
         return node.child_names()
 
-    def walk(self, path: str = "/") -> Iterator[tuple[str, object]]:
-        """Depth-first (path, entry) pairs under ``path``, files and dirs."""
-        node = self.root if path == "/" else self._lookup(path)
-        base = "" if path == "/" else path.rstrip("/")
+    def walk(self) -> Iterator[tuple[str, object]]:
+        """Depth-first (path, entry) pairs, files and dirs."""
 
         def recurse(prefix: str, directory: DirectoryEntry):
             for name in directory.child_names():
@@ -136,8 +134,7 @@ class UDFFileSystem:
                 if isinstance(child, DirectoryEntry):
                     yield from recurse(child_path, child)
 
-        if isinstance(node, DirectoryEntry):
-            yield from recurse(base, node)
+        yield from recurse("", self.root)
 
     def file_paths(self) -> list[str]:
         return [

@@ -2,8 +2,9 @@
 
 A setting that no code outside the tests ever gives anything but its
 default is a constant in disguise: it makes a reader wonder which rack
-configurations are real.  Two lints read ``src/``, ``benchmarks/`` and
-``bench/`` with :mod:`ast`.
+configurations are real, and state that nothing reads is a setting's
+mirror image.  Four lints read ``src/``, ``benchmarks/`` and ``bench/``
+with :mod:`ast`.
 
 **OLFSConfig fields.**  Every value given to a field through
 ``OLFSConfig(...)``, ``.scaled_for_tests(...)``, ``small_rack(config=...)``
@@ -37,10 +38,25 @@ or fixture, a lambda, a name defined twice) counts as passing what it
 forwards.  Dataclass fields are records, not constructors, and are not
 scanned (``OLFSConfig`` has the lint above).  A test that needs another
 value monkeypatches the module constant the class reads.
+
+**Function keywords.**  The same calls must pass every defaulted
+keyword of every other uniquely named module-level function and method
+in ``src/repro``.  A campaign's flags count as calls:
+``run_flags(parser, run, {...})`` passes ``run`` the dict's keys (a
+``**`` entry resolves like any mapping), and ``run_kwargs(run, args,
+**given)`` passes only ``given`` and the flags ``campaign_parser`` adds
+(``seed``, ``flight_out``).
+
+**Write-only state.**  Every ``self.<attribute>`` store and every
+dataclass field in ``src/repro`` must be loaded by name somewhere in
+the scanned code (``obj.name`` or ``getattr(obj, "name")``); ``+=`` on
+it is a store.  A dataclass read whole (``asdict``) would need its
+fields allowlisted.
 """
 
 import ast
 import dataclasses
+import functools
 import textwrap
 from collections import defaultdict
 from pathlib import Path
@@ -122,10 +138,14 @@ def dict_items(node: ast.Dict):
             yield key.value, value
 
 
-def scanned_modules():
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            yield path, ast.parse(path.read_text(), filename=str(path))
+@functools.cache
+def scanned_modules() -> tuple:
+    """``(path, tree)`` of every scanned module, parsed once."""
+    return tuple(
+        (path, ast.parse(path.read_text(), filename=str(path)))
+        for top in SCANNED
+        for path in sorted((ROOT / top).rglob("*.py"))
+    )
 
 
 def collect_values() -> dict[str, list]:
@@ -380,13 +400,35 @@ def runs_under_pytest(func) -> bool:
     )
 
 
-def dict_entries(node: ast.AST):
-    """``(key, value)`` of a dict literal or a ``dict(...)`` call, or
-    None for anything else."""
+#: What ``run_kwargs(run, args, **given)`` passes beyond ``given``: the
+#: flags :func:`repro.report.campaign_parser` adds.  The flags
+#: ``run_flags`` adds are counted at that call.
+CAMPAIGN_FLAGS = ("seed", "flight_out")
+
+
+def dict_entries(node: ast.AST, resolve=lambda name: None):
+    """``(key, value)`` of a dict literal, a ``dict(...)`` call or a
+    ``run_kwargs(...)`` call, or None for anything else.  ``resolve``
+    gives the entries of a name a dict literal unpacks with ``**``."""
     if isinstance(node, ast.Dict):
-        if any(key is None for key in node.keys):
-            return None
-        return list(dict_items(node))
+        entries = []
+        for key, value in zip(node.keys, node.values):
+            if key is None:
+                unpacked = (
+                    resolve(value.id) if isinstance(value, ast.Name)
+                    else dict_entries(value, resolve)
+                )
+                if unpacked is None:
+                    return None
+                entries += unpacked
+            elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                entries.append((key.value, value))
+        return entries
+    if isinstance(node, ast.Call) and callee(node) == "run_kwargs":
+        return [
+            (keyword.arg, keyword.value) for keyword in node.keywords
+            if keyword.arg
+        ] + [(flag, ast.Constant(None)) for flag in CAMPAIGN_FLAGS]
     if (
         isinstance(node, ast.Call)
         and callee(node) == "dict"
@@ -397,7 +439,7 @@ def dict_entries(node: ast.AST):
     return None
 
 
-def bound_dicts(nodes, name: str):
+def bound_dicts(nodes, name: str, resolve=lambda name: None):
     """The entries of every dict ``name`` is bound to among ``nodes``,
     or None when it is bound to anything else (or to nothing)."""
     entries = []
@@ -408,7 +450,7 @@ def bound_dicts(nodes, name: str):
             and isinstance(node.targets[0], ast.Name)
             and node.targets[0].id == name
         ):
-            found = dict_entries(node.value)
+            found = dict_entries(node.value, resolve)
             if found is None:
                 return None
             entries += found
@@ -467,10 +509,27 @@ def passed_keywords(trees=None, classes=None) -> dict[str, set[str]]:
                 return key, keyword
         return None
 
+    def bound_in(scopes, name: str):
+        """The entries of the dict ``name`` is bound to, looked up from
+        the innermost scope out, or None."""
+        def resolve(inner: str):
+            return bound_in(scopes, inner)
+
+        for func, _ in reversed(scopes[1:]):
+            entries = bound_dicts(ast.walk(func), name, resolve)
+            if entries is not None:
+                return entries
+        return bound_dicts(scopes[0][0].body, name, resolve)
+
+    def mapping_entries(value, scopes):
+        """The entries ``**value`` unpacks, or None."""
+        if isinstance(value, ast.Name):
+            return bound_in(scopes, value.id)
+        return dict_entries(value, lambda name: bound_in(scopes, name))
+
     def pass_mapping(target, value, scopes) -> None:
         """``**value`` handed to ``target``."""
-        entries = dict_entries(value)
-        if entries is None and isinstance(value, ast.Name):
+        if isinstance(value, ast.Name):
             for func, key in reversed(scopes[1:]):
                 kwarg = func.args.kwarg
                 if kwarg is not None and kwarg.arg == value.id:
@@ -480,11 +539,7 @@ def passed_keywords(trees=None, classes=None) -> dict[str, set[str]]:
                         )
                         return
                     break
-                entries = bound_dicts(ast.walk(func), value.id)
-                if entries is not None:
-                    break
-            else:
-                entries = bound_dicts(scopes[0][0].body, value.id)
+        entries = mapping_entries(value, scopes)
         if entries is None:
             edges.append((target, ANY, None))
             return
@@ -522,6 +577,13 @@ def passed_keywords(trees=None, classes=None) -> dict[str, set[str]]:
                 [(func, bound)] = defs[callee(node)]
                 ordered = ordered_parameters(func)[int(bound):]
                 pass_call(node, f"{func.name}()", ordered, scopes)
+            if callee(node) == "run_flags" and len(node.args) == 3:
+                # run_flags(parser, run, flags): a flag per key of flags
+                run = name_of(node.args[1])
+                if len(defs.get(run, ())) == 1:
+                    entries = mapping_entries(node.args[2], scopes)
+                    for keyword, _ in entries or [(ANY, None)]:
+                        edges.append((f"{run}()", keyword, None))
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing, scopes)
 
@@ -649,3 +711,291 @@ def test_a_keyword_from_a_caller_the_lint_cannot_resolve_counts():
     ''')
     # a pytest-parametrized argument, and a method name defined twice
     assert passed["Drive"] == {"speed", "curve"}
+
+
+# ----------------------------------------------------------------------
+# Function keywords
+# ----------------------------------------------------------------------
+#: ``function.keyword`` or ``Class.method.keyword`` that no scanned call
+#: passes, and why each stays.
+ALLOWED_UNPASSED_CALLS = {
+    "PLCController.execute.lead": "tests/test_mechanics.py's stepped "
+    "reference runs every instruction with lead=0.0",
+    **{
+        f"FaultInjector.inject.{keyword}": "the fault-by-hand API tests "
+        "drive: the FaultSpec field a plan sets"
+        for keyword in ("target", "duration", "detail")
+    },
+    "FlightRecorder.events.kind": "the filter tests read a journal "
+    "through; runs dump it whole",
+    "RecoveryManager.reconstruct_namespace.images": "§4.4 disaster path: "
+    "tests hand it the images a disc scan collected",
+    "RecordingCurve.burn_table.count": "tests pin the memoized table to "
+    "segments() at a second segment count; every run burns 120",
+    **{
+        f"{name}.{keyword}": "[rates]: a §4.7 formula parameter the "
+        "measured error rates will set"
+        for name, keywords in {
+            "stripes_per_disc": ("disc_capacity",),
+            "array_error_rate": ("disc_capacity", "sector_error_rate"),
+            "raid5_array_error_rate": ("disc_capacity", "sector_error_rate"),
+            "raid6_array_error_rate": ("disc_capacity", "sector_error_rate"),
+        }.items()
+        for keyword in keywords
+    },
+    **{
+        f"{name}.{keyword}": "§4.2's closed-form MV sizing: the paper's "
+        "namespace by default, tests scale it"
+        for name, keywords in {
+            "mv_capacity_bytes": ("files", "directories", "versions_per_file"),
+            "mv_fraction_of_capacity": (
+                "data_capacity", "files", "directories",
+            ),
+        }.items()
+        for keyword in keywords
+    },
+    **{
+        f"{name}.{keyword}": "only tests turn it, and it feeds pinned "
+        "report goldens"
+        for name, keywords in {
+            "run_fleet": ("k", "m"),
+            "run_fleet_monitor": ("k", "m"),
+            "run_serve": ("fleets", "scrub"),
+        }.items()
+        for keyword in keywords
+    },
+}
+
+
+def repro_functions(modules):
+    """``(qualified name, def)`` of every module-level function and
+    method in ``src/repro`` but ``__init__``.  A def nested in a def is
+    its enclosing def's business: a closure's defaults bind loop state
+    (``def fire(event=wake)``), not settings."""
+    package = ROOT / "src" / "repro"
+
+    def visit(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, FUNCTIONS) and child.name != "__init__":
+                yield f"{prefix}{child.name}", child
+
+    for path, tree in modules:
+        if package in path.parents:
+            yield from visit(tree, "")
+
+
+def unpassed_function_keywords() -> list[str]:
+    """Every defaulted keyword of a uniquely named def in ``src/repro``
+    that no scanned call passes."""
+    modules = list(scanned_modules())
+    trees = [tree for _, tree in modules]
+    defs = function_defs(trees)
+    passed = passed_keywords(trees, repro_classes(modules))
+    found = []
+    for qualified, func in repro_functions(modules):
+        given = passed[f"{func.name}()"]
+        if len(defs[func.name]) == 1 and ANY not in given:
+            found += [
+                f"{qualified}.{keyword}"
+                for keyword in defaulted_parameters(func) - given
+            ]
+    return sorted(found)
+
+
+def test_every_function_keyword_is_passed_by_some_caller():
+    unpassed = [
+        keyword for keyword in unpassed_function_keywords()
+        if keyword not in ALLOWED_UNPASSED_CALLS
+    ]
+    assert unpassed == [], (
+        "function keywords no call outside the tests passes; make each a "
+        f"module constant or delete the behaviour it selects: {unpassed}"
+    )
+
+
+def test_allowed_unpassed_calls_are_still_unpassed():
+    stale = sorted(
+        set(ALLOWED_UNPASSED_CALLS) - set(unpassed_function_keywords())
+    )
+    assert stale == [], (
+        f"passed now (or gone), drop from ALLOWED_UNPASSED_CALLS: {stale}"
+    )
+
+
+def test_the_function_lint_sees_campaign_flags():
+    passed = lint_source('''
+        GEOMETRY = {"sites": "failure-domain sites"}
+
+        def run(seed=7, sites=3, duration_s=4.0, profile="iot",
+                shards=1, flight_out=None):
+            pass
+
+        def register(sub):
+            parser = campaign_parser(sub, "run", "a campaign", cmd, seed=7)
+            run_flags(parser, run, {
+                **GEOMETRY, "duration_s": "serving horizon",
+            })
+
+        def cmd(args):
+            return run(**run_kwargs(run, args, flight_out=None))
+
+        def cmd_sharded(args):
+            kwargs = run_kwargs(run, args)
+            return run(**{**kwargs, "shards": 4})
+    ''')
+    # run_flags: a flag per key, a ``**`` entry's keys included;
+    # run_kwargs: its own keywords and the flags campaign_parser adds,
+    # followed through a name and a dict that unpacks it
+    assert passed["run()"] == {
+        "seed", "sites", "duration_s", "shards", "flight_out"
+    }
+
+
+# ----------------------------------------------------------------------
+# Write-only state
+# ----------------------------------------------------------------------
+#: ``Class.attribute`` that no scanned code loads, and why each stays.
+ALLOWED_WRITE_ONLY = {
+    "Process._error_observed": "[loud-failures] decides what reads it",
+    **{
+        name: "[reach]: goes with the RAID data path, whose deletion waits "
+        "for the benchmark's boundary to be re-pointed"
+        for name in ("Volume.array", "BlockDevice.reads", "BlockDevice.writes")
+    },
+    "Interrupt.cause": "the payload an interrupted process is handed",
+    "SectorError.sector": "the payload of a media error",
+    **{
+        name: "a paper-spec figure, kept beside the ones the model reads"
+        for name in (
+            "DiscType.worm",
+            "RollerGeometry.height_m",
+            "RollerGeometry.diameter_mm",
+            "RollerGeometry.separation_precision_mm",
+            "MagazineLibraryModel.discs_per_magazine",
+            "MagazineLibraryModel.robot_return_mean",
+        )
+    },
+    "OpOutcome.latency_s": "what a client saw of one op; tests check it "
+    "per op",
+}
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        name_of(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def stored_attributes(trees) -> set[str]:
+    """``Class.attribute`` of every ``self.<attribute>`` store (``=``,
+    ``+=``, annotated) and every dataclass field in ``trees``."""
+    found = set()
+
+    def visit(node, owner: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+            if is_dataclass(node):
+                found.update(
+                    f"{owner}.{item.target.id}" for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and "ClassVar" not in ast.dump(item.annotation)
+                )
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and owner is not None
+        ):
+            found.add(f"{owner}.{node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for tree in trees:
+        visit(tree, None)
+    return found
+
+
+def loaded_attributes(trees) -> set[str]:
+    """Every name loaded as ``obj.<name>`` or ``getattr(obj, "<name>")``
+    (``obj.name += 1`` stores; it does not count)."""
+    found = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load
+            ):
+                found.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and callee(node) == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                found.add(node.args[1].value)
+    return found
+
+
+def write_only_state(trees=None, stored_in=None) -> list[str]:
+    """``Class.attribute`` stored in ``src/repro`` (or ``stored_in``)
+    whose name no scanned code loads."""
+    if trees is None:
+        modules = list(scanned_modules())
+        trees = [tree for _, tree in modules]
+        package = ROOT / "src" / "repro"
+        stored_in = [tree for path, tree in modules if package in path.parents]
+    loaded = loaded_attributes(trees)
+    return sorted(
+        name for name in stored_attributes(stored_in or trees)
+        if name.split(".")[1] not in loaded
+    )
+
+
+def test_no_state_is_stored_that_nothing_reads():
+    unread = [
+        name for name in write_only_state() if name not in ALLOWED_WRITE_ONLY
+    ]
+    assert unread == [], (
+        "attributes and dataclass fields no code outside the tests loads; "
+        f"delete each store: {unread}"
+    )
+
+
+def test_allowed_write_only_state_is_still_unread():
+    stale = sorted(set(ALLOWED_WRITE_ONLY) - set(write_only_state()))
+    assert stale == [], (
+        f"read now (or gone), drop from ALLOWED_WRITE_ONLY: {stale}"
+    )
+
+
+def test_the_state_lint_sees_stores_nothing_reads():
+    source = textwrap.dedent('''
+        from dataclasses import dataclass
+
+        @dataclass
+        class FetchResult:
+            data: bytes
+            mechanical: bool
+
+        class Bucket:
+            def __init__(self):
+                self.closed = 0
+                self.races = 0
+                self.trace: list = []
+
+            def close(self):
+                self.closed += 1
+                self.races += 1
+                return FetchResult(b"", True).data
+
+        def report(bucket):
+            return getattr(bucket, "closed")
+    ''')
+    # ``+=`` is a store, not a read; a read by getattr counts
+    assert write_only_state([ast.parse(source)]) == [
+        "Bucket.races", "Bucket.trace", "FetchResult.mechanical",
+    ]

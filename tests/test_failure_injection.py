@@ -66,6 +66,38 @@ def test_burn_failure_marks_tray_failed_and_skips_it():
     assert blank != failed[0]
 
 
+def test_a_fault_after_the_commit_leaves_the_array_burned_once(monkeypatch):
+    """A round that committed its array (records burned, DAindex Used)
+    and then faults while demoting the burned content keeps its tray:
+    the array is neither marked Failed nor burned again elsewhere."""
+    reference = make_ros(auto_burn=False)
+    write_batch(reference)
+    reference.flush()
+    ros = make_ros(auto_burn=False)
+    payloads = write_batch(ros)
+    evict_content, faults = ros.dim.evict_content, []
+
+    def evict_faulting_once(image_id):
+        if not faults:
+            faults.append(image_id)
+            raise ROSError(f"demoting {image_id} faulted")
+        return evict_content(image_id)
+
+    monkeypatch.setattr(ros.dim, "evict_content", evict_faulting_once)
+    ros.flush()
+    [image_id] = faults
+    assert ros.mc.da_index[ros.dim.records[image_id].array_address] is (
+        ArrayState.USED
+    )
+    # the trays end as an unfaulted run leaves them: none Failed
+    assert ros.mc.counts() == reference.mc.counts()
+    assert ros.mc.counts()["Failed"] == 0
+    assert not ros.btm.failed_tasks
+    path = next(iter(payloads))
+    ros.cache.evict(ros.stat(path)["locations"][0])
+    assert ros.read(path).data == payloads[path]
+
+
 def test_three_consecutive_burn_failures_fail_the_task():
     ros = make_faulty_ros(auto_burn=False)
     write_batch(ros, count=4)

@@ -425,7 +425,7 @@ def test_top_spans_aggregates_by_name():
             yield Delay(10.0)
 
     engine.run_process(work())
-    rows = top_spans(tracer, limit=10)
+    rows = top_spans(tracer)
     assert rows[0]["name"] == "b" and rows[0]["count"] == 1
     assert rows[1]["name"] == "a" and rows[1]["count"] == 3
     assert rows[1]["total_s"] == pytest.approx(6.0)

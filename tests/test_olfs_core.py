@@ -29,11 +29,17 @@ def test_write_sequence_matches_figure7(ros):
     ]
 
 
-def test_read_sequence_matches_figure7(ros):
+def test_read_sequence_matches_figure7():
+    ros = make_ros(tracing=True)
+    tracer = ros.engine.trace
     ros.write("/f.bin", b"x" * 1024)
     ros.read("/f.bin")
-    ops = ros.pi.last_trace.ops
-    assert [op.name for op in ops] == ["stat", "read", "close"]
+    [read] = tracer.find("posix.read")
+    ops = [
+        span.name for span in tracer.children_of(read)
+        if span.name.startswith("op.")
+    ]
+    assert ops == ["op.stat", "op.read", "op.close"]
 
 
 def test_read_missing_file_raises(ros):

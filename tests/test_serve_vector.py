@@ -110,8 +110,8 @@ def test_vectorized_report_byte_identical_to_scalar(monkeypatch):
 def test_xl_report_byte_identical_to_scalar(monkeypatch, shards):
     def run():
         return run_serve_xl(
-            23, racks=4, shards=shards, duration_s=12.0, arrival_rate=25.0,
-            objects_per_rack=12, fault_rate=0.6,
+            23, racks=4, shards=shards, duration_s=7.5, objects_per_rack=12,
+            fault_rate=0.6,
         )
 
     vector = run()

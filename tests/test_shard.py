@@ -168,7 +168,7 @@ def test_next_event_time_peeks_without_consuming():
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 def test_serve_xl_replay_identical_across_shard_counts(seed):
     kwargs = dict(
-        racks=4, duration_s=10.0, arrival_rate=20.0, objects_per_rack=12
+        racks=4, duration_s=5.0, objects_per_rack=12
     )
     single = run_serve_xl(seed=seed, shards=1, **kwargs)
     sharded = run_serve_xl(seed=seed, shards=4, **kwargs)
@@ -177,17 +177,17 @@ def test_serve_xl_replay_identical_across_shard_counts(seed):
 
 
 def test_serve_xl_report_is_run_deterministic():
-    first = run_serve_xl(seed=23, racks=3, duration_s=8.0,
-                         arrival_rate=15.0, objects_per_rack=8, shards=2)
-    second = run_serve_xl(seed=23, racks=3, duration_s=8.0,
-                          arrival_rate=15.0, objects_per_rack=8, shards=2)
+    first = run_serve_xl(seed=23, racks=3, duration_s=3.0,
+                         objects_per_rack=8, shards=2)
+    second = run_serve_xl(seed=23, racks=3, duration_s=3.0,
+                          objects_per_rack=8, shards=2)
     assert report_to_json(first) == report_to_json(second)
 
 
 def test_serve_xl_outages_produce_failures():
     # seed/scale chosen so at least one rack draws an outage window
-    report = run_serve_xl(seed=42, racks=4, duration_s=20.0,
-                          arrival_rate=20.0, objects_per_rack=16)
+    report = run_serve_xl(seed=42, racks=4, duration_s=10.0,
+                          objects_per_rack=16)
     outage_racks = [
         name for name, entry in report["racks"].items() if entry["outage"]
     ]
