@@ -27,7 +27,11 @@ spawned with:
   ``mechanics`` frame an ``olfs`` process resumes shows as such.  Its
   total is the frames total;
 * **engine gauges** — per counted engine, the largest heap and run
-  queue seen at a draw or after a step, and the heap compactions.
+  queue seen at a draw or after a step, and the heap compactions;
+* **shard gauges** — per :class:`~repro.sim.shard.ShardedEngine`
+  (``fleet_xl``), the windows its merge ran, the shard advances in them
+  that ran no occurrence (stalls), and the deepest mailbox at a
+  window's start.
 
 Counts repeat exactly per seed; the "where the events go" tables in
 ``docs/performance.md`` are read off this ledger, before and after a
@@ -96,10 +100,19 @@ def main(argv=None) -> int:
     if counter.code_frames.total() != frames:
         raise SystemExit("frames by code do not add up to the frames total")
     print()
+    gauges = counter.gauges()
     print(f"{'engine':>6} {'max heap':>9} {'max runq':>9} {'compactions':>12}")
-    for number, gauges in enumerate(counter.gauges()):
-        print(f"{number:>6} {gauges['heap']:>9} {gauges['runq']:>9} "
-              f"{gauges['compactions']:>12}")
+    for number, row in enumerate(row for row in gauges if "heap" in row):
+        print(f"{number:>6} {row['heap']:>9} {row['runq']:>9} "
+              f"{row['compactions']:>12}")
+    shards = [row for row in gauges if "windows" in row]
+    if shards:
+        print()
+        print(f"{'sharded':>7} {'windows':>9} {'stalls':>9} "
+              f"{'max mailbox':>12}")
+        for number, row in enumerate(shards):
+            print(f"{number:>7} {row['windows']:>9} {row['stalls']:>9} "
+                  f"{row['mailbox']:>12}")
     return 0
 
 

@@ -55,11 +55,6 @@ __all__ = ["run_fleet_monitor", "report_to_json", "render_text"]
 #: running — the remediation tail (stale detection + rebuild) needs it
 GRACE_S = 8.0
 
-#: each agent samples its probes every 0.5 s and flushes every third
-#: sample, one batch per 1.5 s
-SAMPLE_PERIOD_S = 0.5
-FLUSH_EVERY = 3
-
 #: staleness (seconds) after which a rack's telemetry is presumed dead;
 #: > 2 flush intervals so a congested link never reads as a dead rack
 STALE_AFTER_S = 3.0
@@ -136,9 +131,9 @@ def run_fleet_monitor(
     serving continues.  ``telemetry=False`` runs the identical fleet
     with the classic loss-event recovery loop instead — the baseline
     the perf guard measures agent overhead against.  Each agent samples
-    every :data:`SAMPLE_PERIOD_S` and flushes every :data:`FLUSH_EVERY`
-    samples; the rest of the fleet is :class:`~repro.fleet.campaign.
-    FleetRig`'s.
+    every :data:`~repro.fleet.telemetry.SAMPLE_PERIOD_S` and flushes every
+    :data:`~repro.fleet.telemetry.FLUSH_EVERY` samples; the rest of the
+    fleet is :class:`~repro.fleet.campaign.FleetRig`'s.
     """
     rig = campaign.FleetRig(
         seed, "fleet-monitor", True,
@@ -162,8 +157,6 @@ def run_fleet_monitor(
                     agent_id=agent_id,
                     central=central,
                     link=links[site],
-                    sample_period_s=SAMPLE_PERIOD_S,
-                    flush_every=FLUSH_EVERY,
                     horizon_s=horizon_s,
                     **source,
                 ).start()

@@ -58,6 +58,10 @@ MAX_BACKOFF_S = 4.0
 LINK_WEIGHT = 0.25
 #: sealed batches an agent holds unsent; a new seal drops the oldest
 MAX_OUTBOX_BATCHES = 16
+#: an agent samples its probes every 0.5 s and, by default, flushes
+#: every third sample: one batch per 1.5 s
+SAMPLE_PERIOD_S = 0.5
+FLUSH_EVERY = 3
 #: failed sends a stopped agent still tries before abandoning its outbox
 DRAIN_RETRY_LIMIT = 8
 
@@ -109,8 +113,7 @@ class TelemetryAgent:
         link: NetworkLink,
         probes: dict[str, Callable[[], float]],
         labels: Optional[dict] = None,
-        sample_period_s: float = 1.0,
-        flush_every: int = 4,
+        flush_every: int = FLUSH_EVERY,
         horizon_s: Optional[float] = None,
         source_up: Optional[Callable[[], bool]] = None,
     ):
@@ -137,7 +140,7 @@ class TelemetryAgent:
         self._flusher = None
         self.sampler = Sampler(
             engine,
-            period=sample_period_s,
+            period=SAMPLE_PERIOD_S,
             on_tick=self._tick,
             horizon=horizon_s,
         )

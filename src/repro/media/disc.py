@@ -117,7 +117,11 @@ class DiscStatus(enum.Enum):
 
 @dataclass
 class Track:
-    """One burn session: contiguous sectors holding an image's bytes."""
+    """One burn session: contiguous sectors holding an image's bytes.
+
+    ``payload`` is those bytes, or an object that ``bytes()`` rebuilds
+    them from and ``len()`` measures (see :meth:`OpticalDisc.read_track`).
+    """
 
     start_sector: int
     sector_count: int
@@ -273,11 +277,12 @@ class OpticalDisc:
         return ImageOnDisc(self, image_id, pieces) if pieces else None
 
     def read_track(self, track: Track) -> bytes:
-        """Return one of this disc's tracks' payload, honouring injected
-        sector errors."""
+        """Return one of this disc's tracks' payload as bytes, honouring
+        injected sector errors.  A payload may be any object ``bytes()``
+        and ``len()`` take (a ``bytes`` payload is returned itself)."""
         # Only payload-backed sectors can corrupt actual data.
         end = track.start_sector + sectors_for(len(track.payload))
         bad = [s for s in self.bad_sectors if track.start_sector <= s < end]
         if bad:
             raise SectorError(self.disc_id, min(bad))
-        return track.payload
+        return bytes(track.payload)

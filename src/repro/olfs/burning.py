@@ -21,7 +21,7 @@ from repro.faults.policy import RetryPolicy
 from repro.media.disc import REST_SUFFIX
 from repro.mechanics.geometry import TrayAddress
 from repro.olfs.config import OLFSConfig
-from repro.olfs.images import DiscImageManager, ImageRecord
+from repro.olfs.images import DiscImageManager, ImageRecord, ParityRecipe
 from repro.olfs.mechanical import (
     ArrayState,
     MechanicalController,
@@ -181,6 +181,21 @@ class BurnTask:
             for blob, image in zip(blobs, self.data_images + parity)
         ]
 
+    def _keep_parity_recipes(self, drives: list) -> None:
+        """At the commit, each parity track this task burned whole, as one
+        track, gives up its bytes for a :class:`ParityRecipe` over the data
+        blobs (§4.7): only a scrub or a repair reads a parity disc, and the
+        data discs hold those blobs anyway.  The pieces of an interrupted
+        burn keep their bytes."""
+        count = len(self.data_images)
+        blobs = [blob for blob, _, _ in self.payloads[:count]]
+        for position, (drive, (blob, _, image_id)) in enumerate(
+            zip(drives[count:], self.payloads[count:])
+        ):
+            track = drive.disc and drive.disc.find_track(image_id)
+            if track is not None and track.payload is blob:
+                track.payload = ParityRecipe(blob, blobs, position)
+
     def _burn_round(self, burned_prefix: dict, real_prefix: dict) -> Generator:
         """Load the tray (blank on the first round), burn what remains of
         each image, unload.  Returns True when every image completed.
@@ -289,6 +304,7 @@ class BurnTask:
                         )
                 if self.controller.foreparts is not None:
                     self.controller.foreparts.view_burned(payloads, self.extents)
+                self._keep_parity_recipes(drive_set.drives)
                 mc.set_state(roller, address, ArrayState.USED)
                 mc.array_images[self.tray] = [
                     image.image_id for image in all_images

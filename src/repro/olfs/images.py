@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import FilesystemError
 from repro.olfs.config import OLFSConfig
 from repro.sim.engine import AllOf, Engine
-from repro.storage.raid import erasure_parity
+from repro.storage.gf256 import generator_coefficient, gf_mul_bytes
 from repro.storage.scheduler import IOStreamScheduler, StreamKind
 from repro.udf.image import DiscImage
 
@@ -253,19 +253,61 @@ class DiscImageManager:
     @staticmethod
     def encode_parity(records: list, blobs: list) -> list[DiscImage]:
         """Attach (and return) ``records``' parity images over the data
-        ``blobs``, zero-padded to the widest, in erasure_decode's order."""
-        if not records:
-            return []
-        for record, raw in zip(
-            records, erasure_parity(pad_blobs(blobs), len(records))
-        ):
+        ``blobs``: P, then Q (see :func:`parity_shard`)."""
+        for position, record in enumerate(records):
             record.image = DiscImage(
                 record.image_id,
                 kind="parity",
-                raw=raw,
+                raw=parity_shard(blobs, position),
                 logical_size=record.logical_size,
             )
         return [record.image for record in records]
+
+
+def parity_shard(blobs: list, position: int) -> np.ndarray:
+    """Parity shard ``position`` (0 is P, 1 is Q) over the data ``blobs``,
+    as wide as the widest.
+
+    Each blob folds into its own prefix, unpadded: a zero-padded tail
+    adds nothing, since ``0 ^ x = x`` and ``0 * g = 0`` in GF(256).  So
+    the shard equals :func:`~repro.storage.raid.erasure_parity` over
+    :func:`pad_blobs`, in erasure_decode's order, without the padded
+    copies."""
+    shard = np.zeros(max(map(len, blobs), default=0), dtype=np.uint8)
+    for index, blob in enumerate(blobs):
+        data = np.frombuffer(blob, dtype=np.uint8)
+        if position:
+            data = gf_mul_bytes(data, generator_coefficient(index))
+        shard[: len(data)] ^= data
+    return shard
+
+
+class ParityRecipe:
+    """A burned parity track's payload, kept as what makes it (§4.7).
+
+    A parity image is derived: its volume's header bytes and the data
+    blobs its array burned, which the array's data discs keep anyway.
+    ``bytes()`` rebuilds the burned bytes through :func:`parity_shard`,
+    the encoder that made them; ``len()`` is their length."""
+
+    __slots__ = ("head", "blobs", "position")
+
+    def __init__(self, volume: bytes, blobs: list, position: int):
+        """``volume``: the parity image's bytes as burned, shard
+        ``position`` over the data ``blobs`` after its header."""
+        self.blobs = blobs
+        self.position = position
+        #: the header, copied out of ``volume`` (a slice of bytes is a
+        #: copy), so the recipe keeps no reference to ``volume`` itself
+        self.head = volume[: len(volume) - max(map(len, blobs), default=0)]
+
+    def __len__(self) -> int:
+        return len(self.head) + max(map(len, self.blobs), default=0)
+
+    def __bytes__(self) -> bytes:
+        return b"".join(
+            (self.head, parity_shard(self.blobs, self.position))
+        )
 
 
 def pad_blobs(blobs: list[bytes]) -> list[np.ndarray]:

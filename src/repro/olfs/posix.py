@@ -104,14 +104,20 @@ class POSIXInterface:
         self.frontend_extra_write_stats = 0
         #: optional MetricsRegistry; OLFS wires its own in
         self.metrics = None
-        #: its ``posix.op_seconds`` histogram, fetched at the first op
+        #: its ``posix.op_seconds`` histogram, fetched at the first op, and
+        #: ``posix.ops.<name>`` counters, each fetched at its op's first
+        #: run (a registry snapshot lists only the ops that ran)
         self._op_seconds = None
+        self._op_counters: dict = {}
 
     # ------------------------------------------------------------------
     # Internal-op plumbing
     # ------------------------------------------------------------------
-    def _op(self, trace: OpTrace, name: str, work=None) -> Generator:
-        """Run one internal op: fixed processing + optional timed work."""
+    def _op(
+        self, name: str, work=None, trace: Optional[OpTrace] = None
+    ) -> Generator:
+        """Run one internal op: fixed processing + optional timed work,
+        recorded in ``trace`` when the call returns one."""
         with self.engine.trace.span(f"op.{name}", "posix"):
             start = self.engine.now
             fixed = OP_PROCESS_SECONDS[name] + self.frontend_per_op_seconds
@@ -120,9 +126,15 @@ class POSIXInterface:
             if work is not None:
                 result = yield from work
             elapsed = self.engine.now - start
-            trace.ops.append(OpRecord(name, elapsed))
+            if trace is not None:
+                trace.ops.append(OpRecord(name, elapsed))
             if self.metrics is not None:
-                self.metrics.counter(f"posix.ops.{name}").inc()
+                counter = self._op_counters.get(name)
+                if counter is None:
+                    counter = self._op_counters[name] = self.metrics.counter(
+                        f"posix.ops.{name}"
+                    )
+                counter.inc()
                 if self._op_seconds is None:
                     self._op_seconds = self.metrics.histogram(
                         "posix.op_seconds", OP_LATENCY_BOUNDS
@@ -155,7 +167,7 @@ class POSIXInterface:
             "posix.write", "posix", {"path": path, "bytes": len(data)}
         ):
             trace = OpTrace("write")
-            index = yield from self._op(trace, "stat", self._stat_work(path))
+            index = yield from self._op("stat", self._stat_work(path), trace)
             kind = yield from self.mv.entry_kind(path)
             if kind == "dir":
                 raise IsADirectoryOLFSError(f"{path!r} is a directory")
@@ -163,12 +175,12 @@ class POSIXInterface:
             if creating:
                 # The frontend (samba) re-stats around creation (§5.3).
                 for _ in range(self.frontend_extra_write_stats):
-                    yield from self._op(trace, "stat", self._stat_work(path))
+                    yield from self._op("stat", self._stat_work(path), trace)
                 index = IndexFile(path)
                 yield from self._op(
-                    trace, "mknod", self.mv.write_index(path, index)
+                    "mknod", self.mv.write_index(path, index), trace
                 )
-                yield from self._op(trace, "stat", self._stat_work(path))
+                yield from self._op("stat", self._stat_work(path), trace)
 
             # §4.6: update in place when the current version sits in an open
             # bucket with room (no new version entry — the old bytes are
@@ -204,7 +216,7 @@ class POSIXInterface:
                 )
                 return image_ids, sizes
 
-            image_ids, sizes = yield from self._op(trace, "write", do_write())
+            image_ids, sizes = yield from self._op("write", do_write(), trace)
             size = len(data) if logical_size is None else int(logical_size)
             in_place = (
                 not creating
@@ -227,7 +239,7 @@ class POSIXInterface:
             index.forepart = self.foreparts.forepart_of(data)
 
             close = self.mv.write_index(path, index)
-            yield from self._op(trace, "close", close)
+            yield from self._op("close", close, trace)
         return trace
 
     def read_file(
@@ -241,9 +253,8 @@ class POSIXInterface:
         with self.engine.trace.span(
             "posix.read", "posix", {"path": path}
         ) as span:
-            trace = OpTrace("read")
             start = self.engine.now
-            index = yield from self._op(trace, "stat", self._stat_work(path))
+            index = yield from self._op("stat", self._stat_work(path))
             if index is None:
                 raise FileNotFoundOLFSError(f"{path!r}: no such file")
             entry = (
@@ -298,14 +309,14 @@ class POSIXInterface:
                     return value
 
                 try:
-                    parts = yield from self._op(trace, "read", race())
+                    parts = yield from self._op("read", race())
                 except TimeoutOLFSError:
                     raise
             else:
-                parts = yield from self._op(trace, "read", do_read())
+                parts = yield from self._op("read", do_read())
             if first_byte is None:
                 first_byte = self.engine.now - start
-            yield from self._op(trace, "close")
+            yield from self._op("close")
             data = b"".join(part.data for part in parts)
             result = ReadResult(
                 data=data,
@@ -337,8 +348,7 @@ class POSIXInterface:
     def stat(self, path: str) -> Generator:
         """getattr: size/mtime/versions from the index file."""
         with self.engine.trace.span("posix.stat", "posix", {"path": path}):
-            trace = OpTrace("stat")
-            index = yield from self._op(trace, "stat", self._stat_work(path))
+            index = yield from self._op("stat", self._stat_work(path))
             if index is None:
                 kind = yield from self.mv.entry_kind(path)
                 if kind == "dir":
@@ -356,26 +366,21 @@ class POSIXInterface:
 
     def mkdir(self, path: str) -> Generator:
         with self.engine.trace.span("posix.mkdir", "posix", {"path": path}):
-            trace = OpTrace("mkdir")
             kind = yield from self.mv.entry_kind(path)
             if kind is not None:
                 raise FileExistsOLFSError(f"{path!r} exists")
-            yield from self._op(trace, "mkdir", self.mv.make_dir(path))
+            yield from self._op("mkdir", self.mv.make_dir(path))
 
     def readdir(self, path: str) -> Generator:
         with self.engine.trace.span("posix.readdir", "posix", {"path": path}):
-            trace = OpTrace("readdir")
-            names = yield from self._op(
-                trace, "readdir", self.mv.listdir(path)
-            )
+            names = yield from self._op("readdir", self.mv.listdir(path))
         return names
 
     def unlink(self, path: str) -> Generator:
         """Remove from the global namespace.  Data already burned stays on
         its discs (WORM); OLFS remains a traceable file system (§4.6)."""
         with self.engine.trace.span("posix.unlink", "posix", {"path": path}):
-            trace = OpTrace("unlink")
-            yield from self._op(trace, "unlink", self.mv.remove_index(path))
+            yield from self._op("unlink", self.mv.remove_index(path))
 
     def versions(self, path: str) -> Generator:
         index = yield from self.mv.lookup_index(path)

@@ -79,12 +79,8 @@ class ServeOp:
 class OpOutcome:
     """How one operation ended, as the client saw it."""
 
-    path: str
-    tenant: str
-    session: str
     status: str
     latency_s: float
-    nbytes: float
 
 
 class ClientSession:
@@ -194,11 +190,4 @@ class ClientSession:
         if status == "ok":
             self._latency.observe(elapsed)
             self._bytes.inc(op.nbytes)
-        return OpOutcome(
-            path=op.path,
-            tenant=self.tenant,
-            session=self.session_id,
-            status=status,
-            latency_s=elapsed,
-            nbytes=op.nbytes,
-        )
+        return OpOutcome(status, elapsed)

@@ -13,7 +13,9 @@ joiners' wake-ups included; each step; and each generator frame a step
 resumes (the stepped process's ``gi_yieldfrom`` chain), also by each
 frame's own package.  A draw with no process stepping (an alarm callback,
 the campaign's own code) goes under the package of the code that asked
-for it; :meth:`gauges` reads each engine's heap and run queue.  Usage::
+for it; :meth:`gauges` reads each engine's heap and run queue, and each
+:class:`~repro.sim.shard.ShardedEngine`'s windows, stalls and mailbox
+depth.  Usage::
 
     with OwnerCounter() as counter:
         rig = build()       # engines built here are counted
@@ -40,6 +42,7 @@ class OwnerCounter:
         self.frames: Counter = Counter()
         self.code_frames: Counter = Counter()  # by each frame's package
         self._peaks: list[tuple[Engine, dict]] = []  # largest heap, runq
+        self._sharded: list = []  # ShardedEngines built while counting
         self._owners: dict = {}  # code object -> its package
         self._stepping = None  # owner of the process being stepped
 
@@ -60,12 +63,21 @@ class OwnerCounter:
         for engine, peaks in self._peaks:
             peaks.update(heap=0, runq=0)
             engine.compactions = 0
+        for sharded in self._sharded:
+            sharded.windows = sharded.stalls = sharded.max_mailbox = 0
 
     def gauges(self) -> list[dict]:
-        """Per counted engine since the last clear: the largest heap and
-        run queue seen at a draw or a step's end, and heap compactions."""
+        """Since the last clear, per counted engine: the largest heap and
+        run queue seen at a draw or a step's end, and heap compactions;
+        then per counted sharded engine: the windows it ran, the shard
+        advances that ran no occurrence (stalls) and the deepest mailbox
+        at a window's start."""
         return [dict(peaks, compactions=engine.compactions)
-                for engine, peaks in self._peaks]
+                for engine, peaks in self._peaks] + [
+            {"windows": sharded.windows, "stalls": sharded.stalls,
+             "mailbox": sharded.max_mailbox}
+            for sharded in self._sharded
+        ]
 
     def _owner(self, code) -> str:
         owner = self._owners.get(code)
@@ -73,6 +85,11 @@ class OwnerCounter:
             owner = os.path.basename(os.path.dirname(code.co_filename))
             self._owners[code] = owner
         return owner
+
+    def attach_sharded(self, sharded) -> None:
+        """Report ``sharded``'s window counts (called by
+        ``ShardedEngine.__init__`` while counting)."""
+        self._sharded.append(sharded)
 
     def attach(self, engine: Engine) -> None:
         """Count ``engine`` (called by ``Engine.__init__`` while counting)."""

@@ -103,6 +103,12 @@ class ShardedEngine:
         ]
         #: per-*group* send counters — stamps must not depend on layout
         self._send_seq = [0] * len(groups)
+        #: windows run; shard advances in them that ran no occurrence;
+        #: the deepest mailbox at a window's start (plain counts, like
+        #: ``Engine.compactions``; ``OwnerCounter.gauges`` reports them)
+        self.windows = self.stalls = self.max_mailbox = 0
+        if Engine.owner_counter is not None:
+            Engine.owner_counter.attach_sharded(self)
 
     # ------------------------------------------------------------------
     # Topology
@@ -184,16 +190,16 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # The conservative window merge
     # ------------------------------------------------------------------
-    def _next_occurrence(self) -> Optional[float]:
-        t_next: Optional[float] = None
-        for engine in self.engines:
-            t = engine.next_event_time()
-            if t is not None and (t_next is None or t < t_next):
-                t_next = t
-        for mail in self._mail:
-            if mail and (t_next is None or mail[0][0] < t_next):
-                t_next = mail[0][0]
-        return t_next
+    def _heads(self) -> list[Optional[float]]:
+        """Each shard's earliest pending occurrence, its next event or its
+        mailbox head, or None when it has neither."""
+        heads = []
+        for engine, mail in zip(self.engines, self._mail):
+            head = engine.next_event_time()
+            if mail and (head is None or mail[0][0] < head):
+                head = mail[0][0]
+            heads.append(head)
+        return heads
 
     def _advance_shard(self, index: int, horizon: float) -> None:
         engine = self.engines[index]
@@ -213,11 +219,19 @@ class ShardedEngine:
     def run(self) -> None:
         """Advance every shard until all engines and mailboxes drain."""
         while True:
-            t_next = self._next_occurrence()
-            if t_next is None:
+            heads = self._heads()
+            pending = [head for head in heads if head is not None]
+            if not pending:
                 return
-            horizon = t_next + self.lookahead
-            for index in range(self.shards):
+            horizon = min(pending) + self.lookahead
+            self.windows += 1
+            self.max_mailbox = max(self.max_mailbox, *map(len, self._mail))
+            for index, head in enumerate(heads):
+                # a shard's clock and heap change only through its own
+                # advance, and mail sent in this window lands at or past
+                # the horizon: a head past it runs nothing this window
+                if head is None or head >= horizon:
+                    self.stalls += 1
                 self._advance_shard(index, horizon)
 
     # ------------------------------------------------------------------

@@ -261,6 +261,9 @@ def test_the_lint_sees_the_overrides_the_runs_make():
 ALLOWED_UNPASSED = {
     "Volume.array": "[reach]: goes with the RAID data path, whose "
     "deletion waits for the benchmark's boundary to be re-pointed",
+    "TelemetryAgent.flush_every": "tests/test_fleet_monitor.py flushes "
+    "every tick or every second one and checks 0 is refused; every run "
+    "flushes every FLUSH_EVERY samples",
     **{
         f"TimeSeriesStore.{knob}": "[paper-promises]: retention and shard "
         "eviction get a fleet-monitor leg that sets them"

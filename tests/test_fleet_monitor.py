@@ -106,7 +106,6 @@ def make_agent(engine, central=None, link=None, **overrides):
     kwargs = dict(
         probes={"m.a": lambda: 1.0, "m.b": lambda: 2.0},
         labels={"rack": "s0.r00"},
-        sample_period_s=0.5,
         flush_every=2,
         horizon_s=5.0,
     )

@@ -126,6 +126,31 @@ def test_mailbox_drains_in_group_stamp_order():
     assert seen == ["a", "b"]
 
 
+def test_window_stall_and_mailbox_gauges():
+    """Two windows: ``a`` runs and sends twice while ``b`` stalls, then
+    ``b`` takes both deliveries while ``a`` stalls; ``clear`` zeroes the
+    gauges as it does an engine's."""
+    from repro.sim.owners import OwnerCounter
+
+    with OwnerCounter() as counter:
+        sharded = ShardedEngine(["a", "b"], shards=2, lookahead=1.0)
+    seen = []
+
+    def sender():
+        yield Delay(0.5)
+        for tag in ("x", "y"):
+            sharded.send("a", "b", 1.0, lambda tag=tag: seen.append(tag))
+
+    sharded.spawn("a", sender())
+    sharded.run()
+    assert seen == ["x", "y"]
+    assert counter.gauges()[-1] == {"windows": 2, "stalls": 2, "mailbox": 2}
+    assert (sharded.windows, sharded.stalls, sharded.max_mailbox) == (2, 2, 2)
+    counter.clear()
+    assert counter.gauges()[-1] == {"windows": 0, "stalls": 0, "mailbox": 0}
+    assert len(counter.gauges()) == 3  # two shard engines, one merge
+
+
 # ---------------------------------------------------------------------------
 # Engine support surface the sharded loop rides on
 # ---------------------------------------------------------------------------
